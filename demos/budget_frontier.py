@@ -11,16 +11,21 @@ finally flips, exposing how conservative the guarantee is on this input.
 import numpy as np
 
 from delgen.datasets import grid_points
+from delgen.delaunay import delaunay_lifted
 from delgen.genericity import analyze_genericity, deep_interior, sampling_parameters
+from delgen.hull import hull_facets
 from delgen.perturb import (make_point_perturbation, measured_secure_params,
                             point_stability_trial)
 
 
 def main():
     pts = grid_points(9, 2, jitter=0.2, seed=3)
-    sampling = sampling_parameters(pts)
-    region = sorted(deep_interior(pts, sampling.epsilon))
-    analysis = analyze_genericity(pts, region)
+    # Build the hull and the Delaunay complex once and hand them down.
+    facets, base = hull_facets(pts), delaunay_lifted(pts)
+    sampling = sampling_parameters(pts, facets=facets, base=base)
+    region = sorted(deep_interior(pts, sampling.epsilon, facets=facets))
+    analysis = analyze_genericity(pts, region, sampling=sampling,
+                                  facets=facets, base=base)
     params = measured_secure_params(analysis)
     budget = params.budget().rho_point
 

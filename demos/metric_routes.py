@@ -12,15 +12,21 @@ they agree simplex for simplex, ball for ball.
 import numpy as np
 
 from delgen.datasets import grid_points
+from delgen.delaunay import delaunay_lifted
 from delgen.genericity import analyze_genericity, deep_interior, sampling_parameters
+from delgen.hull import hull_facets
 from delgen.metric import Box, DisplacementField, MetricModel, metric_delaunay
 from delgen.perturb import measured_secure_params, protection_decay_trial
 
 
 def main():
     pts = grid_points(9, 2, jitter=0.2, seed=3)
-    region = sorted(deep_interior(pts, sampling_parameters(pts).epsilon))
-    analysis = analyze_genericity(pts, region)
+    # Build the hull and the Delaunay complex once and hand them down.
+    facets, base = hull_facets(pts), delaunay_lifted(pts)
+    sampling = sampling_parameters(pts, facets=facets, base=base)
+    region = sorted(deep_interior(pts, sampling.epsilon, facets=facets))
+    analysis = analyze_genericity(pts, region, sampling=sampling,
+                                  facets=facets, base=base)
     params = measured_secure_params(analysis)
     amplitude = params.budget().rho_metric / 2.0
     field = DisplacementField(2, amplitude, seed=7)

@@ -17,8 +17,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .complexes import star_isomorphic
 from .datasets import delta_search, grid_points, uniform_points
@@ -30,6 +28,7 @@ from .fileio import (complex_from_json, dataset_digest, envelope_csv,
                      report_envelope, write_points)
 from .genericity import (analyze_genericity, deep_interior, lemma_audit,
                          sampling_parameters, thickness_certificate)
+from .hull import hull_facets
 from .metric import DisplacementField
 from .perturb import (measured_secure_params, metric_stability_trial,
                       relaxation_trial, trial_batch)
@@ -137,9 +136,9 @@ def _require_infile(args) -> str:
     return args.infile
 
 
-def _parse_region(pj: str, pts, eps: float) -> list[int]:
+def _parse_region(pj: str, pts, eps: float, facets) -> list[int]:
     if pj == "auto":
-        return sorted(deep_interior(pts, eps))
+        return sorted(deep_interior(pts, eps, facets=facets))
     try:
         ids = sorted({int(tok) for tok in pj.split(",") if tok.strip()})
     except ValueError:
@@ -147,6 +146,26 @@ def _parse_region(pj: str, pts, eps: float) -> list[int]:
     if not ids:
         raise PreconditionError("--pj selected no vertices")
     return ids
+
+
+def _load_analysis(args, *, require_region: bool = True):
+    """Read ``--in`` and build its hull, Delaunay complex, sampling report and
+    analysis once. Returns ``(points, digest, sampling, base, analysis)``; an
+    empty region raises, or gives no analysis when not ``require_region``."""
+    pts = read_points(_require_infile(args))
+    digest = dataset_digest(pts)
+    ps = as_point_set(pts)
+    facets = hull_facets(ps.points)
+    base = delaunay_lifted(ps)
+    sampling = sampling_parameters(ps, facets=facets, base=base)
+    region = _parse_region(args.pj, ps, sampling.epsilon, facets)
+    if not region:
+        if require_region:
+            raise PreconditionError("deep interior region is empty")
+        return pts, digest, sampling, base, None
+    analysis = analyze_genericity(ps, region, sampling=sampling, facets=facets,
+                                  base=base)
+    return pts, digest, sampling, base, analysis
 
 
 def _sampling_dict(s) -> dict:
@@ -190,27 +209,22 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    pts = read_points(_require_infile(args))
-    digest = dataset_digest(pts)
+    pts, digest, sampling, base, analysis = _load_analysis(args, require_region=False)
     config = {"command": "analyze", "in": args.infile, "pj": args.pj,
               "format": args.format}
-    sampling = sampling_parameters(pts)
-    base = delaunay_lifted(pts)
-    tol = as_point_set(pts).tolerance()
-    global_delta = base.protection()
-    region = _parse_region(args.pj, pts, sampling.epsilon)
-    if not region:
+    if analysis is None:
+        global_delta = base.protection()
         results = {
             "sampling": _sampling_dict(sampling),
             "protection": {"delta_global": global_delta,
-                           "generic": bool(global_delta > tol)},
+                           "generic": bool(global_delta > base.tolerance)},
             "generic": False,
             "reason": "deep interior region is empty",
         }
         _emit_envelope(args, config, digest,
                        {"total_s": time.perf_counter() - t0}, results)
         return 4
-    analysis = analyze_genericity(pts, region)
+    region = analysis.classification.region
     audit = lemma_audit(pts, region, analysis=analysis)
     results = {
         "sampling": _sampling_dict(sampling),
@@ -250,13 +264,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_budget(args) -> int:
     t0 = time.perf_counter()
-    pts = read_points(_require_infile(args))
-    digest = dataset_digest(pts)
-    sampling = sampling_parameters(pts)
-    region = _parse_region(args.pj, pts, sampling.epsilon)
-    if not region:
-        raise PreconditionError("deep interior region is empty")
-    analysis = analyze_genericity(pts, region)
+    _, digest, _, _, analysis = _load_analysis(args)
     params = measured_secure_params(analysis)
     results = {"secure_params": _params_dict(params),
                "budgets": _budget_dict(params.budget())}
@@ -280,13 +288,8 @@ def _gate(analysis, force: bool) -> None:
 
 def cmd_stability(args) -> int:
     t0 = time.perf_counter()
-    pts = read_points(_require_infile(args))
-    digest = dataset_digest(pts)
-    sampling = sampling_parameters(pts)
-    region = _parse_region(args.pj, pts, sampling.epsilon)
-    if not region:
-        raise PreconditionError("deep interior region is empty")
-    analysis = analyze_genericity(pts, region)
+    pts, digest, _, _, analysis = _load_analysis(args)
+    region = analysis.classification.region
     _gate(analysis, args.force)
     fractions = args.fractions or [1.0]
     models = [tok.strip() for tok in args.models.split(",") if tok.strip()]
@@ -319,13 +322,8 @@ def cmd_stability(args) -> int:
 
 def cmd_relax(args) -> int:
     t0 = time.perf_counter()
-    pts = read_points(_require_infile(args))
-    digest = dataset_digest(pts)
-    sampling = sampling_parameters(pts)
-    region = _parse_region(args.pj, pts, sampling.epsilon)
-    if not region:
-        raise PreconditionError("deep interior region is empty")
-    analysis = analyze_genericity(pts, region)
+    pts, digest, _, _, analysis = _load_analysis(args)
+    region = analysis.classification.region
     params = measured_secure_params(analysis)
     rho = args.rho if args.rho is not None else args.fraction * params.budget().rho_point
     verdict = relaxation_trial(pts, region, rho, analysis=analysis, params=params)
@@ -338,13 +336,8 @@ def cmd_relax(args) -> int:
 
 def cmd_metric(args) -> int:
     t0 = time.perf_counter()
-    pts = read_points(_require_infile(args))
-    digest = dataset_digest(pts)
-    sampling = sampling_parameters(pts)
-    region = _parse_region(args.pj, pts, sampling.epsilon)
-    if not region:
-        raise PreconditionError("deep interior region is empty")
-    analysis = analyze_genericity(pts, region)
+    pts, digest, _, _, analysis = _load_analysis(args)
+    region = analysis.classification.region
     params = measured_secure_params(analysis)
     budget = params.budget()
     cap = budget.rho_metric if args.mode == "thm" else budget.rho_generic
@@ -381,7 +374,11 @@ def cmd_compare(args) -> int:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{args.mapping}: {exc}") from None
-        mapping = {int(k): int(v) for k, v in raw.items()}
+        try:
+            mapping = {int(k): int(v) for k, v in raw.items()}
+        except (AttributeError, TypeError, ValueError):
+            raise ParseError(f"{args.mapping}: mapping must be a JSON object "
+                             "of integer ids") from None
     else:
         mapping = {v: v for v in left.vertex_ids()}
     if args.q:

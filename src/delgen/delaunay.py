@@ -44,7 +44,8 @@ class PointSet:
             raise PreconditionError("points must form a nonempty (n, m) array")
         if not np.all(np.isfinite(pts)):
             raise PreconditionError("points must be finite")
-        seen = {p.tobytes() for p in pts}
+        # Adding zero turns -0.0 into 0.0, so equal bytes mean equal values.
+        seen = {p.tobytes() for p in pts + 0.0}
         if len(seen) != pts.shape[0]:
             raise PreconditionError("duplicate points rejected")
         self.points = pts
@@ -74,9 +75,6 @@ class PointSet:
 
     def tolerance(self) -> float:
         return PROTECTION_RTOL * self.diameter()
-
-    def replace(self, displaced: np.ndarray) -> "PointSet":
-        return PointSet(displaced)
 
 
 def as_point_set(points) -> PointSet:

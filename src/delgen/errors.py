@@ -36,7 +36,3 @@ class MappingError(PreconditionError):
 
 class PathMismatchError(CheckFailedError):
     """Two supposedly equivalent computation routes disagreed."""
-
-
-class UndecidedError(CheckFailedError):
-    """A certified decision procedure exhausted its budget undecided."""

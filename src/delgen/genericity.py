@@ -11,7 +11,7 @@ altitude floor, circumradius bound, secure flags).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,7 +20,7 @@ from .complexes import SimplicialComplex
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
 from .hull import HullFacets, eroded_boundary_samples, hull_facets
-from .simplex import Simplex, simplex_metrics
+from .simplex import SimplexMetrics, simplex_metrics
 
 THICKNESS_SLACK = 1e-9
 
@@ -79,14 +79,21 @@ class GenericityAnalysis:
     protection: ProtectionReport
     classification: SafeInteriorClassification
     tolerance: float
+    _metrics: dict[tuple[int, ...], SimplexMetrics] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def metrics(self, simplex: tuple[int, ...]) -> SimplexMetrics:
+        """Metrics of a simplex of the complex, computed once per analysis."""
+        if simplex not in self._metrics:
+            self._metrics[simplex] = simplex_metrics(self.base.complex.points[list(simplex)])
+        return self._metrics[simplex]
 
 
 # -- sampling radius -------------------------------------------------------
 
 
-def _coverage_radius(ps: PointSet, facets: HullFacets, centers: np.ndarray,
-                     radii: np.ndarray, tree: cKDTree, eps: float,
-                     pitch: float) -> float:
+def _coverage_radius(facets: HullFacets, centers: np.ndarray, radii: np.ndarray,
+                     tree: cKDTree, eps: float, pitch: float) -> float:
     """Largest distance to P over the hull eroded by eps.
 
     Interior maxima of the distance function sit at empty ball centres, so
@@ -105,28 +112,15 @@ def _coverage_radius(ps: PointSet, facets: HullFacets, centers: np.ndarray,
     return best
 
 
-def sampling_parameters(points) -> SamplingReport:
-    """Measure the sampling radius, the sparsity, and their ratio.
-
-    The sampling radius solves eps = sup over the eps-eroded hull of the
-    distance to the set; the sup shrinks as the erosion grows, so the
-    equation has a unique fixed point, found by two rounds of fixed point
-    iteration and then bisection down to 1e-9 of the diameter.
-    """
-    ps = as_point_set(points)
-    if ps.n < ps.dim + 1:
-        raise PreconditionError("need at least dim + 1 points")
-    facets = hull_facets(ps.points)
-    sparsity = ps.min_gap()
-    pitch = sparsity / 16.0
+def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult) -> float:
+    """Fixed point eps = g(eps) of the coverage radius of the eroded hull."""
+    pitch = ps.min_gap() / 16.0
     tree = cKDTree(ps.points)
-    base = delaunay_lifted(ps)
-    balls = list(base.balls.values())
-    centers = np.array([b.center for b in balls]) if balls else np.empty((0, ps.dim))
-    radii = np.array([b.radius for b in balls]) if balls else np.empty(0)
+    centers = np.array([b.center for b in base.balls.values()])
+    radii = np.array([b.radius for b in base.balls.values()])
 
     def g(eps: float) -> float:
-        return _coverage_radius(ps, facets, centers, radii, tree, eps, pitch)
+        return _coverage_radius(facets, centers, radii, tree, eps, pitch)
 
     eps = g(0.0)
     if eps <= 0:
@@ -146,13 +140,32 @@ def sampling_parameters(points) -> SamplingReport:
             if hi - lo <= tol:
                 break
         eps = 0.5 * (lo + hi)
+    return eps
+
+
+def sampling_parameters(points, *, facets: HullFacets | None = None,
+                        base: DelaunayResult | None = None) -> SamplingReport:
+    """Measure the sampling radius, the sparsity, and their ratio.
+
+    The sampling radius solves eps = sup over the eps-eroded hull of the
+    distance to the set; the sup shrinks as the erosion grows, so the
+    equation has a unique fixed point, found by two rounds of fixed point
+    iteration and then bisection down to 1e-9 of the diameter. ``facets``
+    and ``base`` take the hull and the Delaunay complex when already built.
+    """
+    ps = as_point_set(points)
+    if ps.n < ps.dim + 1:
+        raise PreconditionError("need at least dim + 1 points")
+    facets = hull_facets(ps.points) if facets is None else facets
+    base = delaunay_lifted(ps) if base is None else base
+    eps, sparsity = _sampling_radius(ps, facets, base), ps.min_gap()
     return SamplingReport(epsilon=eps, sparsity=sparsity, mu0=sparsity / eps)
 
 
-def deep_interior(points, eps: float) -> set[int]:
+def deep_interior(points, eps: float, *, facets: HullFacets | None = None) -> set[int]:
     """Vertices whose distance to the hull boundary is at least 4 eps."""
     ps = as_point_set(points)
-    facets = hull_facets(ps.points)
+    facets = hull_facets(ps.points) if facets is None else facets
     depth = facets.depth(ps.points)
     slack = 1e-12 * max(1.0, ps.diameter())
     return {int(i) for i in np.nonzero(depth >= 4.0 * eps - slack)[0]}
@@ -161,21 +174,27 @@ def deep_interior(points, eps: float) -> set[int]:
 # -- protection classification ---------------------------------------------
 
 
-def analyze_genericity(points, region) -> GenericityAnalysis:
-    """Shared workhorse behind the classification and certification calls."""
+def analyze_genericity(points, region, *, sampling: SamplingReport | None = None,
+                       facets: HullFacets | None = None,
+                       base: DelaunayResult | None = None) -> GenericityAnalysis:
+    """Shared workhorse behind the classification and certification calls.
+
+    ``sampling``, ``facets`` and ``base`` take whatever is already built.
+    """
     ps = as_point_set(points)
     region = tuple(sorted({int(v) for v in region}))
     if not region:
         raise PreconditionError("region must be nonempty")
-    sampling = sampling_parameters(ps)
-    facets = hull_facets(ps.points)
-    deep = deep_interior(ps, sampling.epsilon)
+    facets = hull_facets(ps.points) if facets is None else facets
+    base = delaunay_lifted(ps) if base is None else base
+    if sampling is None:
+        sampling = sampling_parameters(ps, facets=facets, base=base)
+    deep = deep_interior(ps, sampling.epsilon, facets=facets)
     outside = [v for v in region if v not in deep]
     if outside:
         raise PreconditionError(
             f"region vertices {outside} are not deep interior points"
         )
-    base = delaunay_lifted(ps)
     m = ps.dim
     cx = base.complex
     safe = cx.vertex_star(region)
@@ -229,12 +248,11 @@ def thickness_certificate(points, region, *, analysis: GenericityAnalysis | None
         )
     nu = a.protection.nu_tilde
     upsilon0 = np.sqrt(3.0) * nu * nu / 4.0
-    pts = a.base.complex.points
     witnesses = []
     worst = np.inf
     for dim in range(1, a.base.complex.dimension + 1):
         for s in a.classification.safe.simplices(dim):
-            met = simplex_metrics(Simplex(pts[list(s)]))
+            met = a.metrics(s)
             worst = min(worst, met.thickness)
             witnesses.append((s, met.thickness, met.thickness >= upsilon0 - THICKNESS_SLACK))
     valid = all(w[2] for w in witnesses)
@@ -340,7 +358,7 @@ def lemma_audit(points, region, *, analysis: GenericityAnalysis | None = None) -
     altitude_floor = np.sqrt(3.0) * delta * delta / (2.0 * eps)
     for dim in range(1, m + 1):
         for s in a.classification.safe.simplices(dim):
-            met = simplex_metrics(Simplex(pts[list(s)]))
+            met = a.metrics(s)
             tally("separation", met.shortest_edge > delta - tol)
             tally("altitude", bool(np.all(met.altitudes > altitude_floor - tol)))
             tally("thickness", met.thickness >= upsilon0 - THICKNESS_SLACK)
@@ -349,7 +367,7 @@ def lemma_audit(points, region, *, analysis: GenericityAnalysis | None = None) -
     audits = []
     for s in a.classification.audited:
         ball = a.base.balls[s]
-        met = simplex_metrics(Simplex(pts[list(s)]))
+        met = a.metrics(s)
         if np.max(depth[list(s)]) >= 2.0 * eps:
             tally("circumradius", ball.radius < eps + tol)
         secure = (

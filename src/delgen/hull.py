@@ -1,9 +1,11 @@
 """Convex hull support: facet planes, boundary distance, eroded bodies.
 
-Facets are found by a vectorised brute force over vertex subsets with a float
-side-of-plane screen, then confirmed with the exact predicates; at desk scale
-(n up to a few hundred, m <= 3) this stays fast and is immune to the usual
-qhull tolerance surprises on lattice inputs.
+Candidate facets come from qhull (Barber, Dobkin & Huhdanpaa, *The Quickhull
+Algorithm for Convex Hulls*, 1996) and every one is confirmed with a float
+side-of-plane screen backed by the exact predicates. When a candidate fails,
+or the candidates do not close up into a boundary, an exhaustive screen over
+vertex subsets replaces them, so qhull tolerance surprises on lattice inputs
+never reach the facet list.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ class HullFacets:
 
     normals: np.ndarray  # (f, m)
     offsets: np.ndarray  # (f,)
-    edges: tuple[tuple[int, ...], ...]  # m=2 only: boundary edges, subdivided
 
     def depth(self, x: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary, positive inside, for rows of x."""
@@ -125,12 +126,19 @@ def _facet_planes_seeded(pts: np.ndarray) -> list[tuple[int, ...]] | None:
     """Candidate facets from qhull, each confirmed exactly.
 
     Returns None when any candidate fails confirmation (a warped
-    triangulation of a near-coplanar patch), signalling the caller to fall
-    back to the exhaustive route.
+    triangulation of a near-coplanar patch) or when the candidates do not
+    form a closed boundary (every ridge shared by exactly two facets),
+    signalling the caller to fall back to the exhaustive route.
     """
     try:
         hull = ConvexHull(pts, qhull_options="Qt")
     except Exception:
+        return None
+    simplices = np.sort(hull.simplices, axis=1)
+    m = pts.shape[1]
+    ridges = np.vstack([np.delete(simplices, k, axis=1) for k in range(m)])
+    _, counts = np.unique(ridges, axis=0, return_counts=True)
+    if not np.all(counts == 2):
         return None
     facets = [tuple(int(v) for v in s) for s in hull.simplices]
     for facet in facets:
@@ -139,50 +147,20 @@ def _facet_planes_seeded(pts: np.ndarray) -> list[tuple[int, ...]] | None:
     return facets
 
 
-def _boundary_edges(pts: np.ndarray, facets: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """m=2: boundary edges as consecutive collinear points per support line."""
-    edges: set[tuple[int, int]] = set()
-    for facet in facets:
-        side, cushion = _facet_sides(pts, facet)
-        on_line = [int(q) for q in np.nonzero(np.abs(side) <= cushion)[0]
-                   if q in facet
-                   or predicates.side_of_plane(pts[list(facet)], pts[q]) == 0]
-        if len(on_line) < 2:
-            continue
-        d = pts[facet[1]] - pts[facet[0]]
-        order = sorted(on_line, key=lambda q: float(pts[q] @ d))
-        for a, b in zip(order, order[1:]):
-            edges.add(tuple(sorted((a, b))))
-    return sorted(edges)
-
-
-_BRUTE_LIMIT = {2: 400, 3: 150}
-_hull_cache: dict[bytes, HullFacets] = {}
-
-
 def hull_facets(points: np.ndarray) -> HullFacets:
     """Hull facet planes of a full dimensional point set.
 
-    Facet subsets come from the exhaustive screen at small sizes and from a
-    qhull seeding above it; either way every facet is confirmed with exact
-    predicates, and the seeded route falls back to exhaustion if any
-    candidate fails. For m=2 also reports the boundary edge list, subdivided
-    through collinear boundary points so it matches the boundary of a
-    Delaunay complex.
+    Facet subsets come from qhull and are confirmed with exact predicates;
+    if any candidate fails, or the candidates leave the boundary open, the
+    exhaustive screen supplies them instead.
     """
     pts = np.ascontiguousarray(np.asarray(points, dtype=float))
-    n, m = pts.shape
+    m = pts.shape[1]
     if m not in (2, 3):
         raise PreconditionError("hull support covers ambient dimension 2 and 3")
     if affine_rank(pts) < m:
         raise PreconditionError("point set is not full dimensional")
-    key = pts.tobytes()
-    cached = _hull_cache.get(key)
-    if cached is not None:
-        return cached
-    facets = None
-    if n > _BRUTE_LIMIT[m]:
-        facets = _facet_planes_seeded(pts)
+    facets = _facet_planes_seeded(pts)
     if facets is None:
         facets = _facet_planes_bruteforce(pts)
     interior = pts.mean(axis=0)
@@ -206,14 +184,7 @@ def hull_facets(points: np.ndarray) -> HullFacets:
         planes.setdefault(key, (nrm, off))
     normals = np.array([p[0] for p in planes.values()])
     offsets = np.array([p[1] for p in planes.values()])
-    edges: tuple[tuple[int, ...], ...] = ()
-    if m == 2:
-        edges = tuple(_boundary_edges(pts, facets))
-    result = HullFacets(normals=normals, offsets=offsets, edges=edges)
-    if len(_hull_cache) >= 16:
-        _hull_cache.pop(next(iter(_hull_cache)))
-    _hull_cache[key] = result
-    return result
+    return HullFacets(normals=normals, offsets=offsets)
 
 
 def chebyshev_center(normals: np.ndarray, offsets: np.ndarray):

@@ -11,16 +11,16 @@ runs stay informative rather than being rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .delaunay import as_point_set, delaunay_lifted, relaxed_delaunay
+from .delaunay import DelaunayResult, as_point_set, delaunay_lifted, relaxed_delaunay
 from .complexes import star_isomorphic
 from .errors import NonGenericError, PreconditionError
 from .genericity import GenericityAnalysis, analyze_genericity
 from .metric import Box, DisplacementField, MetricModel, metric_delaunay
-from .simplex import Simplex, circumcenter, simplex_metrics
+from .simplex import Simplex, circumcenter
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,9 @@ def measured_secure_params(analysis: GenericityAnalysis) -> SecureParams:
     ratio, and the audited protection; the dimensionless values are clamped
     to one so the budget formulas stay in their stated domain.
     """
-    pts = analysis.base.complex.points
     worst = 1.0
     for s in analysis.classification.audited:
-        worst = min(worst, simplex_metrics(Simplex(pts[list(s)])).thickness)
+        worst = min(worst, analysis.metrics(s).thickness)
     eps = analysis.sampling.epsilon
     delta = min(analysis.protection.delta_global, eps)
     if delta <= 0:
@@ -117,16 +116,10 @@ class PointPerturbation:
     base: np.ndarray
     directions: np.ndarray
     magnitudes: np.ndarray
-    map: dict[int, np.ndarray] = dc_field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.magnitudes.size and self.magnitudes.max() > self.rho * (1 + 1e-12):
             raise PreconditionError("displacement exceeds the declared radius")
-        if not self.map:
-            moved = self.base + self.directions * self.magnitudes[:, None]
-            object.__setattr__(
-                self, "map", {i: moved[i] for i in range(self.base.shape[0])}
-            )
 
     def apply(self) -> np.ndarray:
         return self.base + self.directions * self.magnitudes[:, None]
@@ -149,15 +142,41 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adversarial_directions(pts: np.ndarray, base: DelaunayResult) -> np.ndarray:
+    """Unit direction from each point to the centre of the first ball, in the
+    complex's order, of least sphere gap |distance - radius| among the balls
+    of simplices without the point; the first unit vector when there is none.
+    """
+    simplices = list(base.balls)
+    centers = np.array([b.center for b in base.balls.values()])
+    radii = np.array([b.radius for b in base.balls.values()])
+    own = np.zeros((pts.shape[0], len(simplices)), dtype=bool)
+    own[np.concatenate(simplices),
+        np.repeat(np.arange(len(simplices)), [len(s) for s in simplices])] = True
+    targets = pts.copy()
+    step = max(1, 1_000_000 // len(simplices))
+    for lo in range(0, pts.shape[0], step):
+        diff = pts[lo:lo + step, None, :] - centers[None, :, :]
+        # Row times column is the dot kernel np.linalg.norm uses on a single
+        # vector, so every gap, and so every tie, matches the scalar form.
+        gaps = np.abs(np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]) - radii)
+        gaps[own[lo:lo + step]] = np.inf
+        best = np.argmin(gaps, axis=1)
+        found = np.isfinite(gaps[np.arange(best.size), best])
+        targets[lo:lo + step][found] = centers[best[found]]
+    return _unit_rows(targets - pts)
+
+
 def make_point_perturbation(points, rho: float, seed: int, model: str = "uniform",
-                            *, base=None) -> PointPerturbation:
+                            *, base=None, directions=None) -> PointPerturbation:
     """Deterministic bounded perturbation of a point set.
 
     Models: ``uniform`` draws displacements uniformly from the rho ball,
     ``radial`` moves every point exactly rho outward from the centroid, and
     ``adversarial`` moves every point exactly rho toward the boundary of the
     nearest Delaunay sphere of a simplex not containing it, which attacks
-    the protection margins directly.
+    the protection margins directly. ``directions`` takes the adversarial
+    directions when they are already computed.
     """
     ps = as_point_set(points)
     if rho < 0:
@@ -174,18 +193,10 @@ def make_point_perturbation(points, rho: float, seed: int, model: str = "uniform
         dirs = _unit_rows(ps.points - centroid)
         mags = np.full(n, rho)
     elif model == "adversarial":
-        result = base if base is not None else delaunay_lifted(ps)
-        dirs = np.zeros((n, m))
-        for i in range(n):
-            best = None
-            for s, ball in result.balls.items():
-                if i in s:
-                    continue
-                gap = abs(np.linalg.norm(ps.points[i] - ball.center) - ball.radius)
-                if best is None or gap < best[0]:
-                    best = (gap, ball.center)
-            target = best[1] if best is not None else ps.points[i]
-            dirs[i] = _unit_rows((target - ps.points[i])[None, :])[0]
+        if directions is None:
+            directions = _adversarial_directions(
+                ps.points, base if base is not None else delaunay_lifted(ps))
+        dirs = directions
         mags = np.full(n, rho)
     else:
         raise PreconditionError(f"unknown perturbation model {model!r}")
@@ -443,25 +454,32 @@ def trial_batch(points, region, budgets, seeds: int, models, *, root_seed: int =
     unknown = set(models) - _BATCH_MODELS
     if unknown:
         raise PreconditionError(f"unknown trial models {sorted(unknown)}")
+    if int(seeds) < 1 or not models or not budgets:
+        raise PreconditionError("empty trial batch: need a seed, a model and a budget")
+    pts = a.base.complex.points
+    adversarial = (_adversarial_directions(pts, a.base)
+                   if "adversarial" in models else None)
     verdicts = []
     for mi, model in enumerate(sorted(set(models))):
         for bi, frac in enumerate(budgets):
             if not (np.isfinite(frac) and frac >= 0):
                 raise PreconditionError(f"bad budget fraction {frac!r}")
+            if model == "relaxation":
+                # Relaxation draws nothing at random: one run serves every seed.
+                v = relaxation_trial(points, region, frac * b.rho_point,
+                                     analysis=a, params=p)
+                verdicts.extend([v] * int(seeds))
+                continue
             for si in range(int(seeds)):
                 seed = _trial_seed(root_seed, mi, bi, si)
-                if model == "relaxation":
-                    v = relaxation_trial(points, region, frac * b.rho_point,
-                                         analysis=a, params=p)
-                elif model == "metric":
-                    fld = DisplacementField(a.base.complex.points.shape[1],
-                                            frac * b.rho_metric / 2.0, seed)
+                if model == "metric":
+                    fld = DisplacementField(pts.shape[1], frac * b.rho_metric / 2.0, seed)
                     v = metric_stability_trial(points, region, fld,
                                                analysis=a, params=p)
                 else:
                     pert = make_point_perturbation(
-                        a.base.complex.points, frac * b.rho_point, seed, model,
-                        base=a.base)
+                        pts, frac * b.rho_point, seed, model, base=a.base,
+                        directions=adversarial)
                     v = point_stability_trial(points, region, pert,
                                               analysis=a, params=p)
                 verdicts.append(v)

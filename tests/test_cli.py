@@ -281,3 +281,48 @@ def test_compare_bad_files(tmp_path):
 def test_parser_rejects_unknown_verbs():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
+    from delgen import delaunay, genericity, hull
+
+    counts = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(hull, "_facet_planes_seeded")
+    counting(hull, "_facet_planes_bruteforce")
+    counting(delaunay, "_lifted_top_simplices")
+    counting(genericity, "_sampling_radius")
+    path = tmp_path / "grid225.txt"
+    write_points(str(path), grid_points(15, 2, 0.2, seed=3))
+    code, _, _ = run(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert counts == {"_facet_planes_seeded": 1, "_lifted_top_simplices": 1,
+                      "_sampling_radius": 1}
+
+
+def test_compare_rejects_malformed_mapping(tmp_path):
+    left = tmp_path / "left.json"
+    left.write_text(json.dumps({"simplices": [[0, 1, 2]]}))
+    for raw in ({"a": 1, "1": 1, "2": 2}, [0, 1, 2], {"0": [1], "1": 1, "2": 2}):
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps(raw))
+        code, _, err = run(["compare", str(left), str(left), "--mapping", str(mapping)])
+        assert code == 3, raw
+        assert "parse error" in err
+
+
+def test_stability_without_seeds_is_precondition():
+    code, text, err = run(["stability", "--in", infile("generic.txt"),
+                           "--models", "uniform", "--seeds-count", "0"])
+    assert code == 4
+    assert text == ""
+    assert "empty trial batch" in err

@@ -211,3 +211,13 @@ def test_degeneracy_groups_with_planted_square():
         res = build(pts)
         assert not res.generic
         assert any(set(g) == {0, 1, 2, 3} for g in res.degeneracy_groups)
+
+
+def test_point_set_compares_values_not_bytes():
+    # 0.0 and -0.0 are one coordinate value, so these are duplicate points.
+    with pytest.raises(PreconditionError, match="duplicate"):
+        PointSet(np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(PreconditionError, match="duplicate"):
+        PointSet(np.array([[1.0, -0.0], [1.0, 0.0], [0.0, 1.0]]))
+    ps = PointSet(np.array([[-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert ps.n == 3

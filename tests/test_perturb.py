@@ -316,3 +316,67 @@ def test_trial_batch_validation():
     with pytest.raises(PreconditionError):
         trial_batch(pts, region, budgets=[-1.0], seeds=1, models=["uniform"],
                     analysis=analysis)
+
+
+def test_trial_batch_runs_relaxation_once_per_fraction(monkeypatch):
+    import delgen.perturb as perturb
+
+    pts, region, analysis, _ = instance()
+    calls = []
+    real = perturb.relaxed_delaunay
+    monkeypatch.setattr(perturb, "relaxed_delaunay",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    verdicts = trial_batch(pts, region, budgets=[0.5, 1.0], seeds=3,
+                           models=["relaxation"], root_seed=1, analysis=analysis)
+    assert len(calls) == 2
+    assert len(verdicts) == 6
+    docs = [v.to_json() for v in verdicts]
+    assert docs[0] == docs[1] == docs[2] and docs[3] == docs[4] == docs[5]
+    assert docs[0]["budget_used"] < docs[3]["budget_used"]
+
+
+def test_trial_batch_rejects_an_empty_batch():
+    pts, region, analysis, _ = instance()
+    for kwargs in (dict(seeds=0, models=["uniform"]), dict(seeds=1, models=[])):
+        with pytest.raises(PreconditionError, match="empty trial batch"):
+            trial_batch(pts, region, budgets=[1.0], analysis=analysis, **kwargs)
+
+
+def scalar_adversarial_directions(pts, base):
+    """Reference form: per point, the first ball with the least sphere gap."""
+    dirs = np.zeros_like(pts)
+    for i, p in enumerate(pts):
+        best = None
+        for s, ball in base.balls.items():
+            if i in s:
+                continue
+            gap = abs(np.linalg.norm(p - ball.center) - ball.radius)
+            if best is None or gap < best[0]:
+                best = (gap, ball.center)
+        d = (best[1] if best is not None else p) - p
+        norm = np.linalg.norm(d)
+        dirs[i] = d / norm if norm > 0 else np.eye(pts.shape[1])[0]
+    return dirs
+
+
+@pytest.mark.parametrize("pts", [grid_points(7, 2), grid_points(9, 2, 0.2, seed=3),
+                                 grid_points(4, 3), grid_points(4, 3, 0.1, seed=2)],
+                         ids=["lattice-2d", "jittered-2d", "lattice-3d", "jittered-3d"])
+def test_adversarial_directions_match_the_scalar_form(pts):
+    base = delaunay_lifted(pts)
+    pert = make_point_perturbation(pts, 1e-3, 0, "adversarial", base=base)
+    assert np.allclose(pert.directions, scalar_adversarial_directions(pts, base),
+                       rtol=0, atol=1e-12)
+
+
+def test_adversarial_directions_computed_once_per_batch(monkeypatch):
+    import delgen.perturb as perturb
+
+    pts, region, analysis, _ = instance()
+    calls = []
+    real = perturb._adversarial_directions
+    monkeypatch.setattr(perturb, "_adversarial_directions",
+                        lambda *a: calls.append(1) or real(*a))
+    verdicts = trial_batch(pts, region, budgets=[0.5, 1.0], seeds=2,
+                           models=["adversarial"], root_seed=2, analysis=analysis)
+    assert len(calls) == 1 and len(verdicts) == 4
