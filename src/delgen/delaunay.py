@@ -326,46 +326,71 @@ class RelaxedResult:
         return not self.undecided
 
 
-def _relaxed_gap(c: np.ndarray, member_pts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """g(c) = enclosing radius of the member points minus nearest point gap."""
+def _ball_gap(c: np.ndarray, member_pts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """g(c) = enclosing radius of the member points minus nearest point gap,
+    for each row c; g(c) <= 0 exactly at centres of empty member balls."""
     c2 = np.atleast_2d(c)
     need = cdist(c2, member_pts).max(axis=1)
     have = cdist(c2, pts).min(axis=1)
     return need - have
 
 
-def _branch_and_bound(member_pts, pts, seed, radius, rho, tol, max_nodes=20000):
-    """Search for c with g(c) <= rho + tol, or certify none exists.
+def _branch_and_bound(gap, seed, radius, lipschitz, threshold, max_nodes=20000):
+    """Search the cube of half width ``radius`` around ``seed`` for a centre
+    c with gap(c) <= threshold, or certify that none exists.
 
-    g is 2-Lipschitz, so a cube of half width h centred where g was measured
-    cannot hide a value below g - 2 h sqrt(m). Returns (verdict, witness):
-    verdict True/False/None for member, certified non member, undecided.
+    ``gap`` maps rows of centres to values. A cube of half width h centred
+    where gap was measured cannot hide a value below gap - lipschitz * h, so
+    such cubes are pruned and the rest split into 2^m halves. Returns
+    (verdict, witness): verdict True/False/None for found (with the first
+    hit as witness), certified absent, or undecided once more than
+    ``max_nodes`` cubes stay alive.
     """
-    m = pts.shape[1]
+    m = seed.shape[0]
+    offs = np.array(
+        [[(1 if bit & (1 << k) else -1) for k in range(m)] for bit in range(2**m)],
+        dtype=float,
+    )
     centers = seed[None, :].copy()
     halves = np.array([radius])
     nodes = 0
-    lipschitz = 2.0 * np.sqrt(m)
     while centers.shape[0]:
-        vals = _relaxed_gap(centers, member_pts, pts)
-        hit = np.nonzero(vals <= rho + tol)[0]
+        # Blocks of rows keep gap's (rows, n) distance tables small.
+        vals = np.concatenate([gap(centers[i:i + 4096])
+                               for i in range(0, centers.shape[0], 4096)])
+        hit = np.nonzero(vals <= threshold)[0]
         if hit.size:
             return True, centers[hit[0]].copy()
-        alive = vals - lipschitz * halves <= rho + tol
+        alive = vals - lipschitz * halves <= threshold
         centers, halves = centers[alive], halves[alive]
         nodes += centers.shape[0]
         if nodes > max_nodes:
             return None, None
-        if centers.shape[0] == 0:
-            break
-        offs = np.array(
-            [[(1 if bit & (1 << k) else -1) for k in range(m)] for bit in range(2**m)],
-            dtype=float,
-        )
         new_halves = halves / 2.0
         centers = (centers[:, None, :] + offs[None, :, :] * new_halves[:, None, None]).reshape(-1, m)
         halves = np.repeat(new_halves, offs.shape[0])
     return False, None
+
+
+def _star_candidates(pts, region, reach, sizes):
+    """Simplices of a vertex v in ``region`` and k more vertices within
+    ``reach`` of v, for each k in ``sizes``, of diameter at most ``reach``.
+
+    Each is yielded once, sorted, in visiting order: region vertex, then
+    size, then combination of the KD-tree ball around the vertex.
+    """
+    tree = cKDTree(pts)
+    seen: set[tuple[int, ...]] = set()
+    for v in region:
+        pool = [q for q in sorted(tree.query_ball_point(pts[v], reach)) if q != v]
+        for size in sizes:
+            for combo in combinations(pool, size):
+                cand = tuple(sorted((v, *combo)))
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if pdist(pts[list(cand)]).max() <= reach:
+                    yield cand
 
 
 def relaxed_delaunay(points, rho: float, region, *, eps: float | None = None,
@@ -383,8 +408,8 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float | None = None,
     reported in ``undecided`` and leave the result non certified.
     """
     ps = as_point_set(points)
-    if rho < 0:
-        raise PreconditionError("rho must be nonnegative")
+    if not np.isfinite(rho) or rho < 0:
+        raise PreconditionError("rho must be finite and nonnegative")
     region = sorted({int(v) for v in region})
     if not region:
         raise PreconditionError("region must be nonempty")
@@ -405,32 +430,18 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float | None = None,
             for face in combinations(simplex, k):
                 ball_centers.setdefault(face, []).append(ball.center)
 
-    tree = cKDTree(pts)
-    reach = 2.0 * eps
     members: list[tuple[int, ...]] = [(v,) for v in region]
     witnesses: dict[tuple[int, ...], np.ndarray] = {(v,): pts[v].copy() for v in region}
     undecided: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set(members)
-    for v in region:
-        near = sorted(tree.query_ball_point(pts[v], reach + tol))
-        pool = [q for q in near if q != v]
-        for size in range(1, m + 1):
-            for combo in combinations(pool, size):
-                cand = tuple(sorted((v, *combo)))
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                member_pts = pts[list(cand)]
-                if member_pts.shape[0] > 1 and pdist(member_pts).max() > reach + tol:
-                    continue
-                verdict, witness = _decide_candidate(
-                    cand, member_pts, pts, rho, tol, eps, ball_centers
-                )
-                if verdict is True:
-                    members.append(cand)
-                    witnesses[cand] = witness
-                elif verdict is None:
-                    undecided.append(cand)
+    for cand in _star_candidates(pts, region, 2.0 * eps + tol, range(1, m + 1)):
+        verdict, witness = _decide_candidate(
+            pts[list(cand)], pts, rho, tol, eps, ball_centers.get(cand, [])
+        )
+        if verdict is True:
+            members.append(cand)
+            witnesses[cand] = witness
+        elif verdict is None:
+            undecided.append(cand)
     cx = SimplicialComplex(members, pts)
     return RelaxedResult(
         complex=cx,
@@ -441,15 +452,15 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float | None = None,
     )
 
 
-def _decide_candidate(cand, member_pts, pts, rho, tol, eps, ball_centers):
+def _decide_candidate(member_pts, pts, rho, tol, eps, known_centers):
     from .simplex import circumcenter
 
-    quick: list[np.ndarray] = []
     ball = circumcenter(member_pts)
     seed = ball[0] if ball is not None else member_pts.mean(axis=0)
-    quick.append(seed)
-    quick.extend(ball_centers.get(cand, []))
-    for c in quick:
-        if _relaxed_gap(c, member_pts, pts)[0] <= rho + tol:
+    for c in [seed, *known_centers]:
+        if _ball_gap(c, member_pts, pts)[0] <= rho + tol:
             return True, np.asarray(c, dtype=float).copy()
-    return _branch_and_bound(member_pts, pts, seed, 4.0 * eps, rho, tol)
+    return _branch_and_bound(
+        lambda c: _ball_gap(c, member_pts, pts), seed, 4.0 * eps,
+        2.0 * np.sqrt(pts.shape[1]), rho + tol,
+    )

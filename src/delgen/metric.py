@@ -1,32 +1,30 @@
 """Perturbed metrics and the Delaunay complexes they induce.
 
-A metric model is a symmetric distance on a box domain that deviates from the
-Euclidean one by at most ``rho_bound``. Three kinds are provided:
-
-* ``euclidean``: the identity deviation, useful as a control;
-* ``pullback``: d(x, y) = |phi(x) - phi(y)| for a smooth bijection phi built
-  from a bounded sinusoidal displacement field (a genuine metric, and it
-  admits an exact fast route through the Euclidean complex of phi(P));
-* ``additive_noise``: Euclidean distance plus a bounded smooth symmetric
-  term. This is only a pseudo metric (triangle inequality unchecked) and is
-  meant for exercising the relaxed machinery.
+A metric model is the pullback distance d(x, y) = |phi(x) - phi(y)| on a
+box domain, for a smooth bijection phi = id + disp built from a bounded
+sinusoidal displacement field. It is a genuine metric that deviates from the
+Euclidean one by at most ``rho_bound`` = 2 * amplitude, and it admits an
+exact fast route through the Euclidean complex of phi(P). The Euclidean
+distance itself is the pullback of a zero-amplitude field.
 
 Metric circumcentres are found by damped Newton iteration on the vertex
 distance differences, seeded at the Euclidean circumcentre with a small
 multistart grid; metric Delaunay complexes are built either by that generic
-route, by the exact pullback route, or by both with a hard comparison.
+route, by the exact pullback route, or by both with a hard comparison. A
+candidate whose Newton search fails is decided by the branch and bound of
+:mod:`delgen.delaunay` on the metric gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .complexes import SimplicialComplex
-from .delaunay import Ball, DelaunayResult, as_point_set, delaunay_lifted
+from .delaunay import (Ball, _ball_gap, _branch_and_bound, _star_candidates,
+                       as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
 from .simplex import Simplex, circumcenter, simplex_metrics
 
@@ -60,8 +58,8 @@ class DisplacementField:
 
     def __init__(self, dim: int, amplitude: float, seed: int, *,
                  wavelength: float = 2.0, terms: int = 3) -> None:
-        if amplitude < 0:
-            raise PreconditionError("amplitude must be nonnegative")
+        if not np.isfinite(amplitude) or amplitude < 0:
+            raise PreconditionError("amplitude must be finite and nonnegative")
         if wavelength <= 0:
             raise PreconditionError("wavelength must be positive")
         rng = np.random.default_rng(seed)
@@ -107,89 +105,41 @@ class DisplacementField:
 
 
 class MetricModel:
-    """Distance function on a box with a certified Euclidean deviation bound."""
+    """Pullback distance d(x, y) = |phi(x) - phi(y)| on a box, with a
+    certified Euclidean deviation bound ``rho_bound``."""
 
-    def __init__(self, kind: str, *, rho_bound: float, domain: Box | None,
-                 field: DisplacementField | None = None,
-                 noise=None, center_lipschitz: float = 1.0,
-                 pseudo_metric: bool = False) -> None:
-        self.kind = kind
+    def __init__(self, *, field: DisplacementField, rho_bound: float, domain: Box | None,
+                 center_lipschitz: float = 1.0) -> None:
+        self.field = field
         self.rho_bound = float(rho_bound)
         self.domain = domain
-        self.field = field
-        self._noise = noise
         self.center_lipschitz = float(center_lipschitz)
-        self.pseudo_metric = bool(pseudo_metric)
 
     @classmethod
-    def euclidean(cls, domain: Box | None = None) -> "MetricModel":
-        return cls("euclidean", rho_bound=0.0, domain=domain)
+    def euclidean(cls, dim: int, domain: Box | None = None) -> "MetricModel":
+        """The Euclidean distance, as the pullback of a zero displacement."""
+        return cls.pullback(DisplacementField(dim, 0.0, seed=0), domain)
 
     @classmethod
     def pullback(cls, field: DisplacementField, domain: Box | None = None) -> "MetricModel":
         return cls(
-            "pullback",
+            field=field,
             rho_bound=2.0 * field.amplitude,
             domain=domain,
-            field=field,
             center_lipschitz=1.0 + field.lipschitz,
-        )
-
-    @classmethod
-    def additive_noise(cls, dim: int, amplitude: float, seed: int,
-                       domain: Box | None = None, wavelength: float = 2.0) -> "MetricModel":
-        """Pseudo metric d = d_E + bounded smooth symmetric noise.
-
-        Provided for relaxed membership experiments only; the triangle
-        inequality is not checked.
-        """
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=dim)
-        w *= (2.0 * np.pi / wavelength) / max(np.linalg.norm(w), 1e-12)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        gap = max(wavelength / 4.0, 1e-9)
-
-        def noise(x, y):
-            sx = np.sin(x @ w + phase)
-            sy = np.sin(y @ w + phase)
-            d = np.linalg.norm(x - y, axis=-1)
-            window = np.minimum(1.0, (d / gap) ** 2)
-            return amplitude * sx * sy * window
-
-        lip = 1.0 + amplitude * (np.linalg.norm(w) + 2.0 / gap)
-        return cls(
-            "additive_noise",
-            rho_bound=float(amplitude),
-            domain=domain,
-            noise=noise,
-            center_lipschitz=lip,
-            pseudo_metric=True,
         )
 
     # -- evaluation --------------------------------------------------------
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rowwise distance between matching rows of x and y."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        if self.kind == "pullback":
-            return np.linalg.norm(self.field.forward(x) - self.field.forward(y), axis=1)
-        d = np.linalg.norm(x - y, axis=1)
-        if self.kind == "additive_noise":
-            d = d + self._noise(x, y)
-        return d
+        return np.linalg.norm(self.field.forward(x) - self.field.forward(y), axis=1)
 
     def distances_to(self, c: np.ndarray, pts: np.ndarray,
                      image_pts: np.ndarray | None = None) -> np.ndarray:
         """Distances from a single centre to every row of pts."""
-        c = np.asarray(c, dtype=float)
-        if self.kind == "pullback":
-            img = image_pts if image_pts is not None else self.field.forward(pts)
-            return np.linalg.norm(img - self.field.forward(c[None, :])[0], axis=1)
-        d = np.linalg.norm(pts - c, axis=1)
-        if self.kind == "additive_noise":
-            d = d + self._noise(np.broadcast_to(c, pts.shape), pts)
-        return d
+        img = image_pts if image_pts is not None else self.field.forward(pts)
+        return np.linalg.norm(img - self.field.forward(c)[0], axis=1)
 
 
 # -- metric circumcentres --------------------------------------------------
@@ -306,24 +256,9 @@ class MetricDelaunayResult:
         return not self.undecided
 
 
-def _restrict_to_region_star(result: DelaunayResult, region, pts) -> tuple[SimplicialComplex, dict]:
-    keep = [s for s in result.complex.simplices(pts.shape[1]) if set(s) & set(region)]
-    cx = SimplicialComplex(keep + [(v,) for v in region], pts)
-    balls = {s: result.balls[s] for s in keep}
-    return cx, balls
-
-
 def _pullback_path(ps, model, region) -> MetricDelaunayResult:
     pts = ps.points
-    if model.kind == "euclidean":
-        base = delaunay_lifted(ps)
-        cx, balls = _restrict_to_region_star(base, region, pts)
-        return MetricDelaunayResult(
-            complex=cx, balls=balls, path="pullback",
-            degeneracy_groups=base.degeneracy_groups,
-        )
-    image = model.field.forward(pts)
-    base = delaunay_lifted(image)
+    base = delaunay_lifted(model.field.forward(pts))
     keep = [s for s in base.complex.simplices(pts.shape[1]) if set(s) & set(region)]
     cx = SimplicialComplex(keep + [(v,) for v in region], pts)
     balls = {}
@@ -338,73 +273,23 @@ def _pullback_path(ps, model, region) -> MetricDelaunayResult:
     )
 
 
-def _metric_gap_bnb(model, member_pts, pts, image_pts, seed, radius, tol, max_nodes=20000):
-    """Branch and bound on the metric gap over a centre search ball.
-
-    The gap g(c) = max member distance - min point distance is nonpositive
-    exactly at centres of empty balls through all members, and it is
-    Lipschitz in c; cells whose centre value cannot reach the threshold are
-    pruned. Returns ``(True, witness)``, ``(False, None)`` for a certified
-    non-member, or ``(None, None)`` when the node budget runs out.
-    """
-    m = pts.shape[1]
-    lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
-    centers = seed[None, :].copy()
-    halves = np.array([radius])
-    nodes = 0
-    while centers.shape[0]:
-        vals = np.array([
-            model.distances_to(c, member_pts).max()
-            - model.distances_to(c, pts, image_pts).min()
-            for c in centers
-        ])
-        hit = vals <= tol
-        if hit.any():
-            return True, centers[int(np.argmax(hit))]
-        alive = vals - lipschitz * halves <= tol
-        centers, halves = centers[alive], halves[alive]
-        nodes += centers.shape[0]
-        if nodes > max_nodes:
-            return None, None
-        if centers.shape[0] == 0:
-            break
-        offs = np.array(
-            [[(1 if bit & (1 << k) else -1) for k in range(m)] for bit in range(2**m)],
-            dtype=float,
-        )
-        new_halves = halves / 2.0
-        centers = (centers[:, None, :] + offs[None, :, :] * new_halves[:, None, None]).reshape(-1, m)
-        halves = np.repeat(new_halves, offs.shape[0])
-    return False, None
-
-
 def _generic_path(ps, model, region, eps, params) -> MetricDelaunayResult:
     pts = ps.points
     m = ps.dim
     tol = ps.tolerance()
     reach = 2.0 * eps + 4.0 * model.rho_bound
-    image_pts = model.field.forward(pts) if model.kind == "pullback" else None
+    image_pts = model.field.forward(pts)
+    lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
     upsilon0 = mu0 = None
     if params is not None:
         upsilon0, mu0 = params
-    candidates: set[tuple[int, ...]] = set()
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    for v in region:
-        near = [q for q in tree.query_ball_point(pts[v], reach + tol) if q != v]
-        for combo in combinations(sorted(near), m):
-            cand = tuple(sorted((v, *combo)))
-            if cand in candidates:
-                continue
-            if pdist(pts[list(cand)]).max() <= reach + tol:
-                candidates.add(cand)
+    candidates = sorted(_star_candidates(pts, region, reach + tol, (m,)))
     accepted: list[tuple[int, ...]] = []
     balls: dict[tuple[int, ...], Ball] = {}
     not_found: list[tuple[int, ...]] = []
     undecided: list[tuple[int, ...]] = []
     groups: set[tuple[int, ...]] = set()
-    for cand in sorted(candidates):
+    for cand in candidates:
         member_pts = pts[list(cand)]
         try:
             found = metric_circumcenter(
@@ -416,8 +301,11 @@ def _generic_path(ps, model, region, eps, params) -> MetricDelaunayResult:
             not_found.append(cand)
             ball = circumcenter(Simplex(member_pts))
             seed = ball[0] if ball is not None else member_pts.mean(axis=0)
-            verdict, witness = _metric_gap_bnb(
-                model, member_pts, pts, image_pts, seed, 4.0 * eps, tol
+            # The metric gap is the Euclidean ball gap between images.
+            member_img = model.field.forward(member_pts)
+            verdict, witness = _branch_and_bound(
+                lambda c: _ball_gap(model.field.forward(c), member_img, image_pts),
+                seed, 4.0 * eps, lipschitz, tol,
             )
             if verdict is None:
                 undecided.append(cand)
@@ -426,7 +314,7 @@ def _generic_path(ps, model, region, eps, params) -> MetricDelaunayResult:
                 # record the witness ball instead of dropping the simplex.
                 d = model.distances_to(witness, pts, image_pts)
                 accepted.append(cand)
-                balls[cand] = Ball(simplex=cand, center=np.asarray(witness),
+                balls[cand] = Ball(simplex=cand, center=witness,
                                    radius=float(d[list(cand)].max()),
                                    protection=0.0)
             continue
@@ -452,31 +340,27 @@ def _generic_path(ps, model, region, eps, params) -> MetricDelaunayResult:
 
 
 def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = None,
-                    params=None, path: str = "auto") -> MetricDelaunayResult:
+                    params=None, path: str = "pullback") -> MetricDelaunayResult:
     """Star of ``region`` in the Delaunay complex of a metric model.
 
-    ``path`` selects the route: ``"newton"`` runs the generic equidistance
-    search over candidate simplices (any metric), ``"pullback"`` runs the
-    exact route through the Euclidean complex of the displaced points
-    (pullback and euclidean kinds only), ``"both"`` runs the two and raises
-    :class:`PathMismatchError` if their top simplex sets differ, and
-    ``"auto"`` picks the fast route when available.
+    ``path`` selects the route: ``"pullback"`` (the default) runs the exact
+    route through the Euclidean complex of the displaced points,
+    ``"newton"`` runs the generic equidistance search over candidate
+    simplices, and ``"both"`` runs the two and raises
+    :class:`PathMismatchError` if their top simplex sets differ.
 
     ``params`` may carry certified ``(upsilon0, mu0)`` to size the centre
     search ball; ``eps`` is the sampling radius used to window candidates
     (measured from the data when omitted).
     """
     ps = as_point_set(points)
+    if path not in ("pullback", "newton", "both"):
+        raise PreconditionError(f"unknown metric route {path!r}")
     region = sorted({int(v) for v in region})
     if not region:
         raise PreconditionError("region must be nonempty")
     if any(v < 0 or v >= ps.n for v in region):
         raise PreconditionError("region vertex outside point set")
-    fast_ok = model.kind in ("euclidean", "pullback")
-    if path == "auto":
-        path = "pullback" if fast_ok else "newton"
-    if path in ("pullback", "both") and not fast_ok:
-        raise PreconditionError(f"no exact route for metric kind {model.kind!r}")
     if path == "pullback":
         return _pullback_path(ps, model, region)
     if eps is None:

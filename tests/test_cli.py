@@ -326,3 +326,18 @@ def test_stability_without_seeds_is_precondition():
     assert code == 4
     assert text == ""
     assert "empty trial batch" in err
+
+
+def test_relax_rejects_slack_that_is_not_finite():
+    for flags in (["--rho", "nan"], ["--rho", "inf"], ["--budget-fraction", "nan"]):
+        code, _, err = run(["relax", "--in", infile("generic.txt"), *flags])
+        assert code == 4
+        assert "rho must be finite and nonnegative" in err
+
+
+def test_metric_rejects_amplitude_that_is_not_finite():
+    for flags in (["--amplitude", "nan"], ["--amplitude", "inf"],
+                  ["--budget-fraction", "nan"]):
+        code, _, err = run(["metric", "--in", infile("generic.txt"), *flags])
+        assert code == 4
+        assert "amplitude must be finite and nonnegative" in err

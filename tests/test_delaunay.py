@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from delgen import delaunay
 from delgen.datasets import grid_points
 from delgen.delaunay import (
     PointSet,
+    _branch_and_bound,
     delaunay_bruteforce,
     delaunay_lifted,
     relaxed_delaunay,
@@ -196,12 +198,53 @@ def test_relaxed_witnesses_verify():
 
 def test_relaxed_rejects_bad_inputs():
     pts = grid_points(4, dim=2, jitter=0.1, seed=1)
-    with pytest.raises(PreconditionError):
-        relaxed_delaunay(pts, -0.1, [5])
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(PreconditionError, match="rho must be finite"):
+            relaxed_delaunay(pts, bad, [5])
     with pytest.raises(PreconditionError):
         relaxed_delaunay(pts, 0.1, [])
     with pytest.raises(PreconditionError):
         relaxed_delaunay(pts, 0.1, [99])
+
+
+def test_branch_and_bound_outcomes():
+    target = np.array([0.3, -0.2])
+
+    def gap(c):
+        return np.linalg.norm(c - target, axis=1)
+
+    seed = np.zeros(2)
+    # Over a cube of half width h, |c - target| moves by at most sqrt(2) h.
+    lipschitz = np.sqrt(2.0)
+    verdict, witness = _branch_and_bound(gap, seed, 1.0, lipschitz, 0.01)
+    assert verdict is True
+    assert gap(witness[None, :])[0] <= 0.01
+    assert np.abs(witness - seed).max() <= 1.0
+    # The gap never drops below zero, so a negative threshold is certified
+    # unreachable once the cubes are small enough ...
+    assert _branch_and_bound(gap, seed, 1.0, lipschitz, -0.01) == (False, None)
+    # ... unless the node budget runs out first.
+    assert _branch_and_bound(gap, seed, 1.0, lipschitz, -0.01, max_nodes=3) == (None, None)
+    # When several cubes hit at once, the first in split order is the witness.
+    verdict, witness = _branch_and_bound(
+        lambda c: 1.0 - 2.0 * np.abs(c).max(axis=1), seed, 1.0, 2.0, 0.0)
+    assert verdict is True
+    assert witness.tolist() == [-0.5, -0.5]
+
+
+def test_relaxed_exhausted_budget_is_undecided(monkeypatch):
+    pts = grid_points(5, dim=2, jitter=0.15, seed=4)
+    base = delaunay_lifted(pts)
+    search = delaunay._branch_and_bound
+    monkeypatch.setattr(delaunay, "_branch_and_bound",
+                        lambda *args, **kwargs: search(*args, max_nodes=0))
+    # A wide window brings in non-members, which no quick check decides.
+    relaxed = relaxed_delaunay(pts, 0.0, [12], eps=1.0, base=base)
+    assert relaxed.undecided
+    assert not relaxed.certified
+    # Undecided candidates are left out of the complex.
+    assert not set(relaxed.undecided) & set(relaxed.complex.simplices())
+    assert set(relaxed.complex.simplices()) <= set(base.complex.vertex_star([12]).simplices())
 
 
 def test_degeneracy_groups_with_planted_square():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from delgen import metric
 from delgen.datasets import grid_points
-from delgen.delaunay import delaunay_bruteforce, delaunay_lifted
+from delgen.delaunay import PointSet, _ball_gap, delaunay_bruteforce, delaunay_lifted
 from delgen.errors import PreconditionError
 from delgen.metric import (
     Box,
@@ -26,6 +27,12 @@ def test_box_gap_signs():
     assert gap[0] == pytest.approx(1.5)
     assert gap[1] == pytest.approx(0.5)
     assert gap[2] < 0
+
+
+def test_field_rejects_amplitude_that_is_not_finite():
+    for bad in (np.nan, np.inf, -np.inf, -0.1):
+        with pytest.raises(PreconditionError, match="amplitude must be finite and nonnegative"):
+            DisplacementField(2, amplitude=bad, seed=0)
 
 
 def test_field_bounds_and_determinism():
@@ -64,9 +71,8 @@ def test_metric_axioms():
     x = rng.uniform(size=(100, 2))
     y = rng.uniform(size=(100, 2))
     models = [
-        MetricModel.euclidean(),
+        MetricModel.euclidean(2),
         MetricModel.pullback(DisplacementField(2, amplitude=0.1, seed=1)),
-        MetricModel.additive_noise(2, amplitude=0.05, seed=2),
     ]
     for model in models:
         assert np.allclose(model.distance(x, y), model.distance(y, x), atol=1e-12)
@@ -78,7 +84,6 @@ def test_pullback_is_genuine_metric():
     field = DisplacementField(2, amplitude=0.2, seed=7)
     model = MetricModel.pullback(field)
     assert model.rho_bound == pytest.approx(0.4)
-    assert not model.pseudo_metric
     x = rng.uniform(size=(300, 2))
     y = rng.uniform(size=(300, 2))
     z = rng.uniform(size=(300, 2))
@@ -90,16 +95,6 @@ def test_pullback_is_genuine_metric():
     assert np.abs(dxy - np.linalg.norm(x - y, axis=1)).max() <= model.rho_bound + 1e-12
 
 
-def test_additive_noise_is_flagged():
-    model = MetricModel.additive_noise(2, amplitude=0.05, seed=8)
-    assert model.pseudo_metric
-    rng = np.random.default_rng(9)
-    x = rng.uniform(size=(200, 2))
-    y = rng.uniform(size=(200, 2))
-    dev = np.abs(model.distance(x, y) - np.linalg.norm(x - y, axis=1))
-    assert dev.max() <= model.rho_bound + 1e-12
-
-
 def test_distances_to_matches_rowwise():
     field = DisplacementField(2, amplitude=0.1, seed=11)
     model = MetricModel.pullback(field)
@@ -109,9 +104,26 @@ def test_distances_to_matches_rowwise():
     assert np.allclose(model.distances_to(c, pts), rowwise, atol=1e-12)
 
 
+def test_metric_gap_over_rows_matches_per_centre_loop():
+    # The metric route's branch and bound measures the gap on many centres
+    # at once as the Euclidean ball gap between images; it must equal the
+    # per-centre distances exactly, or verdicts near the threshold could flip.
+    rng = np.random.default_rng(13)
+    for dim in (2, 3):
+        model = MetricModel.pullback(DisplacementField(dim, amplitude=0.05, seed=dim))
+        pts = rng.uniform(size=(60, dim))
+        members = pts[:dim + 1]
+        centers = rng.uniform(-0.5, 1.5, size=(300, dim))
+        image = model.field.forward(pts)
+        rows = _ball_gap(model.field.forward(centers), model.field.forward(members), image)
+        loop = [model.distances_to(c, members).max() - model.distances_to(c, pts, image).min()
+                for c in centers]
+        assert np.array_equal(rows, loop)
+
+
 def test_metric_circumcenter_euclidean_identity():
     c0, r0 = circumcenter(THICK_TRIANGLE)
-    out = metric_circumcenter(THICK_TRIANGLE, MetricModel.euclidean())
+    out = metric_circumcenter(THICK_TRIANGLE, MetricModel.euclidean(2))
     assert out is not None
     c, r = out
     assert np.linalg.norm(c - c0) <= 1e-10
@@ -129,8 +141,7 @@ def test_metric_circumcenter_translation_invariant():
         def inverse(self, y):
             return np.atleast_2d(np.asarray(y, dtype=float)) - self.t
 
-    model = MetricModel("pullback", rho_bound=1.0, domain=None,
-                        field=Translation([2.0, -3.0]))
+    model = MetricModel(rho_bound=1.0, domain=None, field=Translation([2.0, -3.0]))
     c0, r0 = circumcenter(THICK_TRIANGLE)
     out = metric_circumcenter(THICK_TRIANGLE, model, search_radius=0.5)
     assert out is not None
@@ -158,18 +169,18 @@ def test_metric_circumcenter_matches_pullback_oracle():
 
 def test_metric_circumcenter_rejects_bad_simplices():
     with pytest.raises(PreconditionError):
-        metric_circumcenter(np.array([[0.0, 0.0], [1.0, 0.0]]), MetricModel.euclidean())
+        metric_circumcenter(np.array([[0.0, 0.0], [1.0, 0.0]]), MetricModel.euclidean(2))
     flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(PreconditionError):
-        metric_circumcenter(flat, MetricModel.euclidean())
+        metric_circumcenter(flat, MetricModel.euclidean(2))
 
 
 def test_metric_delaunay_euclidean_equals_bruteforce_star():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     base = delaunay_bruteforce(pts)
     star_tops = [s for s in base.complex.simplices(2) if 12 in s]
-    for path in ("pullback", "newton", "both", "auto"):
-        res = metric_delaunay(pts, MetricModel.euclidean(), [12], path=path)
+    for path in ("pullback", "newton", "both"):
+        res = metric_delaunay(pts, MetricModel.euclidean(2), [12], path=path)
         assert res.certified
         assert set(res.complex.simplices(2)) == set(star_tops)
 
@@ -178,7 +189,7 @@ def test_metric_delaunay_identity_field():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     field = DisplacementField(2, amplitude=0.0, seed=0)
     model = MetricModel.pullback(field)
-    ref = metric_delaunay(pts, MetricModel.euclidean(), [12])
+    ref = metric_delaunay(pts, MetricModel.euclidean(2), [12])
     res = metric_delaunay(pts, model, [12], path="both")
     assert res.agreement
     assert res.complex == ref.complex
@@ -215,21 +226,39 @@ def test_metric_delaunay_newton_balls_verify():
         assert d_out.min() >= ball.radius - 1e-9
 
 
-def test_metric_delaunay_additive_noise_newton_only():
-    pts = grid_points(5, dim=2, jitter=0.15, seed=4)
-    model = MetricModel.additive_noise(2, amplitude=1e-4, seed=3)
-    with pytest.raises(PreconditionError):
-        metric_delaunay(pts, model, [12], path="pullback")
-    res = metric_delaunay(pts, model, [12], path="auto")
-    assert res.path == "newton"
-    ref = metric_delaunay(pts, MetricModel.euclidean(), [12])
-    assert set(res.complex.simplices(2)) == set(ref.complex.simplices(2))
-
-
 def test_metric_delaunay_region_validation():
     pts = grid_points(4, dim=2, jitter=0.1, seed=2)
-    model = MetricModel.euclidean()
+    model = MetricModel.euclidean(2)
     with pytest.raises(PreconditionError):
         metric_delaunay(pts, model, [])
     with pytest.raises(PreconditionError):
         metric_delaunay(pts, model, [400])
+
+
+def test_metric_delaunay_rejects_unknown_path():
+    pts = grid_points(4, dim=2, jitter=0.1, seed=2)
+    for path in ("bogus", "auto", ""):
+        with pytest.raises(PreconditionError, match="unknown metric route"):
+            metric_delaunay(pts, MetricModel.euclidean(2), [5], path=path)
+
+
+def test_metric_delaunay_newton_failure_falls_back(monkeypatch):
+    pts = grid_points(5, dim=2, jitter=0.15, seed=4)
+    model = MetricModel.pullback(DisplacementField(2, amplitude=2e-3, seed=1))
+    calls = []
+
+    def no_centre(*args, **kwargs):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(metric, "metric_circumcenter", no_centre)
+    res = metric_delaunay(pts, model, [12], path="both")
+    assert res.agreement and res.certified
+    # Every candidate went through the branch and bound.
+    assert len(res.not_found) == len(calls) > 0
+    assert set(res.complex.simplices(2)) <= set(res.not_found)
+    tol = PointSet(pts).tolerance()
+    for s, ball in res.balls.items():
+        d = model.distances_to(ball.center, pts)
+        assert ball.radius == d[list(s)].max()
+        assert ball.radius - d.min() <= tol
