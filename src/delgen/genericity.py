@@ -122,7 +122,7 @@ def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult) -> 
     def g(eps: float) -> float:
         return _coverage_radius(facets, centers, radii, tree, eps, pitch)
 
-    eps = g(0.0)
+    eps = g0 = g(0.0)
     if eps <= 0:
         raise PreconditionError("degenerate hull, no interior to cover")
     for _ in range(2):
@@ -130,7 +130,7 @@ def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult) -> 
     tol = 1e-9 * ps.diameter()
     if abs(g(eps) - eps) > tol:
         # g decreases in eps, so g(x) - x brackets its root on [0, g(0)].
-        lo, hi = 0.0, g(0.0)
+        lo, hi = 0.0, g0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if g(mid) - mid > 0:

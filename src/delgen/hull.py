@@ -22,6 +22,11 @@ from .errors import PreconditionError
 
 _SIDE_BAND = 1e-9
 
+# Largest number of rows eroded_boundary_samples builds (about 480 MB of
+# float64 in 3-D). A longer sweep means the pitch, a fraction of the least
+# point gap, is tiny against the hull, as with a near duplicate pair.
+MAX_BOUNDARY_ROWS = 20_000_000
+
 
 @dataclass(frozen=True)
 class HullFacets:
@@ -199,13 +204,30 @@ def chebyshev_center(normals: np.ndarray, offsets: np.ndarray):
     return res.x[:m], float(res.x[-1])
 
 
+def _edge_points(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """The k - 1 interior points of the segment ab at steps of 1/k."""
+    t = np.linspace(0.0, 1.0, k + 1)[1:-1]
+    return a[None, :] + t[:, None] * (b - a)[None, :]
+
+
+def _triangle_points(a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
+    """The lattice a + (b - a) i/k + (c - a) j/k over i + j <= k, in
+    row-major (i, j) order."""
+    i, j = np.triu_indices(k + 1)
+    return a + (b - a) * (i / k)[:, None] + (c - a) * ((j - i) / k)[:, None]
+
+
 def eroded_boundary_samples(facets: HullFacets, margin: float, pitch: float) -> np.ndarray:
     """Sample the boundary of the eroded body { depth >= margin }.
 
     The eroded body is the intersection of the inward shifted facet
     halfspaces; its boundary facets are sampled on a grid of the given pitch.
-    Returns an empty array when the eroded body is empty or degenerate.
+    Returns an empty array when the eroded body is empty or degenerate. The
+    rows are counted before any is built, and a sweep of more than
+    ``MAX_BOUNDARY_ROWS`` rows raises ``PreconditionError``.
     """
+    if not pitch > 0:
+        raise PreconditionError("boundary sweep pitch must be positive")
     normals, offsets = facets.normals, facets.offsets - margin
     m = normals.shape[1]
     cheb = chebyshev_center(normals, offsets)
@@ -224,26 +246,32 @@ def eroded_boundary_samples(facets: HullFacets, margin: float, pitch: float) -> 
     verts = verts[np.all(np.isfinite(verts), axis=1)]
     if verts.shape[0] == 0:
         return np.zeros((0, m))
-    samples = [verts]
+    pieces, rows = [], verts.shape[0]
     if m == 2:
         order = np.argsort(np.arctan2(*(verts - verts.mean(axis=0)).T[::-1]))
         ring = verts[order]
         for a, b in zip(ring, np.roll(ring, -1, axis=0)):
-            length = np.linalg.norm(b - a)
-            k = int(np.ceil(length / pitch))
+            k = int(np.ceil(np.linalg.norm(b - a) / pitch))
             if k > 1:
-                t = np.linspace(0.0, 1.0, k + 1)[1:-1]
-                samples.append(a[None, :] + t[:, None] * (b - a)[None, :])
-    else:
-        if verts.shape[0] >= 4 and affine_rank(verts) == 3:
-            hull = ConvexHull(verts)
-            for tri in hull.simplices:
-                a, b, c = verts[tri]
-                ab, ac = b - a, c - a
-                k = int(np.ceil(max(np.linalg.norm(ab), np.linalg.norm(ac)) / pitch))
-                if k < 1:
-                    continue
-                for i in range(k + 1):
-                    for j in range(k + 1 - i):
-                        samples.append((a + ab * (i / k) + ac * (j / k))[None, :])
-    return np.vstack(samples)
+                pieces.append((_edge_points, (a, b, k)))
+                rows += k - 1
+    elif verts.shape[0] >= 4 and affine_rank(verts) == 3:
+        for tri in ConvexHull(verts).simplices:
+            a, b, c = verts[tri]
+            k = int(np.ceil(max(np.linalg.norm(b - a), np.linalg.norm(c - a)) / pitch))
+            if k >= 1:
+                pieces.append((_triangle_points, (a, b, c, k)))
+                rows += (k + 1) * (k + 2) // 2
+    if rows > MAX_BOUNDARY_ROWS:
+        raise PreconditionError(
+            f"boundary sweep at pitch {pitch:.3g} needs {rows:.3g} rows, more "
+            f"than the limit of {MAX_BOUNDARY_ROWS:,}; the points are too close "
+            "together for the extent of their hull")
+    out = np.empty((rows, m))
+    out[:verts.shape[0]] = verts
+    pos = verts.shape[0]
+    for points, args in pieces:
+        block = points(*args)
+        out[pos:pos + block.shape[0]] = block
+        pos += block.shape[0]
+    return out

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -341,3 +342,34 @@ def test_metric_rejects_amplitude_that_is_not_finite():
         code, _, err = run(["metric", "--in", infile("generic.txt"), *flags])
         assert code == 4
         assert "amplitude must be finite and nonnegative" in err
+
+
+def test_3d_pipeline_end_to_end(tmp_path):
+    path = tmp_path / "grid3d.txt"
+    write_points(str(path), grid_points(9, 3, 0.05, seed=1))
+    start = time.perf_counter()
+    code, text, _ = run(["analyze", "--in", str(path)])
+    assert code == 0
+    res = json.loads(text)["results"]
+    assert res["generic"] is True and res["audit"]["generic"] is True
+    assert res["region"]
+    for argv in (["relax"], ["metric", "--mode", "thm"]):
+        code, text, _ = run([*argv, "--in", str(path)])
+        assert code == 0, argv
+        v = json.loads(text)["results"]["verdict"]
+        assert v["passed"] and v["certified"], argv
+    assert time.perf_counter() - start < 60.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_near_duplicate_pair_is_refused_before_the_sweep(tmp_path, dim):
+    pts = grid_points(9 if dim == 2 else 4, dim, 0.2, seed=3)
+    near = pts[len(pts) // 2] + 1e-9 * np.eye(dim)[0]
+    path = tmp_path / "near.txt"
+    write_points(str(path), np.vstack([pts, near]))
+    start = time.perf_counter()
+    code, text, err = run(["analyze", "--in", str(path)])
+    assert time.perf_counter() - start < 10.0
+    assert code == 4
+    assert text == ""
+    assert "boundary sweep" in err and "more than the limit of 20,000,000" in err

@@ -77,11 +77,29 @@ def test_sampling_rejects_thin_inputs():
 
 def test_sampling_invariants_random_sweep():
     rng = np.random.default_rng(21)
-    for _ in range(10):
-        pts = rng.uniform(size=(int(rng.integers(10, 40)), 2))
+    inputs = [rng.uniform(size=(int(rng.integers(10, 40)), 2)) for _ in range(10)]
+    inputs += [grid_points(side, 3, 0.2, seed=side) for side in (4, 5, 6)]
+    for pts in inputs:
         rep = sampling_parameters(pts)
         assert rep.sparsity <= 2.0 * rep.epsilon + 1e-12
         assert 0.0 < rep.mu0 <= 2.0 + 1e-12
+
+
+def test_sampling_sweeps_the_uneroded_boundary_once(monkeypatch):
+    from delgen import genericity
+
+    margins = []
+    real = genericity.eroded_boundary_samples
+    monkeypatch.setattr(genericity, "eroded_boundary_samples",
+                        lambda f, margin, pitch: margins.append(margin) or real(f, margin, pitch))
+    rng = np.random.default_rng(21)
+    bisected = 0
+    for _ in range(6):
+        margins.clear()
+        sampling_parameters(rng.uniform(size=(int(rng.integers(10, 40)), 2)))
+        assert margins.count(0.0) == 1
+        bisected += len(margins) > 4
+    assert bisected
 
 
 def test_epsilon_against_dense_scan_oracle():
