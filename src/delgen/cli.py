@@ -150,22 +150,31 @@ def _parse_region(pj: str, pts, eps: float, facets) -> list[int]:
 
 def _load_analysis(args, *, require_region: bool = True):
     """Read ``--in`` and build its hull, Delaunay complex, sampling report and
-    analysis once. Returns ``(points, digest, sampling, base, analysis)``; an
-    empty region raises, or gives no analysis when not ``require_region``."""
+    analysis once. Returns ``(points, digest, sampling, base, analysis,
+    stages)``, where ``stages`` holds the seconds of each build; an empty
+    region raises, or gives no analysis when not ``require_region``."""
     pts = read_points(_require_infile(args))
     digest = dataset_digest(pts)
     ps = as_point_set(pts)
+    marks = [time.perf_counter()]
     facets = hull_facets(ps.points)
+    marks.append(time.perf_counter())
     base = delaunay_lifted(ps)
+    marks.append(time.perf_counter())
     sampling = sampling_parameters(ps, facets=facets, base=base)
+    marks.append(time.perf_counter())
     region = _parse_region(args.pj, ps, sampling.epsilon, facets)
     if not region:
         if require_region:
             raise PreconditionError("deep interior region is empty")
-        return pts, digest, sampling, base, None
-    analysis = analyze_genericity(ps, region, sampling=sampling, facets=facets,
-                                  base=base)
-    return pts, digest, sampling, base, analysis
+        analysis = None
+    else:
+        analysis = analyze_genericity(ps, region, sampling=sampling, facets=facets,
+                                      base=base)
+    marks.append(time.perf_counter())
+    stages = {f"{name}_s": end - start for name, start, end in
+              zip(("hull", "delaunay", "sampling", "analysis"), marks, marks[1:])}
+    return pts, digest, sampling, base, analysis, stages
 
 
 def _sampling_dict(s) -> dict:
@@ -209,7 +218,8 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    pts, digest, sampling, base, analysis = _load_analysis(args, require_region=False)
+    pts, digest, sampling, base, analysis, stages = _load_analysis(
+        args, require_region=False)
     config = {"command": "analyze", "in": args.infile, "pj": args.pj,
               "format": args.format}
     if analysis is None:
@@ -222,7 +232,7 @@ def cmd_analyze(args) -> int:
             "reason": "deep interior region is empty",
         }
         _emit_envelope(args, config, digest,
-                       {"total_s": time.perf_counter() - t0}, results)
+                       {"total_s": time.perf_counter() - t0, **stages}, results)
         return 4
     region = analysis.classification.region
     audit = lemma_audit(pts, region, analysis=analysis)
@@ -257,21 +267,21 @@ def cmd_analyze(args) -> int:
         if not cert.valid or failed:
             results["reason"] = f"failed checks: {['thickness'] if not cert.valid else failed}"
             code = 5
-    _emit_envelope(args, config, digest, {"total_s": time.perf_counter() - t0},
-                   results)
+    _emit_envelope(args, config, digest,
+                   {"total_s": time.perf_counter() - t0, **stages}, results)
     return code
 
 
 def cmd_budget(args) -> int:
     t0 = time.perf_counter()
-    _, digest, _, _, analysis = _load_analysis(args)
+    _, digest, _, _, analysis, stages = _load_analysis(args)
     params = measured_secure_params(analysis)
     results = {"secure_params": _params_dict(params),
                "budgets": _budget_dict(params.budget())}
     config = {"command": "budget", "in": args.infile, "pj": args.pj,
               "format": args.format}
-    _emit_envelope(args, config, digest, {"total_s": time.perf_counter() - t0},
-                   results)
+    _emit_envelope(args, config, digest,
+                   {"total_s": time.perf_counter() - t0, **stages}, results)
     return 0
 
 
@@ -288,7 +298,7 @@ def _gate(analysis, force: bool) -> None:
 
 def cmd_stability(args) -> int:
     t0 = time.perf_counter()
-    pts, digest, _, _, analysis = _load_analysis(args)
+    pts, digest, _, _, analysis, stages = _load_analysis(args)
     region = analysis.classification.region
     _gate(analysis, args.force)
     fractions = args.fractions or [1.0]
@@ -315,28 +325,29 @@ def cmd_stability(args) -> int:
         _emit(args, lines)
         return code
     results = {"summary": summary, "verdicts": [v.to_json() for v in verdicts]}
-    _emit_envelope(args, config, digest, {"total_s": time.perf_counter() - t0},
-                   results)
+    _emit_envelope(args, config, digest,
+                   {"total_s": time.perf_counter() - t0, **stages}, results)
     return code
 
 
 def cmd_relax(args) -> int:
     t0 = time.perf_counter()
-    pts, digest, _, _, analysis = _load_analysis(args)
+    pts, digest, _, _, analysis, stages = _load_analysis(args)
     region = analysis.classification.region
     params = measured_secure_params(analysis)
     rho = args.rho if args.rho is not None else args.fraction * params.budget().rho_point
     verdict = relaxation_trial(pts, region, rho, analysis=analysis, params=params)
     config = {"command": "relax", "in": args.infile, "pj": args.pj,
               "format": args.format, "rho": rho}
-    _emit_envelope(args, config, digest, {"total_s": time.perf_counter() - t0},
+    _emit_envelope(args, config, digest,
+                   {"total_s": time.perf_counter() - t0, **stages},
                    {"verdict": verdict.to_json()})
     return 0 if verdict.passed and verdict.certified else 5
 
 
 def cmd_metric(args) -> int:
     t0 = time.perf_counter()
-    pts, digest, _, _, analysis = _load_analysis(args)
+    pts, digest, _, _, analysis, stages = _load_analysis(args)
     region = analysis.classification.region
     params = measured_secure_params(analysis)
     budget = params.budget()
@@ -349,7 +360,8 @@ def cmd_metric(args) -> int:
     config = {"command": "metric", "in": args.infile, "pj": args.pj,
               "format": args.format, "mode": args.mode, "seed": args.seed,
               "amplitude": amplitude}
-    _emit_envelope(args, config, digest, {"total_s": time.perf_counter() - t0},
+    _emit_envelope(args, config, digest,
+                   {"total_s": time.perf_counter() - t0, **stages},
                    {"verdict": verdict.to_json()})
     return 0 if verdict.passed and verdict.certified else 5
 

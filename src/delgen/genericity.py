@@ -2,7 +2,7 @@
 
 The sampling radius of a finite set is the largest distance from the set
 reachable inside its eroded convex hull, where the erosion margin is the
-radius itself; it is measured here as a verified fixed point. On top of that
+radius itself; it is computed here exactly, as a fixed point. On top of that
 sit the protection audit of the double star around a chosen deep interior
 region, the thickness certificate implied by positive relative protection,
 and an audit of the individual geometric consequences (edge separation,
@@ -12,6 +12,7 @@ altitude floor, circumradius bound, secure flags).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,7 +20,7 @@ from scipy.spatial import cKDTree
 from .complexes import SimplicialComplex
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
-from .hull import HullFacets, eroded_boundary_samples, hull_facets
+from .hull import CLIP_CHUNK, HullFacets, clip_lines, eroded_edges, hull_facets
 from .simplex import SimplexMetrics, simplex_metrics
 
 THICKNESS_SLACK = 1e-9
@@ -92,55 +93,167 @@ class GenericityAnalysis:
 # -- sampling radius -------------------------------------------------------
 
 
-def _coverage_radius(facets: HullFacets, centers: np.ndarray, radii: np.ndarray,
-                     tree: cKDTree, eps: float, pitch: float) -> float:
-    """Largest distance to P over the hull eroded by eps.
+@dataclass(frozen=True)
+class _VoronoiPieces:
+    """The parts of the Voronoi diagram of P where the distance to P can
+    peak over a convex body, taken from the Delaunay complex.
 
-    Interior maxima of the distance function sit at empty ball centres, so
-    the candidates are the Delaunay circumcentres inside the eroded body plus
-    a sweep of its boundary at the given pitch.
+    A Voronoi vertex is a circumcentre of a top simplex. The line of a
+    Voronoi edge is the bisector of a Delaunay edge in 2-D, and the line
+    through a Delaunay triangle's circumcentre along its normal in 3-D; each
+    line carries one site whose cell the edge bounds. In 3-D the plane of a
+    Voronoi face is the bisector of a Delaunay edge, kept as its two sites.
+    """
+
+    centers: np.ndarray     # (s, m)
+    radii: np.ndarray       # (s,)
+    origins: np.ndarray     # (l, m) a point of each edge line
+    directions: np.ndarray  # (l, m) unit
+    sites: np.ndarray       # (l, m)
+    faces: tuple[np.ndarray, np.ndarray] | None  # sites p, q, each (e, m)
+
+
+def _faces_of(tops: np.ndarray, k: int) -> np.ndarray:
+    """Distinct k-vertex faces of the top simplices, as sorted rows."""
+    cols = combinations(range(tops.shape[1]), k)
+    return np.unique(np.vstack([tops[:, list(c)] for c in cols]), axis=0)
+
+
+def _voronoi_pieces(pts: np.ndarray, base: DelaunayResult) -> _VoronoiPieces:
+    m = pts.shape[1]
+    tops = np.sort(np.array(list(base.balls), dtype=int), axis=1)
+    centers = np.array([b.center for b in base.balls.values()])
+    radii = np.array([b.radius for b in base.balls.values()])
+    edges = _faces_of(tops, 2)
+    p, q = pts[edges[:, 0]], pts[edges[:, 1]]
+    if m == 2:
+        span = q - p
+        directions = np.column_stack([-span[:, 1], span[:, 0]])
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        return _VoronoiPieces(centers, radii, 0.5 * (p + q), directions, p, None)
+    tri = pts[_faces_of(tops, 3)]
+    a, u, v = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    normal = np.cross(u, v)
+    area2 = np.einsum("ij,ij->i", normal, normal)
+    ok = area2 > 0
+    a, u, v, normal, area2 = a[ok], u[ok], v[ok], normal[ok], area2[ok, None]
+    uu = np.einsum("ij,ij->i", u, u)[:, None]
+    vv = np.einsum("ij,ij->i", v, v)[:, None]
+    circumcentres = a + (uu * np.cross(v, normal) + vv * np.cross(normal, u)) / (2.0 * area2)
+    directions = normal / np.sqrt(area2)
+    return _VoronoiPieces(centers, radii, circumcentres, directions, a, (p, q))
+
+
+def _face_crossings(faces, a, b, fa, fb, best: float) -> np.ndarray:
+    """Points where the plane of a Voronoi face crosses a body edge ab, kept
+    only where they could lie on the face and beat ``best``.
+
+    The face between sites p and q lies in their bisector plane. The distance
+    f to P is 1-Lipschitz, so at a crossing x on the face
+    |x - p| = f(x) <= f(a) + |x - a| and <= f(b) + |x - b|. A crossing that
+    breaks either bound (beyond rounding) is not on the face; one with
+    |x - p| <= best cannot raise the maximum. Both are dropped, and so is
+    every edge on which the two bounds meet at or below ``best``.
+    """
+    rounding = 1e-12 * max(1.0, float(np.abs(a).max()))
+    span = b - a
+    length = np.linalg.norm(span, axis=1)
+    live = fa + fb + length > 2.0 * best
+    a, span, length, fa, fb = a[live], span[live], length[live], fa[live], fb[live]
+    p, q = faces
+    normal = q - p
+    level = 0.5 * np.einsum("ij,ij->i", normal, p + q)
+    out = [np.zeros((0, a.shape[1]))]
+    step = max(1, CLIP_CHUNK // max(a.shape[0], 1))
+    for s in range(0, p.shape[0], step):
+        sa = normal[s:s + step] @ a.T - level[s:s + step, None]
+        sb = sa + normal[s:s + step] @ span.T
+        e, k = np.nonzero(sa * sb < 0)
+        t = sa[e, k] / (sa[e, k] - sb[e, k])
+        x = a[k] + t[:, None] * span[k]
+        r = np.linalg.norm(x - p[s + e], axis=1)
+        keep = ((r > best) & (r <= fa[k] + t * length[k] + rounding)
+                & (r <= fb[k] + (1.0 - t) * length[k] + rounding))
+        out.append(x[keep])
+    return np.concatenate(out)
+
+
+def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
+                     eps: float) -> float:
+    """Largest distance to P over the hull eroded by eps, exactly.
+
+    The distance to P is convex on each Voronoi cell, so its maximum over
+    the eroded body sits at a vertex of some cell clipped to the body: a
+    Voronoi vertex inside the body, a point where the line of a Voronoi edge
+    leaves the body, a vertex of the body or, in 3-D, a point where the
+    plane of a Voronoi face crosses an edge of the body (Toussaint,
+    *Computing largest empty circles with location constraints*, 1983).
+    Every candidate lies in the body, so the largest distance over them is
+    the maximum itself. A candidate goes through the KD-tree only when its
+    distance to a site that defines it could beat the best so far.
     """
     best = 0.0
-    if centers.size:
-        inside = facets.depth(centers) >= eps - 1e-12 * max(1.0, eps)
+    if vor.centers.size:
+        inside = facets.depth(vor.centers) >= eps - 1e-12 * max(1.0, eps)
         if inside.any():
-            best = float(radii[inside].max())
-    boundary = eroded_boundary_samples(facets, eps, pitch)
-    if boundary.size:
-        d, _ = tree.query(boundary)
-        best = max(best, float(np.max(d)))
+            best = float(vor.radii[inside].max())
+    a, b = eroded_edges(facets, eps)
+    if a.shape[0] == 0:
+        return best
+    fa, fb = tree.query(a)[0], tree.query(b)[0]
+    best = max(best, float(fa.max()), float(fb.max()))
+    lo, hi = clip_lines(facets, eps, vor.origins, vor.directions)
+    hit = lo <= hi
+    origins, directions = vor.origins[hit], vor.directions[hit]
+    ends = np.concatenate([origins + lo[hit, None] * directions,
+                           origins + hi[hit, None] * directions])
+    reach = np.linalg.norm(ends - np.concatenate([vor.sites[hit]] * 2), axis=1)
+    ends = ends[reach > best]
+    if ends.size:
+        best = max(best, float(tree.query(ends)[0].max()))
+    if vor.faces is not None:
+        crossings = _face_crossings(vor.faces, a, b, fa, fb, best)
+        if crossings.size:
+            best = max(best, float(tree.query(crossings)[0].max()))
     return best
+
+
+def _fixed_point(g, tol: float) -> float:
+    """The least eps with g(eps) <= eps for a non-increasing g, returned on
+    the safe side: never below it, and above it by at most about tol."""
+    g0 = g(0.0)
+    if g0 <= 0:
+        raise PreconditionError("degenerate hull, no interior to cover")
+    # Two rounds of iteration, ending early at an exact fixed point; the
+    # last value of g is the convergence check.
+    eps, g_eps = g0, g(g0)
+    for _ in range(2):
+        if g_eps == eps:
+            break
+        eps, g_eps = g_eps, g(g_eps)
+    if abs(g_eps - eps) <= tol:
+        # Below the fixed point g(eps) is at least the fixed point.
+        return max(eps, g_eps)
+    # g decreases in eps, so g(x) - x brackets its root on [0, g(0)], and
+    # g(hi) <= hi holds throughout.
+    lo, hi = 0.0, g0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(mid) - mid > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return hi
 
 
 def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult) -> float:
     """Fixed point eps = g(eps) of the coverage radius of the eroded hull."""
-    pitch = ps.min_gap() / 16.0
     tree = cKDTree(ps.points)
-    centers = np.array([b.center for b in base.balls.values()])
-    radii = np.array([b.radius for b in base.balls.values()])
-
-    def g(eps: float) -> float:
-        return _coverage_radius(facets, centers, radii, tree, eps, pitch)
-
-    eps = g0 = g(0.0)
-    if eps <= 0:
-        raise PreconditionError("degenerate hull, no interior to cover")
-    for _ in range(2):
-        eps = g(eps)
-    tol = 1e-9 * ps.diameter()
-    if abs(g(eps) - eps) > tol:
-        # g decreases in eps, so g(x) - x brackets its root on [0, g(0)].
-        lo, hi = 0.0, g0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if g(mid) - mid > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol:
-                break
-        eps = 0.5 * (lo + hi)
-    return eps
+    vor = _voronoi_pieces(ps.points, base)
+    return _fixed_point(lambda eps: _coverage_radius(facets, vor, tree, eps),
+                        1e-9 * ps.diameter())
 
 
 def sampling_parameters(points, *, facets: HullFacets | None = None,
@@ -150,8 +263,11 @@ def sampling_parameters(points, *, facets: HullFacets | None = None,
     The sampling radius solves eps = sup over the eps-eroded hull of the
     distance to the set; the sup shrinks as the erosion grows, so the
     equation has a unique fixed point, found by two rounds of fixed point
-    iteration and then bisection down to 1e-9 of the diameter. ``facets``
-    and ``base`` take the hull and the Delaunay complex when already built.
+    iteration and then bisection down to 1e-9 of the diameter. Each sup is
+    computed exactly from a finite candidate set (see ``_coverage_radius``),
+    and the returned eps is the safe end of the bracket: never below the
+    fixed point. ``facets`` and ``base`` take the hull and the Delaunay
+    complex when already built.
     """
     ps = as_point_set(points)
     if ps.n < ps.dim + 1:

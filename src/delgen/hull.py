@@ -6,6 +6,10 @@ side-of-plane screen backed by the exact predicates. When a candidate fails,
 or the candidates do not close up into a boundary, an exhaustive screen over
 vertex subsets replaces them, so qhull tolerance surprises on lattice inputs
 never reach the facet list.
+
+Eroding the hull by a margin shifts every facet plane inward by it, so the
+same planes describe the eroded body; ``clip_lines`` and ``eroded_edges``
+compute on it directly, with no vertex enumeration.
 """
 
 from __future__ import annotations
@@ -14,18 +18,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull
 
 from . import predicates
 from .errors import PreconditionError
 
 _SIDE_BAND = 1e-9
 
-# Largest number of rows eroded_boundary_samples builds (about 480 MB of
-# float64 in 3-D). A longer sweep means the pitch, a fraction of the least
-# point gap, is tiny against the hull, as with a near duplicate pair.
-MAX_BOUNDARY_ROWS = 20_000_000
+# Entries of one (lines x facets) block in clip_lines.
+CLIP_CHUNK = 2_000_000
+# Two facet planes whose normals are closer to parallel than this (sine of
+# the angle) are treated as meeting in no edge; see eroded_edges.
+_PARALLEL_SINE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -192,86 +196,64 @@ def hull_facets(points: np.ndarray) -> HullFacets:
     return HullFacets(normals=normals, offsets=offsets)
 
 
-def chebyshev_center(normals: np.ndarray, offsets: np.ndarray):
-    """Centre of the largest ball inside a . x <= b, or None when empty."""
-    f, m = normals.shape
-    a_ub = np.hstack([normals, np.ones((f, 1))])
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=offsets, bounds=(None, None), method="highs")
-    if not res.success or res.x[-1] <= 0:
-        return None
-    return res.x[:m], float(res.x[-1])
+def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,
+               directions: np.ndarray, own: np.ndarray | None = None):
+    """Clip the lines o + t d to the eroded body { depth >= margin }.
 
-
-def _edge_points(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """The k - 1 interior points of the segment ab at steps of 1/k."""
-    t = np.linspace(0.0, 1.0, k + 1)[1:-1]
-    return a[None, :] + t[:, None] * (b - a)[None, :]
-
-
-def _triangle_points(a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
-    """The lattice a + (b - a) i/k + (c - a) j/k over i + j <= k, in
-    row-major (i, j) order."""
-    i, j = np.triu_indices(k + 1)
-    return a + (b - a) * (i / k)[:, None] + (c - a) * ((j - i) / k)[:, None]
-
-
-def eroded_boundary_samples(facets: HullFacets, margin: float, pitch: float) -> np.ndarray:
-    """Sample the boundary of the eroded body { depth >= margin }.
-
-    The eroded body is the intersection of the inward shifted facet
-    halfspaces; its boundary facets are sampled on a grid of the given pitch.
-    Returns an empty array when the eroded body is empty or degenerate. The
-    rows are counted before any is built, and a sweep of more than
-    ``MAX_BOUNDARY_ROWS`` rows raises ``PreconditionError``.
+    Returns the parameter bounds (lo, hi) of each line inside the body; a
+    line misses the body where lo > hi. Row k of ``own`` lists the facets
+    whose shifted planes line k lies in. Their constraints hold by
+    construction and are not tested, since rounding noise would decide them.
+    The lines are clipped in (lines x facets) blocks of about CLIP_CHUNK
+    entries.
     """
-    if not pitch > 0:
-        raise PreconditionError("boundary sweep pitch must be positive")
     normals, offsets = facets.normals, facets.offsets - margin
-    m = normals.shape[1]
-    cheb = chebyshev_center(normals, offsets)
-    if cheb is None:
-        return np.zeros((0, m))
-    center, radius = cheb
-    if radius <= 1e-12:
-        return np.zeros((0, m))
-    try:
-        hs = HalfspaceIntersection(
-            np.hstack([normals, -offsets[:, None]]), center
-        )
-    except Exception:
-        return np.zeros((0, m))
-    verts = hs.intersections
-    verts = verts[np.all(np.isfinite(verts), axis=1)]
-    if verts.shape[0] == 0:
-        return np.zeros((0, m))
-    pieces, rows = [], verts.shape[0]
+    count = origins.shape[0]
+    lo, hi = np.empty(count), np.empty(count)
+    step = max(1, CLIP_CHUNK // normals.shape[0])
+    for s in range(0, count, step):
+        block = slice(s, s + step)
+        slack = offsets - origins[block] @ normals.T
+        rate = directions[block] @ normals.T
+        if own is not None:
+            np.put_along_axis(slack, own[block], np.inf, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = slack / rate
+        lo[block] = np.where(rate < 0, t, -np.inf).max(axis=1)
+        hi[block] = np.where(rate > 0, t, np.inf).min(axis=1)
+        lo[block][((rate == 0) & (slack < 0)).any(axis=1)] = np.inf
+    return lo, hi
+
+
+def eroded_edges(facets: HullFacets, margin: float):
+    """End points (a, b) of the edges of the eroded body { depth >= margin }.
+
+    Eroding the hull shifts each facet plane inward by the margin. In 2-D
+    each shifted facet line is clipped to the body, in 3-D the line through
+    each pair of shifted facet planes. A nonempty clip is an edge of the
+    body, possibly of zero length, and its end points are vertices of the
+    body. Pairs of planes within _PARALLEL_SINE of parallel are skipped: they
+    meet far outside the body, or along an edge between two facets that are
+    coplanar up to rounding, which bounds neither facet.
+    """
+    normals, offsets = facets.normals, facets.offsets - margin
+    f, m = normals.shape
     if m == 2:
-        order = np.argsort(np.arctan2(*(verts - verts.mean(axis=0)).T[::-1]))
-        ring = verts[order]
-        for a, b in zip(ring, np.roll(ring, -1, axis=0)):
-            k = int(np.ceil(np.linalg.norm(b - a) / pitch))
-            if k > 1:
-                pieces.append((_edge_points, (a, b, k)))
-                rows += k - 1
-    elif verts.shape[0] >= 4 and affine_rank(verts) == 3:
-        for tri in ConvexHull(verts).simplices:
-            a, b, c = verts[tri]
-            k = int(np.ceil(max(np.linalg.norm(b - a), np.linalg.norm(c - a)) / pitch))
-            if k >= 1:
-                pieces.append((_triangle_points, (a, b, c, k)))
-                rows += (k + 1) * (k + 2) // 2
-    if rows > MAX_BOUNDARY_ROWS:
-        raise PreconditionError(
-            f"boundary sweep at pitch {pitch:.3g} needs {rows:.3g} rows, more "
-            f"than the limit of {MAX_BOUNDARY_ROWS:,}; the points are too close "
-            "together for the extent of their hull")
-    out = np.empty((rows, m))
-    out[:verts.shape[0]] = verts
-    pos = verts.shape[0]
-    for points, args in pieces:
-        block = points(*args)
-        out[pos:pos + block.shape[0]] = block
-        pos += block.shape[0]
-    return out
+        origins = normals * offsets[:, None]
+        directions = np.column_stack([-normals[:, 1], normals[:, 0]])
+        own = np.arange(f)[:, None]
+    else:
+        i, j = np.triu_indices(f, 1)
+        cross = np.cross(normals[i], normals[j])
+        sine = np.linalg.norm(cross, axis=1)
+        keep = sine > _PARALLEL_SINE
+        i, j, sine = i[keep], j[keep], sine[keep, None]
+        directions = cross[keep] / sine
+        # The point of both planes nearest the coordinate origin.
+        origins = (offsets[i, None] * np.cross(normals[j], directions)
+                   + offsets[j, None] * np.cross(directions, normals[i])) / sine
+        own = np.column_stack([i, j])
+    lo, hi = clip_lines(facets, margin, origins, directions, own)
+    hit = lo <= hi
+    origins, directions = origins[hit], directions[hit]
+    return origins + lo[hit, None] * directions, origins + hi[hit, None] * directions

@@ -362,14 +362,45 @@ def test_3d_pipeline_end_to_end(tmp_path):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_near_duplicate_pair_is_refused_before_the_sweep(tmp_path, dim):
-    pts = grid_points(9 if dim == 2 else 4, dim, 0.2, seed=3)
-    near = pts[len(pts) // 2] + 1e-9 * np.eye(dim)[0]
+def test_near_duplicate_pair_gets_a_report(tmp_path, dim):
+    # A pair 1e-9 apart at a hull corner, far from the deep region: the
+    # sampling radius does not depend on the least point gap, so the whole
+    # analysis runs and passes.
+    pts = grid_points(9, dim, 0.2 if dim == 2 else 0.05, seed=3)
+    near = pts[0] + 1e-9 * np.eye(dim)[0]
     path = tmp_path / "near.txt"
     write_points(str(path), np.vstack([pts, near]))
     start = time.perf_counter()
     code, text, err = run(["analyze", "--in", str(path)])
     assert time.perf_counter() - start < 10.0
+    assert code == 0, err
+    res = json.loads(text)["results"]
+    assert res["sampling"]["sparsity"] == pytest.approx(1e-9, rel=1e-6)
+    assert res["generic"] is True and res["region"]
+
+
+def test_near_duplicate_pair_in_the_region_is_non_generic(tmp_path):
+    pts = grid_points(9, 2, 0.2, seed=3)
+    near = pts[40] + 1e-9 * np.eye(2)[0]
+    path = tmp_path / "near.txt"
+    write_points(str(path), np.vstack([pts, near]))
+    code, text, _ = run(["analyze", "--in", str(path)])
+    assert code == 5
+    res = json.loads(text)["results"]
+    assert 40 in res["region"] and res["generic"] is False
+    assert res["reason"] == "audited protection within tolerance of zero"
+
+
+def test_timings_split_the_total_by_stage():
+    stages = ("hull_s", "delaunay_s", "sampling_s", "analysis_s")
+    for argv in (["analyze"], ["budget"], ["relax"], ["metric"],
+                 ["stability", "--models", "uniform", "--seeds-count", "1"]):
+        code, text, _ = run([*argv, "--in", infile("generic.txt")])
+        assert code == 0, argv
+        timings = json.loads(text)["timings"]
+        assert set(timings) == {"total_s", *stages}, argv
+        assert all(timings[k] >= 0.0 for k in stages)
+        assert sum(timings[k] for k in stages) <= timings["total_s"]
+    code, text, _ = run(["analyze", "--in", infile("square.txt")])
     assert code == 4
-    assert text == ""
-    assert "boundary sweep" in err and "more than the limit of 20,000,000" in err
+    assert set(json.loads(text)["timings"]) == {"total_s", *stages}

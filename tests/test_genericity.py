@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
 from delgen.datasets import grid_points
+from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import NonGenericError, PreconditionError
 from delgen.genericity import (
     SamplingReport,
@@ -15,6 +16,7 @@ from delgen.genericity import (
     sampling_parameters,
     thickness_certificate,
 )
+from delgen.hull import hull_facets
 
 SQRT2 = np.sqrt(2.0)
 
@@ -86,12 +88,13 @@ def test_sampling_invariants_random_sweep():
 
 
 def test_sampling_sweeps_the_uneroded_boundary_once(monkeypatch):
+    # One exact evaluation at margin 0 per solve; bisection runs on some inputs.
     from delgen import genericity
 
     margins = []
-    real = genericity.eroded_boundary_samples
-    monkeypatch.setattr(genericity, "eroded_boundary_samples",
-                        lambda f, margin, pitch: margins.append(margin) or real(f, margin, pitch))
+    real = genericity._coverage_radius
+    monkeypatch.setattr(genericity, "_coverage_radius",
+                        lambda f, vor, tree, eps: margins.append(eps) or real(f, vor, tree, eps))
     rng = np.random.default_rng(21)
     bisected = 0
     for _ in range(6):
@@ -100,6 +103,52 @@ def test_sampling_sweeps_the_uneroded_boundary_once(monkeypatch):
         assert margins.count(0.0) == 1
         bisected += len(margins) > 4
     assert bisected
+
+
+def test_sampling_radius_is_never_below_the_fixed_point():
+    from delgen import genericity
+
+    rng = np.random.default_rng(21)
+    bisected = 0
+    for _ in range(6):
+        pts = rng.uniform(size=(int(rng.integers(10, 40)), 2))
+        ps = PointSet(pts)
+        facets, base = hull_facets(pts), delaunay_lifted(ps)
+        vor, tree = genericity._voronoi_pieces(pts, base), cKDTree(pts)
+        calls = []
+
+        def g(e):
+            calls.append(e)
+            return genericity._coverage_radius(facets, vor, tree, e)
+
+        tol = 1e-9 * ps.diameter()
+        eps = genericity._fixed_point(g, tol)
+        assert eps == sampling_parameters(ps, facets=facets, base=base).epsilon
+        # g(x) > x for every x below the fixed point, so g(eps) <= eps puts
+        # eps at or above it.
+        assert g(eps) <= eps
+        if len(calls) > 4:
+            bisected += 1
+            assert g(eps - tol) > eps - tol
+    assert bisected
+
+
+# analyze-grid catalogue grids (row, index) on which a sampled boundary put
+# eps below the benchmark's independent lower bound; the exact values come
+# from a clipped Voronoi cell computation.
+KNOWN_GRIDS = [((15, 14), 0.80134, 0.805524), ((20, 44), 0.80347, 0.806674),
+               ((27, 13), 0.80684, 0.809431)]
+
+
+@pytest.mark.parametrize("mirror", [1.0, -1.0])
+@pytest.mark.parametrize("key, lower, exact", KNOWN_GRIDS)
+def test_known_grids_reach_the_exact_radius(key, lower, exact, mirror):
+    row, index = key
+    seed = int(np.random.SeedSequence((row, 2, index)).generate_state(1)[0] % 2**31)
+    pts = grid_points(15, 2, 0.2, seed) * np.array([mirror, 1.0])
+    eps = sampling_parameters(pts).epsilon
+    assert eps >= lower
+    assert eps == pytest.approx(exact, abs=1e-5)
 
 
 def test_epsilon_against_dense_scan_oracle():

@@ -1,11 +1,14 @@
-"""Hull facets: the qhull-seeded route, its exhaustive fallback, and their agreement."""
+"""Hull facets: the qhull-seeded route, its exhaustive fallback, and their agreement;
+the eroded body's edges, and the exact coverage radius against sampled ones."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection, cKDTree
 
-from delgen import hull
+from delgen import genericity, hull
 from delgen.datasets import grid_points
-from delgen.delaunay import PointSet
+from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import PreconditionError
 from delgen.genericity import deep_interior, sampling_parameters
 
@@ -74,14 +77,20 @@ def test_hull_rejects_unsupported_inputs():
 
 
 def boundary_samples_by_loop(facets, margin, pitch):
-    """The boundary sweep written point by point: the reference order and values."""
+    """Samples of the boundary of { depth >= margin } at the given pitch:
+    its vertices, then a lattice on each edge (2-D) or triangle (3-D) of its
+    boundary. Every sample lies in the body, so the largest distance to P
+    over the samples is a lower bound on the exact coverage radius."""
     normals, offsets = facets.normals, facets.offsets - margin
     m = normals.shape[1]
-    cheb = hull.chebyshev_center(normals, offsets)
-    if cheb is None or cheb[1] <= 1e-12:
+    # Chebyshev centre: the deepest point of the body, by linear programming.
+    lp = linprog(np.append(np.zeros(m), -1.0),
+                 A_ub=np.hstack([normals, np.ones((len(normals), 1))]),
+                 b_ub=offsets, bounds=(None, None), method="highs")
+    if not lp.success or lp.x[-1] <= 1e-12:
         return np.zeros((0, m))
-    verts = hull.HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
-                                       cheb[0]).intersections
+    verts = HalfspaceIntersection(np.hstack([normals, -offsets[:, None]]),
+                                  lp.x[:m]).intersections
     verts = verts[np.all(np.isfinite(verts), axis=1)]
     samples = [verts]
     if m == 2:
@@ -92,52 +101,106 @@ def boundary_samples_by_loop(facets, margin, pitch):
                 t = np.linspace(0.0, 1.0, k + 1)[1:-1]
                 samples.append(a[None, :] + t[:, None] * (b - a)[None, :])
     elif verts.shape[0] >= 4 and hull.affine_rank(verts) == 3:
-        for tri in hull.ConvexHull(verts).simplices:
+        for tri in ConvexHull(verts).simplices:
             a, b, c = verts[tri]
             ab, ac = b - a, c - a
             k = int(np.ceil(max(np.linalg.norm(ab), np.linalg.norm(ac)) / pitch))
             if k < 1:
                 continue
             for i in range(k + 1):
-                for j in range(k + 1 - i):
-                    samples.append((a + ab * (i / k) + ac * (j / k))[None, :])
+                j = np.arange(k + 1 - i)
+                samples.append(a + ab * (i / k) + ac * (j / k)[:, None])
     return np.vstack(samples)
 
 
-SWEEP_INPUTS = {
-    "grid-3d-side9": grid_points(9, 3, 0.05, seed=0),
-    "jittered-2d": INPUTS["jittered-2d"],
-    "lattice-2d": INPUTS["lattice-2d"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(SWEEP_INPUTS))
-def test_boundary_sweep_matches_the_pointwise_loop(name):
-    pts = SWEEP_INPUTS[name]
-    facets = hull.hull_facets(pts)
-    pitch = PointSet(pts).min_gap() / 16.0
-    eps = sampling_parameters(pts, facets=facets).epsilon
-    for margin in (0.0, eps):
-        swept = hull.eroded_boundary_samples(facets, margin, pitch)
-        assert swept.shape[0] > 0
-        assert np.array_equal(swept, boundary_samples_by_loop(facets, margin, pitch))
+def test_eroded_edges_of_a_box():
+    # An exact lattice: the hull is a box, eroded by 0.5 into a smaller box.
+    for dim, edges in ((2, 4), (3, 12)):
+        facets = hull.hull_facets(grid_points(4, dim))
+        a, b = hull.eroded_edges(facets, 0.5)
+        assert a.shape == b.shape == (edges, dim)
+        ends = np.vstack([a, b])
+        assert np.allclose(np.sort(np.abs(ends - 1.5), axis=None), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(b - a, axis=1), 2.0, atol=1e-12)
+        corners = {tuple(np.round(p, 9) + 0.0) for p in ends}
+        assert len(corners) == 2**dim
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_boundary_sweep_of_an_empty_body(dim):
-    facets = hull.hull_facets(grid_points(4, dim, 0.05, seed=2))
-    swept = hull.eroded_boundary_samples(facets, 5.0, 0.1)
-    assert swept.shape == (0, dim)
+    pts = grid_points(4, dim, 0.05, seed=2)
+    facets = hull.hull_facets(pts)
+    assert boundary_samples_by_loop(facets, 5.0, 0.1).shape == (0, dim)
+    a, b = hull.eroded_edges(facets, 5.0)
+    assert a.shape == b.shape == (0, dim)
+    vor = genericity._voronoi_pieces(pts, delaunay_lifted(pts))
+    assert genericity._coverage_radius(facets, vor, cKDTree(pts), 5.0) == 0.0
 
 
-@pytest.mark.parametrize("name", ["grid-3d", "jittered-2d"])
-def test_boundary_sweep_counts_its_rows_before_the_limit(name, monkeypatch):
-    facets = hull.hull_facets(INPUTS[name])
-    rows = hull.eroded_boundary_samples(facets, 0.1, 0.2).shape[0]
-    monkeypatch.setattr(hull, "MAX_BOUNDARY_ROWS", rows)
-    assert hull.eroded_boundary_samples(facets, 0.1, 0.2).shape[0] == rows
-    monkeypatch.setattr(hull, "MAX_BOUNDARY_ROWS", rows - 1)
-    with pytest.raises(PreconditionError, match="more than the limit"):
-        hull.eroded_boundary_samples(facets, 0.1, 0.2)
-    with pytest.raises(PreconditionError, match="pitch must be positive"):
-        hull.eroded_boundary_samples(facets, 0.1, 0.0)
+def test_clip_lines_in_chunks(monkeypatch):
+    facets = hull.hull_facets(grid_points(4, 3, 0.05, seed=2))
+    rng = np.random.default_rng(4)
+    origins = rng.uniform(-1.0, 4.0, size=(50, 3))
+    directions = rng.normal(size=(50, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    whole = hull.clip_lines(facets, 0.3, origins, directions)
+    monkeypatch.setattr(hull, "CLIP_CHUNK", 1)
+    # One row per block may take other BLAS kernels: equal up to rounding.
+    for x, y in zip(whole, hull.clip_lines(facets, 0.3, origins, directions)):
+        assert np.allclose(x, y, rtol=0, atol=1e-12)
+    lo, hi = whole
+    hit = lo <= hi
+    assert hit.any() and not hit.all()
+    # The clipped ends lie on the boundary of the eroded body.
+    for t in (lo[hit], hi[hit]):
+        depth = facets.depth(origins[hit] + t[:, None] * directions[hit])
+        assert np.allclose(depth, 0.3, atol=1e-12)
+    # A missed line has no point at depth 0.3 or more.
+    t = np.linspace(-10.0, 10.0, 2001)[None, :, None]
+    miss = origins[~hit][:, None, :] + t * directions[~hit][:, None, :]
+    assert (facets.depth(miss.reshape(-1, 3)) < 0.3).all()
+
+
+PROPERTY_INPUTS = [np.random.default_rng(seed).uniform(size=(n, 2))
+                   for seed, n in ((21, 12), (22, 25), (23, 40), (24, 33))]
+PROPERTY_INPUTS += [grid_points(4, 3, 0.2, seed=4), grid_points(5, 3, 0.2, seed=5),
+                    # Here the largest distance sits where a Voronoi face
+                    # crosses an edge of the eroded hull.
+                    np.random.default_rng(32).uniform(size=(15, 3))]
+
+
+@pytest.mark.parametrize("case", range(len(PROPERTY_INPUTS)))
+def test_exact_radius_bounds_the_sweep_and_a_dense_sample(case):
+    pts = PROPERTY_INPUTS[case]
+    ps = PointSet(pts)
+    facets = hull.hull_facets(pts)
+    base = delaunay_lifted(ps)
+    tree = cKDTree(pts)
+    vor = genericity._voronoi_pieces(pts, base)
+    centers = np.array([b.center for b in base.balls.values()])
+    radii = np.array([b.radius for b in base.balls.values()])
+    pitch = ps.min_gap() / 16.0
+
+    def exact(e):
+        return genericity._coverage_radius(facets, vor, tree, e)
+
+    def sweep(e):  # the boundary sweep the exact candidates replaced
+        inside = facets.depth(centers) >= e - 1e-12 * max(1.0, e)
+        ring = boundary_samples_by_loop(facets, e, pitch)
+        return max(radii[inside].max(initial=0.0), tree.query(ring)[0].max(initial=0.0))
+
+    tol = 1e-9 * ps.diameter()
+    eps = genericity._fixed_point(exact, tol)
+    assert eps == sampling_parameters(ps, facets=facets, base=base).epsilon
+    # eps >= its fixed point >= the sweep's fixed point >= what the sweep's
+    # solve returns, less its bracket.
+    assert eps >= genericity._fixed_point(sweep, tol) - tol
+    m = pts.shape[1]
+    axes = [np.linspace(lo, hi, 150 if m == 2 else 25)
+            for lo, hi in zip(pts.min(axis=0), pts.max(axis=0))]
+    grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, m)
+    depth, dist = facets.depth(grid), tree.query(grid)[0]
+    for e in (0.0, 0.5 * eps, eps):
+        ring = boundary_samples_by_loop(facets, e, 4.0 * pitch)
+        dense = max(dist[depth >= e].max(initial=0.0), tree.query(ring)[0].max(initial=0.0))
+        assert exact(e) >= dense - 1e-12
