@@ -9,24 +9,17 @@ Newton iterations. The demo runs both on the same field and shows that
 they agree simplex for simplex, ball for ball.
 """
 
-import numpy as np
-
 from delgen.datasets import grid_points
-from delgen.delaunay import delaunay_lifted
-from delgen.genericity import analyze_genericity, deep_interior, sampling_parameters
-from delgen.hull import hull_facets
+from delgen.genericity import analyze_genericity
 from delgen.metric import Box, DisplacementField, MetricModel, metric_delaunay
 from delgen.perturb import measured_secure_params, protection_decay_trial
 
 
 def main():
     pts = grid_points(9, 2, jitter=0.2, seed=3)
-    # Build the hull and the Delaunay complex once and hand them down.
-    facets, base = hull_facets(pts), delaunay_lifted(pts)
-    sampling = sampling_parameters(pts, facets=facets, base=base)
-    region = sorted(deep_interior(pts, sampling.epsilon, facets=facets))
-    analysis = analyze_genericity(pts, region, sampling=sampling,
-                                  facets=facets, base=base)
+    # One analysis: every later stage reads its hull, complex and budgets.
+    analysis = analyze_genericity(pts)
+    region = analysis.classification.region
     params = measured_secure_params(analysis)
     amplitude = params.budget().rho_metric / 2.0
     field = DisplacementField(2, amplitude, seed=7)
@@ -37,7 +30,7 @@ def main():
     print(f"  metric deviation bound 2a = {model.rho_bound:.3e}"
           f"  vs budget {params.budget().rho_metric:.3e}\n")
 
-    kw = dict(eps=params.eps, params=(params.upsilon0, params.mu0))
+    kw = dict(eps=params.eps, upsilon0=params.upsilon0, mu0=params.mu0)
     exact = metric_delaunay(pts, model, region, path="pullback", **kw)
     newton = metric_delaunay(pts, model, region, path="newton", **kw)
     print(f"  pullback route: {len(exact.complex.simplices(2))} top simplices, "
@@ -50,8 +43,7 @@ def main():
                 for s in exact.balls if s in newton.balls)
     print(f"  worst ball radius disagreement: {worst:.3e}\n")
 
-    verdict = protection_decay_trial(pts, region, field=field,
-                                     analysis=analysis, params=params)
+    verdict = protection_decay_trial(analysis, field=field)
     print(f"  protection decay trial: passed {verdict.passed}, "
           f"decay bound {verdict.measured['decay']:.3e}, "
           f"worst residual {verdict.measured['worst_residual']:+.3e}")

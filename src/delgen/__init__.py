@@ -64,7 +64,6 @@ from .genericity import (
     SamplingReport,
     ThicknessCertificate,
     analyze_genericity,
-    classify_generic,
     deep_interior,
     lemma_audit,
     sampling_parameters,
@@ -116,7 +115,6 @@ __all__ = [
     "analyze_genericity",
     "cc_displacement_trial",
     "circumcenter",
-    "classify_generic",
     "dataset_digest",
     "deep_interior",
     "delaunay_bruteforce",

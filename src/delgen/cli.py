@@ -20,15 +20,12 @@ import time
 from . import __version__
 from .complexes import star_isomorphic
 from .datasets import delta_search, grid_points, uniform_points
-from .delaunay import as_point_set, delaunay_lifted
 from .errors import (CheckFailedError, DelgenError, NonGenericError, ParseError,
                      PreconditionError)
 from .fileio import (complex_from_json, dataset_digest, envelope_csv,
                      envelope_json, format_points, read_points,
                      report_envelope, write_points)
-from .genericity import (analyze_genericity, deep_interior, lemma_audit,
-                         sampling_parameters, thickness_certificate)
-from .hull import hull_facets
+from .genericity import analyze_genericity, lemma_audit, thickness_certificate
 from .metric import DisplacementField
 from .perturb import (measured_secure_params, metric_stability_trial,
                       relaxation_trial, trial_batch)
@@ -136,9 +133,9 @@ def _require_infile(args) -> str:
     return args.infile
 
 
-def _parse_region(pj: str, pts, eps: float, facets) -> list[int]:
+def _parse_region(pj: str):
     if pj == "auto":
-        return sorted(deep_interior(pts, eps, facets=facets))
+        return pj
     try:
         ids = sorted({int(tok) for tok in pj.split(",") if tok.strip()})
     except ValueError:
@@ -148,33 +145,15 @@ def _parse_region(pj: str, pts, eps: float, facets) -> list[int]:
     return ids
 
 
-def _load_analysis(args, *, require_region: bool = True):
-    """Read ``--in`` and build its hull, Delaunay complex, sampling report and
-    analysis once. Returns ``(points, digest, sampling, base, analysis,
-    stages)``, where ``stages`` holds the seconds of each build; an empty
-    region raises, or gives no analysis when not ``require_region``."""
+def _analysis(args):
+    """Read ``--in`` and analyse it once; returns ``(digest, analysis)``."""
     pts = read_points(_require_infile(args))
-    digest = dataset_digest(pts)
-    ps = as_point_set(pts)
-    marks = [time.perf_counter()]
-    facets = hull_facets(ps.points)
-    marks.append(time.perf_counter())
-    base = delaunay_lifted(ps)
-    marks.append(time.perf_counter())
-    sampling = sampling_parameters(ps, facets=facets, base=base)
-    marks.append(time.perf_counter())
-    region = _parse_region(args.pj, ps, sampling.epsilon, facets)
-    if not region:
-        if require_region:
-            raise PreconditionError("deep interior region is empty")
-        analysis = None
-    else:
-        analysis = analyze_genericity(ps, region, sampling=sampling, facets=facets,
-                                      base=base)
-    marks.append(time.perf_counter())
-    stages = {f"{name}_s": end - start for name, start, end in
-              zip(("hull", "delaunay", "sampling", "analysis"), marks, marks[1:])}
-    return pts, digest, sampling, base, analysis, stages
+    region = _parse_region(args.pj)
+    return dataset_digest(pts), analyze_genericity(pts, region)
+
+
+def _timings(t0: float, analysis) -> dict:
+    return {"total_s": time.perf_counter() - t0, **analysis.stages}
 
 
 def _sampling_dict(s) -> dict:
@@ -218,28 +197,26 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    pts, digest, sampling, base, analysis, stages = _load_analysis(
-        args, require_region=False)
+    digest, analysis = _analysis(args)
     config = {"command": "analyze", "in": args.infile, "pj": args.pj,
               "format": args.format}
-    if analysis is None:
+    if not analysis.deep_ids:
+        base = analysis.base
         global_delta = base.protection()
         results = {
-            "sampling": _sampling_dict(sampling),
+            "sampling": _sampling_dict(analysis.sampling),
             "protection": {"delta_global": global_delta,
                            "generic": bool(global_delta > base.tolerance)},
             "generic": False,
             "reason": "deep interior region is empty",
         }
-        _emit_envelope(args, config, digest,
-                       {"total_s": time.perf_counter() - t0, **stages}, results)
+        _emit_envelope(args, config, digest, _timings(t0, analysis), results)
         return 4
-    region = analysis.classification.region
-    audit = lemma_audit(pts, region, analysis=analysis)
+    audit = lemma_audit(analysis)
     results = {
-        "sampling": _sampling_dict(sampling),
+        "sampling": _sampling_dict(analysis.sampling),
         "region": list(analysis.classification.region),
-        "deep_interior": list(analysis.classification.deep_ids),
+        "deep_interior": list(analysis.deep_ids),
         "protection": {
             "delta_global": analysis.protection.delta_global,
             "nu_tilde": analysis.protection.nu_tilde,
@@ -253,7 +230,7 @@ def cmd_analyze(args) -> int:
         results["reason"] = "audited protection within tolerance of zero"
         code = 5
     else:
-        cert = thickness_certificate(pts, region, analysis=analysis)
+        cert = thickness_certificate(analysis)
         results["thickness_certificate"] = {
             "upsilon0": cert.upsilon0,
             "min_thickness": cert.min_thickness,
@@ -267,21 +244,19 @@ def cmd_analyze(args) -> int:
         if not cert.valid or failed:
             results["reason"] = f"failed checks: {['thickness'] if not cert.valid else failed}"
             code = 5
-    _emit_envelope(args, config, digest,
-                   {"total_s": time.perf_counter() - t0, **stages}, results)
+    _emit_envelope(args, config, digest, _timings(t0, analysis), results)
     return code
 
 
 def cmd_budget(args) -> int:
     t0 = time.perf_counter()
-    _, digest, _, _, analysis, stages = _load_analysis(args)
+    digest, analysis = _analysis(args)
     params = measured_secure_params(analysis)
     results = {"secure_params": _params_dict(params),
                "budgets": _budget_dict(params.budget())}
     config = {"command": "budget", "in": args.infile, "pj": args.pj,
               "format": args.format}
-    _emit_envelope(args, config, digest,
-                   {"total_s": time.perf_counter() - t0, **stages}, results)
+    _emit_envelope(args, config, digest, _timings(t0, analysis), results)
     return 0
 
 
@@ -298,13 +273,11 @@ def _gate(analysis, force: bool) -> None:
 
 def cmd_stability(args) -> int:
     t0 = time.perf_counter()
-    pts, digest, _, _, analysis, stages = _load_analysis(args)
-    region = analysis.classification.region
+    digest, analysis = _analysis(args)
     _gate(analysis, args.force)
     fractions = args.fractions or [1.0]
     models = [tok.strip() for tok in args.models.split(",") if tok.strip()]
-    verdicts = trial_batch(pts, region, fractions, args.seeds, models,
-                           root_seed=args.seed, analysis=analysis)
+    verdicts = trial_batch(analysis, fractions, args.seeds, models, root_seed=args.seed)
     summary: dict[str, dict] = {}
     for v in verdicts:
         label = v.name if v.model is None else f"{v.name}[{v.model}]"
@@ -325,43 +298,36 @@ def cmd_stability(args) -> int:
         _emit(args, lines)
         return code
     results = {"summary": summary, "verdicts": [v.to_json() for v in verdicts]}
-    _emit_envelope(args, config, digest,
-                   {"total_s": time.perf_counter() - t0, **stages}, results)
+    _emit_envelope(args, config, digest, _timings(t0, analysis), results)
     return code
 
 
 def cmd_relax(args) -> int:
     t0 = time.perf_counter()
-    pts, digest, _, _, analysis, stages = _load_analysis(args)
-    region = analysis.classification.region
+    digest, analysis = _analysis(args)
     params = measured_secure_params(analysis)
     rho = args.rho if args.rho is not None else args.fraction * params.budget().rho_point
-    verdict = relaxation_trial(pts, region, rho, analysis=analysis, params=params)
+    verdict = relaxation_trial(analysis, rho)
     config = {"command": "relax", "in": args.infile, "pj": args.pj,
               "format": args.format, "rho": rho}
-    _emit_envelope(args, config, digest,
-                   {"total_s": time.perf_counter() - t0, **stages},
+    _emit_envelope(args, config, digest, _timings(t0, analysis),
                    {"verdict": verdict.to_json()})
     return 0 if verdict.passed and verdict.certified else 5
 
 
 def cmd_metric(args) -> int:
     t0 = time.perf_counter()
-    pts, digest, _, _, analysis, stages = _load_analysis(args)
-    region = analysis.classification.region
-    params = measured_secure_params(analysis)
-    budget = params.budget()
+    digest, analysis = _analysis(args)
+    budget = measured_secure_params(analysis).budget()
     cap = budget.rho_metric if args.mode == "thm" else budget.rho_generic
     amplitude = (args.amplitude if args.amplitude is not None
                  else args.fraction * cap / 2.0)
-    field = DisplacementField(pts.shape[1], amplitude, args.seed)
-    verdict = metric_stability_trial(pts, region, field, analysis=analysis,
-                                     params=params, budget_mode=args.mode)
+    field = DisplacementField(analysis.points.dim, amplitude, args.seed)
+    verdict = metric_stability_trial(analysis, field, budget_mode=args.mode)
     config = {"command": "metric", "in": args.infile, "pj": args.pj,
               "format": args.format, "mode": args.mode, "seed": args.seed,
               "amplitude": amplitude}
-    _emit_envelope(args, config, digest,
-                   {"total_s": time.perf_counter() - t0, **stages},
+    _emit_envelope(args, config, digest, _timings(t0, analysis),
                    {"verdict": verdict.to_json()})
     return 0 if verdict.passed and verdict.certified else 5
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelgenError, PreconditionError
-from .genericity import analyze_genericity, deep_interior, sampling_parameters
+from .genericity import analyze_genericity
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -78,10 +78,7 @@ def delta_search(side: int, dim: int = 2, jitter: float = 0.2, k: int = 20,
         child = _child_seed(seed, i)
         pts = grid_points(side, dim, jitter, child)
         try:
-            eps = sampling_parameters(pts).epsilon
-            region = sorted(deep_interior(pts, eps))
-            a = analyze_genericity(pts, region)
-            delta = a.protection.delta_global
+            delta = analyze_genericity(pts).protection.delta_global
         except DelgenError:
             delta = -np.inf
         scored.append((child, float(delta)))

@@ -393,8 +393,8 @@ def _star_candidates(pts, region, reach, sizes):
                     yield cand
 
 
-def relaxed_delaunay(points, rho: float, region, *, eps: float | None = None,
-                     base: DelaunayResult | None = None) -> RelaxedResult:
+def relaxed_delaunay(points, rho: float, region, *, eps: float,
+                     base: DelaunayResult) -> RelaxedResult:
     """Star of ``region`` in the almost empty ball complex at slack ``rho``.
 
     A candidate simplex (any dimension, one vertex in the region, diameter at
@@ -405,7 +405,9 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float | None = None,
     Membership is decided with an explicit witness centre; non membership is
     certified by branch and bound over the ball of radius 4 eps around the
     candidate circumcentre. Candidates that exhaust the search budget are
-    reported in ``undecided`` and leave the result non certified.
+    reported in ``undecided`` and leave the result non certified. ``eps`` is
+    the sampling radius and ``base`` the Delaunay complex of the points,
+    whose balls seed the witness search.
     """
     ps = as_point_set(points)
     if not np.isfinite(rho) or rho < 0:
@@ -418,12 +420,6 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float | None = None,
     pts = ps.points
     m = ps.dim
     tol = ps.tolerance()
-    if eps is None:
-        from .genericity import sampling_parameters
-
-        eps = sampling_parameters(ps).epsilon
-    if base is None:
-        base = delaunay_lifted(ps)
     ball_centers: dict[tuple[int, ...], list[np.ndarray]] = {}
     for simplex, ball in base.balls.items():
         for k in range(1, len(simplex) + 1):

@@ -11,6 +11,7 @@ altitude floor, circumradius bound, secure flags).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -51,9 +52,8 @@ class ProtectionReport:
 
 @dataclass(frozen=True)
 class SafeInteriorClassification:
-    """Deep interior vertices and the simplex sets their choice induces."""
+    """The region and the simplex sets its choice induces."""
 
-    deep_ids: tuple[int, ...]
     region: tuple[int, ...]
     safe: SimplicialComplex
     audited: tuple[tuple[int, ...], ...]
@@ -72,16 +72,41 @@ class ThicknessCertificate:
 
 @dataclass(frozen=True)
 class GenericityAnalysis:
-    """Everything the audits share: sampling data, the complex, the stars."""
+    """One measurement of a point set, which every later stage reads: the
+    hull, the Delaunay complex, the sampling report, the deep interior and
+    the protection audit of the region's double star.
 
-    sampling: SamplingReport
-    base: DelaunayResult
+    ``stages`` holds the seconds of each build. When the region is the
+    empty deep interior, reading ``protection`` or ``classification``
+    raises :class:`PreconditionError`.
+    """
+
+    points: PointSet
     facets: HullFacets
-    protection: ProtectionReport
-    classification: SafeInteriorClassification
-    tolerance: float
+    base: DelaunayResult
+    sampling: SamplingReport
+    deep_ids: tuple[int, ...]
+    stages: dict[str, float]
+    _star: tuple[ProtectionReport, SafeInteriorClassification] | None = field(repr=False)
     _metrics: dict[tuple[int, ...], SimplexMetrics] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def tolerance(self) -> float:
+        return self.points.tolerance()
+
+    def _region_star(self) -> tuple[ProtectionReport, SafeInteriorClassification]:
+        if self._star is None:
+            raise PreconditionError("deep interior region is empty")
+        return self._star
+
+    @property
+    def protection(self) -> ProtectionReport:
+        return self._region_star()[0]
+
+    @property
+    def classification(self) -> SafeInteriorClassification:
+        return self._region_star()[1]
 
     def metrics(self, simplex: tuple[int, ...]) -> SimplexMetrics:
         """Metrics of a simplex of the complex, computed once per analysis."""
@@ -256,9 +281,9 @@ def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult) -> 
                         1e-9 * ps.diameter())
 
 
-def sampling_parameters(points, *, facets: HullFacets | None = None,
-                        base: DelaunayResult | None = None) -> SamplingReport:
-    """Measure the sampling radius, the sparsity, and their ratio.
+def sampling_parameters(points, facets: HullFacets, base: DelaunayResult) -> SamplingReport:
+    """Measure the sampling radius, the sparsity, and their ratio from the
+    hull and the Delaunay complex of the points.
 
     The sampling radius solves eps = sup over the eps-eroded hull of the
     distance to the set; the sup shrinks as the erosion grows, so the
@@ -266,22 +291,16 @@ def sampling_parameters(points, *, facets: HullFacets | None = None,
     iteration and then bisection down to 1e-9 of the diameter. Each sup is
     computed exactly from a finite candidate set (see ``_coverage_radius``),
     and the returned eps is the safe end of the bracket: never below the
-    fixed point. ``facets`` and ``base`` take the hull and the Delaunay
-    complex when already built.
+    fixed point.
     """
     ps = as_point_set(points)
-    if ps.n < ps.dim + 1:
-        raise PreconditionError("need at least dim + 1 points")
-    facets = hull_facets(ps.points) if facets is None else facets
-    base = delaunay_lifted(ps) if base is None else base
     eps, sparsity = _sampling_radius(ps, facets, base), ps.min_gap()
     return SamplingReport(epsilon=eps, sparsity=sparsity, mu0=sparsity / eps)
 
 
-def deep_interior(points, eps: float, *, facets: HullFacets | None = None) -> set[int]:
+def deep_interior(points, eps: float, facets: HullFacets) -> set[int]:
     """Vertices whose distance to the hull boundary is at least 4 eps."""
     ps = as_point_set(points)
-    facets = hull_facets(ps.points) if facets is None else facets
     depth = facets.depth(ps.points)
     slack = 1e-12 * max(1.0, ps.diameter())
     return {int(i) for i in np.nonzero(depth >= 4.0 * eps - slack)[0]}
@@ -290,85 +309,79 @@ def deep_interior(points, eps: float, *, facets: HullFacets | None = None) -> se
 # -- protection classification ---------------------------------------------
 
 
-def analyze_genericity(points, region, *, sampling: SamplingReport | None = None,
-                       facets: HullFacets | None = None,
-                       base: DelaunayResult | None = None) -> GenericityAnalysis:
-    """Shared workhorse behind the classification and certification calls.
+def analyze_genericity(points, region="auto") -> GenericityAnalysis:
+    """Measure a point set once: hull, Delaunay complex, sampling radius,
+    deep interior and the protection audit of the region's double star.
 
-    ``sampling``, ``facets`` and ``base`` take whatever is already built.
+    ``region`` is ``"auto"`` for the whole deep interior, or vertex ids that
+    must all be deep interior vertices. An empty ``"auto"`` region still
+    gives an analysis; only its region-dependent parts raise.
     """
     ps = as_point_set(points)
-    region = tuple(sorted({int(v) for v in region}))
-    if not region:
-        raise PreconditionError("region must be nonempty")
-    facets = hull_facets(ps.points) if facets is None else facets
-    base = delaunay_lifted(ps) if base is None else base
-    if sampling is None:
-        sampling = sampling_parameters(ps, facets=facets, base=base)
-    deep = deep_interior(ps, sampling.epsilon, facets=facets)
+    auto = isinstance(region, str) and region == "auto"
+    if not auto:
+        region = tuple(sorted({int(v) for v in region}))
+        if not region:
+            raise PreconditionError("region must be nonempty")
+    marks = [time.perf_counter()]
+    facets = hull_facets(ps.points)
+    marks.append(time.perf_counter())
+    base = delaunay_lifted(ps)
+    marks.append(time.perf_counter())
+    sampling = sampling_parameters(ps, facets, base)
+    marks.append(time.perf_counter())
+    deep = deep_interior(ps, sampling.epsilon, facets)
+    deep_ids = tuple(sorted(deep))
+    if auto:
+        region = deep_ids
     outside = [v for v in region if v not in deep]
     if outside:
         raise PreconditionError(
             f"region vertices {outside} are not deep interior points"
         )
-    m = ps.dim
+    star = _audit_star(ps, base, sampling.epsilon, region) if region else None
+    marks.append(time.perf_counter())
+    stages = {f"{name}_s": end - start for name, start, end in
+              zip(("hull", "delaunay", "sampling", "analysis"), marks, marks[1:])}
+    return GenericityAnalysis(points=ps, facets=facets, base=base, sampling=sampling,
+                              deep_ids=deep_ids, stages=stages, _star=star)
+
+
+def _audit_star(ps: PointSet, base: DelaunayResult, eps: float, region: tuple[int, ...]
+                ) -> tuple[ProtectionReport, SafeInteriorClassification]:
+    """Protection of the audited top simplices around a nonempty region."""
     cx = base.complex
-    safe = cx.vertex_star(region)
     audited = tuple(
-        s for s in cx.star(region).simplices(m) if s in base.balls
+        s for s in cx.star(region).simplices(ps.dim) if s in base.balls
     )
     if not audited:
         raise PreconditionError("audited star contains no top simplices")
     per = {s: base.balls[s].protection for s in audited}
     delta = min(per.values())
-    eps = sampling.epsilon
-    tol = ps.tolerance()
     nu = max(min(delta, eps), 0.0) / eps
     report = ProtectionReport(
         per_simplex=per,
         delta_global=delta,
         nu_tilde=nu,
-        generic=delta > tol,
+        generic=delta > ps.tolerance(),
     )
-    classification = SafeInteriorClassification(
-        deep_ids=tuple(sorted(deep)),
-        region=region,
-        safe=safe,
-        audited=audited,
-    )
-    return GenericityAnalysis(
-        sampling=sampling, base=base, facets=facets, protection=report,
-        classification=classification, tolerance=tol,
-    )
+    return report, SafeInteriorClassification(
+        region=region, safe=cx.vertex_star(region), audited=audited)
 
 
-def classify_generic(points, region):
-    """Protection audit of the double star around the chosen deep vertices.
-
-    Returns the protection report (per simplex margins, their minimum, the
-    relative protection, and the genericity flag) together with the safe
-    interior classification (deep vertices, the safe star, the audited top
-    simplices).
-    """
-    a = analyze_genericity(points, region)
-    return a.protection, a.classification
-
-
-def thickness_certificate(points, region, *, analysis: GenericityAnalysis | None = None
-                          ) -> ThicknessCertificate:
+def thickness_certificate(analysis: GenericityAnalysis) -> ThicknessCertificate:
     """Certify the thickness floor sqrt(3) nu^2 / 4 on the safe simplices."""
-    a = analysis if analysis is not None else analyze_genericity(points, region)
-    if not a.protection.generic:
+    if not analysis.protection.generic:
         raise NonGenericError(
-            f"protection {a.protection.delta_global:.3e} is within tolerance of zero"
+            f"protection {analysis.protection.delta_global:.3e} is within tolerance of zero"
         )
-    nu = a.protection.nu_tilde
+    nu = analysis.protection.nu_tilde
     upsilon0 = np.sqrt(3.0) * nu * nu / 4.0
     witnesses = []
     worst = np.inf
-    for dim in range(1, a.base.complex.dimension + 1):
-        for s in a.classification.safe.simplices(dim):
-            met = a.metrics(s)
+    for dim in range(1, analysis.base.complex.dimension + 1):
+        for s in analysis.classification.safe.simplices(dim):
+            met = analysis.metrics(s)
             worst = min(worst, met.thickness)
             witnesses.append((s, met.thickness, met.thickness >= upsilon0 - THICKNESS_SLACK))
     valid = all(w[2] for w in witnesses)
@@ -441,7 +454,7 @@ class AuditRecord:
         }
 
 
-def lemma_audit(points, region, *, analysis: GenericityAnalysis | None = None) -> AuditRecord:
+def lemma_audit(analysis: GenericityAnalysis) -> AuditRecord:
     """Audit the geometric consequences of the measured protection.
 
     Per safe simplex: shortest edge above the protection margin and every
@@ -450,12 +463,11 @@ def lemma_audit(points, region, *, analysis: GenericityAnalysis | None = None) -
     per the certificate. Secure flags combine protection, thickness, radius,
     and shortest edge thresholds with the consolidated parameters.
     """
-    a = analysis if analysis is not None else analyze_genericity(points, region)
-    s0 = a.sampling
-    delta = a.protection.delta_global
-    nu = a.protection.nu_tilde
+    s0 = analysis.sampling
+    delta = analysis.protection.delta_global
+    nu = analysis.protection.nu_tilde
     upsilon0 = float(np.sqrt(3.0) * nu * nu / 4.0)
-    if not a.protection.generic:
+    if not analysis.protection.generic:
         return AuditRecord(
             epsilon=s0.epsilon, sparsity=s0.sparsity, mu0=s0.mu0,
             delta=delta, nu_tilde=nu, upsilon0=upsilon0, generic=False,
@@ -463,9 +475,9 @@ def lemma_audit(points, region, *, analysis: GenericityAnalysis | None = None) -
                                   ("separation", "altitude", "circumradius", "thickness")},
         )
     eps = s0.epsilon
-    tol = a.tolerance
-    pts = a.base.complex.points
-    m = a.base.complex.dimension
+    tol = analysis.tolerance
+    pts = analysis.base.complex.points
+    m = analysis.base.complex.dimension
     counts = {name: [0, 0] for name in ("separation", "altitude", "circumradius", "thickness")}
 
     def tally(name: str, ok: bool) -> None:
@@ -473,17 +485,17 @@ def lemma_audit(points, region, *, analysis: GenericityAnalysis | None = None) -
 
     altitude_floor = np.sqrt(3.0) * delta * delta / (2.0 * eps)
     for dim in range(1, m + 1):
-        for s in a.classification.safe.simplices(dim):
-            met = a.metrics(s)
+        for s in analysis.classification.safe.simplices(dim):
+            met = analysis.metrics(s)
             tally("separation", met.shortest_edge > delta - tol)
             tally("altitude", bool(np.all(met.altitudes > altitude_floor - tol)))
             tally("thickness", met.thickness >= upsilon0 - THICKNESS_SLACK)
 
-    depth = a.facets.depth(pts)
+    depth = analysis.facets.depth(pts)
     audits = []
-    for s in a.classification.audited:
-        ball = a.base.balls[s]
-        met = a.metrics(s)
+    for s in analysis.classification.audited:
+        ball = analysis.base.balls[s]
+        met = analysis.metrics(s)
         if np.max(depth[list(s)]) >= 2.0 * eps:
             tally("circumradius", ball.radius < eps + tol)
         secure = (

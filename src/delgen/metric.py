@@ -186,7 +186,7 @@ def metric_circumcenter(simplex, model: MetricModel, *,
         for offs in product((-1.0, 0.0, 1.0), repeat=m):
             if any(offs):
                 seeds.append(np.array(offs) * step)
-    c0, _ = circumcenter(s)
+    c0 = met.circumcenter
     tol = 1e-9 * r0
     for off in seeds:
         result = _newton_single(c0 + off, s.vertices, model, tol, r0, c0, search_radius)
@@ -273,16 +273,13 @@ def _pullback_path(ps, model, region) -> MetricDelaunayResult:
     )
 
 
-def _generic_path(ps, model, region, eps, params) -> MetricDelaunayResult:
+def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult:
     pts = ps.points
     m = ps.dim
     tol = ps.tolerance()
     reach = 2.0 * eps + 4.0 * model.rho_bound
     image_pts = model.field.forward(pts)
     lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
-    upsilon0 = mu0 = None
-    if params is not None:
-        upsilon0, mu0 = params
     candidates = sorted(_star_candidates(pts, region, reach + tol, (m,)))
     accepted: list[tuple[int, ...]] = []
     balls: dict[tuple[int, ...], Ball] = {}
@@ -340,7 +337,8 @@ def _generic_path(ps, model, region, eps, params) -> MetricDelaunayResult:
 
 
 def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = None,
-                    params=None, path: str = "pullback") -> MetricDelaunayResult:
+                    upsilon0: float | None = None, mu0: float | None = None,
+                    path: str = "pullback") -> MetricDelaunayResult:
     """Star of ``region`` in the Delaunay complex of a metric model.
 
     ``path`` selects the route: ``"pullback"`` (the default) runs the exact
@@ -349,9 +347,10 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
     simplices, and ``"both"`` runs the two and raises
     :class:`PathMismatchError` if their top simplex sets differ.
 
-    ``params`` may carry certified ``(upsilon0, mu0)`` to size the centre
-    search ball; ``eps`` is the sampling radius used to window candidates
-    (measured from the data when omitted).
+    Certified ``upsilon0`` and ``mu0``, when given, size the centre search
+    ball as in :func:`metric_circumcenter`. ``eps`` is the sampling radius
+    that windows the candidates; the ``"newton"`` and ``"both"`` routes
+    need it.
     """
     ps = as_point_set(points)
     if path not in ("pullback", "newton", "both"):
@@ -364,10 +363,8 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
     if path == "pullback":
         return _pullback_path(ps, model, region)
     if eps is None:
-        from .genericity import sampling_parameters
-
-        eps = sampling_parameters(ps).epsilon
-    generic = _generic_path(ps, model, region, eps, params)
+        raise PreconditionError("the newton route needs the sampling radius eps")
+    generic = _generic_path(ps, model, region, eps, upsilon0, mu0)
     if path == "newton":
         return generic
     fast = _pullback_path(ps, model, region)

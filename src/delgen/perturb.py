@@ -18,7 +18,7 @@ import numpy as np
 from .delaunay import DelaunayResult, as_point_set, delaunay_lifted, relaxed_delaunay
 from .complexes import star_isomorphic
 from .errors import NonGenericError, PreconditionError
-from .genericity import GenericityAnalysis, analyze_genericity
+from .genericity import GenericityAnalysis
 from .metric import Box, DisplacementField, MetricModel, metric_delaunay
 from .simplex import Simplex, circumcenter
 
@@ -175,8 +175,9 @@ def make_point_perturbation(points, rho: float, seed: int, model: str = "uniform
     ``radial`` moves every point exactly rho outward from the centroid, and
     ``adversarial`` moves every point exactly rho toward the boundary of the
     nearest Delaunay sphere of a simplex not containing it, which attacks
-    the protection margins directly. ``directions`` takes the adversarial
-    directions when they are already computed.
+    the protection margins directly; it reads them from ``base``, the
+    Delaunay complex of the points, unless ``directions`` gives the
+    adversarial directions already computed.
     """
     ps = as_point_set(points)
     if rho < 0:
@@ -194,8 +195,9 @@ def make_point_perturbation(points, rho: float, seed: int, model: str = "uniform
         mags = np.full(n, rho)
     elif model == "adversarial":
         if directions is None:
-            directions = _adversarial_directions(
-                ps.points, base if base is not None else delaunay_lifted(ps))
+            if base is None:
+                raise PreconditionError("the adversarial model needs base or directions")
+            directions = _adversarial_directions(ps.points, base)
         dirs = directions
         mags = np.full(n, rho)
     else:
@@ -238,10 +240,6 @@ class TrialVerdict:
         return doc
 
 
-def _analysis_for(points, region, analysis):
-    return analysis if analysis is not None else analyze_genericity(points, region)
-
-
 def cc_displacement_trial(simplex_ids, perturbation: PointPerturbation,
                           params: SecureParams) -> TrialVerdict:
     """Check the circumcentre drift bound 8 rho / (upsilon0 mu0)."""
@@ -266,10 +264,9 @@ def cc_displacement_trial(simplex_ids, perturbation: PointPerturbation,
     )
 
 
-def protection_decay_trial(points, region, perturbation: PointPerturbation | None = None,
-                           *, field: DisplacementField | None = None,
-                           analysis: GenericityAnalysis | None = None,
-                           params: SecureParams | None = None) -> TrialVerdict:
+def protection_decay_trial(analysis: GenericityAnalysis,
+                           perturbation: PointPerturbation | None = None,
+                           *, field: DisplacementField | None = None) -> TrialVerdict:
     """Check residual protection after a point or metric perturbation.
 
     With a point perturbation each safe top simplex must reappear in the
@@ -279,12 +276,12 @@ def protection_decay_trial(points, region, perturbation: PointPerturbation | Non
     """
     if (perturbation is None) == (field is None):
         raise PreconditionError("give exactly one of perturbation or field")
-    a = _analysis_for(points, region, analysis)
-    p = params if params is not None else measured_secure_params(a)
+    p = measured_secure_params(analysis)
     um = p.upsilon0 * p.mu0
-    m = a.base.complex.dimension
-    safe_tops = [s for s in a.classification.safe.simplices(m) if s in a.base.balls]
-    tol = a.tolerance
+    m = analysis.base.complex.dimension
+    safe_tops = [s for s in analysis.classification.safe.simplices(m)
+                 if s in analysis.base.balls]
+    tol = analysis.tolerance
     if perturbation is not None:
         rho = perturbation.rho
         decay = 18.0 * rho / um
@@ -294,13 +291,12 @@ def protection_decay_trial(points, region, perturbation: PointPerturbation | Non
         name = "protection_decay_point"
     else:
         model = MetricModel.pullback(
-            field, Box.around(a.base.complex.points, 3.0 * p.eps)
+            field, Box.around(analysis.base.complex.points, 3.0 * p.eps)
         )
         rho = model.rho_bound
         decay = 20.0 * rho / um
-        metric = metric_delaunay(points, model, region, eps=p.eps,
-                                 params=(p.upsilon0, p.mu0), path="pullback")
-        balls = metric.balls
+        balls = metric_delaunay(analysis.points, model,
+                                analysis.classification.region).balls
         budget = p.budget().rho_metric_protect
         name = "protection_decay_metric"
     worst_residual = np.inf
@@ -309,7 +305,7 @@ def protection_decay_trial(points, region, perturbation: PointPerturbation | Non
         if s not in balls:
             missing.append(s)
             continue
-        residual = balls[s].protection - (a.protection.per_simplex[s] - decay)
+        residual = balls[s].protection - (analysis.protection.per_simplex[s] - decay)
         worst_residual = min(worst_residual, residual)
     passed = not missing and worst_residual > -tol
     return TrialVerdict(
@@ -328,16 +324,14 @@ def protection_decay_trial(points, region, perturbation: PointPerturbation | Non
     )
 
 
-def point_stability_trial(points, region, perturbation: PointPerturbation,
-                          *, analysis: GenericityAnalysis | None = None,
-                          params: SecureParams | None = None) -> TrialVerdict:
+def point_stability_trial(analysis: GenericityAnalysis,
+                          perturbation: PointPerturbation) -> TrialVerdict:
     """Check that the star of the region survives a point perturbation."""
-    a = _analysis_for(points, region, analysis)
-    p = params if params is not None else measured_secure_params(a)
+    p = measured_secure_params(analysis)
     perturbed = delaunay_lifted(perturbation.apply())
-    mapping = {v: v for v in a.base.complex.vertex_ids()}
-    report = star_isomorphic(a.base.complex, perturbed.complex,
-                             a.classification.region, mapping)
+    mapping = {v: v for v in analysis.base.complex.vertex_ids()}
+    report = star_isomorphic(analysis.base.complex, perturbed.complex,
+                             analysis.classification.region, mapping)
     bad = tuple(sorted(set(report.missing) | set(report.extra)))
     return TrialVerdict(
         name="point_stability",
@@ -354,20 +348,17 @@ def point_stability_trial(points, region, perturbation: PointPerturbation,
     )
 
 
-def relaxation_trial(points, region, rho: float,
-                     *, analysis: GenericityAnalysis | None = None,
-                     params: SecureParams | None = None) -> TrialVerdict:
+def relaxation_trial(analysis: GenericityAnalysis, rho: float) -> TrialVerdict:
     """Check that relaxing the empty ball test by rho changes nothing.
 
     Both inclusions are checked between the relaxed star and the Euclidean
     star; the verdict is certified only if every candidate membership was
     decided by the branch and bound, never by exhaustion.
     """
-    a = _analysis_for(points, region, analysis)
-    p = params if params is not None else measured_secure_params(a)
-    relaxed = relaxed_delaunay(points, rho, a.classification.region,
-                               eps=a.sampling.epsilon, base=a.base)
-    star = a.classification.safe
+    p = measured_secure_params(analysis)
+    relaxed = relaxed_delaunay(analysis.points, rho, analysis.classification.region,
+                               eps=analysis.sampling.epsilon, base=analysis.base)
+    star = analysis.classification.safe
     got = {s for d in range(relaxed.complex.dimension + 1)
            for s in relaxed.complex.simplices(d)}
     want = {s for d in range(star.dimension + 1) for s in star.simplices(d)}
@@ -384,10 +375,8 @@ def relaxation_trial(points, region, rho: float,
     )
 
 
-def metric_stability_trial(points, region, field: DisplacementField,
-                           *, analysis: GenericityAnalysis | None = None,
-                           params: SecureParams | None = None,
-                           budget_mode: str = "thm") -> TrialVerdict:
+def metric_stability_trial(analysis: GenericityAnalysis, field: DisplacementField,
+                           *, budget_mode: str = "thm") -> TrialVerdict:
     """Check that the star of the region survives a metric perturbation.
 
     The metric star is computed by both the exact pullback route and the
@@ -398,16 +387,15 @@ def metric_stability_trial(points, region, field: DisplacementField,
     """
     if budget_mode not in ("thm", "cor"):
         raise PreconditionError(f"unknown budget mode {budget_mode!r}")
-    a = _analysis_for(points, region, analysis)
-    p = params if params is not None else measured_secure_params(a)
-    pts = a.base.complex.points
+    p = measured_secure_params(analysis)
+    pts = analysis.base.complex.points
     model = MetricModel.pullback(field, Box.around(pts, 3.0 * p.eps))
-    audited_ids = sorted({v for s in a.classification.audited for v in s})
+    audited_ids = sorted({v for s in analysis.classification.audited for v in s})
     if np.min(model.domain.boundary_gap(pts[audited_ids])) < 2.0 * p.eps:
         raise PreconditionError("audited vertices too close to the domain boundary")
-    result = metric_delaunay(points, model, a.classification.region,
-                             eps=p.eps, params=(p.upsilon0, p.mu0), path="both")
-    star = a.classification.safe
+    result = metric_delaunay(analysis.points, model, analysis.classification.region,
+                             eps=p.eps, upsilon0=p.upsilon0, mu0=p.mu0, path="both")
+    star = analysis.classification.safe
     got = {s for d in range(result.complex.dimension + 1)
            for s in result.complex.simplices(d)}
     want = {s for d in range(star.dimension + 1) for s in star.simplices(d)}
@@ -431,7 +419,6 @@ def metric_stability_trial(points, region, field: DisplacementField,
 
 # -- batch driver ----------------------------------------------------------
 
-_BATCH_KEYS = {"dataset", "P_J", "budgets", "seeds", "models"}
 _BATCH_MODELS = {"uniform", "radial", "adversarial", "relaxation", "metric"}
 
 
@@ -439,8 +426,8 @@ def _trial_seed(root: int, *key: int) -> int:
     return int(np.random.SeedSequence((int(root), *key)).generate_state(1)[0])
 
 
-def trial_batch(points, region, budgets, seeds: int, models, *, root_seed: int = 0,
-                analysis: GenericityAnalysis | None = None) -> list[TrialVerdict]:
+def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
+                root_seed: int = 0) -> list[TrialVerdict]:
     """Run a grid of stability trials; one verdict per (model, budget, seed).
 
     Point models perturb at the given fraction of the point budget and run
@@ -448,16 +435,14 @@ def trial_batch(points, region, budgets, seeds: int, models, *, root_seed: int =
     and ``metric`` uses a displacement field at the fraction of the metric
     budget. Verdicts come back sorted by (model, budget, seed).
     """
-    a = _analysis_for(points, region, analysis)
-    p = measured_secure_params(a)
-    b = p.budget()
+    b = measured_secure_params(analysis).budget()
     unknown = set(models) - _BATCH_MODELS
     if unknown:
         raise PreconditionError(f"unknown trial models {sorted(unknown)}")
     if int(seeds) < 1 or not models or not budgets:
         raise PreconditionError("empty trial batch: need a seed, a model and a budget")
-    pts = a.base.complex.points
-    adversarial = (_adversarial_directions(pts, a.base)
+    ps = analysis.points
+    adversarial = (_adversarial_directions(ps.points, analysis.base)
                    if "adversarial" in models else None)
     verdicts = []
     for mi, model in enumerate(sorted(set(models))):
@@ -466,21 +451,18 @@ def trial_batch(points, region, budgets, seeds: int, models, *, root_seed: int =
                 raise PreconditionError(f"bad budget fraction {frac!r}")
             if model == "relaxation":
                 # Relaxation draws nothing at random: one run serves every seed.
-                v = relaxation_trial(points, region, frac * b.rho_point,
-                                     analysis=a, params=p)
+                v = relaxation_trial(analysis, frac * b.rho_point)
                 verdicts.extend([v] * int(seeds))
                 continue
             for si in range(int(seeds)):
                 seed = _trial_seed(root_seed, mi, bi, si)
                 if model == "metric":
-                    fld = DisplacementField(pts.shape[1], frac * b.rho_metric / 2.0, seed)
-                    v = metric_stability_trial(points, region, fld,
-                                               analysis=a, params=p)
+                    fld = DisplacementField(ps.dim, frac * b.rho_metric / 2.0, seed)
+                    v = metric_stability_trial(analysis, fld)
                 else:
                     pert = make_point_perturbation(
-                        pts, frac * b.rho_point, seed, model, base=a.base,
+                        ps, frac * b.rho_point, seed, model, base=analysis.base,
                         directions=adversarial)
-                    v = point_stability_trial(points, region, pert,
-                                              analysis=a, params=p)
+                    v = point_stability_trial(analysis, pert)
                 verdicts.append(v)
     return verdicts

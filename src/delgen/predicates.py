@@ -105,25 +105,3 @@ def in_sphere(simplex_points: np.ndarray, query: np.ndarray) -> int:
     parity = -1 if pts.shape[1] % 2 else 1
     return parity * orient * det_sign(lifted)
 
-
-def collinear_between(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> bool:
-    """Exactly decide whether ``q`` lies on the open segment from a to b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    q = np.asarray(q, dtype=float)
-    fa = [Fraction(x) for x in a.tolist()]
-    fb = [Fraction(x) for x in b.tolist()]
-    fq = [Fraction(x) for x in q.tolist()]
-    d = [y - x for x, y in zip(fa, fb)]
-    r = [y - x for x, y in zip(fa, fq)]
-    # Collinearity: r parallel to d (all 2x2 minors vanish).
-    n = len(d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i] * r[j] - d[j] * r[i] != 0:
-                return False
-    t_num = sum(di * ri for di, ri in zip(d, r))
-    t_den = sum(di * di for di in d)
-    if t_den == 0:
-        return False
-    return 0 < t_num < t_den

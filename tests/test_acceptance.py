@@ -18,7 +18,7 @@ from delgen.cli import main
 from delgen.datasets import grid_points, uniform_points
 from delgen.delaunay import delaunay_bruteforce, delaunay_lifted
 from delgen.fileio import write_points
-from delgen.genericity import analyze_genericity, deep_interior, sampling_parameters
+from delgen.genericity import analyze_genericity
 from delgen.metric import DisplacementField
 from delgen.perturb import (cc_displacement_trial, make_point_perturbation,
                             measured_secure_params, metric_stability_trial,
@@ -46,13 +46,10 @@ def generic_instances(count: int):
         seed = _CACHE["next_seed"]
         _CACHE["next_seed"] += 1
         pts = grid_points(9, 2, 0.2, seed=seed)
-        region = sorted(deep_interior(pts, sampling_parameters(pts).epsilon))
-        if not region:
+        a = analyze_genericity(pts)
+        if not a.deep_ids or not a.protection.generic:
             continue
-        a = analyze_genericity(pts, region)
-        if not a.protection.generic:
-            continue
-        inst.append((pts, region, a, measured_secure_params(a)))
+        inst.append((pts, a, measured_secure_params(a)))
     return inst[:count]
 
 
@@ -99,7 +96,7 @@ def test_criterion_01_route_equivalence():
 def test_criterion_02_thickness_from_protection():
     bad = checked = 0
     worst = np.inf
-    for pts, _, a, p in generic_instances(100):
+    for pts, a, p in generic_instances(100):
         floor = np.sqrt(3.0) * p.nu_tilde**2 / 4.0
         safe = a.classification.safe
         for d in range(1, safe.dimension + 1):
@@ -166,7 +163,7 @@ def test_criterion_05_circumcentre_displacement():
     strict_bad = 0
     round_id = 0
     while count < 1000:
-        pts, _, a, p = inst[round_id % len(inst)]
+        pts, a, p = inst[round_id % len(inst)]
         model = MODELS[round_id % len(MODELS)]
         rho = p.budget().rho_cc
         pert = make_point_perturbation(pts, rho, seed=round_id, model=model,
@@ -190,11 +187,11 @@ def test_criterion_06_point_stability():
     inst = generic_instances(10)
     fails = total = 0
     for seed in range(200):
-        pts, region, a, p = inst[seed % len(inst)]
+        pts, a, p = inst[seed % len(inst)]
         for model in MODELS:
             pert = make_point_perturbation(pts, p.budget().rho_point, seed=seed,
                                            model=model, base=a.base)
-            v = point_stability_trial(pts, region, pert, analysis=a, params=p)
+            v = point_stability_trial(a, pert)
             total += 1
             fails += not (v.passed and v.in_budget)
     ok = fails == 0 and total == 600
@@ -205,9 +202,8 @@ def test_criterion_06_point_stability():
 
 def test_criterion_07_relaxation_equality():
     bad = 0
-    for pts, region, a, p in generic_instances(50):
-        v = relaxation_trial(pts, region, p.budget().rho_point,
-                             analysis=a, params=p)
+    for _, a, p in generic_instances(50):
+        v = relaxation_trial(a, p.budget().rho_point)
         bad += not (v.passed and v.certified and v.in_budget)
     ok = bad == 0
     report(7, "relaxed star equality, certified", ok,
@@ -218,14 +214,13 @@ def test_criterion_07_relaxation_equality():
 def test_criterion_08_metric_stability():
     inst = generic_instances(25)
     bad = total = 0
-    for i, (pts, region, a, p) in enumerate(inst):
+    for i, (pts, a, p) in enumerate(inst):
         for mode in ("thm", "cor"):
             cap = p.budget().rho_metric if mode == "thm" else p.budget().rho_generic
             field = DisplacementField(pts.shape[1], cap / 2.0, seed=100 + i)
             total += 1
             try:
-                v = metric_stability_trial(pts, region, field, analysis=a,
-                                           params=p, budget_mode=mode)
+                v = metric_stability_trial(a, field, budget_mode=mode)
             except Exception:
                 bad += 1
                 continue
@@ -239,17 +234,17 @@ def test_criterion_08_metric_stability():
 def test_criterion_09_protection_decay():
     inst = generic_instances(10)
     bad = total = 0
-    for i, (pts, region, a, p) in enumerate(inst):
+    for i, (pts, a, p) in enumerate(inst):
         for model in MODELS:
             pert = make_point_perturbation(pts, p.budget().rho_point, seed=i,
                                            model=model, base=a.base)
-            v = protection_decay_trial(pts, region, pert, analysis=a, params=p)
+            v = protection_decay_trial(a, pert)
             total += 1
             bad += not (v.passed and v.in_budget
                         and v.measured["worst_residual"] > -a.tolerance)
         field = DisplacementField(pts.shape[1],
                                   p.budget().rho_metric_protect / 2.0, seed=i)
-        v = protection_decay_trial(pts, region, field=field, analysis=a, params=p)
+        v = protection_decay_trial(a, field=field)
         total += 1
         bad += not (v.passed and v.in_budget
                     and v.measured["worst_residual"] > -a.tolerance)

@@ -90,6 +90,12 @@ def test_analyze_empty_deep_region_is_precondition_code():
     assert res["generic"] is False
     assert res["reason"] == "deep interior region is empty"
     assert "budgets" not in res
+    # The other verbs need the region itself, so they stop without a report.
+    for verb in ("budget", "stability", "relax", "metric"):
+        code, text, err = run([verb, "--in", infile("square.txt")])
+        assert code == 4, verb
+        assert text == "", verb
+        assert "deep interior region is empty" in err, verb
 
 
 def test_analyze_exact_grid_fails_the_check():
@@ -286,6 +292,8 @@ def test_parser_rejects_unknown_verbs():
 
 def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
     from delgen import delaunay, genericity, hull
+    from delgen.datasets import delta_search
+    from delgen.genericity import analyze_genericity
 
     counts = {}
 
@@ -303,11 +311,19 @@ def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
     counting(delaunay, "_lifted_top_simplices")
     counting(genericity, "_sampling_radius")
     path = tmp_path / "grid225.txt"
-    write_points(str(path), grid_points(15, 2, 0.2, seed=3))
+    pts = grid_points(15, 2, 0.2, seed=3)
+    write_points(str(path), pts)
     code, _, _ = run(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")])
     assert code == 0
-    assert counts == {"_facet_planes_seeded": 1, "_lifted_top_simplices": 1,
-                      "_sampling_radius": 1}
+    once = {"_facet_planes_seeded": 1, "_lifted_top_simplices": 1, "_sampling_radius": 1}
+    assert counts == once
+    # The library builds the same way: once per analysed input.
+    counts.clear()
+    analyze_genericity(pts)
+    assert counts == once
+    counts.clear()
+    delta_search(9, 2, 0.2, k=3)
+    assert counts == {name: 3 for name in once}
 
 
 def test_compare_rejects_malformed_mapping(tmp_path):

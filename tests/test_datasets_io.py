@@ -23,7 +23,7 @@ from delgen.fileio import (
     strip_timings,
     write_points,
 )
-from delgen.genericity import analyze_genericity, deep_interior, sampling_parameters
+from delgen.genericity import analyze_genericity
 
 
 def test_grid_points_exact_lattice():
@@ -74,9 +74,7 @@ def test_delta_search_picks_the_best_candidate():
     assert found.delta == max(finite)
     assert (found.seed, found.delta) in found.candidates
     # Re-measure the winner independently of the search bookkeeping.
-    eps = sampling_parameters(found.points).epsilon
-    region = sorted(deep_interior(found.points, eps))
-    a = analyze_genericity(found.points, region)
+    a = analyze_genericity(found.points)
     assert a.protection.delta_global == pytest.approx(found.delta, rel=1e-12)
 
 
@@ -89,10 +87,7 @@ def test_delta_search_determinism():
 
 def test_generic_grid_is_generic():
     pts = generic_grid(side=9, dim=2, seed=0, k=3)
-    eps = sampling_parameters(pts).epsilon
-    region = sorted(deep_interior(pts, eps))
-    a = analyze_genericity(pts, region)
-    assert a.protection.generic
+    assert analyze_genericity(pts).protection.generic
 
 
 def test_parse_points_comments_and_blank_lines():

@@ -14,6 +14,7 @@ from delgen.delaunay import (
     relaxed_delaunay,
 )
 from delgen.errors import PreconditionError
+from delgen.genericity import analyze_genericity
 from delgen.predicates import in_sphere
 
 FOUR_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
@@ -153,19 +154,21 @@ def test_separation_exhaustive_small():
 
 def test_relaxed_zero_slack_is_the_star():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
-    base = delaunay_lifted(pts)
+    a = analyze_genericity(pts)
+    base = a.base
     assert base.generic
-    relaxed = relaxed_delaunay(pts, 0.0, [12], base=base)
+    relaxed = relaxed_delaunay(pts, 0.0, [12], eps=a.sampling.epsilon, base=base)
     assert relaxed.certified
     assert relaxed.complex == base.complex.vertex_star([12])
 
 
 def test_relaxed_monotone_in_slack():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
-    base = delaunay_lifted(pts)
+    a = analyze_genericity(pts)
+    base = a.base
     prev = None
     for rho in (0.0, 0.01, 0.05, 0.1):
-        cur = relaxed_delaunay(pts, rho, [12], base=base)
+        cur = relaxed_delaunay(pts, rho, [12], eps=a.sampling.epsilon, base=base)
         assert cur.certified
         members = set(cur.complex.simplices())
         if prev is not None:
@@ -179,7 +182,7 @@ def test_relaxed_huge_slack_accepts_everything_in_reach():
     pts = UNIT_SQUARE * 0.3 + 0.2
     extra = np.vstack([pts, [[0.5, 0.9], [0.9, 0.5], [0.1, 0.5]]])
     diam = PointSet(extra).diameter()
-    relaxed = relaxed_delaunay(extra, 2.0 * diam, [0], eps=diam)
+    relaxed = relaxed_delaunay(extra, 2.0 * diam, [0], eps=diam, base=delaunay_lifted(extra))
     n = len(extra)
     expect_tops = {tuple(sorted((0, i, j))) for i in range(n) for j in range(n) if 0 < i < j}
     assert set(relaxed.complex.simplices(2)) == expect_tops
@@ -188,7 +191,8 @@ def test_relaxed_huge_slack_accepts_everything_in_reach():
 def test_relaxed_witnesses_verify():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     rho = 0.08
-    relaxed = relaxed_delaunay(pts, rho, [12])
+    a = analyze_genericity(pts)
+    relaxed = relaxed_delaunay(pts, rho, [12], eps=a.sampling.epsilon, base=a.base)
     assert relaxed.certified
     for simplex, c in relaxed.witnesses.items():
         need = cdist([c], pts[list(simplex)]).max()
@@ -198,13 +202,14 @@ def test_relaxed_witnesses_verify():
 
 def test_relaxed_rejects_bad_inputs():
     pts = grid_points(4, dim=2, jitter=0.1, seed=1)
+    built = dict(eps=1.0, base=delaunay_lifted(pts))
     for bad in (-0.1, np.nan, np.inf):
         with pytest.raises(PreconditionError, match="rho must be finite"):
-            relaxed_delaunay(pts, bad, [5])
+            relaxed_delaunay(pts, bad, [5], **built)
     with pytest.raises(PreconditionError):
-        relaxed_delaunay(pts, 0.1, [])
+        relaxed_delaunay(pts, 0.1, [], **built)
     with pytest.raises(PreconditionError):
-        relaxed_delaunay(pts, 0.1, [99])
+        relaxed_delaunay(pts, 0.1, [99], **built)
 
 
 def test_branch_and_bound_outcomes():

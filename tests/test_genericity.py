@@ -10,8 +10,6 @@ from delgen.errors import NonGenericError, PreconditionError
 from delgen.genericity import (
     SamplingReport,
     analyze_genericity,
-    classify_generic,
-    deep_interior,
     lemma_audit,
     sampling_parameters,
     thickness_certificate,
@@ -21,11 +19,13 @@ from delgen.hull import hull_facets
 SQRT2 = np.sqrt(2.0)
 
 
+def sampling(pts):
+    return analyze_genericity(pts).sampling
+
+
 def jittered_instance():
     pts = grid_points(9, dim=2, jitter=0.2, seed=3)
-    eps = sampling_parameters(pts).epsilon
-    region = sorted(deep_interior(pts, eps))
-    return pts, region
+    return pts, list(analyze_genericity(pts).deep_ids)
 
 
 def epsilon_grid_oracle(pts, cells=500):
@@ -63,7 +63,7 @@ def test_report_validation():
 
 
 def test_integer_grid_closed_form():
-    rep = sampling_parameters(grid_points(5, dim=2))
+    rep = sampling(grid_points(5, dim=2))
     assert rep.epsilon == pytest.approx(SQRT2 / 2.0, abs=1e-12)
     assert rep.sparsity == pytest.approx(1.0, abs=1e-15)
     assert rep.mu0 == pytest.approx(SQRT2, abs=1e-12)
@@ -71,10 +71,10 @@ def test_integer_grid_closed_form():
 
 def test_sampling_rejects_thin_inputs():
     with pytest.raises(PreconditionError):
-        sampling_parameters(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        analyze_genericity(np.array([[0.0, 0.0], [1.0, 0.0]]))
     line = np.column_stack([np.arange(5.0), np.zeros(5)])
     with pytest.raises(PreconditionError):
-        sampling_parameters(line)
+        analyze_genericity(line)
 
 
 def test_sampling_invariants_random_sweep():
@@ -82,7 +82,7 @@ def test_sampling_invariants_random_sweep():
     inputs = [rng.uniform(size=(int(rng.integers(10, 40)), 2)) for _ in range(10)]
     inputs += [grid_points(side, 3, 0.2, seed=side) for side in (4, 5, 6)]
     for pts in inputs:
-        rep = sampling_parameters(pts)
+        rep = sampling(pts)
         assert rep.sparsity <= 2.0 * rep.epsilon + 1e-12
         assert 0.0 < rep.mu0 <= 2.0 + 1e-12
 
@@ -99,7 +99,7 @@ def test_sampling_sweeps_the_uneroded_boundary_once(monkeypatch):
     bisected = 0
     for _ in range(6):
         margins.clear()
-        sampling_parameters(rng.uniform(size=(int(rng.integers(10, 40)), 2)))
+        sampling(rng.uniform(size=(int(rng.integers(10, 40)), 2)))
         assert margins.count(0.0) == 1
         bisected += len(margins) > 4
     assert bisected
@@ -123,7 +123,7 @@ def test_sampling_radius_is_never_below_the_fixed_point():
 
         tol = 1e-9 * ps.diameter()
         eps = genericity._fixed_point(g, tol)
-        assert eps == sampling_parameters(ps, facets=facets, base=base).epsilon
+        assert eps == sampling_parameters(ps, facets, base).epsilon
         # g(x) > x for every x below the fixed point, so g(eps) <= eps puts
         # eps at or above it.
         assert g(eps) <= eps
@@ -146,7 +146,7 @@ def test_known_grids_reach_the_exact_radius(key, lower, exact, mirror):
     row, index = key
     seed = int(np.random.SeedSequence((row, 2, index)).generate_state(1)[0] % 2**31)
     pts = grid_points(15, 2, 0.2, seed) * np.array([mirror, 1.0])
-    eps = sampling_parameters(pts).epsilon
+    eps = sampling(pts).epsilon
     assert eps >= lower
     assert eps == pytest.approx(exact, abs=1e-5)
 
@@ -154,7 +154,7 @@ def test_known_grids_reach_the_exact_radius(key, lower, exact, mirror):
 def test_epsilon_against_dense_scan_oracle():
     rng = np.random.default_rng(25)
     pts = rng.uniform(size=(40, 2))
-    rep = sampling_parameters(pts)
+    rep = sampling(pts)
     oracle = epsilon_grid_oracle(pts)
     assert rep.epsilon == pytest.approx(oracle, abs=3e-3)
 
@@ -162,15 +162,15 @@ def test_epsilon_against_dense_scan_oracle():
 def test_sampling_rigid_motion_and_scaling():
     rng = np.random.default_rng(27)
     pts = rng.uniform(size=(30, 2))
-    rep = sampling_parameters(pts)
+    rep = sampling(pts)
     theta = 0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     moved = pts @ rot.T + np.array([5.0, -2.0])
-    rep2 = sampling_parameters(moved)
+    rep2 = sampling(moved)
     assert rep2.epsilon == pytest.approx(rep.epsilon, rel=1e-6)
     assert rep2.sparsity == pytest.approx(rep.sparsity, rel=1e-12)
     lam = 3.5
-    rep3 = sampling_parameters(lam * pts)
+    rep3 = sampling(lam * pts)
     assert rep3.epsilon == pytest.approx(lam * rep.epsilon, rel=1e-6)
     assert rep3.sparsity == pytest.approx(lam * rep.sparsity, rel=1e-12)
     assert rep3.mu0 == pytest.approx(rep.mu0, rel=1e-6)
@@ -178,9 +178,10 @@ def test_sampling_rigid_motion_and_scaling():
 
 def test_deep_interior_integer_grid():
     pts = grid_points(9, dim=2)
-    eps = sampling_parameters(pts).epsilon
+    a = analyze_genericity(pts)
+    eps = a.sampling.epsilon
     assert eps == pytest.approx(SQRT2 / 2.0, abs=1e-12)
-    deep = deep_interior(pts, eps)
+    deep = set(a.deep_ids)
     expect = {
         i for i, p in enumerate(pts)
         if p.min() >= 4.0 * eps - 1e-9 and p.max() <= 8.0 - 4.0 * eps + 1e-9
@@ -193,8 +194,13 @@ def test_deep_interior_integer_grid():
 
 def test_deep_interior_empty_for_small_sets():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    eps = sampling_parameters(square).epsilon
-    assert deep_interior(square, eps) == set()
+    a = analyze_genericity(square)
+    assert a.deep_ids == ()
+    # The analysis stands; only its region-dependent parts raise.
+    assert a.sampling.epsilon > 0
+    for part in ("protection", "classification"):
+        with pytest.raises(PreconditionError, match="deep interior region is empty"):
+            getattr(a, part)
 
 
 def test_analysis_region_validation():
@@ -209,17 +215,18 @@ def test_analysis_region_validation():
 
 def test_classify_jittered_grid():
     pts, region = jittered_instance()
-    protection, classification = classify_generic(pts, region)
+    a = analyze_genericity(pts, region)
+    protection, classification = a.protection, a.classification
     assert protection.generic
     assert protection.delta_global == min(protection.per_simplex.values())
     assert all(v > 0 for v in protection.per_simplex.values())
-    eps = sampling_parameters(pts).epsilon
+    eps = a.sampling.epsilon
     assert protection.nu_tilde == pytest.approx(
         min(protection.delta_global, eps) / eps
     )
     assert 0.0 < protection.nu_tilde <= 1.0
     assert classification.region == tuple(region)
-    assert set(classification.region) <= set(classification.deep_ids)
+    assert set(classification.region) <= set(a.deep_ids)
     # The audited star is one ring wider than the safe star.
     safe_tops = set(classification.safe.simplices(2))
     assert safe_tops <= set(classification.audited)
@@ -248,7 +255,7 @@ def test_protection_scales_linearly():
 def test_thickness_certificate_on_generic_grid():
     pts, region = jittered_instance()
     a = analyze_genericity(pts, region)
-    cert = thickness_certificate(pts, region, analysis=a)
+    cert = thickness_certificate(a)
     nu = a.protection.nu_tilde
     assert cert.upsilon0 == pytest.approx(np.sqrt(3.0) * nu * nu / 4.0)
     assert cert.valid
@@ -259,18 +266,12 @@ def test_thickness_certificate_on_generic_grid():
 
 
 def test_thickness_certificate_rejects_non_generic():
-    pts = grid_points(9, dim=2)
-    eps = sampling_parameters(pts).epsilon
-    region = sorted(deep_interior(pts, eps))
     with pytest.raises(NonGenericError):
-        thickness_certificate(pts, region)
+        thickness_certificate(analyze_genericity(grid_points(9, dim=2)))
 
 
 def test_exact_grid_audit_is_non_generic():
-    pts = grid_points(9, dim=2)
-    eps = sampling_parameters(pts).epsilon
-    region = sorted(deep_interior(pts, eps))
-    record = lemma_audit(pts, region)
+    record = lemma_audit(analyze_genericity(grid_points(9, dim=2)))
     assert not record.generic
     assert abs(record.delta) <= 1e-9 * 8.0 * SQRT2
     assert record.simplices == ()
@@ -279,7 +280,7 @@ def test_exact_grid_audit_is_non_generic():
 
 def test_lemma_audit_green_on_generic_grid():
     pts, region = jittered_instance()
-    record = lemma_audit(pts, region)
+    record = lemma_audit(analyze_genericity(pts, region))
     assert record.generic
     for name in ("separation", "altitude", "circumradius", "thickness"):
         passed, failed = record.checks[name]
@@ -294,7 +295,7 @@ def test_lemma_audit_green_on_generic_grid():
 
 def test_audit_json_schema():
     pts, region = jittered_instance()
-    doc = lemma_audit(pts, region).to_json()
+    doc = lemma_audit(analyze_genericity(pts, region)).to_json()
     assert set(doc) == {
         "epsilon", "sparsity", "mu0", "delta", "nu_tilde", "upsilon0",
         "generic", "simplices", "checks",
@@ -310,7 +311,7 @@ def test_audit_json_schema():
 def test_secure_flags_match_definition():
     pts, region = jittered_instance()
     a = analyze_genericity(pts, region)
-    record = lemma_audit(pts, region, analysis=a)
+    record = lemma_audit(a)
     delta = record.delta
     nu = record.nu_tilde
     eps = record.epsilon

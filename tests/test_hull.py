@@ -10,7 +10,7 @@ from delgen import genericity, hull
 from delgen.datasets import grid_points
 from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import PreconditionError
-from delgen.genericity import deep_interior, sampling_parameters
+from delgen.genericity import analyze_genericity, sampling_parameters
 
 INPUTS = {
     "jittered-2d": grid_points(15, 2, 0.2, seed=3),
@@ -47,12 +47,11 @@ def test_forced_fallback_leaves_the_measurements_unchanged(monkeypatch):
     seeded = hull._facet_planes_seeded
     monkeypatch.setattr(hull, "_facet_planes_seeded",
                         lambda p: calls.append(1) or seeded(p))
-    s = sampling_parameters(pts)
-    deep = deep_interior(pts, s.epsilon)
+    a = analyze_genericity(pts)
     assert calls
-    fallback = exhaustive(monkeypatch, sampling_parameters, pts)
-    assert fallback == s
-    assert exhaustive(monkeypatch, deep_interior, pts, s.epsilon) == deep
+    fallback = exhaustive(monkeypatch, analyze_genericity, pts)
+    assert fallback.sampling == a.sampling
+    assert fallback.deep_ids == a.deep_ids
 
 
 def test_open_candidate_boundary_falls_back(monkeypatch):
@@ -191,7 +190,7 @@ def test_exact_radius_bounds_the_sweep_and_a_dense_sample(case):
 
     tol = 1e-9 * ps.diameter()
     eps = genericity._fixed_point(exact, tol)
-    assert eps == sampling_parameters(ps, facets=facets, base=base).epsilon
+    assert eps == sampling_parameters(ps, facets, base).epsilon
     # eps >= its fixed point >= the sweep's fixed point >= what the sweep's
     # solve returns, less its bracket.
     assert eps >= genericity._fixed_point(sweep, tol) - tol

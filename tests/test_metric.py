@@ -7,6 +7,7 @@ from delgen import metric
 from delgen.datasets import grid_points
 from delgen.delaunay import PointSet, _ball_gap, delaunay_bruteforce, delaunay_lifted
 from delgen.errors import PreconditionError
+from delgen.genericity import analyze_genericity
 from delgen.metric import (
     Box,
     DisplacementField,
@@ -179,8 +180,9 @@ def test_metric_delaunay_euclidean_equals_bruteforce_star():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     base = delaunay_bruteforce(pts)
     star_tops = [s for s in base.complex.simplices(2) if 12 in s]
+    eps = analyze_genericity(pts).sampling.epsilon
     for path in ("pullback", "newton", "both"):
-        res = metric_delaunay(pts, MetricModel.euclidean(2), [12], path=path)
+        res = metric_delaunay(pts, MetricModel.euclidean(2), [12], eps=eps, path=path)
         assert res.certified
         assert set(res.complex.simplices(2)) == set(star_tops)
 
@@ -190,17 +192,19 @@ def test_metric_delaunay_identity_field():
     field = DisplacementField(2, amplitude=0.0, seed=0)
     model = MetricModel.pullback(field)
     ref = metric_delaunay(pts, MetricModel.euclidean(2), [12])
-    res = metric_delaunay(pts, model, [12], path="both")
+    eps = analyze_genericity(pts).sampling.epsilon
+    res = metric_delaunay(pts, model, [12], eps=eps, path="both")
     assert res.agreement
     assert res.complex == ref.complex
 
 
 def test_metric_delaunay_dual_path_sweep():
+    pts = grid_points(5, dim=2, jitter=0.15, seed=4)
+    eps = analyze_genericity(pts).sampling.epsilon
     for seed in range(5):
-        pts = grid_points(5, dim=2, jitter=0.15, seed=4)
         field = DisplacementField(2, amplitude=2e-3, seed=seed)
         model = MetricModel.pullback(field)
-        res = metric_delaunay(pts, model, [12], path="both")
+        res = metric_delaunay(pts, model, [12], eps=eps, path="both")
         assert res.agreement and res.certified
         assert not res.not_found
         # Pullback consistency: the metric balls match the Euclidean balls
@@ -216,7 +220,8 @@ def test_metric_delaunay_newton_balls_verify():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     field = DisplacementField(2, amplitude=2e-3, seed=1)
     model = MetricModel.pullback(field)
-    res = metric_delaunay(pts, model, [12], path="newton")
+    eps = analyze_genericity(pts).sampling.epsilon
+    res = metric_delaunay(pts, model, [12], eps=eps, path="newton")
     assert res.certified
     for s, ball in res.balls.items():
         d = model.distances_to(ball.center, pts[list(s)])
@@ -240,6 +245,10 @@ def test_metric_delaunay_rejects_unknown_path():
     for path in ("bogus", "auto", ""):
         with pytest.raises(PreconditionError, match="unknown metric route"):
             metric_delaunay(pts, MetricModel.euclidean(2), [5], path=path)
+    # The equidistance route windows its candidates by the sampling radius.
+    for path in ("newton", "both"):
+        with pytest.raises(PreconditionError, match="needs the sampling radius"):
+            metric_delaunay(pts, MetricModel.euclidean(2), [5], path=path)
 
 
 def test_metric_delaunay_newton_failure_falls_back(monkeypatch):
@@ -251,8 +260,9 @@ def test_metric_delaunay_newton_failure_falls_back(monkeypatch):
         calls.append(args)
         return None
 
+    eps = analyze_genericity(pts).sampling.epsilon
     monkeypatch.setattr(metric, "metric_circumcenter", no_centre)
-    res = metric_delaunay(pts, model, [12], path="both")
+    res = metric_delaunay(pts, model, [12], eps=eps, path="both")
     assert res.agreement and res.certified
     # Every candidate went through the branch and bound.
     assert len(res.not_found) == len(calls) > 0

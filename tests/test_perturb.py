@@ -7,7 +7,7 @@ from delgen.complexes import star_isomorphic
 from delgen.datasets import grid_points
 from delgen.delaunay import delaunay_lifted
 from delgen.errors import NonGenericError, PreconditionError
-from delgen.genericity import analyze_genericity, deep_interior, sampling_parameters
+from delgen.genericity import analyze_genericity
 from delgen.metric import DisplacementField
 from delgen.perturb import (
     PointPerturbation,
@@ -30,10 +30,8 @@ def instance():
     """One audited jittered grid, shared across tests in this module."""
     if "a" not in _CACHE:
         pts = grid_points(9, dim=2, jitter=0.2, seed=3)
-        eps = sampling_parameters(pts).epsilon
-        region = sorted(deep_interior(pts, eps))
-        analysis = analyze_genericity(pts, region)
-        _CACHE["a"] = (pts, region, analysis, measured_secure_params(analysis))
+        analysis = analyze_genericity(pts)
+        _CACHE["a"] = (pts, analysis, measured_secure_params(analysis))
     return _CACHE["a"]
 
 
@@ -84,7 +82,7 @@ def test_budget_ordering_sweep():
 
 
 def test_measured_secure_params():
-    _, _, analysis, p = instance()
+    _, analysis, p = instance()
     assert 0.0 < p.upsilon0 <= 1.0
     assert 0.0 < p.mu0 <= 1.0
     assert 0.0 < p.delta <= p.eps
@@ -93,23 +91,20 @@ def test_measured_secure_params():
 
 
 def test_measured_params_reject_non_generic():
-    pts = grid_points(9, dim=2)
-    eps = sampling_parameters(pts).epsilon
-    region = sorted(deep_interior(pts, eps))
-    a = analyze_genericity(pts, region)
+    a = analyze_genericity(grid_points(9, dim=2))
     with pytest.raises(NonGenericError):
         measured_secure_params(a)
 
 
 def test_perturbation_zero_is_identity():
-    pts, _, analysis, _ = instance()
+    pts, _, _ = instance()
     pert = make_point_perturbation(pts, 0.0, 7, "uniform")
     assert np.array_equal(pert.apply(), pts)
     assert pert.magnitudes.max() == 0.0
 
 
 def test_perturbation_determinism_and_models():
-    pts, _, analysis, p = instance()
+    pts, analysis, p = instance()
     rho = p.budget().rho_point
     for model in ("uniform", "radial", "adversarial"):
         one = make_point_perturbation(pts, rho, 11, model, base=analysis.base)
@@ -126,18 +121,20 @@ def test_perturbation_determinism_and_models():
 
 
 def test_perturbation_rejects_large_rho():
-    pts, _, _, _ = instance()
-    half_gap = sampling_parameters(pts).sparsity / 2.0
+    pts, analysis, _ = instance()
+    half_gap = analysis.sampling.sparsity / 2.0
     with pytest.raises(PreconditionError):
         make_point_perturbation(pts, half_gap, 0)
     with pytest.raises(PreconditionError):
         make_point_perturbation(pts, -1e-3, 0)
     with pytest.raises(PreconditionError):
         make_point_perturbation(pts, 1e-3, 0, "sideways")
+    with pytest.raises(PreconditionError, match="adversarial"):
+        make_point_perturbation(pts, 1e-3, 0, "adversarial")
 
 
 def test_scaled_family_shares_directions():
-    pts, _, analysis, p = instance()
+    pts, _, p = instance()
     pert = make_point_perturbation(pts, p.budget().rho_point, 3, "uniform")
     half = pert.scaled(0.5)
     assert half.rho == pytest.approx(pert.rho / 2.0)
@@ -155,7 +152,7 @@ def test_cc_displacement_radial_equilateral():
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     far = np.array([[5.0, 5.0], [-5.0, 5.0], [0.0, -7.0]])
     pts = np.vstack([tri, far])
-    _, _, _, p = instance()
+    _, _, p = instance()
     centroid = tri.mean(axis=0)
     dirs = np.zeros_like(pts)
     dirs[:3] = (tri - centroid) / np.linalg.norm(tri - centroid, axis=1)[:, None]
@@ -171,7 +168,7 @@ def test_cc_displacement_radial_equilateral():
 
 
 def test_cc_displacement_budget_sweep():
-    pts, region, analysis, p = instance()
+    pts, analysis, p = instance()
     rho = p.budget().rho_cc
     for seed in range(5):
         pert = make_point_perturbation(pts, rho, seed, "uniform")
@@ -182,60 +179,58 @@ def test_cc_displacement_budget_sweep():
 
 
 def test_point_stability_all_models_in_budget():
-    pts, region, analysis, p = instance()
+    pts, analysis, p = instance()
     rho = p.budget().rho_point
     for model in ("uniform", "radial", "adversarial"):
         for seed in range(3):
             pert = make_point_perturbation(pts, rho, seed, model, base=analysis.base)
-            verdict = point_stability_trial(pts, region, pert,
-                                            analysis=analysis, params=p)
+            verdict = point_stability_trial(analysis, pert)
             assert verdict.passed, (model, seed, verdict.counterexamples)
             assert verdict.in_budget
             assert verdict.measured["symmetric_difference"] == 0
 
 
 def test_point_stability_scaled_family_monotone():
-    pts, region, analysis, p = instance()
+    pts, analysis, p = instance()
     pert = make_point_perturbation(pts, p.budget().rho_point, 9, "adversarial",
                                    base=analysis.base)
     for t in (1.0, 0.6, 0.25, 0.0):
-        verdict = point_stability_trial(pts, region, pert.scaled(t),
-                                        analysis=analysis, params=p)
+        verdict = point_stability_trial(analysis, pert.scaled(t))
         assert verdict.passed and verdict.in_budget
 
 
 def test_point_stability_reports_flips_honestly():
-    pts, region, analysis, p = instance()
-    rho = 0.45 * sampling_parameters(pts).sparsity
+    pts, analysis, _ = instance()
+    rho = 0.45 * analysis.sampling.sparsity
     pert = make_point_perturbation(pts, rho, 5, "adversarial", base=analysis.base)
-    verdict = point_stability_trial(pts, region, pert, analysis=analysis, params=p)
+    verdict = point_stability_trial(analysis, pert)
     assert not verdict.passed
     assert not verdict.in_budget
     assert verdict.counterexamples
 
 
 def test_stability_verdict_is_symmetric():
-    pts, region, analysis, p = instance()
+    pts, analysis, p = instance()
     pert = make_point_perturbation(pts, p.budget().rho_point, 2, "uniform")
     perturbed = delaunay_lifted(pert.apply())
     mapping = {v: v for v in analysis.base.complex.vertex_ids()}
+    region = analysis.classification.region
     fwd = star_isomorphic(analysis.base.complex, perturbed.complex, region, mapping)
     back = star_isomorphic(perturbed.complex, analysis.base.complex, region, mapping)
     assert fwd.isomorphic == back.isomorphic
 
 
 def test_relaxation_trial_at_budget():
-    pts, region, analysis, p = instance()
-    verdict = relaxation_trial(pts, region, p.budget().rho_point,
-                               analysis=analysis, params=p)
+    _, analysis, p = instance()
+    verdict = relaxation_trial(analysis, p.budget().rho_point)
     assert verdict.passed and verdict.in_budget and verdict.certified
     assert verdict.measured == {"extra": 0, "missing": 0}
 
 
 def test_protection_decay_point_mode():
-    pts, region, analysis, p = instance()
+    pts, analysis, p = instance()
     pert = make_point_perturbation(pts, p.budget().rho_point, 4, "uniform")
-    verdict = protection_decay_trial(pts, region, pert, analysis=analysis, params=p)
+    verdict = protection_decay_trial(analysis, pert)
     assert verdict.name == "protection_decay_point"
     assert verdict.passed and verdict.in_budget
     assert verdict.measured["missing"] == 0
@@ -246,11 +241,10 @@ def test_protection_decay_point_mode():
 
 
 def test_protection_decay_metric_mode():
-    pts, region, analysis, p = instance()
+    _, analysis, p = instance()
     amp = p.budget().rho_metric_protect / 2.0
     field = DisplacementField(2, amp, seed=6)
-    verdict = protection_decay_trial(pts, region, field=field,
-                                     analysis=analysis, params=p)
+    verdict = protection_decay_trial(analysis, field=field)
     assert verdict.name == "protection_decay_metric"
     assert verdict.passed and verdict.in_budget
     assert verdict.measured["decay"] == pytest.approx(
@@ -259,38 +253,49 @@ def test_protection_decay_metric_mode():
 
 
 def test_protection_decay_needs_exactly_one_mode():
-    pts, region, analysis, p = instance()
+    pts, analysis, p = instance()
     pert = make_point_perturbation(pts, p.budget().rho_point, 4, "uniform")
     field = DisplacementField(2, 1e-6, seed=0)
     with pytest.raises(PreconditionError):
-        protection_decay_trial(pts, region, pert, field=field,
-                               analysis=analysis, params=p)
+        protection_decay_trial(analysis, pert, field=field)
     with pytest.raises(PreconditionError):
-        protection_decay_trial(pts, region, analysis=analysis, params=p)
+        protection_decay_trial(analysis)
+
+
+def test_trials_read_the_region_of_the_analysis():
+    # One explicit vertex of a 26-vertex deep interior: every trial audits
+    # the star of that vertex alone, whichever branch it takes.
+    a = analyze_genericity(grid_points(12, 2, 0.2, seed=3), [40])
+    b = measured_secure_params(a).budget()
+    safe_tops = [s for s in a.classification.safe.simplices(2) if s in a.base.balls]
+    pert = make_point_perturbation(a.points, b.rho_point, 4, "uniform")
+    field = DisplacementField(2, b.rho_metric_protect / 2.0, seed=6)
+    for v in (protection_decay_trial(a, pert), protection_decay_trial(a, field=field)):
+        assert v.passed and v.measured["simplices"] == len(safe_tops) > 0
+    assert point_stability_trial(a, pert).passed
+    assert relaxation_trial(a, b.rho_point).passed
+    assert metric_stability_trial(a, DisplacementField(2, b.rho_metric / 2.0, seed=6)).passed
 
 
 def test_metric_stability_both_modes():
-    pts, region, analysis, p = instance()
+    _, analysis, p = instance()
     for mode, budget in (("thm", p.budget().rho_metric),
                          ("cor", p.budget().rho_generic)):
         field = DisplacementField(2, budget / 2.0, seed=8)
-        verdict = metric_stability_trial(pts, region, field, analysis=analysis,
-                                         params=p, budget_mode=mode)
+        verdict = metric_stability_trial(analysis, field, budget_mode=mode)
         assert verdict.name == f"metric_stability_{mode}"
         assert verdict.passed and verdict.in_budget and verdict.certified
         assert verdict.measured["undecided"] == 0
     with pytest.raises(PreconditionError):
-        metric_stability_trial(pts, region, field, analysis=analysis,
-                               params=p, budget_mode="corollary")
+        metric_stability_trial(analysis, field, budget_mode="corollary")
 
 
 def test_trial_batch_grid_and_determinism():
-    pts, region, analysis, _ = instance()
+    _, analysis, _ = instance()
     kwargs = dict(budgets=[0.5, 1.0], seeds=2,
-                  models=["uniform", "relaxation", "metric"],
-                  root_seed=3, analysis=analysis)
-    one = trial_batch(pts, region, **kwargs)
-    two = trial_batch(pts, region, **kwargs)
+                  models=["uniform", "relaxation", "metric"], root_seed=3)
+    one = trial_batch(analysis, **kwargs)
+    two = trial_batch(analysis, **kwargs)
     assert len(one) == 3 * 2 * 2
     assert [v.to_json() for v in one] == [v.to_json() for v in two]
     assert all(v.passed and v.in_budget for v in one)
@@ -301,33 +306,31 @@ def test_trial_batch_grid_and_determinism():
 
 
 def test_trial_batch_out_of_budget_is_informative():
-    pts, region, analysis, _ = instance()
-    verdicts = trial_batch(pts, region, budgets=[2.0], seeds=1,
-                           models=["uniform"], root_seed=0, analysis=analysis)
+    _, analysis, _ = instance()
+    verdicts = trial_batch(analysis, budgets=[2.0], seeds=1,
+                           models=["uniform"], root_seed=0)
     assert len(verdicts) == 1
     assert not verdicts[0].in_budget
 
 
 def test_trial_batch_validation():
-    pts, region, analysis, _ = instance()
+    _, analysis, _ = instance()
     with pytest.raises(PreconditionError):
-        trial_batch(pts, region, budgets=[1.0], seeds=1, models=["sideways"],
-                    analysis=analysis)
+        trial_batch(analysis, budgets=[1.0], seeds=1, models=["sideways"])
     with pytest.raises(PreconditionError):
-        trial_batch(pts, region, budgets=[-1.0], seeds=1, models=["uniform"],
-                    analysis=analysis)
+        trial_batch(analysis, budgets=[-1.0], seeds=1, models=["uniform"])
 
 
 def test_trial_batch_runs_relaxation_once_per_fraction(monkeypatch):
     import delgen.perturb as perturb
 
-    pts, region, analysis, _ = instance()
+    _, analysis, _ = instance()
     calls = []
     real = perturb.relaxed_delaunay
     monkeypatch.setattr(perturb, "relaxed_delaunay",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    verdicts = trial_batch(pts, region, budgets=[0.5, 1.0], seeds=3,
-                           models=["relaxation"], root_seed=1, analysis=analysis)
+    verdicts = trial_batch(analysis, budgets=[0.5, 1.0], seeds=3,
+                           models=["relaxation"], root_seed=1)
     assert len(calls) == 2
     assert len(verdicts) == 6
     docs = [v.to_json() for v in verdicts]
@@ -336,10 +339,10 @@ def test_trial_batch_runs_relaxation_once_per_fraction(monkeypatch):
 
 
 def test_trial_batch_rejects_an_empty_batch():
-    pts, region, analysis, _ = instance()
+    _, analysis, _ = instance()
     for kwargs in (dict(seeds=0, models=["uniform"]), dict(seeds=1, models=[])):
         with pytest.raises(PreconditionError, match="empty trial batch"):
-            trial_batch(pts, region, budgets=[1.0], analysis=analysis, **kwargs)
+            trial_batch(analysis, budgets=[1.0], **kwargs)
 
 
 def scalar_adversarial_directions(pts, base):
@@ -372,11 +375,11 @@ def test_adversarial_directions_match_the_scalar_form(pts):
 def test_adversarial_directions_computed_once_per_batch(monkeypatch):
     import delgen.perturb as perturb
 
-    pts, region, analysis, _ = instance()
+    _, analysis, _ = instance()
     calls = []
     real = perturb._adversarial_directions
     monkeypatch.setattr(perturb, "_adversarial_directions",
                         lambda *a: calls.append(1) or real(*a))
-    verdicts = trial_batch(pts, region, budgets=[0.5, 1.0], seeds=2,
-                           models=["adversarial"], root_seed=2, analysis=analysis)
+    verdicts = trial_batch(analysis, budgets=[0.5, 1.0], seeds=2,
+                           models=["adversarial"], root_seed=2)
     assert len(calls) == 1 and len(verdicts) == 4

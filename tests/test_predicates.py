@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delgen.predicates import collinear_between, det_sign, in_sphere, orientation, side_of_plane
+from delgen.predicates import det_sign, in_sphere, orientation, side_of_plane
 
 
 def fraction_det_sign(a):
@@ -139,23 +139,3 @@ def test_in_sphere_random_agrees_with_circumball_oracle():
             if abs(margin) < 1e-9 * r:
                 continue
             assert in_sphere(pts, q) == (1 if margin < 0 else -1)
-
-
-def test_collinear_between():
-    a = np.array([0.0, 0.0])
-    b = np.array([4.0, 2.0])
-    assert collinear_between(a, b, np.array([2.0, 1.0]))
-    assert collinear_between(a, b, np.array([1.0, 0.5]))
-    assert not collinear_between(a, b, a)
-    assert not collinear_between(a, b, b)
-    assert not collinear_between(a, b, np.array([8.0, 4.0]))
-    assert not collinear_between(a, b, np.array([-4.0, -2.0]))
-    assert not collinear_between(a, b, np.array([2.0, 1.0 + 2.0**-48]))
-
-
-def test_collinear_between_three_d():
-    a = np.array([1.0, 1.0, 1.0])
-    b = np.array([3.0, 5.0, 9.0])
-    mid = 0.5 * (a + b)
-    assert collinear_between(a, b, mid)
-    assert not collinear_between(a, b, mid + np.array([0.0, 0.0, 2.0**-40]))
