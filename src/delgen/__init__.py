@@ -49,7 +49,6 @@ from .delaunay import (
     relaxed_delaunay,
 )
 from .metric import (
-    Box,
     DisplacementField,
     MetricDelaunayResult,
     MetricModel,
@@ -89,7 +88,6 @@ from .fileio import dataset_digest, read_points, write_points
 
 __all__ = [
     "AuditRecord",
-    "Box",
     "CheckFailedError",
     "DelgenError",
     "DelaunayResult",

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .complexes import star_isomorphic
@@ -156,19 +157,12 @@ def _timings(t0: float, analysis) -> dict:
     return {"total_s": time.perf_counter() - t0, **analysis.stages}
 
 
-def _sampling_dict(s) -> dict:
-    return {"epsilon": s.epsilon, "sparsity": s.sparsity, "mu0": s.mu0}
-
-
-def _params_dict(p) -> dict:
-    return {"upsilon0": p.upsilon0, "mu0": p.mu0, "delta": p.delta,
-            "eps": p.eps, "nu_tilde": p.nu_tilde}
-
-
-def _budget_dict(b) -> dict:
-    return {"rho_cc": b.rho_cc, "rho_point": b.rho_point,
-            "rho_metric_protect": b.rho_metric_protect,
-            "rho_metric": b.rho_metric, "rho_generic": b.rho_generic}
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 # -- commands --------------------------------------------------------------
@@ -204,7 +198,7 @@ def cmd_analyze(args) -> int:
         base = analysis.base
         global_delta = base.protection()
         results = {
-            "sampling": _sampling_dict(analysis.sampling),
+            "sampling": asdict(analysis.sampling),
             "protection": {"delta_global": global_delta,
                            "generic": bool(global_delta > base.tolerance)},
             "generic": False,
@@ -214,7 +208,7 @@ def cmd_analyze(args) -> int:
         return 4
     audit = lemma_audit(analysis)
     results = {
-        "sampling": _sampling_dict(analysis.sampling),
+        "sampling": asdict(analysis.sampling),
         "region": list(analysis.classification.region),
         "deep_interior": list(analysis.deep_ids),
         "protection": {
@@ -238,8 +232,8 @@ def cmd_analyze(args) -> int:
             "valid": cert.valid,
         }
         params = measured_secure_params(analysis)
-        results["secure_params"] = _params_dict(params)
-        results["budgets"] = _budget_dict(params.budget())
+        results["secure_params"] = asdict(params)
+        results["budgets"] = asdict(params.budget())
         failed = [name for name, (_, bad) in audit.checks.items() if bad]
         if not cert.valid or failed:
             results["reason"] = f"failed checks: {['thickness'] if not cert.valid else failed}"
@@ -252,8 +246,8 @@ def cmd_budget(args) -> int:
     t0 = time.perf_counter()
     digest, analysis = _analysis(args)
     params = measured_secure_params(analysis)
-    results = {"secure_params": _params_dict(params),
-               "budgets": _budget_dict(params.budget())}
+    results = {"secure_params": asdict(params),
+               "budgets": asdict(params.budget())}
     config = {"command": "budget", "in": args.infile, "pj": args.pj,
               "format": args.format}
     _emit_envelope(args, config, digest, _timings(t0, analysis), results)
@@ -334,24 +328,10 @@ def cmd_metric(args) -> int:
 
 def cmd_compare(args) -> int:
     t0 = time.perf_counter()
-    with open(args.left, "r", encoding="utf-8") as fh:
-        try:
-            left_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.left}: {exc}") from None
-    with open(args.right, "r", encoding="utf-8") as fh:
-        try:
-            right_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.right}: {exc}") from None
-    left = complex_from_json(left_doc)
-    right = complex_from_json(right_doc)
+    left_doc, right_doc = _load_json(args.left), _load_json(args.right)
+    left, right = complex_from_json(left_doc), complex_from_json(right_doc)
     if args.mapping:
-        with open(args.mapping, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{args.mapping}: {exc}") from None
+        raw = _load_json(args.mapping)
         try:
             mapping = {int(k): int(v) for k, v in raw.items()}
         except (AttributeError, TypeError, ValueError):

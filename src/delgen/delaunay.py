@@ -11,9 +11,13 @@
 * :func:`relaxed_delaunay` decides membership in the almost empty ball
   complex by a certified Lipschitz branch and bound over candidate centres.
 
-All accept decisions share one tolerance, tau = 1e-9 * diameter; each
-accepted top simplex is stored with its ball and a signed protection margin
-(least distance of a foreign point to the sphere).
+A simplex is an affinely independent (m+1)-subset. Both routes, and the
+Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
+groups through one certifier, :func:`_empty_balls`, with one tolerance,
+tau = 1e-9 * diameter, so the two Delaunay routes agree on degenerate inputs
+as well as generic ones. Each accepted top simplex is stored with its ball
+and a signed protection margin (least distance of a foreign point to the
+sphere).
 """
 
 from __future__ import annotations
@@ -125,46 +129,55 @@ def _batched_circumballs(pts: np.ndarray, subsets: np.ndarray):
     return centers, radii, good
 
 
-def _margins_and_groups(pts, subsets, centers, radii, tol):
-    """Protection margins and cospherical groups for candidate balls."""
-    d = cdist(centers, pts)
-    margins = d - radii[:, None]
-    rows = np.repeat(np.arange(subsets.shape[0]), subsets.shape[1])
-    cols = subsets.ravel()
-    shifted = margins.copy()
-    shifted[rows, cols] = np.inf
-    protection = shifted.min(axis=1)
-    near = np.abs(margins) <= tol
-    return protection, near
+# Entries of the (balls x points) margin matrix evaluated at once.
+MARGIN_BLOCK = 2_000_000
 
 
-def _degenerate_rescue(pts, subset, tol):
-    """Delaunay test for an affinely dependent subset via its smallest ball."""
-    v = pts[list(subset)]
-    a = (v[1:] - v[0]).T
-    b = 0.5 * (a**2).sum(axis=0)
-    x, *_ = np.linalg.lstsq(a.T, b, rcond=None)
-    if np.abs(a.T @ x - b).max() > tol * max(np.abs(b).max(), 1.0):
-        return None
-    c = v[0] + x
-    r = float(np.linalg.norm(pts[list(subset)] - c, axis=1).max())
-    d = np.linalg.norm(pts - c, axis=1)
-    margins = d - r
-    margins[list(subset)] = np.inf
-    protection = float(margins.min())
-    if protection <= -tol:
-        return None
-    return c, r, protection
+def _empty_balls(pts, subsets, centers, radii, tol):
+    """The empty-ball certifier behind every Delaunay route.
+
+    Row k proposes the ball of radius ``radii[k]`` about ``centers[k]`` for
+    the simplex ``subsets[k]``. Its protection is the least signed distance
+    from a foreign point to the sphere, and the ball is accepted when that
+    exceeds -tol. When more than m+1 points lie within tol of an accepted
+    sphere, they form a cospherical group. Returns the accepted balls keyed
+    by simplex, in row order, and the set of groups.
+    """
+    balls: dict[tuple[int, ...], Ball] = {}
+    groups: set[tuple[int, ...]] = set()
+    step = max(1, MARGIN_BLOCK // pts.shape[0])
+    for lo in range(0, subsets.shape[0], step):
+        sub = subsets[lo:lo + step]
+        margins = cdist(centers[lo:lo + step], pts)
+        margins -= radii[lo:lo + step, None]
+        near = np.abs(margins) <= tol
+        crowded = near.sum(axis=1) > sub.shape[1]
+        np.put_along_axis(margins, sub, np.inf, axis=1)
+        protection = margins.min(axis=1)
+        for k in np.nonzero(protection > -tol)[0]:
+            simplex = tuple(int(i) for i in sub[k])
+            balls[simplex] = Ball(simplex=simplex, center=centers[lo + k].copy(),
+                                  radius=float(radii[lo + k]),
+                                  protection=float(protection[k]))
+            if crowded[k]:
+                groups.add(tuple(int(i) for i in np.nonzero(near[k])[0]))
+    return balls, groups
 
 
-def _build_result(pts: np.ndarray, accepted, balls, groups, tol) -> DelaunayResult:
-    cx = SimplicialComplex(accepted, pts)
-    generic = len(groups) == 0
+def _delaunay_balls(pts, subsets, tol):
+    """Certified circumballs of the affinely independent rows of ``subsets``."""
+    centers, radii, solvable = _batched_circumballs(pts, subsets)
+    return _empty_balls(pts, subsets[solvable], centers[solvable], radii[solvable], tol)
+
+
+def _build_result(pts: np.ndarray, balls, groups, tol) -> DelaunayResult:
+    if not balls:
+        raise PreconditionError("no Delaunay top simplex found")
     return DelaunayResult(
-        complex=cx,
+        complex=SimplicialComplex(balls, pts),
         balls=balls,
         degeneracy_groups=tuple(sorted(groups)),
-        generic=generic,
+        generic=not groups,
         tolerance=tol,
     )
 
@@ -180,59 +193,18 @@ def _check_input(ps: PointSet) -> None:
 def delaunay_bruteforce(points) -> DelaunayResult:
     """Delaunay complex by exhaustive circumball tests.
 
-    A candidate (m+1)-subset is accepted when no foreign point sits deeper
-    than tolerance inside its circumball; points within tolerance of the
-    sphere are gathered into cospherical groups, and any group with more than
-    m+1 members marks the input as non generic.
+    Every affinely independent (m+1)-subset goes through the empty-ball
+    certifier: it is accepted when no foreign point sits deeper than
+    tolerance inside its circumball, and points within tolerance of an
+    accepted sphere are gathered into cospherical groups. Any group with
+    more than m+1 members marks the input as non generic.
     """
     ps = as_point_set(points)
     _check_input(ps)
-    pts = ps.points
-    n, m = ps.n, ps.dim
+    subsets = np.array(list(combinations(range(ps.n), ps.dim + 1)), dtype=int)
     tol = ps.tolerance()
-    subsets = np.array(list(combinations(range(n), m + 1)), dtype=int)
-    centers, radii, solvable = _batched_circumballs(pts, subsets)
-    accepted: list[tuple[int, ...]] = []
-    balls: dict[tuple[int, ...], Ball] = {}
-    groups: set[tuple[int, ...]] = set()
-    idx = np.nonzero(solvable)[0]
-    if idx.size:
-        protection, near = _margins_and_groups(
-            pts, subsets[idx], centers[idx], radii[idx], tol
-        )
-        keep = protection > -tol
-        for k, row in enumerate(idx):
-            if not keep[k]:
-                continue
-            simplex = tuple(int(i) for i in subsets[row])
-            accepted.append(simplex)
-            balls[simplex] = Ball(
-                simplex=simplex,
-                center=centers[row].copy(),
-                radius=float(radii[row]),
-                protection=float(protection[k]),
-            )
-        # Degeneracy groups come from accepted balls only.
-        acc_near = near[keep]
-        sizes = acc_near.sum(axis=1)
-        for k in np.nonzero(sizes > m + 1)[0]:
-            groups.add(tuple(int(i) for i in np.nonzero(acc_near[k])[0]))
-    # Affinely dependent subsets can still be Delaunay when concyclic.
-    for row in np.nonzero(~solvable)[0]:
-        rescue = _degenerate_rescue(pts, subsets[row], tol)
-        if rescue is None:
-            continue
-        c, r, protection = rescue
-        simplex = tuple(int(i) for i in subsets[row])
-        accepted.append(simplex)
-        balls[simplex] = Ball(simplex=simplex, center=c, radius=r, protection=protection)
-        d = np.linalg.norm(pts - c, axis=1)
-        group = tuple(int(i) for i in np.nonzero(np.abs(d - r) <= tol)[0])
-        if len(group) > m + 1:
-            groups.add(group)
-    if not accepted:
-        raise PreconditionError("no Delaunay top simplex found")
-    return _build_result(pts, accepted, balls, groups, tol)
+    balls, groups = _delaunay_balls(ps.points, subsets, tol)
+    return _build_result(ps.points, balls, groups, tol)
 
 
 def _lifted_top_simplices(pts: np.ndarray) -> np.ndarray:
@@ -249,63 +221,25 @@ def _lifted_top_simplices(pts: np.ndarray) -> np.ndarray:
 def delaunay_lifted(points) -> DelaunayResult:
     """Delaunay complex via the paraboloid lift (qhull), then canonicalised.
 
-    qhull triangulates cospherical groups arbitrarily; every ball here is
-    recomputed directly, groups are detected with the shared tolerance, and
-    each over-full group is completed with all of its affinely independent
-    (m+1)-subsets so the output is a canonical function of the input alone
-    and agrees with :func:`delaunay_bruteforce` on generic data.
+    qhull triangulates cospherical groups arbitrarily. Its simplices go
+    through the same empty-ball certifier as :func:`delaunay_bruteforce`,
+    and each cospherical group is completed with all of its affinely
+    independent (m+1)-subsets, so the output is a canonical function of the
+    input alone. The two routes agree on generic inputs and on degenerate
+    ones such as exact lattices.
     """
     ps = as_point_set(points)
     _check_input(ps)
     pts = ps.points
-    m = ps.dim
     tol = ps.tolerance()
-    subsets = np.unique(_lifted_top_simplices(pts), axis=0)
-    centers, radii, solvable = _batched_circumballs(pts, subsets)
-    subsets, centers, radii = subsets[solvable], centers[solvable], radii[solvable]
-    if subsets.shape[0] == 0:
-        raise PreconditionError("lifted construction produced no full rank simplex")
-    protection, near = _margins_and_groups(pts, subsets, centers, radii, tol)
-    keep = protection > -tol
-    accepted = [tuple(int(i) for i in s) for s in subsets[keep]]
-    balls = {
-        simplex: Ball(
-            simplex=simplex,
-            center=centers[k].copy(),
-            radius=float(radii[k]),
-            protection=float(protection[k]),
-        )
-        for simplex, k in zip(accepted, np.nonzero(keep)[0])
-    }
-    groups = set()
-    sizes = near[keep].sum(axis=1)
-    for k in np.nonzero(sizes > m + 1)[0]:
-        groups.add(tuple(int(i) for i in np.nonzero(near[keep][k])[0]))
+    balls, groups = _delaunay_balls(pts, np.unique(_lifted_top_simplices(pts), axis=0), tol)
     # Complete each cospherical group: every full rank (m+1)-subset of a
     # common empty sphere is Delaunay, whatever diagonal qhull picked.
-    known = set(accepted)
     for group in sorted(groups):
-        extra = [
-            s
-            for s in combinations(group, m + 1)
-            if s not in known
-        ]
-        if not extra:
-            continue
-        esub = np.array(extra, dtype=int)
-        ec, er, egood = _batched_circumballs(pts, esub)
-        if not egood.any():
-            continue
-        eprot, _ = _margins_and_groups(pts, esub[egood], ec[egood], er[egood], tol)
-        for s, c, r, p in zip(esub[egood], ec[egood], er[egood], eprot):
-            if p > -tol:
-                simplex = tuple(int(i) for i in s)
-                known.add(simplex)
-                accepted.append(simplex)
-                balls[simplex] = Ball(
-                    simplex=simplex, center=c.copy(), radius=float(r), protection=float(p)
-                )
-    return _build_result(pts, accepted, balls, groups, tol)
+        extra = [s for s in combinations(group, ps.dim + 1) if s not in balls]
+        if extra:
+            balls.update(_delaunay_balls(pts, np.array(extra, dtype=int), tol)[0])
+    return _build_result(pts, balls, groups, tol)
 
 
 # -- relaxed (almost empty ball) membership --------------------------------

@@ -1,8 +1,8 @@
 """Perturbed metrics and the Delaunay complexes they induce.
 
-A metric model is the pullback distance d(x, y) = |phi(x) - phi(y)| on a
-box domain, for a smooth bijection phi = id + disp built from a bounded
-sinusoidal displacement field. It is a genuine metric that deviates from the
+A metric model is the pullback distance d(x, y) = |phi(x) - phi(y)| for a
+smooth bijection phi = id + disp built from a bounded sinusoidal
+displacement field. It is a genuine metric that deviates from the
 Euclidean one by at most ``rho_bound`` = 2 * amplitude, and it admits an
 exact fast route through the Euclidean complex of phi(P). The Euclidean
 distance itself is the pullback of a zero-amplitude field.
@@ -17,34 +17,16 @@ candidate whose Newton search fails is decided by the branch and bound of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .delaunay import (Ball, _ball_gap, _branch_and_bound, _star_candidates,
-                       as_point_set, delaunay_lifted)
+from .delaunay import (Ball, _ball_gap, _branch_and_bound, _empty_balls,
+                       _star_candidates, as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
 from .simplex import Simplex, circumcenter, simplex_metrics
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis aligned box domain."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @classmethod
-    def around(cls, points: np.ndarray, pad: float) -> "Box":
-        pts = np.asarray(points, dtype=float)
-        return cls(lo=pts.min(axis=0) - pad, hi=pts.max(axis=0) + pad)
-
-    def boundary_gap(self, x: np.ndarray) -> np.ndarray:
-        """Distance from rows of x to the box boundary (negative outside)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.minimum((x - self.lo).min(axis=1), (self.hi - x).min(axis=1))
 
 
 class DisplacementField:
@@ -105,29 +87,21 @@ class DisplacementField:
 
 
 class MetricModel:
-    """Pullback distance d(x, y) = |phi(x) - phi(y)| on a box, with a
-    certified Euclidean deviation bound ``rho_bound``."""
+    """Pullback distance d(x, y) = |phi(x) - phi(y)| of a displacement field.
 
-    def __init__(self, *, field: DisplacementField, rho_bound: float, domain: Box | None,
-                 center_lipschitz: float = 1.0) -> None:
+    Its Euclidean deviation is at most ``rho_bound`` = 2 * amplitude, and
+    ``center_lipschitz`` = 1 + Lip(disp) bounds the Lipschitz constant of phi.
+    """
+
+    def __init__(self, field: DisplacementField) -> None:
         self.field = field
-        self.rho_bound = float(rho_bound)
-        self.domain = domain
-        self.center_lipschitz = float(center_lipschitz)
+        self.rho_bound = 2.0 * field.amplitude
+        self.center_lipschitz = 1.0 + field.lipschitz
 
     @classmethod
-    def euclidean(cls, dim: int, domain: Box | None = None) -> "MetricModel":
+    def euclidean(cls, dim: int) -> "MetricModel":
         """The Euclidean distance, as the pullback of a zero displacement."""
-        return cls.pullback(DisplacementField(dim, 0.0, seed=0), domain)
-
-    @classmethod
-    def pullback(cls, field: DisplacementField, domain: Box | None = None) -> "MetricModel":
-        return cls(
-            field=field,
-            rho_bound=2.0 * field.amplitude,
-            domain=domain,
-            center_lipschitz=1.0 + field.lipschitz,
-        )
+        return cls(DisplacementField(dim, 0.0, seed=0))
 
     # -- evaluation --------------------------------------------------------
 
@@ -281,7 +255,6 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     image_pts = model.field.forward(pts)
     lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
     candidates = sorted(_star_candidates(pts, region, reach + tol, (m,)))
-    accepted: list[tuple[int, ...]] = []
     balls: dict[tuple[int, ...], Ball] = {}
     not_found: list[tuple[int, ...]] = []
     undecided: list[tuple[int, ...]] = []
@@ -310,25 +283,20 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
                 # Equidistance search missed it but an empty ball exists:
                 # record the witness ball instead of dropping the simplex.
                 d = model.distances_to(witness, pts, image_pts)
-                accepted.append(cand)
                 balls[cand] = Ball(simplex=cand, center=witness,
                                    radius=float(d[list(cand)].max()),
                                    protection=0.0)
             continue
+        # The metric ball of radius r about c is the Euclidean ball of
+        # radius r about phi(c) among the images; the stored centre stays c.
         c, r = found
-        d = model.distances_to(c, pts, image_pts)
-        margins = d - r
-        margins[list(cand)] = np.inf
-        protection = float(margins.min())
-        if protection <= -tol:
-            continue
-        accepted.append(cand)
-        balls[cand] = Ball(simplex=cand, center=np.asarray(c), radius=float(r),
-                           protection=protection)
-        near = np.abs(d - r) <= tol
-        if near.sum() > m + 1:
-            groups.add(tuple(int(i) for i in np.nonzero(near)[0]))
-    cx = SimplicialComplex(accepted + [(v,) for v in region], pts)
+        certified, found_groups = _empty_balls(
+            image_pts, np.array([cand]), model.field.forward(c), np.array([r]), tol
+        )
+        for s, ball in certified.items():
+            balls[s] = replace(ball, center=np.asarray(c))
+        groups |= found_groups
+    cx = SimplicialComplex([*balls, *((v,) for v in region)], pts)
     return MetricDelaunayResult(
         complex=cx, balls=balls, path="newton",
         not_found=tuple(not_found), undecided=tuple(undecided),

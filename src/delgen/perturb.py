@@ -19,7 +19,7 @@ from .delaunay import DelaunayResult, as_point_set, delaunay_lifted, relaxed_del
 from .complexes import star_isomorphic
 from .errors import NonGenericError, PreconditionError
 from .genericity import GenericityAnalysis
-from .metric import Box, DisplacementField, MetricModel, metric_delaunay
+from .metric import DisplacementField, MetricModel, metric_delaunay
 from .simplex import Simplex, circumcenter
 
 
@@ -290,9 +290,7 @@ def protection_decay_trial(analysis: GenericityAnalysis,
         budget = p.budget().rho_point
         name = "protection_decay_point"
     else:
-        model = MetricModel.pullback(
-            field, Box.around(analysis.base.complex.points, 3.0 * p.eps)
-        )
+        model = MetricModel(field)
         rho = model.rho_bound
         decay = 20.0 * rho / um
         balls = metric_delaunay(analysis.points, model,
@@ -388,11 +386,7 @@ def metric_stability_trial(analysis: GenericityAnalysis, field: DisplacementFiel
     if budget_mode not in ("thm", "cor"):
         raise PreconditionError(f"unknown budget mode {budget_mode!r}")
     p = measured_secure_params(analysis)
-    pts = analysis.base.complex.points
-    model = MetricModel.pullback(field, Box.around(pts, 3.0 * p.eps))
-    audited_ids = sorted({v for s in analysis.classification.audited for v in s})
-    if np.min(model.domain.boundary_gap(pts[audited_ids])) < 2.0 * p.eps:
-        raise PreconditionError("audited vertices too close to the domain boundary")
+    model = MetricModel(field)
     result = metric_delaunay(analysis.points, model, analysis.classification.region,
                              eps=p.eps, upsilon0=p.upsilon0, mu0=p.mu0, path="both")
     star = analysis.classification.safe

@@ -261,6 +261,33 @@ def test_degeneracy_groups_with_planted_square():
         assert any(set(g) == {0, 1, 2, 3} for g in res.degeneracy_groups)
 
 
+def test_routes_agree_on_exact_lattices():
+    # Flat cocircular subsets lie on empty spheres here, but they are not
+    # simplices: both routes keep only affinely independent subsets.
+    cube = np.array([[i, j, k] for i in (0.0, 1.0) for j in (0.0, 1.0) for k in (0.0, 1.0)])
+    for pts, tops in ((cube, 58), (grid_points(3, 3), 464), (grid_points(5, 2), 64)):
+        a = delaunay_bruteforce(pts)
+        b = delaunay_lifted(pts)
+        assert a.complex == b.complex
+        assert len(a.complex.simplices(pts.shape[1])) == tops
+        assert a.degeneracy_groups == b.degeneracy_groups
+        assert not a.generic and not b.generic
+
+
+def test_margin_blocks_do_not_change_the_certificate(monkeypatch):
+    far = np.array([[10.0, 0.0], [0.0, 10.0], [10.0, 10.0], [-5.0, -5.0], [12.0, 5.0]])
+    pts = np.vstack([UNIT_SQUARE, far])
+    whole = delaunay_bruteforce(pts), delaunay_lifted(pts)
+    # Three rows of nine points per block.
+    monkeypatch.setattr(delaunay, "MARGIN_BLOCK", 3 * len(pts))
+    for one, blocked in zip(whole, (delaunay_bruteforce(pts), delaunay_lifted(pts))):
+        assert list(blocked.balls) == list(one.balls)
+        for key, ball in one.balls.items():
+            assert blocked.balls[key].protection == ball.protection
+            assert np.array_equal(blocked.balls[key].center, ball.center)
+        assert blocked.degeneracy_groups == one.degeneracy_groups
+
+
 def test_point_set_compares_values_not_bytes():
     # 0.0 and -0.0 are one coordinate value, so these are duplicate points.
     with pytest.raises(PreconditionError, match="duplicate"):

@@ -9,7 +9,6 @@ from delgen.delaunay import PointSet, _ball_gap, delaunay_bruteforce, delaunay_l
 from delgen.errors import PreconditionError
 from delgen.genericity import analyze_genericity
 from delgen.metric import (
-    Box,
     DisplacementField,
     MetricModel,
     metric_circumcenter,
@@ -18,16 +17,6 @@ from delgen.metric import (
 from delgen.simplex import circumcenter
 
 THICK_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.1], [0.4, 0.9]])
-
-
-def test_box_gap_signs():
-    box = Box.around(np.array([[0.0, 0.0], [2.0, 1.0]]), pad=1.0)
-    assert np.allclose(box.lo, [-1.0, -1.0])
-    assert np.allclose(box.hi, [3.0, 2.0])
-    gap = box.boundary_gap(np.array([[1.0, 0.5], [-0.5, 0.5], [9.0, 0.5]]))
-    assert gap[0] == pytest.approx(1.5)
-    assert gap[1] == pytest.approx(0.5)
-    assert gap[2] < 0
 
 
 def test_field_rejects_amplitude_that_is_not_finite():
@@ -73,7 +62,7 @@ def test_metric_axioms():
     y = rng.uniform(size=(100, 2))
     models = [
         MetricModel.euclidean(2),
-        MetricModel.pullback(DisplacementField(2, amplitude=0.1, seed=1)),
+        MetricModel(DisplacementField(2, amplitude=0.1, seed=1)),
     ]
     for model in models:
         assert np.allclose(model.distance(x, y), model.distance(y, x), atol=1e-12)
@@ -83,8 +72,9 @@ def test_metric_axioms():
 def test_pullback_is_genuine_metric():
     rng = np.random.default_rng(6)
     field = DisplacementField(2, amplitude=0.2, seed=7)
-    model = MetricModel.pullback(field)
+    model = MetricModel(field)
     assert model.rho_bound == pytest.approx(0.4)
+    assert model.center_lipschitz == 1.0 + field.lipschitz
     x = rng.uniform(size=(300, 2))
     y = rng.uniform(size=(300, 2))
     z = rng.uniform(size=(300, 2))
@@ -98,7 +88,7 @@ def test_pullback_is_genuine_metric():
 
 def test_distances_to_matches_rowwise():
     field = DisplacementField(2, amplitude=0.1, seed=11)
-    model = MetricModel.pullback(field)
+    model = MetricModel(field)
     pts = np.random.default_rng(12).uniform(size=(50, 2))
     c = np.array([0.3, 0.7])
     rowwise = model.distance(np.broadcast_to(c, pts.shape), pts)
@@ -111,7 +101,7 @@ def test_metric_gap_over_rows_matches_per_centre_loop():
     # per-centre distances exactly, or verdicts near the threshold could flip.
     rng = np.random.default_rng(13)
     for dim in (2, 3):
-        model = MetricModel.pullback(DisplacementField(dim, amplitude=0.05, seed=dim))
+        model = MetricModel(DisplacementField(dim, amplitude=0.05, seed=dim))
         pts = rng.uniform(size=(60, dim))
         members = pts[:dim + 1]
         centers = rng.uniform(-0.5, 1.5, size=(300, dim))
@@ -133,6 +123,9 @@ def test_metric_circumcenter_euclidean_identity():
 
 def test_metric_circumcenter_translation_invariant():
     class Translation:
+        amplitude = 0.5
+        lipschitz = 0.0
+
         def __init__(self, t):
             self.t = np.asarray(t, dtype=float)
 
@@ -142,7 +135,7 @@ def test_metric_circumcenter_translation_invariant():
         def inverse(self, y):
             return np.atleast_2d(np.asarray(y, dtype=float)) - self.t
 
-    model = MetricModel(rho_bound=1.0, domain=None, field=Translation([2.0, -3.0]))
+    model = MetricModel(Translation([2.0, -3.0]))
     c0, r0 = circumcenter(THICK_TRIANGLE)
     out = metric_circumcenter(THICK_TRIANGLE, model, search_radius=0.5)
     assert out is not None
@@ -154,7 +147,7 @@ def test_metric_circumcenter_translation_invariant():
 def test_metric_circumcenter_matches_pullback_oracle():
     rng = np.random.default_rng(14)
     field = DisplacementField(2, amplitude=2e-3, seed=15)
-    model = MetricModel.pullback(field)
+    model = MetricModel(field)
     for _ in range(50):
         tri = THICK_TRIANGLE + rng.uniform(-0.05, 0.05, size=(3, 2)) + rng.uniform(-2, 2, size=2)
         c0, _ = circumcenter(tri)
@@ -190,7 +183,7 @@ def test_metric_delaunay_euclidean_equals_bruteforce_star():
 def test_metric_delaunay_identity_field():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     field = DisplacementField(2, amplitude=0.0, seed=0)
-    model = MetricModel.pullback(field)
+    model = MetricModel(field)
     ref = metric_delaunay(pts, MetricModel.euclidean(2), [12])
     eps = analyze_genericity(pts).sampling.epsilon
     res = metric_delaunay(pts, model, [12], eps=eps, path="both")
@@ -203,7 +196,7 @@ def test_metric_delaunay_dual_path_sweep():
     eps = analyze_genericity(pts).sampling.epsilon
     for seed in range(5):
         field = DisplacementField(2, amplitude=2e-3, seed=seed)
-        model = MetricModel.pullback(field)
+        model = MetricModel(field)
         res = metric_delaunay(pts, model, [12], eps=eps, path="both")
         assert res.agreement and res.certified
         assert not res.not_found
@@ -219,7 +212,7 @@ def test_metric_delaunay_dual_path_sweep():
 def test_metric_delaunay_newton_balls_verify():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     field = DisplacementField(2, amplitude=2e-3, seed=1)
-    model = MetricModel.pullback(field)
+    model = MetricModel(field)
     eps = analyze_genericity(pts).sampling.epsilon
     res = metric_delaunay(pts, model, [12], eps=eps, path="newton")
     assert res.certified
@@ -253,7 +246,7 @@ def test_metric_delaunay_rejects_unknown_path():
 
 def test_metric_delaunay_newton_failure_falls_back(monkeypatch):
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
-    model = MetricModel.pullback(DisplacementField(2, amplitude=2e-3, seed=1))
+    model = MetricModel(DisplacementField(2, amplitude=2e-3, seed=1))
     calls = []
 
     def no_centre(*args, **kwargs):
