@@ -33,6 +33,7 @@ from scipy.spatial.distance import cdist, pdist
 from .complexes import SimplicialComplex
 from .errors import PreconditionError
 from .hull import affine_rank
+from .simplex import circumcenter
 
 PROTECTION_RTOL = 1e-9
 
@@ -383,8 +384,6 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
 
 
 def _decide_candidate(member_pts, pts, rho, tol, eps, known_centers):
-    from .simplex import circumcenter
-
     ball = circumcenter(member_pts)
     seed = ball[0] if ball is not None else member_pts.mean(axis=0)
     for c in [seed, *known_centers]:

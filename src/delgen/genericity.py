@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,7 @@ from .complexes import SimplicialComplex
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
 from .hull import CLIP_CHUNK, HullFacets, clip_lines, eroded_edges, hull_facets
-from .simplex import SimplexMetrics, simplex_metrics
+from .simplex import SimplexMetrics, simplex_metrics_batch
 
 THICKNESS_SLACK = 1e-9
 
@@ -88,8 +89,6 @@ class GenericityAnalysis:
     deep_ids: tuple[int, ...]
     stages: dict[str, float]
     _star: tuple[ProtectionReport, SafeInteriorClassification] | None = field(repr=False)
-    _metrics: dict[tuple[int, ...], SimplexMetrics] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def tolerance(self) -> float:
@@ -108,11 +107,25 @@ class GenericityAnalysis:
     def classification(self) -> SafeInteriorClassification:
         return self._region_star()[1]
 
+    @cached_property
+    def _metric_table(self) -> dict[tuple[int, ...], SimplexMetrics]:
+        """Metrics of the safe simplices of dimension 1..m and the audited
+        top simplices, one batched call per dimension."""
+        star = self.classification
+        pts = self.base.complex.points
+        m = self.base.complex.dimension
+        table = {}
+        for dim in range(1, m + 1):
+            group = star.safe.simplices(dim)
+            if dim == m:
+                group = sorted(set(group).union(star.audited))
+            table.update(zip(group, simplex_metrics_batch(pts, group)))
+        return table
+
     def metrics(self, simplex: tuple[int, ...]) -> SimplexMetrics:
-        """Metrics of a simplex of the complex, computed once per analysis."""
-        if simplex not in self._metrics:
-            self._metrics[simplex] = simplex_metrics(self.base.complex.points[list(simplex)])
-        return self._metrics[simplex]
+        """Metrics of a safe simplex or an audited top simplex, computed
+        once per analysis."""
+        return self._metric_table[simplex]
 
 
 # -- sampling radius -------------------------------------------------------

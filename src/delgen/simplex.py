@@ -16,6 +16,7 @@ circumcentre, and the angle between the simplex and nearby flats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -74,19 +75,24 @@ def _as_simplex(s) -> Simplex:
     return s if isinstance(s, Simplex) else Simplex(s)
 
 
-def _pairwise_distances(v: np.ndarray) -> np.ndarray:
-    diff = v[:, None, :] - v[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of an (S, m) stack, one dot product per row, so each rounds
+    as the 1-D ``np.linalg.norm`` does."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
-def _singular_values(p: np.ndarray, j: int) -> np.ndarray:
-    """Singular values of the edge matrix, padded with zeros up to j."""
-    if j == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(p, compute_uv=False)
-    if s.size < j:
-        s = np.concatenate([s, np.zeros(j - s.size)])
-    return s
+def _edge_stack(v: np.ndarray):
+    """Edge rows p_i - p_0, edge lengths, padded singular values and the
+    degeneracy flag of a stack of j-simplices ``v`` of shape (S, j+1, m)."""
+    j = v.shape[1] - 1
+    a, b = zip(*combinations(range(j + 1), 2))
+    lengths = np.sqrt(((v[:, a] - v[:, b]) ** 2).sum(axis=-1))
+    e = v[:, 1:] - v[:, :1]
+    sv = np.linalg.svd(e.transpose(0, 2, 1), compute_uv=False)
+    if sv.shape[1] < j:  # more than m + 1 vertices: the lost rank reads as zeros
+        sv = np.hstack([sv, np.zeros((len(sv), j - sv.shape[1]))])
+    degenerate = (sv[:, 0] == 0.0) | (sv[:, -1] < DEGENERACY_RTOL * sv[:, 0])
+    return e, lengths, sv, degenerate
 
 
 def is_degenerate(simplex) -> bool:
@@ -94,8 +100,41 @@ def is_degenerate(simplex) -> bool:
     s = _as_simplex(simplex)
     if s.dim == 0:
         return False
-    sv = _singular_values(s.edge_matrix(), s.dim)
-    return bool(sv[0] == 0.0 or sv[-1] < DEGENERACY_RTOL * sv[0])
+    return bool(_edge_stack(s.vertices[None])[3][0])
+
+
+def _circumballs(v, e, degenerate, longest):
+    """Circumcentres ``(S, m)``, radii ``(S,)`` and found flags of a stack.
+
+    A non-degenerate row solves the Gram system; a degenerate row takes
+    least squares and counts as found when its equations are consistent.
+    Every row must then pass the equidistance residual check.
+    """
+    centres = np.zeros((v.shape[0], v.shape[2]))
+    radii = np.zeros(v.shape[0])
+    found = ~degenerate
+    b = 0.5 * (e**2).sum(axis=-1)
+    good = np.flatnonzero(found)
+    eg = e[good]
+    y = np.linalg.solve(eg @ eg.transpose(0, 2, 1), b[good][..., None])
+    offset = (eg.transpose(0, 2, 1) @ y)[..., 0]
+    centres[good] = v[good, 0] + offset
+    radii[good] = _norms(offset)
+    for r in np.flatnonzero(degenerate):
+        # Least squares on (p_i - p_0) . x = b_i; the minimum norm solution
+        # stays in the affine hull direction space. Consistency means the
+        # vertices are concyclic on some sphere.
+        x, *_ = np.linalg.lstsq(e[r], b[r], rcond=None)
+        residual = e[r] @ x - b[r]
+        if np.abs(residual).max() > 1e-9 * max(longest[r] ** 2, 1e-300):
+            continue
+        centres[r] = v[r, 0] + x
+        radii[r] = np.linalg.norm(v[r] - centres[r], axis=1).max()
+        found[r] = True
+    dists = np.sqrt(((v - centres[:, None, :]) ** 2).sum(axis=-1))
+    spread = np.abs(dists - radii[:, None]).max(axis=1)
+    found &= ~(spread > _RESIDUAL_RTOL * np.maximum(longest, 1e-300) + 1e-14)
+    return centres, radii, found
 
 
 def circumcenter(simplex):
@@ -110,57 +149,40 @@ def circumcenter(simplex):
 
     Returns ``(centre, radius)`` or ``None``.
     """
-    s = _as_simplex(simplex)
-    v = s.vertices
-    j = s.dim
-    if j == 0:
-        return v[0].copy(), 0.0
-    p = s.edge_matrix()
-    b = 0.5 * (p**2).sum(axis=0)
-    sv = _singular_values(p, j)
-    longest = _pairwise_distances(v).max()
-    if sv[-1] >= DEGENERACY_RTOL * sv[0] and sv[0] > 0.0:
-        y = np.linalg.solve(p.T @ p, b)
-        offset = p @ y
-        c = v[0] + offset
-        r = float(np.linalg.norm(offset))
-    else:
-        # Least squares on (p_i - p_0) . x = b_i; the minimum norm solution
-        # stays in the affine hull direction space. Consistency means the
-        # vertices are concyclic on some sphere.
-        x, *_ = np.linalg.lstsq(p.T, b, rcond=None)
-        residual = p.T @ x - b
-        if np.abs(residual).max() > 1e-9 * max(longest**2, 1e-300):
-            return None
-        c = v[0] + x
-        r = float(np.linalg.norm(v - c, axis=1).max())
-    dists = np.linalg.norm(v - c, axis=1)
-    if np.abs(dists - r).max() > _RESIDUAL_RTOL * max(longest, 1e-300) + 1e-14:
-        return None
-    return c, r
+    v = _as_simplex(simplex).vertices[None]
+    if v.shape[1] == 1:
+        return v[0, 0].copy(), 0.0
+    e, lengths, _, degenerate = _edge_stack(v)
+    centres, radii, found = _circumballs(v, e, degenerate, lengths.max(axis=1))
+    return (centres[0], float(radii[0])) if found[0] else None
 
 
-def _altitudes(v: np.ndarray) -> np.ndarray:
-    """Distance from each vertex to the affine hull of the opposite facet."""
-    k = v.shape[0]
-    out = np.zeros(k)
+def _altitude_stack(v: np.ndarray) -> np.ndarray:
+    """Distance from each vertex to the affine hull of the opposite facet,
+    for a stack ``v`` of shape (S, k, m) with k >= 2.
+
+    Each dropped vertex is one stacked SVD of the facet spans and one
+    projection. A row whose facet span loses rank keeps only the revealed
+    part of its basis.
+    """
+    k = v.shape[1]
+    out = np.zeros(v.shape[:2])
     for i in range(k):
-        others = np.delete(v, i, axis=0)
-        base = others[0]
-        rel = v[i] - base
-        if others.shape[0] == 1:
-            out[i] = float(np.linalg.norm(rel))
+        others = [t for t in range(k) if t != i]
+        rel = v[:, i] - v[:, others[0]]
+        if k == 2:
+            out[:, i] = _norms(rel)
             continue
-        span = others[1:] - base
+        span = v[:, others[1:]] - v[:, others[:1]]
         # Orthonormal basis of the facet direction space, rank revealed.
-        u, sv, _ = np.linalg.svd(span.T, full_matrices=False)
-        if sv.size and sv[0] > 0.0:
-            rank = int(np.sum(sv >= DEGENERACY_RTOL * sv[0]))
-        else:
-            rank = 0
-        basis = u[:, :rank]
-        proj = basis @ (basis.T @ rel)
-        out[i] = float(np.linalg.norm(rel - proj))
+        u, sv, _ = np.linalg.svd(span.transpose(0, 2, 1), full_matrices=False)
+        proj = (u @ (u.transpose(0, 2, 1) @ rel[..., None]))[..., 0]
+        out[:, i] = _norms(rel - proj)
+        full = (sv[:, 0] > 0.0) & (sv[:, -1] >= DEGENERACY_RTOL * sv[:, 0])
+        for r in np.flatnonzero(~full):
+            rank = int(np.sum(sv[r] >= DEGENERACY_RTOL * sv[r, 0])) if sv[r, 0] > 0.0 else 0
+            basis = u[r, :, :rank]
+            out[r, i] = np.linalg.norm(rel[r] - basis @ (basis.T @ rel[r]))
     return out
 
 
@@ -179,6 +201,43 @@ class SimplexMetrics:
     degenerate: bool
 
 
+def simplex_metrics_batch(points, simplices) -> list[SimplexMetrics]:
+    """Metrics of a stack of simplices of one dimension, one array pass.
+
+    ``simplices`` holds S rows of j+1 indices into ``points`` (n, m). Edge
+    extremes, spectrum, degeneracy, altitudes, thickness and circumball are
+    array expressions over the (S, j+1, m) vertex stack, rounded exactly as
+    a stack of one; see :func:`simplex_metrics` for the definitions.
+    """
+    idx = np.asarray(simplices, dtype=np.intp)
+    if idx.size == 0:
+        return []
+    v = np.asarray(points, dtype=float)[idx]
+    j = v.shape[1] - 1
+    if j == 0:
+        return [SimplexMetrics(
+            dim=0, longest_edge=0.0, shortest_edge=0.0, circumcenter=c.copy(),
+            circumradius=0.0, altitudes=np.zeros(1), thickness=1.0,
+            singular_values=np.zeros(0), degenerate=False) for c in v[:, 0]]
+    e, lengths, sv, degenerate = _edge_stack(v)
+    longest = lengths.max(axis=1)
+    alts = _altitude_stack(v)
+    flat = degenerate | (longest == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thickness = np.where(flat, 0.0, alts.min(axis=1) / (j * longest))
+    centres, radii, found = _circumballs(v, e, degenerate, longest)
+    return [
+        SimplexMetrics(
+            dim=j, longest_edge=lo, shortest_edge=sh,
+            circumcenter=c if ok else None, circumradius=r if ok else None,
+            altitudes=a, thickness=t, singular_values=s, degenerate=d)
+        for lo, sh, c, r, ok, a, t, s, d in zip(
+            longest.tolist(), lengths.min(axis=1).tolist(), centres,
+            radii.tolist(), found.tolist(), alts, thickness.tolist(), sv,
+            degenerate.tolist())
+    ]
+
+
 def simplex_metrics(simplex) -> SimplexMetrics:
     """Compute edge extremes, circumball, altitudes, thickness and spectrum.
 
@@ -187,45 +246,8 @@ def simplex_metrics(simplex) -> SimplexMetrics:
     those of the edge matrix, padded with zeros when rank is lost, so
     ``degenerate`` is equivalent to ``s_j < DEGENERACY_RTOL * s_1``.
     """
-    s = _as_simplex(simplex)
-    v = s.vertices
-    j = s.dim
-    if j == 0:
-        return SimplexMetrics(
-            dim=0,
-            longest_edge=0.0,
-            shortest_edge=0.0,
-            circumcenter=v[0].copy(),
-            circumradius=0.0,
-            altitudes=np.zeros(1),
-            thickness=1.0,
-            singular_values=np.zeros(0),
-            degenerate=False,
-        )
-    dists = _pairwise_distances(v)
-    iu = np.triu_indices(j + 1, k=1)
-    longest = float(dists[iu].max())
-    shortest = float(dists[iu].min())
-    sv = _singular_values(s.edge_matrix(), j)
-    degenerate = bool(sv[0] == 0.0 or sv[-1] < DEGENERACY_RTOL * sv[0])
-    alts = _altitudes(v)
-    if degenerate or longest == 0.0:
-        thickness = 0.0
-    else:
-        thickness = float(alts.min() / (j * longest))
-    ball = circumcenter(s)
-    center, radius = ball if ball is not None else (None, None)
-    return SimplexMetrics(
-        dim=j,
-        longest_edge=longest,
-        shortest_edge=shortest,
-        circumcenter=center,
-        circumradius=radius,
-        altitudes=alts,
-        thickness=thickness,
-        singular_values=sv,
-        degenerate=degenerate,
-    )
+    v = _as_simplex(simplex).vertices
+    return simplex_metrics_batch(v, np.arange(len(v))[None])[0]
 
 
 @dataclass(frozen=True)
@@ -363,7 +385,7 @@ def almost_center_gap(simplex, x) -> BoundCheck:
     if met.degenerate or s.dim == 0:
         raise DegenerateSimplexError("centre gap needs a non-degenerate simplex of dim >= 1")
     x = np.asarray(x, dtype=float)
-    c, _ = circumcenter(s)
+    c = met.circumcenter
     p = s.edge_matrix()
     u, sv, _ = np.linalg.svd(p, full_matrices=False)
     basis = u[:, : s.dim]

@@ -291,9 +291,10 @@ def test_parser_rejects_unknown_verbs():
 
 
 def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
-    from delgen import delaunay, genericity, hull
+    from delgen import delaunay, genericity, hull, simplex
     from delgen.datasets import delta_search
-    from delgen.genericity import analyze_genericity
+    from delgen.genericity import analyze_genericity, lemma_audit, thickness_certificate
+    from delgen.perturb import measured_secure_params
 
     counts = {}
 
@@ -324,6 +325,18 @@ def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
     counts.clear()
     delta_search(9, 2, 0.2, k=3)
     assert counts == {name: 3 for name in once}
+    # Every reader of the simplex metrics shares one table, filled by one
+    # batched call per dimension; no reader computes a simplex on its own.
+    counting(simplex, "simplex_metrics_batch")
+    counting(genericity, "simplex_metrics_batch")
+    for dim, grid in ((2, pts), (3, grid_points(9, 3, 0.05, seed=1))):
+        analysis = analyze_genericity(grid)
+        counts.clear()
+        audit = lemma_audit(analysis)
+        thickness_certificate(analysis)
+        measured_secure_params(analysis)
+        assert audit.generic and audit.simplices
+        assert counts == {"simplex_metrics_batch": dim}
 
 
 def test_compare_rejects_malformed_mapping(tmp_path):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from delgen.datasets import grid_points, uniform_points
+from delgen.delaunay import delaunay_lifted
 from delgen.errors import DegenerateSimplexError, PreconditionError
 from delgen.simplex import (
+    DEGENERACY_RTOL,
     Flat,
     Simplex,
     almost_center_gap,
@@ -12,6 +15,7 @@ from delgen.simplex import (
     is_degenerate,
     munkres_thickness_check,
     simplex_metrics,
+    simplex_metrics_batch,
     singular_value_floor,
     subspace_angle,
     whitney_angle_check,
@@ -327,3 +331,106 @@ def test_almost_center_sweep():
         assert check.value <= check.bound + 1e-9
         assert check.detail["bound_sq"] >= 0.0
         assert check.detail["bound_centre"] >= 0.0
+
+
+def simplex_metrics_by_loop(v):
+    """The metrics of one simplex, vertex by vertex and facet by facet: the
+    reference the stacked kernel must match bit for bit."""
+    j = v.shape[0] - 1
+    if j == 0:
+        return (0.0, 0.0, v[0].copy(), 0.0, np.zeros(1), 1.0, np.zeros(0), False)
+    dists = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1))
+    iu = np.triu_indices(j + 1, k=1)
+    longest = float(dists[iu].max())
+    shortest = float(dists[iu].min())
+    p = (v[1:] - v[0]).T
+    sv = np.linalg.svd(p, compute_uv=False)
+    sv = np.concatenate([sv, np.zeros(j - sv.size)])
+    degenerate = bool(sv[0] == 0.0 or sv[-1] < DEGENERACY_RTOL * sv[0])
+    alts = np.zeros(j + 1)
+    for i in range(j + 1):
+        others = np.delete(v, i, axis=0)
+        rel = v[i] - others[0]
+        if others.shape[0] == 1:
+            alts[i] = float(np.linalg.norm(rel))
+            continue
+        u, fsv, _ = np.linalg.svd((others[1:] - others[0]).T, full_matrices=False)
+        rank = int(np.sum(fsv >= DEGENERACY_RTOL * fsv[0])) if fsv[0] > 0.0 else 0
+        basis = u[:, :rank]
+        alts[i] = float(np.linalg.norm(rel - basis @ (basis.T @ rel)))
+    thickness = 0.0 if degenerate or longest == 0.0 else float(alts.min() / (j * longest))
+    b = 0.5 * (p**2).sum(axis=0)
+    center = radius = None
+    if not degenerate:
+        offset = p @ np.linalg.solve(p.T @ p, b)
+        c, r = v[0] + offset, float(np.linalg.norm(offset))
+    else:
+        x, *_ = np.linalg.lstsq(p.T, b, rcond=None)
+        consistent = np.abs(p.T @ x - b).max() <= 1e-9 * max(longest**2, 1e-300)
+        c = v[0] + x if consistent else None
+        r = float(np.linalg.norm(v - c, axis=1).max()) if consistent else None
+    if c is not None:
+        d = np.linalg.norm(v - c, axis=1)
+        if not np.abs(d - r).max() > 1e-10 * max(longest, 1e-300) + 1e-14:
+            center, radius = c, r
+    return (longest, shortest, center, radius, alts, thickness, sv, degenerate)
+
+
+def assert_rows_match_loop(points, simplices):
+    rows = simplex_metrics_batch(points, simplices)
+    assert len(rows) == len(simplices)
+    for s, met in zip(simplices, rows):
+        ref = simplex_metrics_by_loop(points[list(s)])
+        got = (met.longest_edge, met.shortest_edge, met.circumcenter,
+               met.circumradius, met.altitudes, met.thickness,
+               met.singular_values, met.degenerate)
+        assert met.dim == len(s) - 1
+        for name, a, b in zip(("longest", "shortest", "centre", "radius",
+                               "altitudes", "thickness", "spectrum", "degenerate"),
+                              got, ref):
+            if b is None:
+                assert a is None, (s, name)
+            else:
+                assert np.array_equal(a, b), (s, name, a, b)
+        ball = circumcenter(points[list(s)])
+        if ref[2] is None:
+            assert ball is None, s
+        else:
+            assert np.array_equal(ball[0], ref[2]) and ball[1] == ref[3], s
+
+
+def test_simplex_metrics_batch_matches_the_rowwise_loop():
+    clouds = [grid_points(9, 2, 0.2, seed=4), grid_points(5, 3, 0.15, seed=4),
+              uniform_points(150, 2, seed=4), uniform_points(60, 3, seed=4)]
+    for pts in clouds:
+        cx = delaunay_lifted(pts).complex
+        for dim in range(0, cx.dimension + 1):
+            assert_rows_match_loop(pts, cx.simplices(dim))
+
+    # Good rows mixed with every per-row branch: collinear triangle
+    # (inconsistent least squares), repeated vertex (facet span of rank 0,
+    # cospherical degenerate), flat concyclic and flat generic tetrahedra,
+    # and a tetrahedron with a collinear facet.
+    grid = grid_points(4, 2, 0.2, seed=4)
+    extra = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.3, 2.0]])
+    pts = np.vstack([grid, extra])
+    n = len(grid)
+    good = delaunay_lifted(grid).complex.simplices(2)
+    bad = [(n, n + 1, n + 2), (n, n, n + 3), (n + 3, n + 1, n + 1)]
+    assert_rows_match_loop(pts, good[:3] + bad[:2] + good[3:6] + bad[2:])
+
+    grid = grid_points(3, 3, 0.15, seed=4)
+    extra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                      [0.0, 1.0, 0.0], [2.5, 0.7, 0.0], [0.2, 0.3, 1.5],
+                      [3.0, 0.0, 0.0]])
+    pts = np.vstack([grid, extra])
+    n = len(grid)
+    good = delaunay_lifted(grid).complex.simplices(3)
+    bad = [(n, n + 1, n + 2, n + 3), (n, n + 1, n + 2, n + 4),
+           (n, n + 1, n + 6, n + 5), (n, n, n + 2, n + 5), (n, n, n, n + 5)]
+    rows = good[:2] + bad[:3] + good[2:4] + bad[3:]
+    assert_rows_match_loop(pts, rows)
+    mets = simplex_metrics_batch(pts, rows)
+    assert [m.degenerate for m in mets] == [False] * 2 + [True] * 3 + [False] * 2 + [True] * 2
+    assert mets[2].circumcenter is not None and mets[3].circumcenter is None
+    assert simplex_metrics_batch(pts, []) == []
