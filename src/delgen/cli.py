@@ -153,8 +153,8 @@ def _analysis(args):
     return dataset_digest(pts), analyze_genericity(pts, region)
 
 
-def _timings(t0: float, analysis) -> dict:
-    return {"total_s": time.perf_counter() - t0, **analysis.stages}
+def _timings(t0: float, analysis, **trials) -> dict:
+    return {"total_s": time.perf_counter() - t0, **analysis.stages, **trials}
 
 
 def _load_json(path: str):
@@ -271,7 +271,9 @@ def cmd_stability(args) -> int:
     _gate(analysis, args.force)
     fractions = args.fractions or [1.0]
     models = [tok.strip() for tok in args.models.split(",") if tok.strip()]
+    t1 = time.perf_counter()
     verdicts = trial_batch(analysis, fractions, args.seeds, models, root_seed=args.seed)
+    trials_s = time.perf_counter() - t1
     summary: dict[str, dict] = {}
     for v in verdicts:
         label = v.name if v.model is None else f"{v.name}[{v.model}]"
@@ -292,7 +294,7 @@ def cmd_stability(args) -> int:
         _emit(args, lines)
         return code
     results = {"summary": summary, "verdicts": [v.to_json() for v in verdicts]}
-    _emit_envelope(args, config, digest, _timings(t0, analysis), results)
+    _emit_envelope(args, config, digest, _timings(t0, analysis, trials_s=trials_s), results)
     return code
 
 
@@ -301,10 +303,12 @@ def cmd_relax(args) -> int:
     digest, analysis = _analysis(args)
     params = measured_secure_params(analysis)
     rho = args.rho if args.rho is not None else args.fraction * params.budget().rho_point
+    t1 = time.perf_counter()
     verdict = relaxation_trial(analysis, rho)
+    trials_s = time.perf_counter() - t1
     config = {"command": "relax", "in": args.infile, "pj": args.pj,
               "format": args.format, "rho": rho}
-    _emit_envelope(args, config, digest, _timings(t0, analysis),
+    _emit_envelope(args, config, digest, _timings(t0, analysis, trials_s=trials_s),
                    {"verdict": verdict.to_json()})
     return 0 if verdict.passed and verdict.certified else 5
 
@@ -317,11 +321,13 @@ def cmd_metric(args) -> int:
     amplitude = (args.amplitude if args.amplitude is not None
                  else args.fraction * cap / 2.0)
     field = DisplacementField(analysis.points.dim, amplitude, args.seed)
+    t1 = time.perf_counter()
     verdict = metric_stability_trial(analysis, field, budget_mode=args.mode)
+    trials_s = time.perf_counter() - t1
     config = {"command": "metric", "in": args.infile, "pj": args.pj,
               "format": args.format, "mode": args.mode, "seed": args.seed,
               "amplitude": amplitude}
-    _emit_envelope(args, config, digest, _timings(t0, analysis),
+    _emit_envelope(args, config, digest, _timings(t0, analysis, trials_s=trials_s),
                    {"verdict": verdict.to_json()})
     return 0 if verdict.passed and verdict.certified else 5
 

@@ -33,7 +33,7 @@ from scipy.spatial.distance import cdist, pdist
 from .complexes import SimplicialComplex
 from .errors import PreconditionError
 from .hull import affine_rank
-from .simplex import circumcenter
+from .simplex import simplex_metrics_batch
 
 PROTECTION_RTOL = 1e-9
 
@@ -312,19 +312,28 @@ def _star_candidates(pts, region, reach, sizes):
     ``reach`` of v, for each k in ``sizes``, of diameter at most ``reach``.
 
     Each is yielded once, sorted, in visiting order: region vertex, then
-    size, then combination of the KD-tree ball around the vertex.
+    size, then combination of the KD-tree ball around the vertex. The
+    diameters of one vertex and size are a stacked max over the vertex
+    pairs of one distance table over the vertex and its ball.
     """
     tree = cKDTree(pts)
     seen: set[tuple[int, ...]] = set()
     for v in region:
-        pool = [q for q in sorted(tree.query_ball_point(pts[v], reach)) if q != v]
+        local = np.array([v, *(q for q in sorted(tree.query_ball_point(pts[v], reach))
+                               if q != v)], dtype=np.intp)
+        table = cdist(pts[local], pts[local])
         for size in sizes:
-            for combo in combinations(pool, size):
-                cand = tuple(sorted((v, *combo)))
+            combos = np.array(list(combinations(range(1, len(local)), size)),
+                              dtype=np.intp).reshape(-1, size)
+            rows = np.hstack([np.zeros((len(combos), 1), dtype=np.intp), combos])
+            a, b = zip(*combinations(range(size + 1), 2))
+            near = table[rows[:, a], rows[:, b]].max(axis=1) <= reach
+            for cand, ok in zip(map(tuple, np.sort(local[rows], axis=1).tolist()),
+                                near.tolist()):
                 if cand in seen:
                     continue
                 seen.add(cand)
-                if pdist(pts[list(cand)]).max() <= reach:
+                if ok:
                     yield cand
 
 
@@ -361,13 +370,22 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
             for face in combinations(simplex, k):
                 ball_centers.setdefault(face, []).append(ball.center)
 
+    candidates = list(_star_candidates(pts, region, 2.0 * eps + tol, range(1, m + 1)))
     members: list[tuple[int, ...]] = [(v,) for v in region]
     witnesses: dict[tuple[int, ...], np.ndarray] = {(v,): pts[v].copy() for v in region}
     undecided: list[tuple[int, ...]] = []
-    for cand in _star_candidates(pts, region, 2.0 * eps + tol, range(1, m + 1)):
-        verdict, witness = _decide_candidate(
-            pts[list(cand)], pts, rho, tol, eps, ball_centers.get(cand, [])
-        )
+    for cand, seed in zip(candidates, _circumcenter_seeds(pts, candidates)):
+        member_pts = pts[list(cand)]
+        # The seed, then every known Delaunay ball of the candidate.
+        tries = np.vstack([seed, *ball_centers.get(cand, [])])
+        hit = np.flatnonzero(_ball_gap(tries, member_pts, pts) <= rho + tol)
+        if hit.size:
+            verdict, witness = True, tries[hit[0]].copy()
+        else:
+            verdict, witness = _branch_and_bound(
+                lambda c: _ball_gap(c, member_pts, pts), seed, 4.0 * eps,
+                2.0 * np.sqrt(m), rho + tol,
+            )
         if verdict is True:
             members.append(cand)
             witnesses[cand] = witness
@@ -383,13 +401,16 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
     )
 
 
-def _decide_candidate(member_pts, pts, rho, tol, eps, known_centers):
-    ball = circumcenter(member_pts)
-    seed = ball[0] if ball is not None else member_pts.mean(axis=0)
-    for c in [seed, *known_centers]:
-        if _ball_gap(c, member_pts, pts)[0] <= rho + tol:
-            return True, np.asarray(c, dtype=float).copy()
-    return _branch_and_bound(
-        lambda c: _ball_gap(c, member_pts, pts), seed, 4.0 * eps,
-        2.0 * np.sqrt(pts.shape[1]), rho + tol,
-    )
+def _circumcenter_seeds(pts, candidates):
+    """Circumcentre of each candidate, or its vertex mean where there is
+    none, from one :func:`simplex_metrics_batch` call per candidate size."""
+    seeds: list[np.ndarray | None] = [None] * len(candidates)
+    by_size: dict[int, list[int]] = {}
+    for k, cand in enumerate(candidates):
+        by_size.setdefault(len(cand), []).append(k)
+    for rows in by_size.values():
+        mets = simplex_metrics_batch(pts, [candidates[k] for k in rows])
+        for k, met in zip(rows, mets):
+            seeds[k] = (met.circumcenter if met.circumcenter is not None
+                        else pts[list(candidates[k])].mean(axis=0))
+    return seeds

@@ -26,7 +26,7 @@ from .complexes import SimplicialComplex
 from .delaunay import (Ball, _ball_gap, _branch_and_bound, _empty_balls,
                        _star_candidates, as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
-from .simplex import Simplex, circumcenter, simplex_metrics
+from .simplex import Simplex, _norms, simplex_metrics, simplex_metrics_batch
 
 
 class DisplacementField:
@@ -135,79 +135,142 @@ def metric_circumcenter(simplex, model: MetricModel, *,
     a conservative variant derived from the simplex itself otherwise.
 
     Returns ``(centre, radius)`` with vertex distance spread below
-    1e-9 * circumradius, or ``None`` when no start converges.
+    1e-9 * circumradius, or ``None`` when no start converges. This is a
+    one-row call into the stacked search of :func:`_metric_circumcenters`.
     """
     s = simplex if isinstance(simplex, Simplex) else Simplex(simplex)
-    m = s.ambient_dim
-    if s.dim != m:
+    if s.dim != s.ambient_dim:
         raise PreconditionError("metric circumcentre needs a full dimensional simplex")
     met = simplex_metrics(s)
     if met.degenerate or met.circumradius is None:
         raise PreconditionError("metric circumcentre needs a non-degenerate simplex")
-    r0 = met.circumradius
-    if search_radius is None:
-        rho = model.rho_bound
-        if upsilon0 and mu0:
-            search_radius = 8.0 * rho / (upsilon0 * mu0) + 0.05 * r0
+    centres, radii, found = _metric_circumcenters(
+        s.vertices, np.arange(s.dim + 1)[None], [met], model, upsilon0, mu0, search_radius)
+    return (centres[0], float(radii[0])) if found[0] else None
+
+
+def _metric_circumcenters(pts, simplices, mets, model, upsilon0, mu0,
+                          search_radius=None):
+    """Metric circumcentres of a stack of full dimensional simplices.
+
+    ``simplices`` holds C rows of m+1 indices into ``pts`` and ``mets`` their
+    :func:`simplex_metrics_batch` rows. Every row runs damped Newton from its
+    Euclidean circumcentre; the rows that fail run again from each nonzero
+    offset of the 3^m multistart grid in ``product`` order, so the first
+    start that converges wins, as for a single simplex. Degenerate rows are
+    not searched. Returns ``(centres, radii, found)``.
+    """
+    idx = np.asarray(simplices, dtype=np.intp)
+    count, m = idx.shape[0], pts.shape[1]
+    centres, radii = np.zeros((count, m)), np.zeros(count)
+    found = np.zeros(count, dtype=bool)
+    rows = np.array([not met.degenerate and met.circumradius is not None for met in mets],
+                    dtype=bool)
+    if not rows.any():
+        return centres, radii, found
+    solvable = [mets[k] for k in np.flatnonzero(rows)]
+    c0 = np.array([met.circumcenter for met in solvable])
+    r0 = np.array([met.circumradius for met in solvable])
+    if search_radius is not None:
+        search_radii = np.full(len(solvable), search_radius, dtype=float)
+    elif upsilon0 and mu0:
+        search_radii = 8.0 * model.rho_bound / (upsilon0 * mu0) + 0.05 * r0
+    else:
+        # Fall back to the same bound with eps read off as 2 R and the
+        # sparsity taken from the simplex itself.
+        sparse = np.array([met.thickness * met.shortest_edge for met in solvable])
+        search_radii = 16.0 * model.rho_bound * r0 / np.maximum(sparse, 1e-300) + 0.05 * r0
+    verts = pts[idx[rows]]
+    image = model.field.forward(verts.reshape(-1, m)).reshape(verts.shape)
+    far = np.maximum(4.0 * search_radii, 10.0 * r0)
+    step = search_radii / np.sqrt(m) * 0.75
+    c, r, ok = np.zeros_like(c0), np.zeros_like(r0), np.zeros(len(r0), dtype=bool)
+    starts = [o for o in product((-1.0, 0.0, 1.0), repeat=m) if any(o)]
+    for offs in [None, *starts]:
+        if offs is None:
+            todo = np.arange(len(r0))
+            seeds = c0 + np.zeros(m)
         else:
-            # Fall back to the same bound with eps read off as 2 R and the
-            # sparsity taken from the simplex itself.
-            search_radius = 16.0 * rho * r0 / max(met.thickness * met.shortest_edge, 1e-300)
-            search_radius += 0.05 * r0
-    seeds = [np.zeros(m)]
-    if search_radius > 0:
-        step = search_radius / np.sqrt(m) * 0.75
-        for offs in product((-1.0, 0.0, 1.0), repeat=m):
-            if any(offs):
-                seeds.append(np.array(offs) * step)
-    c0 = met.circumcenter
-    tol = 1e-9 * r0
-    for off in seeds:
-        result = _newton_single(c0 + off, s.vertices, model, tol, r0, c0, search_radius)
-        if result is not None:
-            return result
-    return None
+            todo = np.flatnonzero(~ok & (search_radii > 0))
+            seeds = c0[todo] + np.array(offs) * step[todo, None]
+        if not todo.size:
+            break
+        c[todo], r[todo], ok[todo] = _newton_stack(
+            seeds, image[todo], model.field.forward, r0[todo], c0[todo], far[todo])
+    centres[rows], radii[rows], found[rows] = c, r, ok
+    return centres, radii, found
 
 
-def _newton_single(c, verts, model, tol, r0, seed_center, search_radius):
+def _solve_rows(jac, rhs):
+    """Stacked solve of jac x = rhs; a singular stack is solved row by row,
+    and only its singular rows fail. Returns (x, solved)."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, solved = np.zeros_like(rhs), np.zeros(len(rhs), dtype=bool)
+        for k in range(len(rhs)):
+            try:
+                x[k] = np.linalg.solve(jac[k], rhs[k])
+                solved[k] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, solved
+
+
+def _newton_stack(c, image, forward, r0, seed_center, far):
+    """Damped Newton on f(c) = (d(c, p_i) - d(c, p_0))_i, one row per simplex.
+
+    Row k starts at ``c[k]``; ``image[k]`` holds the images of its vertices.
+    The Jacobian is a central difference of step h = max(1e-7 r0, 1e-12),
+    every line search halves its step from 1 down to 1e-4, and a row fails
+    when its solve is singular or not finite, its line search finds no
+    decrease, or it strays more than ``far`` from ``seed_center``. Returns
+    ``(centres, radii, converged)``; a row converges when its vertex
+    distances spread less than 1e-9 r0 within 60 steps.
+    """
+    count, m = c.shape
     c = c.copy()
-    m = verts.shape[1]
-    h = max(1e-7 * r0, 1e-12)
-    for _ in range(60):
-        d = model.distances_to(c, verts)
-        if _spread(d) < tol:
-            return c, float(d.mean())
-        f = d[1:] - d[0]
-        jac = np.empty((m, m))
-        for jdx in range(m):
-            e = np.zeros(m)
-            e[jdx] = h
-            dp = model.distances_to(c + e, verts)
-            dm = model.distances_to(c - e, verts)
-            jac[:, jdx] = ((dp[1:] - dp[0]) - (dm[1:] - dm[0])) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        base = np.abs(f).max()
+    tol = 1e-9 * r0
+    h = np.maximum(1e-7 * r0, 1e-12)
+    probe = np.concatenate([np.eye(m), -np.eye(m)])
+    radii, done = np.zeros(count), np.zeros(count, dtype=bool)
+
+    def dist(x, rows):
+        """Distances (rows, k, m+1) from k centres per row to its vertices."""
+        fx = forward(x.reshape(-1, m)).reshape(x.shape)
+        return np.linalg.norm(image[rows][:, None] - fx[:, :, None], axis=-1)
+
+    live = np.arange(count)
+    for it in range(61):
+        d = dist(c[live][:, None], live)[:, 0]
+        conv = _spread(d) < tol[live]
+        done[live[conv]] = True
+        radii[live[conv]] = d[conv].mean(axis=1)
+        live, d = live[~conv], d[~conv]
+        if it == 60 or not live.size:
+            break
+        f = d[:, 1:] - d[:, :1]
+        g = dist(c[live][:, None] + h[live, None, None] * probe, live)
+        g = g[..., 1:] - g[..., :1]
+        jac = ((g[:, :m] - g[:, m:]) / (2.0 * h[live])[:, None, None]).transpose(0, 2, 1)
+        step, solved = _solve_rows(jac, -f)
+        base = np.abs(f).max(axis=1)
+        search = np.flatnonzero(solved & np.isfinite(step).all(axis=1))
+        moved = np.zeros(live.size, dtype=bool)
         t = 1.0
-        while t > 1e-4:
-            trial = c + t * step
-            dt = model.distances_to(trial, verts)
-            if np.abs(dt[1:] - dt[0]).max() < base or _spread(dt) < tol:
-                c = trial
-                break
+        while t > 1e-4 and search.size:
+            rows = live[search]
+            trial = c[rows] + t * step[search]
+            dt = dist(trial[:, None], rows)[:, 0]
+            better = ((np.abs(dt[:, 1:] - dt[:, :1]).max(axis=1) < base[search])
+                      | (_spread(dt) < tol[rows]))
+            c[rows[better]] = trial[better]
+            moved[search[better]] = True
+            search = search[~better]
             t *= 0.5
-        else:
-            return None
-        if np.linalg.norm(c - seed_center) > max(4.0 * search_radius, 10.0 * r0):
-            return None
-    d = model.distances_to(c, verts)
-    if _spread(d) < tol:
-        return c, float(d.mean())
-    return None
+        live = live[moved]
+        live = live[~(_norms(c[live] - seed_center[live]) > far[live])]
+    return c, radii, done
 
 
 # -- metric Delaunay -------------------------------------------------------
@@ -255,52 +318,45 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     image_pts = model.field.forward(pts)
     lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
     candidates = sorted(_star_candidates(pts, region, reach + tol, (m,)))
+    subsets = np.array(candidates, dtype=np.intp).reshape(-1, m + 1)
+    mets = simplex_metrics_batch(pts, subsets)
+    centres, radii, found = _metric_circumcenters(pts, subsets, mets, model, upsilon0, mu0)
+    # The metric ball of radius r about c is the Euclidean ball of radius r
+    # about phi(c) among the images; the stored centre stays c.
+    certified, found_groups = _empty_balls(
+        image_pts, subsets[found], model.field.forward(centres[found]), radii[found], tol)
     balls: dict[tuple[int, ...], Ball] = {}
     not_found: list[tuple[int, ...]] = []
     undecided: list[tuple[int, ...]] = []
-    groups: set[tuple[int, ...]] = set()
-    for cand in candidates:
-        member_pts = pts[list(cand)]
-        try:
-            found = metric_circumcenter(
-                Simplex(member_pts), model, upsilon0=upsilon0, mu0=mu0
-            )
-        except PreconditionError:
-            found = None
-        if found is None:
-            not_found.append(cand)
-            ball = circumcenter(Simplex(member_pts))
-            seed = ball[0] if ball is not None else member_pts.mean(axis=0)
-            # The metric gap is the Euclidean ball gap between images.
-            member_img = model.field.forward(member_pts)
-            verdict, witness = _branch_and_bound(
-                lambda c: _ball_gap(model.field.forward(c), member_img, image_pts),
-                seed, 4.0 * eps, lipschitz, tol,
-            )
-            if verdict is None:
-                undecided.append(cand)
-            elif verdict:
-                # Equidistance search missed it but an empty ball exists:
-                # record the witness ball instead of dropping the simplex.
-                d = model.distances_to(witness, pts, image_pts)
-                balls[cand] = Ball(simplex=cand, center=witness,
-                                   radius=float(d[list(cand)].max()),
-                                   protection=0.0)
+    for k, cand in enumerate(candidates):
+        if found[k]:
+            if cand in certified:
+                balls[cand] = replace(certified[cand], center=centres[k])
             continue
-        # The metric ball of radius r about c is the Euclidean ball of
-        # radius r about phi(c) among the images; the stored centre stays c.
-        c, r = found
-        certified, found_groups = _empty_balls(
-            image_pts, np.array([cand]), model.field.forward(c), np.array([r]), tol
+        not_found.append(cand)
+        member_pts = pts[list(cand)]
+        ball = mets[k].circumcenter
+        seed = ball if ball is not None else member_pts.mean(axis=0)
+        # The metric gap is the Euclidean ball gap between images.
+        member_img = image_pts[list(cand)]
+        verdict, witness = _branch_and_bound(
+            lambda c: _ball_gap(model.field.forward(c), member_img, image_pts),
+            seed, 4.0 * eps, lipschitz, tol,
         )
-        for s, ball in certified.items():
-            balls[s] = replace(ball, center=np.asarray(c))
-        groups |= found_groups
+        if verdict is None:
+            undecided.append(cand)
+        elif verdict:
+            # Equidistance search missed it but an empty ball exists:
+            # record the witness ball instead of dropping the simplex.
+            d = model.distances_to(witness, pts, image_pts)
+            balls[cand] = Ball(simplex=cand, center=witness,
+                               radius=float(d[list(cand)].max()),
+                               protection=0.0)
     cx = SimplicialComplex([*balls, *((v,) for v in region)], pts)
     return MetricDelaunayResult(
         complex=cx, balls=balls, path="newton",
         not_found=tuple(not_found), undecided=tuple(undecided),
-        degeneracy_groups=tuple(sorted(groups)),
+        degeneracy_groups=tuple(sorted(found_groups)),
     )
 
 

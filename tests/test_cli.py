@@ -422,14 +422,17 @@ def test_near_duplicate_pair_in_the_region_is_non_generic(tmp_path):
 
 def test_timings_split_the_total_by_stage():
     stages = ("hull_s", "delaunay_s", "sampling_s", "analysis_s")
-    for argv in (["analyze"], ["budget"], ["relax"], ["metric"],
-                 ["stability", "--models", "uniform", "--seeds-count", "1"]):
+    # The verbs that run trials also time them, after the analysis.
+    for argv, trials in ((["analyze"], ()), (["budget"], ()), (["relax"], ("trials_s",)),
+                         (["metric"], ("trials_s",)),
+                         (["stability", "--models", "uniform,relaxation,metric",
+                           "--seeds-count", "1"], ("trials_s",))):
         code, text, _ = run([*argv, "--in", infile("generic.txt")])
         assert code == 0, argv
         timings = json.loads(text)["timings"]
-        assert set(timings) == {"total_s", *stages}, argv
-        assert all(timings[k] >= 0.0 for k in stages)
-        assert sum(timings[k] for k in stages) <= timings["total_s"]
+        assert set(timings) == {"total_s", *stages, *trials}, argv
+        assert all(timings[k] >= 0.0 for k in (*stages, *trials))
+        assert sum(timings[k] for k in (*stages, *trials)) <= timings["total_s"]
     code, text, _ = run(["analyze", "--in", infile("square.txt")])
     assert code == 4
     assert set(json.loads(text)["timings"]) == {"total_s", *stages}

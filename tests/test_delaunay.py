@@ -1,14 +1,18 @@
 """Dual-route Delaunay construction, protection, and relaxed membership."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist, pdist
 
 from delgen import delaunay
 from delgen.datasets import grid_points
 from delgen.delaunay import (
     PointSet,
     _branch_and_bound,
+    _star_candidates,
     delaunay_bruteforce,
     delaunay_lifted,
     relaxed_delaunay,
@@ -235,6 +239,42 @@ def test_branch_and_bound_outcomes():
         lambda c: 1.0 - 2.0 * np.abs(c).max(axis=1), seed, 1.0, 2.0, 0.0)
     assert verdict is True
     assert witness.tolist() == [-0.5, -0.5]
+
+
+def star_candidates_by_loop(pts, region, reach, sizes):
+    """The candidate window with one ``pdist`` per combination: the
+    reference for the distance tables."""
+    tree = cKDTree(pts)
+    seen = set()
+    for v in region:
+        pool = [q for q in sorted(tree.query_ball_point(pts[v], reach)) if q != v]
+        for size in sizes:
+            for combo in combinations(pool, size):
+                cand = tuple(sorted((v, *combo)))
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if pdist(pts[list(cand)]).max() <= reach:
+                    yield cand
+
+
+def test_star_candidates_match_the_pdist_loop():
+    for dim, side in ((2, 7), (3, 5)):
+        pts = grid_points(side, dim, jitter=0.2, seed=3)
+        eps = analyze_genericity(pts).sampling.epsilon
+        tol = PointSet(pts).tolerance()
+        # Neighbouring region vertices share candidates, which the window
+        # yields only once.
+        region = np.argsort(np.linalg.norm(pts - pts.mean(axis=0), axis=1))[:6 - dim].tolist()
+        # The relaxed window (every size), the metric window (top simplices
+        # only, widened by the metric deviation) and a narrow window that
+        # drops some combinations on their diameter.
+        for reach, sizes in ((2.0 * eps + tol, range(1, dim + 1)),
+                             (2.0 * eps + 4.0 * 0.01 + tol, (dim,)),
+                             (0.9, range(1, dim + 1))):
+            got = list(_star_candidates(pts, region, reach, sizes))
+            assert got == list(star_candidates_by_loop(pts, region, reach, sizes))
+            assert got and len(got) == len(set(got))
 
 
 def test_relaxed_exhausted_budget_is_undecided(monkeypatch):

@@ -1,5 +1,7 @@
 """Displacement fields, metric models, and the metric Delaunay routes."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from delgen.metric import (
     metric_circumcenter,
     metric_delaunay,
 )
-from delgen.simplex import circumcenter
+from delgen.simplex import circumcenter, simplex_metrics, simplex_metrics_batch
 
 THICK_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.1], [0.4, 0.9]])
 
@@ -249,19 +251,170 @@ def test_metric_delaunay_newton_failure_falls_back(monkeypatch):
     model = MetricModel(DisplacementField(2, amplitude=2e-3, seed=1))
     calls = []
 
-    def no_centre(*args, **kwargs):
-        calls.append(args)
-        return None
+    def no_centre(points, subsets, *args):
+        calls.append(len(subsets))
+        return (np.zeros((len(subsets), points.shape[1])), np.zeros(len(subsets)),
+                np.zeros(len(subsets), dtype=bool))
 
     eps = analyze_genericity(pts).sampling.epsilon
-    monkeypatch.setattr(metric, "metric_circumcenter", no_centre)
+    monkeypatch.setattr(metric, "_metric_circumcenters", no_centre)
     res = metric_delaunay(pts, model, [12], eps=eps, path="both")
     assert res.agreement and res.certified
     # Every candidate went through the branch and bound.
-    assert len(res.not_found) == len(calls) > 0
+    assert len(calls) == 1
+    assert len(res.not_found) == calls[0] > 0
     assert set(res.complex.simplices(2)) <= set(res.not_found)
     tol = PointSet(pts).tolerance()
     for s, ball in res.balls.items():
         d = model.distances_to(ball.center, pts)
         assert ball.radius == d[list(s)].max()
         assert ball.radius - d.min() <= tol
+
+
+def test_metric_delaunay_newton_route_makes_one_call_per_stage(monkeypatch):
+    # The candidates share one metrics call, one stacked Newton search and
+    # one certifier call; the one-row wrapper is never used.
+    pts = grid_points(5, dim=2, jitter=0.15, seed=4)
+    model = MetricModel(DisplacementField(2, amplitude=2e-3, seed=1))
+    eps = analyze_genericity(pts).sampling.epsilon
+    calls = {"simplex_metrics_batch": 0, "_empty_balls": 0, "metric_circumcenter": 0}
+    for name in calls:
+        real = getattr(metric, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(metric, name, counted)
+    res = metric_delaunay(pts, model, [12], eps=eps, path="newton")
+    assert res.certified and not res.not_found and res.balls
+    assert calls == {"simplex_metrics_batch": 1, "_empty_balls": 1, "metric_circumcenter": 0}
+
+
+# -- the stacked Newton against the per-simplex loop -----------------------
+
+
+def newton_by_loop(c, verts, model, tol, r0, seed_center, search_radius, events):
+    """Damped Newton on one simplex: the reference for the stacked search."""
+    c = c.copy()
+    m = verts.shape[1]
+    h = max(1e-7 * r0, 1e-12)
+    for _ in range(60):
+        d = model.distances_to(c, verts)
+        if d.max() - d.min() < tol:
+            return c, float(d.mean())
+        f = d[1:] - d[0]
+        jac = np.empty((m, m))
+        for jdx in range(m):
+            e = np.zeros(m)
+            e[jdx] = h
+            dp = model.distances_to(c + e, verts)
+            dm = model.distances_to(c - e, verts)
+            jac[:, jdx] = ((dp[1:] - dp[0]) - (dm[1:] - dm[0])) / (2.0 * h)
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            events.append("singular")
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        base = np.abs(f).max()
+        t = 1.0
+        while t > 1e-4:
+            trial = c + t * step
+            dt = model.distances_to(trial, verts)
+            if np.abs(dt[1:] - dt[0]).max() < base or dt.max() - dt.min() < tol:
+                c = trial
+                break
+            t *= 0.5
+        else:
+            return None
+        if np.linalg.norm(c - seed_center) > max(4.0 * search_radius, 10.0 * r0):
+            return None
+    d = model.distances_to(c, verts)
+    if d.max() - d.min() < tol:
+        return c, float(d.mean())
+    return None
+
+
+def metric_circumcenter_by_loop(verts, model, upsilon0, mu0, events):
+    """The per-simplex multistart search, ``None`` where the route counts a
+    candidate as not found (no start converges, or a degenerate simplex)."""
+    m = verts.shape[1]
+    met = simplex_metrics(verts)
+    if met.degenerate or met.circumradius is None:
+        events.append("degenerate")
+        return None
+    r0 = met.circumradius
+    rho = model.rho_bound
+    if upsilon0 and mu0:
+        search_radius = 8.0 * rho / (upsilon0 * mu0) + 0.05 * r0
+    else:
+        search_radius = 16.0 * rho * r0 / max(met.thickness * met.shortest_edge, 1e-300)
+        search_radius += 0.05 * r0
+    seeds = [np.zeros(m)]
+    if search_radius > 0:
+        step = search_radius / np.sqrt(m) * 0.75
+        for offs in product((-1.0, 0.0, 1.0), repeat=m):
+            if any(offs):
+                seeds.append(np.array(offs) * step)
+    c0 = met.circumcenter
+    for k, off in enumerate(seeds):
+        result = newton_by_loop(c0 + off, verts, model, 1e-9 * r0, r0, c0, search_radius,
+                                events)
+        if result is not None:
+            if k:
+                events.append("offset")
+            return result
+    return None
+
+
+class BandField:
+    """phi = id, except that the slab |x_0 - centre| <= half is squashed to
+    its lower face and what lies beyond it slides down to close the gap.
+    phi is flat across the slab, so a Newton start inside it meets a
+    singular Jacobian, while offset starts outside it can converge."""
+
+    lipschitz = 0.0
+
+    def __init__(self, centre, half, amplitude):
+        self.lo, self.half, self.amplitude = centre - half, half, amplitude
+
+    def forward(self, x):
+        x = np.array(np.atleast_2d(x), dtype=float)
+        x0 = x[:, 0]
+        x[:, 0] = np.where(x0 <= self.lo, x0,
+                           np.where(x0 >= self.lo + 2.0 * self.half,
+                                    x0 - 2.0 * self.half, self.lo))
+        return x
+
+    def inverse(self, y):  # pragma: no cover - the Newton route never inverts
+        raise NotImplementedError
+
+
+def test_stacked_newton_matches_the_per_simplex_loop():
+    events = []
+    for dim, side, jitter in ((2, 7, 0.2), (3, 4, 0.15)):
+        pts = grid_points(side, dim, jitter, seed=4)
+        tops = delaunay_lifted(pts).complex.simplices(dim)
+        # A degenerate row: a vertex at the midpoint of two others.
+        flat = np.vstack([pts, pts[list(tops[0][:2])].mean(axis=0)])
+        rows = tops + [(*tops[0][:2], len(pts), *tops[0][3:])]
+        models = [MetricModel(DisplacementField(dim, amp, seed=dim))
+                  for amp in (0.0, 2e-3, 0.2)]
+        models += [MetricModel(BandField(c, 0.15, 0.01)) for c in (1.5, 2.3)]
+        for model in models:
+            for params in ((0.3, 0.5), (None, None)):
+                mets = simplex_metrics_batch(flat, rows)
+                centres, radii, found = metric._metric_circumcenters(
+                    flat, np.array(rows), mets, model, *params)
+                for k, s in enumerate(rows):
+                    ref = metric_circumcenter_by_loop(flat[list(s)], model, *params, events)
+                    assert found[k] == (ref is not None), (dim, s)
+                    if ref is not None:
+                        assert np.array_equal(centres[k], ref[0]), (dim, s)
+                        assert radii[k] == ref[1], (dim, s)
+    # The stacks held rows that fail their first start on a singular
+    # Jacobian, rows that converge only from a multistart offset, and
+    # degenerate rows.
+    assert {"singular", "offset", "degenerate"} <= set(events)
