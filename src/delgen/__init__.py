@@ -8,8 +8,8 @@ The package splits into:
 
 * :mod:`delgen.simplex` -- single-simplex geometry: circumcentres, altitudes,
   thickness, singular value floors, angle bounds.
-* :mod:`delgen.complexes` -- abstract simplicial complexes over indexed point
-  sets: stars, boundaries, embeddings, local triangulation tests.
+* :mod:`delgen.complexes` -- abstract simplicial complexes over vertex ids:
+  closed stars, purity, boundaries and face-by-face star comparison.
 * :mod:`delgen.delaunay` -- Euclidean Delaunay complexes by two independent
   routes, plus the relaxed (almost empty ball) variant.
 * :mod:`delgen.metric` -- perturbed metrics and Delaunay complexes built from

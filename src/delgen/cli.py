@@ -25,7 +25,7 @@ from .errors import (CheckFailedError, DelgenError, NonGenericError, ParseError,
                      PreconditionError)
 from .fileio import (complex_from_json, dataset_digest, envelope_csv,
                      envelope_json, format_points, read_points,
-                     report_envelope, write_points)
+                     report_envelope, vertex_id, write_points)
 from .genericity import analyze_genericity, lemma_audit, thickness_certificate
 from .metric import DisplacementField
 from .perturb import (measured_secure_params, metric_stability_trial,
@@ -338,11 +338,12 @@ def cmd_compare(args) -> int:
     left, right = complex_from_json(left_doc), complex_from_json(right_doc)
     if args.mapping:
         raw = _load_json(args.mapping)
-        try:
-            mapping = {int(k): int(v) for k, v in raw.items()}
-        except (AttributeError, TypeError, ValueError):
+        # Keys are canonical decimals, so "1" and "01" cannot collide.
+        if not (isinstance(raw, dict) and all(
+                k.isascii() and k.isdigit() and k == str(int(k)) for k in raw)):
             raise ParseError(f"{args.mapping}: mapping must be a JSON object "
-                             "of integer ids") from None
+                             "keyed by nonnegative integer ids")
+        mapping = {int(k): vertex_id(v) for k, v in raw.items()}
     else:
         mapping = {v: v for v in left.vertex_ids()}
     if args.q:

@@ -1,17 +1,14 @@
-"""Simplicial complexes over an indexed point set.
+"""Abstract simplicial complexes over vertex ids.
 
-Simplices are sorted tuples of vertex ids; a complex stores the downward
-closed family plus (optionally) the coordinates that realise it. Geometric
-predicates (embedding, local triangulation) decide intersection questions by
-linear feasibility on convex combination equations.
+Simplices are sorted tuples of vertex ids, and a complex stores the
+downward closed family they generate. It carries no coordinates: every
+question asked of it here (stars, purity, boundaries, star comparison) is a
+question about sets of faces.
 
-Two star flavours are used throughout:
-
-* ``vertex_star(Q)``: the simplices containing a vertex of Q, plus faces.
-  This is the neighbourhood the stability statements talk about.
-* ``star(Q)``: one ring further out, the simplices sharing a face with a
-  simplex incident to Q, plus faces. This is the neighbourhood that has to
-  be audited for protection so the inner ring inherits thickness.
+The stability statements talk about the closed star of a region Q, the
+simplices meeting a vertex of Q plus their faces (``vertex_star``). The
+pipeline builds that star, and the wider double star its protection audit
+covers, straight from the top simplices of a Delaunay result.
 """
 
 from __future__ import annotations
@@ -19,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-from scipy.optimize import linprog
-
 from .errors import MappingError, PreconditionError
-from .simplex import Simplex, is_degenerate
-
-_LP_TOL = 1e-10
 
 
 def _canon(simplex) -> tuple[int, ...]:
@@ -43,21 +34,13 @@ def _faces(simplex: tuple[int, ...]):
 
 
 class SimplicialComplex:
-    """Downward closed family of simplices with optional coordinates."""
+    """Downward closed family of simplices."""
 
-    def __init__(self, simplices, points: np.ndarray | None = None) -> None:
+    def __init__(self, simplices) -> None:
         closed: set[tuple[int, ...]] = set()
         for s in simplices:
             closed.update(_faces(_canon(s)))
         self._simplices = frozenset(closed)
-        if points is not None:
-            points = np.asarray(points, dtype=float)
-            if points.ndim != 2:
-                raise PreconditionError("points must be an (n, m) array")
-            for s in closed:
-                if s[-1] >= points.shape[0]:
-                    raise PreconditionError(f"vertex id {s[-1]} outside point array")
-        self.points = points
 
     # -- basic queries -----------------------------------------------------
 
@@ -84,14 +67,6 @@ class SimplicialComplex:
             return sorted(self._simplices, key=lambda s: (len(s), s))
         return sorted(s for s in self._simplices if len(s) == dim + 1)
 
-    def maximal_simplices(self) -> list[tuple[int, ...]]:
-        out = [
-            s
-            for s in self._simplices
-            if not any(set(s) < set(t) for t in self._simplices if len(t) == len(s) + 1)
-        ]
-        return sorted(out, key=lambda s: (len(s), s))
-
     @property
     def dimension(self) -> int:
         return max(len(s) for s in self._simplices) - 1 if self._simplices else -1
@@ -99,31 +74,13 @@ class SimplicialComplex:
     def vertex_ids(self) -> list[int]:
         return sorted({v for s in self._simplices for v in s})
 
-    def coords(self, simplex) -> np.ndarray:
-        if self.points is None:
-            raise PreconditionError("complex carries no coordinates")
-        return self.points[list(_canon(simplex))]
-
     # -- stars -------------------------------------------------------------
 
     def vertex_star(self, q) -> "SimplicialComplex":
         """Closed star: simplices meeting the vertex set ``q``, plus faces."""
         qset = {int(v) for v in q}
         hit = [s for s in self._simplices if qset.intersection(s)]
-        return SimplicialComplex(hit, self.points)
-
-    def star(self, q) -> "SimplicialComplex":
-        """Simplices sharing a face with a simplex incident to ``q``, plus faces.
-
-        Equivalently the closed star of every vertex that cohabits a simplex
-        with ``q``; one ring wider than :meth:`vertex_star`.
-        """
-        qset = {int(v) for v in q}
-        touched: set[int] = set()
-        for s in self._simplices:
-            if qset.intersection(s):
-                touched.update(s)
-        return self.vertex_star(touched)
+        return SimplicialComplex(hit)
 
     # -- purity and boundary ----------------------------------------------
 
@@ -142,8 +99,8 @@ class SimplicialComplex:
     def boundary_complex(self, dim: int | None = None) -> "SimplicialComplex":
         """Faces of codimension one incident to exactly one top simplex.
 
-        Requires a pure complex; for an embedded pure complex the carrier of
-        the result is the topological boundary of the carrier.
+        Requires a pure complex; when the complex triangulates a region, the
+        result triangulates the boundary of that region.
         """
         if dim is None:
             dim = self.dimension
@@ -154,161 +111,7 @@ class SimplicialComplex:
             for facet in combinations(top, dim):
                 count[facet] = count.get(facet, 0) + 1
         rim = [f for f, c in count.items() if c == 1]
-        return SimplicialComplex(rim, self.points)
-
-    # -- geometric predicates ---------------------------------------------
-
-    def _require_points(self) -> np.ndarray:
-        if self.points is None:
-            raise PreconditionError("operation needs coordinates")
-        return self.points
-
-    def is_embedded(self):
-        """Do the realised simplices intersect only along shared faces?
-
-        Returns ``(True, None)`` or ``(False, (sigma, tau))`` with an
-        offending pair. A geometrically degenerate simplex is itself reported
-        as a violation ``(sigma, sigma)``.
-        """
-        pts = self._require_points()
-        maximal = self.maximal_simplices()
-        for s in maximal:
-            if len(s) >= 2 and is_degenerate(Simplex(pts[list(s)])):
-                return False, (s, s)
-        for a, b in combinations(maximal, 2):
-            if not _boxes_touch(pts[list(a)], pts[list(b)]):
-                continue
-            if _overlap_beyond_shared_face(pts, a, b):
-                return False, (a, b)
-        return True, None
-
-    def is_triangulation_at(self, p: int):
-        """Star of a vertex triangulates a neighbourhood of its point.
-
-        Checks, in order: (1) ``p`` is a vertex; (2) the closed star of ``p``
-        is embedded; (3) the point lies in the interior of the star carrier;
-        (4) no simplex outside the star meets the carrier in its relative
-        interior. Returns ``(True, None)`` or ``(False, k)`` with the first
-        failed condition number.
-        """
-        pts = self._require_points()
-        p = int(p)
-        if (p,) not in self._simplices:
-            return False, 1
-        star = self.vertex_star([p])
-        ok, _ = star.is_embedded()
-        if not ok:
-            return False, 2
-        m = pts.shape[1]
-        if star.dimension != m or not star.is_pure(m):
-            return False, 3
-        rim = star.boundary_complex(m)
-        x = pts[p]
-        for bs in rim.simplices(m - 1):
-            if p in bs or _point_in_hull(pts[list(bs)], x):
-                return False, 3
-        tops = [pts[list(s)] for s in star.simplices(m)]
-        star_set = set(star.simplices())
-        for tau in self._simplices:
-            if tau in star_set:
-                continue
-            tcoords = pts[list(tau)]
-            for scoords in tops:
-                if not _boxes_touch(tcoords, scoords):
-                    continue
-                if _relint_meets(tcoords, scoords):
-                    return False, 4
-        return True, None
-
-
-# -- intersection tests via linear feasibility -----------------------------
-
-
-def _boxes_touch(a: np.ndarray, b: np.ndarray, pad: float = 1e-12) -> bool:
-    return bool(
-        np.all(a.min(axis=0) <= b.max(axis=0) + pad)
-        and np.all(b.min(axis=0) <= a.max(axis=0) + pad)
-    )
-
-
-def _normalise(*arrays):
-    stack = np.vstack(arrays)
-    shift = stack.min(axis=0)
-    scale = max(float(stack.max() - stack.min()), 1.0)
-    return [(a - shift) / scale for a in arrays]
-
-
-def _overlap_beyond_shared_face(pts: np.ndarray, a, b) -> bool:
-    """Can a point of conv(a) ∩ conv(b) put weight outside the shared vertices?"""
-    shared = set(a) & set(b)
-    pa, pb = _normalise(pts[list(a)], pts[list(b)])
-    na, nb = len(a), len(b)
-    m = pts.shape[1]
-    a_eq = np.zeros((m + 2, na + nb))
-    a_eq[:m, :na] = pa.T
-    a_eq[:m, na:] = -pb.T
-    a_eq[m, :na] = 1.0
-    a_eq[m + 1, na:] = 1.0
-    b_eq = np.concatenate([np.zeros(m), [1.0, 1.0]])
-    c = np.zeros(na + nb)
-    for i, v in enumerate(a):
-        if v not in shared:
-            c[i] = -1.0
-    for i, v in enumerate(b):
-        if v not in shared:
-            c[na + i] = -1.0
-    if not np.any(c):
-        # Same vertex set: identical simplices only overlap legitimately.
-        return False
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        return False
-    return -res.fun > _LP_TOL
-
-
-def _relint_meets(tau: np.ndarray, sigma: np.ndarray) -> bool:
-    """Does the relative interior of tau meet conv(sigma)?
-
-    Maximises the least barycentric weight t on tau subject to the combination
-    equalling a point of sigma; a strictly positive optimum is a hit.
-    """
-    tau, sigma = _normalise(tau, sigma)
-    nt, ns = tau.shape[0], sigma.shape[0]
-    m = tau.shape[1]
-    # Variables: lambda (nt), mu (ns), t.
-    a_eq = np.zeros((m + 2, nt + ns + 1))
-    a_eq[:m, :nt] = tau.T
-    a_eq[:m, nt : nt + ns] = -sigma.T
-    a_eq[m, :nt] = 1.0
-    a_eq[m + 1, nt : nt + ns] = 1.0
-    b_eq = np.concatenate([np.zeros(m), [1.0, 1.0]])
-    # lambda_i - t >= 0.
-    a_ub = np.zeros((nt, nt + ns + 1))
-    a_ub[:, :nt] = -np.eye(nt)
-    a_ub[:, -1] = 1.0
-    b_ub = np.zeros(nt)
-    c = np.zeros(nt + ns + 1)
-    c[-1] = -1.0
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
-    )
-    if not res.success:
-        return False
-    return -res.fun > _LP_TOL
-
-
-def _point_in_hull(vertices: np.ndarray, x: np.ndarray) -> bool:
-    """Is x in the convex hull of the given vertices (within LP tolerance)?"""
-    vs, xs = _normalise(vertices, x[None, :])
-    n = vs.shape[0]
-    m = vs.shape[1]
-    a_eq = np.vstack([vs.T, np.ones((1, n))])
-    b_eq = np.concatenate([xs[0], [1.0]])
-    res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        return False
-    recon = vs.T @ res.x
-    return bool(np.abs(recon - xs[0]).max() <= 1e-8)
+        return SimplicialComplex(rim)
 
 
 # -- star comparison -------------------------------------------------------
@@ -316,31 +119,35 @@ def _point_in_hull(vertices: np.ndarray, x: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class IsoReport:
-    """Result of comparing two vertex stars under a vertex bijection."""
+    """Result of comparing two stars face by face."""
 
     isomorphic: bool
     missing: tuple[tuple[int, ...], ...]
     extra: tuple[tuple[int, ...], ...]
 
 
+def star_difference(want: SimplicialComplex, got: SimplicialComplex) -> IsoReport:
+    """Faces of ``want`` absent from ``got`` (missing) and faces of ``got``
+    absent from ``want`` (extra), each sorted."""
+    missing = tuple(sorted(want._simplices - got._simplices))
+    extra = tuple(sorted(got._simplices - want._simplices))
+    return IsoReport(isomorphic=not missing and not extra, missing=missing, extra=extra)
+
+
 def star_isomorphic(k: SimplicialComplex, k2: SimplicialComplex, q, mapping) -> IsoReport:
     """Compare the closed star of ``q`` in ``k`` with its image star in ``k2``.
 
-    ``mapping`` must be injective and cover every vertex of the star of ``q``;
-    a partial mapping raises. The report lists simplices whose images are
-    absent from the target star and target-star simplices with no preimage.
+    ``mapping`` must be injective and cover ``q`` and every vertex of the
+    star of ``q``; a partial mapping raises. The report lists simplices whose
+    images are absent from the target star and target-star simplices with
+    no preimage.
     """
     mapping = {int(a): int(b) for a, b in mapping.items()}
     if len(set(mapping.values())) != len(mapping):
         raise MappingError("vertex mapping is not injective")
     s1 = k.vertex_star(q)
-    needed = set(s1.vertex_ids())
+    needed = set(s1.vertex_ids()).union(int(v) for v in q)
     if not needed.issubset(mapping):
         raise MappingError(f"mapping misses vertices {sorted(needed - set(mapping))}")
-    q2 = [mapping[int(v)] for v in q]
-    s2 = k2.vertex_star(q2)
-    image = {tuple(sorted(mapping[v] for v in s)) for s in s1.simplices()}
-    target = set(s2.simplices())
-    missing = tuple(sorted(image - target))
-    extra = tuple(sorted(target - image))
-    return IsoReport(isomorphic=not missing and not extra, missing=missing, extra=extra)
+    image = SimplicialComplex(tuple(mapping[v] for v in s) for s in s1._simplices)
+    return star_difference(image, k2.vertex_star([mapping[int(v)] for v in q]))

@@ -23,6 +23,7 @@ sphere).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -98,13 +99,20 @@ class Ball:
 
 @dataclass(frozen=True)
 class DelaunayResult:
-    """A Delaunay complex plus the certification data behind it."""
+    """A Delaunay complex plus the certification data behind it.
 
-    complex: SimplicialComplex
+    ``balls`` maps each top simplex to its certified ball; the closed
+    complex is derived from them on first read.
+    """
+
     balls: dict[tuple[int, ...], Ball]
     degeneracy_groups: tuple[tuple[int, ...], ...]
     generic: bool
     tolerance: float
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return SimplicialComplex(self.balls)
 
     def protection(self) -> float:
         """Least protection over all top simplices (signed)."""
@@ -171,11 +179,10 @@ def _delaunay_balls(pts, subsets, tol):
     return _empty_balls(pts, subsets[solvable], centers[solvable], radii[solvable], tol)
 
 
-def _build_result(pts: np.ndarray, balls, groups, tol) -> DelaunayResult:
+def _build_result(balls, groups, tol) -> DelaunayResult:
     if not balls:
         raise PreconditionError("no Delaunay top simplex found")
     return DelaunayResult(
-        complex=SimplicialComplex(balls, pts),
         balls=balls,
         degeneracy_groups=tuple(sorted(groups)),
         generic=not groups,
@@ -205,7 +212,7 @@ def delaunay_bruteforce(points) -> DelaunayResult:
     subsets = np.array(list(combinations(range(ps.n), ps.dim + 1)), dtype=int)
     tol = ps.tolerance()
     balls, groups = _delaunay_balls(ps.points, subsets, tol)
-    return _build_result(ps.points, balls, groups, tol)
+    return _build_result(balls, groups, tol)
 
 
 def _lifted_top_simplices(pts: np.ndarray) -> np.ndarray:
@@ -240,7 +247,7 @@ def delaunay_lifted(points) -> DelaunayResult:
         extra = [s for s in combinations(group, ps.dim + 1) if s not in balls]
         if extra:
             balls.update(_delaunay_balls(pts, np.array(extra, dtype=int), tol)[0])
-    return _build_result(pts, balls, groups, tol)
+    return _build_result(balls, groups, tol)
 
 
 # -- relaxed (almost empty ball) membership --------------------------------
@@ -307,6 +314,18 @@ def _branch_and_bound(gap, seed, radius, lipschitz, threshold, max_nodes=20000):
     return False, None
 
 
+def _checked_region(region, n: int) -> list[int]:
+    """Sorted distinct vertex ids of a region of an n-point set; raises
+    :class:`PreconditionError` when it is empty or names a vertex outside
+    the set."""
+    region = sorted({int(v) for v in region})
+    if not region:
+        raise PreconditionError("region must be nonempty")
+    if any(v < 0 or v >= n for v in region):
+        raise PreconditionError("region vertex outside point set")
+    return region
+
+
 def _star_candidates(pts, region, reach, sizes):
     """Simplices of a vertex v in ``region`` and k more vertices within
     ``reach`` of v, for each k in ``sizes``, of diameter at most ``reach``.
@@ -356,11 +375,7 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
     ps = as_point_set(points)
     if not np.isfinite(rho) or rho < 0:
         raise PreconditionError("rho must be finite and nonnegative")
-    region = sorted({int(v) for v in region})
-    if not region:
-        raise PreconditionError("region must be nonempty")
-    if any(v < 0 or v >= ps.n for v in region):
-        raise PreconditionError("region vertex outside point set")
+    region = _checked_region(region, ps.n)
     pts = ps.points
     m = ps.dim
     tol = ps.tolerance()
@@ -391,9 +406,8 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
             witnesses[cand] = witness
         elif verdict is None:
             undecided.append(cand)
-    cx = SimplicialComplex(members, pts)
     return RelaxedResult(
-        complex=cx,
+        complex=SimplicialComplex(members),
         rho=rho,
         witnesses=witnesses,
         undecided=tuple(sorted(undecided)),

@@ -88,14 +88,22 @@ def complex_to_json(cx: SimplicialComplex, balls=None) -> dict:
     return out
 
 
-def complex_from_json(doc: dict, points=None) -> SimplicialComplex:
-    if not isinstance(doc, dict) or "simplices" not in doc:
+def vertex_id(value) -> int:
+    """A vertex id read from JSON: a nonnegative integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"vertex id must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def complex_from_json(doc: dict) -> SimplicialComplex:
+    if not isinstance(doc, dict) or not isinstance(doc.get("simplices"), list):
         raise ParseError("complex document must carry a 'simplices' array")
-    try:
-        simplices = [tuple(int(v) for v in s) for s in doc["simplices"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad simplex entry: {exc}") from None
-    return SimplicialComplex(simplices, points)
+    simplices = []
+    for s in doc["simplices"]:
+        if not isinstance(s, list):
+            raise ParseError(f"bad simplex entry {s!r}: not an array")
+        simplices.append(tuple(vertex_id(v) for v in s))
+    return SimplicialComplex(simplices)
 
 
 # -- report envelopes ------------------------------------------------------

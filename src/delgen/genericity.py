@@ -112,8 +112,8 @@ class GenericityAnalysis:
         """Metrics of the safe simplices of dimension 1..m and the audited
         top simplices, one batched call per dimension."""
         star = self.classification
-        pts = self.base.complex.points
-        m = self.base.complex.dimension
+        pts = self.points.points
+        m = self.points.dim
         table = {}
         for dim in range(1, m + 1):
             group = star.safe.simplices(dim)
@@ -362,11 +362,15 @@ def analyze_genericity(points, region="auto") -> GenericityAnalysis:
 
 def _audit_star(ps: PointSet, base: DelaunayResult, eps: float, region: tuple[int, ...]
                 ) -> tuple[ProtectionReport, SafeInteriorClassification]:
-    """Protection of the audited top simplices around a nonempty region."""
-    cx = base.complex
-    audited = tuple(
-        s for s in cx.star(region).simplices(ps.dim) if s in base.balls
-    )
+    """Protection of the audited top simplices around a nonempty region.
+
+    The safe star is the closure of the top simplices that meet the region.
+    The audited set is the wider double star: the top simplices that meet a
+    vertex of a safe top simplex, in sorted order.
+    """
+    tops = np.array(sorted(base.balls), dtype=np.intp)
+    meets = np.isin(tops, region).any(axis=1)
+    audited = tuple(map(tuple, tops[np.isin(tops, tops[meets]).any(axis=1)].tolist()))
     if not audited:
         raise PreconditionError("audited star contains no top simplices")
     per = {s: base.balls[s].protection for s in audited}
@@ -379,7 +383,7 @@ def _audit_star(ps: PointSet, base: DelaunayResult, eps: float, region: tuple[in
         generic=delta > ps.tolerance(),
     )
     return report, SafeInteriorClassification(
-        region=region, safe=cx.vertex_star(region), audited=audited)
+        region=region, safe=SimplicialComplex(tops[meets].tolist()), audited=audited)
 
 
 def thickness_certificate(analysis: GenericityAnalysis) -> ThicknessCertificate:
@@ -392,7 +396,7 @@ def thickness_certificate(analysis: GenericityAnalysis) -> ThicknessCertificate:
     upsilon0 = np.sqrt(3.0) * nu * nu / 4.0
     witnesses = []
     worst = np.inf
-    for dim in range(1, analysis.base.complex.dimension + 1):
+    for dim in range(1, analysis.points.dim + 1):
         for s in analysis.classification.safe.simplices(dim):
             met = analysis.metrics(s)
             worst = min(worst, met.thickness)
@@ -489,8 +493,8 @@ def lemma_audit(analysis: GenericityAnalysis) -> AuditRecord:
         )
     eps = s0.epsilon
     tol = analysis.tolerance
-    pts = analysis.base.complex.points
-    m = analysis.base.complex.dimension
+    pts = analysis.points.points
+    m = analysis.points.dim
     counts = {name: [0, 0] for name in ("separation", "altitude", "circumradius", "thickness")}
 
     def tally(name: str, ok: bool) -> None:

@@ -23,8 +23,8 @@ from itertools import product
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .delaunay import (Ball, _ball_gap, _branch_and_bound, _empty_balls,
-                       _star_candidates, as_point_set, delaunay_lifted)
+from .delaunay import (Ball, _ball_gap, _branch_and_bound, _checked_region,
+                       _empty_balls, _star_candidates, as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
 from .simplex import Simplex, _norms, simplex_metrics, simplex_metrics_batch
 
@@ -296,8 +296,8 @@ class MetricDelaunayResult:
 def _pullback_path(ps, model, region) -> MetricDelaunayResult:
     pts = ps.points
     base = delaunay_lifted(model.field.forward(pts))
-    keep = [s for s in base.complex.simplices(pts.shape[1]) if set(s) & set(region)]
-    cx = SimplicialComplex(keep + [(v,) for v in region], pts)
+    keep = [s for s in sorted(base.balls) if set(s) & set(region)]
+    cx = SimplicialComplex(keep + [(v,) for v in region])
     balls = {}
     for s in keep:
         ball = base.balls[s]
@@ -352,7 +352,7 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
             balls[cand] = Ball(simplex=cand, center=witness,
                                radius=float(d[list(cand)].max()),
                                protection=0.0)
-    cx = SimplicialComplex([*balls, *((v,) for v in region)], pts)
+    cx = SimplicialComplex([*balls, *((v,) for v in region)])
     return MetricDelaunayResult(
         complex=cx, balls=balls, path="newton",
         not_found=tuple(not_found), undecided=tuple(undecided),
@@ -379,11 +379,7 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
     ps = as_point_set(points)
     if path not in ("pullback", "newton", "both"):
         raise PreconditionError(f"unknown metric route {path!r}")
-    region = sorted({int(v) for v in region})
-    if not region:
-        raise PreconditionError("region must be nonempty")
-    if any(v < 0 or v >= ps.n for v in region):
-        raise PreconditionError("region vertex outside point set")
+    region = _checked_region(region, ps.n)
     if path == "pullback":
         return _pullback_path(ps, model, region)
     if eps is None:
@@ -392,9 +388,7 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
     if path == "newton":
         return generic
     fast = _pullback_path(ps, model, region)
-    m = ps.dim
-    a = set(generic.complex.simplices(m))
-    b = set(fast.complex.simplices(m))
+    a, b = set(generic.balls), set(fast.balls)
     if a != b:
         raise PathMismatchError(
             f"metric Delaunay routes disagree: newton-only {sorted(a - b)}, "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delaunay import DelaunayResult, as_point_set, delaunay_lifted, relaxed_delaunay
-from .complexes import star_isomorphic
+from .complexes import SimplicialComplex, star_difference
 from .errors import NonGenericError, PreconditionError
 from .genericity import GenericityAnalysis
 from .metric import DisplacementField, MetricModel, metric_delaunay
@@ -278,7 +278,7 @@ def protection_decay_trial(analysis: GenericityAnalysis,
         raise PreconditionError("give exactly one of perturbation or field")
     p = measured_secure_params(analysis)
     um = p.upsilon0 * p.mu0
-    m = analysis.base.complex.dimension
+    m = analysis.points.dim
     safe_tops = [s for s in analysis.classification.safe.simplices(m)
                  if s in analysis.base.balls]
     tol = analysis.tolerance
@@ -327,10 +327,10 @@ def point_stability_trial(analysis: GenericityAnalysis,
     """Check that the star of the region survives a point perturbation."""
     p = measured_secure_params(analysis)
     perturbed = delaunay_lifted(perturbation.apply())
-    mapping = {v: v for v in analysis.base.complex.vertex_ids()}
-    report = star_isomorphic(analysis.base.complex, perturbed.complex,
-                             analysis.classification.region, mapping)
-    bad = tuple(sorted(set(report.missing) | set(report.extra)))
+    region = set(analysis.classification.region)
+    star = SimplicialComplex(s for s in perturbed.balls if not region.isdisjoint(s))
+    report = star_difference(analysis.classification.safe, star)
+    bad = tuple(sorted(report.extra + report.missing))
     return TrialVerdict(
         name="point_stability",
         passed=report.isomorphic,
@@ -356,20 +356,15 @@ def relaxation_trial(analysis: GenericityAnalysis, rho: float) -> TrialVerdict:
     p = measured_secure_params(analysis)
     relaxed = relaxed_delaunay(analysis.points, rho, analysis.classification.region,
                                eps=analysis.sampling.epsilon, base=analysis.base)
-    star = analysis.classification.safe
-    got = {s for d in range(relaxed.complex.dimension + 1)
-           for s in relaxed.complex.simplices(d)}
-    want = {s for d in range(star.dimension + 1) for s in star.simplices(d)}
-    extra = tuple(sorted(got - want))
-    missing = tuple(sorted(want - got))
+    report = star_difference(analysis.classification.safe, relaxed.complex)
     return TrialVerdict(
         name="relaxation",
-        passed=not extra and not missing,
+        passed=report.isomorphic,
         in_budget=rho <= p.budget().rho_point * (1 + 1e-12),
         budget_used=rho,
-        measured={"extra": len(extra), "missing": len(missing)},
+        measured={"extra": len(report.extra), "missing": len(report.missing)},
         certified=relaxed.certified,
-        counterexamples=tuple(sorted(extra + missing)),
+        counterexamples=tuple(sorted(report.extra + report.missing)),
     )
 
 
@@ -389,25 +384,20 @@ def metric_stability_trial(analysis: GenericityAnalysis, field: DisplacementFiel
     model = MetricModel(field)
     result = metric_delaunay(analysis.points, model, analysis.classification.region,
                              eps=p.eps, upsilon0=p.upsilon0, mu0=p.mu0, path="both")
-    star = analysis.classification.safe
-    got = {s for d in range(result.complex.dimension + 1)
-           for s in result.complex.simplices(d)}
-    want = {s for d in range(star.dimension + 1) for s in star.simplices(d)}
-    extra = tuple(sorted(got - want))
-    missing = tuple(sorted(want - got))
+    report = star_difference(analysis.classification.safe, result.complex)
     if budget_mode == "thm":
         budget = p.budget().rho_metric
     else:
         budget = p.budget().rho_generic
     return TrialVerdict(
         name=f"metric_stability_{budget_mode}",
-        passed=not extra and not missing,
+        passed=report.isomorphic,
         in_budget=model.rho_bound <= budget * (1 + 1e-12),
         budget_used=model.rho_bound,
-        measured={"extra": len(extra), "missing": len(missing),
+        measured={"extra": len(report.extra), "missing": len(report.missing),
                   "undecided": len(result.undecided)},
         certified=result.certified,
-        counterexamples=tuple(sorted(extra + missing)),
+        counterexamples=tuple(sorted(report.extra + report.missing)),
     )
 
 

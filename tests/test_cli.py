@@ -272,6 +272,11 @@ def test_compare_with_mapping_and_centre(tmp_path):
     doc = json.loads(text)
     assert doc["results"]["isomorphic"] is True
     assert doc["config"]["q"] == [1, 2]
+    # A star centre the mapping does not cover is a precondition failure.
+    code, _, err = run(["compare", str(left), str(right),
+                        "--mapping", str(mapping), "--q", "1,7"])
+    assert code == 4
+    assert "mapping misses vertices [7]" in err
 
 
 def test_compare_bad_files(tmp_path):
@@ -283,6 +288,11 @@ def test_compare_bad_files(tmp_path):
     assert code == 3
     code, _, _ = run(["compare", str(tmp_path / "missing.json"), str(ok)])
     assert code == 2
+    for simplices in ([[0.9, 1.5, 2.2]], [[-3, 1]], [[True, 0]], [["1", 0]]):
+        bad.write_text(json.dumps({"simplices": simplices}))
+        code, _, err = run(["compare", str(bad), str(ok)])
+        assert code == 3, simplices
+        assert "parse error" in err
 
 
 def test_parser_rejects_unknown_verbs():
@@ -342,7 +352,10 @@ def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
 def test_compare_rejects_malformed_mapping(tmp_path):
     left = tmp_path / "left.json"
     left.write_text(json.dumps({"simplices": [[0, 1, 2]]}))
-    for raw in ({"a": 1, "1": 1, "2": 2}, [0, 1, 2], {"0": [1], "1": 1, "2": 2}):
+    for raw in ({"a": 1, "1": 1, "2": 2}, [0, 1, 2], {"0": [1], "1": 1, "2": 2},
+                {"0": 0.7, "1": 1, "2": 2}, {"0": True, "1": 1, "2": 2},
+                {"0": "0", "1": 1, "2": 2}, {"0": -1, "1": 1, "2": 2},
+                {"-1": 0, "1": 1, "2": 2}, {"00": 0, "1": 1, "2": 2}):
         mapping = tmp_path / "map.json"
         mapping.write_text(json.dumps(raw))
         code, _, err = run(["compare", str(left), str(left), "--mapping", str(mapping)])

@@ -1,15 +1,14 @@
-"""Simplicial complex structure, stars, embedding, and star isomorphism."""
+"""Simplicial complex structure, stars, boundaries, and star comparison."""
 
 import numpy as np
 import pytest
 
-from delgen.complexes import SimplicialComplex, star_isomorphic
+from delgen.complexes import SimplicialComplex, star_difference, star_isomorphic
 from delgen.datasets import grid_points
 from delgen.delaunay import delaunay_lifted
 from delgen.errors import MappingError, PreconditionError
 
 TWO_TRIANGLES = [(0, 1, 2), (1, 2, 3)]
-STRIP_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def test_downward_closure():
@@ -29,31 +28,12 @@ def test_vertex_order_is_canonical():
     assert (2, 1, 0) in k
 
 
-def test_maximal_simplices():
-    k = SimplicialComplex(TWO_TRIANGLES + [(4, 5)])
-    assert k.maximal_simplices() == [(4, 5), (0, 1, 2), (1, 2, 3)]
-    assert k.simplices(1).count((1, 2)) == 1
-    assert len(k.simplices(2)) == 2
-
-
 def test_two_triangle_stars():
     k = SimplicialComplex(TWO_TRIANGLES)
     # Closed star of vertex 0: only the triangle containing 0, with faces.
     s = k.vertex_star([0])
     assert s.simplices(2) == [(0, 1, 2)]
     assert (3,) not in s
-    # One ring wider: vertices 1 and 2 cohabit with 0, and their star pulls
-    # in the second triangle.
-    w = k.star([0])
-    assert w.simplices(2) == [(0, 1, 2), (1, 2, 3)]
-
-
-def test_star_idempotent():
-    pts = grid_points(4, dim=2, jitter=0.2, seed=8)
-    k = delaunay_lifted(pts).complex
-    for q in ([5], [5, 6], [0]):
-        s1 = k.star(q)
-        assert s1.star(q) == s1
 
 
 def test_vertex_star_of_missing_vertex_is_empty():
@@ -69,11 +49,10 @@ def test_boundary_of_single_triangle():
 
 
 def test_boundary_of_strip_drops_shared_edge():
-    k = SimplicialComplex(TWO_TRIANGLES, STRIP_POINTS)
+    k = SimplicialComplex(TWO_TRIANGLES)
     b = k.boundary_complex()
     assert (1, 2) not in b
     assert b.simplices(1) == [(0, 1), (0, 2), (1, 3), (2, 3)]
-    assert b.points is k.points
 
 
 def test_boundary_rejects_impure():
@@ -97,60 +76,6 @@ def test_boundary_pure_on_delaunay_sweep():
         for v in b.vertex_ids():
             inc = [e for e in b.simplices(1) if v in e]
             assert len(inc) == 2
-
-
-def test_is_embedded_shared_edge():
-    k = SimplicialComplex(TWO_TRIANGLES, STRIP_POINTS)
-    ok, pair = k.is_embedded()
-    assert ok and pair is None
-
-
-def test_is_embedded_overlap_reported():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [1.0, -1.0], [1.0, 1.0], [3.0, 1.0]])
-    k = SimplicialComplex([(0, 1, 2), (3, 4, 5)], pts)
-    ok, pair = k.is_embedded()
-    assert not ok
-    assert set(pair) == {(0, 1, 2), (3, 4, 5)}
-
-
-def test_is_embedded_flags_degenerate_simplex():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-    k = SimplicialComplex([(0, 1, 2)], pts)
-    ok, pair = k.is_embedded()
-    assert not ok and pair == ((0, 1, 2), (0, 1, 2))
-
-
-def test_is_embedded_order_independent():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [1.0, -1.0], [1.0, 1.0], [3.0, 1.0]])
-    verdicts = set()
-    for order in ([(0, 1, 2), (3, 4, 5)], [(3, 4, 5), (0, 1, 2)]):
-        ok, pair = SimplicialComplex(order, pts).is_embedded()
-        verdicts.add((ok, frozenset(pair)))
-    assert len(verdicts) == 1
-
-
-def test_triangulation_at_grid_vertices():
-    pts = grid_points(5, dim=2, jitter=0.15, seed=4)
-    res = delaunay_lifted(pts)
-    assert res.generic
-    k = res.complex
-    ok, why = k.is_triangulation_at(12)
-    assert ok, why
-    ok, why = k.is_triangulation_at(0)
-    assert not ok and why == 3
-    ok, why = k.is_triangulation_at(99)
-    assert not ok and why == 1
-
-
-def test_triangulation_at_detects_hole():
-    pts = grid_points(5, dim=2, jitter=0.15, seed=4)
-    k = delaunay_lifted(pts).complex
-    tops = [s for s in k.simplices(2) if 12 in s]
-    broken = SimplicialComplex(
-        [s for s in k.simplices(2) if s != tops[0]], pts
-    )
-    ok, why = broken.is_triangulation_at(12)
-    assert not ok and why in (3, 4)
 
 
 def test_star_isomorphic_identity():
@@ -198,13 +123,18 @@ def test_star_isomorphic_rejects_bad_mappings():
         star_isomorphic(k, k, [0], {0: 0, 1: 0, 2: 2, 3: 3})
     with pytest.raises(MappingError):
         star_isomorphic(k, k, [0], {0: 0})
+    # A centre vertex outside the mapping, even one in no simplex.
+    with pytest.raises(MappingError):
+        star_isomorphic(k, k, [0, 9], {i: i for i in range(4)})
 
 
-def test_coords_require_points():
-    k = SimplicialComplex(TWO_TRIANGLES)
-    with pytest.raises(PreconditionError):
-        k.coords((0, 1))
-    k2 = SimplicialComplex(TWO_TRIANGLES, STRIP_POINTS)
-    assert np.allclose(k2.coords((1, 2)), STRIP_POINTS[[1, 2]])
-    with pytest.raises(PreconditionError):
-        SimplicialComplex([(0, 5)], STRIP_POINTS)
+def test_star_difference_lists_both_sides_sorted():
+    want = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+    got = SimplicialComplex([(0, 1, 3), (0, 2, 3)])
+    rep = star_difference(want, got)
+    assert not rep.isomorphic
+    assert rep.missing == ((0, 1, 2), (1, 2), (1, 2, 3))
+    assert rep.extra == ((0, 1, 3), (0, 2, 3), (0, 3))
+    same = star_difference(want, SimplicialComplex([(3, 2, 1), (2, 0, 1)]))
+    assert same.isomorphic and not same.missing and not same.extra
+

@@ -146,7 +146,7 @@ def test_complex_json_round_trip():
     res = delaunay_lifted(pts)
     doc = complex_to_json(res.complex, res.balls)
     text = json.dumps(doc)
-    back = complex_from_json(json.loads(text), pts)
+    back = complex_from_json(json.loads(text))
     assert back == res.complex
     assert len(doc["balls"]) == len(res.balls)
     entry = doc["balls"][0]
@@ -166,6 +166,11 @@ def test_complex_from_json_validation():
         complex_from_json({"wrong": []})
     with pytest.raises(ParseError):
         complex_from_json({"simplices": [["a", "b"]]})
+    # Vertex ids are nonnegative JSON integers: no floats, negatives, bools
+    # or numeric strings, which int() would silently accept.
+    for bad in ([[0.9, 1.5, 2.2]], [[-3, 1]], [[True, 0]], [["1", 0]], ["12"], 5):
+        with pytest.raises(ParseError):
+            complex_from_json({"simplices": bad})
 
 
 def test_jsonable_types():

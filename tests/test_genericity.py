@@ -9,6 +9,7 @@ from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import NonGenericError, PreconditionError
 from delgen.genericity import (
     SamplingReport,
+    _audit_star,
     analyze_genericity,
     lemma_audit,
     sampling_parameters,
@@ -329,3 +330,28 @@ def test_secure_flags_match_definition():
         # record alone; secure implies the reconstructible part.
         if audit.secure:
             assert expect
+
+
+@pytest.mark.parametrize("pts", [
+    grid_points(7, dim=2, jitter=0.2, seed=3),
+    grid_points(5, dim=3, jitter=0.1, seed=2),
+    grid_points(5, 2),
+    grid_points(3, 3),
+], ids=["jittered-2d", "jittered-3d", "lattice-2d", "lattice-3d"])
+def test_region_stars_from_top_simplices_match_the_closure(pts):
+    # Reference: close the whole complex, then take the vertex star for the
+    # safe star and the one ring wider double star for the audited set.
+    ps = PointSet(pts)
+    base = delaunay_lifted(ps)
+    cx = base.complex
+    m = ps.dim
+    rng = np.random.default_rng(5)
+    centre = int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
+    regions = [(centre,), (0,), (0, ps.n - 1),
+               tuple(sorted(rng.choice(ps.n, size=3, replace=False).tolist()))]
+    for region in regions:
+        touched = {v for s in cx.vertex_star(region).simplices() for v in s}
+        double = cx.vertex_star(touched)
+        _, star = _audit_star(ps, base, 1.0, region)
+        assert star.safe == cx.vertex_star(region)
+        assert star.audited == tuple(s for s in double.simplices(m) if s in base.balls)

@@ -383,3 +383,40 @@ def test_adversarial_directions_computed_once_per_batch(monkeypatch):
     verdicts = trial_batch(analysis, budgets=[0.5, 1.0], seeds=2,
                            models=["adversarial"], root_seed=2)
     assert len(calls) == 1 and len(verdicts) == 4
+
+
+def test_point_trial_matches_the_closed_complex_reference():
+    # Reference: close both whole complexes, then compare the vertex stars.
+    _, analysis, _ = instance()
+    region = analysis.classification.region
+    want = set(analysis.base.complex.vertex_star(region).simplices())
+    gap = analysis.points.min_gap()
+    passed = []
+    for frac, model in ((0.01, "uniform"), (0.1, "adversarial"), (0.3, "uniform"),
+                        (0.3, "radial")):
+        pert = make_point_perturbation(analysis.points, frac * gap, 7, model,
+                                       base=analysis.base)
+        verdict = point_stability_trial(analysis, pert)
+        got = set(delaunay_lifted(pert.apply()).complex.vertex_star(region).simplices())
+        assert verdict.counterexamples == tuple(sorted(want ^ got))
+        assert verdict.measured["missing"] == len(want - got)
+        assert verdict.measured["extra"] == len(got - want)
+        passed.append(verdict.passed)
+    assert True in passed and False in passed
+
+
+def test_trials_never_read_the_closed_delaunay_complex(monkeypatch):
+    from delgen.delaunay import DelaunayResult
+    from delgen.genericity import lemma_audit, thickness_certificate
+
+    def closed(self):
+        raise AssertionError("DelaunayResult.complex was read")
+
+    monkeypatch.setattr(DelaunayResult, "complex", property(closed))
+    analysis = analyze_genericity(grid_points(11, 2, 0.2, seed=1))
+    thickness_certificate(analysis)
+    lemma_audit(analysis)
+    models = ["uniform", "radial", "adversarial", "relaxation", "metric"]
+    verdicts = trial_batch(analysis, budgets=[0.5], seeds=1, models=models)
+    assert len(verdicts) == 5
+    assert all(v.passed for v in verdicts)
