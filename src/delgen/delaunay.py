@@ -15,7 +15,8 @@ A simplex is an affinely independent (m+1)-subset. Both routes, and the
 Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
 groups through one certifier, :func:`_empty_balls`, with one tolerance,
 tau = 1e-9 * diameter, so the two Delaunay routes agree on degenerate inputs
-as well as generic ones. Each accepted top simplex is stored with its ball
+as well as generic ones. The certifier answers from nearest-point queries on
+a KD-tree, never from a table of distances from every centre to every point. Each accepted top simplex is stored with its ball
 and a signed protection margin (least distance of a foreign point to the
 sphere).
 """
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 from scipy.spatial import Delaunay as _SciDelaunay
-from scipy.spatial import QhullError, cKDTree
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial.distance import cdist
 
 from .complexes import SimplicialComplex
 from .errors import PreconditionError
@@ -38,11 +40,20 @@ from .simplex import simplex_metrics_batch
 
 PROTECTION_RTOL = 1e-9
 
+# KD-tree distances and the ones recomputed by ``_distances`` sum the same
+# squared coordinate differences, perhaps in another order, so they agree
+# to a few units of roundoff; this relative bound covers that with room.
+_TREE_RTOL = 1e-12
+
 
 class PointSet:
-    """Finite indexed point set in R^m with exact duplicate rejection."""
+    """Finite indexed point set in R^m with exact duplicate rejection.
 
-    __slots__ = ("points", "_diameter", "_min_gap")
+    The KD-tree over the points is built on first read and shared by every
+    stage that queries the set. No stage builds an n x n distance table.
+    """
+
+    __slots__ = ("points", "_diameter", "_min_gap", "_tree")
 
     def __init__(self, points) -> None:
         pts = np.ascontiguousarray(np.asarray(points, dtype=float))
@@ -57,6 +68,7 @@ class PointSet:
         self.points = pts
         self._diameter: float | None = None
         self._min_gap: float | None = None
+        self._tree: cKDTree | None = None
 
     @property
     def n(self) -> int:
@@ -66,21 +78,66 @@ class PointSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @property
+    def tree(self) -> cKDTree:
+        if self._tree is None:
+            self._tree = cKDTree(self.points)
+        return self._tree
+
     def diameter(self) -> float:
+        """Largest pairwise distance, equal to ``pdist(points).max()``.
+
+        Both ends of a farthest pair are hull vertices, so only the rows of
+        qhull's vertices, and of the points it finds within rounding of a
+        facet, are measured. A set qhull refuses (too few points, or flat)
+        measures every row.
+        """
         if self._diameter is None:
-            self._diameter = float(pdist(self.points).max()) if self.n > 1 else 0.0
+            pts = self.points
+            try:
+                hull = ConvexHull(pts, qhull_options="Qc")
+                rows = np.union1d(hull.vertices, hull.coplanar[:, 0])
+            except (QhullError, ValueError):
+                rows = np.arange(self.n)
+            self._diameter = _farthest(pts, rows) if self.n > 1 else 0.0
         return self._diameter
 
     def min_gap(self) -> float:
-        """Least pairwise distance (the sparsity bound)."""
+        """Least pairwise distance (the sparsity bound), equal to
+        ``pdist(points).min()``.
+
+        The tree gives each point's nearest neighbour. Every pair within
+        rounding of the least of those is measured again with the formula
+        of ``pdist``, so ties the tree ranks differently still give its
+        value.
+        """
         if self._min_gap is None:
             if self.n < 2:
                 raise PreconditionError("sparsity needs at least two points")
-            self._min_gap = float(pdist(self.points).min())
+            nearest = float(self.tree.query(self.points, k=2)[0][:, 1].min())
+            pairs = self.tree.query_pairs(nearest * (1.0 + 4.0 * _TREE_RTOL),
+                                          output_type="ndarray")
+            pts = self.points
+            self._min_gap = float(_distances(pts[pairs[:, 0]], pts[pairs[:, 1]]).min())
         return self._min_gap
 
     def tolerance(self) -> float:
         return PROTECTION_RTOL * self.diameter()
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row distances |a - b| over the last axis, summed in coordinate order
+    as ``cdist`` and ``pdist`` do, so each equals their entry bit for bit."""
+    diff = a - b
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _farthest(pts: np.ndarray, rows: np.ndarray) -> float:
+    """Largest distance from a point in ``rows`` to any point, from ``cdist``
+    blocks of at most 2**20 entries."""
+    step = max(1, (1 << 20) // pts.shape[0])
+    return max(float(cdist(pts[rows[lo:lo + step]], pts).max())
+               for lo in range(0, len(rows), step))
 
 
 def as_point_set(points) -> PointSet:
@@ -138,45 +195,83 @@ def _batched_circumballs(pts: np.ndarray, subsets: np.ndarray):
     return centers, radii, good
 
 
-# Entries of the (balls x points) margin matrix evaluated at once.
-MARGIN_BLOCK = 2_000_000
-
-
-def _empty_balls(pts, subsets, centers, radii, tol):
+def _empty_balls(tree: cKDTree, subsets, centers, radii, tol):
     """The empty-ball certifier behind every Delaunay route.
 
     Row k proposes the ball of radius ``radii[k]`` about ``centers[k]`` for
-    the simplex ``subsets[k]``. Its protection is the least signed distance
-    from a foreign point to the sphere, and the ball is accepted when that
-    exceeds -tol. When more than m+1 points lie within tol of an accepted
-    sphere, they form a cospherical group. Returns the accepted balls keyed
-    by simplex, in row order, and the set of groups.
+    the simplex ``subsets[k]`` of the points ``tree.data``. Its protection
+    is the least signed distance from a foreign point to the sphere, and the
+    ball is accepted when that exceeds -tol. When more than m+1 points lie
+    within tol of an accepted sphere, they form a cospherical group. Returns
+    the accepted balls keyed by simplex, in row order, and the set of groups.
+
+    Each centre lists its min(m+3, n) nearest points, whose distances are
+    measured again as ``cdist`` measures them. The list decides the row
+    unless a listed foreign point already rejects it or the list may be
+    short: its farthest point lies within tol of the sphere (a possible
+    cospherical group), or its least foreign margin ties the list's edge
+    within rounding. Such rows list every point out to past the sphere and
+    the edge instead, in one radius query.
     """
     balls: dict[tuple[int, ...], Ball] = {}
     groups: set[tuple[int, ...]] = set()
-    step = max(1, MARGIN_BLOCK // pts.shape[0])
-    for lo in range(0, subsets.shape[0], step):
-        sub = subsets[lo:lo + step]
-        margins = cdist(centers[lo:lo + step], pts)
-        margins -= radii[lo:lo + step, None]
-        near = np.abs(margins) <= tol
-        crowded = near.sum(axis=1) > sub.shape[1]
-        np.put_along_axis(margins, sub, np.inf, axis=1)
-        protection = margins.min(axis=1)
-        for k in np.nonzero(protection > -tol)[0]:
-            simplex = tuple(int(i) for i in sub[k])
-            balls[simplex] = Ball(simplex=simplex, center=centers[lo + k].copy(),
-                                  radius=float(radii[lo + k]),
-                                  protection=float(protection[k]))
-            if crowded[k]:
-                groups.add(tuple(int(i) for i in np.nonzero(near[k])[0]))
+    if len(subsets) == 0:
+        return balls, groups
+    pts = tree.data
+    n, m = pts.shape
+    dist, listed = tree.query(centers, k=min(m + 3, n))
+    rows = np.repeat(np.arange(len(subsets)), listed.shape[1])
+    cols = listed.ravel()
+    margins, foreign = _margins(pts, subsets, centers, radii, rows, cols)
+    protection = foreign.reshape(listed.shape).min(axis=1)
+    short = np.zeros(len(subsets), dtype=bool)
+    if listed.shape[1] < n:
+        # A point left off the list is no nearer than its edge, less rounding.
+        edge = dist[:, -1] * (1.0 - _TREE_RTOL) - radii
+        short = (protection > -tol) & ((edge <= tol) | (protection > edge))
+    if short.any():
+        # Past max(edge, sphere + tol) by more than rounding, a point can
+        # neither join a group nor undercut a listed margin.
+        again = np.flatnonzero(short)
+        bound = np.maximum(dist[again, -1], radii[again] + tol) * (1.0 + 4.0 * _TREE_RTOL)
+        found = tree.query_ball_point(centers[again], bound)
+        sizes = np.array([len(f) for f in found])
+        more_rows = np.repeat(again, sizes)
+        more_cols = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+        more, more_foreign = _margins(pts, subsets, centers, radii, more_rows, more_cols)
+        protection[again] = np.minimum.reduceat(more_foreign, np.cumsum(sizes) - sizes)
+        keep = ~short[rows]
+        rows = np.concatenate([rows[keep], more_rows])
+        cols = np.concatenate([cols[keep], more_cols])
+        margins = np.concatenate([margins[keep], more])
+    accepted = protection > -tol
+    near = np.abs(margins) <= tol
+    crowded = np.bincount(rows[near], minlength=len(subsets)) > subsets.shape[1]
+    for k, simplex in zip(np.flatnonzero(accepted).tolist(),
+                          map(tuple, subsets[accepted].tolist())):
+        balls[simplex] = Ball(simplex=simplex, center=centers[k].copy(),
+                              radius=float(radii[k]), protection=float(protection[k]))
+    member = np.flatnonzero(near & (accepted & crowded)[rows])
+    order = np.lexsort((cols[member], rows[member]))
+    owner, ids = rows[member][order], cols[member][order]
+    for group in np.split(ids, np.flatnonzero(np.diff(owner)) + 1):
+        if group.size:
+            groups.add(tuple(group.tolist()))
     return balls, groups
 
 
-def _delaunay_balls(pts, subsets, tol):
+def _margins(pts, subsets, centers, radii, rows, cols):
+    """Signed distance from point ``cols[i]`` to the sphere of row
+    ``rows[i]``, and the same with the row's own vertices set to inf."""
+    margins = _distances(centers[rows], pts[cols]) - radii[rows]
+    own = (subsets[rows] == cols[:, None]).any(axis=1)
+    return margins, np.where(own, np.inf, margins)
+
+
+def _delaunay_balls(ps: PointSet, subsets, tol):
     """Certified circumballs of the affinely independent rows of ``subsets``."""
-    centers, radii, solvable = _batched_circumballs(pts, subsets)
-    return _empty_balls(pts, subsets[solvable], centers[solvable], radii[solvable], tol)
+    centers, radii, solvable = _batched_circumballs(ps.points, subsets)
+    return _empty_balls(ps.tree, subsets[solvable], centers[solvable], radii[solvable], tol)
 
 
 def _build_result(balls, groups, tol) -> DelaunayResult:
@@ -198,6 +293,14 @@ def _check_input(ps: PointSet) -> None:
         raise PreconditionError("point set is not full dimensional")
 
 
+# The most (m+1)-subsets delaunay_bruteforce examines: up to n = 392 points
+# in 2-D or 125 in 3-D, about 20 s at 2 us per subset on one Xeon core.
+BRUTE_FORCE_SUBSETS = 10**7
+
+# Subsets generated and certified at a time.
+_BRUTE_FORCE_CHUNK = 1 << 15
+
+
 def delaunay_bruteforce(points) -> DelaunayResult:
     """Delaunay complex by exhaustive circumball tests.
 
@@ -205,13 +308,26 @@ def delaunay_bruteforce(points) -> DelaunayResult:
     certifier: it is accepted when no foreign point sits deeper than
     tolerance inside its circumball, and points within tolerance of an
     accepted sphere are gathered into cospherical groups. Any group with
-    more than m+1 members marks the input as non generic.
+    more than m+1 members marks the input as non generic. The subsets are
+    generated in chunks, and an input with more than
+    ``BRUTE_FORCE_SUBSETS`` of them raises :class:`PreconditionError`.
     """
     ps = as_point_set(points)
     _check_input(ps)
-    subsets = np.array(list(combinations(range(ps.n), ps.dim + 1)), dtype=int)
+    m = ps.dim
+    total = comb(ps.n, m + 1)
+    if total > BRUTE_FORCE_SUBSETS:
+        raise PreconditionError(
+            f"brute force would test {total} subsets, more than {BRUTE_FORCE_SUBSETS}")
     tol = ps.tolerance()
-    balls, groups = _delaunay_balls(ps.points, subsets, tol)
+    balls: dict[tuple[int, ...], Ball] = {}
+    groups: set[tuple[int, ...]] = set()
+    flat = chain.from_iterable(combinations(range(ps.n), m + 1))
+    while (chunk := np.fromiter(islice(flat, _BRUTE_FORCE_CHUNK * (m + 1)),
+                                dtype=np.intp)).size:
+        found, more = _delaunay_balls(ps, chunk.reshape(-1, m + 1), tol)
+        balls.update(found)
+        groups |= more
     return _build_result(balls, groups, tol)
 
 
@@ -240,13 +356,13 @@ def delaunay_lifted(points) -> DelaunayResult:
     _check_input(ps)
     pts = ps.points
     tol = ps.tolerance()
-    balls, groups = _delaunay_balls(pts, np.unique(_lifted_top_simplices(pts), axis=0), tol)
+    balls, groups = _delaunay_balls(ps, np.unique(_lifted_top_simplices(pts), axis=0), tol)
     # Complete each cospherical group: every full rank (m+1)-subset of a
     # common empty sphere is Delaunay, whatever diagonal qhull picked.
     for group in sorted(groups):
         extra = [s for s in combinations(group, ps.dim + 1) if s not in balls]
         if extra:
-            balls.update(_delaunay_balls(pts, np.array(extra, dtype=int), tol)[0])
+            balls.update(_delaunay_balls(ps, np.array(extra, dtype=int), tol)[0])
     return _build_result(balls, groups, tol)
 
 
@@ -326,7 +442,7 @@ def _checked_region(region, n: int) -> list[int]:
     return region
 
 
-def _star_candidates(pts, region, reach, sizes):
+def _star_candidates(ps: PointSet, region, reach, sizes):
     """Simplices of a vertex v in ``region`` and k more vertices within
     ``reach`` of v, for each k in ``sizes``, of diameter at most ``reach``.
 
@@ -335,7 +451,7 @@ def _star_candidates(pts, region, reach, sizes):
     diameters of one vertex and size are a stacked max over the vertex
     pairs of one distance table over the vertex and its ball.
     """
-    tree = cKDTree(pts)
+    pts, tree = ps.points, ps.tree
     seen: set[tuple[int, ...]] = set()
     for v in region:
         local = np.array([v, *(q for q in sorted(tree.query_ball_point(pts[v], reach))
@@ -385,7 +501,7 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
             for face in combinations(simplex, k):
                 ball_centers.setdefault(face, []).append(ball.center)
 
-    candidates = list(_star_candidates(pts, region, 2.0 * eps + tol, range(1, m + 1)))
+    candidates = list(_star_candidates(ps, region, 2.0 * eps + tol, range(1, m + 1)))
     members: list[tuple[int, ...]] = [(v,) for v in region]
     witnesses: dict[tuple[int, ...], np.ndarray] = {(v,): pts[v].copy() for v in region}
     undecided: list[tuple[int, ...]] = []

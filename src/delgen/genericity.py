@@ -288,9 +288,8 @@ def _fixed_point(g, tol: float) -> float:
 
 def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult) -> float:
     """Fixed point eps = g(eps) of the coverage radius of the eroded hull."""
-    tree = cKDTree(ps.points)
     vor = _voronoi_pieces(ps.points, base)
-    return _fixed_point(lambda eps: _coverage_radius(facets, vor, tree, eps),
+    return _fixed_point(lambda eps: _coverage_radius(facets, vor, ps.tree, eps),
                         1e-9 * ps.diameter())
 
 
@@ -502,11 +501,20 @@ def lemma_audit(analysis: GenericityAnalysis) -> AuditRecord:
 
     altitude_floor = np.sqrt(3.0) * delta * delta / (2.0 * eps)
     for dim in range(1, m + 1):
-        for s in analysis.classification.safe.simplices(dim):
-            met = analysis.metrics(s)
-            tally("separation", met.shortest_edge > delta - tol)
-            tally("altitude", bool(np.all(met.altitudes > altitude_floor - tol)))
-            tally("thickness", met.thickness >= upsilon0 - THICKNESS_SLACK)
+        mets = [analysis.metrics(s) for s in analysis.classification.safe.simplices(dim)]
+        if not mets:
+            continue
+        passed = {
+            "separation": np.array([met.shortest_edge for met in mets]) > delta - tol,
+            "altitude": (np.array([met.altitudes for met in mets])
+                         > altitude_floor - tol).all(axis=1),
+            "thickness": np.array([met.thickness for met in mets])
+                         >= upsilon0 - THICKNESS_SLACK,
+        }
+        for name, ok in passed.items():
+            hits = int(np.count_nonzero(ok))
+            counts[name][0] += hits
+            counts[name][1] += len(mets) - hits
 
     depth = analysis.facets.depth(pts)
     audits = []

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .complexes import SimplicialComplex
 from .delaunay import (Ball, _ball_gap, _branch_and_bound, _checked_region,
@@ -317,14 +318,14 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     reach = 2.0 * eps + 4.0 * model.rho_bound
     image_pts = model.field.forward(pts)
     lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
-    candidates = sorted(_star_candidates(pts, region, reach + tol, (m,)))
+    candidates = sorted(_star_candidates(ps, region, reach + tol, (m,)))
     subsets = np.array(candidates, dtype=np.intp).reshape(-1, m + 1)
     mets = simplex_metrics_batch(pts, subsets)
     centres, radii, found = _metric_circumcenters(pts, subsets, mets, model, upsilon0, mu0)
     # The metric ball of radius r about c is the Euclidean ball of radius r
     # about phi(c) among the images; the stored centre stays c.
     certified, found_groups = _empty_balls(
-        image_pts, subsets[found], model.field.forward(centres[found]), radii[found], tol)
+        cKDTree(image_pts), subsets[found], model.field.forward(centres[found]), radii[found], tol)
     balls: dict[tuple[int, ...], Ball] = {}
     not_found: list[tuple[int, ...]] = []
     undecided: list[tuple[int, ...]] = []

@@ -1,17 +1,21 @@
-"""End to end command line checks, run in process through ``main``."""
+"""End to end command line checks, run in process through ``main``; the
+memory check runs the command in a subprocess of its own."""
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
 import numpy as np
 import pytest
 
+import delgen
 from delgen.cli import build_parser, main
-from delgen.datasets import grid_points
+from delgen.datasets import grid_points, uniform_points
 from delgen.fileio import read_points, write_points
 
 _DIR = None
@@ -449,3 +453,20 @@ def test_timings_split_the_total_by_stage():
     code, text, _ = run(["analyze", "--in", infile("square.txt")])
     assert code == 4
     assert set(json.loads(text)["timings"]) == {"total_s", *stages}
+
+
+def test_analyze_of_20000_points_runs_in_bounded_memory(tmp_path):
+    # No stage keeps an n x n table: one pdist table of 20,000 points alone
+    # takes 1.6 GB.
+    points = tmp_path / "cloud.txt"
+    write_points(str(points), uniform_points(20000, 2, seed=3))
+    script = ("import resource, sys; from delgen.cli import main; code = main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delgen.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "analyze", "--in", str(points),
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # ru_maxrss is in KiB on Linux.
+    assert int(proc.stdout.split()[-1]) < 600 * 1024

@@ -1,5 +1,6 @@
 """Dual-route Delaunay construction, protection, and relaxed membership."""
 
+import time
 from itertools import combinations
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from delgen import delaunay
-from delgen.datasets import grid_points
+from delgen import delaunay, metric
+from delgen.datasets import grid_points, uniform_points
 from delgen.delaunay import (
     PointSet,
     _branch_and_bound,
@@ -19,6 +20,7 @@ from delgen.delaunay import (
 )
 from delgen.errors import PreconditionError
 from delgen.genericity import analyze_genericity
+from delgen.metric import DisplacementField, MetricModel, metric_delaunay
 from delgen.predicates import in_sphere
 
 FOUR_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
@@ -272,7 +274,7 @@ def test_star_candidates_match_the_pdist_loop():
         for reach, sizes in ((2.0 * eps + tol, range(1, dim + 1)),
                              (2.0 * eps + 4.0 * 0.01 + tol, (dim,)),
                              (0.9, range(1, dim + 1))):
-            got = list(_star_candidates(pts, region, reach, sizes))
+            got = list(_star_candidates(PointSet(pts), region, reach, sizes))
             assert got == list(star_candidates_by_loop(pts, region, reach, sizes))
             assert got and len(got) == len(set(got))
 
@@ -314,18 +316,159 @@ def test_routes_agree_on_exact_lattices():
         assert not a.generic and not b.generic
 
 
-def test_margin_blocks_do_not_change_the_certificate(monkeypatch):
+def dense_empty_balls(pts, subsets, centers, radii, tol):
+    """The certifier as a dense (balls x points) margin table, in blocks of
+    about 2e6 entries: the reference for the KD-tree queries."""
+    balls, groups = {}, set()
+    step = max(1, 2_000_000 // pts.shape[0])
+    for lo in range(0, subsets.shape[0], step):
+        sub = subsets[lo:lo + step]
+        margins = cdist(centers[lo:lo + step], pts)
+        margins -= radii[lo:lo + step, None]
+        near = np.abs(margins) <= tol
+        crowded = near.sum(axis=1) > sub.shape[1]
+        np.put_along_axis(margins, sub, np.inf, axis=1)
+        protection = margins.min(axis=1)
+        for k in np.nonzero(protection > -tol)[0]:
+            simplex = tuple(int(i) for i in sub[k])
+            balls[simplex] = delaunay.Ball(simplex=simplex, center=centers[lo + k].copy(),
+                                           radius=float(radii[lo + k]),
+                                           protection=float(protection[k]))
+            if crowded[k]:
+                groups.add(tuple(int(i) for i in np.nonzero(near[k])[0]))
+    return balls, groups
+
+
+def assert_same_certificate(got, want):
+    assert list(got[0]) == list(want[0])
+    for key, ball in want[0].items():
+        assert np.array_equal(got[0][key].center, ball.center)
+        assert got[0][key].radius == ball.radius
+        assert got[0][key].protection == ball.protection
+    assert got[1] == want[1]
+
+
+class MisrankingTree:
+    """A KD-tree that ranks points within rounding of each other otherwise
+    than cdist: where the (k-1)-th and (k+1)-th nearest points tie within
+    1e-12, it lists the (k+1)-th in place of the (k-1)-th."""
+
+    def __init__(self, pts):
+        self.real = cKDTree(pts)
+        self.data = self.real.data
+
+    def query(self, x, k):
+        dist, idx = self.real.query(x, k=k + 1)
+        tie = dist[:, k] <= dist[:, k - 2] * (1.0 + 1e-12)
+        cols = np.where(tie[:, None], [j for j in range(k + 1) if j != k - 2], np.arange(k))
+        return np.take_along_axis(dist, cols, 1), np.take_along_axis(idx, cols, 1)
+
+    def query_ball_point(self, x, r):
+        return self.real.query_ball_point(x, r)
+
+
+@pytest.fixture
+def certifier_calls(monkeypatch):
+    """Hold every certifier call against the dense reference; yields the
+    list of (rows, accepted, groups) per call."""
+    calls = []
+    real = delaunay._empty_balls
+
+    def checked(tree, subsets, centers, radii, tol):
+        got = real(tree, subsets, centers, radii, tol)
+        assert_same_certificate(got, dense_empty_balls(tree.data, subsets, centers, radii, tol))
+        calls.append((len(subsets), len(got[0]), len(got[1])))
+        return got
+
+    monkeypatch.setattr(delaunay, "_empty_balls", checked)
+    monkeypatch.setattr(metric, "_empty_balls", checked)
+    return calls
+
+
+def test_planted_square_matches_dense_reference(certifier_calls):
     far = np.array([[10.0, 0.0], [0.0, 10.0], [10.0, 10.0], [-5.0, -5.0], [12.0, 5.0]])
     pts = np.vstack([UNIT_SQUARE, far])
-    whole = delaunay_bruteforce(pts), delaunay_lifted(pts)
-    # Three rows of nine points per block.
-    monkeypatch.setattr(delaunay, "MARGIN_BLOCK", 3 * len(pts))
-    for one, blocked in zip(whole, (delaunay_bruteforce(pts), delaunay_lifted(pts))):
-        assert list(blocked.balls) == list(one.balls)
-        for key, ball in one.balls.items():
-            assert blocked.balls[key].protection == ball.protection
-            assert np.array_equal(blocked.balls[key].center, ball.center)
-        assert blocked.degeneracy_groups == one.degeneracy_groups
+    for build in (delaunay_bruteforce, delaunay_lifted):
+        assert not build(pts).generic
+    # Brute force certifies every affinely independent triple in one call,
+    # and rejects most of them.
+    assert certifier_calls[0][0] == 78 and certifier_calls[0][1] == 13
+    assert all(groups for _, _, groups in certifier_calls[:2])
+
+
+def test_kdtree_certifier_matches_dense_reference(certifier_calls):
+    lattices = [grid_points(4, 2), grid_points(3, 3), grid_points(7, 2), grid_points(4, 3),
+                grid_points(5, 2, spacing=1e-3) + 7.0, grid_points(3, 3, spacing=3e4) - 1e5]
+    for pts in lattices:
+        res = delaunay_lifted(pts)
+        if len(pts) < 30:
+            assert delaunay_bruteforce(pts).degeneracy_groups == res.degeneracy_groups
+    jittered = [grid_points(6, 2, jitter=0.2, seed=1), grid_points(4, 3, jitter=0.1, seed=2),
+                grid_points(9, 2, jitter=1e-10, seed=3)]
+    clouds = [uniform_points(400, 2, seed=5), uniform_points(300, 3, seed=6)]
+    for pts in jittered + clouds:
+        delaunay_lifted(pts)
+    for pts in (uniform_points(25, 2, seed=7), uniform_points(14, 3, seed=8)):
+        delaunay_bruteforce(pts)
+    # Foreign points planted in and around the tolerance band of a sphere.
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8], [2.0, 2.0], [-1.0, 2.0]])
+    center, radius, _ = delaunay._batched_circumballs(tri, np.array([[0, 1, 2]]))
+    tol = PointSet(tri).tolerance()
+    down = [np.array([np.cos(a), np.sin(a)]) for a in np.radians([-60.0, -90.0, -120.0])]
+
+    def certify(distances, tree=cKDTree):
+        planted = [center[0] + d * u for d, u in zip(distances, down)]
+        pts = np.vstack([tri, planted])
+        subsets = np.array(list(combinations(range(len(pts)), 3)))
+        centers, radii, ok = delaunay._batched_circumballs(pts, subsets)
+        return delaunay._empty_balls(tree(pts), subsets[ok], centers[ok], radii[ok], tol)
+
+    for offset in (-2.0, -0.5, 0.5, 2.0):
+        accepted, groups = certify([radius[0] + offset * tol])
+        assert ((0, 1, 2) in accepted) == (offset > -1.0)
+        assert bool(groups) == (abs(offset) < 1.0)
+    # A group of six: more points than the nearest-point list holds.
+    accepted, groups = certify([radius[0] + f * tol for f in (0.2, 0.5, 0.8)])
+    assert (0, 1, 2, 5, 6, 7) in groups
+    # Three foreign points within rounding of each other, ranked by a tree
+    # that lists the second and third but not the nearest.
+    accepted, groups = certify([(radius[0] + 5.0 * tol) * (1.0 + f) for f in (0.0, 1e-13, 2e-13)],
+                               tree=MisrankingTree)
+    assert accepted[(0, 1, 2)].protection == pytest.approx(5.0 * tol)
+    # The Newton metric route certifies its balls among the images phi(P).
+    pts = grid_points(6, dim=2, jitter=0.15, seed=4)
+    model = MetricModel(DisplacementField(2, amplitude=2e-3, seed=1))
+    eps = analyze_genericity(pts).sampling.epsilon
+    before = len(certifier_calls)
+    assert metric_delaunay(pts, model, [14, 15], eps=eps, path="newton").balls
+    assert len(certifier_calls) == before + 1
+    # Rejected rows, groups and every kind of input went through the check.
+    assert any(rows > accepted for rows, accepted, _ in certifier_calls)
+    assert sum(groups for _, _, groups in certifier_calls) > 100
+
+
+def test_point_set_extremes_match_pdist():
+    square_edges = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                             [0.5, 0.0], [0.25, 1.0], [1.0, 0.7], [0.0, 0.1], [0.5, 0.5]])
+    sets = [uniform_points(500, 2, seed=1), uniform_points(300, 3, seed=2), square_edges,
+            grid_points(6, 2), grid_points(4, 3), grid_points(5, 2, spacing=0.1) + 3.0,
+            np.array([[0.0, 0.0], [3.0, 4.0]]),
+            np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]]),
+            np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                      [0.3, 0.2, 0.0]]),
+            np.linspace(0.0, 1.0, 7)[:, None]]
+    for pts in sets:
+        ps = PointSet(pts)
+        assert ps.diameter() == pdist(pts).max()
+        assert ps.min_gap() == pdist(pts).min()
+
+
+def test_bruteforce_refuses_oversized_inputs():
+    pts = uniform_points(2000, 2, seed=1)
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError, match="subsets"):
+        delaunay_bruteforce(pts)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_point_set_compares_values_not_bytes():
