@@ -141,35 +141,79 @@ class _VoronoiPieces:
     through a Delaunay triangle's circumcentre along its normal in 3-D; each
     line carries one site whose cell the edge bounds. In 3-D the plane of a
     Voronoi face is the bisector of a Delaunay edge, kept as its two sites.
+
+    The Voronoi edge or face dual to a Delaunay face is the convex hull of
+    the circumcentres of the top simplices around the face, unless every
+    vertex of the face lies on the hull boundary, where it may be unbounded.
+    ``line_depths`` and ``face_depths`` hold the least hull depth of those
+    circumcentres less rounding, or -inf for a face with no vertex strictly
+    inside the hull. Depth is concave, so a piece whose entry exceeds eps
+    lies strictly inside the hull eroded by eps, and neither its edge line's
+    clip ends nor its crossings with the body's edges are vertices of a
+    clipped cell.
     """
 
     centers: np.ndarray     # (s, m)
     radii: np.ndarray       # (s,)
+    center_depths: np.ndarray  # (s,)
     origins: np.ndarray     # (l, m) a point of each edge line
     directions: np.ndarray  # (l, m) unit
     sites: np.ndarray       # (l, m)
+    line_depths: np.ndarray  # (l,)
     faces: tuple[np.ndarray, np.ndarray] | None  # sites p, q, each (e, m)
+    face_depths: np.ndarray | None  # (e,)
 
 
-def _faces_of(tops: np.ndarray, k: int) -> np.ndarray:
-    """Distinct k-vertex faces of the top simplices, as sorted rows."""
-    cols = combinations(range(tops.shape[1]), k)
-    return np.unique(np.vstack([tops[:, list(c)] for c in cols]), axis=0)
+def _faces_of(tops: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct k-vertex faces of the top simplices, as sorted rows, and the
+    face of each (k-subset, top) pair, the subsets in ``combinations`` order
+    and the tops within each.
+
+    Each row is keyed as one integer, its vertices read as digits in base
+    n, so a single 1-D ``np.unique`` keeps the rows' lexicographic order.
+    """
+    stack = np.vstack([tops[:, list(c)] for c in combinations(range(tops.shape[1]), k)])
+    radix = int(tops.max()) + 1
+    keys = stack[:, 0].astype(np.int64)
+    for col in range(1, k):
+        keys = keys * radix + stack[:, col]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return stack[first], inverse.ravel()
 
 
-def _voronoi_pieces(pts: np.ndarray, base: DelaunayResult) -> _VoronoiPieces:
+def _least_depths(faces: np.ndarray, inverse: np.ndarray, depths: np.ndarray,
+                  interior: np.ndarray) -> np.ndarray:
+    """Least of the top simplices' depths around each face, for the face
+    of each (subset, top) pair in ``inverse``; -inf for a face with no vertex
+    strictly inside the hull."""
+    least = np.full(faces.shape[0], np.inf)
+    np.minimum.at(least, inverse, np.tile(depths, inverse.size // depths.size))
+    least[~interior[faces].any(axis=1)] = -np.inf
+    return least
+
+
+def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult
+                    ) -> _VoronoiPieces:
     m = pts.shape[1]
     tops = np.sort(np.array(list(base.balls), dtype=int), axis=1)
     centers = np.array([b.center for b in base.balls.values()])
     radii = np.array([b.radius for b in base.balls.values()])
-    edges = _faces_of(tops, 2)
+    rounding = 1e-12 * max(1.0, float(np.abs(pts).max()))
+    center_depths = facets.depth(centers)
+    interior = facets.depth(pts) > rounding
+    lowered = center_depths - rounding
+    edges, edge_tops = _faces_of(tops, 2)
+    edge_depths = _least_depths(edges, edge_tops, lowered, interior)
     p, q = pts[edges[:, 0]], pts[edges[:, 1]]
     if m == 2:
         span = q - p
         directions = np.column_stack([-span[:, 1], span[:, 0]])
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return _VoronoiPieces(centers, radii, 0.5 * (p + q), directions, p, None)
-    tri = pts[_faces_of(tops, 3)]
+        return _VoronoiPieces(centers, radii, center_depths, 0.5 * (p + q), directions, p,
+                              edge_depths, None, None)
+    triangles, triangle_tops = _faces_of(tops, 3)
+    triangle_depths = _least_depths(triangles, triangle_tops, lowered, interior)
+    tri = pts[triangles]
     a, u, v = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
     normal = np.cross(u, v)
     area2 = np.einsum("ij,ij->i", normal, normal)
@@ -179,7 +223,8 @@ def _voronoi_pieces(pts: np.ndarray, base: DelaunayResult) -> _VoronoiPieces:
     vv = np.einsum("ij,ij->i", v, v)[:, None]
     circumcentres = a + (uu * np.cross(v, normal) + vv * np.cross(normal, u)) / (2.0 * area2)
     directions = normal / np.sqrt(area2)
-    return _VoronoiPieces(centers, radii, circumcentres, directions, a, (p, q))
+    return _VoronoiPieces(centers, radii, center_depths, circumcentres, directions, a,
+                          triangle_depths[ok], (p, q), edge_depths)
 
 
 def _face_crossings(faces, a, b, fa, fb, best: float) -> np.ndarray:
@@ -222,35 +267,40 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
 
     The distance to P is convex on each Voronoi cell, so its maximum over
     the eroded body sits at a vertex of some cell clipped to the body: a
-    Voronoi vertex inside the body, a point where the line of a Voronoi edge
-    leaves the body, a vertex of the body or, in 3-D, a point where the
-    plane of a Voronoi face crosses an edge of the body (Toussaint,
-    *Computing largest empty circles with location constraints*, 1983).
-    Every candidate lies in the body, so the largest distance over them is
-    the maximum itself. A candidate goes through the KD-tree only when its
-    distance to a site that defines it could beat the best so far.
+    Voronoi vertex inside the body, a point where a Voronoi edge leaves the
+    body, a vertex of the body or, in 3-D, a point where a Voronoi face
+    crosses an edge of the body (Toussaint, *Computing largest empty circles
+    with location constraints*, 1983). Edge lines and face planes are tested
+    only where their Voronoi piece can reach the body's boundary (see
+    ``_VoronoiPieces``). Every candidate lies in the body, so the largest
+    distance over them is the maximum itself. A candidate goes through the
+    KD-tree only when its distance to a site that defines it could beat the
+    best so far.
     """
     best = 0.0
-    if vor.centers.size:
-        inside = facets.depth(vor.centers) >= eps - 1e-12 * max(1.0, eps)
-        if inside.any():
-            best = float(vor.radii[inside].max())
+    inside = vor.center_depths >= eps - 1e-12 * max(1.0, eps)
+    if inside.any():
+        best = float(vor.radii[inside].max())
     a, b = eroded_edges(facets, eps)
     if a.shape[0] == 0:
         return best
     fa, fb = tree.query(a)[0], tree.query(b)[0]
     best = max(best, float(fa.max()), float(fb.max()))
-    lo, hi = clip_lines(facets, eps, vor.origins, vor.directions)
+    reach = vor.line_depths <= eps
+    origins, directions = vor.origins[reach], vor.directions[reach]
+    lo, hi = clip_lines(facets, eps, origins, directions)
     hit = lo <= hi
-    origins, directions = vor.origins[hit], vor.directions[hit]
+    origins, directions, sites = origins[hit], directions[hit], vor.sites[reach][hit]
     ends = np.concatenate([origins + lo[hit, None] * directions,
                            origins + hi[hit, None] * directions])
-    reach = np.linalg.norm(ends - np.concatenate([vor.sites[hit]] * 2), axis=1)
-    ends = ends[reach > best]
+    far = np.linalg.norm(ends - np.concatenate([sites] * 2), axis=1)
+    ends = ends[far > best]
     if ends.size:
         best = max(best, float(tree.query(ends)[0].max()))
     if vor.faces is not None:
-        crossings = _face_crossings(vor.faces, a, b, fa, fb, best)
+        reach = vor.face_depths <= eps
+        faces = (vor.faces[0][reach], vor.faces[1][reach])
+        crossings = _face_crossings(faces, a, b, fa, fb, best)
         if crossings.size:
             best = max(best, float(tree.query(crossings)[0].max()))
     return best
@@ -288,7 +338,7 @@ def _fixed_point(g, tol: float) -> float:
 
 def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult) -> float:
     """Fixed point eps = g(eps) of the coverage radius of the eroded hull."""
-    vor = _voronoi_pieces(ps.points, base)
+    vor = _voronoi_pieces(ps.points, facets, base)
     return _fixed_point(lambda eps: _coverage_radius(facets, vor, ps.tree, eps),
                         1e-9 * ps.diameter())
 

@@ -9,7 +9,11 @@ never reach the facet list.
 
 Eroding the hull by a margin shifts every facet plane inward by it, so the
 same planes describe the eroded body; ``clip_lines`` and ``eroded_edges``
-compute on it directly, with no vertex enumeration.
+compute on it directly, with no vertex enumeration. Each facet also carries a
+ball that holds the points on its plane. A point on an edge of the body
+eroded by e lies at distance e from both planes, and moving it out by e along
+either normal lands in that facet, so ``eroded_edges`` clips only the pairs
+of planes whose balls, shifted inward by e, meet.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ _SIDE_BAND = 1e-9
 
 # Entries of one (lines x facets) block in clip_lines.
 CLIP_CHUNK = 2_000_000
+# A point within this fraction of the coordinate scale of a facet plane is
+# taken to lie on it; see _facet_balls.
+_ON_PLANE = 1e-8
 # Two facet planes whose normals are closer to parallel than this (sine of
 # the angle) are treated as meeting in no edge; see eroded_edges.
 _PARALLEL_SINE = 1e-8
@@ -34,10 +41,13 @@ _PARALLEL_SINE = 1e-8
 
 @dataclass(frozen=True)
 class HullFacets:
-    """Supporting halfspaces a . x <= b of the hull, normals unit outward."""
+    """Supporting halfspaces a . x <= b of the hull, normals unit outward,
+    and a ball (centre, radius) holding the points on each facet plane."""
 
     normals: np.ndarray  # (f, m)
     offsets: np.ndarray  # (f,)
+    centers: np.ndarray  # (f, m)
+    radii: np.ndarray    # (f,)
 
     def depth(self, x: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary, positive inside, for rows of x."""
@@ -193,7 +203,24 @@ def hull_facets(points: np.ndarray) -> HullFacets:
         planes.setdefault(key, (nrm, off))
     normals = np.array([p[0] for p in planes.values()])
     offsets = np.array([p[1] for p in planes.values()])
-    return HullFacets(normals=normals, offsets=offsets)
+    return HullFacets(normals, offsets, *_facet_balls(pts, normals, offsets))
+
+
+def _facet_balls(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
+    """Centre and radius of a ball around the points on each facet plane.
+
+    A point counts as on a plane within _ON_PLANE of the coordinate scale,
+    which covers the planes merged by rounding in hull_facets; a point taken
+    in needlessly only makes a ball larger. The centre is the middle of the
+    points' bounding box.
+    """
+    tol = _ON_PLANE * max(1.0, float(np.abs(pts).max()))
+    centers, radii = np.empty_like(normals), np.empty(len(offsets))
+    for k, (nrm, off) in enumerate(zip(normals, offsets)):
+        on = pts[np.abs(off - pts @ nrm) <= tol]
+        centers[k] = 0.5 * (on.min(axis=0) + on.max(axis=0))
+        radii[k] = np.linalg.norm(on - centers[k], axis=1).max()
+    return centers, radii
 
 
 def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,
@@ -225,16 +252,39 @@ def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,
     return lo, hi
 
 
+def _edge_pairs(facets: HullFacets, margin: float):
+    """Pairs (i, j), i < j, of facet planes whose line can carry an edge of
+    the eroded body { depth >= margin }, in row-major order.
+
+    A point x on such an edge has depth exactly margin, so x + margin n_i
+    lies in facet i and x + margin n_j in facet j: the facet balls shifted
+    inward by the margin meet. Pairs whose shifted balls lie apart by more
+    than rounding are dropped, and so are pairs of planes within
+    _PARALLEL_SINE of parallel: they meet far outside the body, or along an
+    edge between two facets that are coplanar up to rounding, which bounds
+    neither facet.
+    """
+    normals = facets.normals
+    i, j = np.triu_indices(normals.shape[0], 1)
+    shifted = facets.centers - margin * normals
+    slack = 1e-9 * max(1.0, float(np.abs(shifted).max()) + float(facets.radii.max()))
+    near = (np.linalg.norm(shifted[i] - shifted[j], axis=1)
+            <= facets.radii[i] + facets.radii[j] + slack)
+    i, j = i[near], j[near]
+    cross = np.cross(normals[i], normals[j])
+    sine = np.linalg.norm(cross, axis=1)
+    keep = sine > _PARALLEL_SINE
+    return i[keep], j[keep], cross[keep], sine[keep, None]
+
+
 def eroded_edges(facets: HullFacets, margin: float):
     """End points (a, b) of the edges of the eroded body { depth >= margin }.
 
     Eroding the hull shifts each facet plane inward by the margin. In 2-D
     each shifted facet line is clipped to the body, in 3-D the line through
-    each pair of shifted facet planes. A nonempty clip is an edge of the
-    body, possibly of zero length, and its end points are vertices of the
-    body. Pairs of planes within _PARALLEL_SINE of parallel are skipped: they
-    meet far outside the body, or along an edge between two facets that are
-    coplanar up to rounding, which bounds neither facet.
+    each pair of shifted facet planes that ``_edge_pairs`` keeps. A nonempty
+    clip is an edge of the body, possibly of zero length, and its end points
+    are vertices of the body.
     """
     normals, offsets = facets.normals, facets.offsets - margin
     f, m = normals.shape
@@ -243,12 +293,8 @@ def eroded_edges(facets: HullFacets, margin: float):
         directions = np.column_stack([-normals[:, 1], normals[:, 0]])
         own = np.arange(f)[:, None]
     else:
-        i, j = np.triu_indices(f, 1)
-        cross = np.cross(normals[i], normals[j])
-        sine = np.linalg.norm(cross, axis=1)
-        keep = sine > _PARALLEL_SINE
-        i, j, sine = i[keep], j[keep], sine[keep, None]
-        directions = cross[keep] / sine
+        i, j, cross, sine = _edge_pairs(facets, margin)
+        directions = cross / sine
         # The point of both planes nearest the coordinate origin.
         origins = (offsets[i, None] * np.cross(normals[j], directions)
                    + offsets[j, None] * np.cross(directions, normals[i])) / sine

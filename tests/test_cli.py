@@ -353,6 +353,49 @@ def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
         assert counts == {"simplex_metrics_batch": dim}
 
 
+def test_analyze_builds_the_sampling_set_up_once(tmp_path, monkeypatch):
+    # The facet balls, the face-to-top incidence and every hull depth the
+    # sampling radius reads are built once per analysis; the g evaluations
+    # of the fixed point solve only compare against them.
+    from delgen import genericity, hull
+
+    counts, evaluating, depth_in_g = {}, [], []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((hull, "_facet_balls"), (genericity, "_faces_of"),
+                         (genericity, "_voronoi_pieces")):
+        counting(module, name)
+    real_g, real_depth = genericity._coverage_radius, hull.HullFacets.depth
+
+    def g(*args):
+        counts["g"] = counts.get("g", 0) + 1
+        evaluating.append(True)
+        try:
+            return real_g(*args)
+        finally:
+            evaluating.pop()
+
+    monkeypatch.setattr(genericity, "_coverage_radius", g)
+    monkeypatch.setattr(hull.HullFacets, "depth",
+                        lambda self, x: depth_in_g.append(bool(evaluating)) or real_depth(self, x))
+    path = tmp_path / "grid3d.txt"
+    write_points(str(path), grid_points(9, 3, 0.05, seed=1))
+    code, _, _ = run(["analyze", "--in", str(path)])
+    assert code == 0
+    # One ball pass, and one face pass each for Delaunay edges and triangles.
+    assert counts.pop("g") >= 3
+    assert counts == {"_facet_balls": 1, "_faces_of": 2, "_voronoi_pieces": 1}
+    assert depth_in_g and not any(depth_in_g)
+
+
 def test_compare_rejects_malformed_mapping(tmp_path):
     left = tmp_path / "left.json"
     left.write_text(json.dumps({"simplices": [[0, 1, 2]]}))

@@ -115,7 +115,7 @@ def test_sampling_radius_is_never_below_the_fixed_point():
         pts = rng.uniform(size=(int(rng.integers(10, 40)), 2))
         ps = PointSet(pts)
         facets, base = hull_facets(pts), delaunay_lifted(ps)
-        vor, tree = genericity._voronoi_pieces(pts, base), cKDTree(pts)
+        vor, tree = genericity._voronoi_pieces(pts, facets, base), cKDTree(pts)
         calls = []
 
         def g(e):

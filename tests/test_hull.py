@@ -132,7 +132,7 @@ def test_boundary_sweep_of_an_empty_body(dim):
     assert boundary_samples_by_loop(facets, 5.0, 0.1).shape == (0, dim)
     a, b = hull.eroded_edges(facets, 5.0)
     assert a.shape == b.shape == (0, dim)
-    vor = genericity._voronoi_pieces(pts, delaunay_lifted(pts))
+    vor = genericity._voronoi_pieces(pts, facets, delaunay_lifted(pts))
     assert genericity._coverage_radius(facets, vor, cKDTree(pts), 5.0) == 0.0
 
 
@@ -175,7 +175,7 @@ def test_exact_radius_bounds_the_sweep_and_a_dense_sample(case):
     facets = hull.hull_facets(pts)
     base = delaunay_lifted(ps)
     tree = cKDTree(pts)
-    vor = genericity._voronoi_pieces(pts, base)
+    vor = genericity._voronoi_pieces(pts, facets, base)
     centers = np.array([b.center for b in base.balls.values()])
     radii = np.array([b.radius for b in base.balls.values()])
     pitch = ps.min_gap() / 16.0
@@ -203,3 +203,100 @@ def test_exact_radius_bounds_the_sweep_and_a_dense_sample(case):
         ring = boundary_samples_by_loop(facets, e, 4.0 * pitch)
         dense = max(dist[depth >= e].max(initial=0.0), tree.query(ring)[0].max(initial=0.0))
         assert exact(e) >= dense - 1e-12
+
+
+PRUNING_INPUTS = PROPERTY_INPUTS + [
+    # Cospherical groups and coplanar hull facets merged into one plane.
+    grid_points(4, 3), grid_points(5, 2),
+    grid_points(9, 3, 0.05, seed=8),
+    np.random.default_rng(33).uniform(size=(200, 3)),
+]
+
+
+def full_pair_clips(facets, margin):
+    """Every pair of facet planes that is not near parallel, with its line
+    clipped to the eroded body: the pairs eroded_edges clipped before the
+    facet balls pruned them."""
+    normals, offsets = facets.normals, facets.offsets - margin
+    i, j = np.triu_indices(normals.shape[0], 1)
+    cross = np.cross(normals[i], normals[j])
+    sine = np.linalg.norm(cross, axis=1)
+    keep = sine > hull._PARALLEL_SINE
+    i, j, sine = i[keep], j[keep], sine[keep, None]
+    directions = cross[keep] / sine
+    origins = (offsets[i, None] * np.cross(normals[j], directions)
+               + offsets[j, None] * np.cross(directions, normals[i])) / sine
+    lo, hi = hull.clip_lines(facets, margin, origins, directions, np.column_stack([i, j]))
+    return i, j, origins, directions, lo, hi
+
+
+def full_coverage_radius(facets, vor, tree, eps):
+    """The coverage radius over every candidate, with no piece pruned by
+    depth and no facet pair pruned by its balls."""
+    inside = facets.depth(vor.centers) >= eps - 1e-12 * max(1.0, eps)
+    best = float(vor.radii[inside].max()) if inside.any() else 0.0
+    if facets.normals.shape[1] == 2:
+        a, b = hull.eroded_edges(facets, eps)
+    else:
+        _, _, origins, directions, lo, hi = full_pair_clips(facets, eps)
+        hit = lo <= hi
+        a = origins[hit] + lo[hit, None] * directions[hit]
+        b = origins[hit] + hi[hit, None] * directions[hit]
+    if a.shape[0] == 0:
+        return best
+    fa, fb = tree.query(a)[0], tree.query(b)[0]
+    best = max(best, float(fa.max()), float(fb.max()))
+    lo, hi = hull.clip_lines(facets, eps, vor.origins, vor.directions)
+    hit = lo <= hi
+    origins, directions = vor.origins[hit], vor.directions[hit]
+    ends = np.concatenate([origins + lo[hit, None] * directions,
+                           origins + hi[hit, None] * directions])
+    reach = np.linalg.norm(ends - np.concatenate([vor.sites[hit]] * 2), axis=1)
+    ends = ends[reach > best]
+    if ends.size:
+        best = max(best, float(tree.query(ends)[0].max()))
+    if vor.faces is not None:
+        crossings = genericity._face_crossings(vor.faces, a, b, fa, fb, best)
+        if crossings.size:
+            best = max(best, float(tree.query(crossings)[0].max()))
+    return best
+
+
+@pytest.mark.parametrize("case", range(len(PRUNING_INPUTS)))
+def test_pruned_coverage_matches_full_candidates(case):
+    pts = PRUNING_INPUTS[case]
+    ps = PointSet(pts)
+    facets = hull.hull_facets(pts)
+    base = delaunay_lifted(ps)
+    vor = genericity._voronoi_pieces(pts, facets, base)
+    tree = cKDTree(pts)
+    tol = 1e-9 * ps.diameter()
+    eps = sampling_parameters(ps, facets, base).epsilon
+    assert eps == genericity._fixed_point(
+        lambda e: full_coverage_radius(facets, vor, tree, e), tol)
+    for e in (0.0, 0.25 * eps, 0.5 * eps, eps, 1.5 * eps):
+        assert genericity._coverage_radius(facets, vor, tree, e) == \
+            full_coverage_radius(facets, vor, tree, e)
+
+
+@pytest.mark.parametrize("case", [k for k, pts in enumerate(PRUNING_INPUTS)
+                                  if pts.shape[1] == 3])
+def test_edge_pair_prefilter_keeps_every_edge(case):
+    pts = PRUNING_INPUTS[case]
+    facets = hull.hull_facets(pts)
+    eps = sampling_parameters(pts, facets, delaunay_lifted(pts)).epsilon
+    # The largest ball in the hull, by linear programming: eroding by more
+    # than its radius leaves the body empty.
+    lp = linprog(np.append(np.zeros(3), -1.0),
+                 A_ub=np.hstack([facets.normals, np.ones((len(facets.offsets), 1))]),
+                 b_ub=facets.offsets, bounds=(None, None), method="highs")
+    inradius = -lp.fun
+    for margin in (0.0, eps, 1.01 * inradius):
+        i, j, _, _, lo, hi = full_pair_clips(facets, margin)
+        edges = set(zip(i[lo <= hi].tolist(), j[lo <= hi].tolist()))
+        kept_i, kept_j, _, _ = hull._edge_pairs(facets, margin)
+        kept = set(zip(kept_i.tolist(), kept_j.tolist()))
+        assert edges <= kept
+        assert edges or margin > 0.0
+    a, _ = hull.eroded_edges(facets, 1.01 * inradius)
+    assert a.shape == (0, 3)
