@@ -539,8 +539,7 @@ def _circumcenter_seeds(pts, candidates):
     for k, cand in enumerate(candidates):
         by_size.setdefault(len(cand), []).append(k)
     for rows in by_size.values():
-        mets = simplex_metrics_batch(pts, [candidates[k] for k in rows])
-        for k, met in zip(rows, mets):
-            seeds[k] = (met.circumcenter if met.circumcenter is not None
-                        else pts[list(candidates[k])].mean(axis=0))
+        cols = simplex_metrics_batch(pts, [candidates[k] for k in rows])
+        for k, centre, found in zip(rows, cols.centres, cols.found.tolist()):
+            seeds[k] = centre if found else pts[list(candidates[k])].mean(axis=0)
     return seeds

@@ -109,8 +109,26 @@ def complex_from_json(doc: dict) -> SimplicialComplex:
 # -- report envelopes ------------------------------------------------------
 
 
+class Table:
+    """Rows of a report held as columns, one array per field.
+
+    Each column has one entry per row; a 2-D column gives every row a list.
+    The report writers render a table exactly as they render the list of
+    its rows as ``jsonable`` dicts, without building those dicts.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, **columns) -> None:
+        self.columns = {name: np.asarray(col) for name, col in columns.items()}
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+
 def jsonable(obj):
-    """Recursively convert to plain JSON types; non-finite floats to strings."""
+    """Recursively convert to plain JSON types; non-finite floats to strings.
+    A :class:`Table` is kept as it is, for the writers."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -138,8 +156,61 @@ def report_envelope(version: str, config: dict, digest: str | None,
     }
 
 
+def _json_cells(column: np.ndarray) -> list[str]:
+    """JSON text of each entry of a 1-D column, as ``json.dumps`` writes its
+    ``jsonable`` value."""
+    values = column.tolist()
+    if column.dtype == bool:
+        return ["true" if v else "false" for v in values]
+    if column.dtype.kind == "f":
+        return [repr(v) if math.isfinite(v) else f'"{v!r}"' for v in values]
+    return [str(v) for v in values]
+
+
+def _table_json(table: Table, indent: str) -> str:
+    """The table's rows as ``json.dumps(..., sort_keys=True, indent=2)``
+    writes them, each line after the first prefixed by ``indent``; one
+    template per row, filled from the columns."""
+    if not len(table):
+        return "[]"
+    lines, cells = [], []
+    for name in sorted(table.columns):
+        col = table.columns[name]
+        key = json.dumps(name)
+        if col.ndim == 1:
+            lines.append(f"{indent}    {key}: %s")
+            cells.append(_json_cells(col))
+        else:
+            items = ",\n".join([f"{indent}      %s"] * col.shape[1])
+            lines.append(f"{indent}    {key}: [\n{items}\n{indent}    ]")
+            cells.extend(_json_cells(c) for c in col.T)
+    row = "{\n" + ",\n".join(lines) + f"\n{indent}  }}"
+    body = f",\n{indent}  ".join(row % values for values in zip(*cells))
+    return f"[\n{indent}  {body}\n{indent}]"
+
+
+# Stands in for each table while json.dumps writes the rest of a report.
+_TABLE_STUB = "\0table"
+
+
 def envelope_json(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)``
+    and a newline, where each :class:`Table` is written as its rows."""
+    tables = []
+
+    def stub(obj):
+        if not isinstance(obj, Table):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        tables.append(obj)
+        return _TABLE_STUB
+
+    text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False, default=stub)
+    pieces = text.split(json.dumps(_TABLE_STUB))
+    out = [pieces[0]]
+    for before, table, after in zip(pieces[:-1], tables, pieces[1:], strict=True):
+        line = before.rsplit("\n", 1)[-1]
+        out += [_table_json(table, line[:len(line) - len(line.lstrip(" "))]), after]
+    return "".join(out) + "\n"
 
 
 def strip_timings(envelope: dict) -> dict:
@@ -149,7 +220,18 @@ def strip_timings(envelope: dict) -> dict:
 def flatten_for_csv(value, prefix: str = "") -> list[tuple[str, str]]:
     """Depth-first flattening of a report into (key, value) rows."""
     rows: list[tuple[str, str]] = []
-    if isinstance(value, dict):
+    if isinstance(value, Table):
+        fields = []
+        for name in sorted(value.columns):
+            col = value.columns[name]
+            if col.ndim == 1:
+                fields.append((f".{name}", col))
+            else:
+                fields.extend((f".{name}[{j}]", c) for j, c in enumerate(col.T))
+        cells = [[str(v) for v in col.tolist()] for _, col in fields]
+        for i, row in enumerate(zip(*cells)):
+            rows.extend((f"{prefix}[{i}]{suffix}", v) for (suffix, _), v in zip(fields, row))
+    elif isinstance(value, dict):
         for k in sorted(value):
             rows.extend(flatten_for_csv(value[k], f"{prefix}.{k}" if prefix else str(k)))
     elif isinstance(value, (list, tuple)):

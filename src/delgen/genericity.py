@@ -22,8 +22,9 @@ from scipy.spatial import cKDTree
 from .complexes import SimplicialComplex
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
+from .fileio import Table
 from .hull import CLIP_CHUNK, HullFacets, clip_lines, eroded_edges, hull_facets
-from .simplex import SimplexMetrics, simplex_metrics_batch
+from .simplex import SimplexColumns, simplex_metrics_batch
 
 THICKNESS_SLACK = 1e-9
 
@@ -53,19 +54,29 @@ class ProtectionReport:
 
 @dataclass(frozen=True)
 class SafeInteriorClassification:
-    """The region and the simplex sets its choice induces."""
+    """The region and the simplex sets its choice induces.
+
+    ``audited`` holds the top simplices of the region's double star, sorted.
+    The safe star ``safe``, the closure of the audited tops that meet the
+    region, is built on first read; the audit reads only the tops.
+    """
 
     region: tuple[int, ...]
-    safe: SimplicialComplex
     audited: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def safe(self) -> SimplicialComplex:
+        region = set(self.region)
+        return SimplicialComplex(s for s in self.audited if not region.isdisjoint(s))
 
 
 @dataclass(frozen=True)
 class ThicknessCertificate:
-    """Certified thickness floor for the safe simplices."""
+    """Certified thickness floor for the safe simplices. ``witnesses`` holds
+    their metrics, one set of columns per dimension 1..m."""
 
     upsilon0: float
-    witnesses: tuple[tuple[tuple[int, ...], float, bool], ...]
+    witnesses: tuple[SimplexColumns, ...]
     min_thickness: float
     margin: float
     valid: bool
@@ -74,8 +85,9 @@ class ThicknessCertificate:
 @dataclass(frozen=True)
 class GenericityAnalysis:
     """One measurement of a point set, which every later stage reads: the
-    hull, the Delaunay complex, the sampling report, the deep interior and
-    the protection audit of the region's double star.
+    hull, the hull depth of every point, the Delaunay complex, the sampling
+    report, the deep interior and the protection audit of the region's
+    double star.
 
     ``stages`` holds the seconds of each build. When the region is the
     empty deep interior, reading ``protection`` or ``classification``
@@ -84,6 +96,7 @@ class GenericityAnalysis:
 
     points: PointSet
     facets: HullFacets
+    depths: np.ndarray = field(repr=False)  # (n,) signed distance to the hull boundary
     base: DelaunayResult
     sampling: SamplingReport
     deep_ids: tuple[int, ...]
@@ -108,24 +121,25 @@ class GenericityAnalysis:
         return self._region_star()[1]
 
     @cached_property
-    def _metric_table(self) -> dict[tuple[int, ...], SimplexMetrics]:
-        """Metrics of the safe simplices of dimension 1..m and the audited
-        top simplices, one batched call per dimension."""
-        star = self.classification
-        pts = self.points.points
-        m = self.points.dim
-        table = {}
-        for dim in range(1, m + 1):
-            group = star.safe.simplices(dim)
-            if dim == m:
-                group = sorted(set(group).union(star.audited))
-            table.update(zip(group, simplex_metrics_batch(pts, group)))
-        return table
+    def audited_metrics(self) -> SimplexColumns:
+        """Metrics of the audited top simplices, rows in the order of
+        ``classification.audited``, from one batched kernel call."""
+        return simplex_metrics_batch(self.points.points, self.classification.audited)
 
-    def metrics(self, simplex: tuple[int, ...]) -> SimplexMetrics:
-        """Metrics of a safe simplex or an audited top simplex, computed
-        once per analysis."""
-        return self._metric_table[simplex]
+    @cached_property
+    def safe_metrics(self) -> tuple[SimplexColumns, ...]:
+        """Metrics of the safe simplices, one set of columns per dimension
+        1..m, rows in sorted order.
+
+        Every safe top simplex is audited, so the top dimension is a row
+        subset of ``audited_metrics``. The faces of each lower dimension come
+        from the safe tops in one pass, and take one batched kernel call.
+        """
+        tops = self.audited_metrics
+        safe = tops.take(np.isin(tops.vertices, self.classification.region).any(axis=1))
+        faces = [simplex_metrics_batch(self.points.points, _faces_of(safe.vertices, k)[0])
+                 for k in range(2, self.points.dim + 1)]
+        return (*faces, safe)
 
 
 # -- sampling radius -------------------------------------------------------
@@ -192,15 +206,15 @@ def _least_depths(faces: np.ndarray, inverse: np.ndarray, depths: np.ndarray,
     return least
 
 
-def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult
-                    ) -> _VoronoiPieces:
+def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
+                    depths: np.ndarray) -> _VoronoiPieces:
     m = pts.shape[1]
     tops = np.sort(np.array(list(base.balls), dtype=int), axis=1)
     centers = np.array([b.center for b in base.balls.values()])
     radii = np.array([b.radius for b in base.balls.values()])
     rounding = 1e-12 * max(1.0, float(np.abs(pts).max()))
     center_depths = facets.depth(centers)
-    interior = facets.depth(pts) > rounding
+    interior = depths > rounding
     lowered = center_depths - rounding
     edges, edge_tops = _faces_of(tops, 2)
     edge_depths = _least_depths(edges, edge_tops, lowered, interior)
@@ -336,16 +350,18 @@ def _fixed_point(g, tol: float) -> float:
     return hi
 
 
-def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult) -> float:
+def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult,
+                     depths: np.ndarray) -> float:
     """Fixed point eps = g(eps) of the coverage radius of the eroded hull."""
-    vor = _voronoi_pieces(ps.points, facets, base)
+    vor = _voronoi_pieces(ps.points, facets, base, depths)
     return _fixed_point(lambda eps: _coverage_radius(facets, vor, ps.tree, eps),
                         1e-9 * ps.diameter())
 
 
-def sampling_parameters(points, facets: HullFacets, base: DelaunayResult) -> SamplingReport:
+def sampling_parameters(points, facets: HullFacets, base: DelaunayResult,
+                        depths: np.ndarray) -> SamplingReport:
     """Measure the sampling radius, the sparsity, and their ratio from the
-    hull and the Delaunay complex of the points.
+    hull, the hull depths of the points and their Delaunay complex.
 
     The sampling radius solves eps = sup over the eps-eroded hull of the
     distance to the set; the sup shrinks as the erosion grows, so the
@@ -356,16 +372,15 @@ def sampling_parameters(points, facets: HullFacets, base: DelaunayResult) -> Sam
     fixed point.
     """
     ps = as_point_set(points)
-    eps, sparsity = _sampling_radius(ps, facets, base), ps.min_gap()
+    eps, sparsity = _sampling_radius(ps, facets, base, depths), ps.min_gap()
     return SamplingReport(epsilon=eps, sparsity=sparsity, mu0=sparsity / eps)
 
 
-def deep_interior(points, eps: float, facets: HullFacets) -> set[int]:
-    """Vertices whose distance to the hull boundary is at least 4 eps."""
-    ps = as_point_set(points)
-    depth = facets.depth(ps.points)
-    slack = 1e-12 * max(1.0, ps.diameter())
-    return {int(i) for i in np.nonzero(depth >= 4.0 * eps - slack)[0]}
+def deep_interior(points, eps: float, depths: np.ndarray) -> set[int]:
+    """Vertices whose distance to the hull boundary, given as ``depths``, is
+    at least 4 eps."""
+    slack = 1e-12 * max(1.0, as_point_set(points).diameter())
+    return {int(i) for i in np.nonzero(depths >= 4.0 * eps - slack)[0]}
 
 
 # -- protection classification ---------------------------------------------
@@ -387,12 +402,13 @@ def analyze_genericity(points, region="auto") -> GenericityAnalysis:
             raise PreconditionError("region must be nonempty")
     marks = [time.perf_counter()]
     facets = hull_facets(ps.points)
+    depths = facets.depth(ps.points)
     marks.append(time.perf_counter())
     base = delaunay_lifted(ps)
     marks.append(time.perf_counter())
-    sampling = sampling_parameters(ps, facets, base)
+    sampling = sampling_parameters(ps, facets, base, depths)
     marks.append(time.perf_counter())
-    deep = deep_interior(ps, sampling.epsilon, facets)
+    deep = deep_interior(ps, sampling.epsilon, depths)
     deep_ids = tuple(sorted(deep))
     if auto:
         region = deep_ids
@@ -405,8 +421,9 @@ def analyze_genericity(points, region="auto") -> GenericityAnalysis:
     marks.append(time.perf_counter())
     stages = {f"{name}_s": end - start for name, start, end in
               zip(("hull", "delaunay", "sampling", "analysis"), marks, marks[1:])}
-    return GenericityAnalysis(points=ps, facets=facets, base=base, sampling=sampling,
-                              deep_ids=deep_ids, stages=stages, _star=star)
+    return GenericityAnalysis(points=ps, facets=facets, depths=depths, base=base,
+                              sampling=sampling, deep_ids=deep_ids, stages=stages,
+                              _star=star)
 
 
 def _audit_star(ps: PointSet, base: DelaunayResult, eps: float, region: tuple[int, ...]
@@ -431,8 +448,7 @@ def _audit_star(ps: PointSet, base: DelaunayResult, eps: float, region: tuple[in
         nu_tilde=nu,
         generic=delta > ps.tolerance(),
     )
-    return report, SafeInteriorClassification(
-        region=region, safe=SimplicialComplex(tops[meets].tolist()), audited=audited)
+    return report, SafeInteriorClassification(region=region, audited=audited)
 
 
 def thickness_certificate(analysis: GenericityAnalysis) -> ThicknessCertificate:
@@ -443,35 +459,20 @@ def thickness_certificate(analysis: GenericityAnalysis) -> ThicknessCertificate:
         )
     nu = analysis.protection.nu_tilde
     upsilon0 = np.sqrt(3.0) * nu * nu / 4.0
-    witnesses = []
-    worst = np.inf
-    for dim in range(1, analysis.points.dim + 1):
-        for s in analysis.classification.safe.simplices(dim):
-            met = analysis.metrics(s)
-            worst = min(worst, met.thickness)
-            witnesses.append((s, met.thickness, met.thickness >= upsilon0 - THICKNESS_SLACK))
-    valid = all(w[2] for w in witnesses)
+    witnesses = analysis.safe_metrics
+    worst = min(float(cols.thickness.min()) for cols in witnesses)
     return ThicknessCertificate(
         upsilon0=float(upsilon0),
-        witnesses=tuple(witnesses),
-        min_thickness=float(worst),
+        witnesses=witnesses,
+        min_thickness=worst,
         margin=float(worst - upsilon0),
-        valid=valid,
+        valid=bool(worst >= upsilon0 - THICKNESS_SLACK),
     )
 
 
 # -- lemma audit -----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class SimplexAudit:
-    """One audited top simplex with its measured quantities."""
-
-    vertices: tuple[int, ...]
-    radius: float
-    protection: float
-    thickness: float
-    secure: bool
+_CHECKS = ("separation", "altitude", "circumradius", "thickness")
 
 
 @dataclass(frozen=True)
@@ -480,8 +481,10 @@ class AuditRecord:
 
     ``checks`` maps each consequence to (pass, fail) counts: edge separation
     above the protection margin, altitude floors, the circumradius bound for
-    simplices with a doubly deep vertex, and the thickness floor. When the
-    data is not generic no per simplex claims are made.
+    simplices with a doubly deep vertex, and the thickness floor.
+    ``simplices`` is the table of the audited top simplices, with columns
+    vertices, radius, protection, thickness and secure. When the data is not
+    generic no per simplex claims are made and the table is empty.
     """
 
     epsilon: float
@@ -491,7 +494,7 @@ class AuditRecord:
     nu_tilde: float
     upsilon0: float
     generic: bool
-    simplices: tuple[SimplexAudit, ...]
+    simplices: Table
     checks: dict[str, tuple[int, int]]
 
     def to_json(self) -> dict:
@@ -503,21 +506,17 @@ class AuditRecord:
             "nu_tilde": self.nu_tilde,
             "upsilon0": self.upsilon0,
             "generic": self.generic,
-            "simplices": [
-                {
-                    "vertices": list(s.vertices),
-                    "radius": s.radius,
-                    "protection": s.protection,
-                    "thickness": s.thickness,
-                    "secure": s.secure,
-                }
-                for s in self.simplices
-            ],
+            "simplices": self.simplices,
             "checks": {
                 name: {"pass": p, "fail": f}
                 for name, (p, f) in sorted(self.checks.items())
             },
         }
+
+
+def _count(ok: np.ndarray) -> tuple[int, int]:
+    hits = int(np.count_nonzero(ok))
+    return hits, ok.size - hits
 
 
 def lemma_audit(analysis: GenericityAnalysis) -> AuditRecord:
@@ -533,59 +532,43 @@ def lemma_audit(analysis: GenericityAnalysis) -> AuditRecord:
     delta = analysis.protection.delta_global
     nu = analysis.protection.nu_tilde
     upsilon0 = float(np.sqrt(3.0) * nu * nu / 4.0)
+    m = analysis.points.dim
     if not analysis.protection.generic:
+        empty = Table(vertices=np.zeros((0, m + 1), dtype=np.intp), radius=np.zeros(0),
+                      protection=np.zeros(0), thickness=np.zeros(0),
+                      secure=np.zeros(0, dtype=bool))
         return AuditRecord(
             epsilon=s0.epsilon, sparsity=s0.sparsity, mu0=s0.mu0,
             delta=delta, nu_tilde=nu, upsilon0=upsilon0, generic=False,
-            simplices=(), checks={name: (0, 0) for name in
-                                  ("separation", "altitude", "circumradius", "thickness")},
+            simplices=empty, checks={name: (0, 0) for name in _CHECKS},
         )
     eps = s0.epsilon
     tol = analysis.tolerance
-    pts = analysis.points.points
-    m = analysis.points.dim
-    counts = {name: [0, 0] for name in ("separation", "altitude", "circumradius", "thickness")}
-
-    def tally(name: str, ok: bool) -> None:
-        counts[name][0 if ok else 1] += 1
-
     altitude_floor = np.sqrt(3.0) * delta * delta / (2.0 * eps)
-    for dim in range(1, m + 1):
-        mets = [analysis.metrics(s) for s in analysis.classification.safe.simplices(dim)]
-        if not mets:
-            continue
-        passed = {
-            "separation": np.array([met.shortest_edge for met in mets]) > delta - tol,
-            "altitude": (np.array([met.altitudes for met in mets])
-                         > altitude_floor - tol).all(axis=1),
-            "thickness": np.array([met.thickness for met in mets])
-                         >= upsilon0 - THICKNESS_SLACK,
-        }
-        for name, ok in passed.items():
-            hits = int(np.count_nonzero(ok))
-            counts[name][0] += hits
-            counts[name][1] += len(mets) - hits
+    safe = analysis.safe_metrics
+    passed = {
+        "separation": [cols.shortest_edge > delta - tol for cols in safe],
+        "altitude": [(cols.altitudes > altitude_floor - tol).all(axis=1) for cols in safe],
+        "thickness": [cols.thickness >= upsilon0 - THICKNESS_SLACK for cols in safe],
+    }
+    counts = {name: _count(np.concatenate(oks)) for name, oks in passed.items()}
 
-    depth = analysis.facets.depth(pts)
-    audits = []
-    for s in analysis.classification.audited:
-        ball = analysis.base.balls[s]
-        met = analysis.metrics(s)
-        if np.max(depth[list(s)]) >= 2.0 * eps:
-            tally("circumradius", ball.radius < eps + tol)
-        secure = (
-            ball.protection >= delta - tol
-            and met.thickness >= upsilon0 - THICKNESS_SLACK
-            and ball.radius < eps + tol
-            and met.shortest_edge >= nu * eps - tol
-        )
-        audits.append(SimplexAudit(
-            vertices=s, radius=float(ball.radius), protection=float(ball.protection),
-            thickness=float(met.thickness), secure=secure,
-        ))
+    tops = analysis.audited_metrics
+    balls = analysis.base.balls
+    radius = np.array([balls[s].radius for s in analysis.classification.audited], dtype=float)
+    protection = np.fromiter(analysis.protection.per_simplex.values(), dtype=float,
+                             count=len(tops))
+    small = radius < eps + tol
+    doubly_deep = analysis.depths[tops.vertices].max(axis=1) >= 2.0 * eps
+    counts["circumradius"] = _count(small[doubly_deep])
+    secure = ((protection >= delta - tol)
+              & (tops.thickness >= upsilon0 - THICKNESS_SLACK)
+              & small
+              & (tops.shortest_edge >= nu * eps - tol))
     return AuditRecord(
         epsilon=eps, sparsity=s0.sparsity, mu0=s0.mu0, delta=delta,
         nu_tilde=nu, upsilon0=upsilon0, generic=True,
-        simplices=tuple(audits),
-        checks={name: (p, f) for name, (p, f) in counts.items()},
+        simplices=Table(vertices=tops.vertices, radius=radius, protection=protection,
+                        thickness=tops.thickness, secure=secure),
+        checks={name: counts[name] for name in _CHECKS},
     )

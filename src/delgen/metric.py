@@ -27,7 +27,7 @@ from .complexes import SimplicialComplex
 from .delaunay import (Ball, _ball_gap, _branch_and_bound, _checked_region,
                        _empty_balls, _star_candidates, as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
-from .simplex import Simplex, _norms, simplex_metrics, simplex_metrics_batch
+from .simplex import Simplex, _norms, simplex_metrics_batch
 
 
 class DisplacementField:
@@ -142,11 +142,12 @@ def metric_circumcenter(simplex, model: MetricModel, *,
     s = simplex if isinstance(simplex, Simplex) else Simplex(simplex)
     if s.dim != s.ambient_dim:
         raise PreconditionError("metric circumcentre needs a full dimensional simplex")
-    met = simplex_metrics(s)
-    if met.degenerate or met.circumradius is None:
+    rows = np.arange(s.dim + 1)[None]
+    mets = simplex_metrics_batch(s.vertices, rows)
+    if mets.degenerate[0] or not mets.found[0]:
         raise PreconditionError("metric circumcentre needs a non-degenerate simplex")
     centres, radii, found = _metric_circumcenters(
-        s.vertices, np.arange(s.dim + 1)[None], [met], model, upsilon0, mu0, search_radius)
+        s.vertices, rows, mets, model, upsilon0, mu0, search_radius)
     return (centres[0], float(radii[0])) if found[0] else None
 
 
@@ -155,7 +156,7 @@ def _metric_circumcenters(pts, simplices, mets, model, upsilon0, mu0,
     """Metric circumcentres of a stack of full dimensional simplices.
 
     ``simplices`` holds C rows of m+1 indices into ``pts`` and ``mets`` their
-    :func:`simplex_metrics_batch` rows. Every row runs damped Newton from its
+    :func:`simplex_metrics_batch` columns. Every row runs damped Newton from its
     Euclidean circumcentre; the rows that fail run again from each nonzero
     offset of the 3^m multistart grid in ``product`` order, so the first
     start that converges wins, as for a single simplex. Degenerate rows are
@@ -165,21 +166,18 @@ def _metric_circumcenters(pts, simplices, mets, model, upsilon0, mu0,
     count, m = idx.shape[0], pts.shape[1]
     centres, radii = np.zeros((count, m)), np.zeros(count)
     found = np.zeros(count, dtype=bool)
-    rows = np.array([not met.degenerate and met.circumradius is not None for met in mets],
-                    dtype=bool)
+    rows = ~mets.degenerate & mets.found
     if not rows.any():
         return centres, radii, found
-    solvable = [mets[k] for k in np.flatnonzero(rows)]
-    c0 = np.array([met.circumcenter for met in solvable])
-    r0 = np.array([met.circumradius for met in solvable])
+    c0, r0 = mets.centres[rows], mets.radii[rows]
     if search_radius is not None:
-        search_radii = np.full(len(solvable), search_radius, dtype=float)
+        search_radii = np.full(len(r0), search_radius, dtype=float)
     elif upsilon0 and mu0:
         search_radii = 8.0 * model.rho_bound / (upsilon0 * mu0) + 0.05 * r0
     else:
         # Fall back to the same bound with eps read off as 2 R and the
         # sparsity taken from the simplex itself.
-        sparse = np.array([met.thickness * met.shortest_edge for met in solvable])
+        sparse = mets.thickness[rows] * mets.shortest_edge[rows]
         search_radii = 16.0 * model.rho_bound * r0 / np.maximum(sparse, 1e-300) + 0.05 * r0
     verts = pts[idx[rows]]
     image = model.field.forward(verts.reshape(-1, m)).reshape(verts.shape)
@@ -336,8 +334,7 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
             continue
         not_found.append(cand)
         member_pts = pts[list(cand)]
-        ball = mets[k].circumcenter
-        seed = ball if ball is not None else member_pts.mean(axis=0)
+        seed = mets.centres[k] if mets.found[k] else member_pts.mean(axis=0)
         # The metric gap is the Euclidean ball gap between images.
         member_img = image_pts[list(cand)]
         verdict, witness = _branch_and_bound(

@@ -82,15 +82,13 @@ def measured_secure_params(analysis: GenericityAnalysis) -> SecureParams:
     ratio, and the audited protection; the dimensionless values are clamped
     to one so the budget formulas stay in their stated domain.
     """
-    worst = 1.0
-    for s in analysis.classification.audited:
-        worst = min(worst, analysis.metrics(s).thickness)
+    worst = min(1.0, float(analysis.audited_metrics.thickness.min()))
     eps = analysis.sampling.epsilon
     delta = min(analysis.protection.delta_global, eps)
     if delta <= 0:
         raise NonGenericError("point set is not generic, no secure parameters")
     return SecureParams(
-        upsilon0=min(worst, 1.0),
+        upsilon0=worst,
         mu0=min(analysis.sampling.mu0, 1.0),
         delta=delta,
         eps=eps,

@@ -15,7 +15,7 @@ circumcentre, and the angle between the simplex and nearby flats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
@@ -201,7 +201,49 @@ class SimplexMetrics:
     degenerate: bool
 
 
-def simplex_metrics_batch(points, simplices) -> list[SimplexMetrics]:
+@dataclass(frozen=True)
+class SimplexColumns:
+    """Metrics of S simplices of one dimension j, one array per quantity.
+
+    Row k describes the simplex ``vertices[k]``; see :func:`simplex_metrics`
+    for the definitions. ``found`` is false where a degenerate simplex has
+    no circumball, and there ``centres`` and ``radii`` hold zeros.
+    """
+
+    vertices: np.ndarray         # (S, j+1) vertex ids
+    longest_edge: np.ndarray     # (S,)
+    shortest_edge: np.ndarray    # (S,)
+    altitudes: np.ndarray        # (S, j+1)
+    thickness: np.ndarray        # (S,)
+    singular_values: np.ndarray  # (S, j)
+    degenerate: np.ndarray       # (S,) bool
+    centres: np.ndarray          # (S, m)
+    radii: np.ndarray            # (S,)
+    found: np.ndarray            # (S,) bool
+
+    def __len__(self) -> int:
+        return self.vertices.shape[0]
+
+    def take(self, rows) -> "SimplexColumns":
+        """The columns of a subset of the rows, given as indices or a mask."""
+        return SimplexColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def rows(self) -> list[SimplexMetrics]:
+        """One :class:`SimplexMetrics` per row."""
+        j = self.vertices.shape[1] - 1
+        return [
+            SimplexMetrics(
+                dim=j, longest_edge=lo, shortest_edge=sh,
+                circumcenter=c if ok else None, circumradius=r if ok else None,
+                altitudes=a, thickness=t, singular_values=s, degenerate=d)
+            for lo, sh, c, r, ok, a, t, s, d in zip(
+                self.longest_edge.tolist(), self.shortest_edge.tolist(), self.centres,
+                self.radii.tolist(), self.found.tolist(), self.altitudes,
+                self.thickness.tolist(), self.singular_values, self.degenerate.tolist())
+        ]
+
+
+def simplex_metrics_batch(points, simplices) -> SimplexColumns:
     """Metrics of a stack of simplices of one dimension, one array pass.
 
     ``simplices`` holds S rows of j+1 indices into ``points`` (n, m). Edge
@@ -209,16 +251,18 @@ def simplex_metrics_batch(points, simplices) -> list[SimplexMetrics]:
     array expressions over the (S, j+1, m) vertex stack, rounded exactly as
     a stack of one; see :func:`simplex_metrics` for the definitions.
     """
+    pts = np.asarray(points, dtype=float)
     idx = np.asarray(simplices, dtype=np.intp)
     if idx.size == 0:
-        return []
-    v = np.asarray(points, dtype=float)[idx]
-    j = v.shape[1] - 1
-    if j == 0:
-        return [SimplexMetrics(
-            dim=0, longest_edge=0.0, shortest_edge=0.0, circumcenter=c.copy(),
-            circumradius=0.0, altitudes=np.zeros(1), thickness=1.0,
-            singular_values=np.zeros(0), degenerate=False) for c in v[:, 0]]
+        idx = idx.reshape(0, idx.shape[1] if idx.ndim == 2 else 1)
+    v = pts[idx]
+    count, j = idx.shape[0], idx.shape[1] - 1
+    if j == 0 or count == 0:
+        return SimplexColumns(
+            vertices=idx, longest_edge=np.zeros(count), shortest_edge=np.zeros(count),
+            altitudes=np.zeros((count, j + 1)), thickness=np.ones(count),
+            singular_values=np.zeros((count, j)), degenerate=np.zeros(count, dtype=bool),
+            centres=v[:, 0].copy(), radii=np.zeros(count), found=np.ones(count, dtype=bool))
     e, lengths, sv, degenerate = _edge_stack(v)
     longest = lengths.max(axis=1)
     alts = _altitude_stack(v)
@@ -226,16 +270,10 @@ def simplex_metrics_batch(points, simplices) -> list[SimplexMetrics]:
     with np.errstate(divide="ignore", invalid="ignore"):
         thickness = np.where(flat, 0.0, alts.min(axis=1) / (j * longest))
     centres, radii, found = _circumballs(v, e, degenerate, longest)
-    return [
-        SimplexMetrics(
-            dim=j, longest_edge=lo, shortest_edge=sh,
-            circumcenter=c if ok else None, circumradius=r if ok else None,
-            altitudes=a, thickness=t, singular_values=s, degenerate=d)
-        for lo, sh, c, r, ok, a, t, s, d in zip(
-            longest.tolist(), lengths.min(axis=1).tolist(), centres,
-            radii.tolist(), found.tolist(), alts, thickness.tolist(), sv,
-            degenerate.tolist())
-    ]
+    return SimplexColumns(
+        vertices=idx, longest_edge=longest, shortest_edge=lengths.min(axis=1),
+        altitudes=alts, thickness=thickness, singular_values=sv, degenerate=degenerate,
+        centres=centres, radii=radii, found=found)
 
 
 def simplex_metrics(simplex) -> SimplexMetrics:
@@ -247,7 +285,7 @@ def simplex_metrics(simplex) -> SimplexMetrics:
     ``degenerate`` is equivalent to ``s_j < DEGENERACY_RTOL * s_1``.
     """
     v = _as_simplex(simplex).vertices
-    return simplex_metrics_batch(v, np.arange(len(v))[None])[0]
+    return simplex_metrics_batch(v, np.arange(len(v))[None]).rows()[0]
 
 
 @dataclass(frozen=True)

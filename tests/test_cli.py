@@ -390,10 +390,13 @@ def test_analyze_builds_the_sampling_set_up_once(tmp_path, monkeypatch):
     write_points(str(path), grid_points(9, 3, 0.05, seed=1))
     code, _, _ = run(["analyze", "--in", str(path)])
     assert code == 0
-    # One ball pass, and one face pass each for Delaunay edges and triangles.
+    # One ball pass, and one face pass each for Delaunay edges and triangles;
+    # the audit takes the safe edges and triangles in one more pass each.
     assert counts.pop("g") >= 3
-    assert counts == {"_facet_balls": 1, "_faces_of": 2, "_voronoi_pieces": 1}
-    assert depth_in_g and not any(depth_in_g)
+    assert counts == {"_facet_balls": 1, "_faces_of": 4, "_voronoi_pieces": 1}
+    # The points' hull depths are taken once per analysis, and so are the
+    # circumcentres'.
+    assert depth_in_g == [False, False]
 
 
 def test_compare_rejects_malformed_mapping(tmp_path):

@@ -1,14 +1,18 @@
 """Dataset generators, point file round trips, digests, and envelopes."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from delgen import cli
 from delgen.datasets import delta_search, generic_grid, grid_points, uniform_points
 from delgen.delaunay import Ball, delaunay_lifted
 from delgen.errors import ParseError, PreconditionError
 from delgen.fileio import (
+    Table,
     complex_from_json,
     complex_to_json,
     dataset_digest,
@@ -215,3 +219,55 @@ def test_flatten_and_csv():
     assert lines[0] == "key,value"
     assert not any(line.startswith("timings") for line in lines)
     assert "results.list[0],True" in lines
+
+
+def rows_of(value):
+    """The report with each table spelled out as its list of row dicts."""
+    if isinstance(value, Table):
+        names = sorted(value.columns)
+        return [{name: value.columns[name][i] for name in names} for i in range(len(value))]
+    if isinstance(value, dict):
+        return {k: rows_of(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [rows_of(v) for v in value]
+    return value
+
+
+def assert_writers_match_the_encoder(env):
+    ref = jsonable(rows_of(env))
+    assert envelope_json(env) == json.dumps(ref, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    writer.writerows(flatten_for_csv(strip_timings(ref)))
+    assert envelope_csv(env) == buf.getvalue()
+
+
+@pytest.mark.parametrize("pts, code", [
+    (grid_points(9, 2, jitter=0.2, seed=3), 0),
+    (grid_points(9, 3, jitter=0.05, seed=1), 0),
+    (grid_points(9, 2), 5),
+], ids=["analyze-2d", "analyze-3d", "non-generic"])
+def test_report_writers_match_the_encoder_on_analyze_reports(pts, code, tmp_path, monkeypatch):
+    envelopes = []
+    real = cli.report_envelope
+    monkeypatch.setattr(cli, "report_envelope",
+                        lambda *args: envelopes.append(real(*args)) or envelopes[-1])
+    path = tmp_path / "points.txt"
+    write_points(str(path), pts)
+    assert cli.main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == code
+    (env,) = envelopes
+    table = env["results"]["audit"]["simplices"]
+    assert isinstance(table, Table) and (len(table) == 0) == (code == 5)
+    assert_writers_match_the_encoder(env)
+
+
+def test_report_writers_match_the_encoder_on_non_finite_rows():
+    table = Table(vertices=np.array([[0, 1, 2], [3, 4, 5]]),
+                  protection=np.array([np.inf, 0.25]),
+                  radius=np.array([1.5, np.nan]), thickness=np.array([-np.inf, 1e-300]),
+                  secure=np.array([False, True]))
+    env = report_envelope("0", {"x": 1}, None, {"t": 1.0},
+                          {"audit": {"simplices": table, "z": 1}, "list": [table]})
+    assert_writers_match_the_encoder(env)
+    assert '"protection": "inf"' in envelope_json(env)

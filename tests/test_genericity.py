@@ -1,13 +1,18 @@
 """Sampling radius, deep interior, protection audits, and certificates."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
-from delgen.datasets import grid_points
+from delgen.datasets import grid_points, uniform_points
 from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import NonGenericError, PreconditionError
+from delgen.fileio import envelope_json
 from delgen.genericity import (
+    THICKNESS_SLACK,
     SamplingReport,
     _audit_star,
     analyze_genericity,
@@ -16,6 +21,8 @@ from delgen.genericity import (
     thickness_certificate,
 )
 from delgen.hull import hull_facets
+from delgen.perturb import measured_secure_params
+from delgen.simplex import simplex_metrics_batch
 
 SQRT2 = np.sqrt(2.0)
 
@@ -115,7 +122,8 @@ def test_sampling_radius_is_never_below_the_fixed_point():
         pts = rng.uniform(size=(int(rng.integers(10, 40)), 2))
         ps = PointSet(pts)
         facets, base = hull_facets(pts), delaunay_lifted(ps)
-        vor, tree = genericity._voronoi_pieces(pts, facets, base), cKDTree(pts)
+        vor = genericity._voronoi_pieces(pts, facets, base, facets.depth(pts))
+        tree = cKDTree(pts)
         calls = []
 
         def g(e):
@@ -124,7 +132,7 @@ def test_sampling_radius_is_never_below_the_fixed_point():
 
         tol = 1e-9 * ps.diameter()
         eps = genericity._fixed_point(g, tol)
-        assert eps == sampling_parameters(ps, facets, base).epsilon
+        assert eps == sampling_parameters(ps, facets, base, facets.depth(pts)).epsilon
         # g(x) > x for every x below the fixed point, so g(eps) <= eps puts
         # eps at or above it.
         assert g(eps) <= eps
@@ -262,8 +270,8 @@ def test_thickness_certificate_on_generic_grid():
     assert cert.valid
     assert cert.min_thickness >= cert.upsilon0 - 1e-9
     assert cert.margin == pytest.approx(cert.min_thickness - cert.upsilon0)
-    assert all(len(w[0]) >= 2 for w in cert.witnesses)
-    assert min(w[1] for w in cert.witnesses) == cert.min_thickness
+    assert all(w.vertices.shape[1] >= 2 for w in cert.witnesses)
+    assert min(w.thickness.min() for w in cert.witnesses) == cert.min_thickness
 
 
 def test_thickness_certificate_rejects_non_generic():
@@ -275,7 +283,7 @@ def test_exact_grid_audit_is_non_generic():
     record = lemma_audit(analyze_genericity(grid_points(9, dim=2)))
     assert not record.generic
     assert abs(record.delta) <= 1e-9 * 8.0 * SQRT2
-    assert record.simplices == ()
+    assert len(record.simplices) == 0
     assert all(counts == (0, 0) for counts in record.checks.values())
 
 
@@ -287,16 +295,16 @@ def test_lemma_audit_green_on_generic_grid():
         passed, failed = record.checks[name]
         assert failed == 0
         assert passed > 0
-    assert record.simplices
-    eps = record.epsilon
-    for audit in record.simplices:
-        assert audit.radius < eps + 1e-9 * 8.0
-        assert audit.protection > 0
+    assert len(record.simplices)
+    table = record.simplices.columns
+    assert (table["radius"] < record.epsilon + 1e-9 * 8.0).all()
+    assert (table["protection"] > 0).all()
 
 
 def test_audit_json_schema():
     pts, region = jittered_instance()
-    doc = lemma_audit(analyze_genericity(pts, region)).to_json()
+    audit = lemma_audit(analyze_genericity(pts, region)).to_json()
+    doc = json.loads(envelope_json({"audit": audit}))["audit"]
     assert set(doc) == {
         "epsilon", "sparsity", "mu0", "delta", "nu_tilde", "upsilon0",
         "generic", "simplices", "checks",
@@ -318,18 +326,116 @@ def test_secure_flags_match_definition():
     eps = record.epsilon
     ups = record.upsilon0
     tol = a.tolerance
-    for audit in record.simplices:
-        expect = (
-            audit.protection >= delta - tol
-            and audit.thickness >= ups - 1e-9
-            and audit.radius < eps + tol
-        )
-        if not expect:
-            assert not audit.secure
-        # The shortest edge clause cannot be reconstructed from the audit
-        # record alone; secure implies the reconstructible part.
-        if audit.secure:
-            assert expect
+    table = record.simplices.columns
+    expect = ((table["protection"] >= delta - tol)
+              & (table["thickness"] >= ups - 1e-9)
+              & (table["radius"] < eps + tol))
+    # The shortest edge clause cannot be reconstructed from the audit
+    # record alone; secure implies the reconstructible part.
+    assert not (table["secure"] & ~expect).any()
+
+
+def metric_table_by_rows(analysis):
+    """One SimplexMetrics row per safe simplex of dimension 1..m, taken from
+    the closed safe star, and per audited top simplex."""
+    star = analysis.classification
+    table = {}
+    for dim in range(1, analysis.points.dim + 1):
+        group = star.safe.simplices(dim)
+        if dim == analysis.points.dim:
+            group = sorted(set(group).union(star.audited))
+        table.update(zip(group, simplex_metrics_batch(analysis.points.points, group).rows()))
+    return table
+
+
+def thickness_certificate_by_loop(analysis, table):
+    """Upsilon0, (simplex, thickness, passed) witnesses, least thickness and
+    validity, simplex by simplex."""
+    nu = analysis.protection.nu_tilde
+    upsilon0 = float(np.sqrt(3.0) * nu * nu / 4.0)
+    witnesses, worst = [], np.inf
+    for dim in range(1, analysis.points.dim + 1):
+        for s in analysis.classification.safe.simplices(dim):
+            t = table[s].thickness
+            worst = min(worst, t)
+            witnesses.append((s, t, t >= upsilon0 - THICKNESS_SLACK))
+    return upsilon0, witnesses, worst, all(w[2] for w in witnesses)
+
+
+def lemma_audit_by_loop(analysis, table):
+    """Check counts and (vertices, radius, protection, thickness, secure)
+    rows, simplex by simplex."""
+    eps, tol = analysis.sampling.epsilon, analysis.tolerance
+    delta, nu = analysis.protection.delta_global, analysis.protection.nu_tilde
+    upsilon0 = float(np.sqrt(3.0) * nu * nu / 4.0)
+    floor = np.sqrt(3.0) * delta * delta / (2.0 * eps)
+    counts = {name: [0, 0] for name in ("separation", "altitude", "circumradius", "thickness")}
+
+    def tally(name, ok):
+        counts[name][0 if ok else 1] += 1
+
+    for dim in range(1, analysis.points.dim + 1):
+        for s in analysis.classification.safe.simplices(dim):
+            met = table[s]
+            tally("separation", met.shortest_edge > delta - tol)
+            tally("altitude", all(h > floor - tol for h in met.altitudes))
+            tally("thickness", met.thickness >= upsilon0 - THICKNESS_SLACK)
+    depth = analysis.facets.depth(analysis.points.points)
+    rows = []
+    for s in analysis.classification.audited:
+        ball, met = analysis.base.balls[s], table[s]
+        if max(depth[v] for v in s) >= 2.0 * eps:
+            tally("circumradius", ball.radius < eps + tol)
+        secure = (ball.protection >= delta - tol
+                  and met.thickness >= upsilon0 - THICKNESS_SLACK
+                  and ball.radius < eps + tol
+                  and met.shortest_edge >= nu * eps - tol)
+        rows.append((s, float(ball.radius), float(ball.protection), met.thickness, secure))
+    return {name: tuple(c) for name, c in counts.items()}, rows
+
+
+def rescaled(analysis, eps_scale, delta_share):
+    """The same analysis with eps scaled and delta set to a share of it, so
+    that the checks and the secure clauses see both outcomes."""
+    protection, classification = analysis._star
+    eps = analysis.sampling.epsilon * eps_scale
+    delta = delta_share * eps
+    protection = replace(protection, delta_global=delta, nu_tilde=delta / eps)
+    return replace(analysis, sampling=replace(analysis.sampling, epsilon=eps),
+                   _star=(protection, classification))
+
+
+@pytest.mark.parametrize("pts", [
+    grid_points(9, 2, 0.2, seed=3),
+    grid_points(9, 3, 0.05, seed=1),
+    uniform_points(2000, 2, seed=5),
+], ids=["jittered-2d", "jittered-3d", "cloud-2000"])
+def test_columnar_audit_matches_the_per_simplex_loops(pts):
+    a = analyze_genericity(pts)
+    table = metric_table_by_rows(a)
+    flags = set()
+    for b in (a, rescaled(a, 0.8, 0.2), rescaled(a, 1.5, 0.2)):
+        record = lemma_audit(b)
+        assert record.generic
+        counts, rows = lemma_audit_by_loop(b, table)
+        assert record.checks == counts
+        got = record.simplices.columns
+        assert list(zip(map(tuple, got["vertices"].tolist()), got["radius"].tolist(),
+                        got["protection"].tolist(), got["thickness"].tolist(),
+                        got["secure"].tolist())) == rows
+        flags.update(got["secure"].tolist())
+
+        cert = thickness_certificate(b)
+        upsilon0, witnesses, worst, valid = thickness_certificate_by_loop(b, table)
+        assert (cert.upsilon0, cert.min_thickness, cert.margin, cert.valid) == (
+            upsilon0, worst, worst - upsilon0, valid)
+        assert [(tuple(v), t, t >= upsilon0 - THICKNESS_SLACK)
+                for w in cert.witnesses
+                for v, t in zip(w.vertices.tolist(), w.thickness.tolist())] == witnesses
+    assert flags == {True, False}
+
+    assert measured_secure_params(a).upsilon0 == min(
+        [1.0] + [table[s].thickness for s in a.classification.audited])
 
 
 @pytest.mark.parametrize("pts", [

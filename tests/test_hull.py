@@ -132,7 +132,7 @@ def test_boundary_sweep_of_an_empty_body(dim):
     assert boundary_samples_by_loop(facets, 5.0, 0.1).shape == (0, dim)
     a, b = hull.eroded_edges(facets, 5.0)
     assert a.shape == b.shape == (0, dim)
-    vor = genericity._voronoi_pieces(pts, facets, delaunay_lifted(pts))
+    vor = genericity._voronoi_pieces(pts, facets, delaunay_lifted(pts), facets.depth(pts))
     assert genericity._coverage_radius(facets, vor, cKDTree(pts), 5.0) == 0.0
 
 
@@ -175,7 +175,7 @@ def test_exact_radius_bounds_the_sweep_and_a_dense_sample(case):
     facets = hull.hull_facets(pts)
     base = delaunay_lifted(ps)
     tree = cKDTree(pts)
-    vor = genericity._voronoi_pieces(pts, facets, base)
+    vor = genericity._voronoi_pieces(pts, facets, base, facets.depth(pts))
     centers = np.array([b.center for b in base.balls.values()])
     radii = np.array([b.radius for b in base.balls.values()])
     pitch = ps.min_gap() / 16.0
@@ -190,7 +190,7 @@ def test_exact_radius_bounds_the_sweep_and_a_dense_sample(case):
 
     tol = 1e-9 * ps.diameter()
     eps = genericity._fixed_point(exact, tol)
-    assert eps == sampling_parameters(ps, facets, base).epsilon
+    assert eps == sampling_parameters(ps, facets, base, facets.depth(pts)).epsilon
     # eps >= its fixed point >= the sweep's fixed point >= what the sweep's
     # solve returns, less its bracket.
     assert eps >= genericity._fixed_point(sweep, tol) - tol
@@ -268,10 +268,10 @@ def test_pruned_coverage_matches_full_candidates(case):
     ps = PointSet(pts)
     facets = hull.hull_facets(pts)
     base = delaunay_lifted(ps)
-    vor = genericity._voronoi_pieces(pts, facets, base)
+    vor = genericity._voronoi_pieces(pts, facets, base, facets.depth(pts))
     tree = cKDTree(pts)
     tol = 1e-9 * ps.diameter()
-    eps = sampling_parameters(ps, facets, base).epsilon
+    eps = sampling_parameters(ps, facets, base, facets.depth(pts)).epsilon
     assert eps == genericity._fixed_point(
         lambda e: full_coverage_radius(facets, vor, tree, e), tol)
     for e in (0.0, 0.25 * eps, 0.5 * eps, eps, 1.5 * eps):
@@ -284,7 +284,7 @@ def test_pruned_coverage_matches_full_candidates(case):
 def test_edge_pair_prefilter_keeps_every_edge(case):
     pts = PRUNING_INPUTS[case]
     facets = hull.hull_facets(pts)
-    eps = sampling_parameters(pts, facets, delaunay_lifted(pts)).epsilon
+    eps = sampling_parameters(pts, facets, delaunay_lifted(pts), facets.depth(pts)).epsilon
     # The largest ball in the hull, by linear programming: eroding by more
     # than its radius leaves the body empty.
     lp = linprog(np.append(np.zeros(3), -1.0),

@@ -377,7 +377,9 @@ def simplex_metrics_by_loop(v):
 
 
 def assert_rows_match_loop(points, simplices):
-    rows = simplex_metrics_batch(points, simplices)
+    cols = simplex_metrics_batch(points, simplices)
+    assert np.array_equal(cols.vertices, np.array(simplices).reshape(len(cols), -1))
+    rows = cols.rows()
     assert len(rows) == len(simplices)
     for s, met in zip(simplices, rows):
         ref = simplex_metrics_by_loop(points[list(s)])
@@ -431,6 +433,6 @@ def test_simplex_metrics_batch_matches_the_rowwise_loop():
     rows = good[:2] + bad[:3] + good[2:4] + bad[3:]
     assert_rows_match_loop(pts, rows)
     mets = simplex_metrics_batch(pts, rows)
-    assert [m.degenerate for m in mets] == [False] * 2 + [True] * 3 + [False] * 2 + [True] * 2
-    assert mets[2].circumcenter is not None and mets[3].circumcenter is None
-    assert simplex_metrics_batch(pts, []) == []
+    assert mets.degenerate.tolist() == [False] * 2 + [True] * 3 + [False] * 2 + [True] * 2
+    assert mets.found[2] and not mets.found[3]
+    assert simplex_metrics_batch(pts, []).rows() == []
