@@ -9,7 +9,9 @@
   arbitrary triangulation choices inside a degenerate group cannot leak into
   the output.
 * :func:`relaxed_delaunay` decides membership in the almost empty ball
-  complex by a certified Lipschitz branch and bound over candidate centres.
+  complex by a certified Lipschitz branch and bound over candidate centres,
+  one search over the stack of every candidate, which the Newton route of
+  :mod:`delgen.metric` shares for the candidates its search misses.
 
 A simplex is an affinely independent (m+1)-subset. Both routes, and the
 Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
@@ -384,50 +386,137 @@ class RelaxedResult:
         return not self.undecided
 
 
-def _ball_gap(c: np.ndarray, member_pts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """g(c) = enclosing radius of the member points minus nearest point gap,
-    for each row c; g(c) <= 0 exactly at centres of empty member balls."""
-    c2 = np.atleast_2d(c)
-    need = cdist(c2, member_pts).max(axis=1)
-    have = cdist(c2, pts).min(axis=1)
-    return need - have
+def _nearest(tree: cKDTree, centres: np.ndarray) -> np.ndarray:
+    """Distance from each centre to its nearest point of ``tree.data``, equal
+    to ``cdist(centres, tree.data).min(axis=1)`` bit for bit.
 
-
-def _branch_and_bound(gap, seed, radius, lipschitz, threshold, max_nodes=20000):
-    """Search the cube of half width ``radius`` around ``seed`` for a centre
-    c with gap(c) <= threshold, or certify that none exists.
-
-    ``gap`` maps rows of centres to values. A cube of half width h centred
-    where gap was measured cannot hide a value below gap - lipschitz * h, so
-    such cubes are pruned and the rest split into 2^m halves. Returns
-    (verdict, witness): verdict True/False/None for found (with the first
-    hit as witness), certified absent, or undecided once more than
-    ``max_nodes`` cubes stay alive.
+    Each centre lists its two nearest points, measured again as
+    ``cdist`` measures them. When the least of these ties the list's edge
+    within rounding, a point left off the list might be nearer, and the row
+    lists every point within that least distance instead.
     """
-    m = seed.shape[0]
+    pts = tree.data
+    n = pts.shape[0]
+    dist, listed = tree.query(centres, k=min(2, n))
+    dist, listed = dist.reshape(len(centres), -1), listed.reshape(len(centres), -1)
+    have = _distances(centres[:, None, :], pts[listed]).min(axis=1)
+    if listed.shape[1] < n:
+        again = np.flatnonzero(have >= dist[:, -1] * (1.0 - _TREE_RTOL))
+        if again.size:
+            found = tree.query_ball_point(centres[again], have[again] * (1.0 + 4.0 * _TREE_RTOL))
+            sizes = np.array([len(f) for f in found])
+            cols = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+            near = _distances(np.repeat(centres[again], sizes, axis=0), pts[cols])
+            have[again] = np.minimum.reduceat(near, np.cumsum(sizes) - sizes)
+    return have
+
+
+def _ball_gap(centres: np.ndarray, members: np.ndarray, tree: cKDTree) -> np.ndarray:
+    """g(c) = enclosing radius of the member points minus nearest point gap,
+    for each row c; g(c) <= 0 exactly at centres of empty member balls.
+
+    Row k of ``members`` holds the member points of the candidate that owns
+    centre k. A candidate with fewer than m+1 vertices repeats one of them,
+    which leaves the enclosing radius unchanged. Every distance is measured
+    as ``cdist`` measures it.
+    """
+    need = _distances(centres[:, None, :], members).max(axis=1)
+    return need - _nearest(tree, centres)
+
+
+def _padded(candidates, m: int) -> np.ndarray:
+    """(C, m+1) vertex ids of the candidates, each padded to m+1 ids by
+    repeating its first vertex."""
+    return np.array([(*c, *(c[0],) * (m + 1 - len(c))) for c in candidates],
+                    dtype=np.intp).reshape(-1, m + 1)
+
+
+# Rows per call of a branch-and-bound gap.
+_GAP_BLOCK = 4096
+
+
+def _gaps(gap, centres, owner):
+    """gap over the rows of a stack, in blocks of ``_GAP_BLOCK`` rows."""
+    return np.concatenate([gap(centres[i:i + _GAP_BLOCK], owner[i:i + _GAP_BLOCK])
+                           for i in range(0, len(centres), _GAP_BLOCK)] or [np.zeros(0)])
+
+
+def _first_rows(owner: np.ndarray) -> np.ndarray:
+    """Positions where a new owner starts in a nondecreasing owner column."""
+    return np.flatnonzero(np.diff(owner, prepend=-1))
+
+
+def _branch_and_bound(gap, seeds, radius, lipschitz, threshold, max_nodes=20000):
+    """For each candidate k, search the cube of half width ``radius`` around
+    ``seeds[k]`` for a centre c with gap(c) <= threshold, or certify that
+    none exists.
+
+    ``gap(centres, owner)`` maps rows of centres, each tagged with the index
+    of its candidate, to values. A cube of half width h centred where gap
+    was measured cannot hide a value below gap - lipschitz * h, so such
+    cubes are pruned and the rest split into 2^m halves. Every candidate
+    moves one level per step, its rows kept together in split order, and
+    leaves the stack once decided. Returns (verdicts, witnesses), one entry
+    per candidate: True with the first hit of its first level that hits as
+    witness, False (certified absent) or None (undecided, once more than
+    ``max_nodes`` of its cubes stayed alive), the last two with witness
+    None.
+
+    Candidates are independent, so the stack is split by candidate whenever
+    its next level would hold more than 2^m * ``max_nodes`` rows, the most
+    one candidate can reach; the verdicts do not depend on the split.
+    """
+    seeds = np.asarray(seeds, dtype=float)
+    count, m = seeds.shape
     offs = np.array(
         [[(1 if bit & (1 << k) else -1) for k in range(m)] for bit in range(2**m)],
         dtype=float,
     )
-    centers = seed[None, :].copy()
-    halves = np.array([radius])
-    nodes = 0
-    while centers.shape[0]:
-        # Blocks of rows keep gap's (rows, n) distance tables small.
-        vals = np.concatenate([gap(centers[i:i + 4096])
-                               for i in range(0, centers.shape[0], 4096)])
-        hit = np.nonzero(vals <= threshold)[0]
+    verdicts: list[bool | None] = [False] * count
+    witnesses: list[np.ndarray | None] = [None] * count
+    nodes = np.zeros(count, dtype=np.int64)
+    decided = np.zeros(count, dtype=bool)  # found, or out of budget
+    # Entries are (parents, owners, half width of their halves); the seeds
+    # enter as the halves of nothing.
+    stack = [(seeds, np.arange(count), float(radius))]
+    first_level = True
+    while stack:
+        centers, owner, half = stack.pop()
+        if first_level:
+            first_level = False
+        else:
+            centers = (centers[:, None, :] + offs[None, :, :] * half).reshape(-1, m)
+            owner = np.repeat(owner, offs.shape[0])
+        vals = _gaps(gap, centers, owner)
+        hit = np.flatnonzero(vals <= threshold)
         if hit.size:
-            return True, centers[hit[0]].copy()
-        alive = vals - lipschitz * halves <= threshold
-        centers, halves = centers[alive], halves[alive]
-        nodes += centers.shape[0]
-        if nodes > max_nodes:
-            return None, None
-        new_halves = halves / 2.0
-        centers = (centers[:, None, :] + offs[None, :, :] * new_halves[:, None, None]).reshape(-1, m)
-        halves = np.repeat(new_halves, offs.shape[0])
-    return False, None
+            first = hit[_first_rows(owner[hit])]
+            for k, row in zip(owner[first].tolist(), first.tolist()):
+                verdicts[k], witnesses[k] = True, centers[row].copy()
+            decided[owner[first]] = True
+        alive = (vals - lipschitz * half <= threshold) & ~decided[owner]
+        nodes += np.bincount(owner[alive], minlength=count)
+        # A candidate outside this entry passed this test at its last level.
+        over = np.flatnonzero((nodes > max_nodes) & ~decided)
+        if over.size:
+            for k in over.tolist():
+                verdicts[k] = None
+            decided[over] = True
+            alive &= ~decided[owner]
+        centers, owner = centers[alive], owner[alive]
+        # Groups of parents by candidate, none with more than max_nodes
+        # rows unless one candidate alone has them (it never has more).
+        cuts = [0, len(owner)]
+        if len(owner) > max_nodes:
+            cuts = [0]
+            starts = _first_rows(owner).tolist()
+            for lo, hi in zip(starts, starts[1:] + [len(owner)]):
+                if hi - cuts[-1] > max_nodes and lo > cuts[-1]:
+                    cuts.append(lo)
+            cuts.append(len(owner))
+        stack.extend((centers[lo:hi], owner[lo:hi], half / 2.0)
+                     for lo, hi in reversed(list(zip(cuts[:-1], cuts[1:]))) if hi > lo)
+    return verdicts, witnesses
 
 
 def _checked_region(region, n: int) -> list[int]:
@@ -481,12 +570,15 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
 
         max_{p in sigma} |c - p|  <=  min_{q in P} |c - q| + rho.
 
-    Membership is decided with an explicit witness centre; non membership is
-    certified by branch and bound over the ball of radius 4 eps around the
-    candidate circumcentre. Candidates that exhaust the search budget are
-    reported in ``undecided`` and leave the result non certified. ``eps`` is
-    the sampling radius and ``base`` the Delaunay complex of the points,
-    whose balls seed the witness search.
+    Membership is decided with an explicit witness centre: the candidate's
+    circumcentre (its vertex mean where it has none) or a centre of one of
+    its known Delaunay balls, all tried in one gap evaluation, or else the
+    first hit of the branch and bound. Non membership is certified by the
+    branch and bound over the cube of half width 4 eps around the
+    circumcentre, run over every remaining candidate at once. Candidates
+    that exhaust the search budget are reported in ``undecided`` and leave
+    the result non certified. ``eps`` is the sampling radius and ``base``
+    the Delaunay complex of the points, whose balls seed the witness search.
     """
     ps = as_point_set(points)
     if not np.isfinite(rho) or rho < 0:
@@ -502,21 +594,27 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
                 ball_centers.setdefault(face, []).append(ball.center)
 
     candidates = list(_star_candidates(ps, region, 2.0 * eps + tol, range(1, m + 1)))
+    seeds = np.array(_circumcenter_seeds(pts, candidates)).reshape(-1, m)
+    member_pts = pts[_padded(candidates, m)]
+    # First try, in one gap evaluation: each candidate's seed, then every
+    # known Delaunay ball of the candidate.
+    tries = [[seed, *ball_centers.get(cand, [])] for cand, seed in zip(candidates, seeds)]
+    owner = np.repeat(np.arange(len(candidates)), [len(t) for t in tries])
+    tries = np.array(list(chain.from_iterable(tries))).reshape(-1, m)
+    hit = np.flatnonzero(
+        _gaps(lambda c, k: _ball_gap(c, member_pts[k], ps.tree), tries, owner) <= rho + tol)
+    first = hit[_first_rows(owner[hit])]
+    outcome = {k: (True, tries[row].copy()) for k, row in zip(owner[first].tolist(), first.tolist())}
+    rest = [k for k in range(len(candidates)) if k not in outcome]
+    rest_pts = member_pts[rest]
+    outcome.update(zip(rest, zip(*_branch_and_bound(
+        lambda c, k: _ball_gap(c, rest_pts[k], ps.tree), seeds[rest], 4.0 * eps,
+        2.0 * np.sqrt(m), rho + tol))))
     members: list[tuple[int, ...]] = [(v,) for v in region]
     witnesses: dict[tuple[int, ...], np.ndarray] = {(v,): pts[v].copy() for v in region}
     undecided: list[tuple[int, ...]] = []
-    for cand, seed in zip(candidates, _circumcenter_seeds(pts, candidates)):
-        member_pts = pts[list(cand)]
-        # The seed, then every known Delaunay ball of the candidate.
-        tries = np.vstack([seed, *ball_centers.get(cand, [])])
-        hit = np.flatnonzero(_ball_gap(tries, member_pts, pts) <= rho + tol)
-        if hit.size:
-            verdict, witness = True, tries[hit[0]].copy()
-        else:
-            verdict, witness = _branch_and_bound(
-                lambda c: _ball_gap(c, member_pts, pts), seed, 4.0 * eps,
-                2.0 * np.sqrt(m), rho + tol,
-            )
+    for k, cand in enumerate(candidates):
+        verdict, witness = outcome[k]
         if verdict is True:
             members.append(cand)
             witnesses[cand] = witness

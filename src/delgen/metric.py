@@ -10,9 +10,11 @@ distance itself is the pullback of a zero-amplitude field.
 Metric circumcentres are found by damped Newton iteration on the vertex
 distance differences, seeded at the Euclidean circumcentre with a small
 multistart grid; metric Delaunay complexes are built either by that generic
-route, by the exact pullback route, or by both with a hard comparison. A
-candidate whose Newton search fails is decided by the branch and bound of
-:mod:`delgen.delaunay` on the metric gap.
+route, by the exact pullback route, or by both with a hard comparison. The
+candidates whose Newton search fails are decided together by the stacked
+branch and bound of :mod:`delgen.delaunay` on the metric gap. The pullback
+route inverts every kept ball centre in one call, each row stopping on its
+own test.
 """
 
 from __future__ import annotations
@@ -76,14 +78,22 @@ class DisplacementField:
         return x + self.displacement(x)
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        """Invert phi by contraction; converges since Lipschitz < 1/2."""
+        """Invert phi by contraction; converges since Lipschitz < 1/2.
+
+        Each row stops on its own test, |step|_max <= 1e-15 max(1, |y|_max)
+        over that row, and is frozen from then on, so a row's inverse does
+        not depend on the other rows of the call.
+        """
         y = np.atleast_2d(np.asarray(y, dtype=float))
         x = y.copy()
+        stop = 1e-15 * np.maximum(1.0, np.abs(y).max(axis=1))
+        live = np.arange(y.shape[0])
         for _ in range(200):
-            step = y - self.displacement(x) - x
-            x = x + step
-            if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(y).max()):
+            if not live.size:
                 break
+            step = y[live] - self.displacement(x[live]) - x[live]
+            x[live] = x[live] + step
+            live = live[np.abs(step).max(axis=1) > stop[live]]
         return x
 
 
@@ -297,12 +307,10 @@ def _pullback_path(ps, model, region) -> MetricDelaunayResult:
     base = delaunay_lifted(model.field.forward(pts))
     keep = [s for s in sorted(base.balls) if set(s) & set(region)]
     cx = SimplicialComplex(keep + [(v,) for v in region])
-    balls = {}
-    for s in keep:
-        ball = base.balls[s]
-        center = model.field.inverse(ball.center[None, :])[0]
-        balls[s] = Ball(simplex=s, center=center, radius=ball.radius,
-                        protection=ball.protection)
+    found = [base.balls[s] for s in keep]
+    centres = model.field.inverse(np.array([b.center for b in found]).reshape(-1, ps.dim))
+    balls = {s: Ball(simplex=s, center=c, radius=b.radius, protection=b.protection)
+             for s, b, c in zip(keep, found, centres)}
     return MetricDelaunayResult(
         complex=cx, balls=balls, path="pullback",
         degeneracy_groups=base.degeneracy_groups,
@@ -322,8 +330,19 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     centres, radii, found = _metric_circumcenters(pts, subsets, mets, model, upsilon0, mu0)
     # The metric ball of radius r about c is the Euclidean ball of radius r
     # about phi(c) among the images; the stored centre stays c.
+    image_tree = cKDTree(image_pts)
     certified, found_groups = _empty_balls(
-        cKDTree(image_pts), subsets[found], model.field.forward(centres[found]), radii[found], tol)
+        image_tree, subsets[found], model.field.forward(centres[found]), radii[found], tol)
+    # Candidates the search misses go through one branch and bound; the
+    # metric gap is the Euclidean ball gap between images.
+    missed = np.flatnonzero(~found)
+    seeds = np.where(mets.found[missed, None], mets.centres[missed],
+                     pts[subsets[missed]].mean(axis=1))
+    member_img = image_pts[subsets[missed]]
+    verdicts, witnesses = _branch_and_bound(
+        lambda c, k: _ball_gap(model.field.forward(c), member_img[k], image_tree),
+        seeds, 4.0 * eps, lipschitz, tol)
+    outcome = dict(zip(missed.tolist(), zip(verdicts, witnesses)))
     balls: dict[tuple[int, ...], Ball] = {}
     not_found: list[tuple[int, ...]] = []
     undecided: list[tuple[int, ...]] = []
@@ -333,14 +352,7 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
                 balls[cand] = replace(certified[cand], center=centres[k])
             continue
         not_found.append(cand)
-        member_pts = pts[list(cand)]
-        seed = mets.centres[k] if mets.found[k] else member_pts.mean(axis=0)
-        # The metric gap is the Euclidean ball gap between images.
-        member_img = image_pts[list(cand)]
-        verdict, witness = _branch_and_bound(
-            lambda c: _ball_gap(model.field.forward(c), member_img, image_pts),
-            seed, 4.0 * eps, lipschitz, tol,
-        )
+        verdict, witness = outcome[k]
         if verdict is None:
             undecided.append(cand)
         elif verdict:

@@ -1,6 +1,8 @@
 """Dual-route Delaunay construction, protection, and relaxed membership."""
 
+import inspect
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -218,29 +220,136 @@ def test_relaxed_rejects_bad_inputs():
         relaxed_delaunay(pts, 0.1, [99], **built)
 
 
+def branch_and_bound_by_loop(gap, seed, radius, lipschitz, threshold, max_nodes=20000):
+    """One candidate's branch and bound, searched on its own: the reference
+    for the stacked search. ``gap`` maps rows of centres to values."""
+    m = seed.shape[0]
+    offs = np.array(
+        [[(1 if bit & (1 << k) else -1) for k in range(m)] for bit in range(2**m)],
+        dtype=float,
+    )
+    centers = seed[None, :].copy()
+    halves = np.array([radius])
+    nodes = 0
+    while centers.shape[0]:
+        vals = np.concatenate([gap(centers[i:i + 4096])
+                               for i in range(0, centers.shape[0], 4096)])
+        hit = np.nonzero(vals <= threshold)[0]
+        if hit.size:
+            return True, centers[hit[0]].copy()
+        alive = vals - lipschitz * halves <= threshold
+        centers, halves = centers[alive], halves[alive]
+        nodes += centers.shape[0]
+        if nodes > max_nodes:
+            return None, None
+        new_halves = halves / 2.0
+        centers = (centers[:, None, :] + offs[None, :, :] * new_halves[:, None, None]).reshape(-1, m)
+        halves = np.repeat(new_halves, offs.shape[0])
+    return False, None
+
+
 def test_branch_and_bound_outcomes():
     target = np.array([0.3, -0.2])
 
-    def gap(c):
+    def gap(c, owner):
         return np.linalg.norm(c - target, axis=1)
 
-    seed = np.zeros(2)
+    seed = np.zeros((1, 2))
     # Over a cube of half width h, |c - target| moves by at most sqrt(2) h.
     lipschitz = np.sqrt(2.0)
-    verdict, witness = _branch_and_bound(gap, seed, 1.0, lipschitz, 0.01)
-    assert verdict is True
-    assert gap(witness[None, :])[0] <= 0.01
-    assert np.abs(witness - seed).max() <= 1.0
+    verdicts, witnesses = _branch_and_bound(gap, seed, 1.0, lipschitz, 0.01)
+    assert verdicts == [True]
+    assert gap(witnesses[0][None, :], None)[0] <= 0.01
+    assert np.abs(witnesses[0] - seed[0]).max() <= 1.0
     # The gap never drops below zero, so a negative threshold is certified
     # unreachable once the cubes are small enough ...
-    assert _branch_and_bound(gap, seed, 1.0, lipschitz, -0.01) == (False, None)
+    assert _branch_and_bound(gap, seed, 1.0, lipschitz, -0.01) == ([False], [None])
     # ... unless the node budget runs out first.
-    assert _branch_and_bound(gap, seed, 1.0, lipschitz, -0.01, max_nodes=3) == (None, None)
+    assert _branch_and_bound(gap, seed, 1.0, lipschitz, -0.01, max_nodes=3) == ([None], [None])
     # When several cubes hit at once, the first in split order is the witness.
-    verdict, witness = _branch_and_bound(
-        lambda c: 1.0 - 2.0 * np.abs(c).max(axis=1), seed, 1.0, 2.0, 0.0)
-    assert verdict is True
-    assert witness.tolist() == [-0.5, -0.5]
+    verdicts, witnesses = _branch_and_bound(
+        lambda c, owner: 1.0 - 2.0 * np.abs(c).max(axis=1), seed, 1.0, 2.0, 0.0)
+    assert verdicts == [True]
+    assert witnesses[0].tolist() == [-0.5, -0.5]
+    # Stacked, each candidate keeps its own answer: the second one's gap is
+    # raised past the threshold, and the third searches around another seed.
+    shift = np.array([0.0, 0.02, 0.0])
+    stack = np.array([[0.0, 0.0], [0.0, 0.0], [0.25, -0.25]])
+    verdicts, witnesses = _branch_and_bound(
+        lambda c, owner: gap(c, owner) + shift[owner], stack, 1.0, lipschitz, 0.01)
+    assert verdicts == [True, False, True]
+    assert np.array_equal(witnesses[0], _branch_and_bound(gap, seed, 1.0, lipschitz, 0.01)[1][0])
+    assert witnesses[1] is None and gap(witnesses[2][None, :], None)[0] <= 0.01
+    assert _branch_and_bound(gap, np.zeros((0, 2)), 1.0, lipschitz, 0.01) == ([], [])
+
+
+def test_stacked_branch_and_bound_matches_the_per_candidate_loop():
+    # A window of candidates of every size 2..m+1 around a central vertex,
+    # with seeds moved off the circumcentres so that the first level rarely
+    # decides, and budgets small enough that some candidates run out.
+    outcomes = {}
+    for dim, side, reach, settings in ((2, 7, 3.0, ((0.03, 20), (0.03, 40))),
+                                       (3, 4, 2.0, ((0.02, 300),))):
+        pts = grid_points(side, dim, jitter=0.2, seed=3)
+        ps = PointSet(pts)
+        eps = analyze_genericity(pts).sampling.epsilon
+        centre = int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
+        cands = list(_star_candidates(ps, [centre], reach * eps, range(1, dim + 1)))
+        seeds = np.array(delaunay._circumcenter_seeds(pts, cands)) + 0.3 * eps
+        members = pts[delaunay._padded(cands, dim)]
+        rows = []
+
+        def gap(c, owner):
+            rows.append(len(c))
+            return delaunay._ball_gap(c, members[owner], ps.tree)
+
+        for rho, max_nodes in settings:
+            args = (4.0 * eps, 2.0 * np.sqrt(dim), rho, max_nodes)
+            rows.clear()
+            verdicts, witnesses = _branch_and_bound(gap, seeds, *args)
+            stacked_rows = rows[1:]
+            per_level = {}
+            for k, seed in enumerate(seeds):
+                rows.clear()
+                ref = branch_and_bound_by_loop(lambda c: gap(c, np.full(len(c), k)), seed, *args)
+                assert verdicts[k] == ref[0]
+                assert (witnesses[k] is None and ref[1] is None) or np.array_equal(witnesses[k], ref[1])
+                for level, count in enumerate(rows):
+                    per_level[level] = per_level.get(level, 0) + count
+            # Past the seeds, no step of the stack held more rows than one
+            # candidate can reach, though the candidates' levels together do.
+            assert max(stacked_rows) <= 2**dim * max_nodes < max(per_level.values())
+            for cand, verdict in zip(cands, verdicts):
+                outcomes.setdefault(dim, set()).add((len(cand), verdict))
+    for dim, seen in outcomes.items():
+        assert seen == {(size, v) for size in range(2, dim + 2) for v in (True, False, None)}
+
+
+def test_stacked_search_runs_in_bounded_memory(monkeypatch):
+    # The wide window of the undecided test, searched with the default node
+    # budget and a Lipschitz bound that prunes nothing within it, so every
+    # candidate the first try leaves runs to undecided.
+    pts = grid_points(5, dim=2, jitter=0.15, seed=4)
+    calls = []
+    search = delaunay._branch_and_bound
+    monkeypatch.setattr(delaunay, "_branch_and_bound",
+                        lambda *args: calls.append(args) or search(*args))
+    relaxed_delaunay(pts, 0.0, [12], eps=1.0, base=delaunay_lifted(pts))
+    gap, seeds, radius, _, threshold = calls[0]
+    tracemalloc.start()
+    try:
+        verdicts, _ = search(gap, seeds, radius, 1e6, threshold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One candidate's worst case on its own: 2^m * max_nodes rows of m floats.
+    max_nodes = inspect.signature(search).parameters["max_nodes"].default
+    worst = 2**2 * max_nodes * 2 * 8
+    assert len(seeds) > 8 and peak <= 8 * worst
+    assert verdicts == [None] * len(seeds)
+    assert verdicts == [
+        branch_and_bound_by_loop(lambda c: gap(c, np.full(len(c), k)), seed, radius, 1e6,
+                                 threshold)[0] for k, seed in enumerate(seeds)]
 
 
 def star_candidates_by_loop(pts, region, reach, sizes):
@@ -365,6 +474,28 @@ class MisrankingTree:
 
     def query_ball_point(self, x, r):
         return self.real.query_ball_point(x, r)
+
+
+def test_nearest_point_matches_cdist():
+    rng = np.random.default_rng(9)
+    # Exact lattices put cell centres and vertices at equal distances from
+    # several points, so the two listed points often tie.
+    for pts in (grid_points(5, 2), grid_points(4, 3), grid_points(6, 2, jitter=0.2, seed=1),
+                uniform_points(200, 3, seed=2), grid_points(3, 2, spacing=1e-3) + 7.0):
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        centres = np.vstack([rng.uniform(lo - 1.0, hi + 1.0, size=(300, pts.shape[1])),
+                             pts[:-1] + 0.5 * (pts[1:] - pts[:-1]), pts,
+                             np.round(rng.uniform(lo, hi, size=(50, pts.shape[1])) * 2) / 2])
+        have = delaunay._nearest(cKDTree(pts), centres)
+        assert np.array_equal(have, cdist(centres, pts).min(axis=1))
+    # Three points within rounding of each other from a centre, ranked by a
+    # tree that lists the second and third but not the nearest.
+    centre = np.array([0.3, 0.4])
+    turns = np.radians([10.0, 130.0, 250.0])
+    pts = np.vstack([centre + 2.0 * (1.0 + f) * np.array([np.cos(a), np.sin(a)])
+                     for f, a in zip((0.0, 1e-13, 2e-13), turns)] + [[9.0, 9.0]])
+    have = delaunay._nearest(MisrankingTree(pts), centre[None, :])
+    assert np.array_equal(have, cdist(centre[None, :], pts).min(axis=1))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from delgen import metric
 from delgen.datasets import grid_points
@@ -58,6 +59,41 @@ def test_field_inverse_round_trip():
     assert np.abs(field.forward(field.inverse(y)) - y).max() <= 1e-12
 
 
+def inverse_by_loop(field, y):
+    """The contraction on one row, which stops on that row's own test: the
+    reference for the stacked inverse. Returns the inverse and its steps."""
+    y = y[None, :]
+    x = y.copy()
+    for steps in range(1, 201):
+        step = y - field.displacement(x) - x
+        x = x + step
+        if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(y).max()):
+            break
+    return x[0], steps
+
+
+def test_stacked_inverse_matches_one_row_calls():
+    rng = np.random.default_rng(3)
+    for dim in (2, 3):
+        # Rows near the origin and far from it, where the stop test is
+        # looser, in one stack.
+        y = np.vstack([rng.uniform(-1.0, 1.0, size=(40, dim)),
+                       rng.uniform(-300.0, 300.0, size=(40, dim))])
+        y = y[rng.permutation(len(y))]
+        for amplitude in (0.0, 1e-3, 0.05, 0.3):
+            field = DisplacementField(dim, amplitude=amplitude, seed=dim)
+            ref = [inverse_by_loop(field, row) for row in y]
+            assert np.array_equal(field.inverse(y), np.array([x for x, _ in ref]))
+            assert np.array_equal(field.inverse(y[7]), ref[7][0][None, :])
+            # A zero field stops every row after one step; otherwise the
+            # rows stop after different numbers of steps.
+            steps = {n for _, n in ref}
+            if amplitude == 0.0:
+                assert steps == {1}
+            else:
+                assert len(steps) > 1, (dim, amplitude, steps)
+
+
 def test_metric_axioms():
     rng = np.random.default_rng(4)
     x = rng.uniform(size=(100, 2))
@@ -108,7 +144,9 @@ def test_metric_gap_over_rows_matches_per_centre_loop():
         members = pts[:dim + 1]
         centers = rng.uniform(-0.5, 1.5, size=(300, dim))
         image = model.field.forward(pts)
-        rows = _ball_gap(model.field.forward(centers), model.field.forward(members), image)
+        rows = _ball_gap(model.field.forward(centers),
+                         np.broadcast_to(model.field.forward(members), (len(centers), dim + 1, dim)),
+                         cKDTree(image))
         loop = [model.distances_to(c, members).max() - model.distances_to(c, pts, image).min()
                 for c in centers]
         assert np.array_equal(rows, loop)
