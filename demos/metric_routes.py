@@ -39,8 +39,9 @@ def main():
           f"certified {newton.certified}")
     print(f"  complexes equal: {exact.complex == newton.complex}")
 
-    worst = max(abs(exact.balls[s].radius - newton.balls[s].radius)
-                for s in exact.balls if s in newton.balls)
+    newton_radii = dict(zip(map(tuple, newton.tops.tolist()), newton.radii))
+    worst = max(abs(r - newton_radii[s])
+                for s, r in zip(map(tuple, exact.tops.tolist()), exact.radii) if s in newton_radii)
     print(f"  worst ball radius disagreement: {worst:.3e}\n")
 
     verdict = protection_decay_trial(analysis, field=field)

@@ -15,10 +15,11 @@ from delgen.delaunay import delaunay_bruteforce, delaunay_lifted
 def show(result, title):
     print(f"\n{title}")
     print(f"  generic: {result.generic}   tolerance: {result.tolerance:.3e}")
-    for s in result.complex.simplices(result.complex.dimension):
-        ball = result.balls[s]
-        print(f"  simplex {s}: centre ({ball.center[0]:+.4f}, {ball.center[1]:+.4f})"
-              f"  radius {ball.radius:.4f}  protection {ball.protection:+.4f}")
+    for k in sorted(range(len(result.tops)), key=lambda k: result.tops[k].tolist()):
+        centre = result.centres[k]
+        print(f"  simplex {tuple(result.tops[k].tolist())}: centre ({centre[0]:+.4f},"
+              f" {centre[1]:+.4f})  radius {result.radii[k]:.4f}"
+              f"  protection {result.protections[k]:+.4f}")
     if result.degeneracy_groups:
         print(f"  degeneracy groups: {list(result.degeneracy_groups)}")
 

@@ -9,7 +9,7 @@ The package splits into:
 * :mod:`delgen.simplex` -- single-simplex geometry: circumcentres, altitudes,
   thickness, singular value floors, angle bounds.
 * :mod:`delgen.complexes` -- abstract simplicial complexes over vertex ids:
-  closed stars, purity, boundaries and face-by-face star comparison.
+  closed stars, face-by-face star comparison and integer row keys.
 * :mod:`delgen.delaunay` -- Euclidean Delaunay complexes by two independent
   routes, plus the relaxed (almost empty ball) variant.
 * :mod:`delgen.metric` -- perturbed metrics and Delaunay complexes built from

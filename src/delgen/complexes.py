@@ -2,8 +2,9 @@
 
 Simplices are sorted tuples of vertex ids, and a complex stores the
 downward closed family they generate. It carries no coordinates: every
-question asked of it here (stars, purity, boundaries, star comparison) is a
-question about sets of faces.
+question asked of it here (stars and star comparison) is a question about
+sets of faces. Arrays of simplices, one row of sorted ids each, are sorted
+and matched by integer row key (``row_keys``).
 
 The stability statements talk about the closed star of a region Q, the
 simplices meeting a vertex of Q plus their faces (``vertex_star``). The
@@ -16,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import MappingError, PreconditionError
 
 
@@ -26,6 +29,26 @@ def _canon(simplex) -> tuple[int, ...]:
     if not t:
         raise PreconditionError("empty simplex")
     return t
+
+
+def row_keys(rows: np.ndarray, radix: int) -> np.ndarray:
+    """One integer per row of vertex ids below ``radix``: the ids read as
+    digits in base ``radix``, so keys order as the rows do
+    lexicographically. Where keys could overflow int64 they are Python
+    integers instead."""
+    rows = np.asarray(rows)
+    radix = int(radix)
+    exact = radix ** rows.shape[1] <= 2**63
+    rows = rows.astype(np.int64 if exact else object)
+    keys = rows[:, 0].copy()
+    for col in rows.T[1:]:
+        keys = keys * radix + col
+    return keys
+
+
+def sorted_rows(rows: np.ndarray, radix: int) -> np.ndarray:
+    """Positions of ``rows`` in lexicographic order, by ``row_keys``."""
+    return np.argsort(row_keys(rows, radix), kind="stable")
 
 
 def _faces(simplex: tuple[int, ...]):
@@ -81,37 +104,6 @@ class SimplicialComplex:
         qset = {int(v) for v in q}
         hit = [s for s in self._simplices if qset.intersection(s)]
         return SimplicialComplex(hit)
-
-    # -- purity and boundary ----------------------------------------------
-
-    def is_pure(self, dim: int | None = None) -> bool:
-        """True when every simplex is a face of a ``dim``-simplex."""
-        if not self._simplices:
-            return True
-        if dim is None:
-            dim = self.dimension
-        tops = [s for s in self._simplices if len(s) == dim + 1]
-        covered: set[tuple[int, ...]] = set()
-        for s in tops:
-            covered.update(_faces(s))
-        return covered == set(self._simplices)
-
-    def boundary_complex(self, dim: int | None = None) -> "SimplicialComplex":
-        """Faces of codimension one incident to exactly one top simplex.
-
-        Requires a pure complex; when the complex triangulates a region, the
-        result triangulates the boundary of that region.
-        """
-        if dim is None:
-            dim = self.dimension
-        if not self.is_pure(dim):
-            raise PreconditionError("boundary extraction needs a pure complex")
-        count: dict[tuple[int, ...], int] = {}
-        for top in self.simplices(dim):
-            for facet in combinations(top, dim):
-                count[facet] = count.get(facet, 0) + 1
-        rim = [f for f, c in count.items() if c == 1]
-        return SimplicialComplex(rim)
 
 
 # -- star comparison -------------------------------------------------------

@@ -18,9 +18,11 @@ Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
 groups through one certifier, :func:`_empty_balls`, with one tolerance,
 tau = 1e-9 * diameter, so the two Delaunay routes agree on degenerate inputs
 as well as generic ones. The certifier answers from nearest-point queries on
-a KD-tree, never from a table of distances from every centre to every point. Each accepted top simplex is stored with its ball
-and a signed protection margin (least distance of a foreign point to the
-sphere).
+a KD-tree, never from a table of distances from every centre to every point.
+A result is columnar: one row per accepted top simplex, in the certifier's
+order, holding its sorted vertex ids, its ball (centre and radius) and its
+signed protection margin (least distance of a foreign point to the sphere).
+Later stages select rows by mask and match simplices by integer row key.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from scipy.spatial import Delaunay as _SciDelaunay
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import cdist
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, row_keys, sorted_rows
 from .errors import PreconditionError
 from .hull import affine_rank
 from .simplex import simplex_metrics_batch
@@ -146,38 +148,32 @@ def as_point_set(points) -> PointSet:
     return points if isinstance(points, PointSet) else PointSet(points)
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Circumball of an accepted top simplex with its protection margin."""
-
-    simplex: tuple[int, ...]
-    center: np.ndarray
-    radius: float
-    protection: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelaunayResult:
-    """A Delaunay complex plus the certification data behind it.
+    """A Delaunay complex as columns, one row per accepted top simplex in
+    the certifier's order, plus the certification data behind it.
 
-    ``balls`` maps each top simplex to its certified ball; the closed
-    complex is derived from them on first read.
+    ``tops`` holds the sorted vertex ids of each top simplex, ``centres``
+    and ``radii`` its certified ball and ``protections`` its signed
+    protection margin. The closed complex is derived from ``tops`` on first
+    read.
     """
 
-    balls: dict[tuple[int, ...], Ball]
+    tops: np.ndarray         # (T, m+1)
+    centres: np.ndarray      # (T, m)
+    radii: np.ndarray        # (T,)
+    protections: np.ndarray  # (T,)
     degeneracy_groups: tuple[tuple[int, ...], ...]
     generic: bool
     tolerance: float
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        return SimplicialComplex(self.balls)
+        return SimplicialComplex(map(tuple, self.tops.tolist()))
 
     def protection(self) -> float:
         """Least protection over all top simplices (signed)."""
-        if not self.balls:
-            raise PreconditionError("no top simplices")
-        return min(b.protection for b in self.balls.values())
+        return float(self.protections.min())
 
 
 def _batched_circumballs(pts: np.ndarray, subsets: np.ndarray):
@@ -205,7 +201,7 @@ def _empty_balls(tree: cKDTree, subsets, centers, radii, tol):
     is the least signed distance from a foreign point to the sphere, and the
     ball is accepted when that exceeds -tol. When more than m+1 points lie
     within tol of an accepted sphere, they form a cospherical group. Returns
-    the accepted balls keyed by simplex, in row order, and the set of groups.
+    the accepted rows in order, their protections and the set of groups.
 
     Each centre lists its min(m+3, n) nearest points, whose distances are
     measured again as ``cdist`` measures them. The list decides the row
@@ -215,10 +211,9 @@ def _empty_balls(tree: cKDTree, subsets, centers, radii, tol):
     within rounding. Such rows list every point out to past the sphere and
     the edge instead, in one radius query.
     """
-    balls: dict[tuple[int, ...], Ball] = {}
     groups: set[tuple[int, ...]] = set()
     if len(subsets) == 0:
-        return balls, groups
+        return np.zeros(0, dtype=np.intp), np.zeros(0), groups
     pts = tree.data
     n, m = pts.shape
     dist, listed = tree.query(centers, k=min(m + 3, n))
@@ -249,17 +244,13 @@ def _empty_balls(tree: cKDTree, subsets, centers, radii, tol):
     accepted = protection > -tol
     near = np.abs(margins) <= tol
     crowded = np.bincount(rows[near], minlength=len(subsets)) > subsets.shape[1]
-    for k, simplex in zip(np.flatnonzero(accepted).tolist(),
-                          map(tuple, subsets[accepted].tolist())):
-        balls[simplex] = Ball(simplex=simplex, center=centers[k].copy(),
-                              radius=float(radii[k]), protection=float(protection[k]))
     member = np.flatnonzero(near & (accepted & crowded)[rows])
     order = np.lexsort((cols[member], rows[member]))
     owner, ids = rows[member][order], cols[member][order]
     for group in np.split(ids, np.flatnonzero(np.diff(owner)) + 1):
         if group.size:
             groups.add(tuple(group.tolist()))
-    return balls, groups
+    return np.flatnonzero(accepted), protection[accepted], groups
 
 
 def _margins(pts, subsets, centers, radii, rows, cols):
@@ -271,16 +262,22 @@ def _margins(pts, subsets, centers, radii, rows, cols):
 
 
 def _delaunay_balls(ps: PointSet, subsets, tol):
-    """Certified circumballs of the affinely independent rows of ``subsets``."""
+    """Certified circumballs of the affinely independent rows of ``subsets``:
+    the columns (tops, centres, radii, protections) of the accepted rows,
+    and the cospherical groups."""
     centers, radii, solvable = _batched_circumballs(ps.points, subsets)
-    return _empty_balls(ps.tree, subsets[solvable], centers[solvable], radii[solvable], tol)
+    subsets, centers, radii = subsets[solvable], centers[solvable], radii[solvable]
+    rows, protections, groups = _empty_balls(ps.tree, subsets, centers, radii, tol)
+    return (subsets[rows], centers[rows], radii[rows], protections), groups
 
 
-def _build_result(balls, groups, tol) -> DelaunayResult:
-    if not balls:
+def _build_result(parts, groups, tol) -> DelaunayResult:
+    """The result of the columns of ``parts``, stacked in order."""
+    tops, centres, radii, protections = (np.concatenate(col) for col in zip(*parts))
+    if not len(tops):
         raise PreconditionError("no Delaunay top simplex found")
     return DelaunayResult(
-        balls=balls,
+        tops=tops, centres=centres, radii=radii, protections=protections,
         degeneracy_groups=tuple(sorted(groups)),
         generic=not groups,
         tolerance=tol,
@@ -322,15 +319,15 @@ def delaunay_bruteforce(points) -> DelaunayResult:
         raise PreconditionError(
             f"brute force would test {total} subsets, more than {BRUTE_FORCE_SUBSETS}")
     tol = ps.tolerance()
-    balls: dict[tuple[int, ...], Ball] = {}
+    parts = []
     groups: set[tuple[int, ...]] = set()
     flat = chain.from_iterable(combinations(range(ps.n), m + 1))
     while (chunk := np.fromiter(islice(flat, _BRUTE_FORCE_CHUNK * (m + 1)),
                                 dtype=np.intp)).size:
         found, more = _delaunay_balls(ps, chunk.reshape(-1, m + 1), tol)
-        balls.update(found)
+        parts.append(found)
         groups |= more
-    return _build_result(balls, groups, tol)
+    return _build_result(parts, groups, tol)
 
 
 def _lifted_top_simplices(pts: np.ndarray) -> np.ndarray:
@@ -356,16 +353,19 @@ def delaunay_lifted(points) -> DelaunayResult:
     """
     ps = as_point_set(points)
     _check_input(ps)
-    pts = ps.points
     tol = ps.tolerance()
-    balls, groups = _delaunay_balls(ps, np.unique(_lifted_top_simplices(pts), axis=0), tol)
+    tops = _lifted_top_simplices(ps.points)
+    found, groups = _delaunay_balls(ps, tops[sorted_rows(tops, ps.n)], tol)
+    parts = [found]
     # Complete each cospherical group: every full rank (m+1)-subset of a
     # common empty sphere is Delaunay, whatever diagonal qhull picked.
+    have = set(map(tuple, found[0].tolist())) if groups else set()
     for group in sorted(groups):
-        extra = [s for s in combinations(group, ps.dim + 1) if s not in balls]
+        extra = [s for s in combinations(group, ps.dim + 1) if s not in have]
         if extra:
-            balls.update(_delaunay_balls(ps, np.array(extra, dtype=int), tol)[0])
-    return _build_result(balls, groups, tol)
+            parts.append(_delaunay_balls(ps, np.array(extra, dtype=int), tol)[0])
+            have.update(map(tuple, parts[-1][0].tolist()))
+    return _build_result(parts, groups, tol)
 
 
 # -- relaxed (almost empty ball) membership --------------------------------
@@ -531,34 +531,59 @@ def _checked_region(region, n: int) -> list[int]:
     return region
 
 
-def _star_candidates(ps: PointSet, region, reach, sizes):
+def _star_candidates(ps: PointSet, region, reach, sizes) -> list[tuple[int, ...]]:
     """Simplices of a vertex v in ``region`` and k more vertices within
     ``reach`` of v, for each k in ``sizes``, of diameter at most ``reach``.
 
-    Each is yielded once, sorted, in visiting order: region vertex, then
+    Each is listed once, sorted, at its first visit: region vertex, then
     size, then combination of the KD-tree ball around the vertex. The
     diameters of one vertex and size are a stacked max over the vertex
-    pairs of one distance table over the vertex and its ball.
+    pairs of one distance table over the vertex and its ball, and the
+    repeats of each size are dropped by integer row key.
     """
-    pts, tree = ps.points, ps.tree
-    seen: set[tuple[int, ...]] = set()
-    for v in region:
-        local = np.array([v, *(q for q in sorted(tree.query_ball_point(pts[v], reach))
-                               if q != v)], dtype=np.intp)
+    pts = ps.points
+    visits = {size: ([], []) for size in sizes}  # visit numbers and rows
+    count = 0
+    for v, ball in zip(region, ps.tree.query_ball_point(pts[region], reach)):
+        local = np.array([v, *(q for q in sorted(ball) if q != v)], dtype=np.intp)
         table = cdist(pts[local], pts[local])
         for size in sizes:
-            combos = np.array(list(combinations(range(1, len(local)), size)),
-                              dtype=np.intp).reshape(-1, size)
-            rows = np.hstack([np.zeros((len(combos), 1), dtype=np.intp), combos])
+            rows = np.array([(0, *c) for c in combinations(range(1, len(local)), size)],
+                            dtype=np.intp).reshape(-1, size + 1)
             a, b = zip(*combinations(range(size + 1), 2))
             near = table[rows[:, a], rows[:, b]].max(axis=1) <= reach
-            for cand, ok in zip(map(tuple, np.sort(local[rows], axis=1).tolist()),
-                                near.tolist()):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if ok:
-                    yield cand
+            visits[size][0].append(count + np.flatnonzero(near))
+            visits[size][1].append(np.sort(local[rows[near]], axis=1))
+            count += len(rows)
+    order, found = [], []
+    for at, rows in visits.values():
+        at, rows = np.concatenate(at), np.concatenate(rows)
+        first = np.unique(row_keys(rows, ps.n), return_index=True)[1]
+        order.append(at[first])
+        found.extend(map(tuple, rows[first].tolist()))
+    return [found[k] for k in np.argsort(np.concatenate(order)).tolist()]
+
+
+def _containing_tops(tops: np.ndarray, padded: np.ndarray, region, radix: int):
+    """(candidate, row) pairs of the candidates ``padded`` (rows of
+    :func:`_padded`, 2 to m+1 vertices, one in ``region``) and the rows of
+    ``tops`` that contain them, by candidate, then row. The faces of the
+    tops that meet the region are padded alike, keyed and sorted by (key,
+    row), and each candidate's key is searched among them.
+    """
+    width = tops.shape[1]
+    near = np.flatnonzero(np.isin(tops, region).any(axis=1))
+    combos = [(*c, *(c[0],) * (width - k))
+              for k in range(2, width + 1) for c in combinations(range(width), k)]
+    keys = row_keys(tops[near][:, combos].reshape(-1, width), radix)
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], np.repeat(near, len(combos))[order]
+    want = row_keys(padded, radix)
+    lo, hi = np.searchsorted(keys, want, "left"), np.searchsorted(keys, want, "right")
+    count = hi - lo
+    owner = np.repeat(np.arange(len(padded)), count)
+    at = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    return owner, rows[at]
 
 
 def relaxed_delaunay(points, rho: float, region, *, eps: float,
@@ -587,20 +612,16 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
     pts = ps.points
     m = ps.dim
     tol = ps.tolerance()
-    ball_centers: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for simplex, ball in base.balls.items():
-        for k in range(1, len(simplex) + 1):
-            for face in combinations(simplex, k):
-                ball_centers.setdefault(face, []).append(ball.center)
-
-    candidates = list(_star_candidates(ps, region, 2.0 * eps + tol, range(1, m + 1)))
-    seeds = np.array(_circumcenter_seeds(pts, candidates)).reshape(-1, m)
-    member_pts = pts[_padded(candidates, m)]
-    # First try, in one gap evaluation: each candidate's seed, then every
-    # known Delaunay ball of the candidate.
-    tries = [[seed, *ball_centers.get(cand, [])] for cand, seed in zip(candidates, seeds)]
-    owner = np.repeat(np.arange(len(candidates)), [len(t) for t in tries])
-    tries = np.array(list(chain.from_iterable(tries))).reshape(-1, m)
+    candidates = _star_candidates(ps, region, 2.0 * eps + tol, range(1, m + 1))
+    seeds = _circumcenter_seeds(pts, candidates)
+    padded = _padded(candidates, m)
+    member_pts = pts[padded]
+    # First try, in one gap evaluation: each candidate's seed, then the
+    # centre of every known Delaunay ball of the candidate, in row order.
+    ball_owner, ball_rows = _containing_tops(base.tops, padded, region, ps.n)
+    owner = np.concatenate([np.arange(len(candidates)), ball_owner])
+    order = np.argsort(owner, kind="stable")
+    owner, tries = owner[order], np.vstack([seeds, base.centres[ball_rows]])[order]
     hit = np.flatnonzero(
         _gaps(lambda c, k: _ball_gap(c, member_pts[k], ps.tree), tries, owner) <= rho + tol)
     first = hit[_first_rows(owner[hit])]
@@ -629,15 +650,14 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
     )
 
 
-def _circumcenter_seeds(pts, candidates):
+def _circumcenter_seeds(pts, candidates) -> np.ndarray:
     """Circumcentre of each candidate, or its vertex mean where there is
     none, from one :func:`simplex_metrics_batch` call per candidate size."""
-    seeds: list[np.ndarray | None] = [None] * len(candidates)
-    by_size: dict[int, list[int]] = {}
-    for k, cand in enumerate(candidates):
-        by_size.setdefault(len(cand), []).append(k)
-    for rows in by_size.values():
-        cols = simplex_metrics_batch(pts, [candidates[k] for k in rows])
-        for k, centre, found in zip(rows, cols.centres, cols.found.tolist()):
-            seeds[k] = centre if found else pts[list(candidates[k])].mean(axis=0)
+    seeds = np.zeros((len(candidates), pts.shape[1]))
+    sizes = np.array([len(c) for c in candidates])
+    for size in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == size)
+        cols = simplex_metrics_batch(pts, [candidates[k] for k in rows.tolist()])
+        seeds[rows] = np.where(cols.found[:, None], cols.centres,
+                               pts[cols.vertices].mean(axis=1))
     return seeds

@@ -72,22 +72,6 @@ def dataset_digest(points: np.ndarray) -> str:
 # -- complexes -------------------------------------------------------------
 
 
-def complex_to_json(cx: SimplicialComplex, balls=None) -> dict:
-    out = {"simplices": [list(s) for d in range(cx.dimension + 1)
-                         for s in cx.simplices(d)]}
-    if balls is not None:
-        out["balls"] = [
-            {
-                "simplex": list(s),
-                "centre": [float(v) for v in b.center],
-                "radius": float(b.radius),
-                "protection": float(b.protection),
-            }
-            for s, b in sorted(balls.items())
-        ]
-    return out
-
-
 def vertex_id(value) -> int:
     """A vertex id read from JSON: a nonnegative integer, and not a bool."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:

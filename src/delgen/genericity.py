@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, row_keys, sorted_rows
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
 from .fileio import Table
@@ -42,32 +42,38 @@ class SamplingReport:
             raise PreconditionError("sampling parameters must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtectionReport:
-    """Protection margins of the audited top simplices."""
+    """Protection margins of the audited top simplices, ``per_simplex``
+    holding one per row of ``SafeInteriorClassification.audited``."""
 
-    per_simplex: dict[tuple[int, ...], float]
+    per_simplex: np.ndarray
     delta_global: float
     nu_tilde: float
     generic: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SafeInteriorClassification:
     """The region and the simplex sets its choice induces.
 
-    ``audited`` holds the top simplices of the region's double star, sorted.
-    The safe star ``safe``, the closure of the audited tops that meet the
-    region, is built on first read; the audit reads only the tops.
+    ``audited`` holds the top simplices of the region's double star, sorted
+    rows of sorted vertex ids, and ``rows`` their rows in the Delaunay
+    result. The safe tops are the audited rows that meet the region
+    (``meets``); their closure, the safe star ``safe``, is built on first read.
     """
 
     region: tuple[int, ...]
-    audited: tuple[tuple[int, ...], ...]
+    audited: np.ndarray  # (A, m+1)
+    rows: np.ndarray     # (A,)
+
+    @cached_property
+    def meets(self) -> np.ndarray:
+        return np.isin(self.audited, self.region).any(axis=1)
 
     @cached_property
     def safe(self) -> SimplicialComplex:
-        region = set(self.region)
-        return SimplicialComplex(s for s in self.audited if not region.isdisjoint(s))
+        return SimplicialComplex(map(tuple, self.audited[self.meets].tolist()))
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,7 @@ class GenericityAnalysis:
         subset of ``audited_metrics``. The faces of each lower dimension come
         from the safe tops in one pass, and take one batched kernel call.
         """
-        tops = self.audited_metrics
-        safe = tops.take(np.isin(tops.vertices, self.classification.region).any(axis=1))
+        safe = self.audited_metrics.take(self.classification.meets)
         faces = [simplex_metrics_batch(self.points.points, _faces_of(safe.vertices, k)[0])
                  for k in range(2, self.points.dim + 1)]
         return (*faces, safe)
@@ -183,15 +188,12 @@ def _faces_of(tops: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     face of each (k-subset, top) pair, the subsets in ``combinations`` order
     and the tops within each.
 
-    Each row is keyed as one integer, its vertices read as digits in base
-    n, so a single 1-D ``np.unique`` keeps the rows' lexicographic order.
+    Each row is keyed as one integer (``row_keys``), so a single 1-D
+    ``np.unique`` keeps the rows' lexicographic order.
     """
     stack = np.vstack([tops[:, list(c)] for c in combinations(range(tops.shape[1]), k)])
-    radix = int(tops.max()) + 1
-    keys = stack[:, 0].astype(np.int64)
-    for col in range(1, k):
-        keys = keys * radix + stack[:, col]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(row_keys(stack, int(tops.max()) + 1),
+                                  return_index=True, return_inverse=True)
     return stack[first], inverse.ravel()
 
 
@@ -209,9 +211,7 @@ def _least_depths(faces: np.ndarray, inverse: np.ndarray, depths: np.ndarray,
 def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
                     depths: np.ndarray) -> _VoronoiPieces:
     m = pts.shape[1]
-    tops = np.sort(np.array(list(base.balls), dtype=int), axis=1)
-    centers = np.array([b.center for b in base.balls.values()])
-    radii = np.array([b.radius for b in base.balls.values()])
+    tops, centers, radii = base.tops, base.centres, base.radii
     rounding = 1e-12 * max(1.0, float(np.abs(pts).max()))
     center_depths = facets.depth(centers)
     interior = depths > rounding
@@ -434,13 +434,15 @@ def _audit_star(ps: PointSet, base: DelaunayResult, eps: float, region: tuple[in
     The audited set is the wider double star: the top simplices that meet a
     vertex of a safe top simplex, in sorted order.
     """
-    tops = np.array(sorted(base.balls), dtype=np.intp)
+    rows = sorted_rows(base.tops, ps.n)
+    tops = base.tops[rows]
     meets = np.isin(tops, region).any(axis=1)
-    audited = tuple(map(tuple, tops[np.isin(tops, tops[meets]).any(axis=1)].tolist()))
-    if not audited:
+    audited = np.isin(tops, tops[meets]).any(axis=1)
+    if not audited.any():
         raise PreconditionError("audited star contains no top simplices")
-    per = {s: base.balls[s].protection for s in audited}
-    delta = min(per.values())
+    rows = rows[audited]
+    per = base.protections[rows]
+    delta = float(per.min())
     nu = max(min(delta, eps), 0.0) / eps
     report = ProtectionReport(
         per_simplex=per,
@@ -448,7 +450,7 @@ def _audit_star(ps: PointSet, base: DelaunayResult, eps: float, region: tuple[in
         nu_tilde=nu,
         generic=delta > ps.tolerance(),
     )
-    return report, SafeInteriorClassification(region=region, audited=audited)
+    return report, SafeInteriorClassification(region=region, audited=tops[audited], rows=rows)
 
 
 def thickness_certificate(analysis: GenericityAnalysis) -> ThicknessCertificate:
@@ -554,10 +556,8 @@ def lemma_audit(analysis: GenericityAnalysis) -> AuditRecord:
     counts = {name: _count(np.concatenate(oks)) for name, oks in passed.items()}
 
     tops = analysis.audited_metrics
-    balls = analysis.base.balls
-    radius = np.array([balls[s].radius for s in analysis.classification.audited], dtype=float)
-    protection = np.fromiter(analysis.protection.per_simplex.values(), dtype=float,
-                             count=len(tops))
+    radius = analysis.base.radii[analysis.classification.rows]
+    protection = analysis.protection.per_simplex
     small = radius < eps + tol
     doubly_deep = analysis.depths[tops.vertices].max(axis=1) >= 2.0 * eps
     counts["circumradius"] = _count(small[doubly_deep])

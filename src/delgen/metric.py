@@ -20,14 +20,15 @@ own test.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .complexes import SimplicialComplex
-from .delaunay import (Ball, _ball_gap, _branch_and_bound, _checked_region,
-                       _empty_balls, _star_candidates, as_point_set, delaunay_lifted)
+from .complexes import SimplicialComplex, sorted_rows
+from .delaunay import (_ball_gap, _branch_and_bound, _checked_region, _empty_balls,
+                       _star_candidates, as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
 from .simplex import Simplex, _norms, simplex_metrics_batch
 
@@ -285,17 +286,26 @@ def _newton_stack(c, image, forward, r0, seed_center, far):
 # -- metric Delaunay -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricDelaunayResult:
-    """Metric Delaunay star of a region with certification data."""
+    """Metric Delaunay star of a region as columns, one row per top simplex
+    in sorted order, with certification data. The closed star, the closure
+    of the tops and of the region's vertices, is derived on first read."""
 
-    complex: SimplicialComplex
-    balls: dict[tuple[int, ...], Ball]
+    region: tuple[int, ...]
+    tops: np.ndarray         # (T, m+1)
+    centres: np.ndarray      # (T, m)
+    radii: np.ndarray        # (T,)
+    protections: np.ndarray  # (T,)
     path: str
     agreement: bool | None = None
     not_found: tuple[tuple[int, ...], ...] = ()
     undecided: tuple[tuple[int, ...], ...] = ()
     degeneracy_groups: tuple[tuple[int, ...], ...] = ()
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return SimplicialComplex([*map(tuple, self.tops.tolist()), *((v,) for v in self.region)])
 
     @property
     def certified(self) -> bool:
@@ -303,16 +313,13 @@ class MetricDelaunayResult:
 
 
 def _pullback_path(ps, model, region) -> MetricDelaunayResult:
-    pts = ps.points
-    base = delaunay_lifted(model.field.forward(pts))
-    keep = [s for s in sorted(base.balls) if set(s) & set(region)]
-    cx = SimplicialComplex(keep + [(v,) for v in region])
-    found = [base.balls[s] for s in keep]
-    centres = model.field.inverse(np.array([b.center for b in found]).reshape(-1, ps.dim))
-    balls = {s: Ball(simplex=s, center=c, radius=b.radius, protection=b.protection)
-             for s, b, c in zip(keep, found, centres)}
+    base = delaunay_lifted(model.field.forward(ps.points))
+    keep = np.flatnonzero(np.isin(base.tops, region).any(axis=1))
+    keep = keep[sorted_rows(base.tops[keep], ps.n)]
     return MetricDelaunayResult(
-        complex=cx, balls=balls, path="pullback",
+        region=tuple(region), tops=base.tops[keep],
+        centres=model.field.inverse(base.centres[keep]),
+        radii=base.radii[keep], protections=base.protections[keep], path="pullback",
         degeneracy_groups=base.degeneracy_groups,
     )
 
@@ -331,8 +338,14 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     # The metric ball of radius r about c is the Euclidean ball of radius r
     # about phi(c) among the images; the stored centre stays c.
     image_tree = cKDTree(image_pts)
-    certified, found_groups = _empty_balls(
-        image_tree, subsets[found], model.field.forward(centres[found]), radii[found], tol)
+    searched = np.flatnonzero(found)
+    rows, protection, found_groups = _empty_balls(
+        image_tree, subsets[searched], model.field.forward(centres[searched]),
+        radii[searched], tol)
+    accepted = np.zeros(len(candidates), dtype=bool)
+    accepted[searched[rows]] = True
+    protections = np.zeros(len(candidates))
+    protections[searched[rows]] = protection
     # Candidates the search misses go through one branch and bound; the
     # metric gap is the Euclidean ball gap between images.
     missed = np.flatnonzero(~found)
@@ -342,30 +355,19 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     verdicts, witnesses = _branch_and_bound(
         lambda c, k: _ball_gap(model.field.forward(c), member_img[k], image_tree),
         seeds, 4.0 * eps, lipschitz, tol)
-    outcome = dict(zip(missed.tolist(), zip(verdicts, witnesses)))
-    balls: dict[tuple[int, ...], Ball] = {}
-    not_found: list[tuple[int, ...]] = []
-    undecided: list[tuple[int, ...]] = []
-    for k, cand in enumerate(candidates):
-        if found[k]:
-            if cand in certified:
-                balls[cand] = replace(certified[cand], center=centres[k])
-            continue
-        not_found.append(cand)
-        verdict, witness = outcome[k]
-        if verdict is None:
-            undecided.append(cand)
-        elif verdict:
+    for k, verdict, witness in zip(missed.tolist(), verdicts, witnesses):
+        if verdict:
             # Equidistance search missed it but an empty ball exists:
-            # record the witness ball instead of dropping the simplex.
+            # record the witness ball, protection 0, instead of dropping
+            # the simplex.
             d = model.distances_to(witness, pts, image_pts)
-            balls[cand] = Ball(simplex=cand, center=witness,
-                               radius=float(d[list(cand)].max()),
-                               protection=0.0)
-    cx = SimplicialComplex([*balls, *((v,) for v in region)])
+            accepted[k] = True
+            centres[k], radii[k] = witness, d[subsets[k]].max()
     return MetricDelaunayResult(
-        complex=cx, balls=balls, path="newton",
-        not_found=tuple(not_found), undecided=tuple(undecided),
+        region=tuple(region), tops=subsets[accepted], centres=centres[accepted],
+        radii=radii[accepted], protections=protections[accepted], path="newton",
+        not_found=tuple(candidates[k] for k in missed.tolist()),
+        undecided=tuple(candidates[k] for k, v in zip(missed.tolist(), verdicts) if v is None),
         degeneracy_groups=tuple(sorted(found_groups)),
     )
 
@@ -398,14 +400,10 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
     if path == "newton":
         return generic
     fast = _pullback_path(ps, model, region)
-    a, b = set(generic.balls), set(fast.balls)
-    if a != b:
+    if not np.array_equal(generic.tops, fast.tops):
+        a, b = set(map(tuple, generic.tops.tolist())), set(map(tuple, fast.tops.tolist()))
         raise PathMismatchError(
             f"metric Delaunay routes disagree: newton-only {sorted(a - b)}, "
             f"pullback-only {sorted(b - a)}"
         )
-    return MetricDelaunayResult(
-        complex=generic.complex, balls=generic.balls, path="both", agreement=True,
-        not_found=generic.not_found, undecided=generic.undecided,
-        degeneracy_groups=generic.degeneracy_groups,
-    )
+    return replace(generic, path="both", agreement=True)

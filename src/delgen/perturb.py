@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delaunay import DelaunayResult, as_point_set, delaunay_lifted, relaxed_delaunay
-from .complexes import SimplicialComplex, star_difference
+from .complexes import IsoReport, SimplicialComplex, row_keys, sorted_rows, star_difference
 from .errors import NonGenericError, PreconditionError
 from .genericity import GenericityAnalysis
 from .metric import DisplacementField, MetricModel, metric_delaunay
@@ -142,17 +142,15 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 def _adversarial_directions(pts: np.ndarray, base: DelaunayResult) -> np.ndarray:
     """Unit direction from each point to the centre of the first ball, in the
-    complex's order, of least sphere gap |distance - radius| among the balls
-    of simplices without the point; the first unit vector when there is none.
+    complex's row order, of least sphere gap |distance - radius| among the
+    balls of simplices without the point; the first unit vector when there
+    is none.
     """
-    simplices = list(base.balls)
-    centers = np.array([b.center for b in base.balls.values()])
-    radii = np.array([b.radius for b in base.balls.values()])
-    own = np.zeros((pts.shape[0], len(simplices)), dtype=bool)
-    own[np.concatenate(simplices),
-        np.repeat(np.arange(len(simplices)), [len(s) for s in simplices])] = True
+    tops, centers, radii = base.tops, base.centres, base.radii
+    own = np.zeros((pts.shape[0], len(tops)), dtype=bool)
+    own[tops.ravel(), np.repeat(np.arange(len(tops)), tops.shape[1])] = True
     targets = pts.copy()
-    step = max(1, 1_000_000 // len(simplices))
+    step = max(1, 1_000_000 // len(tops))
     for lo in range(0, pts.shape[0], step):
         diff = pts[lo:lo + step, None, :] - centers[None, :, :]
         # Row times column is the dot kernel np.linalg.norm uses on a single
@@ -276,33 +274,33 @@ def protection_decay_trial(analysis: GenericityAnalysis,
         raise PreconditionError("give exactly one of perturbation or field")
     p = measured_secure_params(analysis)
     um = p.upsilon0 * p.mu0
-    m = analysis.points.dim
-    safe_tops = [s for s in analysis.classification.safe.simplices(m)
-                 if s in analysis.base.balls]
+    cls = analysis.classification
+    safe_tops = cls.audited[cls.meets]
     tol = analysis.tolerance
     if perturbation is not None:
         rho = perturbation.rho
         decay = 18.0 * rho / um
         perturbed = delaunay_lifted(perturbation.apply())
-        balls = perturbed.balls
         budget = p.budget().rho_point
         name = "protection_decay_point"
     else:
         model = MetricModel(field)
         rho = model.rho_bound
         decay = 20.0 * rho / um
-        balls = metric_delaunay(analysis.points, model,
-                                analysis.classification.region).balls
+        perturbed = metric_delaunay(analysis.points, model, cls.region)
         budget = p.budget().rho_metric_protect
         name = "protection_decay_metric"
-    worst_residual = np.inf
-    missing = []
-    for s in safe_tops:
-        if s not in balls:
-            missing.append(s)
-            continue
-        residual = balls[s].protection - (analysis.protection.per_simplex[s] - decay)
-        worst_residual = min(worst_residual, residual)
+    # The row of each safe top in the perturbed result, by integer row key.
+    keys = row_keys(perturbed.tops, analysis.points.n)
+    order = np.argsort(keys, kind="stable")
+    want = row_keys(safe_tops, analysis.points.n)
+    at = np.searchsorted(keys[order], want)
+    found = at < len(order)
+    found[found] = keys[order][at[found]] == want[found]
+    missing = tuple(map(tuple, safe_tops[~found].tolist()))
+    residual = (perturbed.protections[order[at[found]]]
+                - (analysis.protection.per_simplex[cls.meets][found] - decay))
+    worst_residual = residual.min() if residual.size else np.inf
     passed = not missing and worst_residual > -tol
     return TrialVerdict(
         name=name,
@@ -311,13 +309,30 @@ def protection_decay_trial(analysis: GenericityAnalysis,
         budget_used=rho,
         measured={
             "decay": decay,
-            "worst_residual": float(worst_residual if safe_tops else 0.0),
+            "worst_residual": float(worst_residual if len(safe_tops) else 0.0),
             "missing": len(missing),
             "simplices": len(safe_tops),
         },
-        counterexamples=tuple(missing),
+        counterexamples=missing,
         model=perturbation.model if perturbation is not None else None,
     )
+
+
+def _star_report(analysis: GenericityAnalysis, tops: np.ndarray, vertices=()) -> IsoReport:
+    """``star_difference`` of the safe star against the closure of the rows
+    of ``tops`` that meet the region and of the singletons of ``vertices``.
+
+    Both stars are closures of (m+1)-vertex tops, and they are equal exactly
+    when the sorted tops are and every one of ``vertices`` lies in a top, so
+    the faces are compared only when that fails.
+    """
+    cls = analysis.classification
+    star = tops[np.isin(tops, cls.region).any(axis=1)]
+    star = star[sorted_rows(star, analysis.points.n)]
+    if np.array_equal(star, cls.audited[cls.meets]) and np.isin(vertices, star).all():
+        return IsoReport(isomorphic=True, missing=(), extra=())
+    got = SimplicialComplex([*map(tuple, star.tolist()), *((v,) for v in vertices)])
+    return star_difference(cls.safe, got)
 
 
 def point_stability_trial(analysis: GenericityAnalysis,
@@ -325,9 +340,7 @@ def point_stability_trial(analysis: GenericityAnalysis,
     """Check that the star of the region survives a point perturbation."""
     p = measured_secure_params(analysis)
     perturbed = delaunay_lifted(perturbation.apply())
-    region = set(analysis.classification.region)
-    star = SimplicialComplex(s for s in perturbed.balls if not region.isdisjoint(s))
-    report = star_difference(analysis.classification.safe, star)
+    report = _star_report(analysis, perturbed.tops)
     bad = tuple(sorted(report.extra + report.missing))
     return TrialVerdict(
         name="point_stability",
@@ -382,7 +395,7 @@ def metric_stability_trial(analysis: GenericityAnalysis, field: DisplacementFiel
     model = MetricModel(field)
     result = metric_delaunay(analysis.points, model, analysis.classification.region,
                              eps=p.eps, upsilon0=p.upsilon0, mu0=p.mu0, path="both")
-    report = star_difference(analysis.classification.safe, result.complex)
+    report = _star_report(analysis, result.tops, analysis.classification.region)
     if budget_mode == "thm":
         budget = p.budget().rho_metric
     else:
@@ -402,6 +415,7 @@ def metric_stability_trial(analysis: GenericityAnalysis, field: DisplacementFiel
 # -- batch driver ----------------------------------------------------------
 
 _BATCH_MODELS = {"uniform", "radial", "adversarial", "relaxation", "metric"}
+_SEEDED_MODELS = {"uniform", "metric"}
 
 
 def _trial_seed(root: int, *key: int) -> int:
@@ -431,14 +445,13 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
         for bi, frac in enumerate(budgets):
             if not (np.isfinite(frac) and frac >= 0):
                 raise PreconditionError(f"bad budget fraction {frac!r}")
-            if model == "relaxation":
-                # Relaxation draws nothing at random: one run serves every seed.
-                v = relaxation_trial(analysis, frac * b.rho_point)
-                verdicts.extend([v] * int(seeds))
-                continue
-            for si in range(int(seeds)):
+            # A model that draws nothing at random runs once for all seeds.
+            seeded = model in _SEEDED_MODELS
+            for si in range(int(seeds) if seeded else 1):
                 seed = _trial_seed(root_seed, mi, bi, si)
-                if model == "metric":
+                if model == "relaxation":
+                    v = relaxation_trial(analysis, frac * b.rho_point)
+                elif model == "metric":
                     fld = DisplacementField(ps.dim, frac * b.rho_metric / 2.0, seed)
                     v = metric_stability_trial(analysis, fld)
                 else:
@@ -446,5 +459,5 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
                         ps, frac * b.rho_point, seed, model, base=analysis.base,
                         directions=adversarial)
                     v = point_stability_trial(analysis, pert)
-                verdicts.append(v)
+                verdicts.extend([v] * (1 if seeded else int(seeds)))
     return verdicts

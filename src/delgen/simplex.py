@@ -95,14 +95,6 @@ def _edge_stack(v: np.ndarray):
     return e, lengths, sv, degenerate
 
 
-def is_degenerate(simplex) -> bool:
-    """True when the vertices are affinely dependent at DEGENERACY_RTOL."""
-    s = _as_simplex(simplex)
-    if s.dim == 0:
-        return False
-    return bool(_edge_stack(s.vertices[None])[3][0])
-
-
 def _circumballs(v, e, degenerate, longest):
     """Circumcentres ``(S, m)``, radii ``(S,)`` and found flags of a stack.
 

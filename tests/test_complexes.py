@@ -1,12 +1,16 @@
-"""Simplicial complex structure, stars, boundaries, and star comparison."""
+"""Simplicial complex structure, stars, star comparison and row keys."""
+
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from delgen.complexes import SimplicialComplex, star_difference, star_isomorphic
+from delgen.complexes import (SimplicialComplex, row_keys, sorted_rows, star_difference,
+                              star_isomorphic)
 from delgen.datasets import grid_points
 from delgen.delaunay import delaunay_lifted
-from delgen.errors import MappingError, PreconditionError
+from delgen.errors import MappingError
 
 TWO_TRIANGLES = [(0, 1, 2), (1, 2, 3)]
 
@@ -41,25 +45,11 @@ def test_vertex_star_of_missing_vertex_is_empty():
     assert len(k.vertex_star([9])) == 0
 
 
-def test_boundary_of_single_triangle():
-    k = SimplicialComplex([(0, 1, 2)])
-    b = k.boundary_complex()
-    assert b.simplices(1) == [(0, 1), (0, 2), (1, 2)]
-    assert b.is_pure(1)
-
-
-def test_boundary_of_strip_drops_shared_edge():
-    k = SimplicialComplex(TWO_TRIANGLES)
-    b = k.boundary_complex()
-    assert (1, 2) not in b
-    assert b.simplices(1) == [(0, 1), (0, 2), (1, 3), (2, 3)]
-
-
-def test_boundary_rejects_impure():
-    k = SimplicialComplex([(0, 1, 2), (3, 4)])
-    assert not k.is_pure()
-    with pytest.raises(PreconditionError):
-        k.boundary_complex()
+def rim(tops):
+    """Facets of exactly one of the top simplices: the boundary of the
+    region they triangulate."""
+    count = Counter(f for t in tops for f in combinations(t, len(t) - 1))
+    return sorted(f for f, c in count.items() if c == 1)
 
 
 def test_boundary_pure_on_delaunay_sweep():
@@ -69,12 +59,11 @@ def test_boundary_pure_on_delaunay_sweep():
         res = delaunay_lifted(pts)
         if not res.generic:
             continue
-        b = res.complex.boundary_complex(2)
-        assert b.is_pure(1)
+        edges = rim(res.complex.simplices(2))
         # Hull boundary of a 2-complex: every boundary vertex has exactly
         # two incident boundary edges.
-        for v in b.vertex_ids():
-            inc = [e for e in b.simplices(1) if v in e]
+        for v in {v for e in edges for v in e}:
+            inc = [e for e in edges if v in e]
             assert len(inc) == 2
 
 
@@ -138,3 +127,18 @@ def test_star_difference_lists_both_sides_sorted():
     same = star_difference(want, SimplicialComplex([(3, 2, 1), (2, 0, 1)]))
     assert same.isomorphic and not same.missing and not same.extra
 
+
+
+def test_row_keys_order_rows_lexicographically():
+    # Small keys, the largest width whose keys still fit int64, and keys
+    # past int64, which are Python integers.
+    rng = np.random.default_rng(3)
+    for radix, width in ((7, 3), (55_000, 4), (60_000, 4), (2**40, 2)):
+        rows = np.sort(rng.integers(0, radix, size=(300, width)), axis=1)
+        rows[::7] = rows[3]
+        keys = row_keys(rows, radix)
+        assert keys.dtype == (np.int64 if radix**width <= 2**63 else object)
+        want = sorted(range(len(rows)), key=lambda k: (rows[k].tolist(), k))
+        assert sorted_rows(rows, radix).tolist() == want
+        # Equal rows, and only they, share a key.
+        assert len(set(keys.tolist())) == len(set(map(tuple, rows.tolist())))

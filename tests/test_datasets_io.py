@@ -9,12 +9,11 @@ import pytest
 
 from delgen import cli
 from delgen.datasets import delta_search, generic_grid, grid_points, uniform_points
-from delgen.delaunay import Ball, delaunay_lifted
+from delgen.delaunay import delaunay_lifted
 from delgen.errors import ParseError, PreconditionError
 from delgen.fileio import (
     Table,
     complex_from_json,
-    complex_to_json,
     dataset_digest,
     envelope_csv,
     envelope_json,
@@ -146,23 +145,10 @@ def test_dataset_digest_ignores_header_not_data():
 
 
 def test_complex_json_round_trip():
-    pts = grid_points(4, dim=2, jitter=0.2, seed=2)
-    res = delaunay_lifted(pts)
-    doc = complex_to_json(res.complex, res.balls)
-    text = json.dumps(doc)
-    back = complex_from_json(json.loads(text))
+    res = delaunay_lifted(grid_points(4, dim=2, jitter=0.2, seed=2))
+    doc = {"simplices": [list(s) for s in res.complex.simplices()]}
+    back = complex_from_json(json.loads(json.dumps(doc)))
     assert back == res.complex
-    assert len(doc["balls"]) == len(res.balls)
-    entry = doc["balls"][0]
-    assert set(entry) == {"simplex", "centre", "radius", "protection"}
-    key = tuple(entry["simplex"])
-    assert np.allclose(entry["centre"], res.balls[key].center)
-
-
-def test_complex_json_sorted_by_dimension():
-    cx = delaunay_lifted(grid_points(3, dim=2, jitter=0.2, seed=1)).complex
-    sizes = [len(s) for s in complex_to_json(cx)["simplices"]]
-    assert sizes == sorted(sizes)
 
 
 def test_complex_from_json_validation():

@@ -3,6 +3,7 @@
 import inspect
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 from delgen import delaunay, metric
+from delgen.complexes import SimplicialComplex
 from delgen.datasets import grid_points, uniform_points
 from delgen.delaunay import (
     PointSet,
@@ -51,15 +53,27 @@ def test_affine_deficiency_rejected():
         delaunay_bruteforce(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+def row_of(res):
+    """Row of each top simplex of a Delaunay result, keyed by the simplex."""
+    return {s: k for k, s in enumerate(map(tuple, res.tops.tolist()))}
+
+
+def rim(tops):
+    """Facets of exactly one of the top simplices: the boundary of the
+    region they triangulate."""
+    count = Counter(f for t in tops for f in combinations(t, len(t) - 1))
+    return {f for f, c in count.items() if c == 1}
+
+
 def test_four_point_oracle_both_routes():
     for build in (delaunay_bruteforce, delaunay_lifted):
         res = build(FOUR_POINTS)
         assert res.generic
         assert res.complex.simplices(2) == [(0, 1, 2), (1, 2, 3)]
-        ball = res.balls[(0, 1, 2)]
-        assert np.allclose(ball.center, [0.5, 0.5], atol=1e-12)
-        assert ball.radius == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        assert ball.protection == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        k = row_of(res)[(0, 1, 2)]
+        assert np.allclose(res.centres[k], [0.5, 0.5], atol=1e-12)
+        assert res.radii[k] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert res.protections[k] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_unit_square_degenerate_both_routes():
@@ -81,10 +95,10 @@ def test_route_equivalence_random_sweep():
         assert a.generic == b.generic
         if a.generic:
             assert a.complex == b.complex
-            for key, ball in a.balls.items():
-                other = b.balls[key]
-                assert np.allclose(ball.center, other.center, atol=1e-9)
-                assert ball.protection == pytest.approx(other.protection, abs=1e-9)
+            rows = row_of(b)
+            for key, k in row_of(a).items():
+                assert np.allclose(a.centres[k], b.centres[rows[key]], atol=1e-9)
+                assert a.protections[k] == pytest.approx(b.protections[rows[key]], abs=1e-9)
 
 
 def test_route_equivalence_3d_small():
@@ -118,7 +132,7 @@ def test_protection_consistency():
         pts = rng.uniform(size=(int(rng.integers(6, 30)), 2))
         res = delaunay_lifted(pts)
         if res.generic:
-            assert all(b.protection > 0 for b in res.balls.values())
+            assert (res.protections > 0).all()
             assert res.protection() > 0
 
 
@@ -137,11 +151,11 @@ def test_interior_faces_shared_by_two_tops():
     pts = rng.uniform(size=(30, 2))
     res = delaunay_lifted(pts)
     assert res.generic
-    rim = set(res.complex.boundary_complex(2).simplices(1))
     tops = res.complex.simplices(2)
+    edges = rim(tops)
     for e in res.complex.simplices(1):
         owners = [t for t in tops if set(e) <= set(t)]
-        assert len(owners) == (1 if e in rim else 2)
+        assert len(owners) == (1 if e in edges else 2)
 
 
 def test_separation_exhaustive_small():
@@ -150,9 +164,9 @@ def test_separation_exhaustive_small():
     res = delaunay_lifted(pts)
     assert res.generic
     tops = res.complex.simplices(2)
-    rim = set(res.complex.boundary_complex(2).simplices())
+    boundary = set(SimplicialComplex(rim(tops)).simplices())
     for tau in res.complex.simplices():
-        if len(tau) == 3 or tau in rim:
+        if len(tau) == 3 or tau in boundary:
             continue
         for q in range(len(pts)):
             if q in tau:
@@ -206,6 +220,31 @@ def test_relaxed_witnesses_verify():
         need = cdist([c], pts[list(simplex)]).max()
         have = cdist([c], pts).min()
         assert need - have <= rho + relaxed.tolerance * 1.01
+
+
+def test_relaxed_first_try_takes_the_seed_then_the_known_balls_in_row_order():
+    # Reference: per candidate, its seed, then the centre of every Delaunay
+    # ball whose top contains it, in row order; the first try within the
+    # slack is the witness. Candidates no try decides go to the search.
+    for dim, side in ((2, 9), (3, 6)):
+        pts = grid_points(side, dim, jitter=0.15, seed=4)
+        a = analyze_genericity(pts)
+        eps, base, ps = a.sampling.epsilon, a.base, PointSet(pts)
+        region = list(a.deep_ids) or [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
+        rho = 0.3 * eps
+        relaxed = relaxed_delaunay(pts, rho, region, eps=eps, base=base)
+        cands = _star_candidates(ps, region, 2.0 * eps + ps.tolerance(), range(1, dim + 1))
+        seeds = delaunay._circumcenter_seeds(pts, cands)
+        ties = 0  # candidates on which the order decides the witness
+        for cand, seed in zip(cands, seeds):
+            tries = np.array([seed, *(c for top, c in zip(base.tops.tolist(), base.centres)
+                                       if set(cand) <= set(top))])
+            gaps = cdist(tries, pts[list(cand)]).max(axis=1) - cdist(tries, pts).min(axis=1)
+            hit = np.flatnonzero(gaps <= rho + ps.tolerance())
+            if hit.size:
+                assert np.array_equal(relaxed.witnesses[cand], tries[hit[0]])
+                ties += len(hit) > 1 and not np.array_equal(tries[hit[0]], tries[hit[-1]])
+        assert ties > 10
 
 
 def test_relaxed_rejects_bad_inputs():
@@ -370,8 +409,10 @@ def star_candidates_by_loop(pts, region, reach, sizes):
 
 
 def test_star_candidates_match_the_pdist_loop():
-    for dim, side in ((2, 7), (3, 5)):
-        pts = grid_points(side, dim, jitter=0.2, seed=3)
+    # Exact lattices tie many diameters with the narrow window's reach.
+    for dim, side, jitter, narrow in ((2, 7, 0.2, 0.9), (3, 5, 0.2, 0.9),
+                                      (2, 7, 0.0, 1.0), (3, 5, 0.0, np.sqrt(2.0))):
+        pts = grid_points(side, dim, jitter=jitter, seed=3)
         eps = analyze_genericity(pts).sampling.epsilon
         tol = PointSet(pts).tolerance()
         # Neighbouring region vertices share candidates, which the window
@@ -382,7 +423,7 @@ def test_star_candidates_match_the_pdist_loop():
         # drops some combinations on their diameter.
         for reach, sizes in ((2.0 * eps + tol, range(1, dim + 1)),
                              (2.0 * eps + 4.0 * 0.01 + tol, (dim,)),
-                             (0.9, range(1, dim + 1))):
+                             (narrow, range(1, dim + 1))):
             got = list(_star_candidates(PointSet(pts), region, reach, sizes))
             assert got == list(star_candidates_by_loop(pts, region, reach, sizes))
             assert got and len(got) == len(set(got))
@@ -428,7 +469,7 @@ def test_routes_agree_on_exact_lattices():
 def dense_empty_balls(pts, subsets, centers, radii, tol):
     """The certifier as a dense (balls x points) margin table, in blocks of
     about 2e6 entries: the reference for the KD-tree queries."""
-    balls, groups = {}, set()
+    rows, protections, groups = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], set()
     step = max(1, 2_000_000 // pts.shape[0])
     for lo in range(0, subsets.shape[0], step):
         sub = subsets[lo:lo + step]
@@ -438,23 +479,25 @@ def dense_empty_balls(pts, subsets, centers, radii, tol):
         crowded = near.sum(axis=1) > sub.shape[1]
         np.put_along_axis(margins, sub, np.inf, axis=1)
         protection = margins.min(axis=1)
-        for k in np.nonzero(protection > -tol)[0]:
-            simplex = tuple(int(i) for i in sub[k])
-            balls[simplex] = delaunay.Ball(simplex=simplex, center=centers[lo + k].copy(),
-                                           radius=float(radii[lo + k]),
-                                           protection=float(protection[k]))
+        accepted = np.nonzero(protection > -tol)[0]
+        rows.append(lo + accepted)
+        protections.append(protection[accepted])
+        for k in accepted:
             if crowded[k]:
                 groups.add(tuple(int(i) for i in np.nonzero(near[k])[0]))
-    return balls, groups
+    return np.concatenate(rows), np.concatenate(protections), groups
 
 
-def assert_same_certificate(got, want):
-    assert list(got[0]) == list(want[0])
-    for key, ball in want[0].items():
-        assert np.array_equal(got[0][key].center, ball.center)
-        assert got[0][key].radius == ball.radius
-        assert got[0][key].protection == ball.protection
-    assert got[1] == want[1]
+def assert_same_certificate(got, want, subsets, centers, radii):
+    """The same accepted rows, each with the same simplex, centre, radius
+    and protection bit for bit, in the same order, and the same groups."""
+    (rows, protections, groups), (want_rows, want_protections, want_groups) = got, want
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(subsets[rows], subsets[want_rows])
+    assert np.array_equal(centers[rows], centers[want_rows])
+    assert np.array_equal(radii[rows], radii[want_rows])
+    assert np.array_equal(protections, want_protections)
+    assert groups == want_groups
 
 
 class MisrankingTree:
@@ -507,8 +550,9 @@ def certifier_calls(monkeypatch):
 
     def checked(tree, subsets, centers, radii, tol):
         got = real(tree, subsets, centers, radii, tol)
-        assert_same_certificate(got, dense_empty_balls(tree.data, subsets, centers, radii, tol))
-        calls.append((len(subsets), len(got[0]), len(got[1])))
+        assert_same_certificate(got, dense_empty_balls(tree.data, subsets, centers, radii, tol),
+                                subsets, centers, radii)
+        calls.append((len(subsets), len(got[0]), len(got[2])))
         return got
 
     monkeypatch.setattr(delaunay, "_empty_balls", checked)
@@ -552,7 +596,9 @@ def test_kdtree_certifier_matches_dense_reference(certifier_calls):
         pts = np.vstack([tri, planted])
         subsets = np.array(list(combinations(range(len(pts)), 3)))
         centers, radii, ok = delaunay._batched_circumballs(pts, subsets)
-        return delaunay._empty_balls(tree(pts), subsets[ok], centers[ok], radii[ok], tol)
+        rows, protections, groups = delaunay._empty_balls(tree(pts), subsets[ok], centers[ok],
+                                                          radii[ok], tol)
+        return dict(zip(map(tuple, subsets[ok][rows].tolist()), protections)), groups
 
     for offset in (-2.0, -0.5, 0.5, 2.0):
         accepted, groups = certify([radius[0] + offset * tol])
@@ -565,13 +611,13 @@ def test_kdtree_certifier_matches_dense_reference(certifier_calls):
     # that lists the second and third but not the nearest.
     accepted, groups = certify([(radius[0] + 5.0 * tol) * (1.0 + f) for f in (0.0, 1e-13, 2e-13)],
                                tree=MisrankingTree)
-    assert accepted[(0, 1, 2)].protection == pytest.approx(5.0 * tol)
+    assert accepted[(0, 1, 2)] == pytest.approx(5.0 * tol)
     # The Newton metric route certifies its balls among the images phi(P).
     pts = grid_points(6, dim=2, jitter=0.15, seed=4)
     model = MetricModel(DisplacementField(2, amplitude=2e-3, seed=1))
     eps = analyze_genericity(pts).sampling.epsilon
     before = len(certifier_calls)
-    assert metric_delaunay(pts, model, [14, 15], eps=eps, path="newton").balls
+    assert len(metric_delaunay(pts, model, [14, 15], eps=eps, path="newton").tops)
     assert len(certifier_calls) == before + 1
     # Rejected rows, groups and every kind of input went through the check.
     assert any(rows > accepted for rows, accepted, _ in certifier_calls)

@@ -227,8 +227,8 @@ def test_classify_jittered_grid():
     a = analyze_genericity(pts, region)
     protection, classification = a.protection, a.classification
     assert protection.generic
-    assert protection.delta_global == min(protection.per_simplex.values())
-    assert all(v > 0 for v in protection.per_simplex.values())
+    assert protection.delta_global == protection.per_simplex.min()
+    assert (protection.per_simplex > 0).all()
     eps = a.sampling.epsilon
     assert protection.nu_tilde == pytest.approx(
         min(protection.delta_global, eps) / eps
@@ -238,16 +238,17 @@ def test_classify_jittered_grid():
     assert set(classification.region) <= set(a.deep_ids)
     # The audited star is one ring wider than the safe star.
     safe_tops = set(classification.safe.simplices(2))
-    assert safe_tops <= set(classification.audited)
-    assert classification.audited
+    assert safe_tops <= set(map(tuple, classification.audited.tolist()))
+    assert len(classification.audited)
 
 
 def test_audited_simplices_satisfy_radius_bound():
     pts, region = jittered_instance()
     a = analyze_genericity(pts, region)
     eps = a.sampling.epsilon
-    for s in a.classification.audited:
-        assert a.base.balls[s].radius < eps + a.tolerance
+    radius = dict(zip(map(tuple, a.base.tops.tolist()), a.base.radii))
+    for s in map(tuple, a.classification.audited.tolist()):
+        assert radius[s] < eps + a.tolerance
 
 
 def test_protection_scales_linearly():
@@ -343,7 +344,7 @@ def metric_table_by_rows(analysis):
     for dim in range(1, analysis.points.dim + 1):
         group = star.safe.simplices(dim)
         if dim == analysis.points.dim:
-            group = sorted(set(group).union(star.audited))
+            group = sorted(set(group).union(map(tuple, star.audited.tolist())))
         table.update(zip(group, simplex_metrics_batch(analysis.points.points, group).rows()))
     return table
 
@@ -381,16 +382,19 @@ def lemma_audit_by_loop(analysis, table):
             tally("altitude", all(h > floor - tol for h in met.altitudes))
             tally("thickness", met.thickness >= upsilon0 - THICKNESS_SLACK)
     depth = analysis.facets.depth(analysis.points.points)
+    base = analysis.base
+    balls = dict(zip(map(tuple, base.tops.tolist()), zip(base.radii.tolist(),
+                                                         base.protections.tolist())))
     rows = []
-    for s in analysis.classification.audited:
-        ball, met = analysis.base.balls[s], table[s]
+    for s in map(tuple, analysis.classification.audited.tolist()):
+        (radius, protection), met = balls[s], table[s]
         if max(depth[v] for v in s) >= 2.0 * eps:
-            tally("circumradius", ball.radius < eps + tol)
-        secure = (ball.protection >= delta - tol
+            tally("circumradius", radius < eps + tol)
+        secure = (protection >= delta - tol
                   and met.thickness >= upsilon0 - THICKNESS_SLACK
-                  and ball.radius < eps + tol
+                  and radius < eps + tol
                   and met.shortest_edge >= nu * eps - tol)
-        rows.append((s, float(ball.radius), float(ball.protection), met.thickness, secure))
+        rows.append((s, radius, protection, met.thickness, secure))
     return {name: tuple(c) for name, c in counts.items()}, rows
 
 
@@ -435,7 +439,7 @@ def test_columnar_audit_matches_the_per_simplex_loops(pts):
     assert flags == {True, False}
 
     assert measured_secure_params(a).upsilon0 == min(
-        [1.0] + [table[s].thickness for s in a.classification.audited])
+        [1.0] + [table[s].thickness for s in map(tuple, a.classification.audited.tolist())])
 
 
 @pytest.mark.parametrize("pts", [
@@ -459,5 +463,8 @@ def test_region_stars_from_top_simplices_match_the_closure(pts):
         touched = {v for s in cx.vertex_star(region).simplices() for v in s}
         double = cx.vertex_star(touched)
         _, star = _audit_star(ps, base, 1.0, region)
+        tops = set(map(tuple, base.tops.tolist()))
         assert star.safe == cx.vertex_star(region)
-        assert star.audited == tuple(s for s in double.simplices(m) if s in base.balls)
+        assert (list(map(tuple, star.audited.tolist()))
+                == [s for s in double.simplices(m) if s in tops])
+        assert np.array_equal(base.tops[star.rows], star.audited)

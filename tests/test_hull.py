@@ -176,8 +176,7 @@ def test_exact_radius_bounds_the_sweep_and_a_dense_sample(case):
     base = delaunay_lifted(ps)
     tree = cKDTree(pts)
     vor = genericity._voronoi_pieces(pts, facets, base, facets.depth(pts))
-    centers = np.array([b.center for b in base.balls.values()])
-    radii = np.array([b.radius for b in base.balls.values()])
+    centers, radii = base.centres, base.radii
     pitch = ps.min_gap() / 16.0
 
     def exact(e):

@@ -1,5 +1,6 @@
 """Displacement fields, metric models, and the metric Delaunay routes."""
 
+import time
 from itertools import product
 
 import numpy as np
@@ -244,9 +245,9 @@ def test_metric_delaunay_dual_path_sweep():
         # of the displaced points.
         image = field.forward(pts)
         image_res = delaunay_lifted(image)
-        for s, ball in res.balls.items():
-            other = image_res.balls[s]
-            assert ball.radius == pytest.approx(other.radius, abs=1e-8)
+        image_radii = dict(zip(map(tuple, image_res.tops.tolist()), image_res.radii))
+        for s, radius in zip(map(tuple, res.tops.tolist()), res.radii):
+            assert radius == pytest.approx(image_radii[s], abs=1e-8)
 
 
 def test_metric_delaunay_newton_balls_verify():
@@ -256,12 +257,35 @@ def test_metric_delaunay_newton_balls_verify():
     eps = analyze_genericity(pts).sampling.epsilon
     res = metric_delaunay(pts, model, [12], eps=eps, path="newton")
     assert res.certified
-    for s, ball in res.balls.items():
-        d = model.distances_to(ball.center, pts[list(s)])
-        assert np.abs(d - ball.radius).max() <= 1e-7 * ball.radius
+    for s, centre, radius in zip(res.tops.tolist(), res.centres, res.radii):
+        d = model.distances_to(centre, pts[s])
+        assert np.abs(d - radius).max() <= 1e-7 * radius
         others = [q for q in range(len(pts)) if q not in s]
-        d_out = model.distances_to(ball.center, pts[others])
-        assert d_out.min() >= ball.radius - 1e-9
+        d_out = model.distances_to(centre, pts[others])
+        assert d_out.min() >= radius - 1e-9
+
+
+def test_pullback_route_costs_little_more_than_one_delaunay_build():
+    # The route builds the Delaunay complex of the images and keeps the
+    # tops that meet the region, here 5,329 of 6,561 points; selecting them
+    # must not cost (tops x region).
+    pts = grid_points(81, 2, 0.2, seed=1)
+    region = analyze_genericity(pts).classification.region
+    model = MetricModel(DisplacementField(2, amplitude=1e-4, seed=3))
+    image = model.field.forward(pts)
+
+    def best_of_three(call):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    lifted = best_of_three(lambda: delaunay_lifted(image))
+    pullback = best_of_three(lambda: metric_delaunay(pts, model, region, path="pullback"))
+    assert len(region) == 5329
+    assert pullback <= 5.0 * lifted
 
 
 def test_metric_delaunay_region_validation():
@@ -303,10 +327,10 @@ def test_metric_delaunay_newton_failure_falls_back(monkeypatch):
     assert len(res.not_found) == calls[0] > 0
     assert set(res.complex.simplices(2)) <= set(res.not_found)
     tol = PointSet(pts).tolerance()
-    for s, ball in res.balls.items():
-        d = model.distances_to(ball.center, pts)
-        assert ball.radius == d[list(s)].max()
-        assert ball.radius - d.min() <= tol
+    for s, centre, radius in zip(res.tops.tolist(), res.centres, res.radii):
+        d = model.distances_to(centre, pts)
+        assert radius == d[s].max()
+        assert radius - d.min() <= tol
 
 
 def test_metric_delaunay_newton_route_makes_one_call_per_stage(monkeypatch):
@@ -325,7 +349,7 @@ def test_metric_delaunay_newton_route_makes_one_call_per_stage(monkeypatch):
 
         monkeypatch.setattr(metric, name, counted)
     res = metric_delaunay(pts, model, [12], eps=eps, path="newton")
-    assert res.certified and not res.not_found and res.balls
+    assert res.certified and not res.not_found and len(res.tops)
     assert calls == {"simplex_metrics_batch": 1, "_empty_balls": 1, "metric_circumcenter": 0}
 
 

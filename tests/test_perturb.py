@@ -252,6 +252,29 @@ def test_protection_decay_metric_mode():
     )
 
 
+def test_protection_decay_matches_the_per_simplex_loop():
+    # Reference: each safe top looked up by simplex in the perturbed
+    # complex; the larger moves drop some of them.
+    _, analysis, p = instance()
+    cls = analysis.classification
+    before = dict(zip(map(tuple, cls.audited.tolist()), analysis.protection.per_simplex.tolist()))
+    safe_tops = cls.safe.simplices(analysis.points.dim)
+    gap = analysis.points.min_gap()
+    dropped = False
+    for frac, model in ((0.01, "uniform"), (0.3, "uniform"), (0.3, "radial")):
+        pert = make_point_perturbation(analysis.points, frac * gap, 7, model)
+        verdict = protection_decay_trial(analysis, pert)
+        perturbed = delaunay_lifted(pert.apply())
+        after = dict(zip(map(tuple, perturbed.tops.tolist()), perturbed.protections.tolist()))
+        decay = 18.0 * pert.rho / (p.upsilon0 * p.mu0)
+        missing = [s for s in safe_tops if s not in after]
+        residuals = [after[s] - (before[s] - decay) for s in safe_tops if s in after]
+        assert verdict.counterexamples == tuple(missing)
+        assert verdict.measured["worst_residual"] == min(residuals)
+        dropped |= bool(missing)
+    assert dropped
+
+
 def test_protection_decay_needs_exactly_one_mode():
     pts, analysis, p = instance()
     pert = make_point_perturbation(pts, p.budget().rho_point, 4, "uniform")
@@ -267,7 +290,8 @@ def test_trials_read_the_region_of_the_analysis():
     # the star of that vertex alone, whichever branch it takes.
     a = analyze_genericity(grid_points(12, 2, 0.2, seed=3), [40])
     b = measured_secure_params(a).budget()
-    safe_tops = [s for s in a.classification.safe.simplices(2) if s in a.base.balls]
+    tops = set(map(tuple, a.base.tops.tolist()))
+    safe_tops = [s for s in a.classification.safe.simplices(2) if s in tops]
     pert = make_point_perturbation(a.points, b.rho_point, 4, "uniform")
     field = DisplacementField(2, b.rho_metric_protect / 2.0, seed=6)
     for v in (protection_decay_trial(a, pert), protection_decay_trial(a, field=field)):
@@ -350,12 +374,12 @@ def scalar_adversarial_directions(pts, base):
     dirs = np.zeros_like(pts)
     for i, p in enumerate(pts):
         best = None
-        for s, ball in base.balls.items():
+        for s, centre, radius in zip(base.tops.tolist(), base.centres, base.radii):
             if i in s:
                 continue
-            gap = abs(np.linalg.norm(p - ball.center) - ball.radius)
+            gap = abs(np.linalg.norm(p - centre) - radius)
             if best is None or gap < best[0]:
-                best = (gap, ball.center)
+                best = (gap, centre)
         d = (best[1] if best is not None else p) - p
         norm = np.linalg.norm(d)
         dirs[i] = d / norm if norm > 0 else np.eye(pts.shape[1])[0]
@@ -385,6 +409,31 @@ def test_adversarial_directions_computed_once_per_batch(monkeypatch):
     assert len(calls) == 1 and len(verdicts) == 4
 
 
+def test_seed_free_point_models_run_once_per_fraction(monkeypatch):
+    import delgen.perturb as perturb
+
+    _, analysis, _ = instance()
+    b = measured_secure_params(analysis).budget()
+    # The full budget, and a fraction large enough to break the star.
+    fractions = [1.0, 0.3 * analysis.points.min_gap() / b.rho_point]
+    calls = []
+    real = perturb.point_stability_trial
+    monkeypatch.setattr(perturb, "point_stability_trial",
+                        lambda *a: calls.append(1) or real(*a))
+    verdicts = trial_batch(analysis, budgets=fractions, seeds=3,
+                           models=["radial", "adversarial"], root_seed=4)
+    assert len(calls) == 4 and len(verdicts) == 12
+    # Reference: one run per seed, each with its own derived seed.
+    dirs = perturb._adversarial_directions(analysis.points.points, analysis.base)
+    want = [real(analysis, make_point_perturbation(
+                analysis.points, frac * b.rho_point, perturb._trial_seed(4, mi, bi, si), model,
+                directions=dirs))
+            for mi, model in enumerate(["adversarial", "radial"])
+            for bi, frac in enumerate(fractions) for si in range(3)]
+    assert verdicts == want
+    assert {v.passed for v in verdicts} == {True, False}
+
+
 def test_point_trial_matches_the_closed_complex_reference():
     # Reference: close both whole complexes, then compare the vertex stars.
     _, analysis, _ = instance()
@@ -406,17 +455,28 @@ def test_point_trial_matches_the_closed_complex_reference():
 
 
 def test_trials_never_read_the_closed_delaunay_complex(monkeypatch):
-    from delgen.delaunay import DelaunayResult
+    from delgen import delaunay, metric
     from delgen.genericity import lemma_audit, thickness_certificate
 
-    def closed(self):
-        raise AssertionError("DelaunayResult.complex was read")
+    # Results are columns: no stage can build or read a per-simplex ball.
+    assert not hasattr(delaunay, "Ball")
+    for result in (delaunay.DelaunayResult, metric.MetricDelaunayResult):
+        assert not hasattr(result, "balls")
 
-    monkeypatch.setattr(DelaunayResult, "complex", property(closed))
+    def closed(self):
+        raise AssertionError("a closed Delaunay complex was read")
+
+    for result in (delaunay.DelaunayResult, metric.MetricDelaunayResult):
+        monkeypatch.setattr(result, "complex", property(closed))
     analysis = analyze_genericity(grid_points(11, 2, 0.2, seed=1))
     thickness_certificate(analysis)
     lemma_audit(analysis)
     models = ["uniform", "radial", "adversarial", "relaxation", "metric"]
     verdicts = trial_batch(analysis, budgets=[0.5], seeds=1, models=models)
-    assert len(verdicts) == 5
+    b = measured_secure_params(analysis).budget()
+    pert = make_point_perturbation(analysis.points, 0.5 * b.rho_point, 1, "uniform")
+    verdicts += [protection_decay_trial(analysis, pert),
+                 protection_decay_trial(analysis, field=DisplacementField(
+                     2, 0.5 * b.rho_metric_protect / 2.0, seed=1))]
+    assert len(verdicts) == 7
     assert all(v.passed for v in verdicts)

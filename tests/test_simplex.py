@@ -12,7 +12,6 @@ from delgen.simplex import (
     Simplex,
     almost_center_gap,
     circumcenter,
-    is_degenerate,
     munkres_thickness_check,
     simplex_metrics,
     simplex_metrics_batch,
@@ -101,9 +100,8 @@ def test_vertex_simplex_metrics():
 
 
 def test_degeneracy_flags():
-    assert is_degenerate(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-    assert is_degenerate(np.array([[0.0, 0.0], [0.0, 0.0]]))
-    assert not is_degenerate(RIGHT)
+    assert simplex_metrics(np.array([[0.0, 0.0], [0.0, 0.0]])).degenerate
+    assert not simplex_metrics(RIGHT).degenerate
     met = simplex_metrics(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
     assert met.degenerate and met.thickness == 0.0
 
