@@ -18,6 +18,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__
 from .complexes import star_isomorphic
 from .datasets import delta_search, grid_points, uniform_points
@@ -209,8 +211,8 @@ def cmd_analyze(args) -> int:
     audit = lemma_audit(analysis)
     results = {
         "sampling": asdict(analysis.sampling),
-        "region": list(analysis.classification.region),
-        "deep_interior": list(analysis.deep_ids),
+        "region": np.array(analysis.classification.region, dtype=np.intp),
+        "deep_interior": np.array(analysis.deep_ids, dtype=np.intp),
         "protection": {
             "delta_global": analysis.protection.delta_global,
             "nu_tilde": analysis.protection.nu_tilde,

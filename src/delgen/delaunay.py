@@ -39,8 +39,8 @@ from scipy.spatial.distance import cdist
 
 from .complexes import SimplicialComplex, row_keys, sorted_rows
 from .errors import PreconditionError
-from .hull import affine_rank
-from .simplex import simplex_metrics_batch
+from .hull import affine_rank, check_coordinates
+from .simplex import circumballs
 
 PROTECTION_RTOL = 1e-9
 
@@ -288,6 +288,7 @@ def _check_input(ps: PointSet) -> None:
     m = ps.dim
     if ps.n < m + 1:
         raise PreconditionError("need at least m+1 points")
+    check_coordinates(ps.points)
     if affine_rank(ps.points) < m:
         raise PreconditionError("point set is not full dimensional")
 
@@ -652,12 +653,12 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
 
 def _circumcenter_seeds(pts, candidates) -> np.ndarray:
     """Circumcentre of each candidate, or its vertex mean where there is
-    none, from one :func:`simplex_metrics_batch` call per candidate size."""
+    none, from one :func:`circumballs` call per candidate size."""
     seeds = np.zeros((len(candidates), pts.shape[1]))
     sizes = np.array([len(c) for c in candidates])
     for size in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == size)
-        cols = simplex_metrics_batch(pts, [candidates[k] for k in rows.tolist()])
-        seeds[rows] = np.where(cols.found[:, None], cols.centres,
-                               pts[cols.vertices].mean(axis=1))
+        idx = np.array([candidates[k] for k in rows.tolist()], dtype=np.intp)
+        centres, _, found = circumballs(pts, idx)
+        seeds[rows] = np.where(found[:, None], centres, pts[idx].mean(axis=1))
     return seeds

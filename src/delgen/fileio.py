@@ -110,9 +110,15 @@ class Table:
         return len(next(iter(self.columns.values())))
 
 
+def _is_ids(obj) -> bool:
+    """A 1-D integer array, which the writers render as a list of ids."""
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu"
+
+
 def jsonable(obj):
     """Recursively convert to plain JSON types; non-finite floats to strings.
-    A :class:`Table` is kept as it is, for the writers."""
+    A :class:`Table` or a 1-D integer array is kept as it is, for the
+    writers."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -124,7 +130,7 @@ def jsonable(obj):
         return v if math.isfinite(v) else repr(v)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, np.ndarray) and not _is_ids(obj):
         return [jsonable(v) for v in obj.tolist()]
     return obj
 
@@ -173,27 +179,37 @@ def _table_json(table: Table, indent: str) -> str:
     return f"[\n{indent}  {body}\n{indent}]"
 
 
-# Stands in for each table while json.dumps writes the rest of a report.
-_TABLE_STUB = "\0table"
+def _ids_json(ids: np.ndarray, indent: str) -> str:
+    """The ids as ``json.dumps(..., indent=2)`` writes their list, each line
+    after the first prefixed by ``indent``; one template for the list."""
+    if not ids.size:
+        return "[]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(map(str, ids.tolist())) + f"\n{indent}]"
+
+
+# Stands in for each table or id list while json.dumps writes the rest.
+_STUB = "\0table"
 
 
 def envelope_json(envelope: dict) -> str:
     """``json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)``
-    and a newline, where each :class:`Table` is written as its rows."""
-    tables = []
+    and a newline, where each :class:`Table` is written as its rows and each
+    1-D integer array as its list."""
+    held = []
 
     def stub(obj):
-        if not isinstance(obj, Table):
+        if not (isinstance(obj, Table) or _is_ids(obj)):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        tables.append(obj)
-        return _TABLE_STUB
+        held.append(obj)
+        return _STUB
 
     text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False, default=stub)
-    pieces = text.split(json.dumps(_TABLE_STUB))
+    pieces = text.split(json.dumps(_STUB))
     out = [pieces[0]]
-    for before, table, after in zip(pieces[:-1], tables, pieces[1:], strict=True):
+    for before, obj, after in zip(pieces[:-1], held, pieces[1:], strict=True):
         line = before.rsplit("\n", 1)[-1]
-        out += [_table_json(table, line[:len(line) - len(line.lstrip(" "))]), after]
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        out += [(_table_json if isinstance(obj, Table) else _ids_json)(obj, indent), after]
     return "".join(out) + "\n"
 
 
@@ -218,7 +234,7 @@ def flatten_for_csv(value, prefix: str = "") -> list[tuple[str, str]]:
     elif isinstance(value, dict):
         for k in sorted(value):
             rows.extend(flatten_for_csv(value[k], f"{prefix}.{k}" if prefix else str(k)))
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, np.ndarray)):
         for i, v in enumerate(value):
             rows.extend(flatten_for_csv(v, f"{prefix}[{i}]"))
     else:

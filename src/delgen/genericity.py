@@ -169,7 +169,11 @@ class _VoronoiPieces:
     inside the hull. Depth is concave, so a piece whose entry exceeds eps
     lies strictly inside the hull eroded by eps, and neither its edge line's
     clip ends nor its crossings with the body's edges are vertices of a
-    clipped cell.
+    clipped cell. ``line_bounds`` and ``face_bounds`` hold the largest
+    circumradius of those top simplices plus rounding, or +inf where the
+    piece may be unbounded. On the piece the distance to P is the distance
+    to a site of the face, which is convex and so peaks at a circumcentre:
+    no point of a piece whose bound is below the best value can beat it.
     """
 
     centers: np.ndarray     # (s, m)
@@ -179,8 +183,10 @@ class _VoronoiPieces:
     directions: np.ndarray  # (l, m) unit
     sites: np.ndarray       # (l, m)
     line_depths: np.ndarray  # (l,)
+    line_bounds: np.ndarray  # (l,)
     faces: tuple[np.ndarray, np.ndarray] | None  # sites p, q, each (e, m)
     face_depths: np.ndarray | None  # (e,)
+    face_bounds: np.ndarray | None  # (e,)
 
 
 def _faces_of(tops: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,15 +203,18 @@ def _faces_of(tops: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return stack[first], inverse.ravel()
 
 
-def _least_depths(faces: np.ndarray, inverse: np.ndarray, depths: np.ndarray,
-                  interior: np.ndarray) -> np.ndarray:
-    """Least of the top simplices' depths around each face, for the face
-    of each (subset, top) pair in ``inverse``; -inf for a face with no vertex
-    strictly inside the hull."""
-    least = np.full(faces.shape[0], np.inf)
-    np.minimum.at(least, inverse, np.tile(depths, inverse.size // depths.size))
-    least[~interior[faces].any(axis=1)] = -np.inf
-    return least
+def _piece_extremes(faces: np.ndarray, inverse: np.ndarray, depths: np.ndarray,
+                    radii: np.ndarray, interior: np.ndarray):
+    """Least depth and largest radius of the top simplices around each face,
+    for the face of each (subset, top) pair in ``inverse``; -inf and +inf
+    for a face with no vertex strictly inside the hull."""
+    reps = inverse.size // depths.size
+    least, largest = np.full(len(faces), np.inf), np.full(len(faces), -np.inf)
+    np.minimum.at(least, inverse, np.tile(depths, reps))
+    np.maximum.at(largest, inverse, np.tile(radii, reps))
+    open_ = ~interior[faces].any(axis=1)
+    least[open_], largest[open_] = -np.inf, np.inf
+    return least, largest
 
 
 def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
@@ -215,18 +224,19 @@ def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
     rounding = 1e-12 * max(1.0, float(np.abs(pts).max()))
     center_depths = facets.depth(centers)
     interior = depths > rounding
-    lowered = center_depths - rounding
+    lowered, raised = center_depths - rounding, radii + rounding
     edges, edge_tops = _faces_of(tops, 2)
-    edge_depths = _least_depths(edges, edge_tops, lowered, interior)
+    edge_depths, edge_bounds = _piece_extremes(edges, edge_tops, lowered, raised, interior)
     p, q = pts[edges[:, 0]], pts[edges[:, 1]]
     if m == 2:
         span = q - p
         directions = np.column_stack([-span[:, 1], span[:, 0]])
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         return _VoronoiPieces(centers, radii, center_depths, 0.5 * (p + q), directions, p,
-                              edge_depths, None, None)
+                              edge_depths, edge_bounds, None, None, None)
     triangles, triangle_tops = _faces_of(tops, 3)
-    triangle_depths = _least_depths(triangles, triangle_tops, lowered, interior)
+    triangle_depths, triangle_bounds = _piece_extremes(triangles, triangle_tops, lowered,
+                                                       raised, interior)
     tri = pts[triangles]
     a, u, v = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
     normal = np.cross(u, v)
@@ -238,7 +248,8 @@ def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
     circumcentres = a + (uu * np.cross(v, normal) + vv * np.cross(normal, u)) / (2.0 * area2)
     directions = normal / np.sqrt(area2)
     return _VoronoiPieces(centers, radii, center_depths, circumcentres, directions, a,
-                          triangle_depths[ok], (p, q), edge_depths)
+                          triangle_depths[ok], triangle_bounds[ok], (p, q), edge_depths,
+                          edge_bounds)
 
 
 def _face_crossings(faces, a, b, fa, fb, best: float) -> np.ndarray:
@@ -285,7 +296,8 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     body, a vertex of the body or, in 3-D, a point where a Voronoi face
     crosses an edge of the body (Toussaint, *Computing largest empty circles
     with location constraints*, 1983). Edge lines and face planes are tested
-    only where their Voronoi piece can reach the body's boundary (see
+    only where their Voronoi piece can reach the body's boundary and its
+    circumradius bound can beat the best value so far (see
     ``_VoronoiPieces``). Every candidate lies in the body, so the largest
     distance over them is the maximum itself. A candidate goes through the
     KD-tree only when its distance to a site that defines it could beat the
@@ -300,7 +312,7 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
         return best
     fa, fb = tree.query(a)[0], tree.query(b)[0]
     best = max(best, float(fa.max()), float(fb.max()))
-    reach = vor.line_depths <= eps
+    reach = (vor.line_depths <= eps) & (vor.line_bounds >= best)
     origins, directions = vor.origins[reach], vor.directions[reach]
     lo, hi = clip_lines(facets, eps, origins, directions)
     hit = lo <= hi
@@ -312,7 +324,7 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     if ends.size:
         best = max(best, float(tree.query(ends)[0].max()))
     if vor.faces is not None:
-        reach = vor.face_depths <= eps
+        reach = (vor.face_depths <= eps) & (vor.face_bounds >= best)
         faces = (vor.faces[0][reach], vor.faces[1][reach])
         crossings = _face_crossings(faces, a, b, fa, fb, best)
         if crossings.size:

@@ -26,10 +26,9 @@ from scipy.spatial import ConvexHull
 
 from . import predicates
 from .errors import PreconditionError
+from .simplex import _norms
 
-_SIDE_BAND = 1e-9
-
-# Entries of one (lines x facets) block in clip_lines.
+# Entries of one block of a (lines x facets) or (facets x points) table.
 CLIP_CHUNK = 2_000_000
 # A point within this fraction of the coordinate scale of a facet plane is
 # taken to lie on it; see _facet_balls.
@@ -56,6 +55,20 @@ class HullFacets:
         return slack.min(axis=1)
 
 
+def check_coordinates(pts: np.ndarray) -> None:
+    """Refuse a set, other than all zeros, whose largest coordinate magnitude
+    lies outside [10^-k, 10^k]. qhull's lifted Delaunay terms, of degree 2m
+    the highest of the pipeline, leave the normal floats past
+    DBL_MAX ** (1 / 2m) (it then reports a flat input) and below
+    DBL_MIN ** (1 / 2m); k sits a power of ten inside: 76 in 2-D, 50 in 3-D."""
+    k = int(np.log10(np.finfo(float).max) / (2 * pts.shape[1])) - 1
+    scale = float(np.abs(pts).max())
+    if scale > 10.0 ** k or 0.0 < scale < 10.0 ** -k:
+        raise PreconditionError(
+            f"largest coordinate magnitude {scale!r} is outside [1e-{k}, 1e+{k}], "
+            f"where the {pts.shape[1]}-D hull and lifting stay finite")
+
+
 def affine_rank(points: np.ndarray) -> int:
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] <= 1:
@@ -66,82 +79,71 @@ def affine_rank(points: np.ndarray) -> int:
     return int(np.sum(sv >= 1e-12 * sv[0]))
 
 
-def _facet_sides(pts: np.ndarray, facet: tuple[int, ...]):
-    """Float side values of every point against a facet plane, with a
-    certified cushion below which the float sign cannot be trusted."""
-    base = pts[facet[0]]
-    rel = pts - base
+def _facet_normals(pts: np.ndarray, facets: np.ndarray):
+    """First vertex, edge vectors (F, m-1, m) from it, and normal w of each
+    facet plane: (-d_y, d_x) in 2-D and d1 x d2 in 3-D."""
+    base = pts[facets[:, 0]]
+    d = pts[facets[:, 1:]] - base[:, None, :]
     if pts.shape[1] == 2:
-        d = pts[facet[1]] - base
-        side = d[0] * rel[:, 1] - d[1] * rel[:, 0]
-        perm = np.abs(d[0]) * np.abs(rel[:, 1]) + np.abs(d[1]) * np.abs(rel[:, 0])
+        return base, d, np.column_stack([-d[:, 0, 1], d[:, 0, 0]])
+    return base, d, np.cross(d[:, 0], d[:, 1])
+
+
+def _facet_sides(pts: np.ndarray, facets: np.ndarray):
+    """Float side values w . (x - base) of every point against each facet
+    plane, (F, n), with a certified cushion below which the float sign
+    cannot be trusted: c . |x - base|, where c bounds the terms of w, so in
+    3-D it holds the permanents of the absolute 2x2 minors."""
+    base, d, w = _facet_normals(pts, facets)
+    if pts.shape[1] == 2:
+        c = np.abs(w)
     else:
-        d1 = pts[facet[1]] - base
-        d2 = pts[facet[2]] - base
-        nrm = np.cross(d1, d2)
-        side = rel @ nrm
-        # Permanent of the absolute 3x3 matrix bounds the term magnitudes.
-        a1, a2, ar = np.abs(d1), np.abs(d2), np.abs(rel)
-        perm = (
-            ar[:, 0] * (a1[1] * a2[2] + a1[2] * a2[1])
-            + ar[:, 1] * (a1[0] * a2[2] + a1[2] * a2[0])
-            + ar[:, 2] * (a1[0] * a2[1] + a1[1] * a2[0])
-        )
-    cushion = 64.0 * np.finfo(float).eps * perm
-    return side, cushion
+        a1, a2, i, j = np.abs(d[:, 0]), np.abs(d[:, 1]), [1, 0, 0], [2, 2, 1]
+        c = a1[:, i] * a2[:, j] + a1[:, j] * a2[:, i]
+    side = perm = 0.0
+    for k in range(pts.shape[1]):
+        rel = pts[None, :, k] - base[:, k, None]
+        side = side + w[:, k, None] * rel
+        perm = perm + c[:, k, None] * np.abs(rel)
+    return side, 64.0 * np.finfo(float).eps * perm
 
 
-def _confirm_facet(pts: np.ndarray, facet: tuple[int, ...]) -> bool:
-    """Exact weak-support test: no two points on strictly opposite sides."""
-    side, cushion = _facet_sides(pts, facet)
-    # The facet's own vertices are on the plane by definition; their float
-    # side values are pure rounding noise and must not vote.
-    side[list(facet)] = 0.0
-    trusted = np.abs(side) > cushion
-    trusted[list(facet)] = True
-    pos = bool(np.any(side[trusted] > 0))
-    neg = bool(np.any(side[trusted] < 0))
-    if pos and neg:
-        return False
-    plane = pts[list(facet)]
-    for q in np.nonzero(~trusted)[0]:
-        s = predicates.side_of_plane(plane, pts[q])
-        pos = pos or s > 0
-        neg = neg or s < 0
-        if pos and neg:
-            return False
-    return True
+def _confirm_facets(pts: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """Exact weak-support test of each facet, rows of ``facets``: no two
+    points on strictly opposite sides of its plane.
+
+    One float side table per block of about CLIP_CHUNK (facet, point)
+    entries decides every entry whose sign its cushion certifies. Only the
+    other entries of facets not already refuted go to the exact predicate.
+    """
+    n = pts.shape[0]
+    ok = np.ones(facets.shape[0], dtype=bool)
+    step = max(1, CLIP_CHUNK // n)
+    for s in range(0, facets.shape[0], step):
+        block = facets[s:s + step]
+        side, cushion = _facet_sides(pts, block)
+        trusted = np.abs(side) > cushion
+        # The facet's own vertices are on the plane by definition; their float
+        # side values are pure rounding noise and must not vote.
+        np.put_along_axis(side, block, 0.0, axis=1)
+        np.put_along_axis(trusted, block, True, axis=1)
+        pos = ((side > 0) & trusted).any(axis=1)
+        neg = ((side < 0) & trusted).any(axis=1)
+        ok[s:s + step] = ~(pos & neg)
+        for r in np.flatnonzero(ok[s:s + step] & ~trusted.all(axis=1)):
+            signs = {predicates.side_of_plane(pts[block[r]], pts[k])
+                     for k in np.flatnonzero(~trusted[r])}
+            ok[s + r] = not ((pos[r] or 1 in signs) and (neg[r] or -1 in signs))
+    return ok
 
 
-def _facet_planes_bruteforce(pts: np.ndarray) -> list[tuple[int, ...]]:
+def _facet_planes_bruteforce(pts: np.ndarray) -> np.ndarray:
     """Subsets of m points whose hyperplane weakly supports every point."""
-    n, m = pts.shape
-    subsets = np.array(list(combinations(range(n), m)), dtype=int)
-    scale = max(float(np.abs(pts).max()), 1.0)
-    keep: list[tuple[int, ...]] = []
-    chunk = max(1, 5_000_000 // max(n, 1))
-    for start in range(0, subsets.shape[0], chunk):
-        block = subsets[start : start + chunk]
-        base = pts[block[:, 0]]
-        if m == 2:
-            d = pts[block[:, 1]] - base
-            rel = pts[None, :, :] - base[:, None, :]
-            side = d[:, None, 0] * rel[:, :, 1] - d[:, None, 1] * rel[:, :, 0]
-        else:
-            d1 = pts[block[:, 1]] - base
-            d2 = pts[block[:, 2]] - base
-            nrm = np.cross(d1, d2)
-            rel = pts[None, :, :] - base[:, None, :]
-            side = np.einsum("sj,spj->sp", nrm, rel)
-        band = _SIDE_BAND * scale**m
-        weak_pos = (side >= -band).all(axis=1)
-        weak_neg = (side <= band).all(axis=1)
-        for idx in np.nonzero(weak_pos | weak_neg)[0]:
-            keep.append(tuple(int(v) for v in block[idx]))
-    return [facet for facet in keep if _confirm_facet(pts, facet)]
+    subsets = np.array(list(combinations(range(pts.shape[0]), pts.shape[1])), dtype=int)
+    return subsets[_confirm_facets(pts, subsets)]
 
 
-def _facet_planes_seeded(pts: np.ndarray) -> list[tuple[int, ...]] | None:
+def _facet_planes_seeded(pts: np.ndarray) -> np.ndarray | None:
     """Candidate facets from qhull, each confirmed exactly.
 
     Returns None when any candidate fails confirmation (a warped
@@ -159,11 +161,30 @@ def _facet_planes_seeded(pts: np.ndarray) -> list[tuple[int, ...]] | None:
     _, counts = np.unique(ridges, axis=0, return_counts=True)
     if not np.all(counts == 2):
         return None
-    facets = [tuple(int(v) for v in s) for s in hull.simplices]
-    for facet in facets:
-        if not _confirm_facet(pts, facet):
-            return None
-    return facets
+    if not _confirm_facets(pts, hull.simplices).all():
+        return None
+    return hull.simplices
+
+
+def _facet_planes(pts: np.ndarray, facets: np.ndarray):
+    """Unit outward normals and offsets of the facet planes, one per plane.
+
+    Planes whose normals and offsets agree to 9 decimals are merged; the
+    first facet of each keeps its plane, in facet order. A facet with a zero
+    normal is skipped.
+    """
+    base, _, nrm = _facet_normals(pts, facets)
+    norm = _norms(nrm)
+    keep = norm != 0.0
+    nrm, base = nrm[keep] / norm[keep, None], base[keep]
+    # Row dots, each rounded as the 1-D dot of its rows (see simplex._norms).
+    off = (nrm[:, None, :] @ base[:, :, None])[:, 0, 0]
+    flip = (nrm[:, None, :] @ pts.mean(axis=0)[:, None])[:, 0, 0] > off
+    nrm[flip], off[flip] = -nrm[flip], -off[flip]
+    # Adding zero makes -0.0 and 0.0 one key.
+    keys = np.round(np.column_stack([nrm, off]), 9) + 0.0
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    return nrm[first], off[first]
 
 
 def hull_facets(points: np.ndarray) -> HullFacets:
@@ -177,32 +198,13 @@ def hull_facets(points: np.ndarray) -> HullFacets:
     m = pts.shape[1]
     if m not in (2, 3):
         raise PreconditionError("hull support covers ambient dimension 2 and 3")
+    check_coordinates(pts)
     if affine_rank(pts) < m:
         raise PreconditionError("point set is not full dimensional")
     facets = _facet_planes_seeded(pts)
     if facets is None:
         facets = _facet_planes_bruteforce(pts)
-    interior = pts.mean(axis=0)
-    planes: dict[tuple, tuple[np.ndarray, float]] = {}
-    for facet in facets:
-        base = pts[facet[0]]
-        span = pts[list(facet[1:])] - base
-        if m == 2:
-            d = span[0]
-            nrm = np.array([d[1], -d[0]])
-        else:
-            nrm = np.cross(span[0], span[1])
-        norm = np.linalg.norm(nrm)
-        if norm == 0.0:
-            continue
-        nrm = nrm / norm
-        off = float(nrm @ base)
-        if nrm @ interior > off:
-            nrm, off = -nrm, -off
-        key = tuple(np.round(np.append(nrm, off), 9))
-        planes.setdefault(key, (nrm, off))
-    normals = np.array([p[0] for p in planes.values()])
-    offsets = np.array([p[1] for p in planes.values()])
+    normals, offsets = _facet_planes(pts, facets)
     return HullFacets(normals, offsets, *_facet_balls(pts, normals, offsets))
 
 
@@ -212,15 +214,23 @@ def _facet_balls(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
     A point counts as on a plane within _ON_PLANE of the coordinate scale,
     which covers the planes merged by rounding in hull_facets; a point taken
     in needlessly only makes a ball larger. The centre is the middle of the
-    points' bounding box.
+    points' bounding box. The (facets x points) distance table is built in
+    blocks of about CLIP_CHUNK entries.
     """
     tol = _ON_PLANE * max(1.0, float(np.abs(pts).max()))
-    centers, radii = np.empty_like(normals), np.empty(len(offsets))
-    for k, (nrm, off) in enumerate(zip(normals, offsets)):
-        on = pts[np.abs(off - pts @ nrm) <= tol]
-        centers[k] = 0.5 * (on.min(axis=0) + on.max(axis=0))
-        radii[k] = np.linalg.norm(on - centers[k], axis=1).max()
-    return centers, radii
+    f, m = normals.shape
+    step = max(1, CLIP_CHUNK // pts.shape[0])
+    facet, point = np.vstack([
+        np.argwhere(np.abs(offsets[s:s + step, None] - normals[s:s + step] @ pts.T) <= tol)
+        + [s, 0] for s in range(0, f, step)]).T
+    lo, hi = np.full((f, m), np.inf), np.full((f, m), -np.inf)
+    np.minimum.at(lo, facet, pts[point])
+    np.maximum.at(hi, facet, pts[point])
+    centers = 0.5 * (lo + hi)
+    diff = pts[point] - centers[facet]
+    radii = np.full(f, -np.inf)
+    np.maximum.at(radii, facet, (diff * diff).sum(axis=1))
+    return centers, np.sqrt(radii)
 
 
 def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,

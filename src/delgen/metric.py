@@ -110,11 +110,6 @@ class MetricModel:
         self.rho_bound = 2.0 * field.amplitude
         self.center_lipschitz = 1.0 + field.lipschitz
 
-    @classmethod
-    def euclidean(cls, dim: int) -> "MetricModel":
-        """The Euclidean distance, as the pullback of a zero displacement."""
-        return cls(DisplacementField(dim, 0.0, seed=0))
-
     # -- evaluation --------------------------------------------------------
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -129,6 +129,17 @@ def _circumballs(v, e, degenerate, longest):
     return centres, radii, found
 
 
+def circumballs(points, simplices):
+    """Circumcentres ``(S, m)``, radii ``(S,)`` and found flags of simplices
+    of one dimension, rows of indices into ``points``: the columns of
+    :func:`simplex_metrics_batch` bit for bit, without the altitudes."""
+    v = np.asarray(points, dtype=float)[np.asarray(simplices, dtype=np.intp)]
+    if v.shape[1] == 1:
+        return v[:, 0].copy(), np.zeros(len(v)), np.ones(len(v), dtype=bool)
+    e, lengths, _, degenerate = _edge_stack(v)
+    return _circumballs(v, e, degenerate, lengths.max(axis=1))
+
+
 def circumcenter(simplex):
     """Circumcentre and circumradius of a simplex.
 
@@ -141,11 +152,8 @@ def circumcenter(simplex):
 
     Returns ``(centre, radius)`` or ``None``.
     """
-    v = _as_simplex(simplex).vertices[None]
-    if v.shape[1] == 1:
-        return v[0, 0].copy(), 0.0
-    e, lengths, _, degenerate = _edge_stack(v)
-    centres, radii, found = _circumballs(v, e, degenerate, lengths.max(axis=1))
+    v = _as_simplex(simplex).vertices
+    centres, radii, found = circumballs(v, np.arange(len(v))[None])
     return (centres[0], float(radii[0])) if found[0] else None
 
 

@@ -516,3 +516,44 @@ def test_analyze_of_20000_points_runs_in_bounded_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # ru_maxrss is in KiB on Linux.
     assert int(proc.stdout.split()[-1]) < 600 * 1024
+
+
+POINT_VERBS = ("analyze", "budget", "stability", "relax", "metric")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coordinates_at_the_float_range_bounds(dim, tmp_path, capsys):
+    """Every verb refuses a point set just outside the coordinate range with
+    exit 4 naming the bound, and runs one just inside it to its own exit
+    code, with no traceback either way."""
+    least, largest = (1e-76, 1e76) if dim == 2 else (1e-50, 1e50)
+    pts = grid_points(9, 2, 0.2, seed=1) if dim == 2 else grid_points(5, 3, 0.05, seed=1)
+    pts = pts / np.abs(pts).max()
+    path, out = str(tmp_path / "pts.txt"), str(tmp_path / "out.json")
+    # Just inside the small end only the verbs of bounded work run: the
+    # trials would search the whole set as its deep interior.
+    cases = [(largest, POINT_VERBS, True), (np.nextafter(largest, np.inf), POINT_VERBS, False),
+             (np.nextafter(least, 0.0), POINT_VERBS, False), (least, ("analyze", "budget"), True)]
+    for scale, verbs, inside in cases:
+        write_points(path, pts * scale)
+        magnitude = repr(float(np.abs(read_points(path)).max()))
+        assert (float(magnitude) == scale) and (least <= scale <= largest) == inside
+        for verb in verbs:
+            code = main([verb, "--in", path, "--out", out])
+            err = capsys.readouterr().err
+            named = f"largest coordinate magnitude {magnitude} is outside [{least!r}, {largest!r}]"
+            if inside:
+                # A trial may still perturb points past the bound and be refused.
+                assert code in (0, 4, 5) and named not in err, (scale, verb, err)
+            else:
+                assert code == 4 and named in err, (scale, verb, err)
+
+
+def test_a_3d_analysis_at_the_largest_coordinates(tmp_path):
+    pts = grid_points(9, 3, 0.05, seed=1)
+    pts = pts / np.abs(pts).max() * 1e50
+    path, out = str(tmp_path / "pts.txt"), str(tmp_path / "out.json")
+    write_points(path, pts)
+    assert main(["analyze", "--in", path, "--out", out]) == 0
+    with open(out) as fh:
+        assert json.load(fh)["results"]["deep_interior"] == [364]

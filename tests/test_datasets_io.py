@@ -208,10 +208,14 @@ def test_flatten_and_csv():
 
 
 def rows_of(value):
-    """The report with each table spelled out as its list of row dicts."""
+    """The report with each table spelled out as its list of row dicts, and
+    each array as its list."""
     if isinstance(value, Table):
         names = sorted(value.columns)
-        return [{name: value.columns[name][i] for name in names} for i in range(len(value))]
+        return [{name: rows_of(value.columns[name][i]) for name in names}
+                for i in range(len(value))]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, dict):
         return {k: rows_of(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -245,6 +249,9 @@ def test_report_writers_match_the_encoder_on_analyze_reports(pts, code, tmp_path
     (env,) = envelopes
     table = env["results"]["audit"]["simplices"]
     assert isinstance(table, Table) and (len(table) == 0) == (code == 5)
+    for key in ("region", "deep_interior"):
+        ids = env["results"][key]
+        assert ids.dtype.kind == "i" and ids.ndim == 1 and ids.size
     assert_writers_match_the_encoder(env)
 
 
@@ -257,3 +264,16 @@ def test_report_writers_match_the_encoder_on_non_finite_rows():
                           {"audit": {"simplices": table, "z": 1}, "list": [table]})
     assert_writers_match_the_encoder(env)
     assert '"protection": "inf"' in envelope_json(env)
+
+
+@pytest.mark.parametrize("ids", [np.zeros(0, dtype=np.intp), np.array([7]),
+                                 np.arange(0, 3000, 3), np.array([2**40, 0], dtype=np.int64),
+                                 np.array([5, 1], dtype=np.uint32)],
+                         ids=["empty", "one", "long", "wide", "unsigned"])
+def test_report_writers_match_the_encoder_on_id_lists(ids):
+    env = report_envelope("0", {"x": 1}, None, {"t": 1.0},
+                          {"region": ids, "deep": {"ids": ids, "n": 2},
+                           "lists": [ids, [ids]], "values": np.array([0.5, 1.5])})
+    assert jsonable(env["results"])["region"] is ids
+    assert_writers_match_the_encoder(env)
+    assert json.loads(envelope_json(env))["results"]["region"] == ids.tolist()

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, cKDTree
 
-from delgen import genericity, hull
+from delgen import genericity, hull, predicates
 from delgen.datasets import grid_points
 from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import PreconditionError
@@ -204,11 +204,24 @@ def test_exact_radius_bounds_the_sweep_and_a_dense_sample(case):
         assert exact(e) >= dense - 1e-12
 
 
+def sliver_hull(side, seed):
+    """An exact lattice whose boundary points move out by up to 1e-6: the
+    hull facets are slivers between nearly coplanar triangles."""
+    pts = grid_points(side, 3)
+    rng = np.random.default_rng(seed)
+    out = np.where(pts == 0.0, -1.0, np.where(pts == side - 1.0, 1.0, 0.0))
+    return pts + out * rng.uniform(0.0, 1e-6, size=pts.shape)
+
+
 PRUNING_INPUTS = PROPERTY_INPUTS + [
     # Cospherical groups and coplanar hull facets merged into one plane.
     grid_points(4, 3), grid_points(5, 2),
     grid_points(9, 3, 0.05, seed=8),
     np.random.default_rng(33).uniform(size=(200, 3)),
+    # A spacing not exact in binary: the tied circumradii and candidate
+    # distances round apart.
+    grid_points(5, 3, spacing=0.1),
+    sliver_hull(5, 6),
 ]
 
 
@@ -278,6 +291,64 @@ def test_pruned_coverage_matches_full_candidates(case):
             full_coverage_radius(facets, vor, tree, e)
 
 
+@pytest.mark.parametrize("case", range(len(PRUNING_INPUTS)))
+def test_circumradius_bounds_hold_the_candidates_of_their_pieces(case):
+    """A clip end of an edge line that lies on its Voronoi edge (no site
+    nearer than the line's own) is at most the edge's bound from P, as
+    measured, rounding included. Eroding by a circumcentre's depth puts
+    that Voronoi vertex on the body's boundary, where a clip end lands on
+    it and measures its radius up to rounding."""
+    pts = PRUNING_INPUTS[case]
+    ps = PointSet(pts)
+    facets = hull.hull_facets(pts)
+    base = delaunay_lifted(ps)
+    vor = genericity._voronoi_pieces(pts, facets, base, facets.depth(pts))
+    tree = cKDTree(pts)
+    eps = sampling_parameters(ps, facets, base, facets.depth(pts)).epsilon
+    rounding = 1e-12 * max(1.0, float(np.abs(pts).max()))
+    assert np.isfinite(vor.line_bounds).any()
+    depths = np.unique(vor.center_depths[vor.center_depths > 0.0])
+    depths = depths[np.linspace(0, len(depths) - 1, min(len(depths), 32)).astype(int)]
+    for e in [0.0, 0.5 * eps, eps, *depths]:
+        lo, hi = hull.clip_lines(facets, e, vor.origins, vor.directions)
+        hit = lo <= hi
+        for t in (lo[hit], hi[hit]):
+            x = vor.origins[hit] + t[:, None] * vor.directions[hit]
+            f = tree.query(x)[0]
+            on = f >= np.linalg.norm(x - vor.sites[hit], axis=1) - rounding
+            assert (f[on] <= vor.line_bounds[hit][on]).all()
+
+
+def test_circumradius_bounds_halve_the_final_evaluation():
+    """At the final eps of the first analyze-3d grid, the circumradius
+    bounds leave fewer than half of the edge lines and face planes that
+    the depth rule alone keeps."""
+    pts = grid_points(9, 3, 0.05, seed=1)
+    ps = PointSet(pts)
+    facets = hull.hull_facets(pts)
+    depths = facets.depth(pts)
+    base = delaunay_lifted(ps)
+    vor = genericity._voronoi_pieces(pts, facets, base, depths)
+    eps = sampling_parameters(ps, facets, base, depths).epsilon
+    counts = {}
+    real_clip, real_faces = genericity.clip_lines, genericity._face_crossings
+
+    def clip(f, margin, origins, *rest):
+        counts["lines"] = len(origins)
+        return real_clip(f, margin, origins, *rest)
+
+    def crossings(faces, *rest):
+        counts["faces"] = len(faces[0])
+        return real_faces(faces, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(genericity, "clip_lines", clip)
+        mp.setattr(genericity, "_face_crossings", crossings)
+        genericity._coverage_radius(facets, vor, cKDTree(pts), eps)
+    assert 0 < 2 * counts["lines"] < np.count_nonzero(vor.line_depths <= eps)
+    assert 0 < 2 * counts["faces"] < np.count_nonzero(vor.face_depths <= eps)
+
+
 @pytest.mark.parametrize("case", [k for k, pts in enumerate(PRUNING_INPUTS)
                                   if pts.shape[1] == 3])
 def test_edge_pair_prefilter_keeps_every_edge(case):
@@ -299,3 +370,149 @@ def test_edge_pair_prefilter_keeps_every_edge(case):
         assert edges or margin > 0.0
     a, _ = hull.eroded_edges(facets, 1.01 * inradius)
     assert a.shape == (0, 3)
+
+
+# -- the per-facet loops that the stacked confirmation replaced --------------
+
+
+def loop_facet_sides(pts, facet):
+    base = pts[facet[0]]
+    rel = pts - base
+    if pts.shape[1] == 2:
+        d = pts[facet[1]] - base
+        side = d[0] * rel[:, 1] - d[1] * rel[:, 0]
+        perm = np.abs(d[0]) * np.abs(rel[:, 1]) + np.abs(d[1]) * np.abs(rel[:, 0])
+    else:
+        d1 = pts[facet[1]] - base
+        d2 = pts[facet[2]] - base
+        side = rel @ np.cross(d1, d2)
+        a1, a2, ar = np.abs(d1), np.abs(d2), np.abs(rel)
+        perm = (ar[:, 0] * (a1[1] * a2[2] + a1[2] * a2[1])
+                + ar[:, 1] * (a1[0] * a2[2] + a1[2] * a2[0])
+                + ar[:, 2] * (a1[0] * a2[1] + a1[1] * a2[0]))
+    return side, 64.0 * np.finfo(float).eps * perm
+
+
+def loop_confirm_facet(pts, facet):
+    side, cushion = loop_facet_sides(pts, facet)
+    side[list(facet)] = 0.0
+    trusted = np.abs(side) > cushion
+    trusted[list(facet)] = True
+    pos = bool(np.any(side[trusted] > 0))
+    neg = bool(np.any(side[trusted] < 0))
+    if pos and neg:
+        return False
+    plane = pts[list(facet)]
+    for q in np.nonzero(~trusted)[0]:
+        s = predicates.side_of_plane(plane, pts[q])
+        pos, neg = pos or s > 0, neg or s < 0
+        if pos and neg:
+            return False
+    return True
+
+
+def loop_hull_facets(pts, facets):
+    """HullFacets from confirmed facet subsets, one facet at a time."""
+    m = pts.shape[1]
+    interior = pts.mean(axis=0)
+    planes = {}
+    for facet in facets:
+        base = pts[facet[0]]
+        span = pts[list(facet[1:])] - base
+        nrm = np.array([span[0][1], -span[0][0]]) if m == 2 else np.cross(span[0], span[1])
+        norm = np.linalg.norm(nrm)
+        if norm == 0.0:
+            continue
+        nrm = nrm / norm
+        off = float(nrm @ base)
+        if nrm @ interior > off:
+            nrm, off = -nrm, -off
+        planes.setdefault(tuple(np.round(np.append(nrm, off), 9)), (nrm, off))
+    normals = np.array([p[0] for p in planes.values()])
+    offsets = np.array([p[1] for p in planes.values()])
+    tol = hull._ON_PLANE * max(1.0, float(np.abs(pts).max()))
+    centers, radii = np.empty_like(normals), np.empty(len(offsets))
+    for k, (nrm, off) in enumerate(zip(normals, offsets)):
+        on = pts[np.abs(off - pts @ nrm) <= tol]
+        centers[k] = 0.5 * (on.min(axis=0) + on.max(axis=0))
+        radii[k] = np.linalg.norm(on - centers[k], axis=1).max()
+    return hull.HullFacets(normals, offsets, centers, radii)
+
+
+# Inputs of both routes; the exhaustive screen gets the small ones.
+CONFIRM_INPUTS = {
+    "seeded": {
+        "lattice-2d": grid_points(9, 2, spacing=0.3),
+        "lattice-3d": grid_points(5, 3, spacing=0.1),
+        "jittered-2d": grid_points(15, 2, 0.2, seed=3),
+        "jittered-3d": grid_points(9, 3, 0.05, seed=1),
+        "sliver-3d": sliver_hull(5, 6),
+        "cloud-3d": np.random.default_rng(33).uniform(size=(200, 3)),
+    },
+    "exhaustive": {
+        "lattice-2d": grid_points(9, 2, spacing=0.3),
+        "lattice-3d": grid_points(3, 3, spacing=0.1),
+        "jittered-2d": grid_points(8, 2, 0.2, seed=3),
+        "jittered-3d": grid_points(3, 3, 0.05, seed=1),
+        "sliver-3d": sliver_hull(3, 6),
+    },
+}
+
+
+@pytest.mark.parametrize("route, name", [(route, name) for route in sorted(CONFIRM_INPUTS)
+                                         for name in sorted(CONFIRM_INPUTS[route])])
+def test_stacked_confirmation_matches_the_per_facet_loop(route, name, monkeypatch):
+    pts = CONFIRM_INPUTS[route][name]
+    exact, confirmed = [], []
+    real_side, real_confirm = predicates.side_of_plane, hull._confirm_facets
+    monkeypatch.setattr(predicates, "side_of_plane",
+                        lambda plane, q: exact.append(1) or real_side(plane, q))
+    monkeypatch.setattr(hull, "_confirm_facets",
+                        lambda p, c: confirmed.append(c) or real_confirm(p, c))
+    if route == "seeded":
+        facets = hull._facet_planes_seeded(pts)
+    else:
+        monkeypatch.setattr(hull, "_facet_planes_seeded", lambda p: None)
+        facets = hull._facet_planes_bruteforce(pts)
+    (candidates,) = confirmed
+    verdicts = real_confirm(pts, candidates)
+    assert verdicts.tolist() == [loop_confirm_facet(pts, f) for f in candidates]
+    assert np.array_equal(facets, candidates[verdicts])
+    sides, cushions = hull._facet_sides(pts, candidates)
+    for facet, side, cushion in zip(candidates, sides, cushions):
+        ref_side, ref_cushion = loop_facet_sides(pts, facet)
+        assert np.array_equal(cushion, ref_cushion)
+        # The 3-D sums round in another order: equal within the cushion.
+        assert (np.abs(side - ref_side) <= cushion).all()
+    got, ref = hull.hull_facets(pts), loop_hull_facets(pts, facets)
+    for field in ("normals", "offsets", "centers", "radii"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field))
+    if name.startswith("lattice"):
+        assert exact  # boundary points on a facet plane reach the exact predicate
+
+
+def test_a_warped_candidate_is_rejected():
+    # Four nearly coplanar corners of a box face: the triangle that leaves
+    # out the raised corner has it strictly outside, and the box inside.
+    pts = grid_points(3, 3)
+    raised = (pts == [2.0, 2.0, 2.0]).all(axis=1)
+    pts[raised, 2] += 1e-12
+    corners = [i for i, p in enumerate(pts) if p[2] == 2.0 and set(p[:2]) <= {0.0, 2.0}]
+    warped = np.array([corners[:3]])
+    assert hull._confirm_facets(pts, warped).tolist() == [False]
+    assert loop_confirm_facet(pts, warped[0]) is False
+    candidates = np.vstack([ConvexHull(pts, qhull_options="Qt").simplices, warped])
+    verdicts = hull._confirm_facets(pts, candidates)
+    assert verdicts.tolist() == [loop_confirm_facet(pts, f) for f in candidates]
+    assert not verdicts[-1] and verdicts[:-1].all()
+
+
+def test_confirmation_in_blocks(monkeypatch):
+    pts = CONFIRM_INPUTS["seeded"]["sliver-3d"]
+    candidates = ConvexHull(pts, qhull_options="Qt").simplices
+    whole = hull._confirm_facets(pts, candidates)
+    balls = hull._facet_balls(pts, *hull._facet_planes(pts, candidates))
+    monkeypatch.setattr(hull, "CLIP_CHUNK", 1)
+    assert np.array_equal(hull._confirm_facets(pts, candidates), whole)
+    for x, y in zip(hull._facet_balls(pts, *hull._facet_planes(pts, candidates)), balls):
+        assert np.array_equal(x, y)

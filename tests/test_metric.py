@@ -20,6 +20,9 @@ from delgen.metric import (
 )
 from delgen.simplex import circumcenter, simplex_metrics, simplex_metrics_batch
 
+# The Euclidean distance, as the pullback of a zero displacement.
+EUCLIDEAN = MetricModel(DisplacementField(2, 0.0, seed=0))
+
 THICK_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.1], [0.4, 0.9]])
 
 
@@ -100,7 +103,7 @@ def test_metric_axioms():
     x = rng.uniform(size=(100, 2))
     y = rng.uniform(size=(100, 2))
     models = [
-        MetricModel.euclidean(2),
+        EUCLIDEAN,
         MetricModel(DisplacementField(2, amplitude=0.1, seed=1)),
     ]
     for model in models:
@@ -155,7 +158,7 @@ def test_metric_gap_over_rows_matches_per_centre_loop():
 
 def test_metric_circumcenter_euclidean_identity():
     c0, r0 = circumcenter(THICK_TRIANGLE)
-    out = metric_circumcenter(THICK_TRIANGLE, MetricModel.euclidean(2))
+    out = metric_circumcenter(THICK_TRIANGLE, EUCLIDEAN)
     assert out is not None
     c, r = out
     assert np.linalg.norm(c - c0) <= 1e-10
@@ -204,10 +207,10 @@ def test_metric_circumcenter_matches_pullback_oracle():
 
 def test_metric_circumcenter_rejects_bad_simplices():
     with pytest.raises(PreconditionError):
-        metric_circumcenter(np.array([[0.0, 0.0], [1.0, 0.0]]), MetricModel.euclidean(2))
+        metric_circumcenter(np.array([[0.0, 0.0], [1.0, 0.0]]), EUCLIDEAN)
     flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(PreconditionError):
-        metric_circumcenter(flat, MetricModel.euclidean(2))
+        metric_circumcenter(flat, EUCLIDEAN)
 
 
 def test_metric_delaunay_euclidean_equals_bruteforce_star():
@@ -216,7 +219,7 @@ def test_metric_delaunay_euclidean_equals_bruteforce_star():
     star_tops = [s for s in base.complex.simplices(2) if 12 in s]
     eps = analyze_genericity(pts).sampling.epsilon
     for path in ("pullback", "newton", "both"):
-        res = metric_delaunay(pts, MetricModel.euclidean(2), [12], eps=eps, path=path)
+        res = metric_delaunay(pts, EUCLIDEAN, [12], eps=eps, path=path)
         assert res.certified
         assert set(res.complex.simplices(2)) == set(star_tops)
 
@@ -225,7 +228,7 @@ def test_metric_delaunay_identity_field():
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     field = DisplacementField(2, amplitude=0.0, seed=0)
     model = MetricModel(field)
-    ref = metric_delaunay(pts, MetricModel.euclidean(2), [12])
+    ref = metric_delaunay(pts, EUCLIDEAN, [12])
     eps = analyze_genericity(pts).sampling.epsilon
     res = metric_delaunay(pts, model, [12], eps=eps, path="both")
     assert res.agreement
@@ -290,7 +293,7 @@ def test_pullback_route_costs_little_more_than_one_delaunay_build():
 
 def test_metric_delaunay_region_validation():
     pts = grid_points(4, dim=2, jitter=0.1, seed=2)
-    model = MetricModel.euclidean(2)
+    model = EUCLIDEAN
     with pytest.raises(PreconditionError):
         metric_delaunay(pts, model, [])
     with pytest.raises(PreconditionError):
@@ -301,11 +304,11 @@ def test_metric_delaunay_rejects_unknown_path():
     pts = grid_points(4, dim=2, jitter=0.1, seed=2)
     for path in ("bogus", "auto", ""):
         with pytest.raises(PreconditionError, match="unknown metric route"):
-            metric_delaunay(pts, MetricModel.euclidean(2), [5], path=path)
+            metric_delaunay(pts, EUCLIDEAN, [5], path=path)
     # The equidistance route windows its candidates by the sampling radius.
     for path in ("newton", "both"):
         with pytest.raises(PreconditionError, match="needs the sampling radius"):
-            metric_delaunay(pts, MetricModel.euclidean(2), [5], path=path)
+            metric_delaunay(pts, EUCLIDEAN, [5], path=path)
 
 
 def test_metric_delaunay_newton_failure_falls_back(monkeypatch):
