@@ -379,8 +379,12 @@ _DISPATCH = {
 }
 
 
+# Built once at import: parsing keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except ParseError as exc:

@@ -55,7 +55,9 @@ def read_points(path) -> np.ndarray:
 def format_points(points: np.ndarray, header: str | None = None) -> str:
     pts = np.asarray(points, dtype=float)
     lines = [] if header is None else [f"# {header}"]
-    lines.extend(" ".join(POINT_FORMAT % v for v in row) for row in pts)
+    if len(pts):
+        row = " ".join([POINT_FORMAT] * pts.shape[1])
+        lines.append("\n".join([row] * len(pts)) % tuple(pts.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -332,9 +332,13 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     return best
 
 
-def _fixed_point(g, tol: float) -> float:
+def _fixed_point(g, tol: float, start: float = 0.0) -> float:
     """The least eps with g(eps) <= eps for a non-increasing g, returned on
-    the safe side: never below it, and above it by at most about tol."""
+    the safe side: never below it, and above it by at most about tol. A
+    positive ``start`` is returned at once if g(start) == start, the only
+    fixed point g can have; otherwise the solve runs from g(0)."""
+    if start > 0 and g(start) == start:
+        return start
     g0 = g(0.0)
     if g0 <= 0:
         raise PreconditionError("degenerate hull, no interior to cover")
@@ -362,12 +366,26 @@ def _fixed_point(g, tol: float) -> float:
     return hi
 
 
+def _circumcentre_fixed_point(vor: _VoronoiPieces) -> float:
+    """Least circumradius r such that every circumcentre inside the hull
+    eroded by r (the inside test of ``_coverage_radius``) has radius at most
+    r, or 0 with no circumcentres. Sorted deepest first, the centres inside
+    at any margin are a prefix, whose largest radius is a running max."""
+    order = np.argsort(-vor.center_depths, kind="stable")
+    peak = np.maximum.accumulate(vor.radii[order])
+    r = np.unique(vor.radii)
+    count = np.searchsorted(-vor.center_depths[order], -(r - 1e-12 * np.maximum(1.0, r)),
+                            side="right")
+    covered = np.where(count > 0, peak[count - 1], 0.0) <= r
+    return float(r[covered][0]) if covered.any() else 0.0
+
+
 def _sampling_radius(ps: PointSet, facets: HullFacets, base: DelaunayResult,
                      depths: np.ndarray) -> float:
     """Fixed point eps = g(eps) of the coverage radius of the eroded hull."""
     vor = _voronoi_pieces(ps.points, facets, base, depths)
     return _fixed_point(lambda eps: _coverage_radius(facets, vor, ps.tree, eps),
-                        1e-9 * ps.diameter())
+                        1e-9 * ps.diameter(), _circumcentre_fixed_point(vor))
 
 
 def sampling_parameters(points, facets: HullFacets, base: DelaunayResult,
@@ -377,10 +395,12 @@ def sampling_parameters(points, facets: HullFacets, base: DelaunayResult,
 
     The sampling radius solves eps = sup over the eps-eroded hull of the
     distance to the set; the sup shrinks as the erosion grows, so the
-    equation has a unique fixed point, found by two rounds of fixed point
-    iteration and then bisection down to 1e-9 of the diameter. Each sup is
-    computed exactly from a finite candidate set (see ``_coverage_radius``),
-    and the returned eps is the safe end of the bracket: never below the
+    equation has a unique fixed point. The solve first tries the
+    circumcentres' own fixed point (``_circumcentre_fixed_point``) and keeps
+    it only if the sup there equals it exactly; otherwise two rounds of
+    fixed point iteration from the sup at 0 run, then bisection down to 1e-9
+    of the diameter. Each sup is computed exactly from a finite candidate
+    set (see ``_coverage_radius``), and the returned eps is never below the
     fixed point.
     """
     ps = as_point_set(points)

@@ -304,6 +304,17 @@ def test_parser_rejects_unknown_verbs():
         build_parser().parse_args(["frobnicate"])
 
 
+def test_successive_calls_share_no_parser_state():
+    base = ["stability", "--in", infile("generic.txt"), "--models", "radial",
+            "--seeds-count", "1"]
+    code, one, _ = run(base + ["--budget-fraction", "0.5", "--budget-fraction", "0.75"])
+    assert code == 0
+    assert json.loads(one)["config"]["budget_fractions"] == [0.5, 0.75]
+    code, two, _ = run(base)
+    assert code == 0
+    assert json.loads(two)["config"]["budget_fractions"] == [1.0]
+
+
 def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
     from delgen import delaunay, genericity, hull, simplex
     from delgen.datasets import delta_search
@@ -388,15 +399,24 @@ def test_analyze_builds_the_sampling_set_up_once(tmp_path, monkeypatch):
                         lambda self, x: depth_in_g.append(bool(evaluating)) or real_depth(self, x))
     path = tmp_path / "grid3d.txt"
     write_points(str(path), grid_points(9, 3, 0.05, seed=1))
-    code, _, _ = run(["analyze", "--in", str(path)])
-    assert code == 0
-    # One ball pass, and one face pass each for Delaunay edges and triangles;
-    # the audit takes the safe edges and triangles in one more pass each.
-    assert counts.pop("g") >= 3
-    assert counts == {"_facet_balls": 1, "_faces_of": 4, "_voronoi_pieces": 1}
-    # The points' hull depths are taken once per analysis, and so are the
-    # circumcentres'.
-    assert depth_in_g == [False, False]
+    # The circumcentre start is this grid's fixed point, so g runs once; from
+    # g(0), with the start forced to 0, g runs at least three times.
+    for from_g0 in (False, True):
+        if from_g0:
+            monkeypatch.setattr(genericity, "_circumcentre_fixed_point", lambda vor: 0.0)
+        counts.clear()
+        depth_in_g.clear()
+        code, _, _ = run(["analyze", "--in", str(path)])
+        assert code == 0
+        evaluations = counts.pop("g")
+        assert evaluations >= 3 if from_g0 else evaluations == 1
+        # One ball pass, and one face pass each for Delaunay edges and
+        # triangles; the audit takes the safe edges and triangles in one more
+        # pass each.
+        assert counts == {"_facet_balls": 1, "_faces_of": 4, "_voronoi_pieces": 1}
+        # The points' hull depths are taken once per analysis, and so are the
+        # circumcentres'.
+        assert depth_in_g == [False, False]
 
 
 def test_compare_rejects_malformed_mapping(tmp_path):

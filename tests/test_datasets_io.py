@@ -134,6 +134,26 @@ def test_format_points_header_and_shape():
     assert parse_points(text).shape == (1, 2)
 
 
+def test_format_points_matches_the_per_value_join():
+    def per_value(pts, header):
+        lines = [] if header is None else [f"# {header}"]
+        lines.extend(" ".join("%.17g" % v for v in row) for row in pts)
+        return "\n".join(lines) + "\n"
+
+    rng = np.random.default_rng(8)
+    cases = [
+        rng.uniform(-1.0, 1.0, size=(40, 2)),
+        rng.standard_normal((30, 3)) * 10.0 ** rng.integers(-300, 300, size=(30, 1)),
+        np.array([[-0.0, 0.0], [5e-324, -2.2e-308], [1.7976931348623157e308, -1e300],
+                  [3.0, -7.0], [1e16, 2.0**53 + 1]]),
+        np.zeros((0, 2)),
+    ]
+    for pts in cases:
+        for header in (None, "header"):
+            assert format_points(pts, header) == per_value(pts, header)
+    assert format_points(np.zeros((0, 2))) == "\n"
+
+
 def test_dataset_digest_ignores_header_not_data():
     pts = np.array([[0.5, 0.25], [1.0, 2.0]])
     d = dataset_digest(pts)

@@ -96,21 +96,31 @@ def test_sampling_invariants_random_sweep():
 
 
 def test_sampling_sweeps_the_uneroded_boundary_once(monkeypatch):
-    # One exact evaluation at margin 0 per solve; bisection runs on some inputs.
+    # At most one evaluation at margin 0 per solve; a solve whose first
+    # evaluation returns its own argument (the circumcentre start) makes no
+    # other; bisection still runs on some inputs.
     from delgen import genericity
 
-    margins = []
+    calls = []
     real = genericity._coverage_radius
-    monkeypatch.setattr(genericity, "_coverage_radius",
-                        lambda f, vor, tree, eps: margins.append(eps) or real(f, vor, tree, eps))
+
+    def counted(f, vor, tree, eps):
+        calls.append((eps, real(f, vor, tree, eps)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(genericity, "_coverage_radius", counted)
     rng = np.random.default_rng(21)
-    bisected = 0
+    started = bisected = 0
     for _ in range(6):
-        margins.clear()
+        calls.clear()
         sampling(rng.uniform(size=(int(rng.integers(10, 40)), 2)))
-        assert margins.count(0.0) == 1
-        bisected += len(margins) > 4
-    assert bisected
+        margins = [eps for eps, _ in calls]
+        assert margins.count(0.0) <= 1
+        if calls[0][1] == calls[0][0] > 0:
+            started += 1
+            assert len(calls) == 1
+        bisected += len(calls) > 4
+    assert started and bisected
 
 
 def test_sampling_radius_is_never_below_the_fixed_point():
@@ -142,6 +152,12 @@ def test_sampling_radius_is_never_below_the_fixed_point():
     assert bisected
 
 
+def _known_grid(key, mirror):
+    row, index = key
+    seed = int(np.random.SeedSequence((row, 2, index)).generate_state(1)[0] % 2**31)
+    return grid_points(15, 2, 0.2, seed) * np.array([mirror, 1.0])
+
+
 # analyze-grid catalogue grids (row, index) on which a sampled boundary put
 # eps below the benchmark's independent lower bound; the exact values come
 # from a clipped Voronoi cell computation.
@@ -152,12 +168,91 @@ KNOWN_GRIDS = [((15, 14), 0.80134, 0.805524), ((20, 44), 0.80347, 0.806674),
 @pytest.mark.parametrize("mirror", [1.0, -1.0])
 @pytest.mark.parametrize("key, lower, exact", KNOWN_GRIDS)
 def test_known_grids_reach_the_exact_radius(key, lower, exact, mirror):
-    row, index = key
-    seed = int(np.random.SeedSequence((row, 2, index)).generate_state(1)[0] % 2**31)
-    pts = grid_points(15, 2, 0.2, seed) * np.array([mirror, 1.0])
-    eps = sampling(pts).epsilon
+    eps = sampling(_known_grid(key, mirror)).epsilon
     assert eps >= lower
     assert eps == pytest.approx(exact, abs=1e-5)
+
+
+def _radius_solves(pts):
+    """g, the tolerance, the Voronoi pieces, the circumcentre start, and the
+    fixed point solved from that start and from g(0)."""
+    from delgen import genericity
+
+    ps = PointSet(pts)
+    facets, base = hull_facets(pts), delaunay_lifted(ps)
+    vor = genericity._voronoi_pieces(pts, facets, base, facets.depth(pts))
+
+    def g(e):
+        return genericity._coverage_radius(facets, vor, ps.tree, e)
+
+    tol = 1e-9 * ps.diameter()
+    start = genericity._circumcentre_fixed_point(vor)
+    return (g, tol, vor, start, genericity._fixed_point(g, tol, start),
+            genericity._fixed_point(g, tol))
+
+
+def _start_by_loop(vor):
+    """Reference for the circumcentre start: each circumradius in turn."""
+    for r in sorted(set(vor.radii.tolist())):
+        inside = vor.center_depths >= r - 1e-12 * max(1.0, r)
+        if vor.radii[inside].max(initial=0.0) <= r:
+            return r
+    return 0.0
+
+
+_CLOUDS = [np.random.default_rng(seed).uniform(size=(n, dim))
+           for seed, (n, dim) in enumerate([(12, 2), (30, 2), (80, 2), (200, 2),
+                                            (20, 3), (40, 3), (60, 3)])]
+_GRIDS = [_known_grid(key, mirror) for key, _, _ in KNOWN_GRIDS for mirror in (1.0, -1.0)]
+_LATTICES = [grid_points(side, dim) * spacing for side, dim in [(5, 2), (9, 2), (4, 3)]
+             for spacing in (1.0, 0.1)]
+_JITTERED_3D = [grid_points(side, 3, 0.05, seed) for side, seed in [(5, 1), (6, 2), (7, 3)]]
+
+
+# Each input with whether the circumcentre start is its fixed point: always
+# on lattices and 3-D grids, never on the known grids, whose fixed point lies
+# on the eroded boundary, and either way on clouds (None).
+_START_CASES = ([(pts, None) for pts in _CLOUDS] + [(pts, False) for pts in _GRIDS]
+                + [(pts, True) for pts in _LATTICES + _JITTERED_3D])
+
+
+@pytest.mark.parametrize("pts, hits", _START_CASES)
+def test_circumcentre_start_keeps_the_fixed_point(pts, hits):
+    g, tol, vor, start, started, today = _radius_solves(pts)
+    assert start == _start_by_loop(vor)
+    assert g(started) <= started
+    if hits is not None:
+        assert (g(start) == start) is hits
+        assert started.hex() == today.hex()
+    elif started.hex() != today.hex():
+        # Only where the g(0) path stopped within tol above the fixed point
+        # without reaching it; the start is then the fixed point itself.
+        assert g(today) < today and g(started) == started == start
+        assert today - tol <= started
+
+
+def test_a_start_above_the_fixed_point_is_not_taken():
+    from delgen import genericity
+
+    above = 0
+    for pts in _CLOUDS + _JITTERED_3D:
+        g, tol, _, _, _, today = _radius_solves(pts)
+        g0 = g(0.0)
+        if g(g0) < g0:
+            above += 1
+            assert genericity._fixed_point(g, tol, g0).hex() == today.hex()
+    assert above
+
+
+def test_3d_grid_radius_takes_one_evaluation(monkeypatch):
+    from delgen import genericity
+
+    margins = []
+    real = genericity._coverage_radius
+    monkeypatch.setattr(genericity, "_coverage_radius",
+                        lambda f, vor, tree, eps: margins.append(eps) or real(f, vor, tree, eps))
+    analyze_genericity(grid_points(9, 3, 0.05, seed=1))
+    assert len(margins) == 1 and margins[0] > 0
 
 
 def test_epsilon_against_dense_scan_oracle():
