@@ -83,7 +83,7 @@ from .perturb import (
     stability_budget,
     trial_batch,
 )
-from .datasets import delta_search, generic_grid, grid_points, uniform_points
+from .datasets import delta_search, grid_points, uniform_points
 from .fileio import dataset_digest, read_points, write_points
 
 __all__ = [
@@ -118,7 +118,6 @@ __all__ = [
     "delaunay_bruteforce",
     "delaunay_lifted",
     "delta_search",
-    "generic_grid",
     "grid_points",
     "lemma_audit",
     "make_point_perturbation",

@@ -43,13 +43,12 @@ def grid_points(side: int, dim: int = 2, jitter: float = 0.0, seed: int = 0,
     return pts
 
 
-def uniform_points(n: int, dim: int = 2, seed: int = 0, low: float = 0.0,
-                   high: float = 1.0) -> np.ndarray:
-    """n points drawn uniformly from an axis aligned box."""
+def uniform_points(n: int, dim: int = 2, seed: int = 0) -> np.ndarray:
+    """n points drawn uniformly from the unit box [0, 1)^dim."""
     if n < dim + 1:
         raise PreconditionError("need at least dim + 1 points")
     rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, size=(n, dim))
+    return rng.uniform(size=(n, dim))
 
 
 @dataclass(frozen=True)
@@ -88,15 +87,3 @@ def delta_search(side: int, dim: int = 2, jitter: float = 0.2, k: int = 20,
         raise PreconditionError("no candidate produced an auditable dataset")
     return DeltaSearchResult(points=best[0], seed=best[1], delta=float(best[2]),
                              candidates=tuple(scored))
-
-
-def generic_grid(side: int = 9, dim: int = 2, seed: int = 0, jitter: float = 0.2,
-                 k: int = 5) -> np.ndarray:
-    """A jittered grid with certified positive protection, found by search."""
-    found = delta_search(side, dim, jitter, k, seed)
-    tol = 1e-9 * float(np.linalg.norm(found.points.max(0) - found.points.min(0)))
-    if found.delta <= tol:
-        raise PreconditionError(
-            f"search exhausted {k} candidates without positive protection"
-        )
-    return found.points

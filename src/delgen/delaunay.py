@@ -203,62 +203,78 @@ def _empty_balls(tree: cKDTree, subsets, centers, radii, tol):
     within tol of an accepted sphere, they form a cospherical group. Returns
     the accepted rows in order, their protections and the set of groups.
 
-    Each centre lists its min(m+3, n) nearest points, whose distances are
-    measured again as ``cdist`` measures them. The list decides the row
-    unless a listed foreign point already rejects it or the list may be
-    short: its farthest point lies within tol of the sphere (a possible
-    cospherical group), or its least foreign margin ties the list's edge
-    within rounding. Such rows list every point out to past the sphere and
-    the edge instead, in one radius query.
+    Each centre lists its m+3 nearest points (:func:`_listed`). A row no
+    listed foreign point rejects needs every point within tol of its sphere
+    or nearer than its listed protection as well (:func:`_widened`).
     """
-    groups: set[tuple[int, ...]] = set()
-    if len(subsets) == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0), groups
-    pts = tree.data
-    n, m = pts.shape
-    dist, listed = tree.query(centers, k=min(m + 3, n))
-    rows = np.repeat(np.arange(len(subsets)), listed.shape[1])
-    cols = listed.ravel()
-    margins, foreign = _margins(pts, subsets, centers, radii, rows, cols)
-    protection = foreign.reshape(listed.shape).min(axis=1)
-    short = np.zeros(len(subsets), dtype=bool)
-    if listed.shape[1] < n:
-        # A point left off the list is no nearer than its edge, less rounding.
-        edge = dist[:, -1] * (1.0 - _TREE_RTOL) - radii
-        short = (protection > -tol) & ((edge <= tol) | (protection > edge))
+    listing = _listed(tree, centers, tree.data.shape[1] + 3)
+    margins, protection = _margins(subsets, radii, *listing[:3])
+    need = np.where(protection > -tol, radii + np.maximum(tol, protection), -np.inf)
+    rows, cols, dists, short = _widened(tree, centers, listing, need)
     if short.any():
-        # Past max(edge, sphere + tol) by more than rounding, a point can
-        # neither join a group nor undercut a listed margin.
-        again = np.flatnonzero(short)
-        bound = np.maximum(dist[again, -1], radii[again] + tol) * (1.0 + 4.0 * _TREE_RTOL)
-        found = tree.query_ball_point(centers[again], bound)
-        sizes = np.array([len(f) for f in found])
-        more_rows = np.repeat(again, sizes)
-        more_cols = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
-        more, more_foreign = _margins(pts, subsets, centers, radii, more_rows, more_cols)
-        protection[again] = np.minimum.reduceat(more_foreign, np.cumsum(sizes) - sizes)
-        keep = ~short[rows]
-        rows = np.concatenate([rows[keep], more_rows])
-        cols = np.concatenate([cols[keep], more_cols])
-        margins = np.concatenate([margins[keep], more])
+        margins, protection = _margins(subsets, radii, rows, cols, dists)
     accepted = protection > -tol
     near = np.abs(margins) <= tol
     crowded = np.bincount(rows[near], minlength=len(subsets)) > subsets.shape[1]
     member = np.flatnonzero(near & (accepted & crowded)[rows])
     order = np.lexsort((cols[member], rows[member]))
     owner, ids = rows[member][order], cols[member][order]
+    groups: set[tuple[int, ...]] = set()
     for group in np.split(ids, np.flatnonzero(np.diff(owner)) + 1):
         if group.size:
             groups.add(tuple(group.tolist()))
     return np.flatnonzero(accepted), protection[accepted], groups
 
 
-def _margins(pts, subsets, centers, radii, rows, cols):
-    """Signed distance from point ``cols[i]`` to the sphere of row
-    ``rows[i]``, and the same with the row's own vertices set to inf."""
-    margins = _distances(centers[rows], pts[cols]) - radii[rows]
+def _margins(subsets, radii, rows, cols, dists):
+    """Signed distance ``dists[i] - radii[rows[i]]`` from point ``cols[i]`` to
+    sphere ``rows[i]``, and each row's least margin over points not its own."""
+    margins = dists - radii[rows]
     own = (subsets[rows] == cols[:, None]).any(axis=1)
-    return margins, np.where(own, np.inf, margins)
+    return margins, _least(np.where(own, np.inf, margins), rows, len(subsets))
+
+
+def _least(values, rows, count):
+    """Least of ``values`` at each row id below ``count`` (inf where none)."""
+    least = np.full(count, np.inf)
+    np.minimum.at(least, rows, values)
+    return least
+
+
+def _listed(tree: cKDTree, centres: np.ndarray, k: int):
+    """Each centre's min(k, n) nearest points of ``tree.data`` as (rows, cols,
+    dists, edge): each entry's centre, point and distance measured again as
+    ``cdist`` does, and each list's edge: its last tree distance, inf when it holds all n."""
+    pts = tree.data
+    width = min(k, len(pts))
+    dist, listed = tree.query(centres, k=width)
+    rows, cols = np.repeat(np.arange(len(centres)), width), listed.ravel()
+    edge = dist.reshape(-1, width)[:, -1] if width < len(pts) else np.full(len(centres), np.inf)
+    return rows, cols, _distances(centres[rows], pts[cols]), edge
+
+
+def _widened(tree: cKDTree, centres: np.ndarray, listing, need):
+    """``listing`` (:func:`_listed`) with every point out to ``need[i]`` from
+    centre i. A point left off a list is no nearer than its edge, less
+    rounding, so a centre whose need comes that close lists instead every
+    point out to past max(edge, need) by more than rounding, in one radius
+    query over all such centres: ties the tree ranks otherwise than
+    ``cdist`` come out as ``cdist`` has them. Returns (rows, cols, dists)
+    and the mask of the centres widened."""
+    rows, cols, dists, edge = listing
+    short = need >= edge * (1.0 - _TREE_RTOL)
+    if short.any():
+        again = np.flatnonzero(short)
+        found = tree.query_ball_point(centres[again], np.maximum(edge, need)[again]
+                                      * (1.0 + 4.0 * _TREE_RTOL))
+        sizes = np.array([len(f) for f in found])
+        more_rows = np.repeat(again, sizes)
+        more = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+        keep = ~short[rows]
+        rows = np.concatenate([rows[keep], more_rows])
+        cols = np.concatenate([cols[keep], more])
+        dists = np.concatenate([dists[keep], _distances(centres[more_rows], tree.data[more])])
+    return rows, cols, dists, short
 
 
 def _delaunay_balls(ps: PointSet, subsets, tol):
@@ -389,27 +405,11 @@ class RelaxedResult:
 
 def _nearest(tree: cKDTree, centres: np.ndarray) -> np.ndarray:
     """Distance from each centre to its nearest point of ``tree.data``, equal
-    to ``cdist(centres, tree.data).min(axis=1)`` bit for bit.
-
-    Each centre lists its two nearest points, measured again as
-    ``cdist`` measures them. When the least of these ties the list's edge
-    within rounding, a point left off the list might be nearer, and the row
-    lists every point within that least distance instead.
-    """
-    pts = tree.data
-    n = pts.shape[0]
-    dist, listed = tree.query(centres, k=min(2, n))
-    dist, listed = dist.reshape(len(centres), -1), listed.reshape(len(centres), -1)
-    have = _distances(centres[:, None, :], pts[listed]).min(axis=1)
-    if listed.shape[1] < n:
-        again = np.flatnonzero(have >= dist[:, -1] * (1.0 - _TREE_RTOL))
-        if again.size:
-            found = tree.query_ball_point(centres[again], have[again] * (1.0 + 4.0 * _TREE_RTOL))
-            sizes = np.array([len(f) for f in found])
-            cols = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
-            near = _distances(np.repeat(centres[again], sizes, axis=0), pts[cols])
-            have[again] = np.minimum.reduceat(near, np.cumsum(sizes) - sizes)
-    return have
+    to ``cdist(centres, tree.data).min(axis=1)`` bit for bit: the least of a
+    list of two (:func:`_listed`), widened out to that least (:func:`_widened`)."""
+    rows, _, dists, _ = listing = _listed(tree, centres, 2)
+    rows, _, dists, _ = _widened(tree, centres, listing, _least(dists, rows, len(centres)))
+    return _least(dists, rows, len(centres))
 
 
 def _ball_gap(centres: np.ndarray, members: np.ndarray, tree: cKDTree) -> np.ndarray:

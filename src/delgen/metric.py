@@ -33,31 +33,31 @@ from .errors import PathMismatchError, PreconditionError
 from .simplex import Simplex, _norms, simplex_metrics_batch
 
 
+# Sinusoids per displacement coordinate.
+_TERMS = 3
+
+
 class DisplacementField:
     """Smooth bounded displacement x -> x + disp(x) with small Lipschitz norm.
 
-    Each displacement coordinate is a mean of ``terms`` sinusoids; the field
+    Each displacement coordinate is a mean of ``_TERMS`` sinusoids; the field
     satisfies |disp(x)| <= amplitude everywhere and its Lipschitz constant is
     certified below 1/2, which makes phi = id + disp a bijection and the
     pullback distance a genuine metric with deviation at most 2 * amplitude.
     """
 
-    def __init__(self, dim: int, amplitude: float, seed: int, *,
-                 wavelength: float = 2.0, terms: int = 3) -> None:
+    def __init__(self, dim: int, amplitude: float, seed: int) -> None:
         if not np.isfinite(amplitude) or amplitude < 0:
             raise PreconditionError("amplitude must be finite and nonnegative")
-        if wavelength <= 0:
-            raise PreconditionError("wavelength must be positive")
         rng = np.random.default_rng(seed)
-        w = rng.normal(size=(dim, terms, dim))
+        w = rng.normal(size=(dim, _TERMS, dim))
         norms = np.linalg.norm(w, axis=2, keepdims=True)
         norms[norms == 0] = 1.0
-        scale = (2.0 * np.pi / wavelength) * rng.uniform(0.5, 1.5, size=(dim, terms, 1))
+        scale = np.pi * rng.uniform(0.5, 1.5, size=(dim, _TERMS, 1))
         w = w / norms * scale
-        self.phases = rng.uniform(0.0, 2.0 * np.pi, size=(dim, terms))
+        self.phases = rng.uniform(0.0, 2.0 * np.pi, size=(dim, _TERMS))
         self.dim = int(dim)
         self.amplitude = float(amplitude)
-        self.terms = int(terms)
         gain = amplitude / np.sqrt(dim) if dim else 0.0
         m_abs = np.abs(w).mean(axis=1)
         lip = gain * float(np.linalg.norm(m_abs, 2)) if dim else 0.0
@@ -131,8 +131,7 @@ def _spread(dists: np.ndarray) -> np.ndarray:
 
 
 def metric_circumcenter(simplex, model: MetricModel, *,
-                        upsilon0: float | None = None, mu0: float | None = None,
-                        search_radius: float | None = None):
+                        upsilon0: float | None = None, mu0: float | None = None):
     """Equidistant centre of a full dimensional simplex under a metric model.
 
     Runs damped Newton on f(c) = (d(c, p_i) - d(c, p_0))_i from the Euclidean
@@ -153,12 +152,11 @@ def metric_circumcenter(simplex, model: MetricModel, *,
     if mets.degenerate[0] or not mets.found[0]:
         raise PreconditionError("metric circumcentre needs a non-degenerate simplex")
     centres, radii, found = _metric_circumcenters(
-        s.vertices, rows, mets, model, upsilon0, mu0, search_radius)
+        s.vertices, rows, mets, model, upsilon0, mu0)
     return (centres[0], float(radii[0])) if found[0] else None
 
 
-def _metric_circumcenters(pts, simplices, mets, model, upsilon0, mu0,
-                          search_radius=None):
+def _metric_circumcenters(pts, simplices, mets, model, upsilon0, mu0):
     """Metric circumcentres of a stack of full dimensional simplices.
 
     ``simplices`` holds C rows of m+1 indices into ``pts`` and ``mets`` their
@@ -176,9 +174,7 @@ def _metric_circumcenters(pts, simplices, mets, model, upsilon0, mu0,
     if not rows.any():
         return centres, radii, found
     c0, r0 = mets.centres[rows], mets.radii[rows]
-    if search_radius is not None:
-        search_radii = np.full(len(r0), search_radius, dtype=float)
-    elif upsilon0 and mu0:
+    if upsilon0 and mu0:
         search_radii = 8.0 * model.rho_bound / (upsilon0 * mu0) + 0.05 * r0
     else:
         # Fall back to the same bound with eps read off as 2 R and the

@@ -62,11 +62,6 @@ class Simplex:
         """Matrix with columns p_i - p_0, shape (m, j)."""
         return (self.vertices[1:] - self.vertices[0]).T
 
-    def face(self, drop: int) -> "Simplex":
-        """Facet opposite vertex ``drop``."""
-        keep = [i for i in range(self.dim + 1) if i != drop]
-        return Simplex(self.vertices[keep])
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Simplex(j={self.dim}, m={self.ambient_dim})"
 

@@ -577,3 +577,8 @@ def test_a_3d_analysis_at_the_largest_coordinates(tmp_path):
     assert main(["analyze", "--in", path, "--out", out]) == 0
     with open(out) as fh:
         assert json.load(fh)["results"]["deep_interior"] == [364]
+
+
+def test_every_exported_name_resolves():
+    assert len(set(delgen.__all__)) == len(delgen.__all__)
+    assert [name for name in delgen.__all__ if not hasattr(delgen, name)] == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from delgen import cli
-from delgen.datasets import delta_search, generic_grid, grid_points, uniform_points
+from delgen.datasets import delta_search, grid_points, uniform_points
 from delgen.delaunay import delaunay_lifted
 from delgen.errors import ParseError, PreconditionError
 from delgen.fileio import (
@@ -62,10 +62,10 @@ def test_grid_points_validation():
 
 
 def test_uniform_points():
-    pts = uniform_points(20, dim=3, seed=1, low=-2.0, high=5.0)
+    pts = uniform_points(20, dim=3, seed=1)
     assert pts.shape == (20, 3)
-    assert pts.min() >= -2.0 and pts.max() <= 5.0
-    assert np.array_equal(pts, uniform_points(20, dim=3, seed=1, low=-2.0, high=5.0))
+    assert pts.min() >= 0.0 and pts.max() < 1.0
+    assert np.array_equal(pts, uniform_points(20, dim=3, seed=1))
     with pytest.raises(PreconditionError):
         uniform_points(2, dim=2)
 
@@ -86,11 +86,6 @@ def test_delta_search_determinism():
     two = delta_search(9, dim=2, jitter=0.2, k=3, seed=5)
     assert np.array_equal(one.points, two.points)
     assert one.candidates == two.candidates
-
-
-def test_generic_grid_is_generic():
-    pts = generic_grid(side=9, dim=2, seed=0, k=3)
-    assert analyze_genericity(pts).protection.generic
 
 
 def test_parse_points_comments_and_blank_lines():

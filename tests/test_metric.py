@@ -181,7 +181,7 @@ def test_metric_circumcenter_translation_invariant():
 
     model = MetricModel(Translation([2.0, -3.0]))
     c0, r0 = circumcenter(THICK_TRIANGLE)
-    out = metric_circumcenter(THICK_TRIANGLE, model, search_radius=0.5)
+    out = metric_circumcenter(THICK_TRIANGLE, model)
     assert out is not None
     c, r = out
     assert np.linalg.norm(c - c0) <= 1e-9
