@@ -39,7 +39,7 @@ from scipy.spatial.distance import cdist
 
 from .complexes import SimplicialComplex, row_keys, sorted_rows
 from .errors import PreconditionError
-from .hull import affine_rank, check_coordinates
+from .hull import affine_rank, blocks, check_coordinates
 from .simplex import circumballs
 
 PROTECTION_RTOL = 1e-9
@@ -137,11 +137,10 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _farthest(pts: np.ndarray, rows: np.ndarray) -> float:
-    """Largest distance from a point in ``rows`` to any point, from ``cdist``
-    blocks of at most 2**20 entries."""
-    step = max(1, (1 << 20) // pts.shape[0])
-    return max(float(cdist(pts[rows[lo:lo + step]], pts).max())
-               for lo in range(0, len(rows), step))
+    """Largest distance from a point in ``rows`` to any point, one ``cdist``
+    block at a time (``blocks``)."""
+    return max(float(cdist(pts[rows[block]], pts).max())
+               for block in blocks(len(rows), pts.shape[0]))
 
 
 def as_point_set(points) -> PointSet:
@@ -230,8 +229,17 @@ def _margins(subsets, radii, rows, cols, dists):
     """Signed distance ``dists[i] - radii[rows[i]]`` from point ``cols[i]`` to
     sphere ``rows[i]``, and each row's least margin over points not its own."""
     margins = dists - radii[rows]
-    own = (subsets[rows] == cols[:, None]).any(axis=1)
+    own = _owned(subsets.take(rows, axis=0), cols)
     return margins, _least(np.where(own, np.inf, margins), rows, len(subsets))
+
+
+def _owned(vertices: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Whether each of ``ids`` is among the vertex ids on the last axis of
+    ``vertices`` (broadcast against it): one comparison per column."""
+    own = vertices[..., 0] == ids
+    for k in range(1, vertices.shape[-1]):
+        own |= vertices[..., k] == ids
+    return own
 
 
 def _least(values, rows, count):

@@ -23,7 +23,7 @@ from .complexes import SimplicialComplex, row_keys, sorted_rows
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
 from .fileio import Table
-from .hull import CLIP_CHUNK, HullFacets, clip_lines, eroded_edges, hull_facets
+from .hull import HullFacets, blocks, clip_lines, eroded_edges, hull_facets
 from .simplex import SimplexColumns, simplex_metrics_batch
 
 THICKNESS_SLACK = 1e-9
@@ -272,14 +272,13 @@ def _face_crossings(faces, a, b, fa, fb, best: float) -> np.ndarray:
     normal = q - p
     level = 0.5 * np.einsum("ij,ij->i", normal, p + q)
     out = [np.zeros((0, a.shape[1]))]
-    step = max(1, CLIP_CHUNK // max(a.shape[0], 1))
-    for s in range(0, p.shape[0], step):
-        sa = normal[s:s + step] @ a.T - level[s:s + step, None]
-        sb = sa + normal[s:s + step] @ span.T
+    for rows in blocks(p.shape[0], a.shape[0]):
+        sa = normal[rows] @ a.T - level[rows, None]
+        sb = sa + normal[rows] @ span.T
         e, k = np.nonzero(sa * sb < 0)
         t = sa[e, k] / (sa[e, k] - sb[e, k])
         x = a[k] + t[:, None] * span[k]
-        r = np.linalg.norm(x - p[s + e], axis=1)
+        r = np.linalg.norm(x - p[rows.start + e], axis=1)
         keep = ((r > best) & (r <= fa[k] + t * length[k] + rounding)
                 & (r <= fb[k] + (1.0 - t) * length[k] + rounding))
         out.append(x[keep])

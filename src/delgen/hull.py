@@ -28,8 +28,9 @@ from . import predicates
 from .errors import PreconditionError
 from .simplex import _norms
 
-# Entries of one block of a (lines x facets) or (facets x points) table.
-CLIP_CHUNK = 2_000_000
+# Entries of one block of every dense table: 2**16 floats are 512 KB, about
+# a core's L2 cache. Tables are built block by block (see blocks).
+BLOCK = 1 << 16
 # A point within this fraction of the coordinate scale of a facet plane is
 # taken to lie on it; see _facet_balls.
 _ON_PLANE = 1e-8
@@ -51,8 +52,24 @@ class HullFacets:
     def depth(self, x: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary, positive inside, for rows of x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        slack = self.offsets[None, :] - x @ self.normals.T
-        return slack.min(axis=1)
+        out = np.empty(x.shape[0])
+        for rows in blocks(x.shape[0], len(self.offsets)):
+            out[rows] = (self.offsets - x[rows] @ self.normals.T).min(axis=1)
+        return out
+
+
+def blocks(count: int, width: int) -> list[slice]:
+    """Row slices of a (count x width) table, each of about BLOCK entries.
+
+    A slice holds at least two rows when the table does, because numpy
+    sends a one-row matrix product to a matrix-vector kernel that rounds
+    otherwise; so a blocked product has the bits of the whole one.
+    """
+    step = max(2, BLOCK // max(width, 1))
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and starts[-1] == count - 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
 def check_coordinates(pts: np.ndarray) -> None:
@@ -112,15 +129,13 @@ def _confirm_facets(pts: np.ndarray, facets: np.ndarray) -> np.ndarray:
     """Exact weak-support test of each facet, rows of ``facets``: no two
     points on strictly opposite sides of its plane.
 
-    One float side table per block of about CLIP_CHUNK (facet, point)
-    entries decides every entry whose sign its cushion certifies. Only the
-    other entries of facets not already refuted go to the exact predicate.
+    One float side table per block of (facet, point) entries (``blocks``)
+    decides every entry whose sign its cushion certifies. Only the other
+    entries of facets not already refuted go to the exact predicate.
     """
-    n = pts.shape[0]
     ok = np.ones(facets.shape[0], dtype=bool)
-    step = max(1, CLIP_CHUNK // n)
-    for s in range(0, facets.shape[0], step):
-        block = facets[s:s + step]
+    for rows in blocks(facets.shape[0], pts.shape[0]):
+        block = facets[rows]
         side, cushion = _facet_sides(pts, block)
         trusted = np.abs(side) > cushion
         # The facet's own vertices are on the plane by definition; their float
@@ -129,11 +144,11 @@ def _confirm_facets(pts: np.ndarray, facets: np.ndarray) -> np.ndarray:
         np.put_along_axis(trusted, block, True, axis=1)
         pos = ((side > 0) & trusted).any(axis=1)
         neg = ((side < 0) & trusted).any(axis=1)
-        ok[s:s + step] = ~(pos & neg)
-        for r in np.flatnonzero(ok[s:s + step] & ~trusted.all(axis=1)):
+        ok[rows] = ~(pos & neg)
+        for r in np.flatnonzero(ok[rows] & ~trusted.all(axis=1)):
             signs = {predicates.side_of_plane(pts[block[r]], pts[k])
                      for k in np.flatnonzero(~trusted[r])}
-            ok[s + r] = not ((pos[r] or 1 in signs) and (neg[r] or -1 in signs))
+            ok[rows.start + r] = not ((pos[r] or 1 in signs) and (neg[r] or -1 in signs))
     return ok
 
 
@@ -214,15 +229,14 @@ def _facet_balls(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
     A point counts as on a plane within _ON_PLANE of the coordinate scale,
     which covers the planes merged by rounding in hull_facets; a point taken
     in needlessly only makes a ball larger. The centre is the middle of the
-    points' bounding box. The (facets x points) distance table is built in
-    blocks of about CLIP_CHUNK entries.
+    points' bounding box. The (facets x points) distance table is built
+    block by block (``blocks``).
     """
     tol = _ON_PLANE * max(1.0, float(np.abs(pts).max()))
     f, m = normals.shape
-    step = max(1, CLIP_CHUNK // pts.shape[0])
     facet, point = np.vstack([
-        np.argwhere(np.abs(offsets[s:s + step, None] - normals[s:s + step] @ pts.T) <= tol)
-        + [s, 0] for s in range(0, f, step)]).T
+        np.argwhere(np.abs(offsets[rows, None] - normals[rows] @ pts.T) <= tol)
+        + [rows.start, 0] for rows in blocks(f, pts.shape[0])]).T
     lo, hi = np.full((f, m), np.inf), np.full((f, m), -np.inf)
     np.minimum.at(lo, facet, pts[point])
     np.maximum.at(hi, facet, pts[point])
@@ -241,15 +255,12 @@ def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,
     line misses the body where lo > hi. Row k of ``own`` lists the facets
     whose shifted planes line k lies in. Their constraints hold by
     construction and are not tested, since rounding noise would decide them.
-    The lines are clipped in (lines x facets) blocks of about CLIP_CHUNK
-    entries.
+    The (lines x facets) tables are built block by block (``blocks``).
     """
     normals, offsets = facets.normals, facets.offsets - margin
     count = origins.shape[0]
     lo, hi = np.empty(count), np.empty(count)
-    step = max(1, CLIP_CHUNK // normals.shape[0])
-    for s in range(0, count, step):
-        block = slice(s, s + step)
+    for block in blocks(count, normals.shape[0]):
         slack = offsets - origins[block] @ normals.T
         rate = directions[block] @ normals.T
         if own is not None:

@@ -12,13 +12,17 @@ runs stay informative rather than being rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .delaunay import DelaunayResult, as_point_set, delaunay_lifted, relaxed_delaunay
+from .delaunay import (_TREE_RTOL, DelaunayResult, _least, _owned, as_point_set, delaunay_lifted,
+                       relaxed_delaunay)
 from .complexes import IsoReport, SimplicialComplex, row_keys, sorted_rows, star_difference
 from .errors import NonGenericError, PreconditionError
 from .genericity import GenericityAnalysis
+from .hull import blocks
 from .metric import DisplacementField, MetricModel, metric_delaunay
 from .simplex import Simplex, circumcenter
 
@@ -140,26 +144,99 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adversarial_directions(pts: np.ndarray, base: DelaunayResult) -> np.ndarray:
+def _sphere_gaps(diff: np.ndarray, radii: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Gap |distance - radius| of a point to a sphere, from the point's offset
+    from the centre on the last axis of ``diff``; inf where ``own`` marks the
+    point as a vertex of the sphere's simplex."""
+    rows = diff.reshape(-1, diff.shape[-1])
+    # Row times column is the dot kernel np.linalg.norm uses on a single
+    # vector, so every gap, and so every tie, matches the scalar form.
+    gaps = (rows[:, None, :] @ rows[:, :, None]).reshape(diff.shape[:-1])
+    np.sqrt(gaps, out=gaps)
+    gaps -= radii
+    np.abs(gaps, out=gaps)
+    gaps[own] = np.inf
+    return gaps
+
+
+def _shell_gaps(pts: np.ndarray, base: DelaunayResult, todo: np.ndarray, tree: cKDTree,
+                width: float):
+    """Least sphere gap of each point ``todo[j]`` (``tree`` holds their
+    coordinates) among the balls whose shell of ``width`` about the sphere
+    holds it, and the first ball in row order with that gap; inf and
+    len(base.tops) where there is none. The balls are queried ``hull.BLOCK``
+    at a time."""
+    count = len(base.tops)
+    least, first = np.full(todo.size, np.inf), np.full(todo.size, count)
+    for chunk in blocks(count, 1):
+        # Padded past the tree's rounding, so every point whose gap measured
+        # here is at most ``width`` is listed.
+        found = tree.query_ball_point(base.centres[chunk], (base.radii[chunk] + width)
+                                      * (1.0 + 4.0 * _TREE_RTOL))
+        sizes = np.array([len(f) for f in found])
+        balls = np.repeat(np.arange(chunk.start, chunk.stop), sizes)
+        local = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+        ids = todo[local]
+        gaps = _sphere_gaps(pts.take(ids, axis=0) - base.centres.take(balls, axis=0),
+                            base.radii[balls], _owned(base.tops.take(balls, axis=0), ids))
+        low = _least(gaps, local, todo.size)
+        row = np.full(todo.size, count)
+        at = gaps == low[local]
+        np.minimum.at(row, local[at], balls[at])
+        # Earlier chunks hold earlier rows, so a tie keeps the earlier ball.
+        better = low < least
+        least[better], first[better] = low[better], row[better]
+    return least, first
+
+
+def _adversarial_directions(points, base: DelaunayResult) -> np.ndarray:
     """Unit direction from each point to the centre of the first ball, in the
     complex's row order, of least sphere gap |distance - radius| among the
     balls of simplices without the point; the first unit vector when there
     is none.
+
+    A Delaunay ball is empty, so the points within w of its sphere are those
+    within r + w of its centre: a radius query on the KD-tree (Bentley,
+    *Multidimensional binary search trees used for associative searching*,
+    1975) finds them. A point's least gap is at most its distance to a
+    neighbour that is a vertex of a top without it, which its nearest
+    neighbour almost always is. So each pass builds a tree of the points
+    still open and takes w at the upper decile of their distances to their
+    nearest open neighbours, plus the tolerance so that exact ties at the
+    decile count. It queries every ball's shell and settles each point
+    whose least gap found is at most w: every ball with a gap up to w was
+    found. The others go on to the next pass. Once the table of the points
+    left against every ball fits one block (``hull.blocks``), it is
+    measured whole.
     """
-    tops, centers, radii = base.tops, base.centres, base.radii
-    own = np.zeros((pts.shape[0], len(tops)), dtype=bool)
-    own[tops.ravel(), np.repeat(np.arange(len(tops)), tops.shape[1])] = True
-    targets = pts.copy()
-    step = max(1, 1_000_000 // len(tops))
-    for lo in range(0, pts.shape[0], step):
-        diff = pts[lo:lo + step, None, :] - centers[None, :, :]
-        # Row times column is the dot kernel np.linalg.norm uses on a single
-        # vector, so every gap, and so every tie, matches the scalar form.
-        gaps = np.abs(np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]) - radii)
-        gaps[own[lo:lo + step]] = np.inf
+    ps = as_point_set(points)
+    pts, tops, centres, radii = ps.points, base.tops, base.centres, base.radii
+    count = len(tops)
+    first = np.full(ps.n, count)
+    todo, tree = np.arange(ps.n), ps.tree
+    while len(blocks(todo.size, count)) > 1:
+        near = tree.query(tree.data, k=2)[0][:, 1]
+        width = float(np.quantile(near, 0.9)) + base.tolerance
+        least, row = _shell_gaps(pts, base, todo, tree, width)
+        settled = least <= width
+        if not settled.any():
+            break
+        first[todo[settled]] = row[settled]
+        todo = todo[~settled]
+        tree = cKDTree(pts[todo])
+    for block in blocks(todo.size, count):
+        ids = todo[block]
+        diff = np.empty((ids.size, count, ps.dim))
+        # One outer difference per coordinate: numpy broadcasts slowly over
+        # a 2- or 3-wide last axis.
+        for k in range(ps.dim):
+            np.subtract.outer(pts[ids, k], centres[:, k], out=diff[..., k])
+        gaps = _sphere_gaps(diff, radii, _owned(tops, ids[:, None]))
         best = np.argmin(gaps, axis=1)
-        found = np.isfinite(gaps[np.arange(best.size), best])
-        targets[lo:lo + step][found] = centers[best[found]]
+        first[ids] = np.where(np.isfinite(gaps[np.arange(ids.size), best]), best, count)
+    targets = pts.copy()
+    hit = first < count
+    targets[hit] = centres[first[hit]]
     return _unit_rows(targets - pts)
 
 
@@ -193,7 +270,7 @@ def make_point_perturbation(points, rho: float, seed: int, model: str = "uniform
         if directions is None:
             if base is None:
                 raise PreconditionError("the adversarial model needs base or directions")
-            directions = _adversarial_directions(ps.points, base)
+            directions = _adversarial_directions(ps, base)
         dirs = directions
         mags = np.full(n, rho)
     else:
@@ -438,7 +515,7 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
     if int(seeds) < 1 or not models or not budgets:
         raise PreconditionError("empty trial batch: need a seed, a model and a budget")
     ps = analysis.points
-    adversarial = (_adversarial_directions(ps.points, analysis.base)
+    adversarial = (_adversarial_directions(ps, analysis.base)
                    if "adversarial" in models else None)
     verdicts = []
     for mi, model in enumerate(sorted(set(models))):

@@ -1,6 +1,7 @@
 """Sampling radius, deep interior, protection audits, and certificates."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -563,3 +564,16 @@ def test_region_stars_from_top_simplices_match_the_closure(pts):
         assert (list(map(tuple, star.audited.tolist()))
                 == [s for s in double.simplices(m) if s in tops])
         assert np.array_equal(base.tops[star.rows], star.audited)
+
+
+def test_analysis_of_10000_3d_points_runs_in_bounded_memory():
+    pts = uniform_points(10000, 3, seed=5)
+    tracemalloc.start()
+    try:
+        analyze_genericity(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One (points x facets) depth table of this set is 19 MB; its blocks are
+    # 512 KB.
+    assert peak < 100e6

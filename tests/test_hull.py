@@ -143,10 +143,10 @@ def test_clip_lines_in_chunks(monkeypatch):
     directions = rng.normal(size=(50, 3))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     whole = hull.clip_lines(facets, 0.3, origins, directions)
-    monkeypatch.setattr(hull, "CLIP_CHUNK", 1)
-    # One row per block may take other BLAS kernels: equal up to rounding.
+    monkeypatch.setattr(hull, "BLOCK", 1)
+    # Two rows per block: the blocked products keep the bits of the whole one.
     for x, y in zip(whole, hull.clip_lines(facets, 0.3, origins, directions)):
-        assert np.allclose(x, y, rtol=0, atol=1e-12)
+        assert np.array_equal(x, y)
     lo, hi = whole
     hit = lo <= hi
     assert hit.any() and not hit.all()
@@ -512,7 +512,54 @@ def test_confirmation_in_blocks(monkeypatch):
     candidates = ConvexHull(pts, qhull_options="Qt").simplices
     whole = hull._confirm_facets(pts, candidates)
     balls = hull._facet_balls(pts, *hull._facet_planes(pts, candidates))
-    monkeypatch.setattr(hull, "CLIP_CHUNK", 1)
+    monkeypatch.setattr(hull, "BLOCK", 1)
     assert np.array_equal(hull._confirm_facets(pts, candidates), whole)
     for x, y in zip(hull._facet_balls(pts, *hull._facet_planes(pts, candidates)), balls):
         assert np.array_equal(x, y)
+
+
+BLOCK_INPUTS = {
+    "jittered-2d": grid_points(15, 2, 0.2, seed=1),
+    "jittered-3d": grid_points(9, 3, 0.05, seed=1),
+    "cloud-3d": np.random.default_rng(9).uniform(size=(300, 3)),
+}
+
+
+def block_outputs(pts):
+    """Every quantity built from a blocked table, as float.hex strings."""
+    from delgen import perturb
+
+    analysis = analyze_genericity(pts)
+    facets, eps = analysis.facets, analysis.sampling.epsilon
+    rng = np.random.default_rng(4)
+    origins = rng.uniform(pts.min(), pts.max(), size=(60, pts.shape[1]))
+    directions = rng.normal(size=(60, pts.shape[1]))
+    candidates = ConvexHull(pts, qhull_options="Qt").simplices
+    values = {
+        "eps": [eps],
+        "depths": analysis.depths,
+        "facet balls": np.column_stack([facets.centers, facets.radii]),
+        "clip_lines": hull.clip_lines(facets, 0.5 * eps, origins, directions),
+        "eroded edges": hull.eroded_edges(facets, eps),
+        "confirmed facets": hull._confirm_facets(pts, candidates),
+        "adversarial directions": perturb._adversarial_directions(analysis.points,
+                                                                  analysis.base),
+    }
+    return {name: [float(x).hex() for x in np.ravel(value)] for name, value in values.items()}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_INPUTS))
+def test_block_size_moves_no_bit(name, monkeypatch):
+    pts = BLOCK_INPUTS[name]
+    whole = block_outputs(pts)
+    monkeypatch.setattr(hull, "BLOCK", 7)
+    assert block_outputs(pts) == whole
+
+
+def test_blocks_cover_the_rows_in_slices_of_two_or_more(monkeypatch):
+    monkeypatch.setattr(hull, "BLOCK", 7)
+    for count, width in ((0, 3), (1, 3), (2, 9), (5, 1), (7, 3), (9, 2), (10, 100)):
+        slices = hull.blocks(count, width)
+        assert [i for s in slices for i in range(count)[s]] == list(range(count))
+        assert all(s.stop - s.start >= min(2, count) for s in slices)
+        assert all((s.stop - s.start) * width <= max(7, 3 * width) for s in slices)

@@ -1,11 +1,14 @@
 """Budgets, perturbation models, and the stability trial suite."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from delgen.complexes import star_isomorphic
-from delgen.datasets import grid_points
-from delgen.delaunay import delaunay_lifted
+from delgen.datasets import grid_points, uniform_points
+from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import NonGenericError, PreconditionError
 from delgen.genericity import analyze_genericity
 from delgen.metric import DisplacementField
@@ -387,13 +390,46 @@ def scalar_adversarial_directions(pts, base):
 
 
 @pytest.mark.parametrize("pts", [grid_points(7, 2), grid_points(9, 2, 0.2, seed=3),
-                                 grid_points(4, 3), grid_points(4, 3, 0.1, seed=2)],
-                         ids=["lattice-2d", "jittered-2d", "lattice-3d", "jittered-3d"])
-def test_adversarial_directions_match_the_scalar_form(pts):
+                                 grid_points(4, 3), grid_points(4, 3, 0.1, seed=2),
+                                 uniform_points(200, 2, seed=4), uniform_points(150, 3, seed=4)],
+                         ids=["lattice-2d", "jittered-2d", "lattice-3d", "jittered-3d",
+                              "cloud-2d", "cloud-3d"])
+def test_adversarial_directions_match_the_scalar_form(pts, monkeypatch):
+    import delgen.hull as hull
+    import delgen.perturb as perturb
+
     base = delaunay_lifted(pts)
-    pert = make_point_perturbation(pts, 1e-3, 0, "adversarial", base=base)
+    if len(pts) > 100:
+        # The clouds' hulls carry sliver balls, far larger than the rest.
+        assert base.radii.max() > 20.0 * np.median(base.radii)
+    rho = 0.25 * PointSet(pts).min_gap()
+    pert = make_point_perturbation(pts, rho, 0, "adversarial", base=base)
     assert np.allclose(pert.directions, scalar_adversarial_directions(pts, base),
                        rtol=0, atol=1e-12)
+    # One dense (points x balls) table, and shell passes down to a few points,
+    # give the same bits as the default search.
+    for block in (1 << 40, 7):
+        monkeypatch.setattr(hull, "BLOCK", block)
+        dirs = perturb._adversarial_directions(pts, base)
+        assert np.array_equal(dirs.view(np.uint64), pert.directions.view(np.uint64))
+
+
+def test_adversarial_directions_of_20000_points_in_bounded_memory():
+    import delgen.perturb as perturb
+
+    ps = PointSet(uniform_points(20000, 2, seed=3))
+    base = delaunay_lifted(ps)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        perturb._adversarial_directions(ps, base)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A (points x balls) table of 20,000 points holds 8 * 10^8 entries.
+    assert peak < 64e6
+    assert elapsed < 5.0
 
 
 def test_adversarial_directions_computed_once_per_batch(monkeypatch):
