@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -22,7 +23,35 @@ from .errors import ParseError
 POINT_FORMAT = "%.17g"
 
 
+# Characters at which ``str.splitlines`` ends a line but ``np.loadtxt``
+# reads in-line whitespace.
+_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
 def parse_points(text: str, source: str = "<string>") -> np.ndarray:
+    """The points of a point file's text, one row per data line.
+
+    One ``np.loadtxt`` pass reads ASCII text without the line breaks it
+    would read otherwise; wherever it fails, or reads a non-finite value or
+    no row, the line parser reads the text instead. It accepts the same
+    files, and raises every :class:`ParseError` with its line number.
+    """
+    if text.isascii() and not any(c in text for c in _LINE_BREAKS):
+        # Universal newlines split at \r, \n and \r\n, as splitlines does.
+        stream = io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty text warns
+                pts = np.loadtxt(stream, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if pts.size and np.isfinite(pts).all():
+                return pts
+    return _parse_lines(text, source)
+
+
+def _parse_lines(text: str, source: str) -> np.ndarray:
     rows: list[list[float]] = []
     dim = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

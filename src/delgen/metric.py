@@ -30,7 +30,7 @@ from .complexes import SimplicialComplex, sorted_rows
 from .delaunay import (_ball_gap, _branch_and_bound, _checked_region, _empty_balls,
                        _star_candidates, as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
-from .simplex import Simplex, _norms, simplex_metrics_batch
+from .simplex import Simplex, _norms, circumballs, simplex_metrics_batch
 
 
 # Sinusoids per displacement coordinate.
@@ -149,18 +149,21 @@ def metric_circumcenter(simplex, model: MetricModel, *,
         raise PreconditionError("metric circumcentre needs a full dimensional simplex")
     rows = np.arange(s.dim + 1)[None]
     mets = simplex_metrics_batch(s.vertices, rows)
-    if mets.degenerate[0] or not mets.found[0]:
+    balls = circumballs(s.vertices, rows)
+    _, _, solved = balls
+    if mets.degenerate[0] or not solved[0]:
         raise PreconditionError("metric circumcentre needs a non-degenerate simplex")
     centres, radii, found = _metric_circumcenters(
-        s.vertices, rows, mets, model, upsilon0, mu0)
+        s.vertices, rows, mets, balls, model, upsilon0, mu0)
     return (centres[0], float(radii[0])) if found[0] else None
 
 
-def _metric_circumcenters(pts, simplices, mets, model, upsilon0, mu0):
+def _metric_circumcenters(pts, simplices, mets, balls, model, upsilon0, mu0):
     """Metric circumcentres of a stack of full dimensional simplices.
 
-    ``simplices`` holds C rows of m+1 indices into ``pts`` and ``mets`` their
-    :func:`simplex_metrics_batch` columns. Every row runs damped Newton from its
+    ``simplices`` holds C rows of m+1 indices into ``pts``, ``mets`` their
+    :func:`simplex_metrics_batch` columns and ``balls`` their
+    :func:`circumballs`. Every row runs damped Newton from its
     Euclidean circumcentre; the rows that fail run again from each nonzero
     offset of the 3^m multistart grid in ``product`` order, so the first
     start that converges wins, as for a single simplex. Degenerate rows are
@@ -170,10 +173,11 @@ def _metric_circumcenters(pts, simplices, mets, model, upsilon0, mu0):
     count, m = idx.shape[0], pts.shape[1]
     centres, radii = np.zeros((count, m)), np.zeros(count)
     found = np.zeros(count, dtype=bool)
-    rows = ~mets.degenerate & mets.found
+    euclid_centres, euclid_radii, solved = balls
+    rows = ~mets.degenerate & solved
     if not rows.any():
         return centres, radii, found
-    c0, r0 = mets.centres[rows], mets.radii[rows]
+    c0, r0 = euclid_centres[rows], euclid_radii[rows]
     if upsilon0 and mu0:
         search_radii = 8.0 * model.rho_bound / (upsilon0 * mu0) + 0.05 * r0
     else:
@@ -325,7 +329,8 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     candidates = sorted(_star_candidates(ps, region, reach + tol, (m,)))
     subsets = np.array(candidates, dtype=np.intp).reshape(-1, m + 1)
     mets = simplex_metrics_batch(pts, subsets)
-    centres, radii, found = _metric_circumcenters(pts, subsets, mets, model, upsilon0, mu0)
+    balls = circumballs(pts, subsets)
+    centres, radii, found = _metric_circumcenters(pts, subsets, mets, balls, model, upsilon0, mu0)
     # The metric ball of radius r about c is the Euclidean ball of radius r
     # about phi(c) among the images; the stored centre stays c.
     image_tree = cKDTree(image_pts)
@@ -340,7 +345,8 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     # Candidates the search misses go through one branch and bound; the
     # metric gap is the Euclidean ball gap between images.
     missed = np.flatnonzero(~found)
-    seeds = np.where(mets.found[missed, None], mets.centres[missed],
+    euclid_centres, _, solved = balls
+    seeds = np.where(solved[missed, None], euclid_centres[missed],
                      pts[subsets[missed]].mean(axis=1))
     member_img = image_pts[subsets[missed]]
     verdicts, witnesses = _branch_and_bound(

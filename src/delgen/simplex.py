@@ -20,6 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .complexes import row_keys
 from .errors import DegenerateSimplexError, PreconditionError
 
 # A simplex counts as degenerate when the edge matrix loses rank at this
@@ -32,6 +33,12 @@ DEGENERACY_RTOL = 1e-12
 CHECK_TOL = 1e-9
 
 _RESIDUAL_RTOL = 1e-10
+
+# The certified degeneracy test (see _degenerate) decides a row when
+# det G > _GRAM_RTOL * (tr G)^j and (tr G)^j lies in _GRAM_RANGE, where
+# neither it nor _GRAM_RTOL times it leaves the normal floats.
+_GRAM_RTOL = 1e-12
+_GRAM_RANGE = (1e-280, 1e280)
 
 
 class Simplex:
@@ -77,17 +84,41 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _edge_stack(v: np.ndarray):
-    """Edge rows p_i - p_0, edge lengths, padded singular values and the
-    degeneracy flag of a stack of j-simplices ``v`` of shape (S, j+1, m)."""
+    """Edge rows p_i - p_0, edge lengths and the degeneracy flag of a stack
+    of j-simplices ``v`` of shape (S, j+1, m)."""
     j = v.shape[1] - 1
     a, b = zip(*combinations(range(j + 1), 2))
     lengths = np.sqrt(((v[:, a] - v[:, b]) ** 2).sum(axis=-1))
     e = v[:, 1:] - v[:, :1]
-    sv = np.linalg.svd(e.transpose(0, 2, 1), compute_uv=False)
-    if sv.shape[1] < j:  # more than m + 1 vertices: the lost rank reads as zeros
-        sv = np.hstack([sv, np.zeros((len(sv), j - sv.shape[1]))])
-    degenerate = (sv[:, 0] == 0.0) | (sv[:, -1] < DEGENERACY_RTOL * sv[:, 0])
-    return e, lengths, sv, degenerate
+    return e, lengths, _degenerate(e)
+
+
+def _degenerate(e: np.ndarray) -> np.ndarray:
+    """Whether s_j < DEGENERACY_RTOL * s_1, or s_1 = 0, for the singular
+    values of each edge stack ``e`` (S, j, m), padded with zeros when j > m.
+
+    With G = E E^T, det G <= s_1^(2j-2) s_j^2 and tr G >= s_1^2, so
+    det G > _GRAM_RTOL * (tr G)^j gives s_j / s_1 > 1e-6; G's rounding moves
+    det G by about 1e-15 (tr G)^j, far inside that margin. The rows this
+    test does not decide, and every row whose (tr G)^j leaves the normal
+    range, take the SVD rule, so every flag is the SVD rule's.
+    """
+    count, j, m = e.shape
+    sure = np.zeros(count, dtype=bool)
+    if j <= m:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = e @ e.transpose(0, 2, 1)
+            scale = np.trace(gram, axis1=1, axis2=2) ** j
+            sure = ((scale > _GRAM_RANGE[0]) & (scale < _GRAM_RANGE[1])
+                    & (np.linalg.det(gram) > _GRAM_RTOL * scale))
+    degenerate = np.zeros(count, dtype=bool)
+    rest = np.flatnonzero(~sure)
+    if rest.size:
+        sv = np.linalg.svd(e[rest].transpose(0, 2, 1), compute_uv=False)
+        if sv.shape[1] < j:  # more than m + 1 vertices: the lost rank reads as zeros
+            sv = np.hstack([sv, np.zeros((len(sv), j - sv.shape[1]))])
+        degenerate[rest] = (sv[:, 0] == 0.0) | (sv[:, -1] < DEGENERACY_RTOL * sv[:, 0])
+    return degenerate
 
 
 def _circumballs(v, e, degenerate, longest):
@@ -126,12 +157,12 @@ def _circumballs(v, e, degenerate, longest):
 
 def circumballs(points, simplices):
     """Circumcentres ``(S, m)``, radii ``(S,)`` and found flags of simplices
-    of one dimension, rows of indices into ``points``: the columns of
-    :func:`simplex_metrics_batch` bit for bit, without the altitudes."""
+    of one dimension, rows of indices into ``points``, in one array pass;
+    each row is bit for bit the circumball :func:`simplex_metrics` gives."""
     v = np.asarray(points, dtype=float)[np.asarray(simplices, dtype=np.intp)]
     if v.shape[1] == 1:
         return v[:, 0].copy(), np.zeros(len(v)), np.ones(len(v), dtype=bool)
-    e, lengths, _, degenerate = _edge_stack(v)
+    e, lengths, degenerate = _edge_stack(v)
     return _circumballs(v, e, degenerate, lengths.max(axis=1))
 
 
@@ -152,31 +183,40 @@ def circumcenter(simplex):
     return (centres[0], float(radii[0])) if found[0] else None
 
 
-def _altitude_stack(v: np.ndarray) -> np.ndarray:
+def _altitude_stack(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Distance from each vertex to the affine hull of the opposite facet,
-    for a stack ``v`` of shape (S, k, m) with k >= 2.
+    for the simplices ``idx`` (S, k) of indices into ``pts``, k >= 2.
 
-    Each dropped vertex is one stacked SVD of the facet spans and one
-    projection. A row whose facet span loses rank keeps only the revealed
-    part of its basis.
+    Each facet is keyed by its ids in row order (``row_keys``), so a facet
+    that several rows share takes one SVD of its span, whose output every
+    such row reads; then one stacked projection per dropped vertex. A facet
+    whose span loses rank keeps only the revealed part of its basis.
     """
-    k = v.shape[1]
-    out = np.zeros(v.shape[:2])
-    for i in range(k):
-        others = [t for t in range(k) if t != i]
+    v = pts[idx]
+    count, k = idx.shape
+    out = np.zeros((count, k))
+    if k == 2:
+        out[:, 0] = _norms(v[:, 0] - v[:, 1])
+        out[:, 1] = _norms(v[:, 1] - v[:, 0])
+        return out
+    drops = [[t for t in range(k) if t != i] for i in range(k)]
+    facets = np.vstack([idx[:, others] for others in drops])
+    _, first, which = np.unique(row_keys(facets, len(pts)), return_index=True,
+                                return_inverse=True)
+    fv = pts[facets[first]]
+    # Orthonormal basis of each distinct facet's direction space, rank revealed.
+    u, sv, _ = np.linalg.svd((fv[:, 1:] - fv[:, :1]).transpose(0, 2, 1), full_matrices=False)
+    full = (sv[:, 0] > 0.0) & (sv[:, -1] >= DEGENERACY_RTOL * sv[:, 0])
+    for i, others in enumerate(drops):
+        facet = which[i * count:(i + 1) * count]
         rel = v[:, i] - v[:, others[0]]
-        if k == 2:
-            out[:, i] = _norms(rel)
-            continue
-        span = v[:, others[1:]] - v[:, others[:1]]
-        # Orthonormal basis of the facet direction space, rank revealed.
-        u, sv, _ = np.linalg.svd(span.transpose(0, 2, 1), full_matrices=False)
-        proj = (u @ (u.transpose(0, 2, 1) @ rel[..., None]))[..., 0]
+        ui = u[facet]
+        proj = (ui @ (ui.transpose(0, 2, 1) @ rel[..., None]))[..., 0]
         out[:, i] = _norms(rel - proj)
-        full = (sv[:, 0] > 0.0) & (sv[:, -1] >= DEGENERACY_RTOL * sv[:, 0])
-        for r in np.flatnonzero(~full):
-            rank = int(np.sum(sv[r] >= DEGENERACY_RTOL * sv[r, 0])) if sv[r, 0] > 0.0 else 0
-            basis = u[r, :, :rank]
+        for r in np.flatnonzero(~full[facet]):
+            f = facet[r]
+            rank = int(np.sum(sv[f] >= DEGENERACY_RTOL * sv[f, 0])) if sv[f, 0] > 0.0 else 0
+            basis = u[f, :, :rank]
             out[r, i] = np.linalg.norm(rel[r] - basis @ (basis.T @ rel[r]))
     return out
 
@@ -201,20 +241,16 @@ class SimplexColumns:
     """Metrics of S simplices of one dimension j, one array per quantity.
 
     Row k describes the simplex ``vertices[k]``; see :func:`simplex_metrics`
-    for the definitions. ``found`` is false where a degenerate simplex has
-    no circumball, and there ``centres`` and ``radii`` hold zeros.
+    for the definitions. Circumballs are :func:`circumballs`' columns, and
+    the spectrum is :func:`simplex_metrics`' alone.
     """
 
-    vertices: np.ndarray         # (S, j+1) vertex ids
-    longest_edge: np.ndarray     # (S,)
-    shortest_edge: np.ndarray    # (S,)
-    altitudes: np.ndarray        # (S, j+1)
-    thickness: np.ndarray        # (S,)
-    singular_values: np.ndarray  # (S, j)
-    degenerate: np.ndarray       # (S,) bool
-    centres: np.ndarray          # (S, m)
-    radii: np.ndarray            # (S,)
-    found: np.ndarray            # (S,) bool
+    vertices: np.ndarray       # (S, j+1) vertex ids
+    longest_edge: np.ndarray   # (S,)
+    shortest_edge: np.ndarray  # (S,)
+    altitudes: np.ndarray      # (S, j+1)
+    thickness: np.ndarray      # (S,)
+    degenerate: np.ndarray     # (S,) bool
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -223,52 +259,35 @@ class SimplexColumns:
         """The columns of a subset of the rows, given as indices or a mask."""
         return SimplexColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    def rows(self) -> list[SimplexMetrics]:
-        """One :class:`SimplexMetrics` per row."""
-        j = self.vertices.shape[1] - 1
-        return [
-            SimplexMetrics(
-                dim=j, longest_edge=lo, shortest_edge=sh,
-                circumcenter=c if ok else None, circumradius=r if ok else None,
-                altitudes=a, thickness=t, singular_values=s, degenerate=d)
-            for lo, sh, c, r, ok, a, t, s, d in zip(
-                self.longest_edge.tolist(), self.shortest_edge.tolist(), self.centres,
-                self.radii.tolist(), self.found.tolist(), self.altitudes,
-                self.thickness.tolist(), self.singular_values, self.degenerate.tolist())
-        ]
-
 
 def simplex_metrics_batch(points, simplices) -> SimplexColumns:
-    """Metrics of a stack of simplices of one dimension, one array pass.
+    """Edge extremes, altitudes, thickness and degeneracy of a stack of
+    simplices of one dimension, one array pass.
 
-    ``simplices`` holds S rows of j+1 indices into ``points`` (n, m). Edge
-    extremes, spectrum, degeneracy, altitudes, thickness and circumball are
-    array expressions over the (S, j+1, m) vertex stack, rounded exactly as
-    a stack of one; see :func:`simplex_metrics` for the definitions.
+    ``simplices`` holds S rows of j+1 indices into ``points`` (n, m). Every
+    quantity is an array expression over the (S, j+1, m) vertex stack,
+    rounded exactly as a stack of one; see :func:`simplex_metrics` for the
+    definitions.
     """
     pts = np.asarray(points, dtype=float)
     idx = np.asarray(simplices, dtype=np.intp)
     if idx.size == 0:
         idx = idx.reshape(0, idx.shape[1] if idx.ndim == 2 else 1)
-    v = pts[idx]
     count, j = idx.shape[0], idx.shape[1] - 1
     if j == 0 or count == 0:
         return SimplexColumns(
             vertices=idx, longest_edge=np.zeros(count), shortest_edge=np.zeros(count),
             altitudes=np.zeros((count, j + 1)), thickness=np.ones(count),
-            singular_values=np.zeros((count, j)), degenerate=np.zeros(count, dtype=bool),
-            centres=v[:, 0].copy(), radii=np.zeros(count), found=np.ones(count, dtype=bool))
-    e, lengths, sv, degenerate = _edge_stack(v)
+            degenerate=np.zeros(count, dtype=bool))
+    _, lengths, degenerate = _edge_stack(pts[idx])
     longest = lengths.max(axis=1)
-    alts = _altitude_stack(v)
+    alts = _altitude_stack(pts, idx)
     flat = degenerate | (longest == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         thickness = np.where(flat, 0.0, alts.min(axis=1) / (j * longest))
-    centres, radii, found = _circumballs(v, e, degenerate, longest)
     return SimplexColumns(
         vertices=idx, longest_edge=longest, shortest_edge=lengths.min(axis=1),
-        altitudes=alts, thickness=thickness, singular_values=sv, degenerate=degenerate,
-        centres=centres, radii=radii, found=found)
+        altitudes=alts, thickness=thickness, degenerate=degenerate)
 
 
 def simplex_metrics(simplex) -> SimplexMetrics:
@@ -279,8 +298,19 @@ def simplex_metrics(simplex) -> SimplexMetrics:
     those of the edge matrix, padded with zeros when rank is lost, so
     ``degenerate`` is equivalent to ``s_j < DEGENERACY_RTOL * s_1``.
     """
-    v = _as_simplex(simplex).vertices
-    return simplex_metrics_batch(v, np.arange(len(v))[None]).rows()[0]
+    s = _as_simplex(simplex)
+    ids = np.arange(s.dim + 1)[None]
+    cols = simplex_metrics_batch(s.vertices, ids)
+    centres, radii, found = circumballs(s.vertices, ids)
+    sv = np.linalg.svd(s.edge_matrix(), compute_uv=False)
+    return SimplexMetrics(
+        dim=s.dim, longest_edge=float(cols.longest_edge[0]),
+        shortest_edge=float(cols.shortest_edge[0]),
+        circumcenter=centres[0] if found[0] else None,
+        circumradius=float(radii[0]) if found[0] else None,
+        altitudes=cols.altitudes[0], thickness=float(cols.thickness[0]),
+        singular_values=np.concatenate([sv, np.zeros(s.dim - sv.size)]),
+        degenerate=bool(cols.degenerate[0]))
 
 
 @dataclass(frozen=True)

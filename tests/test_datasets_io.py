@@ -13,6 +13,7 @@ from delgen.delaunay import delaunay_lifted
 from delgen.errors import ParseError, PreconditionError
 from delgen.fileio import (
     Table,
+    _parse_lines,
     complex_from_json,
     dataset_digest,
     envelope_csv,
@@ -108,6 +109,59 @@ def test_parse_points_errors_carry_line_numbers():
         parse_points("1 2\nnan 4\n")
     with pytest.raises(ParseError, match="no data"):
         parse_points("# only comments\n")
+
+
+def parse_outcome(parse, text):
+    """The array a parser returns for ``text``, or the message it raises."""
+    try:
+        return parse(text, "pts.txt")
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_parse(text):
+    got, want = parse_outcome(parse_points, text), parse_outcome(_parse_lines, text)
+    if isinstance(want, str):
+        assert got == want, repr(text)
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype, repr(text)
+        assert got.shape == want.shape and np.array_equal(got, want), repr(text)
+    return want
+
+
+# Texts where a numpy parse could differ from the line parser: line breaks of
+# str.splitlines that np.loadtxt reads as in-line whitespace, a Python float
+# literal np.loadtxt rejects, non-finite values, ragged rows, no data, line
+# ends other than \n, and non-ASCII text.
+PARSE_EDGE_CASES = [
+    "1 2\x0c3 4\n", "1 2\x0b3 4\n", "1 2\x1c3 4\n", "1 2\x1d3 4\n", "1 2\x1e3 4\n",
+    "1 2\x853 4\n", "1 2\u20283 4\n", "1 2\u20293 4\n", "1\x0c2\n3 4\n",
+    "1_0 2\n3 4\n", "1 2\n3 4_5\n",
+    "nan 1\n2 3\n", "1 2\ninfinity 3\n", "1 2\n-inf 3\n", "1 2\n1e400 3\n", "NaN\n",
+    "1 2\n3\n", "1 2\n3 4 5\n", "1\n2 3\n",
+    "# only a comment\n", "", "\n  \n", "# a\n  # b\n",
+    "1 2\r\n3 4\r\n", "1 2\r3 4\n", "1 2\r\r\n3 4", "1\r2\n",
+    "1 2 # note\n\n  3 4\n", "1\n2\n", "-0 1e-400\n", "0x10 1\n", "1,2\n", "1 2\n3 4\n\x00",
+    "\u0661 2\n", "1\xa02\n3 4\n", "1 2\n3 4", "+.5 -5. 1E3\n",
+]
+
+
+@pytest.mark.parametrize("text", PARSE_EDGE_CASES)
+def test_parse_points_matches_the_line_parser(text, tmp_path, capsys):
+    want = assert_same_parse(text)
+    if isinstance(want, str):
+        path = tmp_path / "pts.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert cli.main(["analyze", "--in", str(path)]) == 3, repr(text)
+        capsys.readouterr()
+
+
+def test_parse_points_matches_the_line_parser_at_every_ascii_character():
+    for code in range(128):
+        c = chr(code)
+        for template in ("1{c}2\n3 4\n", "1 2{c}\n3 4\n", "{c}1 2\n3 4\n", "1 2\n3 4{c}",
+                         "1.{c}5 2\n", "1 2{c}3 4\n", "1e{c}5 2\n", "1 2 #{c}\n3 4\n"):
+            assert_same_parse(template.format(c=c))
 
 
 def test_point_round_trip_is_exact(tmp_path):

@@ -26,7 +26,7 @@ from delgen.errors import PreconditionError
 from delgen.genericity import analyze_genericity
 from delgen.metric import DisplacementField, MetricModel, metric_delaunay
 from delgen.predicates import in_sphere
-from delgen.simplex import simplex_metrics_batch
+from delgen.simplex import simplex_metrics
 
 FOUR_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -661,17 +661,19 @@ def test_point_set_compares_values_not_bytes():
 
 def test_circumcenter_seeds_equal_the_metrics_batch_centres():
     # Mixed sizes, vertices, repeated vertices (degenerate, no circumball)
-    # and collinear triples (degenerate), against simplex_metrics_batch.
+    # and collinear triples (degenerate), against simplex_metrics one by one.
+    def assert_seeds(pts, cands, seeds):
+        for cand, seed in zip(cands, seeds):
+            centre = simplex_metrics(pts[list(cand)]).circumcenter
+            want = centre if centre is not None else pts[list(cand)].mean(axis=0)
+            assert np.array_equal(seed, want), cand
+
     pts = np.vstack([grid_points(4, 2, jitter=0.2, seed=7),
                      [[0.5, 0.5], [1.0, 1.0], [1.5, 1.5]]])
     cands = [(3,), (0, 1), (0, 1, 5), (2, 2), (0, 5, 10), (16, 17, 18), (4, 4, 9),
              (1, 2, 3), (6,), (7, 11), (0, 5, 10), (16, 17, 0)]
     seeds = delaunay._circumcenter_seeds(pts, cands)
-    for size in (1, 2, 3):
-        rows = [k for k, c in enumerate(cands) if len(c) == size]
-        cols = simplex_metrics_batch(pts, [cands[k] for k in rows])
-        want = np.where(cols.found[:, None], cols.centres, pts[cols.vertices].mean(axis=1))
-        assert np.array_equal(seeds[rows], want)
+    assert_seeds(pts, cands, seeds)
     assert seeds.shape == (len(cands), 2)
     for dim, side in ((2, 7), (3, 4)):
         pts = grid_points(side, dim, jitter=0.1, seed=5)
@@ -680,9 +682,5 @@ def test_circumcenter_seeds_equal_the_metrics_batch_centres():
         ps = PointSet(pts)
         cands = _star_candidates(ps, region, 2.0 * a.sampling.epsilon + ps.tolerance(),
                                  range(1, dim + 1))
-        seeds = delaunay._circumcenter_seeds(pts, cands)
-        for cand, seed in zip(cands, seeds):
-            cols = simplex_metrics_batch(pts, [cand])
-            want = cols.centres[0] if cols.found[0] else pts[list(cand)].mean(axis=0)
-            assert np.array_equal(seed, want)
+        assert_seeds(pts, cands, delaunay._circumcenter_seeds(pts, cands))
     assert delaunay._circumcenter_seeds(pts, []).shape == (0, 3)

@@ -3,11 +3,13 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
+from delgen import simplex
 from delgen.datasets import grid_points, uniform_points
 from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import NonGenericError, PreconditionError
@@ -23,7 +25,7 @@ from delgen.genericity import (
 )
 from delgen.hull import hull_facets
 from delgen.perturb import measured_secure_params
-from delgen.simplex import simplex_metrics_batch
+from delgen.simplex import simplex_metrics
 
 SQRT2 = np.sqrt(2.0)
 
@@ -441,7 +443,7 @@ def metric_table_by_rows(analysis):
         group = star.safe.simplices(dim)
         if dim == analysis.points.dim:
             group = sorted(set(group).union(map(tuple, star.audited.tolist())))
-        table.update(zip(group, simplex_metrics_batch(analysis.points.points, group).rows()))
+        table.update((s, simplex_metrics(analysis.points.points[list(s)])) for s in group)
     return table
 
 
@@ -536,6 +538,35 @@ def test_columnar_audit_matches_the_per_simplex_loops(pts):
 
     assert measured_secure_params(a).upsilon0 == min(
         [1.0] + [table[s].thickness for s in map(tuple, a.classification.audited.tolist())])
+
+
+class Shadow:
+    """A module seen through some replaced attributes."""
+
+    def __init__(self, module, **replaced):
+        self._module = module
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def test_audit_makes_one_altitude_svd_per_facet_and_no_spectrum(monkeypatch):
+    a = analyze_genericity(uniform_points(2000, 2, seed=5))
+    counts = {"spectrum": 0, "altitude": 0}
+
+    def svd(x, *args, compute_uv=True, **kwargs):
+        counts["altitude" if compute_uv else "spectrum"] += int(np.prod(np.shape(x)[:-2]))
+        return np.linalg.svd(x, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(simplex, "np", Shadow(np, linalg=Shadow(np.linalg, svd=svd)))
+    lemma_audit(a)
+    # Every audited top is certified by the Gram test, and its altitudes
+    # take one SVD per distinct edge; the safe edges take none.
+    facets = {(p, q) for top in a.classification.audited.tolist()
+              for p, q in combinations(top, 2)}
+    assert counts == {"spectrum": 0, "altitude": len(facets)}
+    assert len(facets) < 3 * len(a.classification.audited)
 
 
 @pytest.mark.parametrize("pts", [

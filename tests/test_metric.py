@@ -18,7 +18,7 @@ from delgen.metric import (
     metric_circumcenter,
     metric_delaunay,
 )
-from delgen.simplex import circumcenter, simplex_metrics, simplex_metrics_batch
+from delgen.simplex import circumballs, circumcenter, simplex_metrics, simplex_metrics_batch
 
 # The Euclidean distance, as the pullback of a zero displacement.
 EUCLIDEAN = MetricModel(DisplacementField(2, 0.0, seed=0))
@@ -472,7 +472,7 @@ def test_stacked_newton_matches_the_per_simplex_loop():
             for params in ((0.3, 0.5), (None, None)):
                 mets = simplex_metrics_batch(flat, rows)
                 centres, radii, found = metric._metric_circumcenters(
-                    flat, np.array(rows), mets, model, *params)
+                    flat, np.array(rows), mets, circumballs(flat, rows), model, *params)
                 for k, s in enumerate(rows):
                     ref = metric_circumcenter_by_loop(flat[list(s)], model, *params, events)
                     assert found[k] == (ref is not None), (dim, s)

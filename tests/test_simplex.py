@@ -11,6 +11,7 @@ from delgen.simplex import (
     Flat,
     Simplex,
     almost_center_gap,
+    circumballs,
     circumcenter,
     munkres_thickness_check,
     simplex_metrics,
@@ -376,27 +377,72 @@ def simplex_metrics_by_loop(v):
 
 def assert_rows_match_loop(points, simplices):
     cols = simplex_metrics_batch(points, simplices)
-    assert np.array_equal(cols.vertices, np.array(simplices).reshape(len(cols), -1))
-    rows = cols.rows()
-    assert len(rows) == len(simplices)
-    for s, met in zip(simplices, rows):
+    idx = np.array(simplices).reshape(len(cols), -1)
+    assert np.array_equal(cols.vertices, idx)
+    assert len(cols) == len(simplices)
+    centres, radii, found = circumballs(points, idx)
+    for k, s in enumerate(simplices):
         ref = simplex_metrics_by_loop(points[list(s)])
-        got = (met.longest_edge, met.shortest_edge, met.circumcenter,
-               met.circumradius, met.altitudes, met.thickness,
-               met.singular_values, met.degenerate)
+        met = simplex_metrics(points[list(s)])
+        got = (cols.longest_edge[k], cols.shortest_edge[k],
+               centres[k] if found[k] else None, radii[k] if found[k] else None,
+               cols.altitudes[k], cols.thickness[k], met.singular_values, cols.degenerate[k])
+        one = (met.longest_edge, met.shortest_edge, met.circumcenter, met.circumradius,
+               met.altitudes, met.thickness, met.singular_values, met.degenerate)
         assert met.dim == len(s) - 1
-        for name, a, b in zip(("longest", "shortest", "centre", "radius",
-                               "altitudes", "thickness", "spectrum", "degenerate"),
-                              got, ref):
+        for name, a, b, c in zip(("longest", "shortest", "centre", "radius",
+                                  "altitudes", "thickness", "spectrum", "degenerate"),
+                                 got, ref, one):
             if b is None:
-                assert a is None, (s, name)
+                assert a is None and c is None, (s, name)
             else:
-                assert np.array_equal(a, b), (s, name, a, b)
+                assert np.array_equal(a, b) and np.array_equal(c, b), (s, name, a, b, c)
         ball = circumcenter(points[list(s)])
         if ref[2] is None:
             assert ball is None, s
         else:
             assert np.array_equal(ball[0], ref[2]) and ball[1] == ref[3], s
+
+
+def svd_rule(v):
+    """The degeneracy flag of one simplex by the spectrum of its edges."""
+    j = v.shape[0] - 1
+    sv = np.linalg.svd((v[1:] - v[0]).T, compute_uv=False)
+    sv = np.concatenate([sv, np.zeros(j - sv.size)])
+    return bool(sv[0] == 0.0 or sv[-1] < DEGENERACY_RTOL * sv[0])
+
+
+def test_degeneracy_flags_match_the_svd_rule_near_the_threshold():
+    rng = np.random.default_rng(11)
+    for m in (2, 3):
+        simplices = []
+        for j in (1, 2, 3):
+            r = min(j, m)
+            for ratio in (1e-13, 1e-11, 1e-7, 1e-5, 1.0):
+                for scale in (1e-60, 1e-3, 1.0, 1e45, 1e100):
+                    # Edge rows E = U diag(s) V^T with s_r / s_1 = ratio.
+                    s = np.geomspace(1.0, ratio, r) * scale
+                    u = random_rotation(rng, j)[:, :r]
+                    w = random_rotation(rng, m)[:, :r]
+                    edges = (u * s) @ w.T
+                    simplices.append(np.vstack([np.zeros(m), edges]))
+                    simplices.append(rng.normal(size=m) + np.vstack([np.zeros(m), edges]))
+        # Edges whose squared length underflows to zero, or nearly so, and a
+        # repeated vertex.
+        for length in (1e-150, 1e-170, 5e-324, 0.0):
+            simplices.append(np.vstack([np.zeros(m), np.full(m, length)]))
+        for j in (1, 2, 3):
+            pts = np.vstack([s for s in simplices if len(s) == j + 1])
+            rows = np.arange(len(pts)).reshape(-1, j + 1)
+            want = [svd_rule(pts[row]) for row in rows]
+            assert simplex_metrics_batch(pts, rows).degenerate.tolist() == want, (m, j)
+            if j <= m:
+                assert set(want) == {True, False}
+            else:
+                assert all(want)
+    tiny = np.array([[0.0, 0.0], [1e-170, 0.0]])
+    assert (tiny[1] ** 2).sum() == 0.0
+    assert not simplex_metrics_batch(tiny, [[0, 1]]).degenerate[0]
 
 
 def test_simplex_metrics_batch_matches_the_rowwise_loop():
@@ -418,6 +464,8 @@ def test_simplex_metrics_batch_matches_the_rowwise_loop():
     good = delaunay_lifted(grid).complex.simplices(2)
     bad = [(n, n + 1, n + 2), (n, n, n + 3), (n + 3, n + 1, n + 1)]
     assert_rows_match_loop(pts, good[:3] + bad[:2] + good[3:6] + bad[2:])
+    # Two tops sharing the rank 0 facet (n, n), which one SVD serves.
+    assert_rows_match_loop(pts, [(n, n, n + 3), (n, n, n + 1)])
 
     grid = grid_points(3, 3, 0.15, seed=4)
     extra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
@@ -430,7 +478,10 @@ def test_simplex_metrics_batch_matches_the_rowwise_loop():
            (n, n + 1, n + 6, n + 5), (n, n, n + 2, n + 5), (n, n, n, n + 5)]
     rows = good[:2] + bad[:3] + good[2:4] + bad[3:]
     assert_rows_match_loop(pts, rows)
+    # Two tops sharing the collinear facet (n, n+1, n+6), which one SVD serves.
+    assert_rows_match_loop(pts, [(n, n + 1, n + 6, n + 5), (n, n + 1, n + 6, n + 2)])
     mets = simplex_metrics_batch(pts, rows)
+    found = circumballs(pts, rows)[2]
     assert mets.degenerate.tolist() == [False] * 2 + [True] * 3 + [False] * 2 + [True] * 2
-    assert mets.found[2] and not mets.found[3]
-    assert simplex_metrics_batch(pts, []).rows() == []
+    assert found[2] and not found[3]
+    assert len(simplex_metrics_batch(pts, [])) == 0
