@@ -11,7 +11,8 @@
 * :func:`relaxed_delaunay` decides membership in the almost empty ball
   complex by a certified Lipschitz branch and bound over candidate centres,
   one search over the stack of every candidate, which the Newton route of
-  :mod:`delgen.metric` shares for the candidates its search misses.
+  :mod:`delgen.metric` shares for the candidates its search misses. Both
+  routes read candidate rows and seed centres from one window engine.
 
 A simplex is an affinely independent (m+1)-subset. Both routes, and the
 Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
@@ -21,13 +22,14 @@ as well as generic ones. The certifier answers from nearest-point queries on
 a KD-tree, never from a table of distances from every centre to every point.
 A result is columnar: one row per accepted top simplex, in the certifier's
 order, holding its sorted vertex ids, its ball (centre and radius) and its
-signed protection margin (least distance of a foreign point to the sphere).
-Later stages select rows by mask and match simplices by integer row key.
+signed protection margin (least distance of a foreign point to the sphere);
+a relaxed result, a padded row and a witness centre per member. Later
+stages select rows by mask and match simplices by integer row key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
@@ -321,9 +323,6 @@ def _check_input(ps: PointSet) -> None:
 # in 2-D or 125 in 3-D, about 20 s at 2 us per subset on one Xeon core.
 BRUTE_FORCE_SUBSETS = 10**7
 
-# Subsets generated and certified at a time.
-_BRUTE_FORCE_CHUNK = 1 << 15
-
 
 def delaunay_bruteforce(points) -> DelaunayResult:
     """Delaunay complex by exhaustive circumball tests.
@@ -333,7 +332,7 @@ def delaunay_bruteforce(points) -> DelaunayResult:
     tolerance inside its circumball, and points within tolerance of an
     accepted sphere are gathered into cospherical groups. Any group with
     more than m+1 members marks the input as non generic. The subsets are
-    generated in chunks, and an input with more than
+    generated in blocks (``hull.blocks``), and an input with more than
     ``BRUTE_FORCE_SUBSETS`` of them raises :class:`PreconditionError`.
     """
     ps = as_point_set(points)
@@ -347,8 +346,9 @@ def delaunay_bruteforce(points) -> DelaunayResult:
     parts = []
     groups: set[tuple[int, ...]] = set()
     flat = chain.from_iterable(combinations(range(ps.n), m + 1))
-    while (chunk := np.fromiter(islice(flat, _BRUTE_FORCE_CHUNK * (m + 1)),
-                                dtype=np.intp)).size:
+    # The certifier lists m+3 points per subset (see _empty_balls).
+    for block in blocks(total, m + 3):
+        chunk = np.fromiter(islice(flat, (block.stop - block.start) * (m + 1)), dtype=np.intp)
         found, more = _delaunay_balls(ps, chunk.reshape(-1, m + 1), tol)
         parts.append(found)
         groups |= more
@@ -396,15 +396,25 @@ def delaunay_lifted(points) -> DelaunayResult:
 # -- relaxed (almost empty ball) membership --------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxedResult:
-    """Relaxed Delaunay star of a region, with certification data."""
+    """Relaxed Delaunay star of a region as columns, one row per member in
+    candidate order: its sorted vertex ids padded to m+1 by repeating the
+    first, its vertex count and the centre of its almost empty ball. The
+    closed star, with the region's vertices, is derived on first read."""
 
-    complex: SimplicialComplex
+    region: tuple[int, ...]
+    members: np.ndarray    # (K, m+1)
+    sizes: np.ndarray      # (K,)
+    witnesses: np.ndarray  # (K, m)
     rho: float
-    witnesses: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
     undecided: tuple[tuple[int, ...], ...] = ()
     tolerance: float = 0.0
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        # The set of a padded row's ids is its simplex.
+        return SimplicialComplex([*map(set, self.members.tolist()), *((v,) for v in self.region)])
 
     @property
     def certified(self) -> bool:
@@ -433,21 +443,13 @@ def _ball_gap(centres: np.ndarray, members: np.ndarray, tree: cKDTree) -> np.nda
     return need - _nearest(tree, centres)
 
 
-def _padded(candidates, m: int) -> np.ndarray:
-    """(C, m+1) vertex ids of the candidates, each padded to m+1 ids by
-    repeating its first vertex."""
-    return np.array([(*c, *(c[0],) * (m + 1 - len(c))) for c in candidates],
-                    dtype=np.intp).reshape(-1, m + 1)
-
-
-# Rows per call of a branch-and-bound gap.
-_GAP_BLOCK = 4096
-
-
 def _gaps(gap, centres, owner):
-    """gap over the rows of a stack, in blocks of ``_GAP_BLOCK`` rows."""
-    return np.concatenate([gap(centres[i:i + _GAP_BLOCK], owner[i:i + _GAP_BLOCK])
-                           for i in range(0, len(centres), _GAP_BLOCK)] or [np.zeros(0)])
+    """gap over the rows of a stack of centres in R^m, in blocks
+    (``hull.blocks``) of its (m+1) x m table of member offsets. Every row's
+    value is computed on its own, so the blocks move no bit."""
+    m = centres.shape[1]
+    return np.concatenate([gap(centres[b], owner[b]) for b in blocks(len(centres), (m + 1) * m)]
+                          or [np.zeros(0)])
 
 
 def _first_rows(owner: np.ndarray) -> np.ndarray:
@@ -540,17 +542,20 @@ def _checked_region(region, n: int) -> list[int]:
     return region
 
 
-def _star_candidates(ps: PointSet, region, reach, sizes) -> list[tuple[int, ...]]:
+def _star_candidates(ps: PointSet, region, reach, sizes):
     """Simplices of a vertex v in ``region`` and k more vertices within
     ``reach`` of v, for each k in ``sizes``, of diameter at most ``reach``.
 
-    Each is listed once, sorted, at its first visit: region vertex, then
+    Returns (rows, counts): (C, m+1) vertex ids, each row sorted and padded
+    to m+1 ids by repeating its first vertex, and each row's vertex count.
+    Each simplex is listed once, at its first visit: region vertex, then
     size, then combination of the KD-tree ball around the vertex. The
     diameters of one vertex and size are a stacked max over the vertex
     pairs of one distance table over the vertex and its ball, and the
     repeats of each size are dropped by integer row key.
     """
     pts = ps.points
+    width = ps.dim + 1
     visits = {size: ([], []) for size in sizes}  # visit numbers and rows
     count = 0
     for v, ball in zip(region, ps.tree.query_ball_point(pts[region], reach)):
@@ -565,20 +570,22 @@ def _star_candidates(ps: PointSet, region, reach, sizes) -> list[tuple[int, ...]
             visits[size][1].append(np.sort(local[rows[near]], axis=1))
             count += len(rows)
     order, found = [], []
-    for at, rows in visits.values():
+    for size, (at, rows) in visits.items():
         at, rows = np.concatenate(at), np.concatenate(rows)
         first = np.unique(row_keys(rows, ps.n), return_index=True)[1]
         order.append(at[first])
-        found.extend(map(tuple, rows[first].tolist()))
-    return [found[k] for k in np.argsort(np.concatenate(order)).tolist()]
+        found.append(rows[first][:, [*range(size + 1), *[0] * (width - size - 1)]])
+    rank = np.argsort(np.concatenate(order))
+    counts = np.repeat([size + 1 for size in visits], [len(f) for f in found])
+    return np.concatenate(found)[rank], counts[rank]
 
 
 def _containing_tops(tops: np.ndarray, padded: np.ndarray, region, radix: int):
     """(candidate, row) pairs of the candidates ``padded`` (rows of
-    :func:`_padded`, 2 to m+1 vertices, one in ``region``) and the rows of
-    ``tops`` that contain them, by candidate, then row. The faces of the
-    tops that meet the region are padded alike, keyed and sorted by (key,
-    row), and each candidate's key is searched among them.
+    :func:`_star_candidates`, 2 to m+1 vertices, one in ``region``) and the
+    rows of ``tops`` that contain them, by candidate, then row. The faces of
+    the tops that meet the region are padded alike, keyed and sorted by
+    (key, row), and each candidate's key is searched among them.
     """
     width = tops.shape[1]
     near = np.flatnonzero(np.isin(tops, region).any(axis=1))
@@ -621,52 +628,45 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
     pts = ps.points
     m = ps.dim
     tol = ps.tolerance()
-    candidates = _star_candidates(ps, region, 2.0 * eps + tol, range(1, m + 1))
-    seeds = _circumcenter_seeds(pts, candidates)
-    padded = _padded(candidates, m)
-    member_pts = pts[padded]
+    rows, sizes = _star_candidates(ps, region, 2.0 * eps + tol, range(1, m + 1))
+    seeds = _circumcenter_seeds(pts, rows, sizes)
+    member_pts = pts[rows]
     # First try, in one gap evaluation: each candidate's seed, then the
     # centre of every known Delaunay ball of the candidate, in row order.
-    ball_owner, ball_rows = _containing_tops(base.tops, padded, region, ps.n)
-    owner = np.concatenate([np.arange(len(candidates)), ball_owner])
+    ball_owner, ball_rows = _containing_tops(base.tops, rows, region, ps.n)
+    owner = np.concatenate([np.arange(len(rows)), ball_owner])
     order = np.argsort(owner, kind="stable")
     owner, tries = owner[order], np.vstack([seeds, base.centres[ball_rows]])[order]
     hit = np.flatnonzero(
         _gaps(lambda c, k: _ball_gap(c, member_pts[k], ps.tree), tries, owner) <= rho + tol)
     first = hit[_first_rows(owner[hit])]
-    outcome = {k: (True, tries[row].copy()) for k, row in zip(owner[first].tolist(), first.tolist())}
-    rest = [k for k in range(len(candidates)) if k not in outcome]
+    member = np.zeros(len(rows), dtype=bool)
+    witnesses = np.zeros_like(seeds)
+    member[owner[first]], witnesses[owner[first]] = True, tries[first]
+    rest = np.flatnonzero(~member)
     rest_pts = member_pts[rest]
-    outcome.update(zip(rest, zip(*_branch_and_bound(
+    verdicts, found = _branch_and_bound(
         lambda c, k: _ball_gap(c, rest_pts[k], ps.tree), seeds[rest], 4.0 * eps,
-        2.0 * np.sqrt(m), rho + tol))))
-    members: list[tuple[int, ...]] = [(v,) for v in region]
-    witnesses: dict[tuple[int, ...], np.ndarray] = {(v,): pts[v].copy() for v in region}
-    undecided: list[tuple[int, ...]] = []
-    for k, cand in enumerate(candidates):
-        verdict, witness = outcome[k]
-        if verdict is True:
-            members.append(cand)
-            witnesses[cand] = witness
-        elif verdict is None:
-            undecided.append(cand)
+        2.0 * np.sqrt(m), rho + tol)
+    for k, verdict, witness in zip(rest.tolist(), verdicts, found):
+        if verdict:
+            member[k], witnesses[k] = True, witness
+    undecided = sorted(tuple(r[:k]) for r, k, v in zip(rows[rest].tolist(), sizes[rest].tolist(),
+                                                       verdicts) if v is None)
     return RelaxedResult(
-        complex=SimplicialComplex(members),
-        rho=rho,
-        witnesses=witnesses,
-        undecided=tuple(sorted(undecided)),
-        tolerance=tol,
+        region=tuple(region), members=rows[member], sizes=sizes[member],
+        witnesses=witnesses[member], rho=rho, undecided=tuple(undecided), tolerance=tol,
     )
 
 
-def _circumcenter_seeds(pts, candidates) -> np.ndarray:
-    """Circumcentre of each candidate, or its vertex mean where there is
-    none, from one :func:`circumballs` call per candidate size."""
-    seeds = np.zeros((len(candidates), pts.shape[1]))
-    sizes = np.array([len(c) for c in candidates])
-    for size in set(sizes.tolist()):
-        rows = np.flatnonzero(sizes == size)
-        idx = np.array([candidates[k] for k in rows.tolist()], dtype=np.intp)
+def _circumcenter_seeds(pts, rows, sizes) -> np.ndarray:
+    """Circumcentre of each candidate, the first ``sizes[k]`` ids of row k,
+    or its vertex mean where :func:`circumballs` finds none, from one call
+    per candidate size."""
+    seeds = np.zeros((len(rows), pts.shape[1]))
+    for size in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == size)
+        idx = rows[at, :size]
         centres, _, found = circumballs(pts, idx)
-        seeds[rows] = np.where(found[:, None], centres, pts[idx].mean(axis=1))
+        seeds[at] = np.where(found[:, None], centres, pts[idx].mean(axis=1))
     return seeds

@@ -27,10 +27,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .complexes import SimplicialComplex, sorted_rows
-from .delaunay import (_ball_gap, _branch_and_bound, _checked_region, _empty_balls,
-                       _star_candidates, as_point_set, delaunay_lifted)
+from .delaunay import (_ball_gap, _branch_and_bound, _checked_region, _circumcenter_seeds,
+                       _empty_balls, _star_candidates, as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
-from .simplex import Simplex, _norms, circumballs, simplex_metrics_batch
+from .simplex import Simplex, _norms, _solve_rows, circumballs, simplex_metrics_batch
 
 
 # Sinusoids per displacement coordinate.
@@ -206,22 +206,6 @@ def _metric_circumcenters(pts, simplices, mets, balls, model, upsilon0, mu0):
     return centres, radii, found
 
 
-def _solve_rows(jac, rhs):
-    """Stacked solve of jac x = rhs; a singular stack is solved row by row,
-    and only its singular rows fail. Returns (x, solved)."""
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
-    except np.linalg.LinAlgError:
-        x, solved = np.zeros_like(rhs), np.zeros(len(rhs), dtype=bool)
-        for k in range(len(rhs)):
-            try:
-                x[k] = np.linalg.solve(jac[k], rhs[k])
-                solved[k] = True
-            except np.linalg.LinAlgError:
-                pass
-        return x, solved
-
-
 def _newton_stack(c, image, forward, r0, seed_center, far):
     """Damped Newton on f(c) = (d(c, p_i) - d(c, p_0))_i, one row per simplex.
 
@@ -326,8 +310,8 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     reach = 2.0 * eps + 4.0 * model.rho_bound
     image_pts = model.field.forward(pts)
     lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
-    candidates = sorted(_star_candidates(ps, region, reach + tol, (m,)))
-    subsets = np.array(candidates, dtype=np.intp).reshape(-1, m + 1)
+    rows, _ = _star_candidates(ps, region, reach + tol, (m,))
+    subsets = rows[sorted_rows(rows, ps.n)]
     mets = simplex_metrics_batch(pts, subsets)
     balls = circumballs(pts, subsets)
     centres, radii, found = _metric_circumcenters(pts, subsets, mets, balls, model, upsilon0, mu0)
@@ -338,20 +322,18 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     rows, protection, found_groups = _empty_balls(
         image_tree, subsets[searched], model.field.forward(centres[searched]),
         radii[searched], tol)
-    accepted = np.zeros(len(candidates), dtype=bool)
+    accepted = np.zeros(len(subsets), dtype=bool)
     accepted[searched[rows]] = True
-    protections = np.zeros(len(candidates))
+    protections = np.zeros(len(subsets))
     protections[searched[rows]] = protection
     # Candidates the search misses go through one branch and bound; the
     # metric gap is the Euclidean ball gap between images.
     missed = np.flatnonzero(~found)
-    euclid_centres, _, solved = balls
-    seeds = np.where(solved[missed, None], euclid_centres[missed],
-                     pts[subsets[missed]].mean(axis=1))
     member_img = image_pts[subsets[missed]]
     verdicts, witnesses = _branch_and_bound(
         lambda c, k: _ball_gap(model.field.forward(c), member_img[k], image_tree),
-        seeds, 4.0 * eps, lipschitz, tol)
+        _circumcenter_seeds(pts, subsets[missed], np.full(len(missed), m + 1)),
+        4.0 * eps, lipschitz, tol)
     for k, verdict, witness in zip(missed.tolist(), verdicts, witnesses):
         if verdict:
             # Equidistance search missed it but an empty ball exists:
@@ -363,8 +345,8 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult
     return MetricDelaunayResult(
         region=tuple(region), tops=subsets[accepted], centres=centres[accepted],
         radii=radii[accepted], protections=protections[accepted], path="newton",
-        not_found=tuple(candidates[k] for k in missed.tolist()),
-        undecided=tuple(candidates[k] for k, v in zip(missed.tolist(), verdicts) if v is None),
+        not_found=tuple(map(tuple, subsets[missed].tolist())),
+        undecided=tuple(tuple(s) for s, v in zip(subsets[missed].tolist(), verdicts) if v is None),
         degeneracy_groups=tuple(sorted(found_groups)),
     )
 

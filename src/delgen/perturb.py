@@ -17,8 +17,8 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .delaunay import (_TREE_RTOL, DelaunayResult, _least, _owned, as_point_set, delaunay_lifted,
-                       relaxed_delaunay)
+from .delaunay import (_TREE_RTOL, DelaunayResult, _containing_tops, _least, _owned,
+                       as_point_set, delaunay_lifted, relaxed_delaunay)
 from .complexes import IsoReport, SimplicialComplex, row_keys, sorted_rows, star_difference
 from .errors import NonGenericError, PreconditionError
 from .genericity import GenericityAnalysis
@@ -105,12 +105,8 @@ def measured_secure_params(analysis: GenericityAnalysis) -> SecureParams:
 
 @dataclass(frozen=True)
 class PointPerturbation:
-    """A bounded relocation of every point, kept below half the sparsity.
-
-    Directions and magnitudes are stored separately so a whole scaled family
-    shares one direction field; ``scaled`` produces the member with all
-    magnitudes multiplied down.
-    """
+    """A bounded relocation of every point, kept below half the sparsity:
+    each point moves by its magnitude along its unit direction."""
 
     rho: float
     seed: int
@@ -125,14 +121,6 @@ class PointPerturbation:
 
     def apply(self) -> np.ndarray:
         return self.base + self.directions * self.magnitudes[:, None]
-
-    def scaled(self, t: float) -> "PointPerturbation":
-        if not 0 <= t <= 1:
-            raise PreconditionError("scale factor must lie in [0, 1]")
-        return PointPerturbation(
-            rho=self.rho * t, seed=self.seed, model=self.model, base=self.base,
-            directions=self.directions, magnitudes=self.magnitudes * t,
-        )
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -395,20 +383,28 @@ def protection_decay_trial(analysis: GenericityAnalysis,
     )
 
 
-def _star_report(analysis: GenericityAnalysis, tops: np.ndarray, vertices=()) -> IsoReport:
+def _star_report(analysis: GenericityAnalysis, tops: np.ndarray, vertices=(),
+                 faces=()) -> IsoReport:
     """``star_difference`` of the safe star against the closure of the rows
-    of ``tops`` that meet the region and of the singletons of ``vertices``.
+    of ``tops`` that meet the region, of the singletons of ``vertices`` and
+    of ``faces``, lower rows that meet it, padded as ``_star_candidates`` pads.
 
-    Both stars are closures of (m+1)-vertex tops, and they are equal exactly
-    when the sorted tops are and every one of ``vertices`` lies in a top, so
-    the faces are compared only when that fails.
+    The safe star is the closure of its tops, so the two are equal exactly
+    when the sorted tops are, every one of ``vertices`` lies in a top and
+    every one of ``faces`` is a face of one; the closures are compared
+    only when that fails.
     """
     cls = analysis.classification
+    n = analysis.points.n
     star = tops[np.isin(tops, cls.region).any(axis=1)]
-    star = star[sorted_rows(star, analysis.points.n)]
-    if np.array_equal(star, cls.audited[cls.meets]) and np.isin(vertices, star).all():
+    star = star[sorted_rows(star, n)]
+    if (np.array_equal(star, cls.audited[cls.meets]) and np.isin(vertices, star).all()
+            and (not len(faces) or np.unique(
+                _containing_tops(star, faces, cls.region, n)[0]).size == len(faces))):
         return IsoReport(isomorphic=True, missing=(), extra=())
-    got = SimplicialComplex([*map(tuple, star.tolist()), *((v,) for v in vertices)])
+    # The set of a padded row's ids is its simplex.
+    got = SimplicialComplex([*map(set, star.tolist()), *map(set, np.asarray(faces).tolist()),
+                             *((v,) for v in vertices)])
     return star_difference(cls.safe, got)
 
 
@@ -444,7 +440,8 @@ def relaxation_trial(analysis: GenericityAnalysis, rho: float) -> TrialVerdict:
     p = measured_secure_params(analysis)
     relaxed = relaxed_delaunay(analysis.points, rho, analysis.classification.region,
                                eps=analysis.sampling.epsilon, base=analysis.base)
-    report = star_difference(analysis.classification.safe, relaxed.complex)
+    top = relaxed.sizes == analysis.points.dim + 1
+    report = _star_report(analysis, relaxed.members[top], relaxed.region, relaxed.members[~top])
     return TrialVerdict(
         name="relaxation",
         passed=report.isomorphic,

@@ -121,12 +121,29 @@ def _degenerate(e: np.ndarray) -> np.ndarray:
     return degenerate
 
 
+def _solve_rows(a, b):
+    """Stacked solve of a x = b; a singular stack is solved row by row,
+    and only its singular rows fail. Returns (x, solved)."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, solved = np.zeros_like(b), np.zeros(len(b), dtype=bool)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(a[k], b[k])
+                solved[k] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, solved
+
+
 def _circumballs(v, e, degenerate, longest):
     """Circumcentres ``(S, m)``, radii ``(S,)`` and found flags of a stack.
 
-    A non-degenerate row solves the Gram system; a degenerate row takes
-    least squares and counts as found when its equations are consistent.
-    Every row must then pass the equidistance residual check.
+    A non-degenerate row solves the Gram system, and is not found when that
+    system is singular; a degenerate row takes least squares and counts as
+    found when its equations are consistent. Every row must then pass the
+    equidistance residual check.
     """
     centres = np.zeros((v.shape[0], v.shape[2]))
     radii = np.zeros(v.shape[0])
@@ -134,8 +151,9 @@ def _circumballs(v, e, degenerate, longest):
     b = 0.5 * (e**2).sum(axis=-1)
     good = np.flatnonzero(found)
     eg = e[good]
-    y = np.linalg.solve(eg @ eg.transpose(0, 2, 1), b[good][..., None])
-    offset = (eg.transpose(0, 2, 1) @ y)[..., 0]
+    y, solved = _solve_rows(eg @ eg.transpose(0, 2, 1), b[good])
+    found[good[~solved]] = False
+    offset = (eg.transpose(0, 2, 1) @ y[..., None])[..., 0]
     centres[good] = v[good, 0] + offset
     radii[good] = _norms(offset)
     for r in np.flatnonzero(degenerate):

@@ -238,6 +238,20 @@ def test_relax_explicit_zero_slack():
     assert json.loads(text)["config"]["rho"] == 0.0
 
 
+def test_a_point_near_an_edge_midpoint_gets_a_report(tmp_path):
+    # A point 1e-10 off the midpoint of an edge makes a triangle whose Gram
+    # system is singular to working precision.
+    pts = grid_points(9, 2, 0.2, seed=1)
+    d = pts[41] - pts[40]
+    q = pts[40] + 0.5 * d + 1e-10 * np.array([-d[1], d[0]])
+    path = str(tmp_path / "near.txt")
+    write_points(path, np.vstack([pts, q]))
+    for argv in (["relax"], ["metric"], ["stability", "--models", "relaxation"]):
+        code, text, _ = run([*argv, "--in", path])
+        assert code in (0, 4, 5)
+        assert json.loads(text)["results"]
+
+
 def test_metric_both_modes_pass():
     for mode in ("thm", "cor"):
         code, text, _ = run(["metric", "--in", infile("generic.txt"),

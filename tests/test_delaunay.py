@@ -54,6 +54,16 @@ def test_affine_deficiency_rejected():
         delaunay_bruteforce(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+def candidate_tuples(rows, sizes):
+    """The simplices of candidate rows: the first ``sizes[k]`` ids of row k."""
+    return [tuple(r[:k]) for r, k in zip(rows.tolist(), sizes.tolist())]
+
+
+def witness_map(relaxed):
+    """Witness centre of each member simplex of a relaxed result."""
+    return dict(zip(candidate_tuples(relaxed.members, relaxed.sizes), relaxed.witnesses))
+
+
 def row_of(res):
     """Row of each top simplex of a Delaunay result, keyed by the simplex."""
     return {s: k for k, s in enumerate(map(tuple, res.tops.tolist()))}
@@ -216,8 +226,8 @@ def test_relaxed_witnesses_verify():
     rho = 0.08
     a = analyze_genericity(pts)
     relaxed = relaxed_delaunay(pts, rho, [12], eps=a.sampling.epsilon, base=a.base)
-    assert relaxed.certified
-    for simplex, c in relaxed.witnesses.items():
+    assert relaxed.certified and len(relaxed.witnesses) == len(relaxed.members)
+    for simplex, c in witness_map(relaxed).items():
         need = cdist([c], pts[list(simplex)]).max()
         have = cdist([c], pts).min()
         assert need - have <= rho + relaxed.tolerance * 1.01
@@ -234,8 +244,10 @@ def test_relaxed_first_try_takes_the_seed_then_the_known_balls_in_row_order():
         region = list(a.deep_ids) or [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
         rho = 0.3 * eps
         relaxed = relaxed_delaunay(pts, rho, region, eps=eps, base=base)
-        cands = _star_candidates(ps, region, 2.0 * eps + ps.tolerance(), range(1, dim + 1))
-        seeds = delaunay._circumcenter_seeds(pts, cands)
+        rows, sizes = _star_candidates(ps, region, 2.0 * eps + ps.tolerance(), range(1, dim + 1))
+        cands = candidate_tuples(rows, sizes)
+        seeds = delaunay._circumcenter_seeds(pts, rows, sizes)
+        witnesses = witness_map(relaxed)
         ties = 0  # candidates on which the order decides the witness
         for cand, seed in zip(cands, seeds):
             tries = np.array([seed, *(c for top, c in zip(base.tops.tolist(), base.centres)
@@ -243,7 +255,7 @@ def test_relaxed_first_try_takes_the_seed_then_the_known_balls_in_row_order():
             gaps = cdist(tries, pts[list(cand)]).max(axis=1) - cdist(tries, pts).min(axis=1)
             hit = np.flatnonzero(gaps <= rho + ps.tolerance())
             if hit.size:
-                assert np.array_equal(relaxed.witnesses[cand], tries[hit[0]])
+                assert np.array_equal(witnesses[cand], tries[hit[0]])
                 ties += len(hit) > 1 and not np.array_equal(tries[hit[0]], tries[hit[-1]])
         assert ties > 10
 
@@ -334,9 +346,9 @@ def test_stacked_branch_and_bound_matches_the_per_candidate_loop():
         ps = PointSet(pts)
         eps = analyze_genericity(pts).sampling.epsilon
         centre = int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-        cands = list(_star_candidates(ps, [centre], reach * eps, range(1, dim + 1)))
-        seeds = np.array(delaunay._circumcenter_seeds(pts, cands)) + 0.3 * eps
-        members = pts[delaunay._padded(cands, dim)]
+        cand_rows, sizes = _star_candidates(ps, [centre], reach * eps, range(1, dim + 1))
+        seeds = delaunay._circumcenter_seeds(pts, cand_rows, sizes) + 0.3 * eps
+        members = pts[cand_rows]
         rows = []
 
         def gap(c, owner):
@@ -359,8 +371,8 @@ def test_stacked_branch_and_bound_matches_the_per_candidate_loop():
             # Past the seeds, no step of the stack held more rows than one
             # candidate can reach, though the candidates' levels together do.
             assert max(stacked_rows) <= 2**dim * max_nodes < max(per_level.values())
-            for cand, verdict in zip(cands, verdicts):
-                outcomes.setdefault(dim, set()).add((len(cand), verdict))
+            for size, verdict in zip(sizes.tolist(), verdicts):
+                outcomes.setdefault(dim, set()).add((size, verdict))
     for dim, seen in outcomes.items():
         assert seen == {(size, v) for size in range(2, dim + 2) for v in (True, False, None)}
 
@@ -425,9 +437,14 @@ def test_star_candidates_match_the_pdist_loop():
         for reach, sizes in ((2.0 * eps + tol, range(1, dim + 1)),
                              (2.0 * eps + 4.0 * 0.01 + tol, (dim,)),
                              (narrow, range(1, dim + 1))):
-            got = list(_star_candidates(PointSet(pts), region, reach, sizes))
+            rows, counts = _star_candidates(PointSet(pts), region, reach, sizes)
+            got = candidate_tuples(rows, counts)
             assert got == list(star_candidates_by_loop(pts, region, reach, sizes))
             assert got and len(got) == len(set(got))
+            # Each row is padded to m+1 ids by repeating its first vertex.
+            assert rows.shape == (len(got), dim + 1)
+            assert all(r[k:] == [r[0]] * (dim + 1 - k)
+                       for r, k in zip(rows.tolist(), counts.tolist()))
 
 
 def test_relaxed_exhausted_budget_is_undecided(monkeypatch):
@@ -672,7 +689,12 @@ def test_circumcenter_seeds_equal_the_metrics_batch_centres():
                      [[0.5, 0.5], [1.0, 1.0], [1.5, 1.5]]])
     cands = [(3,), (0, 1), (0, 1, 5), (2, 2), (0, 5, 10), (16, 17, 18), (4, 4, 9),
              (1, 2, 3), (6,), (7, 11), (0, 5, 10), (16, 17, 0)]
-    seeds = delaunay._circumcenter_seeds(pts, cands)
+
+    def padded(cands, m):
+        rows = [(*c, *(c[0],) * (m + 1 - len(c))) for c in cands]
+        return np.array(rows, dtype=np.intp).reshape(-1, m + 1), np.array([len(c) for c in cands])
+
+    seeds = delaunay._circumcenter_seeds(pts, *padded(cands, 2))
     assert_seeds(pts, cands, seeds)
     assert seeds.shape == (len(cands), 2)
     for dim, side in ((2, 7), (3, 4)):
@@ -680,7 +702,36 @@ def test_circumcenter_seeds_equal_the_metrics_batch_centres():
         a = analyze_genericity(pts)
         region = [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
         ps = PointSet(pts)
-        cands = _star_candidates(ps, region, 2.0 * a.sampling.epsilon + ps.tolerance(),
-                                 range(1, dim + 1))
-        assert_seeds(pts, cands, delaunay._circumcenter_seeds(pts, cands))
-    assert delaunay._circumcenter_seeds(pts, []).shape == (0, 3)
+        rows, sizes = _star_candidates(ps, region, 2.0 * a.sampling.epsilon + ps.tolerance(),
+                                       range(1, dim + 1))
+        assert_seeds(pts, candidate_tuples(rows, sizes),
+                     delaunay._circumcenter_seeds(pts, rows, sizes))
+    assert delaunay._circumcenter_seeds(pts, *padded([], 3)).shape == (0, 3)
+
+
+def test_routes_keep_their_bits_in_blocks_of_seven_entries(monkeypatch):
+    # Every gap and certifier row is computed on its own, so blocks of two
+    # rows (hull.BLOCK = 7) give the same results as the default blocks.
+    import delgen.hull as hull
+
+    def results():
+        out = []
+        for pts in (grid_points(5, 2, jitter=0.15, seed=4), grid_points(3, 3, jitter=0.1, seed=2)):
+            eps = analyze_genericity(pts).sampling.epsilon
+            region = [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
+            relaxed = relaxed_delaunay(pts, 0.3 * eps, region, eps=eps, base=delaunay_lifted(pts))
+            model = MetricModel(DisplacementField(pts.shape[1], 1e-3, seed=1))
+            newton = metric_delaunay(pts, model, region, eps=eps, path="newton")
+            brute = delaunay_bruteforce(pts)
+            out.append([relaxed.members, relaxed.sizes, relaxed.witnesses, relaxed.undecided,
+                        newton.tops, newton.centres, newton.radii, newton.protections,
+                        newton.not_found, brute.tops, brute.centres, brute.radii,
+                        brute.protections, brute.degeneracy_groups])
+        return out
+
+    want = results()
+    monkeypatch.setattr(hull, "BLOCK", 7)
+    got = results()
+    for a, b in zip(want, got):
+        for x, y in zip(a, b):
+            assert np.array_equal(np.asarray(x), np.asarray(y))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delgen.complexes import star_isomorphic
+from delgen.complexes import star_difference, star_isomorphic
 from delgen.datasets import grid_points, uniform_points
 from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import NonGenericError, PreconditionError
@@ -136,19 +136,6 @@ def test_perturbation_rejects_large_rho():
         make_point_perturbation(pts, 1e-3, 0, "adversarial")
 
 
-def test_scaled_family_shares_directions():
-    pts, _, p = instance()
-    pert = make_point_perturbation(pts, p.budget().rho_point, 3, "uniform")
-    half = pert.scaled(0.5)
-    assert half.rho == pytest.approx(pert.rho / 2.0)
-    assert np.array_equal(half.directions, pert.directions)
-    assert np.allclose(half.magnitudes, pert.magnitudes * 0.5)
-    with pytest.raises(PreconditionError):
-        pert.scaled(1.2)
-    with pytest.raises(PreconditionError):
-        pert.scaled(-0.1)
-
-
 def test_cc_displacement_radial_equilateral():
     # Moving the vertices of an equilateral triangle radially away from the
     # centroid leaves the circumcentre fixed.
@@ -195,10 +182,10 @@ def test_point_stability_all_models_in_budget():
 
 def test_point_stability_scaled_family_monotone():
     pts, analysis, p = instance()
-    pert = make_point_perturbation(pts, p.budget().rho_point, 9, "adversarial",
-                                   base=analysis.base)
+    rho = p.budget().rho_point
     for t in (1.0, 0.6, 0.25, 0.0):
-        verdict = point_stability_trial(analysis, pert.scaled(t))
+        pert = make_point_perturbation(pts, t * rho, 9, "adversarial", base=analysis.base)
+        verdict = point_stability_trial(analysis, pert)
         assert verdict.passed and verdict.in_budget
 
 
@@ -228,6 +215,53 @@ def test_relaxation_trial_at_budget():
     verdict = relaxation_trial(analysis, p.budget().rho_point)
     assert verdict.passed and verdict.in_budget and verdict.certified
     assert verdict.measured == {"extra": 0, "missing": 0}
+
+
+def test_relaxation_trial_builds_no_complex_when_the_stars_agree(monkeypatch):
+    import delgen.complexes as complexes
+
+    _, analysis, p = instance()
+    analysis.classification  # built before counting
+    built = []
+    init = complexes.SimplicialComplex.__init__
+    monkeypatch.setattr(complexes.SimplicialComplex, "__init__",
+                        lambda self, simplices: built.append(1) or init(self, simplices))
+    verdict = relaxation_trial(analysis, p.budget().rho_point)
+    assert verdict.passed and not built
+
+
+def test_failed_relaxation_reports_the_star_difference():
+    import delgen.perturb as perturb
+
+    a = analyze_genericity(grid_points(11, 2, 0.2, seed=3))
+    rho = 80 * measured_secure_params(a).budget().rho_point
+    verdict = relaxation_trial(a, rho)
+    relaxed = perturb.relaxed_delaunay(a.points, rho, a.classification.region,
+                                       eps=a.sampling.epsilon, base=a.base)
+    want = star_difference(a.classification.safe, relaxed.complex)
+    assert not verdict.passed and len(verdict.counterexamples) == 2
+    assert verdict.measured == {"extra": len(want.extra), "missing": len(want.missing)}
+    assert verdict.counterexamples == tuple(sorted(want.extra + want.missing))
+    top = relaxed.sizes == 3
+    assert perturb._star_report(a, relaxed.members[top], a.classification.region,
+                                relaxed.members[~top]) == want
+
+
+def test_star_report_checks_every_lower_member():
+    import delgen.perturb as perturb
+
+    _, analysis, _ = instance()
+    cls = analysis.classification
+    tops = cls.audited[cls.meets]
+    v = cls.region[0]
+    face = tops[np.isin(tops, v).any(axis=1)][0, :2]
+    agree = perturb._star_report(analysis, tops, cls.region, np.array([[*face, face[0]]]))
+    assert agree.isomorphic
+    # An edge from the region to a vertex outside the safe star.
+    w = next(u for u in range(analysis.points.n) if u not in tops)
+    edge = tuple(sorted((v, w)))
+    report = perturb._star_report(analysis, tops, cls.region, np.array([[*edge, edge[0]]]))
+    assert report.extra == tuple(sorted([edge, (w,)])) and report.missing == ()
 
 
 def test_protection_decay_point_mode():

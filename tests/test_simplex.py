@@ -121,6 +121,26 @@ def test_circumcenter_inconsistent_degenerate_is_none():
     assert circumcenter(collinear) is None
 
 
+def test_circumcenter_of_a_singular_gram_system_is_none():
+    # The edge's Gram entry, 1e-340, underflows to zero, while its one
+    # singular value passes the degeneracy test.
+    assert circumcenter(np.array([[0.0, 0.0], [1e-170, 0.0]])) is None
+
+
+def test_a_singular_row_leaves_the_other_rows_their_bits():
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.normal(size=(30, 2)), [[0.0, 0.0], [1e-170, 0.0], [0.0, 1e-170]]])
+    for k in (2, 3):
+        rows = np.array([rng.choice(30, k, replace=False) for _ in range(12)])
+        rows[5] = [30, 31, 32][:k]
+        centres, radii, found = circumballs(pts, rows)
+        assert found.tolist() == [r != 5 for r in range(12)]
+        for r, row in enumerate(rows):
+            one = circumballs(pts, row[None])
+            assert np.array_equal(centres[r], one[0][0]) and radii[r] == one[1][0]
+            assert found[r] == one[2][0]
+
+
 def test_circumcenter_equidistance_residual():
     rng = np.random.default_rng(5)
     for _ in range(300):
