@@ -46,6 +46,14 @@ def row_keys(rows: np.ndarray, radix: int) -> np.ndarray:
     return keys
 
 
+def _holds_any(rows: np.ndarray, ids, radix: int) -> np.ndarray:
+    """Whether each row of vertex ids below ``radix`` holds one of ``ids``,
+    as ``np.isin(rows, ids).any(axis=-1)`` gives it, by one mask lookup."""
+    mask = np.zeros(int(radix), dtype=bool)
+    mask[np.asarray(ids, dtype=np.intp)] = True
+    return mask[rows].any(axis=-1)
+
+
 def sorted_rows(rows: np.ndarray, radix: int) -> np.ndarray:
     """Positions of ``rows`` in lexicographic order, by ``row_keys``."""
     return np.argsort(row_keys(rows, radix), kind="stable")

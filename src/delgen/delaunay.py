@@ -9,10 +9,16 @@
   arbitrary triangulation choices inside a degenerate group cannot leak into
   the output.
 * :func:`relaxed_delaunay` decides membership in the almost empty ball
-  complex by a certified Lipschitz branch and bound over candidate centres,
-  one search over the stack of every candidate, which the Newton route of
-  :mod:`delgen.metric` shares for the candidates its search misses. Both
-  routes read candidate rows and seed centres from one window engine.
+  complex. Members come with a witness centre: a first try or the first
+  hit of a certified Lipschitz branch and bound over candidate centres.
+  Non members are certified by the lifting map (:func:`_lifting_bound`, a
+  convex lower bound that holds at every smaller slack) or by the branch
+  and bound, one search over the stack of every candidate the certificate
+  leaves open. The Newton route of :mod:`delgen.metric` shares the search
+  for the candidates its equidistance search misses. Both routes read
+  candidate rows and seed centres from one window engine, and
+  :func:`_relaxed_stars` decides the slacks of a trial batch, in
+  descending order, from one build of it.
 
 A simplex is an affinely independent (m+1)-subset. Both routes, and the
 Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
@@ -29,7 +35,7 @@ stages select rows by mask and match simplices by integer row key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
@@ -39,7 +45,7 @@ from scipy.spatial import Delaunay as _SciDelaunay
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import cdist
 
-from .complexes import SimplicialComplex, row_keys, sorted_rows
+from .complexes import SimplicialComplex, _holds_any, row_keys, sorted_rows
 from .errors import PreconditionError
 from .hull import affine_rank, blocks, check_coordinates
 from .simplex import circumballs
@@ -588,7 +594,7 @@ def _containing_tops(tops: np.ndarray, padded: np.ndarray, region, radix: int):
     (key, row), and each candidate's key is searched among them.
     """
     width = tops.shape[1]
-    near = np.flatnonzero(np.isin(tops, region).any(axis=1))
+    near = np.flatnonzero(_holds_any(tops, region, radix))
     combos = [(*c, *(c[0],) * (width - k))
               for k in range(2, width + 1) for c in combinations(range(width), k)]
     keys = row_keys(tops[near][:, combos].reshape(-1, width), radix)
@@ -614,49 +620,180 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
     Membership is decided with an explicit witness centre: the candidate's
     circumcentre (its vertex mean where it has none) or a centre of one of
     its known Delaunay balls, all tried in one gap evaluation, or else the
-    first hit of the branch and bound. Non membership is certified by the
-    branch and bound over the cube of half width 4 eps around the
-    circumcentre, run over every remaining candidate at once. Candidates
-    that exhaust the search budget are reported in ``undecided`` and leave
-    the result non certified. ``eps`` is the sampling radius and ``base``
-    the Delaunay complex of the points, whose balls seed the witness search.
+    first hit of the branch and bound. Non membership over the cube of half
+    width 4 eps around the circumcentre is certified by the lifting map
+    (:func:`_lifting_bound`) or, for the candidates it leaves open, by the
+    branch and bound, run over all of them at once. Candidates that exhaust
+    the search budget are reported in ``undecided`` and leave the result non
+    certified. ``eps`` is the sampling radius and ``base`` the Delaunay
+    complex of the points, whose balls seed the witness search. This is the
+    one-slack call of :func:`_relaxed_stars`.
     """
-    ps = as_point_set(points)
-    if not np.isfinite(rho) or rho < 0:
+    return _relaxed_stars(as_point_set(points), [rho], region, eps, base)[0]
+
+
+def _relaxed_stars(ps: PointSet, rhos, region, eps: float,
+                   base: DelaunayResult) -> list[RelaxedResult]:
+    """The relaxed stars of ``region`` at each slack of ``rhos``, in order,
+    from one build of the candidates, their seeds and their first tries.
+
+    The slacks are decided in descending order. The first tries of every
+    slack read one gap evaluation. The branch and bound is monotone in its
+    threshold: a lower one prunes a superset of the cubes, so it finds no
+    new hit and spends no more nodes. A candidate it proves absent at one
+    slack is therefore absent at every smaller one and is not searched
+    again; an undecided one is. The lifting bounds do not depend on the
+    slack either, so they are computed once, for the candidates no first
+    try settles at the least slack.
+    """
+    rhos = [float(rho) for rho in rhos]
+    if not all(np.isfinite(rho) and rho >= 0 for rho in rhos):
         raise PreconditionError("rho must be finite and nonnegative")
     region = _checked_region(region, ps.n)
     pts = ps.points
     m = ps.dim
     tol = ps.tolerance()
+    half = 4.0 * eps
     rows, sizes = _star_candidates(ps, region, 2.0 * eps + tol, range(1, m + 1))
     seeds = _circumcenter_seeds(pts, rows, sizes)
     member_pts = pts[rows]
-    # First try, in one gap evaluation: each candidate's seed, then the
+
+    def gap(centres, owner):
+        return _ball_gap(centres, member_pts[owner], ps.tree)
+
+    # First tries, in one gap evaluation: each candidate's seed, then the
     # centre of every known Delaunay ball of the candidate, in row order.
     ball_owner, ball_rows = _containing_tops(base.tops, rows, region, ps.n)
     owner = np.concatenate([np.arange(len(rows)), ball_owner])
     order = np.argsort(owner, kind="stable")
     owner, tries = owner[order], np.vstack([seeds, base.centres[ball_rows]])[order]
-    hit = np.flatnonzero(
-        _gaps(lambda c, k: _ball_gap(c, member_pts[k], ps.tree), tries, owner) <= rho + tol)
-    first = hit[_first_rows(owner[hit])]
-    member = np.zeros(len(rows), dtype=bool)
-    witnesses = np.zeros_like(seeds)
-    member[owner[first]], witnesses[owner[first]] = True, tries[first]
-    rest = np.flatnonzero(~member)
-    rest_pts = member_pts[rest]
-    verdicts, found = _branch_and_bound(
-        lambda c, k: _ball_gap(c, rest_pts[k], ps.tree), seeds[rest], 4.0 * eps,
-        2.0 * np.sqrt(m), rho + tol)
-    for k, verdict, witness in zip(rest.tolist(), verdicts, found):
-        if verdict:
-            member[k], witnesses[k] = True, witness
-    undecided = sorted(tuple(r[:k]) for r, k, v in zip(rows[rest].tolist(), sizes[rest].tolist(),
-                                                       verdicts) if v is None)
-    return RelaxedResult(
-        region=tuple(region), members=rows[member], sizes=sizes[member],
-        witnesses=witnesses[member], rho=rho, undecided=tuple(undecided), tolerance=tol,
-    )
+    values = _gaps(gap, tries, owner)
+    ask = np.ones(len(rows), dtype=bool)
+    ask[owner[values <= min(rhos) + tol]] = False
+    ask = np.flatnonzero(ask)
+    bound, radius = np.full(len(rows), -np.inf), np.ones(len(rows))
+    bound[ask], radius[ask] = _lifting_bound(ps, rows[ask], seeds[ask], half)
+    absent = np.zeros(len(rows), dtype=bool)
+    stars = {}
+    for rho in sorted(set(rhos), reverse=True):
+        threshold = rho + tol
+        hit = np.flatnonzero(values <= threshold)
+        first = hit[_first_rows(owner[hit])]
+        member = np.zeros(len(rows), dtype=bool)
+        witnesses = np.zeros_like(seeds)
+        member[owner[first]], witnesses[owner[first]] = True, tries[first]
+        # A member centre c has R - d <= threshold, so h = (R - d)(R + d)
+        # <= 2 threshold R(c): a bound above that leaves no such centre.
+        rest = np.flatnonzero(~member & ~absent & ~(bound > 2.0 * threshold * radius))
+        verdicts, found = _branch_and_bound(
+            lambda c, k: gap(c, rest[k]), seeds[rest], half, 2.0 * np.sqrt(m), threshold)
+        for k, verdict, witness in zip(rest.tolist(), verdicts, found):
+            if verdict:
+                member[k], witnesses[k] = True, witness
+            absent[k] = verdict is False
+        undecided = sorted(tuple(r[:k]) for r, k, v in zip(
+            rows[rest].tolist(), sizes[rest].tolist(), verdicts) if v is None)
+        stars[rho] = RelaxedResult(
+            region=tuple(region), members=rows[member], sizes=sizes[member],
+            witnesses=witnesses[member], rho=rho, undecided=tuple(undecided), tolerance=tol,
+        )
+    # Equal slacks share a star; each keeps its own rho (0.0 and -0.0 differ).
+    return [replace(stars[rho], rho=rho) for rho in rhos]
+
+
+# Most pivots of the dual simplex of _lifting_bound. On the jittered grids
+# of side 11, 41 and 81 (2-D) and 9 (3-D) every row reaches the optimum
+# within 12.
+_LIFT_PIVOTS = 32
+
+
+def _lifting_bound(ps: PointSet, rows, seeds, half: float):
+    """Lower bound on h = R^2 - d^2 over the cube of half width ``half``
+    about each seed, and the largest R over that cube.
+
+    R(c) is the largest distance from c to a vertex of the candidate (the
+    padded ids ``rows[k]``) and d(c) the least to a point of the set, so
+    h(c) is the max over pairs (p in sigma, q in P) of the affine
+    a.c + b, a = 2(q - p) and b = |p|^2 - |q|^2: convex and piecewise linear,
+    the lifting map of Edelsbrunner and Seidel (*Voronoi diagrams and
+    arrangements*, 1986). The pairs whose q is a vertex of the candidate or
+    one of the 3(m+1) points nearest its seed give h_Q <= h. Weights
+    lambda >= 0 summing to 1 over the pairs bound the least h_Q over the cube
+    by sum lambda b - half |sum lambda a|_1 (weak duality). The weights are
+    those of the basis of a dual simplex on the linear program min t,
+    t >= a.x + b, |x_i| <= half, in the seed's frame. It starts at the pair
+    largest at the seed with the box faces it leans on. Each live row brings
+    in its most violated constraint per step, until none is violated or
+    ``_LIFT_PIVOTS`` steps; the objective never falls from step to step. The
+    bound of its last basis, or of the best single pair where that is
+    higher, is returned less an outward rounding margin. Every row is
+    computed on its own, so its bound does not depend on the stack, and
+    nothing depends on a slack.
+    """
+    count, m = seeds.shape
+    if not count:
+        return np.zeros(0), np.zeros(0)
+    near = ps.tree.query(seeds, k=min(3 * (m + 1), ps.n))[1].reshape(count, -1)
+    p = ps.points[rows] - seeds[:, None, :]
+    q = ps.points[np.concatenate([rows, near], axis=1)] - seeds[:, None, :]
+    a = 2.0 * (q[:, None, :, :] - p[:, :, None, :]).reshape(count, -1, m)
+    b = ((p * p).sum(axis=2)[:, :, None] - (q * q).sum(axis=2)[:, None, :]).reshape(count, -1)
+    pairs = b.shape[1]
+    # Constraint rows g.(x, t) >= r: each pair (-a, 1) >= b, then the box
+    # faces x_i >= -half and -x_i >= -half.
+    g = np.zeros((count, pairs + 2 * m, m + 1))
+    g[:, :pairs, :m], g[:, :pairs, m] = -a, 1.0
+    g[:, pairs:, :m] = np.concatenate([np.eye(m), -np.eye(m)])
+    r = np.concatenate([b, np.full((count, 2 * m), -half)], axis=1)
+    single = b - half * np.abs(a).sum(axis=2)
+    start = np.where((a == 0.0).all(axis=2), -np.inf, b).argmax(axis=1)
+    lean = a[np.arange(count), start]
+    sign = np.where(lean > 0.0, 1.0, -1.0)
+    basis = np.column_stack([pairs + np.arange(m) + m * (sign < 0.0), start])
+    # The inverse of the basis rows [[diag(sign), 0], [-a, 1]], then kept by
+    # the product-form update of each pivot.
+    inv = np.zeros((count, m + 1, m + 1))
+    inv[:, range(m), range(m)] = sign
+    inv[:, m, :m], inv[:, m, m] = lean * sign, 1.0
+    live = np.arange(count)
+    noise = 1e-12 * np.abs(r).max(axis=1)
+    final = basis.copy(), inv[:, m, :].copy()  # each row's last basis and weights
+    for _ in range(_LIFT_PIVOTS):
+        step = np.arange(len(live))
+        x = (inv * r[step[:, None], basis][:, None, :]).sum(axis=2)
+        excess = r - (g * x[:, None, :]).sum(axis=2)
+        enter = excess.argmax(axis=1)
+        # The weights are the last row of the inverse; the entering row's
+        # weights in the basis decide which row leaves (the ratio test).
+        mu = (g[step, enter][:, :, None] * inv).sum(axis=1)
+        ratio = np.divide(inv[:, m, :], mu, out=np.full_like(mu, np.inf), where=mu > 0.0)
+        leave = ratio.argmin(axis=1)
+        go = (excess[step, enter] > noise) & np.isfinite(ratio[step, leave])
+        if not go.all():
+            final[0][live[~go]], final[1][live[~go]] = basis[~go], inv[~go, m, :]
+            live, g, r, noise, basis, inv, enter, leave, mu = (
+                v[go] for v in (live, g, r, noise, basis, inv, enter, leave, mu))
+            step = step[:len(live)]
+            if not len(live):
+                break
+        pivot = mu[step, leave].copy()
+        mu[step, leave] -= 1.0
+        inv -= inv[step, :, leave][:, :, None] * (mu / pivot[:, None])[:, None, :]
+        basis[step, leave] = enter
+    final[0][live], final[1][live] = basis, inv[:, m, :]
+    # The bound of each final basis's pair weights, valid for any weights.
+    basis, w = final
+    lam = np.where(basis < pairs, np.maximum(w, 0.0), 0.0)
+    total = lam.sum(axis=1)
+    lam /= np.where(total > 0.0, total, 1.0)[:, None]
+    pick = np.minimum(basis, pairs - 1)
+    rows_k = np.arange(count)[:, None]
+    s = (lam[:, :, None] * a[rows_k, pick]).sum(axis=1)
+    value = (lam * b[rows_k, pick]).sum(axis=1) - half * np.abs(s).sum(axis=1)
+    best = np.fmax(single.max(axis=1), np.where(total > 0.0, value, -np.inf))
+    radius = np.sqrt(((np.abs(p) + half) ** 2).sum(axis=2)).max(axis=1)
+    scale = np.maximum(radius, np.sqrt((q * q).sum(axis=2)).max(axis=1))
+    return best - 1e-12 * scale * (scale + np.abs(seeds).max(axis=1)), radius
 
 
 def _circumcenter_seeds(pts, rows, sizes) -> np.ndarray:

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .complexes import SimplicialComplex, sorted_rows
-from .delaunay import (_ball_gap, _branch_and_bound, _checked_region, _circumcenter_seeds,
-                       _empty_balls, _star_candidates, as_point_set, delaunay_lifted)
+from .complexes import SimplicialComplex, _holds_any, sorted_rows
+from .delaunay import (_TREE_RTOL, _ball_gap, _branch_and_bound, _checked_region,
+                       _circumcenter_seeds, _distances, _empty_balls, _star_candidates,
+                       as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
 from .simplex import Simplex, _norms, _solve_rows, circumballs, simplex_metrics_batch
 
@@ -291,10 +292,16 @@ class MetricDelaunayResult:
         return not self.undecided
 
 
-def _pullback_path(ps, model, region) -> MetricDelaunayResult:
+def _pullback_tops(ps, model, region):
+    """The Euclidean Delaunay complex of the images phi(P), and the rows of
+    its tops that meet the region in key order."""
     base = delaunay_lifted(model.field.forward(ps.points))
-    keep = np.flatnonzero(np.isin(base.tops, region).any(axis=1))
-    keep = keep[sorted_rows(base.tops[keep], ps.n)]
+    keep = np.flatnonzero(_holds_any(base.tops, region, ps.n))
+    return base, keep[sorted_rows(base.tops[keep], ps.n)]
+
+
+def _pullback_path(ps, model, region) -> MetricDelaunayResult:
+    base, keep = _pullback_tops(ps, model, region)
     return MetricDelaunayResult(
         region=tuple(region), tops=base.tops[keep],
         centres=model.field.inverse(base.centres[keep]),
@@ -303,17 +310,61 @@ def _pullback_path(ps, model, region) -> MetricDelaunayResult:
     )
 
 
-def _generic_path(ps, model, region, eps, upsilon0, mu0) -> MetricDelaunayResult:
+def _newton_reach(eps: float, model: MetricModel) -> float:
+    """Largest diameter of a Newton route candidate, less the tolerance."""
+    return 2.0 * eps + 4.0 * model.rho_bound
+
+
+class _Windows:
+    """The Newton route's candidates within ``reach``, built once and read
+    at any reach up to it.
+
+    ``rows`` are the rows of ``_star_candidates(ps, region, reach, (m,))``
+    in key order, with their :func:`simplex_metrics_batch` and
+    :func:`circumballs` columns, whose bits do not depend on the stack, and
+    their diameters measured as ``cdist`` measures them.
+    """
+
+    def __init__(self, ps, region, reach: float) -> None:
+        self.ps, self.region = ps, _checked_region(region, ps.n)
+        rows, _ = _star_candidates(ps, self.region, reach, (ps.dim,))
+        self.rows = rows[sorted_rows(rows, ps.n)]
+        self.mets = simplex_metrics_batch(ps.points, self.rows)
+        self.balls = circumballs(ps.points, self.rows)
+        v = ps.points[self.rows]
+        self.diameters = np.max([_distances(v[:, i], v[:, j])
+                                 for i, j in combinations(range(ps.dim + 1), 2)], axis=0)
+
+    def within(self, reach: float):
+        """The rows, metrics and circumballs of the candidates that
+        ``_star_candidates(ps, region, reach, (m,))`` lists: diameter at most
+        ``reach``, and a region vertex whose KD-tree ball of radius ``reach``
+        holds the other vertices. A row whose diameter is below ``reach`` by
+        more than the tree's rounding passes the second test at any of its
+        region vertices; the rows within rounding of it are queried."""
+        keep = self.diameters <= reach
+        close = np.flatnonzero(keep & (self.diameters > reach * (1.0 - 4.0 * _TREE_RTOL)))
+        if close.size:
+            rows = self.rows[close]
+            heads = np.intersect1d(rows, self.region)
+            balls = dict(zip(heads.tolist(), map(set, self.ps.tree.query_ball_point(
+                self.ps.points[heads], reach))))
+            keep[close] = [any(set(row) <= balls[v] for v in row if v in balls)
+                           for row in rows.tolist()]
+        return self.rows[keep], self.mets.take(keep), tuple(col[keep] for col in self.balls)
+
+
+def _generic_path(ps, model, region, eps, upsilon0, mu0,
+                  windows: _Windows | None = None) -> MetricDelaunayResult:
     pts = ps.points
     m = ps.dim
     tol = ps.tolerance()
-    reach = 2.0 * eps + 4.0 * model.rho_bound
+    reach = _newton_reach(eps, model) + tol
     image_pts = model.field.forward(pts)
     lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
-    rows, _ = _star_candidates(ps, region, reach + tol, (m,))
-    subsets = rows[sorted_rows(rows, ps.n)]
-    mets = simplex_metrics_batch(pts, subsets)
-    balls = circumballs(pts, subsets)
+    if windows is None:
+        windows = _Windows(ps, region, reach)
+    subsets, mets, balls = windows.within(reach)
     centres, radii, found = _metric_circumcenters(pts, subsets, mets, balls, model, upsilon0, mu0)
     # The metric ball of radius r about c is the Euclidean ball of radius r
     # about phi(c) among the images; the stored centre stays c.
@@ -367,7 +418,13 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
     that windows the candidates; the ``"newton"`` and ``"both"`` routes
     need it.
     """
-    ps = as_point_set(points)
+    return _metric_delaunay(as_point_set(points), model, region, eps, upsilon0, mu0, path)
+
+
+def _metric_delaunay(ps, model, region, eps, upsilon0, mu0, path,
+                     windows: _Windows | None = None) -> MetricDelaunayResult:
+    """:func:`metric_delaunay` on a point set, its Newton route reading
+    ``windows`` when they are given."""
     if path not in ("pullback", "newton", "both"):
         raise PreconditionError(f"unknown metric route {path!r}")
     region = _checked_region(region, ps.n)
@@ -375,12 +432,14 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
         return _pullback_path(ps, model, region)
     if eps is None:
         raise PreconditionError("the newton route needs the sampling radius eps")
-    generic = _generic_path(ps, model, region, eps, upsilon0, mu0)
+    generic = _generic_path(ps, model, region, eps, upsilon0, mu0, windows)
     if path == "newton":
         return generic
-    fast = _pullback_path(ps, model, region)
-    if not np.array_equal(generic.tops, fast.tops):
-        a, b = set(map(tuple, generic.tops.tolist())), set(map(tuple, fast.tops.tolist()))
+    # Only the pullback route's tops are compared, so its centres are not
+    # mapped back.
+    base, keep = _pullback_tops(ps, model, region)
+    if not np.array_equal(generic.tops, base.tops[keep]):
+        a, b = set(map(tuple, generic.tops.tolist())), set(map(tuple, base.tops[keep].tolist()))
         raise PathMismatchError(
             f"metric Delaunay routes disagree: newton-only {sorted(a - b)}, "
             f"pullback-only {sorted(b - a)}"

@@ -17,13 +17,15 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .delaunay import (_TREE_RTOL, DelaunayResult, _containing_tops, _least, _owned,
-                       as_point_set, delaunay_lifted, relaxed_delaunay)
-from .complexes import IsoReport, SimplicialComplex, row_keys, sorted_rows, star_difference
+from .delaunay import (_TREE_RTOL, DelaunayResult, RelaxedResult, _containing_tops, _least,
+                       _owned, _relaxed_stars, as_point_set, delaunay_lifted, relaxed_delaunay)
+from .complexes import (IsoReport, SimplicialComplex, _holds_any, row_keys, sorted_rows,
+                        star_difference)
 from .errors import NonGenericError, PreconditionError
 from .genericity import GenericityAnalysis
 from .hull import blocks
-from .metric import DisplacementField, MetricModel, metric_delaunay
+from .metric import (DisplacementField, MetricModel, _metric_delaunay, _newton_reach,
+                     _Windows, metric_delaunay)
 from .simplex import Simplex, circumcenter
 
 
@@ -396,9 +398,10 @@ def _star_report(analysis: GenericityAnalysis, tops: np.ndarray, vertices=(),
     """
     cls = analysis.classification
     n = analysis.points.n
-    star = tops[np.isin(tops, cls.region).any(axis=1)]
+    star = tops[_holds_any(tops, cls.region, n)]
     star = star[sorted_rows(star, n)]
-    if (np.array_equal(star, cls.audited[cls.meets]) and np.isin(vertices, star).all()
+    if (np.array_equal(star, cls.audited[cls.meets])
+            and _holds_any(np.asarray(vertices, dtype=np.intp)[:, None], star, n).all()
             and (not len(faces) or np.unique(
                 _containing_tops(star, faces, cls.region, n)[0]).size == len(faces))):
         return IsoReport(isomorphic=True, missing=(), extra=())
@@ -435,18 +438,22 @@ def relaxation_trial(analysis: GenericityAnalysis, rho: float) -> TrialVerdict:
 
     Both inclusions are checked between the relaxed star and the Euclidean
     star; the verdict is certified only if every candidate membership was
-    decided by the branch and bound, never by exhaustion.
+    decided, never left to exhaustion of the branch and bound.
     """
+    return _relaxation_verdict(analysis, relaxed_delaunay(
+        analysis.points, rho, analysis.classification.region,
+        eps=analysis.sampling.epsilon, base=analysis.base))
+
+
+def _relaxation_verdict(analysis: GenericityAnalysis, relaxed: RelaxedResult) -> TrialVerdict:
     p = measured_secure_params(analysis)
-    relaxed = relaxed_delaunay(analysis.points, rho, analysis.classification.region,
-                               eps=analysis.sampling.epsilon, base=analysis.base)
     top = relaxed.sizes == analysis.points.dim + 1
     report = _star_report(analysis, relaxed.members[top], relaxed.region, relaxed.members[~top])
     return TrialVerdict(
         name="relaxation",
         passed=report.isomorphic,
-        in_budget=rho <= p.budget().rho_point * (1 + 1e-12),
-        budget_used=rho,
+        in_budget=relaxed.rho <= p.budget().rho_point * (1 + 1e-12),
+        budget_used=relaxed.rho,
         measured={"extra": len(report.extra), "missing": len(report.missing)},
         certified=relaxed.certified,
         counterexamples=tuple(sorted(report.extra + report.missing)),
@@ -463,12 +470,19 @@ def metric_stability_trial(analysis: GenericityAnalysis, field: DisplacementFiel
     budget the deviation is checked against: ``"thm"`` for u m delta / 36,
     ``"cor"`` for nu^3 delta / 84.
     """
+    return _metric_verdict(analysis, field, budget_mode)
+
+
+def _metric_verdict(analysis: GenericityAnalysis, field: DisplacementField, budget_mode: str,
+                    windows: _Windows | None = None) -> TrialVerdict:
+    """:func:`metric_stability_trial`, its Newton route reading ``windows``
+    (:class:`delgen.metric._Windows`) when they are given."""
     if budget_mode not in ("thm", "cor"):
         raise PreconditionError(f"unknown budget mode {budget_mode!r}")
     p = measured_secure_params(analysis)
     model = MetricModel(field)
-    result = metric_delaunay(analysis.points, model, analysis.classification.region,
-                             eps=p.eps, upsilon0=p.upsilon0, mu0=p.mu0, path="both")
+    result = _metric_delaunay(analysis.points, model, analysis.classification.region,
+                              p.eps, p.upsilon0, p.mu0, "both", windows)
     report = _star_report(analysis, result.tops, analysis.classification.region)
     if budget_mode == "thm":
         budget = p.budget().rho_metric
@@ -504,6 +518,12 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
     the star stability trial; ``relaxation`` relaxes at the same fraction,
     and ``metric`` uses a displacement field at the fraction of the metric
     budget. Verdicts come back sorted by (model, budget, seed).
+
+    Every fraction is checked before any trial runs. The relaxed stars of
+    all fractions come from one candidate build (``delaunay._relaxed_stars``)
+    and the Newton routes of all metric trials read one window build, made
+    at the batch's largest reach (:class:`delgen.metric._Windows`); each
+    verdict equals that of its own trial call.
     """
     b = measured_secure_params(analysis).budget()
     unknown = set(models) - _BATCH_MODELS
@@ -511,27 +531,39 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
         raise PreconditionError(f"unknown trial models {sorted(unknown)}")
     if int(seeds) < 1 or not models or not budgets:
         raise PreconditionError("empty trial batch: need a seed, a model and a budget")
+    for frac in budgets:
+        if not (np.isfinite(frac) and frac >= 0):
+            raise PreconditionError(f"bad budget fraction {frac!r}")
     ps = analysis.points
+    region = analysis.classification.region
+    eps = analysis.sampling.epsilon
+    models = sorted(set(models))
     adversarial = (_adversarial_directions(ps, analysis.base)
                    if "adversarial" in models else None)
+    relaxed = (_relaxed_stars(ps, [frac * b.rho_point for frac in budgets], region, eps,
+                              analysis.base) if "relaxation" in models else None)
+    fields, windows = {}, None
+    if "metric" in models:
+        mi = models.index("metric")
+        fields = {(bi, si): DisplacementField(ps.dim, frac * b.rho_metric / 2.0,
+                                              _trial_seed(root_seed, mi, bi, si))
+                  for bi, frac in enumerate(budgets) for si in range(int(seeds))}
+        reach = max(_newton_reach(eps, MetricModel(field)) for field in fields.values())
+        windows = _Windows(ps, region, reach + ps.tolerance())
     verdicts = []
-    for mi, model in enumerate(sorted(set(models))):
+    for mi, model in enumerate(models):
         for bi, frac in enumerate(budgets):
-            if not (np.isfinite(frac) and frac >= 0):
-                raise PreconditionError(f"bad budget fraction {frac!r}")
             # A model that draws nothing at random runs once for all seeds.
             seeded = model in _SEEDED_MODELS
             for si in range(int(seeds) if seeded else 1):
-                seed = _trial_seed(root_seed, mi, bi, si)
                 if model == "relaxation":
-                    v = relaxation_trial(analysis, frac * b.rho_point)
+                    v = _relaxation_verdict(analysis, relaxed[bi])
                 elif model == "metric":
-                    fld = DisplacementField(ps.dim, frac * b.rho_metric / 2.0, seed)
-                    v = metric_stability_trial(analysis, fld)
+                    v = _metric_verdict(analysis, fields[bi, si], "thm", windows)
                 else:
                     pert = make_point_perturbation(
-                        ps, frac * b.rho_point, seed, model, base=analysis.base,
-                        directions=adversarial)
+                        ps, frac * b.rho_point, _trial_seed(root_seed, mi, bi, si), model,
+                        base=analysis.base, directions=adversarial)
                     v = point_stability_trial(analysis, pert)
                 verdicts.extend([v] * (1 if seeded else int(seeds)))
     return verdicts

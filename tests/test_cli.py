@@ -455,6 +455,24 @@ def test_stability_without_seeds_is_precondition():
     assert "empty trial batch" in err
 
 
+def test_stability_rejects_a_bad_fraction_before_any_trial(monkeypatch):
+    import delgen.delaunay as delaunay
+    import delgen.metric as metric
+
+    built = []
+    real = delaunay._star_candidates
+    for module in (delaunay, metric):
+        monkeypatch.setattr(module, "_star_candidates",
+                            lambda *args: built.append(1) or real(*args))
+    for bad in ("nan", "inf", "-0.5"):
+        code, text, err = run(["stability", "--in", infile("generic.txt"),
+                               "--models", "metric,relaxation", "--budget-fraction", "1.0",
+                               "--budget-fraction", bad])
+        assert code == 4 and text == ""
+        assert "bad budget fraction" in err and "Traceback" not in err
+    assert not built
+
+
 def test_relax_rejects_slack_that_is_not_finite():
     for flags in (["--rho", "nan"], ["--rho", "inf"], ["--budget-fraction", "nan"]):
         code, _, err = run(["relax", "--in", infile("generic.txt"), *flags])

@@ -25,6 +25,7 @@ from delgen.delaunay import (
 from delgen.errors import PreconditionError
 from delgen.genericity import analyze_genericity
 from delgen.metric import DisplacementField, MetricModel, metric_delaunay
+from delgen.perturb import measured_secure_params
 from delgen.predicates import in_sphere
 from delgen.simplex import simplex_metrics
 
@@ -377,11 +378,19 @@ def test_stacked_branch_and_bound_matches_the_per_candidate_loop():
         assert seen == {(size, v) for size in range(2, dim + 2) for v in (True, False, None)}
 
 
+def without_lifting_certificate(monkeypatch):
+    """Leave every candidate the first try leaves to the branch and bound."""
+    monkeypatch.setattr(delaunay, "_lifting_bound", lambda ps, rows, seeds, half: (
+        np.full(len(rows), -np.inf), np.ones(len(rows))))
+
+
 def test_stacked_search_runs_in_bounded_memory(monkeypatch):
     # The wide window of the undecided test, searched with the default node
     # budget and a Lipschitz bound that prunes nothing within it, so every
-    # candidate the first try leaves runs to undecided.
+    # candidate the first try leaves runs to undecided. The lifting map
+    # certifies these candidates, so it is set aside to gather them.
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
+    without_lifting_certificate(monkeypatch)
     calls = []
     search = delaunay._branch_and_bound
     monkeypatch.setattr(delaunay, "_branch_and_bound",
@@ -402,6 +411,89 @@ def test_stacked_search_runs_in_bounded_memory(monkeypatch):
     assert verdicts == [
         branch_and_bound_by_loop(lambda c: gap(c, np.full(len(c), k)), seed, radius, 1e6,
                                  threshold)[0] for k, seed in enumerate(seeds)]
+
+
+def lifted_lp_minimum(pts, row, seed, half):
+    """min over the cube of half width ``half`` about ``seed`` of
+    h = max over (p in row, q in pts) of 2(q - p).x + |p|^2 - |q|^2, by
+    ``linprog``, in the seed's frame."""
+    from scipy.optimize import linprog
+
+    m = len(seed)
+    p, q = pts[row] - seed, pts - seed
+    a = 2.0 * (q[None, :, :] - p[:, None, :]).reshape(-1, m)
+    b = ((p * p).sum(axis=1)[:, None] - (q * q).sum(axis=1)[None, :]).ravel()
+    res = linprog(np.r_[np.zeros(m), 1.0], A_ub=np.hstack([a, -np.ones((len(a), 1))]), b_ub=-b,
+                  bounds=[(-half, half)] * m + [(None, None)], method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_lifting_bound_never_exceeds_the_exact_minimum():
+    rng = np.random.default_rng(11)
+    for dim in (2, 3):
+        for trial in range(4):
+            pts = uniform_points(40, dim, seed=20 + trial)
+            ps = PointSet(pts)
+            rows = []
+            for size in rng.integers(2, dim + 2, size=12):
+                ids = rng.choice(len(pts), size=size, replace=False).tolist()
+                rows.append(ids + [ids[0]] * (dim + 1 - size))
+            rows = np.array(rows)
+            seeds = pts[rows].mean(axis=1) + rng.normal(scale=0.05, size=(len(rows), dim))
+            for half in (0.05, 0.3, 1.0):
+                bound, radius = delaunay._lifting_bound(ps, rows, seeds, half)
+                for row, seed, low, r in zip(rows, seeds, bound, radius):
+                    scale = 1.0 + np.abs(seed).max()
+                    assert low <= lifted_lp_minimum(pts, row, seed, half) + 1e-7 * scale**2
+                    # h itself, sampled over the cube, and R at its corners.
+                    c = seed + rng.uniform(-half, half, size=(500, dim))
+                    far = cdist(c, pts[row]).max(axis=1)
+                    assert low <= (far**2 - cdist(c, pts).min(axis=1) ** 2).min()
+                    assert far.max() <= r * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("case", [(11, 2, 0.2, 1), (11, 2, 0.2, 4), (9, 3, 0.05, 1)])
+def test_lifting_certificates_agree_with_the_search_and_hold_at_smaller_slacks(case, monkeypatch):
+    side, dim, jitter, seed = case
+    a = analyze_genericity(grid_points(side, dim, jitter, seed=seed))
+    ps, eps = a.points, a.sampling.epsilon
+    rho = measured_secure_params(a).budget().rho_point
+    # With the certificate set aside, the candidates it is asked about are
+    # those the search then receives, in the same order.
+    asked, searched = [], []
+    bounds, search = delaunay._lifting_bound, delaunay._branch_and_bound
+    monkeypatch.setattr(delaunay, "_lifting_bound", lambda ps_, rows, seeds, half: (
+        asked.append(rows) or (np.full(len(rows), -np.inf), np.ones(len(rows)))))
+    monkeypatch.setattr(delaunay, "_branch_and_bound", lambda *args: (
+        searched.append(args) or search(*args)))
+    relaxed_delaunay(ps, rho, a.classification.region, eps=eps, base=a.base)
+    (rows,), ((gap, seeds, half, lipschitz, threshold),) = asked, searched
+    bound, radius = bounds(ps, rows, seeds, half)
+    certified = bound > 2.0 * threshold * radius
+    assert certified.sum() >= 0.9 * len(rows) > 0
+    # Every candidate certified absent is absent for the search as well.
+    verdicts, _ = search(gap, seeds, half, lipschitz, threshold)
+    assert all(v is False for v, c in zip(verdicts, certified) if c)
+    # The bounds take no slack, so a certificate at rho holds at rho / 2.
+    smaller = bound > 2.0 * (rho / 2.0 + ps.tolerance()) * radius
+    assert (smaller >= certified).all()
+
+
+def test_lifting_certificate_leaves_few_candidates_to_the_search(monkeypatch):
+    # A deterministic work count: on the 41^2 grid at the point budget the
+    # first tries leave 3,342 candidates, none of them members. Without the
+    # certificate every one of them went to the branch and bound.
+    a = analyze_genericity(grid_points(41, 2, 0.2, seed=3))
+    rho = measured_secure_params(a).budget().rho_point
+    sent = []
+    search = delaunay._branch_and_bound
+    monkeypatch.setattr(delaunay, "_branch_and_bound", lambda gap, seeds, *args: (
+        sent.append(len(seeds)) or search(gap, seeds, *args)))
+    relaxed = relaxed_delaunay(a.points, rho, a.classification.region, eps=a.sampling.epsilon,
+                               base=a.base)
+    assert relaxed.certified
+    assert sum(sent) <= 33
 
 
 def star_candidates_by_loop(pts, region, reach, sizes):
@@ -453,9 +545,14 @@ def test_relaxed_exhausted_budget_is_undecided(monkeypatch):
     search = delaunay._branch_and_bound
     monkeypatch.setattr(delaunay, "_branch_and_bound",
                         lambda *args, **kwargs: search(*args, max_nodes=0))
-    # A wide window brings in non-members, which no quick check decides.
+    # A wide window brings in non-members. The lifting map certifies them
+    # all; without it, no quick check decides them.
+    certified = relaxed_delaunay(pts, 0.0, [12], eps=1.0, base=base)
+    assert certified.certified
+    without_lifting_certificate(monkeypatch)
     relaxed = relaxed_delaunay(pts, 0.0, [12], eps=1.0, base=base)
     assert relaxed.undecided
+    assert np.array_equal(relaxed.members, certified.members)
     assert not relaxed.certified
     # Undecided candidates are left out of the complex.
     assert not set(relaxed.undecided) & set(relaxed.complex.simplices())

@@ -356,6 +356,38 @@ def test_metric_delaunay_newton_route_makes_one_call_per_stage(monkeypatch):
     assert calls == {"simplex_metrics_batch": 1, "_empty_balls": 1, "metric_circumcenter": 0}
 
 
+def test_windows_at_a_smaller_reach_are_the_candidates_of_that_reach():
+    from delgen.complexes import sorted_rows
+    from delgen.delaunay import _star_candidates
+
+    # On the exact lattices, many diameters equal the reach, so the rows
+    # within rounding of it take the tree query.
+    for dim, side, jitter, reaches in ((2, 9, 0.2, (2.5, 2.0, 1.6, 1.2)),
+                                       (3, 5, 0.1, (2.5, 2.0, 1.6, 1.2)),
+                                       (2, 7, 0.0, (3.0, 2.0 * np.sqrt(2.0), 2.0, np.sqrt(2.0))),
+                                       (3, 4, 0.0, (2.0, np.sqrt(3.0), np.sqrt(2.0), 1.0))):
+        pts = grid_points(side, dim, jitter=jitter, seed=2)
+        ps = PointSet(pts)
+        eps = 1.0 if jitter == 0.0 else analyze_genericity(pts).sampling.epsilon
+        region = np.argsort(np.linalg.norm(pts - pts.mean(axis=0), axis=1))[:5].tolist()
+        windows = metric._Windows(ps, region, reaches[0] * eps)
+        sizes = set()
+        for reach in (r * eps for r in reaches):
+            rows, mets, balls = windows.within(reach)
+            want = _star_candidates(ps, sorted(region), reach, (dim,))[0]
+            want = want[sorted_rows(want, ps.n)]
+            assert np.array_equal(rows, want)
+            fresh = simplex_metrics_batch(pts, want)
+            for name in ("vertices", "longest_edge", "shortest_edge", "altitudes",
+                         "thickness", "degenerate"):
+                assert np.array_equal(getattr(mets, name), getattr(fresh, name))
+            for got, ref in zip(balls, circumballs(pts, want)):
+                assert np.array_equal(got, ref)
+            sizes.add(len(rows))
+        # The reaches cut the window down, so the filter is exercised.
+        assert len(sizes) == 4
+
+
 # -- the stacked Newton against the per-simplex loop -----------------------
 
 

@@ -1,5 +1,6 @@
 """Budgets, perturbation models, and the stability trial suite."""
 
+import json
 import time
 import tracemalloc
 
@@ -382,21 +383,80 @@ def test_trial_batch_validation():
         trial_batch(analysis, budgets=[-1.0], seeds=1, models=["uniform"])
 
 
-def test_trial_batch_runs_relaxation_once_per_fraction(monkeypatch):
-    import delgen.perturb as perturb
+def count_star_candidates(monkeypatch):
+    """Record the reach of every ``_star_candidates`` call, wherever it is
+    bound."""
+    import delgen.delaunay as delaunay
+    import delgen.metric as metric
 
-    _, analysis, _ = instance()
-    calls = []
-    real = perturb.relaxed_delaunay
-    monkeypatch.setattr(perturb, "relaxed_delaunay",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    reaches = []
+    real = delaunay._star_candidates
+    counted = (lambda ps, region, reach, sizes:
+               reaches.append(reach) or real(ps, region, reach, sizes))
+    monkeypatch.setattr(delaunay, "_star_candidates", counted)
+    monkeypatch.setattr(metric, "_star_candidates", counted)
+    return reaches
+
+
+def test_trial_batch_builds_candidates_once_per_batch(monkeypatch):
+    _, analysis, p = instance()
+    reaches = count_star_candidates(monkeypatch)
     verdicts = trial_batch(analysis, budgets=[0.5, 1.0], seeds=3,
                            models=["relaxation"], root_seed=1)
-    assert len(calls) == 2
+    assert len(reaches) == 1
     assert len(verdicts) == 6
     docs = [v.to_json() for v in verdicts]
     assert docs[0] == docs[1] == docs[2] and docs[3] == docs[4] == docs[5]
     assert docs[0]["budget_used"] < docs[3]["budget_used"]
+    # One metric window build, at the largest reach, for four trials.
+    reaches.clear()
+    verdicts = trial_batch(analysis, budgets=[1.0, 0.5], seeds=2,
+                           models=["metric"], root_seed=1)
+    b = p.budget()
+    assert reaches == [2.0 * p.eps + 4.0 * b.rho_metric + analysis.points.tolerance()]
+    assert len(verdicts) == 4 and all(v.passed and v.certified for v in verdicts)
+    reaches.clear()
+    trial_batch(analysis, budgets=[1.0, 0.5], seeds=2, models=["metric", "relaxation"])
+    assert len(reaches) == 2
+
+
+@pytest.mark.parametrize("case", [(11, 2, 0.2, 1), (11, 2, 0.2, 2), (11, 2, 0.2, 3),
+                                  (9, 3, 0.05, 1)])
+def test_trial_batch_equals_independent_trials(case):
+    import delgen.perturb as perturb
+
+    side, dim, jitter, seed = case
+    a = analyze_genericity(grid_points(side, dim, jitter, seed=seed))
+    b = measured_secure_params(a).budget()
+    # Repeated and unordered fractions; equal slacks 0.0 and -0.0 keep
+    # their own budget_used; seed 3 fails at 80 x rho_point.
+    fractions = [1.0, 0.5, 3.0, 0.5] + {(11, 2, 0.2, 1): [0.0, -0.0],
+                                        (11, 2, 0.2, 3): [80.0]}.get(case, [])
+    models = ["relaxation", "metric"]
+    got = [v.to_json() for v in trial_batch(a, fractions, 2, models, root_seed=seed)]
+    want = []
+    for bi, frac in enumerate(fractions):
+        for si in range(2):
+            field = DisplacementField(dim, frac * b.rho_metric / 2.0,
+                                      perturb._trial_seed(seed, 0, bi, si))
+            want.append(metric_stability_trial(a, field).to_json())
+    for frac in fractions:
+        want.extend([relaxation_trial(a, frac * b.rho_point).to_json()] * 2)
+    # As JSON text, where -0.0 and 0.0 differ.
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    if case == (11, 2, 0.2, 3):
+        failed = got[-1]
+        assert not failed["passed"] and len(failed["counterexamples"]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_trial_batch_checks_fractions_before_any_candidate(monkeypatch, bad):
+    _, analysis, _ = instance()
+    reaches = count_star_candidates(monkeypatch)
+    for models in (["relaxation"], ["metric"], ["adversarial", "metric", "relaxation"]):
+        with pytest.raises(PreconditionError, match="bad budget fraction"):
+            trial_batch(analysis, budgets=[1.0, bad], seeds=1, models=models)
+    assert reaches == []
 
 
 def test_trial_batch_rejects_an_empty_batch():
