@@ -8,6 +8,11 @@
   the paraboloid lift (via qhull), then recanonicalises cospherical groups so
   arbitrary triangulation choices inside a degenerate group cannot leak into
   the output.
+* :func:`_kept_triangulations` shows, for perturbed copies of a point set,
+  where the base triangulation is still the Delaunay triangulation, and
+  gives those copies the result of :func:`delaunay_lifted` without a qhull
+  build. The point trials and pullback routes of a trial batch build only
+  the copies it leaves.
 * :func:`relaxed_delaunay` decides membership in the almost empty ball
   complex. Members come with a witness centre: a first try or the first
   hit of a certified Lipschitz branch and bound over candidate centres.
@@ -47,8 +52,8 @@ from scipy.spatial.distance import cdist
 
 from .complexes import SimplicialComplex, _holds_any, row_keys, sorted_rows
 from .errors import PreconditionError
-from .hull import affine_rank, blocks, check_coordinates
-from .simplex import circumballs
+from .hull import _facet_normals, affine_rank, blocks, check_coordinates
+from .simplex import _norms, circumballs
 
 PROTECTION_RTOL = 1e-9
 
@@ -184,7 +189,8 @@ class DelaunayResult:
 
 
 def _batched_circumballs(pts: np.ndarray, subsets: np.ndarray):
-    """Circumcentres of (m+1)-subsets; returns (centres, radii, solvable)."""
+    """Circumcentres of (m+1)-subsets; returns (centres, radii, solvable).
+    Every row is solved on its own, so its bits do not depend on the stack."""
     v = pts[subsets]  # (s, m+1, m)
     a = v[:, 1:, :] - v[:, :1, :]  # (s, m, m)
     b = 0.5 * (a**2).sum(axis=2)
@@ -397,6 +403,110 @@ def delaunay_lifted(points) -> DelaunayResult:
             parts.append(_delaunay_balls(ps, np.array(extra, dtype=int), tol)[0])
             have.update(map(tuple, parts[-1][0].tolist()))
     return _build_result(parts, groups, tol)
+
+
+# Least distance of a point from the plane of a boundary facet it is not on,
+# relative to the diameter: far past the rounding of qhull's tests.
+_HULL_RTOL = 1e-9
+
+
+def _kept_triangulations(ps: PointSet, base: DelaunayResult,
+                         copies) -> list[DelaunayResult | None]:
+    """For each perturbed copy of ``ps`` (an (n, m) array of ``copies``), the
+    result of ``delaunay_lifted(copy)``, equal column for column and bit for
+    bit, where the tops of ``base`` (``delaunay_lifted(ps)``, generic) are
+    shown to stay its Delaunay triangulation; None elsewhere.
+
+    A copy keeps the tops when it passes ``check_coordinates``, every top
+    has a circumball, every point lies inside every boundary facet (a facet
+    of one top) past a margin (:func:`_inside`), and every top's protection
+    exceeds the tolerance. Then every ball is strictly empty, so the tops
+    are Delaunay cells and do not overlap; each facet of two tops has one on
+    either side, and the boundary facets lie on the hull, so the tops fill
+    it. They are the copy's only Delaunay triangulation, the one qhull
+    returns. Two tops that overlap fail the protection test, so no
+    orientation test is needed. The boundary vertices are the hull
+    vertices, so their distances give the diameter as
+    :meth:`PointSet.diameter` does.
+
+    A protection is the least margin over the points of the base tree within
+    R = r + p + 2 (d + s) of the base centre, where d is the shift of the
+    copy's centre and s its largest point shift, both known before the one
+    radius query that serves every copy: the base ball's nearest foreign
+    point, moved, is within r + p + d + s of the copy's centre. Each copy's
+    list is checked afterwards: a point left off it lies farther than the
+    least listed distance.
+    """
+    out: list[DelaunayResult | None] = [None] * len(copies)
+    if not base.generic:
+        return out
+    n, m = ps.n, ps.dim
+    tops, count = base.tops, len(base.tops)
+    faces = tops[:, [[j for j in range(m + 1) if j != i] for i in range(m + 1)]]
+    _, inverse, uses = np.unique(row_keys(faces.reshape(-1, m), n), return_inverse=True,
+                                 return_counts=True)
+    outer = np.flatnonzero(uses[inverse] == 1)
+    facets = faces.reshape(-1, m)[outer]
+    # Swapping two vertices turns a facet's normal, so each is made to point
+    # into its top: to the side of the top's other vertex.
+    corner, _, normal = _facet_normals(ps.points, facets)
+    other = ps.points[tops[outer // (m + 1), outer % (m + 1)]]
+    turn = (normal * (other - corner)).sum(axis=1) < 0.0
+    facets[turn, :2] = facets[turn, 1::-1]
+    hull_ids = np.unique(facets)
+    copies = [np.asarray(pts, dtype=float) for pts in copies]
+    centres, radii, tols, moved = {}, {}, {}, {}
+    for k, pts in enumerate(copies):
+        try:
+            check_coordinates(pts)
+        except PreconditionError:
+            continue
+        shift = _distances(pts, ps.points).max()  # not finite where pts is not
+        if not np.isfinite(shift):
+            continue
+        c, r, solved = _batched_circumballs(pts, tops)
+        if not solved.all():
+            continue
+        diameter = _farthest(pts, hull_ids)
+        if _inside(pts, facets, diameter):
+            centres[k], radii[k], tols[k] = c, r, PROTECTION_RTOL * diameter
+            moved[k] = _distances(c, base.centres) + shift
+    if not centres:
+        return out
+    scale = max(np.abs(ps.points).max(), np.abs(base.centres).max(),
+                *(np.abs(c).max() for c in centres.values()))
+    slack = 1e-12 * (base.radii + base.protections + scale)
+    reach = base.radii + base.protections + 2.0 * (np.max(list(moved.values()), axis=0) + slack)
+    found = ps.tree.query_ball_point(base.centres, reach * (1.0 + 4.0 * _TREE_RTOL))
+    sizes = np.array([len(f) for f in found])
+    owner = np.repeat(np.arange(count), sizes)
+    ids = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+    foreign = ~_owned(tops[owner], ids)
+    owner, ids = owner[foreign], ids[foreign]
+    for k, c in centres.items():
+        dists = _distances(c[owner], copies[k][ids])
+        protections = _least(dists - radii[k][owner], owner, count)
+        if ((_least(dists, owner, count) < reach - moved[k] - slack).all()
+                and (protections > tols[k]).all()):
+            out[k] = DelaunayResult(
+                tops=tops, centres=c, radii=radii[k], protections=protections,
+                degeneracy_groups=(), generic=True, tolerance=tols[k])
+    return out
+
+
+def _inside(pts: np.ndarray, facets: np.ndarray, diameter: float) -> bool:
+    """Whether every point of ``pts`` lies on the positive side of the plane
+    of every facet (rows of m vertex ids, normals from ``hull._facet_normals``)
+    it is not on, farther than ``_HULL_RTOL`` times ``diameter`` past a
+    rounding cushion; one (facets x points) table per block (``blocks``)."""
+    corner, _, normal = _facet_normals(pts, facets)
+    cushion = _norms(normal) * (_HULL_RTOL * diameter + 1e-12 * np.abs(pts).max())
+    for part in blocks(len(facets), len(pts)):
+        side = normal[part] @ pts.T - (corner[part] * normal[part]).sum(axis=1)[:, None]
+        np.put_along_axis(side, facets[part], np.inf, axis=1)
+        if not (side > cushion[part, None]).all():
+            return False
+    return True
 
 
 # -- relaxed (almost empty ball) membership --------------------------------

@@ -292,16 +292,17 @@ class MetricDelaunayResult:
         return not self.undecided
 
 
-def _pullback_tops(ps, model, region):
-    """The Euclidean Delaunay complex of the images phi(P), and the rows of
-    its tops that meet the region in key order."""
-    base = delaunay_lifted(model.field.forward(ps.points))
+def _pullback_tops(ps, model, region, pullback=None):
+    """The Euclidean Delaunay complex of the images phi(P), ``pullback``
+    when it is given, and the rows of its tops that meet the region in key
+    order."""
+    base = pullback if pullback is not None else delaunay_lifted(model.field.forward(ps.points))
     keep = np.flatnonzero(_holds_any(base.tops, region, ps.n))
     return base, keep[sorted_rows(base.tops[keep], ps.n)]
 
 
-def _pullback_path(ps, model, region) -> MetricDelaunayResult:
-    base, keep = _pullback_tops(ps, model, region)
+def _pullback_path(ps, model, region, pullback=None) -> MetricDelaunayResult:
+    base, keep = _pullback_tops(ps, model, region, pullback)
     return MetricDelaunayResult(
         region=tuple(region), tops=base.tops[keep],
         centres=model.field.inverse(base.centres[keep]),
@@ -422,14 +423,15 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
 
 
 def _metric_delaunay(ps, model, region, eps, upsilon0, mu0, path,
-                     windows: _Windows | None = None) -> MetricDelaunayResult:
+                     windows: _Windows | None = None, pullback=None) -> MetricDelaunayResult:
     """:func:`metric_delaunay` on a point set, its Newton route reading
-    ``windows`` when they are given."""
+    ``windows`` and its pullback route the complex of phi(P) ``pullback``
+    when they are given."""
     if path not in ("pullback", "newton", "both"):
         raise PreconditionError(f"unknown metric route {path!r}")
     region = _checked_region(region, ps.n)
     if path == "pullback":
-        return _pullback_path(ps, model, region)
+        return _pullback_path(ps, model, region, pullback)
     if eps is None:
         raise PreconditionError("the newton route needs the sampling radius eps")
     generic = _generic_path(ps, model, region, eps, upsilon0, mu0, windows)
@@ -437,7 +439,7 @@ def _metric_delaunay(ps, model, region, eps, upsilon0, mu0, path,
         return generic
     # Only the pullback route's tops are compared, so its centres are not
     # mapped back.
-    base, keep = _pullback_tops(ps, model, region)
+    base, keep = _pullback_tops(ps, model, region, pullback)
     if not np.array_equal(generic.tops, base.tops[keep]):
         a, b = set(map(tuple, generic.tops.tolist())), set(map(tuple, base.tops[keep].tolist()))
         raise PathMismatchError(

@@ -17,8 +17,9 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .delaunay import (_TREE_RTOL, DelaunayResult, RelaxedResult, _containing_tops, _least,
-                       _owned, _relaxed_stars, as_point_set, delaunay_lifted, relaxed_delaunay)
+from .delaunay import (_TREE_RTOL, DelaunayResult, RelaxedResult, _containing_tops,
+                       _kept_triangulations, _least, _owned, _relaxed_stars, as_point_set,
+                       delaunay_lifted, relaxed_delaunay)
 from .complexes import (IsoReport, SimplicialComplex, _holds_any, row_keys, sorted_rows,
                         star_difference)
 from .errors import NonGenericError, PreconditionError
@@ -414,8 +415,16 @@ def _star_report(analysis: GenericityAnalysis, tops: np.ndarray, vertices=(),
 def point_stability_trial(analysis: GenericityAnalysis,
                           perturbation: PointPerturbation) -> TrialVerdict:
     """Check that the star of the region survives a point perturbation."""
+    return _point_verdict(analysis, perturbation)
+
+
+def _point_verdict(analysis: GenericityAnalysis, perturbation: PointPerturbation,
+                   perturbed: DelaunayResult | None = None) -> TrialVerdict:
+    """:func:`point_stability_trial`, reading the Delaunay complex of the
+    perturbed points ``perturbed`` when it is given."""
     p = measured_secure_params(analysis)
-    perturbed = delaunay_lifted(perturbation.apply())
+    if perturbed is None:
+        perturbed = delaunay_lifted(perturbation.apply())
     report = _star_report(analysis, perturbed.tops)
     bad = tuple(sorted(report.extra + report.missing))
     return TrialVerdict(
@@ -474,15 +483,16 @@ def metric_stability_trial(analysis: GenericityAnalysis, field: DisplacementFiel
 
 
 def _metric_verdict(analysis: GenericityAnalysis, field: DisplacementField, budget_mode: str,
-                    windows: _Windows | None = None) -> TrialVerdict:
+                    windows: _Windows | None = None, pullback=None) -> TrialVerdict:
     """:func:`metric_stability_trial`, its Newton route reading ``windows``
-    (:class:`delgen.metric._Windows`) when they are given."""
+    (:class:`delgen.metric._Windows`) and its pullback route the Delaunay
+    complex of phi(P) ``pullback`` when they are given."""
     if budget_mode not in ("thm", "cor"):
         raise PreconditionError(f"unknown budget mode {budget_mode!r}")
     p = measured_secure_params(analysis)
     model = MetricModel(field)
     result = _metric_delaunay(analysis.points, model, analysis.classification.region,
-                              p.eps, p.upsilon0, p.mu0, "both", windows)
+                              p.eps, p.upsilon0, p.mu0, "both", windows, pullback)
     report = _star_report(analysis, result.tops, analysis.classification.region)
     if budget_mode == "thm":
         budget = p.budget().rho_metric
@@ -522,8 +532,12 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
     Every fraction is checked before any trial runs. The relaxed stars of
     all fractions come from one candidate build (``delaunay._relaxed_stars``)
     and the Newton routes of all metric trials read one window build, made
-    at the batch's largest reach (:class:`delgen.metric._Windows`); each
-    verdict equals that of its own trial call.
+    at the batch's largest reach (:class:`delgen.metric._Windows`). Every
+    point perturbation and every image phi(P) of the metric trials is built
+    first, and one check of the base triangulation on all of them
+    (``delaunay._kept_triangulations``) gives the Delaunay complex of each
+    copy it keeps; only the others are built with qhull. Each verdict equals
+    that of its own trial call.
     """
     b = measured_secure_params(analysis).budget()
     unknown = set(models) - _BATCH_MODELS
@@ -550,20 +564,29 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
                   for bi, frac in enumerate(budgets) for si in range(int(seeds))}
         reach = max(_newton_reach(eps, MetricModel(field)) for field in fields.values())
         windows = _Windows(ps, region, reach + ps.tolerance())
+
+    def runs(model):
+        # A model that draws nothing at random runs once for all seeds.
+        return range(int(seeds) if model in _SEEDED_MODELS else 1)
+
+    perts = {(mi, bi, si): make_point_perturbation(
+                 ps, frac * b.rho_point, _trial_seed(root_seed, mi, bi, si), model,
+                 base=analysis.base, directions=adversarial)
+             for mi, model in enumerate(models) if model not in ("relaxation", "metric")
+             for bi, frac in enumerate(budgets) for si in runs(model)}
+    kept = dict(zip([*perts, *fields], _kept_triangulations(
+        ps, analysis.base, [*(pert.apply() for pert in perts.values()),
+                            *(field.forward(ps.points) for field in fields.values())])))
     verdicts = []
     for mi, model in enumerate(models):
-        for bi, frac in enumerate(budgets):
-            # A model that draws nothing at random runs once for all seeds.
-            seeded = model in _SEEDED_MODELS
-            for si in range(int(seeds) if seeded else 1):
+        seeded = model in _SEEDED_MODELS
+        for bi in range(len(budgets)):
+            for si in runs(model):
                 if model == "relaxation":
                     v = _relaxation_verdict(analysis, relaxed[bi])
                 elif model == "metric":
-                    v = _metric_verdict(analysis, fields[bi, si], "thm", windows)
+                    v = _metric_verdict(analysis, fields[bi, si], "thm", windows, kept[bi, si])
                 else:
-                    pert = make_point_perturbation(
-                        ps, frac * b.rho_point, _trial_seed(root_seed, mi, bi, si), model,
-                        base=analysis.base, directions=adversarial)
-                    v = point_stability_trial(analysis, pert)
+                    v = _point_verdict(analysis, perts[mi, bi, si], kept[mi, bi, si])
                 verdicts.extend([v] * (1 if seeded else int(seeds)))
     return verdicts

@@ -832,3 +832,116 @@ def test_routes_keep_their_bits_in_blocks_of_seven_entries(monkeypatch):
     for a, b in zip(want, got):
         for x, y in zip(a, b):
             assert np.array_equal(np.asarray(x), np.asarray(y))
+
+
+def assert_kept_or_none(ps, base, copies):
+    """Each result of ``_kept_triangulations`` is None or, column for column
+    and bit for bit, what ``delaunay_lifted`` returns on its copy. Returns
+    the number kept."""
+    got = delaunay._kept_triangulations(ps, base, copies)
+    assert len(got) == len(copies)
+    for pts, kept in zip(copies, got):
+        if kept is None:
+            continue
+        want = delaunay_lifted(pts)
+        for col in ("tops", "centres", "radii", "protections"):
+            x, y = getattr(kept, col), getattr(want, col)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), col
+        assert kept.degeneracy_groups == want.degeneracy_groups == ()
+        assert kept.generic and want.generic
+        assert kept.tolerance.hex() == want.tolerance.hex()
+    return sum(kept is not None for kept in got)
+
+
+def perturbed_copies(analysis, frac, seeds=2):
+    """Uniform, radial and adversarial copies and images phi(P) of an
+    analysed set at ``frac`` times its point budget."""
+    from delgen.perturb import _adversarial_directions, make_point_perturbation
+
+    ps, dim = analysis.points, analysis.points.dim
+    b = measured_secure_params(analysis).budget()
+    dirs = _adversarial_directions(ps, analysis.base)
+    copies = [make_point_perturbation(ps, frac * b.rho_point, s, model, directions=dirs).apply()
+              for model in ("uniform", "radial", "adversarial") for s in range(seeds)]
+    return copies + [DisplacementField(dim, frac * b.rho_metric / 2.0, s).forward(ps.points)
+                     for s in range(seeds)]
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_kept_triangulations_are_the_lifted_route_or_none(seed):
+    a = analyze_genericity(grid_points(11, 2, 0.2, seed=seed))
+    for frac in (0.5, 1.0, 3.0, 80.0):
+        copies = perturbed_copies(a, frac)
+        kept = assert_kept_or_none(a.points, a.base, copies)
+        # Within the budget every copy keeps the base triangulation.
+        assert kept == len(copies) or frac > 1.0
+        if frac == 80.0:
+            assert kept < len(copies)
+
+
+def test_kept_triangulations_in_3d():
+    a = analyze_genericity(grid_points(9, 3, 0.05, seed=1))
+    copies = [pts for frac in (0.5, 1.0, 3.0) for pts in perturbed_copies(a, frac, seeds=1)]
+    assert assert_kept_or_none(a.points, a.base, copies) == len(copies)
+
+
+@pytest.mark.parametrize("pts", [grid_points(6, 2), grid_points(4, 3)], ids=["6x6", "4x4x4"])
+def test_exact_lattices_keep_no_triangulation(pts):
+    # Cospherical groups: the base is no triangulation to keep.
+    ps = PointSet(pts)
+    base = delaunay_lifted(ps)
+    assert base.degeneracy_groups
+    assert delaunay._kept_triangulations(ps, base, [pts, pts + 1e-9]) == [None, None]
+
+
+def test_a_hull_vertex_pushed_past_its_neighbours_chord_is_not_kept():
+    # Every ball stays empty, but the hull loses the vertex and the lifted
+    # route adds the sliver of it and its two hull neighbours.
+    pts = grid_points(5, 2, 0.2, seed=2)
+    ps = PointSet(pts)
+    base = delaunay_lifted(ps)
+    u, w = 0, 3
+    chord = pts[w] - pts[u]
+    inward = np.array([-chord[1], chord[0]]) / np.linalg.norm(chord)
+    inward *= np.sign(inward @ (pts.mean(axis=0) - pts[u]))
+    copy = pts.copy()
+    copy[1] += inward * (0.01 - inward @ (pts[1] - pts[u]))
+    want = delaunay_lifted(copy)
+    assert len(want.tops) == len(base.tops) + 1
+    assert (0, 1, 3) in set(map(tuple, want.tops.tolist()))
+    assert delaunay._kept_triangulations(ps, base, [copy]) == [None]
+
+
+def test_a_hull_vertex_pushed_outward_is_not_kept():
+    pts = grid_points(5, 2, 0.2, seed=2)
+    ps = PointSet(pts)
+    base = delaunay_lifted(ps)
+    copy = pts.copy()
+    copy[1] += (pts[1] - pts.mean(axis=0)) * 0.5
+    assert not np.array_equal(delaunay_lifted(copy).tops, base.tops)
+    assert delaunay._kept_triangulations(ps, base, [copy]) == [None]
+
+
+def test_copies_the_lifted_route_refuses_are_not_kept():
+    pts = grid_points(6, 2, 0.2, seed=1)
+    ps = PointSet(pts)
+    base = delaunay_lifted(ps)
+    far, twin, nan = pts * 1e80, pts.copy(), pts.copy()
+    twin[7] = twin[8]
+    nan[3, 1] = np.nan
+    assert delaunay._kept_triangulations(ps, base, [far, twin, nan]) == [None] * 3
+    for copy, message in ((far, "largest coordinate magnitude"), (twin, "duplicate"),
+                          (nan, "finite")):
+        with pytest.raises(PreconditionError, match=message):
+            delaunay_lifted(copy)
+
+
+def test_a_flat_top_leaves_the_other_copies_kept():
+    pts = grid_points(6, 2, 0.2, seed=1)
+    ps = PointSet(pts)
+    base = delaunay_lifted(ps)
+    flat = pts.copy()
+    a, b, c = base.tops[10]
+    flat[c] = 0.5 * (pts[a] + pts[b])  # on the top's first edge
+    kept = delaunay._kept_triangulations(ps, base, [pts + 1e-6, flat])
+    assert kept[0] is not None and kept[1] is None

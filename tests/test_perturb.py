@@ -432,21 +432,51 @@ def test_trial_batch_equals_independent_trials(case):
     # their own budget_used; seed 3 fails at 80 x rho_point.
     fractions = [1.0, 0.5, 3.0, 0.5] + {(11, 2, 0.2, 1): [0.0, -0.0],
                                         (11, 2, 0.2, 3): [80.0]}.get(case, [])
-    models = ["relaxation", "metric"]
+    models = ["uniform", "relaxation", "radial", "metric", "adversarial"]
     got = [v.to_json() for v in trial_batch(a, fractions, 2, models, root_seed=seed)]
     want = []
-    for bi, frac in enumerate(fractions):
-        for si in range(2):
-            field = DisplacementField(dim, frac * b.rho_metric / 2.0,
-                                      perturb._trial_seed(seed, 0, bi, si))
-            want.append(metric_stability_trial(a, field).to_json())
-    for frac in fractions:
-        want.extend([relaxation_trial(a, frac * b.rho_point).to_json()] * 2)
+    for mi, model in enumerate(sorted(models)):
+        for bi, frac in enumerate(fractions):
+            if model == "relaxation":
+                want.extend([relaxation_trial(a, frac * b.rho_point).to_json()] * 2)
+            elif model == "metric":
+                want.extend(metric_stability_trial(a, DisplacementField(
+                    dim, frac * b.rho_metric / 2.0, perturb._trial_seed(seed, mi, bi, si)))
+                    .to_json() for si in range(2))
+            else:
+                runs = 2 if model == "uniform" else 1
+                verdicts = [point_stability_trial(a, make_point_perturbation(
+                    a.points, frac * b.rho_point, perturb._trial_seed(seed, mi, bi, si), model,
+                    base=a.base)).to_json() for si in range(runs)]
+                want.extend(verdicts * (2 // runs))
     # As JSON text, where -0.0 and 0.0 differ.
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     if case == (11, 2, 0.2, 3):
-        failed = got[-1]
-        assert not failed["passed"] and len(failed["counterexamples"]) == 2
+        # At 80 x rho_point the relaxed star and the adversarial copies break.
+        failed = {(v["trial"], v.get("model")): v for v in got
+                  if v["budget_used"] == 80.0 * b.rho_point}
+        assert not failed["relaxation", None]["passed"]
+        assert len(failed["relaxation", None]["counterexamples"]) == 2
+        assert not failed["point_stability", "adversarial"]["passed"]
+        assert failed["point_stability", "uniform"]["passed"]
+
+
+def test_trial_batch_builds_few_whole_set_triangulations(monkeypatch):
+    # Bounded work: the 8 point trials and 4 pullback routes of a batch each
+    # built the whole perturbed Delaunay complex with qhull (12 builds);
+    # the stacked check of the base triangulation keeps it on every copy.
+    import delgen.delaunay as delaunay
+
+    a = analyze_genericity(grid_points(41, 2, 0.2, seed=3))
+    a.classification  # built before counting
+    calls = []
+    real = delaunay._lifted_top_simplices
+    monkeypatch.setattr(delaunay, "_lifted_top_simplices",
+                        lambda pts: calls.append(1) or real(pts))
+    verdicts = trial_batch(a, [0.5, 1.0], 2,
+                           ["uniform", "radial", "adversarial", "relaxation", "metric"])
+    assert len(verdicts) == 20 and all(v.passed and v.certified for v in verdicts)
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
@@ -546,16 +576,17 @@ def test_seed_free_point_models_run_once_per_fraction(monkeypatch):
     b = measured_secure_params(analysis).budget()
     # The full budget, and a fraction large enough to break the star.
     fractions = [1.0, 0.3 * analysis.points.min_gap() / b.rho_point]
+    # One perturbation per (model, fraction), whatever the seed count.
     calls = []
-    real = perturb.point_stability_trial
-    monkeypatch.setattr(perturb, "point_stability_trial",
-                        lambda *a: calls.append(1) or real(*a))
+    make = perturb.make_point_perturbation
+    monkeypatch.setattr(perturb, "make_point_perturbation",
+                        lambda *a, **k: calls.append(a[3]) or make(*a, **k))
     verdicts = trial_batch(analysis, budgets=fractions, seeds=3,
                            models=["radial", "adversarial"], root_seed=4)
-    assert len(calls) == 4 and len(verdicts) == 12
+    assert sorted(calls) == ["adversarial"] * 2 + ["radial"] * 2 and len(verdicts) == 12
     # Reference: one run per seed, each with its own derived seed.
     dirs = perturb._adversarial_directions(analysis.points.points, analysis.base)
-    want = [real(analysis, make_point_perturbation(
+    want = [point_stability_trial(analysis, make(
                 analysis.points, frac * b.rho_point, perturb._trial_seed(4, mi, bi, si), model,
                 directions=dirs))
             for mi, model in enumerate(["adversarial", "radial"])
