@@ -11,8 +11,8 @@
 * :func:`_kept_triangulations` shows, for perturbed copies of a point set,
   where the base triangulation is still the Delaunay triangulation, and
   gives those copies the result of :func:`delaunay_lifted` without a qhull
-  build. The point trials and pullback routes of a trial batch build only
-  the copies it leaves.
+  build, in one stacked pass over all the copies. The point trials and
+  pullback routes of a trial batch build only the copies it leaves.
 * :func:`relaxed_delaunay` decides membership in the almost empty ball
   complex. Members come with a witness centre: a first try or the first
   hit of a certified Lipschitz branch and bound over candidate centres.
@@ -21,9 +21,9 @@
   and bound, one search over the stack of every candidate the certificate
   leaves open. The Newton route of :mod:`delgen.metric` shares the search
   for the candidates its equidistance search misses. Both routes read
-  candidate rows and seed centres from one window engine, and
-  :func:`_relaxed_stars` decides the slacks of a trial batch, in
-  descending order, from one build of it.
+  candidate rows and seed centres from one window engine
+  (:class:`_Windows`); one build serves every trial of a batch, and
+  :func:`_relaxed_stars` decides its slacks in descending order.
 
 A simplex is an affinely independent (m+1)-subset. Both routes, and the
 Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
@@ -425,9 +425,10 @@ def _kept_triangulations(ps: PointSet, base: DelaunayResult,
     either side, and the boundary facets lie on the hull, so the tops fill
     it. They are the copy's only Delaunay triangulation, the one qhull
     returns. Two tops that overlap fail the protection test, so no
-    orientation test is needed. The boundary vertices are the hull
-    vertices, so their distances give the diameter as
-    :meth:`PointSet.diameter` does.
+    orientation test is needed. The boundary vertices are then the hull
+    vertices, so the distances between them give the diameter as
+    :meth:`PointSet.diameter` does; a copy with a point outside a boundary
+    facet fails the facet test whatever its cushion.
 
     A protection is the least margin over the points of the base tree within
     R = r + p + 2 (d + s) of the base centre, where d is the shift of the
@@ -436,6 +437,10 @@ def _kept_triangulations(ps: PointSet, base: DelaunayResult,
     point, moved, is within r + p + d + s of the copy's centre. Each copy's
     list is checked afterwards: a point left off it lies farther than the
     least listed distance.
+
+    Each test is one pass over the stack of copies, in blocks
+    (``hull.blocks``), and computes every row on its own, so a copy's
+    columns do not depend on the other copies.
     """
     out: list[DelaunayResult | None] = [None] * len(copies)
     if not base.generic:
@@ -454,59 +459,100 @@ def _kept_triangulations(ps: PointSet, base: DelaunayResult,
     turn = (normal * (other - corner)).sum(axis=1) < 0.0
     facets[turn, :2] = facets[turn, 1::-1]
     hull_ids = np.unique(facets)
-    copies = [np.asarray(pts, dtype=float) for pts in copies]
-    centres, radii, tols, moved = {}, {}, {}, {}
-    for k, pts in enumerate(copies):
+    stack = np.array(copies, dtype=float).reshape(-1, n, m)
+    live = []
+    for k, pts in enumerate(stack):
         try:
             check_coordinates(pts)
         except PreconditionError:
             continue
-        shift = _distances(pts, ps.points).max()  # not finite where pts is not
-        if not np.isfinite(shift):
-            continue
-        c, r, solved = _batched_circumballs(pts, tops)
-        if not solved.all():
-            continue
-        diameter = _farthest(pts, hull_ids)
-        if _inside(pts, facets, diameter):
-            centres[k], radii[k], tols[k] = c, r, PROTECTION_RTOL * diameter
-            moved[k] = _distances(c, base.centres) + shift
-    if not centres:
+        live.append(k)
+    live = np.array(live, dtype=np.intp)
+    live = live[np.isfinite(stack[live]).all(axis=(1, 2))]
+    if not len(live):
         return out
-    scale = max(np.abs(ps.points).max(), np.abs(base.centres).max(),
-                *(np.abs(c).max() for c in centres.values()))
+    stack = stack[live]
+    centres, radii, solved = _stacked_circumballs(stack, tops)
+    diameters = _stacked_diameters(stack, hull_ids)
+    keep = solved.all(axis=1) & _inside(stack, facets, diameters)
+    if not keep.any():
+        return out
+    live, stack, centres, radii = live[keep], stack[keep], centres[keep], radii[keep]
+    tols = PROTECTION_RTOL * diameters[keep]
+    moved = _distances(centres, base.centres) + _distances(stack, ps.points).max(axis=1)[:, None]
+    scale = max(np.abs(ps.points).max(), np.abs(base.centres).max(), np.abs(centres).max())
     slack = 1e-12 * (base.radii + base.protections + scale)
-    reach = base.radii + base.protections + 2.0 * (np.max(list(moved.values()), axis=0) + slack)
+    reach = base.radii + base.protections + 2.0 * (moved.max(axis=0) + slack)
     found = ps.tree.query_ball_point(base.centres, reach * (1.0 + 4.0 * _TREE_RTOL))
     sizes = np.array([len(f) for f in found])
     owner = np.repeat(np.arange(count), sizes)
     ids = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
     foreign = ~_owned(tops[owner], ids)
     owner, ids = owner[foreign], ids[foreign]
-    for k, c in centres.items():
-        dists = _distances(c[owner], copies[k][ids])
-        protections = _least(dists - radii[k][owner], owner, count)
-        if ((_least(dists, owner, count) < reach - moved[k] - slack).all()
-                and (protections > tols[k]).all()):
-            out[k] = DelaunayResult(
-                tops=tops, centres=c, radii=radii[k], protections=protections,
-                degeneracy_groups=(), generic=True, tolerance=tols[k])
+    for part in blocks(len(live), len(owner) * m):
+        dists = _distances(centres[part][:, owner], stack[part][:, ids])
+        at = (owner + count * np.arange(len(dists))[:, None]).ravel()
+        protections = _least((dists - radii[part][:, owner]).ravel(), at,
+                             len(dists) * count).reshape(-1, count)
+        nearest = _least(dists.ravel(), at, len(dists) * count).reshape(-1, count)
+        good = ((nearest < reach - moved[part] - slack).all(axis=1)
+                & (protections > tols[part, None]).all(axis=1))
+        for j in np.flatnonzero(good).tolist():
+            out[live[part][j]] = DelaunayResult(
+                tops=tops, centres=centres[part][j], radii=radii[part][j],
+                protections=protections[j], degeneracy_groups=(), generic=True,
+                tolerance=float(tols[part][j]))
     return out
 
 
-def _inside(pts: np.ndarray, facets: np.ndarray, diameter: float) -> bool:
-    """Whether every point of ``pts`` lies on the positive side of the plane
-    of every facet (rows of m vertex ids, normals from ``hull._facet_normals``)
-    it is not on, farther than ``_HULL_RTOL`` times ``diameter`` past a
-    rounding cushion; one (facets x points) table per block (``blocks``)."""
-    corner, _, normal = _facet_normals(pts, facets)
-    cushion = _norms(normal) * (_HULL_RTOL * diameter + 1e-12 * np.abs(pts).max())
-    for part in blocks(len(facets), len(pts)):
-        side = normal[part] @ pts.T - (corner[part] * normal[part]).sum(axis=1)[:, None]
-        np.put_along_axis(side, facets[part], np.inf, axis=1)
-        if not (side > cushion[part, None]).all():
-            return False
-    return True
+def _stacked_circumballs(stack: np.ndarray, tops: np.ndarray):
+    """:func:`_batched_circumballs` of the rows ``tops`` in each copy of
+    ``stack`` (K, n, m), in blocks of copies: centres (K, T, m), radii and
+    solved flags (K, T). Every row is solved on its own."""
+    count, n, m = stack.shape
+    parts = [_batched_circumballs(stack[b].reshape(-1, m), (
+        tops + n * np.arange(b.stop - b.start)[:, None, None]).reshape(-1, m + 1))
+        for b in blocks(count, len(tops) * (m + 1) * m)]
+    centres, radii, solved = (np.concatenate(col) for col in zip(*parts))
+    return (centres.reshape(count, len(tops), m), radii.reshape(count, len(tops)),
+            solved.reshape(count, len(tops)))
+
+
+def _stacked_diameters(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Largest distance between two points of ``rows`` in each copy of
+    ``stack`` (K, n, m): one table of (copy, row) pairs against the copy's
+    rows per block (``blocks``). Where ``rows`` holds the hull vertices this
+    is :meth:`PointSet.diameter` bit for bit: a farthest pair is a pair of
+    hull vertices, and each distance is the ``cdist`` entry."""
+    count, _, m = stack.shape
+    hull = stack[:, rows]
+    owner, at = np.repeat(np.arange(count), len(rows)), np.tile(np.arange(len(rows)), count)
+    far = np.zeros(count)
+    for part in blocks(len(owner), len(rows) * m):
+        own = owner[part]
+        np.maximum.at(far, own, _distances(hull[own, at[part], None], hull[own]).max(axis=1))
+    return far
+
+
+def _inside(stack: np.ndarray, facets: np.ndarray, diameters: np.ndarray) -> np.ndarray:
+    """Whether every point of each copy in ``stack`` (K, n, m) lies on the
+    positive side of the plane of every facet (rows of m vertex ids, normals
+    from ``hull._facet_normals``) it is not on, farther than ``_HULL_RTOL``
+    times the copy's diameter past a rounding cushion; one stacked (copies x
+    facets x points) table per block of facets (``blocks``)."""
+    count, n, m = stack.shape
+    ids = (facets + n * np.arange(count)[:, None, None]).reshape(-1, m)
+    corner, _, normal = _facet_normals(stack.reshape(-1, m), ids)
+    cushion = (_norms(normal).reshape(count, len(facets))
+               * (_HULL_RTOL * diameters + 1e-12 * np.abs(stack).max(axis=(1, 2)))[:, None])
+    offset = (corner * normal).sum(axis=1).reshape(count, len(facets))
+    normal = normal.reshape(count, len(facets), m)
+    inside = np.ones(count, dtype=bool)
+    for part in blocks(len(facets), count * n):
+        side = normal[:, part] @ stack.transpose(0, 2, 1) - offset[:, part, None]
+        side[:, np.arange(part.stop - part.start)[:, None], facets[part]] = np.inf
+        inside &= (side > cushion[:, part, None]).all(axis=(1, 2))
+    return inside
 
 
 # -- relaxed (almost empty ball) membership --------------------------------
@@ -540,8 +586,10 @@ class RelaxedResult:
 def _nearest(tree: cKDTree, centres: np.ndarray) -> np.ndarray:
     """Distance from each centre to its nearest point of ``tree.data``, equal
     to ``cdist(centres, tree.data).min(axis=1)`` bit for bit: the least of a
-    list of two (:func:`_listed`), widened out to that least (:func:`_widened`)."""
-    rows, _, dists, _ = listing = _listed(tree, centres, 2)
+    list of m+2 (:func:`_listed`), widened out to that least (:func:`_widened`).
+    A circumcentre or a known ball centre is equidistant from up to m+1
+    points, so a shorter list would send most of them to the radius query."""
+    rows, _, dists, _ = listing = _listed(tree, centres, tree.data.shape[1] + 2)
     rows, _, dists, _ = _widened(tree, centres, listing, _least(dists, rows, len(centres)))
     return _least(dists, rows, len(centres))
 
@@ -595,6 +643,8 @@ def _branch_and_bound(gap, seeds, radius, lipschitz, threshold, max_nodes=20000)
     """
     seeds = np.asarray(seeds, dtype=float)
     count, m = seeds.shape
+    if not count:
+        return [], []
     offs = np.array(
         [[(1 if bit & (1 << k) else -1) for k in range(m)] for bit in range(2**m)],
         dtype=float,
@@ -665,35 +715,61 @@ def _star_candidates(ps: PointSet, region, reach, sizes):
     Returns (rows, counts): (C, m+1) vertex ids, each row sorted and padded
     to m+1 ids by repeating its first vertex, and each row's vertex count.
     Each simplex is listed once, at its first visit: region vertex, then
-    size, then combination of the KD-tree ball around the vertex. The
-    diameters of one vertex and size are a stacked max over the vertex
-    pairs of one distance table over the vertex and its ball, and the
-    repeats of each size are dropped by integer row key.
+    size, then combination of the KD-tree ball around the vertex. Among the
+    combinations of one vertex and size, that order is the order of the
+    sorted rows. The vertices are stacked, each with its ball in id order,
+    in chunks of balls within a factor 1.5 in size, each padded to its
+    largest ball. The diameters of one size are a stacked max over the
+    vertex pairs of one distance table per vertex, in blocks of vertices
+    (``hull.blocks``); combinations past a vertex's ball are dropped, and
+    so are the later visits of each simplex.
     """
-    pts = ps.points
-    width = ps.dim + 1
-    visits = {size: ([], []) for size in sizes}  # visit numbers and rows
-    count = 0
-    for v, ball in zip(region, ps.tree.query_ball_point(pts[region], reach)):
-        local = np.array([v, *(q for q in sorted(ball) if q != v)], dtype=np.intp)
-        table = cdist(pts[local], pts[local])
-        for size in sizes:
-            rows = np.array([(0, *c) for c in combinations(range(1, len(local)), size)],
-                            dtype=np.intp).reshape(-1, size + 1)
-            a, b = zip(*combinations(range(size + 1), 2))
-            near = table[rows[:, a], rows[:, b]].max(axis=1) <= reach
-            visits[size][0].append(count + np.flatnonzero(near))
-            visits[size][1].append(np.sort(local[rows[near]], axis=1))
-            count += len(rows)
-    order, found = [], []
+    pts, width = ps.points, ps.dim + 1
+    region = np.asarray(region, dtype=np.intp)
+    found = ps.tree.query_ball_point(pts[region], reach, return_sorted=True)
+    lens = np.array([len(f) for f in found])  # each ball holds its vertex
+    ids = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=lens.sum())
+    owner = np.repeat(np.arange(len(region)), lens)
+    others = np.flatnonzero(ids != region[owner])
+    # Row i: vertex i, then the other points of its ball; the pad repeats it.
+    local = np.repeat(region[:, None], lens.max(), axis=1)
+    starts = np.cumsum(lens - 1) - (lens - 1)
+    local[owner[others], np.arange(len(others)) - np.repeat(starts, lens - 1) + 1] = ids[others]
+    order = np.argsort(lens, kind="stable")
+    cuts = [0]
+    for i, size in enumerate(lens[order].tolist()):
+        if size > 1.5 * lens[order[cuts[-1]]]:
+            cuts.append(i)
+    visits = {size: ([], []) for size in sizes}  # visiting vertex and sorted rows
+    for chunk in np.split(order, cuts[1:]):
+        ball = lens[chunk].max()
+        combos = {size: np.array([(0, *c) for c in combinations(range(1, ball), size)],
+                                 dtype=np.intp).reshape(-1, size + 1) for size in sizes}
+        pairs = {size: tuple(zip(*combinations(range(size + 1), 2))) for size in sizes}
+        cost = ball**2 * ps.dim + sum(len(c) * len(pairs[k][0]) for k, c in combos.items())
+        for part in blocks(len(chunk), cost):
+            at = chunk[part]
+            v = pts[local[at, :ball]]
+            table = _distances(v[:, :, None], v[:, None, :])
+            for size, rows in combos.items():
+                a, b = pairs[size]
+                near = table[:, rows[:, a], rows[:, b]].max(axis=2) <= reach
+                near &= rows[:, -1] < lens[at, None]
+                i, c = np.nonzero(near)
+                visits[size][0].append(at[i])
+                visits[size][1].append(np.sort(local[at[i, None], rows[c]], axis=1))
+    parts = []
     for size, (at, rows) in visits.items():
         at, rows = np.concatenate(at), np.concatenate(rows)
-        first = np.unique(row_keys(rows, ps.n), return_index=True)[1]
-        order.append(at[first])
-        found.append(rows[first][:, [*range(size + 1), *[0] * (width - size - 1)]])
-    rank = np.argsort(np.concatenate(order))
-    counts = np.repeat([size + 1 for size in visits], [len(f) for f in found])
-    return np.concatenate(found)[rank], counts[rank]
+        first = np.lexsort((at, *rows.T[::-1]))
+        at, rows = at[first], rows[first]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        parts.append((at[first], np.full(first.sum(), size + 1),
+                      rows[first][:, [*range(size + 1), *[0] * (width - size - 1)]]))
+    at, counts, rows = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((*rows.T[::-1], counts, at))
+    return rows[order], counts[order]
 
 
 def _containing_tops(tops: np.ndarray, padded: np.ndarray, region, radix: int):
@@ -716,6 +792,77 @@ def _containing_tops(tops: np.ndarray, padded: np.ndarray, region, radix: int):
     owner = np.repeat(np.arange(len(padded)), count)
     at = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())
     return owner, rows[at]
+
+
+class _Windows:
+    """The candidates of a region within ``reach``, built once and read at
+    any reach up to it.
+
+    ``rows`` and ``sizes`` are the rows of ``_star_candidates(ps, region,
+    reach, sizes)`` and their vertex counts, ``diameters`` their diameters
+    measured as ``cdist`` measures them and ``seeds`` their
+    :func:`_circumcenter_seeds` centres. The (m+1)-vertex rows are also
+    listed in key order as ``tops``, with their :func:`circumballs` columns
+    ``balls``, from which their seeds are taken. No row's bits depend on the
+    stack, so a row read at a smaller reach has the bits of a build there.
+    """
+
+    def __init__(self, ps: PointSet, region, reach: float, sizes) -> None:
+        self.ps, self.region = ps, _checked_region(region, ps.n)
+        pts, m = ps.points, ps.dim
+        self.rows, self.sizes = _star_candidates(ps, self.region, reach, sizes)
+        v = pts[self.rows]
+        # A padded row repeats a vertex, so its column pairs give its diameter.
+        self.diameters = np.max([_distances(v[:, i], v[:, j])
+                                 for i, j in combinations(range(m + 1), 2)], axis=0)
+        # Rows are sorted, and so is the region: a row's first region vertex
+        # is its first visitor whenever the tree ball holds it.
+        mask = np.zeros(ps.n, dtype=bool)
+        mask[self.region] = True
+        self.heads = np.take_along_axis(self.rows, mask[self.rows].argmax(axis=1)[:, None], 1)[:, 0]
+        full = np.flatnonzero(self.sizes == m + 1)
+        full = full[sorted_rows(self.rows[full], ps.n)]
+        self.tops = self.rows[full]
+        self.balls = circumballs(pts, self.tops)
+        self.seeds = np.zeros((len(self.rows), m))
+        lower = np.flatnonzero(self.sizes <= m)
+        self.seeds[lower] = _circumcenter_seeds(pts, self.rows[lower], self.sizes[lower])
+        self.seeds[full] = _seeds(pts, self.tops, self.balls)
+        self._full = full
+
+    def _visits(self, reach: float) -> np.ndarray:
+        """Each row's first visiting region vertex in ``_star_candidates``
+        at ``reach``, -1 where that does not list the row: its diameter
+        exceeds ``reach``, or no region vertex of it has the row in its
+        KD-tree ball of radius ``reach``. A row whose diameter is below
+        ``reach`` by more than the tree's rounding is in that ball at each
+        of its region vertices, so its first visit is at its first one; the
+        rows within rounding of ``reach`` are queried."""
+        first = np.where(self.diameters <= reach, self.heads, -1)
+        close = np.flatnonzero((first >= 0) & (self.diameters > reach * (1.0 - 4.0 * _TREE_RTOL)))
+        if close.size:
+            rows = self.rows[close]
+            ids = np.intersect1d(rows, self.region)
+            balls = dict(zip(ids.tolist(), map(set, self.ps.tree.query_ball_point(
+                self.ps.points[ids], reach))))
+            first[close] = [next((v for v in row if v in balls and set(row) <= balls[v]), -1)
+                            for row in rows.tolist()]
+        return first
+
+    def within(self, reach: float) -> np.ndarray:
+        """Positions in ``tops`` of the rows that ``_star_candidates(ps,
+        region, reach, (m,))`` lists."""
+        return np.flatnonzero(self._visits(reach)[self._full] >= 0)
+
+    def relaxed(self, reach: float) -> np.ndarray:
+        """Positions in ``rows`` of the rows that ``_star_candidates(ps,
+        region, reach, sizes)`` lists, in its order: by first visiting
+        region vertex, then size, then key. Among the rows of one vertex
+        and size, the order of the combinations of its ball is the key
+        order, whatever the ball, so a smaller reach keeps it."""
+        first = self._visits(reach)
+        keep = np.flatnonzero(first >= 0)
+        return keep[np.lexsort((*self.rows[keep].T[::-1], self.sizes[keep], first[keep]))]
 
 
 def relaxed_delaunay(points, rho: float, region, *, eps: float,
@@ -742,10 +889,13 @@ def relaxed_delaunay(points, rho: float, region, *, eps: float,
     return _relaxed_stars(as_point_set(points), [rho], region, eps, base)[0]
 
 
-def _relaxed_stars(ps: PointSet, rhos, region, eps: float,
-                   base: DelaunayResult) -> list[RelaxedResult]:
+def _relaxed_stars(ps: PointSet, rhos, region, eps: float, base: DelaunayResult,
+                   windows: _Windows | None = None) -> list[RelaxedResult]:
     """The relaxed stars of ``region`` at each slack of ``rhos``, in order,
     from one build of the candidates, their seeds and their first tries.
+    The candidates are the rows of ``windows`` at 2 eps + tol when it is
+    given (built at that reach or more, with every candidate size), or of
+    one build at that reach.
 
     The slacks are decided in descending order. The first tries of every
     slack read one gap evaluation. The branch and bound is monotone in its
@@ -764,8 +914,11 @@ def _relaxed_stars(ps: PointSet, rhos, region, eps: float,
     m = ps.dim
     tol = ps.tolerance()
     half = 4.0 * eps
-    rows, sizes = _star_candidates(ps, region, 2.0 * eps + tol, range(1, m + 1))
-    seeds = _circumcenter_seeds(pts, rows, sizes)
+    reach = 2.0 * eps + tol
+    if windows is None:
+        windows = _Windows(ps, region, reach, range(1, m + 1))
+    at = windows.relaxed(reach)
+    rows, sizes, seeds = windows.rows[at], windows.sizes[at], windows.seeds[at]
     member_pts = pts[rows]
 
     def gap(centres, owner):
@@ -913,7 +1066,12 @@ def _circumcenter_seeds(pts, rows, sizes) -> np.ndarray:
     seeds = np.zeros((len(rows), pts.shape[1]))
     for size in np.unique(sizes).tolist():
         at = np.flatnonzero(sizes == size)
-        idx = rows[at, :size]
-        centres, _, found = circumballs(pts, idx)
-        seeds[at] = np.where(found[:, None], centres, pts[idx].mean(axis=1))
+        seeds[at] = _seeds(pts, rows[at, :size], circumballs(pts, rows[at, :size]))
     return seeds
+
+
+def _seeds(pts, idx, balls) -> np.ndarray:
+    """The centre of each row of ``balls`` (:func:`circumballs` of the
+    simplices ``idx``) where it was found, the vertex mean elsewhere."""
+    centres, _, found = balls
+    return np.where(found[:, None], centres, pts[idx].mean(axis=1))

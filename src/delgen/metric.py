@@ -11,25 +11,27 @@ Metric circumcentres are found by damped Newton iteration on the vertex
 distance differences, seeded at the Euclidean circumcentre with a small
 multistart grid; metric Delaunay complexes are built either by that generic
 route, by the exact pullback route, or by both with a hard comparison. The
-candidates whose Newton search fails are decided together by the stacked
-branch and bound of :mod:`delgen.delaunay` on the metric gap. The pullback
-route inverts every kept ball centre in one call, each row stopping on its
-own test.
+Newton routes of several metrics run as one stack: the candidates of every
+metric, each row tagged with its field, share each Newton pass and one
+evaluation of the stacked fields (:class:`_FieldStack`) per step, and each
+row is computed on its own. The candidates whose Newton search fails are
+decided together by the stacked branch and bound of :mod:`delgen.delaunay`
+on the metric gap. The pullback route inverts every kept ball centre in one
+call, each row stopping on its own test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .complexes import SimplicialComplex, _holds_any, sorted_rows
-from .delaunay import (_TREE_RTOL, _ball_gap, _branch_and_bound, _checked_region,
-                       _circumcenter_seeds, _distances, _empty_balls, _star_candidates,
-                       as_point_set, delaunay_lifted)
+from .delaunay import (_ball_gap, _branch_and_bound, _checked_region, _empty_balls, _seeds,
+                       _Windows, as_point_set, delaunay_lifted)
 from .errors import PathMismatchError, PreconditionError
 from .simplex import Simplex, _norms, _solve_rows, circumballs, simplex_metrics_batch
 
@@ -99,6 +101,35 @@ class DisplacementField:
         return x
 
 
+class _FieldStack:
+    """Fields stacked by index: ``forward(x, rows)`` maps each row x[i] by
+    field rows[i], with the bits of that field's own ``forward`` on the
+    row. Rows of :class:`DisplacementField` stacks are evaluated together
+    from the stacked sinusoid parameters, each row in the order of
+    :meth:`DisplacementField.displacement`; any other field is called on
+    its own rows. A single field is a stack of one."""
+
+    def __init__(self, fields) -> None:
+        self.fields = list(fields)
+        self.sinusoids = all(isinstance(f, DisplacementField) for f in self.fields)
+        if self.sinusoids:
+            self.waves = np.stack([f.waves for f in self.fields])
+            self.phases = np.stack([f.phases for f in self.fields])
+            self.gains = np.array([f.amplitude / np.sqrt(f.dim) for f in self.fields])
+
+    def forward(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if not self.sinusoids:
+            out = np.empty_like(x)
+            for k, field in enumerate(self.fields):
+                at = np.flatnonzero(rows == k)
+                out[at] = field.forward(x[at])
+            return out
+        # Each row's sums run over the same contiguous last axis as in
+        # displacement, so einsum adds their terms in the same order.
+        args = np.einsum("nj,nikj->nik", x, self.waves[rows]) + self.phases[rows]
+        return x + self.gains[rows, None] * np.sin(args).mean(axis=2)
+
+
 class MetricModel:
     """Pullback distance d(x, y) = |phi(x) - phi(y)| of a displacement field.
 
@@ -159,35 +190,42 @@ def metric_circumcenter(simplex, model: MetricModel, *,
     return (centres[0], float(radii[0])) if found[0] else None
 
 
-def _metric_circumcenters(pts, simplices, mets, balls, model, upsilon0, mu0):
+def _metric_circumcenters(pts, simplices, mets, balls, model, upsilon0, mu0, owner=None):
     """Metric circumcentres of a stack of full dimensional simplices.
 
     ``simplices`` holds C rows of m+1 indices into ``pts``, ``mets`` their
     :func:`simplex_metrics_batch` columns and ``balls`` their
-    :func:`circumballs`. Every row runs damped Newton from its
-    Euclidean circumcentre; the rows that fail run again from each nonzero
-    offset of the 3^m multistart grid in ``product`` order, so the first
-    start that converges wins, as for a single simplex. Degenerate rows are
-    not searched. Returns ``(centres, radii, found)``.
+    :func:`circumballs`. ``model`` is one :class:`MetricModel`, or a list of
+    them with ``owner`` naming each row's. Every row runs damped Newton
+    under its model from its Euclidean circumcentre; the rows that fail run
+    again from each nonzero offset of the 3^m multistart grid in
+    ``product`` order, so the first start that converges wins, as for a
+    single simplex. The rows of every model share each pass, and each row
+    is computed on its own. Degenerate rows are not searched. Returns
+    ``(centres, radii, found)``.
     """
     idx = np.asarray(simplices, dtype=np.intp)
     count, m = idx.shape[0], pts.shape[1]
+    models = [model] if owner is None else list(model)
+    owner = np.zeros(count, dtype=np.intp) if owner is None else owner
     centres, radii = np.zeros((count, m)), np.zeros(count)
     found = np.zeros(count, dtype=bool)
     euclid_centres, euclid_radii, solved = balls
     rows = ~mets.degenerate & solved
     if not rows.any():
         return centres, radii, found
-    c0, r0 = euclid_centres[rows], euclid_radii[rows]
+    c0, r0, own = euclid_centres[rows], euclid_radii[rows], owner[rows]
+    rho = np.array([mod.rho_bound for mod in models])[own]
     if upsilon0 and mu0:
-        search_radii = 8.0 * model.rho_bound / (upsilon0 * mu0) + 0.05 * r0
+        search_radii = 8.0 * rho / (upsilon0 * mu0) + 0.05 * r0
     else:
         # Fall back to the same bound with eps read off as 2 R and the
         # sparsity taken from the simplex itself.
         sparse = mets.thickness[rows] * mets.shortest_edge[rows]
-        search_radii = 16.0 * model.rho_bound * r0 / np.maximum(sparse, 1e-300) + 0.05 * r0
+        search_radii = 16.0 * rho * r0 / np.maximum(sparse, 1e-300) + 0.05 * r0
+    phi = _FieldStack(mod.field for mod in models)
     verts = pts[idx[rows]]
-    image = model.field.forward(verts.reshape(-1, m)).reshape(verts.shape)
+    image = phi.forward(verts.reshape(-1, m), np.repeat(own, m + 1)).reshape(verts.shape)
     far = np.maximum(4.0 * search_radii, 10.0 * r0)
     step = search_radii / np.sqrt(m) * 0.75
     c, r, ok = np.zeros_like(c0), np.zeros_like(r0), np.zeros(len(r0), dtype=bool)
@@ -202,15 +240,16 @@ def _metric_circumcenters(pts, simplices, mets, balls, model, upsilon0, mu0):
         if not todo.size:
             break
         c[todo], r[todo], ok[todo] = _newton_stack(
-            seeds, image[todo], model.field.forward, r0[todo], c0[todo], far[todo])
+            seeds, image[todo], phi, own[todo], r0[todo], c0[todo], far[todo])
     centres[rows], radii[rows], found[rows] = c, r, ok
     return centres, radii, found
 
 
-def _newton_stack(c, image, forward, r0, seed_center, far):
+def _newton_stack(c, image, phi, owner, r0, seed_center, far):
     """Damped Newton on f(c) = (d(c, p_i) - d(c, p_0))_i, one row per simplex.
 
-    Row k starts at ``c[k]``; ``image[k]`` holds the images of its vertices.
+    Row k starts at ``c[k]``; ``image[k]`` holds the images of its vertices
+    under field ``owner[k]`` of the stack ``phi`` (:class:`_FieldStack`).
     The Jacobian is a central difference of step h = max(1e-7 r0, 1e-12),
     every line search halves its step from 1 down to 1e-4, and a row fails
     when its solve is singular or not finite, its line search finds no
@@ -227,12 +266,15 @@ def _newton_stack(c, image, forward, r0, seed_center, far):
 
     def dist(x, rows):
         """Distances (rows, k, m+1) from k centres per row to its vertices."""
-        fx = forward(x.reshape(-1, m)).reshape(x.shape)
+        fx = phi.forward(x.reshape(-1, m), np.repeat(owner[rows], x.shape[1])).reshape(x.shape)
         return np.linalg.norm(image[rows][:, None] - fx[:, :, None], axis=-1)
 
     live = np.arange(count)
+    # Each row's distances at its current centre: a step's accepted trial
+    # centre is the next step's centre, so its distances are kept.
+    at_c = dist(c[:, None], live)[:, 0]
     for it in range(61):
-        d = dist(c[live][:, None], live)[:, 0]
+        d = at_c[live]
         conv = _spread(d) < tol[live]
         done[live[conv]] = True
         radii[live[conv]] = d[conv].mean(axis=1)
@@ -254,7 +296,7 @@ def _newton_stack(c, image, forward, r0, seed_center, far):
             dt = dist(trial[:, None], rows)[:, 0]
             better = ((np.abs(dt[:, 1:] - dt[:, :1]).max(axis=1) < base[search])
                       | (_spread(dt) < tol[rows]))
-            c[rows[better]] = trial[better]
+            c[rows[better]], at_c[rows[better]] = trial[better], dt[better]
             moved[search[better]] = True
             search = search[~better]
             t *= 0.5
@@ -316,57 +358,40 @@ def _newton_reach(eps: float, model: MetricModel) -> float:
     return 2.0 * eps + 4.0 * model.rho_bound
 
 
-class _Windows:
-    """The Newton route's candidates within ``reach``, built once and read
-    at any reach up to it.
-
-    ``rows`` are the rows of ``_star_candidates(ps, region, reach, (m,))``
-    in key order, with their :func:`simplex_metrics_batch` and
-    :func:`circumballs` columns, whose bits do not depend on the stack, and
-    their diameters measured as ``cdist`` measures them.
-    """
-
-    def __init__(self, ps, region, reach: float) -> None:
-        self.ps, self.region = ps, _checked_region(region, ps.n)
-        rows, _ = _star_candidates(ps, self.region, reach, (ps.dim,))
-        self.rows = rows[sorted_rows(rows, ps.n)]
-        self.mets = simplex_metrics_batch(ps.points, self.rows)
-        self.balls = circumballs(ps.points, self.rows)
-        v = ps.points[self.rows]
-        self.diameters = np.max([_distances(v[:, i], v[:, j])
-                                 for i, j in combinations(range(ps.dim + 1), 2)], axis=0)
-
-    def within(self, reach: float):
-        """The rows, metrics and circumballs of the candidates that
-        ``_star_candidates(ps, region, reach, (m,))`` lists: diameter at most
-        ``reach``, and a region vertex whose KD-tree ball of radius ``reach``
-        holds the other vertices. A row whose diameter is below ``reach`` by
-        more than the tree's rounding passes the second test at any of its
-        region vertices; the rows within rounding of it are queried."""
-        keep = self.diameters <= reach
-        close = np.flatnonzero(keep & (self.diameters > reach * (1.0 - 4.0 * _TREE_RTOL)))
-        if close.size:
-            rows = self.rows[close]
-            heads = np.intersect1d(rows, self.region)
-            balls = dict(zip(heads.tolist(), map(set, self.ps.tree.query_ball_point(
-                self.ps.points[heads], reach))))
-            keep[close] = [any(set(row) <= balls[v] for v in row if v in balls)
-                           for row in rows.tolist()]
-        return self.rows[keep], self.mets.take(keep), tuple(col[keep] for col in self.balls)
-
-
-def _generic_path(ps, model, region, eps, upsilon0, mu0,
-                  windows: _Windows | None = None) -> MetricDelaunayResult:
-    pts = ps.points
-    m = ps.dim
-    tol = ps.tolerance()
-    reach = _newton_reach(eps, model) + tol
-    image_pts = model.field.forward(pts)
-    lipschitz = 2.0 * model.center_lipschitz * np.sqrt(m)
+def _generic_paths(ps, models, region, eps, upsilon0, mu0,
+                   windows: _Windows | None = None) -> list[MetricDelaunayResult]:
+    """The Newton route of each of ``models``. Each model reads the
+    candidates of ``windows`` within its own reach (a build at the largest
+    reach when it is not given), and the rows of every model run through
+    one stacked circumcentre search; each model then certifies its balls
+    among its own images and searches the rows it missed."""
+    pts, m, tol = ps.points, ps.dim, ps.tolerance()
+    reaches = [_newton_reach(eps, model) + tol for model in models]
     if windows is None:
-        windows = _Windows(ps, region, reach)
-    subsets, mets, balls = windows.within(reach)
-    centres, radii, found = _metric_circumcenters(pts, subsets, mets, balls, model, upsilon0, mu0)
+        windows = _Windows(ps, region, max(reaches), (m,))
+    picks = [windows.within(reach) for reach in reaches]
+    at = np.concatenate(picks)
+    owner = np.repeat(np.arange(len(models)), [len(p) for p in picks])
+    subsets, balls = windows.tops[at], tuple(col[at] for col in windows.balls)
+    mets = simplex_metrics_batch(pts, windows.tops).take(at)
+    centres, radii, found = _metric_circumcenters(pts, subsets, mets, balls, models,
+                                                  upsilon0, mu0, owner)
+    results = []
+    for k, model in enumerate(models):
+        mine = owner == k
+        results.append(_newton_result(ps, model, region, eps, subsets[mine],
+                                      tuple(col[mine] for col in balls),
+                                      centres[mine], radii[mine], found[mine]))
+    return results
+
+
+def _newton_result(ps, model, region, eps, subsets, balls, centres, radii, found):
+    """One model's Newton route from its rows of the stacked search: the
+    balls found are certified among the images phi(P), and the rows missed
+    go through one branch and bound on the metric gap, seeded at their
+    Euclidean circumcentres ``balls`` (:func:`delaunay._seeds`)."""
+    pts, m, tol = ps.points, ps.dim, ps.tolerance()
+    image_pts = model.field.forward(pts)
     # The metric ball of radius r about c is the Euclidean ball of radius r
     # about phi(c) among the images; the stored centre stays c.
     image_tree = cKDTree(image_pts)
@@ -384,8 +409,8 @@ def _generic_path(ps, model, region, eps, upsilon0, mu0,
     member_img = image_pts[subsets[missed]]
     verdicts, witnesses = _branch_and_bound(
         lambda c, k: _ball_gap(model.field.forward(c), member_img[k], image_tree),
-        _circumcenter_seeds(pts, subsets[missed], np.full(len(missed), m + 1)),
-        4.0 * eps, lipschitz, tol)
+        _seeds(pts, subsets[missed], tuple(col[missed] for col in balls)),
+        4.0 * eps, 2.0 * model.center_lipschitz * np.sqrt(m), tol)
     for k, verdict, witness in zip(missed.tolist(), verdicts, witnesses):
         if verdict:
             # Equidistance search missed it but an empty ball exists:
@@ -417,33 +442,41 @@ def metric_delaunay(points, model: MetricModel, region, *, eps: float | None = N
     Certified ``upsilon0`` and ``mu0``, when given, size the centre search
     ball as in :func:`metric_circumcenter`. ``eps`` is the sampling radius
     that windows the candidates; the ``"newton"`` and ``"both"`` routes
-    need it.
+    need it. This is the one-model call of :func:`_metric_delaunays`.
     """
-    return _metric_delaunay(as_point_set(points), model, region, eps, upsilon0, mu0, path)
+    return _metric_delaunays(as_point_set(points), [model], region, eps, upsilon0, mu0, path)[0]
 
 
-def _metric_delaunay(ps, model, region, eps, upsilon0, mu0, path,
-                     windows: _Windows | None = None, pullback=None) -> MetricDelaunayResult:
-    """:func:`metric_delaunay` on a point set, its Newton route reading
-    ``windows`` and its pullback route the complex of phi(P) ``pullback``
-    when they are given."""
+def _metric_delaunays(ps, models, region, eps, upsilon0, mu0, path,
+                      windows: _Windows | None = None,
+                      pullbacks=None) -> list[MetricDelaunayResult]:
+    """:func:`metric_delaunay` of each of ``models`` on a point set: the
+    Newton routes of all of them from one stacked search over ``windows``
+    (:func:`_generic_paths`), and each pullback route reading its complex
+    of phi(P) from ``pullbacks`` where one is given."""
     if path not in ("pullback", "newton", "both"):
         raise PreconditionError(f"unknown metric route {path!r}")
     region = _checked_region(region, ps.n)
+    pullbacks = [None] * len(models) if pullbacks is None else pullbacks
     if path == "pullback":
-        return _pullback_path(ps, model, region, pullback)
+        return [_pullback_path(ps, model, region, pullback)
+                for model, pullback in zip(models, pullbacks)]
     if eps is None:
         raise PreconditionError("the newton route needs the sampling radius eps")
-    generic = _generic_path(ps, model, region, eps, upsilon0, mu0, windows)
+    generics = _generic_paths(ps, models, region, eps, upsilon0, mu0, windows)
     if path == "newton":
-        return generic
-    # Only the pullback route's tops are compared, so its centres are not
-    # mapped back.
-    base, keep = _pullback_tops(ps, model, region, pullback)
-    if not np.array_equal(generic.tops, base.tops[keep]):
-        a, b = set(map(tuple, generic.tops.tolist())), set(map(tuple, base.tops[keep].tolist()))
-        raise PathMismatchError(
-            f"metric Delaunay routes disagree: newton-only {sorted(a - b)}, "
-            f"pullback-only {sorted(b - a)}"
-        )
-    return replace(generic, path="both", agreement=True)
+        return generics
+    both = []
+    for generic, model, pullback in zip(generics, models, pullbacks):
+        # Only the pullback route's tops are compared, so its centres are
+        # not mapped back.
+        base, keep = _pullback_tops(ps, model, region, pullback)
+        if not np.array_equal(generic.tops, base.tops[keep]):
+            a = set(map(tuple, generic.tops.tolist()))
+            b = set(map(tuple, base.tops[keep].tolist()))
+            raise PathMismatchError(
+                f"metric Delaunay routes disagree: newton-only {sorted(a - b)}, "
+                f"pullback-only {sorted(b - a)}"
+            )
+        both.append(replace(generic, path="both", agreement=True))
+    return both

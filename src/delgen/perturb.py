@@ -12,21 +12,22 @@ runs stay informative rather than being rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .delaunay import (_TREE_RTOL, DelaunayResult, RelaxedResult, _containing_tops,
-                       _kept_triangulations, _least, _owned, _relaxed_stars, as_point_set,
-                       delaunay_lifted, relaxed_delaunay)
+                       _kept_triangulations, _least, _owned, _relaxed_stars, _Windows,
+                       as_point_set, delaunay_lifted, relaxed_delaunay)
 from .complexes import (IsoReport, SimplicialComplex, _holds_any, row_keys, sorted_rows,
                         star_difference)
 from .errors import NonGenericError, PreconditionError
 from .genericity import GenericityAnalysis
 from .hull import blocks
-from .metric import (DisplacementField, MetricModel, _metric_delaunay, _newton_reach,
-                     _Windows, metric_delaunay)
+from .metric import (DisplacementField, MetricModel, _metric_delaunays, _newton_reach,
+                     metric_delaunay)
 from .simplex import Simplex, circumcenter
 
 
@@ -198,7 +199,7 @@ def _adversarial_directions(points, base: DelaunayResult) -> np.ndarray:
     whose least gap found is at most w: every ball with a gap up to w was
     found. The others go on to the next pass. Once the table of the points
     left against every ball fits one block (``hull.blocks``), it is
-    measured whole.
+    measured whole, in blocks of its m-wide difference table.
     """
     ps = as_point_set(points)
     pts, tops, centres, radii = ps.points, base.tops, base.centres, base.radii
@@ -215,7 +216,8 @@ def _adversarial_directions(points, base: DelaunayResult) -> np.ndarray:
         first[todo[settled]] = row[settled]
         todo = todo[~settled]
         tree = cKDTree(pts[todo])
-    for block in blocks(todo.size, count):
+    # Each (point, ball) entry holds m differences and a gap at once.
+    for block in blocks(todo.size, count * (ps.dim + 1)):
         ids = todo[block]
         diff = np.empty((ids.size, count, ps.dim))
         # One outer difference per coordinate: numpy broadcasts slowly over
@@ -415,22 +417,20 @@ def _star_report(analysis: GenericityAnalysis, tops: np.ndarray, vertices=(),
 def point_stability_trial(analysis: GenericityAnalysis,
                           perturbation: PointPerturbation) -> TrialVerdict:
     """Check that the star of the region survives a point perturbation."""
-    return _point_verdict(analysis, perturbation)
+    perturbed = delaunay_lifted(perturbation.apply())
+    return _point_verdict(measured_secure_params(analysis).budget(), perturbation,
+                          _star_report(analysis, perturbed.tops))
 
 
-def _point_verdict(analysis: GenericityAnalysis, perturbation: PointPerturbation,
-                   perturbed: DelaunayResult | None = None) -> TrialVerdict:
-    """:func:`point_stability_trial`, reading the Delaunay complex of the
-    perturbed points ``perturbed`` when it is given."""
-    p = measured_secure_params(analysis)
-    if perturbed is None:
-        perturbed = delaunay_lifted(perturbation.apply())
-    report = _star_report(analysis, perturbed.tops)
+def _point_verdict(budget: StabilityBudget, perturbation: PointPerturbation,
+                   report: IsoReport) -> TrialVerdict:
+    """:func:`point_stability_trial` from the star report of the perturbed
+    Delaunay complex."""
     bad = tuple(sorted(report.extra + report.missing))
     return TrialVerdict(
         name="point_stability",
         passed=report.isomorphic,
-        in_budget=perturbation.rho <= p.budget().rho_point * (1 + 1e-12),
+        in_budget=perturbation.rho <= budget.rho_point * (1 + 1e-12),
         budget_used=perturbation.rho,
         measured={
             "symmetric_difference": len(bad),
@@ -449,19 +449,23 @@ def relaxation_trial(analysis: GenericityAnalysis, rho: float) -> TrialVerdict:
     star; the verdict is certified only if every candidate membership was
     decided, never left to exhaustion of the branch and bound.
     """
-    return _relaxation_verdict(analysis, relaxed_delaunay(
-        analysis.points, rho, analysis.classification.region,
-        eps=analysis.sampling.epsilon, base=analysis.base))
+    relaxed = relaxed_delaunay(analysis.points, rho, analysis.classification.region,
+                               eps=analysis.sampling.epsilon, base=analysis.base)
+    return _relaxation_verdict(analysis, measured_secure_params(analysis).budget(), relaxed,
+                               partial(_star_report, analysis))
 
 
-def _relaxation_verdict(analysis: GenericityAnalysis, relaxed: RelaxedResult) -> TrialVerdict:
-    p = measured_secure_params(analysis)
+def _relaxation_verdict(analysis: GenericityAnalysis, budget: StabilityBudget,
+                        relaxed: RelaxedResult, reports) -> TrialVerdict:
+    """:func:`relaxation_trial` of the relaxed star ``relaxed``;
+    ``reports(tops, vertices, faces)`` gives its star report
+    (:func:`_star_report`)."""
     top = relaxed.sizes == analysis.points.dim + 1
-    report = _star_report(analysis, relaxed.members[top], relaxed.region, relaxed.members[~top])
+    report = reports(relaxed.members[top], relaxed.region, relaxed.members[~top])
     return TrialVerdict(
         name="relaxation",
         passed=report.isomorphic,
-        in_budget=relaxed.rho <= p.budget().rho_point * (1 + 1e-12),
+        in_budget=relaxed.rho <= budget.rho_point * (1 + 1e-12),
         budget_used=relaxed.rho,
         measured={"extra": len(report.extra), "missing": len(report.missing)},
         certified=relaxed.certified,
@@ -479,35 +483,39 @@ def metric_stability_trial(analysis: GenericityAnalysis, field: DisplacementFiel
     budget the deviation is checked against: ``"thm"`` for u m delta / 36,
     ``"cor"`` for nu^3 delta / 84.
     """
-    return _metric_verdict(analysis, field, budget_mode)
+    return _metric_verdicts(analysis, [field], budget_mode, partial(_star_report, analysis))[0]
 
 
-def _metric_verdict(analysis: GenericityAnalysis, field: DisplacementField, budget_mode: str,
-                    windows: _Windows | None = None, pullback=None) -> TrialVerdict:
-    """:func:`metric_stability_trial`, its Newton route reading ``windows``
-    (:class:`delgen.metric._Windows`) and its pullback route the Delaunay
-    complex of phi(P) ``pullback`` when they are given."""
+def _metric_verdicts(analysis: GenericityAnalysis, fields, budget_mode: str, reports,
+                     windows: _Windows | None = None, pullbacks=None) -> list[TrialVerdict]:
+    """:func:`metric_stability_trial` of each of ``fields``: their Newton
+    routes from one stacked search over ``windows``
+    (:class:`delgen.delaunay._Windows`) and each pullback route reading its
+    Delaunay complex of phi(P) from ``pullbacks`` where one is given.
+    ``reports(tops, vertices)`` gives a star report (:func:`_star_report`)."""
     if budget_mode not in ("thm", "cor"):
         raise PreconditionError(f"unknown budget mode {budget_mode!r}")
     p = measured_secure_params(analysis)
-    model = MetricModel(field)
-    result = _metric_delaunay(analysis.points, model, analysis.classification.region,
-                              p.eps, p.upsilon0, p.mu0, "both", windows, pullback)
-    report = _star_report(analysis, result.tops, analysis.classification.region)
-    if budget_mode == "thm":
-        budget = p.budget().rho_metric
-    else:
-        budget = p.budget().rho_generic
-    return TrialVerdict(
-        name=f"metric_stability_{budget_mode}",
-        passed=report.isomorphic,
-        in_budget=model.rho_bound <= budget * (1 + 1e-12),
-        budget_used=model.rho_bound,
-        measured={"extra": len(report.extra), "missing": len(report.missing),
-                  "undecided": len(result.undecided)},
-        certified=result.certified,
-        counterexamples=tuple(sorted(report.extra + report.missing)),
-    )
+    b = p.budget()
+    budget = b.rho_metric if budget_mode == "thm" else b.rho_generic
+    region = analysis.classification.region
+    models = [MetricModel(field) for field in fields]
+    results = _metric_delaunays(analysis.points, models, region, p.eps, p.upsilon0, p.mu0,
+                                "both", windows, pullbacks)
+    verdicts = []
+    for model, result in zip(models, results):
+        iso = reports(result.tops, region)
+        verdicts.append(TrialVerdict(
+            name=f"metric_stability_{budget_mode}",
+            passed=iso.isomorphic,
+            in_budget=model.rho_bound <= budget * (1 + 1e-12),
+            budget_used=model.rho_bound,
+            measured={"extra": len(iso.extra), "missing": len(iso.missing),
+                      "undecided": len(result.undecided)},
+            certified=result.certified,
+            counterexamples=tuple(sorted(iso.extra + iso.missing)),
+        ))
+    return verdicts
 
 
 # -- batch driver ----------------------------------------------------------
@@ -529,15 +537,17 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
     and ``metric`` uses a displacement field at the fraction of the metric
     budget. Verdicts come back sorted by (model, budget, seed).
 
-    Every fraction is checked before any trial runs. The relaxed stars of
-    all fractions come from one candidate build (``delaunay._relaxed_stars``)
-    and the Newton routes of all metric trials read one window build, made
-    at the batch's largest reach (:class:`delgen.metric._Windows`). Every
-    point perturbation and every image phi(P) of the metric trials is built
-    first, and one check of the base triangulation on all of them
-    (``delaunay._kept_triangulations``) gives the Delaunay complex of each
-    copy it keeps; only the others are built with qhull. Each verdict equals
-    that of its own trial call.
+    Every fraction is checked before any trial runs. The batch runs stage
+    by stage over all its trials. One candidate build
+    (:class:`delgen.delaunay._Windows`), at the batch's largest reach, serves
+    the relaxed stars of every fraction (``delaunay._relaxed_stars``) and
+    the Newton routes of every metric trial, which run as one stacked
+    search (``metric._generic_paths``). Every point perturbation and every
+    image phi(P) of the metric trials is built first, and one check of the
+    base triangulation on all of them (``delaunay._kept_triangulations``)
+    gives the Delaunay complex of each copy it keeps; only the others are
+    built with qhull. Each distinct star is reported once. Each verdict
+    equals that of its own trial call.
     """
     b = measured_secure_params(analysis).budget()
     unknown = set(models) - _BATCH_MODELS
@@ -551,19 +561,23 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
     ps = analysis.points
     region = analysis.classification.region
     eps = analysis.sampling.epsilon
+    tol = ps.tolerance()
     models = sorted(set(models))
     adversarial = (_adversarial_directions(ps, analysis.base)
                    if "adversarial" in models else None)
-    relaxed = (_relaxed_stars(ps, [frac * b.rho_point for frac in budgets], region, eps,
-                              analysis.base) if "relaxation" in models else None)
-    fields, windows = {}, None
+    fields = {}
     if "metric" in models:
         mi = models.index("metric")
         fields = {(bi, si): DisplacementField(ps.dim, frac * b.rho_metric / 2.0,
                                               _trial_seed(root_seed, mi, bi, si))
                   for bi, frac in enumerate(budgets) for si in range(int(seeds))}
-        reach = max(_newton_reach(eps, MetricModel(field)) for field in fields.values())
-        windows = _Windows(ps, region, reach + ps.tolerance())
+    reaches = [_newton_reach(eps, MetricModel(field)) + tol for field in fields.values()]
+    if "relaxation" in models:
+        reaches.append(2.0 * eps + tol)
+    windows = (_Windows(ps, region, max(reaches), range(1, ps.dim + 1)
+                        if "relaxation" in models else (ps.dim,)) if reaches else None)
+    relaxed = (_relaxed_stars(ps, [frac * b.rho_point for frac in budgets], region, eps,
+                              analysis.base, windows) if "relaxation" in models else None)
 
     def runs(model):
         # A model that draws nothing at random runs once for all seeds.
@@ -577,16 +591,32 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
     kept = dict(zip([*perts, *fields], _kept_triangulations(
         ps, analysis.base, [*(pert.apply() for pert in perts.values()),
                             *(field.forward(ps.points) for field in fields.values())])))
+    known = {}
+
+    def reports(tops, vertices=(), faces=()):
+        # Every copy the check keeps has the base tops, so most trials of a
+        # batch ask about the same star.
+        key = (tops.tobytes(), tuple(vertices), np.asarray(faces).tobytes())
+        if key not in known:
+            known[key] = _star_report(analysis, tops, vertices, faces)
+        return known[key]
+
+    metric = dict(zip(fields, _metric_verdicts(
+        analysis, list(fields.values()), "thm", reports, windows,
+        [kept[key] for key in fields]))) if fields else {}
     verdicts = []
     for mi, model in enumerate(models):
         seeded = model in _SEEDED_MODELS
         for bi in range(len(budgets)):
             for si in runs(model):
                 if model == "relaxation":
-                    v = _relaxation_verdict(analysis, relaxed[bi])
+                    v = _relaxation_verdict(analysis, b, relaxed[bi], reports)
                 elif model == "metric":
-                    v = _metric_verdict(analysis, fields[bi, si], "thm", windows, kept[bi, si])
+                    v = metric[bi, si]
                 else:
-                    v = _point_verdict(analysis, perts[mi, bi, si], kept[mi, bi, si])
+                    pert, perturbed = perts[mi, bi, si], kept[mi, bi, si]
+                    if perturbed is None:
+                        perturbed = delaunay_lifted(pert.apply())
+                    v = _point_verdict(b, pert, reports(perturbed.tops))
                 verdicts.extend([v] * (1 if seeded else int(seeds)))
     return verdicts

@@ -539,6 +539,20 @@ def test_star_candidates_match_the_pdist_loop():
                        for r, k in zip(rows.tolist(), counts.tolist()))
 
 
+
+def test_star_candidates_of_balls_of_many_sizes_match_the_pdist_loop():
+    # A dense cluster in a sparse cloud: the balls of the region's vertices
+    # differ in size by far more than the factor of one stacked chunk.
+    rng = np.random.default_rng(4)
+    for dim in (2, 3):
+        pts = np.vstack([rng.uniform(0.0, 4.0, (60, dim)), rng.uniform(1.5, 2.0, (25, dim))])
+        region, reach = [0, 1, 2, 60, 61, 62], 1.2
+        lens = [len(b) for b in cKDTree(pts).query_ball_point(pts[region], reach)]
+        assert max(lens) > 3 * min(lens)
+        rows, counts = _star_candidates(PointSet(pts), region, reach, range(1, dim + 1))
+        got = candidate_tuples(rows, counts)
+        assert got == list(star_candidates_by_loop(pts, region, reach, range(1, dim + 1)))
+
 def test_relaxed_exhausted_budget_is_undecided(monkeypatch):
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
     base = delaunay_lifted(pts)

@@ -358,7 +358,7 @@ def test_metric_delaunay_newton_route_makes_one_call_per_stage(monkeypatch):
 
 def test_windows_at_a_smaller_reach_are_the_candidates_of_that_reach():
     from delgen.complexes import sorted_rows
-    from delgen.delaunay import _star_candidates
+    from delgen.delaunay import _circumcenter_seeds, _star_candidates
 
     # On the exact lattices, many diameters equal the reach, so the rows
     # within rounding of it take the tree query.
@@ -370,19 +370,28 @@ def test_windows_at_a_smaller_reach_are_the_candidates_of_that_reach():
         ps = PointSet(pts)
         eps = 1.0 if jitter == 0.0 else analyze_genericity(pts).sampling.epsilon
         region = np.argsort(np.linalg.norm(pts - pts.mean(axis=0), axis=1))[:5].tolist()
-        windows = metric._Windows(ps, region, reaches[0] * eps)
+        # One build serves both routes: the Newton rows and every relaxed row.
+        windows = metric._Windows(ps, region, reaches[0] * eps, range(1, dim + 1))
         sizes = set()
         for reach in (r * eps for r in reaches):
-            rows, mets, balls = windows.within(reach)
+            at = windows.within(reach)
+            rows = windows.tops[at]
             want = _star_candidates(ps, sorted(region), reach, (dim,))[0]
             want = want[sorted_rows(want, ps.n)]
             assert np.array_equal(rows, want)
+            mets = simplex_metrics_batch(pts, windows.tops).take(at)
             fresh = simplex_metrics_batch(pts, want)
             for name in ("vertices", "longest_edge", "shortest_edge", "altitudes",
                          "thickness", "degenerate"):
                 assert np.array_equal(getattr(mets, name), getattr(fresh, name))
-            for got, ref in zip(balls, circumballs(pts, want)):
+            for got, ref in zip((col[at] for col in windows.balls), circumballs(pts, want)):
                 assert np.array_equal(got, ref)
+            # The relaxed rows, in the order of first visit at this reach.
+            at = windows.relaxed(reach)
+            want, counts = _star_candidates(ps, sorted(region), reach, range(1, dim + 1))
+            assert np.array_equal(windows.rows[at], want)
+            assert np.array_equal(windows.sizes[at], counts)
+            assert np.array_equal(windows.seeds[at], _circumcenter_seeds(pts, want, counts))
             sizes.add(len(rows))
         # The reaches cut the window down, so the filter is exercised.
         assert len(sizes) == 4
@@ -515,3 +524,32 @@ def test_stacked_newton_matches_the_per_simplex_loop():
     # Jacobian, rows that converge only from a multistart offset, and
     # degenerate rows.
     assert {"singular", "offset", "degenerate"} <= set(events)
+
+
+def test_stacked_fields_map_each_row_as_its_own_field():
+    # The stacked Newton pass evaluates every metric field of a batch in one
+    # call; each row must keep the bits of its own field's forward.
+    rng = np.random.default_rng(21)
+    for dim in (2, 3):
+        for amplitude in (0.0, 2e-3, 0.2):
+            fields = [DisplacementField(dim, amplitude * (1.0 + 0.5 * k), seed=dim + k)
+                      for k in range(3)]
+            x = np.vstack([rng.uniform(-3.0, 3.0, size=(400, dim)),
+                           grid_points(4, dim, jitter=0.1, seed=dim)])
+            rows = rng.integers(0, len(fields), size=len(x))
+            got = metric._FieldStack(fields).forward(x, rows)
+            for k, field in enumerate(fields):
+                at = rows == k
+                assert got[at].tobytes() == field.forward(x[at]).tobytes()
+            for i in range(0, len(x), 37):
+                assert got[i].tobytes() == fields[rows[i]].forward(x[i])[0].tobytes()
+            # A single field is a stack of one.
+            one = metric._FieldStack(fields[:1]).forward(x, np.zeros(len(x), dtype=int))
+            assert one.tobytes() == fields[0].forward(x).tobytes()
+    # Any other field object maps its own rows.
+    bands = [BandField(c, 0.15, 0.01) for c in (0.5, 1.5)]
+    x = rng.uniform(0.0, 2.0, size=(50, 2))
+    rows = np.arange(len(x)) % 2
+    got = metric._FieldStack(bands).forward(x, rows)
+    for k, band in enumerate(bands):
+        assert np.array_equal(got[rows == k], band.forward(x[rows == k]))

@@ -384,17 +384,15 @@ def test_trial_batch_validation():
 
 
 def count_star_candidates(monkeypatch):
-    """Record the reach of every ``_star_candidates`` call, wherever it is
-    bound."""
+    """Record the reach of every ``_star_candidates`` call; the window
+    engine (``delaunay._Windows``) is its one caller."""
     import delgen.delaunay as delaunay
-    import delgen.metric as metric
 
     reaches = []
     real = delaunay._star_candidates
     counted = (lambda ps, region, reach, sizes:
                reaches.append(reach) or real(ps, region, reach, sizes))
     monkeypatch.setattr(delaunay, "_star_candidates", counted)
-    monkeypatch.setattr(metric, "_star_candidates", counted)
     return reaches
 
 
@@ -417,7 +415,7 @@ def test_trial_batch_builds_candidates_once_per_batch(monkeypatch):
     assert len(verdicts) == 4 and all(v.passed and v.certified for v in verdicts)
     reaches.clear()
     trial_batch(analysis, budgets=[1.0, 0.5], seeds=2, models=["metric", "relaxation"])
-    assert len(reaches) == 2
+    assert len(reaches) == 1
 
 
 @pytest.mark.parametrize("case", [(11, 2, 0.2, 1), (11, 2, 0.2, 2), (11, 2, 0.2, 3),
@@ -477,6 +475,86 @@ def test_trial_batch_builds_few_whole_set_triangulations(monkeypatch):
                            ["uniform", "radial", "adversarial", "relaxation", "metric"])
     assert len(verdicts) == 20 and all(v.passed and v.certified for v in verdicts)
     assert len(calls) <= 2
+
+
+def test_trial_batch_runs_one_newton_stack_for_every_metric_field(monkeypatch):
+    import delgen.metric as metric
+
+    _, analysis, _ = instance()
+    searches, starts = [], []
+    search, stack = metric._metric_circumcenters, metric._newton_stack
+    monkeypatch.setattr(metric, "_metric_circumcenters",
+                        lambda *a, **k: searches.append(1) or search(*a, **k))
+
+    def counted(*args):
+        # The first pass starts every row at its Euclidean circumcentre,
+        # the seed centre (the second-to-last argument) it is held to.
+        starts.append(np.array_equal(args[0], args[-2]))
+        return stack(*args)
+
+    monkeypatch.setattr(metric, "_newton_stack", counted)
+    verdicts = trial_batch(analysis, budgets=[0.5, 1.0], seeds=2, models=["metric"])
+    assert len(verdicts) == 4 and all(v.passed and v.certified for v in verdicts)
+    assert len(searches) == 1 and starts.count(True) == 1
+
+
+def test_trial_batch_checks_every_copy_in_one_circumball_pass(monkeypatch):
+    import delgen.delaunay as delaunay
+    import delgen.perturb as perturb
+
+    _, analysis, _ = instance()
+    inside, calls = [], []
+    solve, check = delaunay._batched_circumballs, perturb._kept_triangulations
+    monkeypatch.setattr(delaunay, "_batched_circumballs",
+                        lambda *a: calls.append(bool(inside)) or solve(*a))
+
+    def counted(*args):
+        inside.append(1)
+        try:
+            return check(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(perturb, "_kept_triangulations", counted)
+    verdicts = trial_batch(analysis, budgets=[0.5, 1.0], seeds=2,
+                           models=["uniform", "radial", "adversarial", "metric"])
+    assert len(verdicts) == 16 and all(v.passed for v in verdicts)
+    assert calls.count(True) == 1
+
+
+def test_relaxed_first_tries_rarely_reach_the_radius_query(monkeypatch):
+    import delgen.delaunay as delaunay
+
+    # A seed or a known ball centre is equidistant from up to m+1 points, so
+    # a list of two nearest points sends it on to the radius query.
+    listed, widened = [], []
+    gaps, widen = delaunay._gaps, delaunay._widened
+    first = []  # true while the first gap evaluation of a call runs
+
+    def counted_gaps(*args):
+        first.append(not first)
+        try:
+            return gaps(*args)
+        finally:
+            first[-1] = False
+
+    def counted(tree, centres, listing, need):
+        out = widen(tree, centres, listing, need)
+        if first and first[-1]:
+            listed.append(len(centres))
+            widened.append(int(out[3].sum()))
+        return out
+
+    monkeypatch.setattr(delaunay, "_gaps", counted_gaps)
+    monkeypatch.setattr(delaunay, "_widened", counted)
+    for seed in range(1, 9):
+        a = analyze_genericity(grid_points(11, 2, 0.2, seed=seed))
+        b = measured_secure_params(a).budget()
+        first.clear()
+        delaunay.relaxed_delaunay(a.points, b.rho_point, a.classification.region,
+                                  eps=a.sampling.epsilon, base=a.base)
+    assert sum(listed) > 1000
+    assert sum(widened) <= 0.05 * sum(listed)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
@@ -554,6 +632,23 @@ def test_adversarial_directions_of_20000_points_in_bounded_memory():
     # A (points x balls) table of 20,000 points holds 8 * 10^8 entries.
     assert peak < 64e6
     assert elapsed < 5.0
+
+
+def test_adversarial_dense_pass_holds_less_than_its_whole_table():
+    import delgen.perturb as perturb
+
+    # The 121-point grid takes the dense pass, whose (points x balls x m)
+    # difference table and (points x balls) gap table were held whole.
+    a = analyze_genericity(grid_points(11, 2, 0.2, seed=1))
+    ps, base = a.points, a.base
+    ps.tree  # built before tracing
+    tracemalloc.start()
+    try:
+        perturb._adversarial_directions(ps, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ps.n * len(base.tops) * (ps.dim + 1)
 
 
 def test_adversarial_directions_computed_once_per_batch(monkeypatch):
