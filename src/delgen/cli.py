@@ -114,20 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
 # -- helpers ---------------------------------------------------------------
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, write) -> None:
+    """Call ``write`` on the output stream: the ``--out`` file, else stdout."""
     if getattr(args, "outfile", None):
         with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _emit_envelope(args, config: dict, digest, timings: dict, results: dict) -> None:
     env = report_envelope(__version__, config, digest, timings, results)
-    if args.format == "csv":
-        _emit(args, envelope_csv(env))
-    else:
-        _emit(args, envelope_json(env))
+    writer = envelope_csv if args.format == "csv" else envelope_json
+    _emit(args, lambda fh: writer(env, fh))
 
 
 def _require_infile(args) -> str:
@@ -291,9 +290,8 @@ def cmd_stability(args) -> int:
     gated = [v for v in verdicts if v.in_budget]
     code = 0 if all(v.passed and v.certified for v in gated) else 5
     if args.format == "jsonl":
-        lines = "".join(json.dumps(v.to_json(), sort_keys=True) + "\n"
-                        for v in verdicts)
-        _emit(args, lines)
+        _emit(args, lambda fh: fh.writelines(json.dumps(v.to_json(), sort_keys=True) + "\n"
+                                             for v in verdicts))
         return code
     results = {"summary": summary, "verdicts": [v.to_json() for v in verdicts]}
     _emit_envelope(args, config, digest, _timings(t0, analysis, trials_s=trials_s), results)

@@ -216,11 +216,26 @@ def _empty_balls(tree: cKDTree, subsets, centers, radii, tol):
     within tol of an accepted sphere, they form a cospherical group. Returns
     the accepted rows in order, their protections and the set of groups.
 
-    Each centre lists its m+3 nearest points (:func:`_listed`). A row no
-    listed foreign point rejects needs every point within tol of its sphere
-    or nearer than its listed protection as well (:func:`_widened`).
+    Each centre lists its m+3 nearest points (:func:`_listed`), a block of
+    rows (``hull.blocks``) at a time. A row no listed foreign point rejects
+    needs every point within tol of its sphere or nearer than its listed
+    protection as well (:func:`_widened`). Every row is certified on its
+    own, so the blocks move no bit.
     """
-    listing = _listed(tree, centers, tree.data.shape[1] + 3)
+    k = tree.data.shape[1] + 3
+    protection = np.empty(len(subsets))
+    groups: set[tuple[int, ...]] = set()
+    for b in blocks(len(subsets), k):
+        protection[b], found = _block_balls(tree, subsets[b], centers[b], radii[b], tol, k)
+        groups |= found
+    accepted = protection > -tol
+    return np.flatnonzero(accepted), protection[accepted], groups
+
+
+def _block_balls(tree: cKDTree, subsets, centers, radii, tol, k):
+    """:func:`_empty_balls` on one block of rows, each listing its k nearest
+    points: every row's protection, and the groups of the accepted rows."""
+    listing = _listed(tree, centers, k)
     margins, protection = _margins(subsets, radii, *listing[:3])
     need = np.where(protection > -tol, radii + np.maximum(tol, protection), -np.inf)
     rows, cols, dists, short = _widened(tree, centers, listing, need)
@@ -232,11 +247,11 @@ def _empty_balls(tree: cKDTree, subsets, centers, radii, tol):
     member = np.flatnonzero(near & (accepted & crowded)[rows])
     order = np.lexsort((cols[member], rows[member]))
     owner, ids = rows[member][order], cols[member][order]
-    groups: set[tuple[int, ...]] = set()
+    groups = set()
     for group in np.split(ids, np.flatnonzero(np.diff(owner)) + 1):
         if group.size:
             groups.add(tuple(group.tolist()))
-    return np.flatnonzero(accepted), protection[accepted], groups
+    return protection, groups
 
 
 def _margins(subsets, radii, rows, cols, dists):

@@ -14,11 +14,13 @@ import io
 import json
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
 
 from .complexes import SimplicialComplex
 from .errors import ParseError
+from .hull import blocks
 
 POINT_FORMAT = "%.17g"
 
@@ -188,44 +190,58 @@ def _json_cells(column: np.ndarray) -> list[str]:
     return [str(v) for v in values]
 
 
-def _table_json(table: Table, indent: str) -> str:
-    """The table's rows as ``json.dumps(..., sort_keys=True, indent=2)``
-    writes them, each line after the first prefixed by ``indent``; one
-    template per row, filled from the columns."""
-    if not len(table):
-        return "[]"
-    lines, cells = [], []
+# Characters of the longest cell: the repr of a float, such as
+# -2.2250738585072014e-308. A row's width counts each cell at this many.
+_CELL_CHARS = 24
+
+
+def _write_rows(fh, row: str, columns: list, indent: str) -> None:
+    """Write the list of rows that ``row`` spells with one cell of each
+    column filled in, as ``json.dumps(..., indent=2)`` writes a list, each
+    line after the first prefixed by ``indent``. The rows go out in blocks
+    (``hull.blocks``, counting a row by its characters), each from one
+    template filled from the columns' slices."""
+    count = len(columns[0])
+    if not count:
+        fh.write("[]")
+        return
+    sep = f",\n{indent}  "
+    fh.write(f"[\n{indent}  ")
+    for block in blocks(count, len(row) + _CELL_CHARS * len(columns)):
+        if block.start:
+            fh.write(sep)
+        cells = [_json_cells(col[block]) for col in columns]
+        template = sep.join([row] * (block.stop - block.start))
+        fh.write(template % tuple(chain.from_iterable(zip(*cells))))
+    fh.write(f"\n{indent}]")
+
+
+def _write_table(fh, table: Table, indent: str) -> None:
+    """Write the table's rows as ``json.dumps(..., sort_keys=True, indent=2)``
+    writes them (see :func:`_write_rows`)."""
+    lines, columns = [], []
     for name in sorted(table.columns):
         col = table.columns[name]
         key = json.dumps(name)
         if col.ndim == 1:
             lines.append(f"{indent}    {key}: %s")
-            cells.append(_json_cells(col))
+            columns.append(col)
         else:
             items = ",\n".join([f"{indent}      %s"] * col.shape[1])
             lines.append(f"{indent}    {key}: [\n{items}\n{indent}    ]")
-            cells.extend(_json_cells(c) for c in col.T)
-    row = "{\n" + ",\n".join(lines) + f"\n{indent}  }}"
-    body = f",\n{indent}  ".join(row % values for values in zip(*cells))
-    return f"[\n{indent}  {body}\n{indent}]"
-
-
-def _ids_json(ids: np.ndarray, indent: str) -> str:
-    """The ids as ``json.dumps(..., indent=2)`` writes their list, each line
-    after the first prefixed by ``indent``; one template for the list."""
-    if not ids.size:
-        return "[]"
-    return f"[\n{indent}  " + f",\n{indent}  ".join(map(str, ids.tolist())) + f"\n{indent}]"
+            columns.extend(col.T)
+    _write_rows(fh, "{\n" + ",\n".join(lines) + f"\n{indent}  }}", columns, indent)
 
 
 # Stands in for each table or id list while json.dumps writes the rest.
 _STUB = "\0table"
 
 
-def envelope_json(envelope: dict) -> str:
-    """``json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)``
-    and a newline, where each :class:`Table` is written as its rows and each
-    1-D integer array as its list."""
+def envelope_json(envelope: dict, fh) -> None:
+    """Write ``json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)``
+    and a newline to the text stream ``fh``, where each :class:`Table` is
+    written as its rows and each 1-D integer array as its list, a block of
+    rows at a time. Only the rest of the report is one string."""
     held = []
 
     def stub(obj):
@@ -236,21 +252,25 @@ def envelope_json(envelope: dict) -> str:
 
     text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False, default=stub)
     pieces = text.split(json.dumps(_STUB))
-    out = [pieces[0]]
+    fh.write(pieces[0])
     for before, obj, after in zip(pieces[:-1], held, pieces[1:], strict=True):
         line = before.rsplit("\n", 1)[-1]
         indent = line[:len(line) - len(line.lstrip(" "))]
-        out += [(_table_json if isinstance(obj, Table) else _ids_json)(obj, indent), after]
-    return "".join(out) + "\n"
+        if isinstance(obj, Table):
+            _write_table(fh, obj, indent)
+        else:
+            _write_rows(fh, "%s", [obj], indent)
+        fh.write(after)
+    fh.write("\n")
 
 
 def strip_timings(envelope: dict) -> dict:
     return {k: v for k, v in envelope.items() if k != "timings"}
 
 
-def flatten_for_csv(value, prefix: str = "") -> list[tuple[str, str]]:
-    """Depth-first flattening of a report into (key, value) rows."""
-    rows: list[tuple[str, str]] = []
+def flatten_for_csv(value, prefix: str = ""):
+    """Depth-first flattening of a report into (key, value) rows, yielded in
+    order; a table's cells are formatted a block of rows at a time."""
     if isinstance(value, Table):
         fields = []
         for name in sorted(value.columns):
@@ -259,24 +279,26 @@ def flatten_for_csv(value, prefix: str = "") -> list[tuple[str, str]]:
                 fields.append((f".{name}", col))
             else:
                 fields.extend((f".{name}[{j}]", c) for j, c in enumerate(col.T))
-        cells = [[str(v) for v in col.tolist()] for _, col in fields]
-        for i, row in enumerate(zip(*cells)):
-            rows.extend((f"{prefix}[{i}]{suffix}", v) for (suffix, _), v in zip(fields, row))
+        width = sum(len(prefix) + len(suffix) + _CELL_CHARS for suffix, _ in fields)
+        for block in blocks(len(value), width):
+            cells = [list(map(str, col[block].tolist())) for _, col in fields]
+            for i, row in enumerate(zip(*cells), start=block.start):
+                head = f"{prefix}[{i}]"
+                for (suffix, _), v in zip(fields, row):
+                    yield head + suffix, v
     elif isinstance(value, dict):
         for k in sorted(value):
-            rows.extend(flatten_for_csv(value[k], f"{prefix}.{k}" if prefix else str(k)))
+            yield from flatten_for_csv(value[k], f"{prefix}.{k}" if prefix else str(k))
     elif isinstance(value, (list, tuple, np.ndarray)):
         for i, v in enumerate(value):
-            rows.extend(flatten_for_csv(v, f"{prefix}[{i}]"))
+            yield from flatten_for_csv(v, f"{prefix}[{i}]")
     else:
-        rows.append((prefix, "" if value is None else str(value)))
-    return rows
+        yield prefix, "" if value is None else str(value)
 
 
-def envelope_csv(envelope: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def envelope_csv(envelope: dict, fh) -> None:
+    """Write the report without its timings as (key, value) CSV rows to the
+    text stream ``fh``, row by row as :func:`flatten_for_csv` yields them."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for key, val in flatten_for_csv(strip_timings(envelope)):
-        writer.writerow([key, val])
-    return buf.getvalue()
+    writer.writerows(flatten_for_csv(strip_timings(envelope)))

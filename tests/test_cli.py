@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import delgen
+from delgen import cli
 from delgen.cli import build_parser, main
 from delgen.datasets import grid_points, uniform_points
 from delgen.fileio import read_points, write_points
@@ -174,6 +175,20 @@ def test_stability_jsonl():
     assert all(v["passed"] and v["in_budget"] for v in verdicts)
     assert {v["trial"] for v in verdicts} == {"point_stability"}
     assert {v["model"] for v in verdicts} == {"uniform", "adversarial"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--format", "json"], ["analyze", "--format", "csv"],
+    ["stability", "--models", "uniform,radial", "--seeds-count", "2", "--format", "jsonl"],
+], ids=["analyze-json", "analyze-csv", "stability-jsonl"])
+def test_stdout_gets_the_bytes_the_out_file_gets(argv, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_timings", lambda *args, **trials: {"total_s": 0.0})
+    argv = argv + ["--in", infile("generic.txt")]
+    code, text, _ = run(argv)
+    assert code == 0 and text
+    path = tmp_path / "report"
+    assert run(argv + ["--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == text.encode()
 
 
 def test_stability_json_summary_and_determinism():

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from delgen import cli
+from delgen import cli, fileio, hull
 from delgen.datasets import delta_search, grid_points, uniform_points
 from delgen.delaunay import delaunay_lifted
 from delgen.errors import ParseError, PreconditionError
@@ -28,6 +29,13 @@ from delgen.fileio import (
     write_points,
 )
 from delgen.genericity import analyze_genericity
+
+
+def written(writer, env) -> str:
+    """The text ``writer`` (``envelope_json`` or ``envelope_csv``) writes."""
+    buf = io.StringIO()
+    writer(env, buf)
+    return buf.getvalue()
 
 
 def test_grid_points_exact_lattice():
@@ -253,7 +261,7 @@ def test_jsonable_types():
 def test_envelope_shape_and_determinism():
     env = report_envelope("1.2.3", {"verb": "analyze", "seed": 4}, "abc123",
                           {"total_s": 0.5}, {"delta": 0.01})
-    text = envelope_json(env)
+    text = written(envelope_json, env)
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert parsed["tool"] == {"name": "delgen", "version": "1.2.3"}
@@ -262,14 +270,14 @@ def test_envelope_shape_and_determinism():
     env2 = report_envelope("1.2.3", {"verb": "analyze", "seed": 4}, "abc123",
                            {"total_s": 99.0}, {"delta": 0.01})
     assert strip_timings(env) == strip_timings(env2)
-    assert envelope_json(env) != envelope_json(env2)
+    assert written(envelope_json, env) != written(envelope_json, env2)
 
 
 def test_flatten_and_csv():
-    rows = flatten_for_csv({"a": {"b": [1, 2]}, "c": None})
+    rows = list(flatten_for_csv({"a": {"b": [1, 2]}, "c": None}))
     assert rows == [("a.b[0]", "1"), ("a.b[1]", "2"), ("c", "")]
     env = report_envelope("0", {"x": 1}, None, {"t": 1.0}, {"list": [True, 2.5]})
-    text = envelope_csv(env)
+    text = written(envelope_csv, env)
     lines = text.splitlines()
     assert lines[0] == "key,value"
     assert not any(line.startswith("timings") for line in lines)
@@ -294,12 +302,13 @@ def rows_of(value):
 
 def assert_writers_match_the_encoder(env):
     ref = jsonable(rows_of(env))
-    assert envelope_json(env) == json.dumps(ref, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    want = json.dumps(ref, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert written(envelope_json, env) == want
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
     writer.writerows(flatten_for_csv(strip_timings(ref)))
-    assert envelope_csv(env) == buf.getvalue()
+    assert written(envelope_csv, env) == buf.getvalue()
 
 
 @pytest.mark.parametrize("pts, code", [
@@ -332,7 +341,7 @@ def test_report_writers_match_the_encoder_on_non_finite_rows():
     env = report_envelope("0", {"x": 1}, None, {"t": 1.0},
                           {"audit": {"simplices": table, "z": 1}, "list": [table]})
     assert_writers_match_the_encoder(env)
-    assert '"protection": "inf"' in envelope_json(env)
+    assert '"protection": "inf"' in written(envelope_json, env)
 
 
 @pytest.mark.parametrize("ids", [np.zeros(0, dtype=np.intp), np.array([7]),
@@ -345,4 +354,58 @@ def test_report_writers_match_the_encoder_on_id_lists(ids):
                            "lists": [ids, [ids]], "values": np.array([0.5, 1.5])})
     assert jsonable(env["results"])["region"] is ids
     assert_writers_match_the_encoder(env)
-    assert json.loads(envelope_json(env))["results"]["region"] == ids.tolist()
+    assert json.loads(written(envelope_json, env))["results"]["region"] == ids.tolist()
+
+
+BLOCK_ROWS = 3
+
+
+@pytest.mark.parametrize("count", [0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1])
+def test_report_writers_match_the_encoder_at_block_boundaries(count, monkeypatch):
+    # The writers fill one template per block of rows; with blocks of three
+    # rows, every seam between blocks must leave the bytes as they were.
+    monkeypatch.setattr(fileio, "blocks", lambda total, width: [
+        slice(a, min(a + BLOCK_ROWS, total)) for a in range(0, total, BLOCK_ROWS)])
+    rng = np.random.default_rng(count)
+    radius = rng.random(count) * 10.0 ** rng.integers(-300, 300, count)
+    radius[::4] = [np.inf, np.nan, -np.inf, -0.0][:len(radius[::4])]
+    table = Table(vertices=rng.integers(0, 2**40, (count, 3)), radius=radius,
+                  protection=-rng.random(count), secure=rng.random(count) < 0.5)
+    ids = np.arange(count, dtype=np.intp) * 7
+    env = report_envelope("0", {"x": 1}, None, {"t": 1.0},
+                          {"audit": {"simplices": table, "z": 1}, "region": ids,
+                           "list": [table, ids, [table]], "after": [0.5, ids]})
+    assert_writers_match_the_encoder(env)
+
+
+class Sink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self) -> None:
+        self.size = 0
+
+    def write(self, text: str) -> None:
+        self.size += len(text)
+
+
+def test_report_writers_hold_a_block_of_rows_not_the_text():
+    rng = np.random.default_rng(3)
+    n = 200_000
+    table = Table(vertices=rng.integers(0, 10**5, (n, 3)), radius=rng.random(n),
+                  protection=rng.random(n), thickness=rng.random(n),
+                  secure=rng.random(n) < 0.5)
+    head = Table(**{name: col[:n // 10] for name, col in table.columns.items()})
+    # About 53 MB of JSON text, and 7 MB of CSV for a tenth of the rows; a
+    # block of rows is about hull.BLOCK characters, held with its cells.
+    for writer, rows, size in ((envelope_json, table, 50e6), (envelope_csv, head, 7e6)):
+        env = report_envelope("0", {"x": 1}, None, {"t": 1.0}, {"audit": {"simplices": rows}})
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            writer(env, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > size
+        assert peak < 16 * hull.BLOCK, (writer.__name__, peak)

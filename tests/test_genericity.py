@@ -1,5 +1,6 @@
 """Sampling radius, deep interior, protection audits, and certificates."""
 
+import io
 import json
 import tracemalloc
 from dataclasses import replace
@@ -403,7 +404,9 @@ def test_lemma_audit_green_on_generic_grid():
 def test_audit_json_schema():
     pts, region = jittered_instance()
     audit = lemma_audit(analyze_genericity(pts, region)).to_json()
-    doc = json.loads(envelope_json({"audit": audit}))["audit"]
+    buf = io.StringIO()
+    envelope_json({"audit": audit}, buf)
+    doc = json.loads(buf.getvalue())["audit"]
     assert set(doc) == {
         "epsilon", "sparsity", "mu0", "delta", "nu_tilde", "upsilon0",
         "generic", "simplices", "checks",
