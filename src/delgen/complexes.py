@@ -46,6 +46,21 @@ def row_keys(rows: np.ndarray, radix: int) -> np.ndarray:
     return keys
 
 
+def _faces_of(tops: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct k-vertex faces of the rows of ``tops``, in lexicographic
+    order, each with its ids in the order of its row, and the face of each
+    (k-subset, row) pair, the subsets in ``combinations`` order and the rows
+    within each.
+
+    Each face is keyed as one integer (``row_keys``), so a single 1-D
+    ``np.unique`` keeps the faces' lexicographic order.
+    """
+    stack = np.vstack([tops[:, list(c)] for c in combinations(range(tops.shape[1]), k)])
+    _, first, inverse = np.unique(row_keys(stack, int(tops.max()) + 1),
+                                  return_index=True, return_inverse=True)
+    return stack[first], inverse.ravel()
+
+
 def _holds_any(rows: np.ndarray, ids, radix: int) -> np.ndarray:
     """Whether each row of vertex ids below ``radix`` holds one of ``ids``,
     as ``np.isin(rows, ids).any(axis=-1)`` gives it, by one mask lookup."""

@@ -21,9 +21,10 @@
   and bound, one search over the stack of every candidate the certificate
   leaves open. The Newton route of :mod:`delgen.metric` shares the search
   for the candidates its equidistance search misses. Both routes read
-  candidate rows and seed centres from one window engine
-  (:class:`_Windows`); one build serves every trial of a batch, and
-  :func:`_relaxed_stars` decides its slacks in descending order.
+  candidate rows, by size and then key, and seed centres from one window
+  engine (:class:`_Windows`), each at its own reach by one mask; one build
+  serves every trial of a batch, and :func:`_relaxed_stars` decides its
+  slacks in descending order.
 
 A simplex is an affinely independent (m+1)-subset. Both routes, and the
 Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
@@ -50,7 +51,7 @@ from scipy.spatial import Delaunay as _SciDelaunay
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import cdist
 
-from .complexes import SimplicialComplex, _holds_any, row_keys, sorted_rows
+from .complexes import SimplicialComplex, _faces_of, _holds_any, row_keys, sorted_rows
 from .errors import PreconditionError
 from .hull import _facet_normals, affine_rank, blocks, check_coordinates
 from .simplex import _norms, circumballs
@@ -290,6 +291,16 @@ def _listed(tree: cKDTree, centres: np.ndarray, k: int):
     return rows, cols, _distances(centres[rows], pts[cols]), edge
 
 
+def _ball_entries(tree: cKDTree, centres: np.ndarray, radii):
+    """Every point of ``tree.data`` within ``radii[i]`` of ``centres[i]``, by
+    the tree's distances, as (owner, ids): the centre and the point of each
+    entry, by centre, then point id."""
+    found = tree.query_ball_point(centres, radii)
+    sizes = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+    ids = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+    return np.repeat(np.arange(len(found)), sizes), ids
+
+
 def _widened(tree: cKDTree, centres: np.ndarray, listing, need):
     """``listing`` (:func:`_listed`) with every point out to ``need[i]`` from
     centre i. A point left off a list is no nearer than its edge, less
@@ -302,11 +313,9 @@ def _widened(tree: cKDTree, centres: np.ndarray, listing, need):
     short = need >= edge * (1.0 - _TREE_RTOL)
     if short.any():
         again = np.flatnonzero(short)
-        found = tree.query_ball_point(centres[again], np.maximum(edge, need)[again]
-                                      * (1.0 + 4.0 * _TREE_RTOL))
-        sizes = np.array([len(f) for f in found])
-        more_rows = np.repeat(again, sizes)
-        more = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+        at, more = _ball_entries(tree, centres[again], np.maximum(edge, need)[again]
+                                 * (1.0 + 4.0 * _TREE_RTOL))
+        more_rows = again[at]
         keep = ~short[rows]
         rows = np.concatenate([rows[keep], more_rows])
         cols = np.concatenate([cols[keep], more])
@@ -462,15 +471,15 @@ def _kept_triangulations(ps: PointSet, base: DelaunayResult,
         return out
     n, m = ps.n, ps.dim
     tops, count = base.tops, len(base.tops)
-    faces = tops[:, [[j for j in range(m + 1) if j != i] for i in range(m + 1)]]
-    _, inverse, uses = np.unique(row_keys(faces.reshape(-1, m), n), return_inverse=True,
-                                 return_counts=True)
-    outer = np.flatnonzero(uses[inverse] == 1)
-    facets = faces.reshape(-1, m)[outer]
+    # Entry t * count + r of ``inverse`` is face t of top r, which drops its
+    # vertex m - t (``combinations`` order); a boundary facet has one entry.
+    faces, inverse = _faces_of(tops, m)
+    outer = np.flatnonzero(np.bincount(inverse)[inverse] == 1)
+    facets = faces[inverse[outer]]
     # Swapping two vertices turns a facet's normal, so each is made to point
     # into its top: to the side of the top's other vertex.
     corner, _, normal = _facet_normals(ps.points, facets)
-    other = ps.points[tops[outer // (m + 1), outer % (m + 1)]]
+    other = ps.points[tops[outer % count, m - outer // count]]
     turn = (normal * (other - corner)).sum(axis=1) < 0.0
     facets[turn, :2] = facets[turn, 1::-1]
     hull_ids = np.unique(facets)
@@ -498,10 +507,7 @@ def _kept_triangulations(ps: PointSet, base: DelaunayResult,
     scale = max(np.abs(ps.points).max(), np.abs(base.centres).max(), np.abs(centres).max())
     slack = 1e-12 * (base.radii + base.protections + scale)
     reach = base.radii + base.protections + 2.0 * (moved.max(axis=0) + slack)
-    found = ps.tree.query_ball_point(base.centres, reach * (1.0 + 4.0 * _TREE_RTOL))
-    sizes = np.array([len(f) for f in found])
-    owner = np.repeat(np.arange(count), sizes)
-    ids = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+    owner, ids = _ball_entries(ps.tree, base.centres, reach * (1.0 + 4.0 * _TREE_RTOL))
     foreign = ~_owned(tops[owner], ids)
     owner, ids = owner[foreign], ids[foreign]
     for part in blocks(len(live), len(owner) * m):
@@ -729,22 +735,19 @@ def _star_candidates(ps: PointSet, region, reach, sizes):
 
     Returns (rows, counts): (C, m+1) vertex ids, each row sorted and padded
     to m+1 ids by repeating its first vertex, and each row's vertex count.
-    Each simplex is listed once, at its first visit: region vertex, then
-    size, then combination of the KD-tree ball around the vertex. Among the
-    combinations of one vertex and size, that order is the order of the
-    sorted rows. The vertices are stacked, each with its ball in id order,
-    in chunks of balls within a factor 1.5 in size, each padded to its
-    largest ball. The diameters of one size are a stacked max over the
-    vertex pairs of one distance table per vertex, in blocks of vertices
-    (``hull.blocks``); combinations past a vertex's ball are dropped, and
-    so are the later visits of each simplex.
+    Each simplex is listed once, by size, then by key (``row_keys``), so a
+    smaller reach lists a subsequence of the rows of a larger one. The
+    vertices are stacked, each with its KD-tree ball in id order, in chunks
+    of balls within a factor 1.5 in size, each padded to its largest ball.
+    The diameters of one size are a stacked max over the vertex pairs of one
+    distance table per vertex, in blocks of vertices (``hull.blocks``);
+    combinations past a vertex's ball are dropped, and one ``np.unique`` of
+    the keys per size drops the repeats.
     """
     pts, width = ps.points, ps.dim + 1
     region = np.asarray(region, dtype=np.intp)
-    found = ps.tree.query_ball_point(pts[region], reach, return_sorted=True)
-    lens = np.array([len(f) for f in found])  # each ball holds its vertex
-    ids = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=lens.sum())
-    owner = np.repeat(np.arange(len(region)), lens)
+    owner, ids = _ball_entries(ps.tree, pts[region], reach)
+    lens = np.bincount(owner, minlength=len(region))  # each ball holds its vertex
     others = np.flatnonzero(ids != region[owner])
     # Row i: vertex i, then the other points of its ball; the pad repeats it.
     local = np.repeat(region[:, None], lens.max(), axis=1)
@@ -755,7 +758,7 @@ def _star_candidates(ps: PointSet, region, reach, sizes):
     for i, size in enumerate(lens[order].tolist()):
         if size > 1.5 * lens[order[cuts[-1]]]:
             cuts.append(i)
-    visits = {size: ([], []) for size in sizes}  # visiting vertex and sorted rows
+    found = {size: [] for size in sizes}  # sorted rows
     for chunk in np.split(order, cuts[1:]):
         ball = lens[chunk].max()
         combos = {size: np.array([(0, *c) for c in combinations(range(1, ball), size)],
@@ -771,20 +774,14 @@ def _star_candidates(ps: PointSet, region, reach, sizes):
                 near = table[:, rows[:, a], rows[:, b]].max(axis=2) <= reach
                 near &= rows[:, -1] < lens[at, None]
                 i, c = np.nonzero(near)
-                visits[size][0].append(at[i])
-                visits[size][1].append(np.sort(local[at[i, None], rows[c]], axis=1))
+                found[size].append(np.sort(local[at[i, None], rows[c]], axis=1))
     parts = []
-    for size, (at, rows) in visits.items():
-        at, rows = np.concatenate(at), np.concatenate(rows)
-        first = np.lexsort((at, *rows.T[::-1]))
-        at, rows = at[first], rows[first]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        parts.append((at[first], np.full(first.sum(), size + 1),
-                      rows[first][:, [*range(size + 1), *[0] * (width - size - 1)]]))
-    at, counts, rows = (np.concatenate(col) for col in zip(*parts))
-    order = np.lexsort((*rows.T[::-1], counts, at))
-    return rows[order], counts[order]
+    for size in sorted(found):
+        rows = np.concatenate(found[size])
+        rows = rows[np.unique(row_keys(rows, ps.n), return_index=True)[1]]
+        parts.append((rows[:, [*range(size + 1), *[0] * (width - size - 1)]],
+                      np.full(len(rows), size + 1)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _containing_tops(tops: np.ndarray, padded: np.ndarray, region, radix: int):
@@ -816,10 +813,11 @@ class _Windows:
     ``rows`` and ``sizes`` are the rows of ``_star_candidates(ps, region,
     reach, sizes)`` and their vertex counts, ``diameters`` their diameters
     measured as ``cdist`` measures them and ``seeds`` their
-    :func:`_circumcenter_seeds` centres. The (m+1)-vertex rows are also
-    listed in key order as ``tops``, with their :func:`circumballs` columns
-    ``balls``, from which their seeds are taken. No row's bits depend on the
-    stack, so a row read at a smaller reach has the bits of a build there.
+    :func:`_circumcenter_seeds` centres. The (m+1)-vertex rows come last, in
+    key order, and are also held as ``tops``, with their :func:`circumballs`
+    columns ``balls``, from which their seeds are taken. No row's bits depend
+    on the stack, so a row read at a smaller reach has the bits of a build
+    there.
     """
 
     def __init__(self, ps: PointSet, region, reach: float, sizes) -> None:
@@ -830,54 +828,30 @@ class _Windows:
         # A padded row repeats a vertex, so its column pairs give its diameter.
         self.diameters = np.max([_distances(v[:, i], v[:, j])
                                  for i, j in combinations(range(m + 1), 2)], axis=0)
-        # Rows are sorted, and so is the region: a row's first region vertex
-        # is its first visitor whenever the tree ball holds it.
-        mask = np.zeros(ps.n, dtype=bool)
-        mask[self.region] = True
-        self.heads = np.take_along_axis(self.rows, mask[self.rows].argmax(axis=1)[:, None], 1)[:, 0]
-        full = np.flatnonzero(self.sizes == m + 1)
-        full = full[sorted_rows(self.rows[full], ps.n)]
+        full = self.sizes == m + 1
         self.tops = self.rows[full]
         self.balls = circumballs(pts, self.tops)
         self.seeds = np.zeros((len(self.rows), m))
-        lower = np.flatnonzero(self.sizes <= m)
-        self.seeds[lower] = _circumcenter_seeds(pts, self.rows[lower], self.sizes[lower])
+        self.seeds[~full] = _circumcenter_seeds(pts, self.rows[~full], self.sizes[~full])
         self.seeds[full] = _seeds(pts, self.tops, self.balls)
-        self._full = full
 
-    def _visits(self, reach: float) -> np.ndarray:
-        """Each row's first visiting region vertex in ``_star_candidates``
-        at ``reach``, -1 where that does not list the row: its diameter
-        exceeds ``reach``, or no region vertex of it has the row in its
-        KD-tree ball of radius ``reach``. A row whose diameter is below
-        ``reach`` by more than the tree's rounding is in that ball at each
-        of its region vertices, so its first visit is at its first one; the
-        rows within rounding of ``reach`` are queried."""
-        first = np.where(self.diameters <= reach, self.heads, -1)
-        close = np.flatnonzero((first >= 0) & (self.diameters > reach * (1.0 - 4.0 * _TREE_RTOL)))
+    def listed(self, reach: float) -> np.ndarray:
+        """Mask of the rows that ``_star_candidates(ps, region, reach,
+        sizes)`` lists: the diameter is at most ``reach``, and some region
+        vertex of the row has the row in its KD-tree ball of radius
+        ``reach``. A row whose diameter is below ``reach`` by more than the
+        tree's rounding is in the ball of each of its vertices; the rows
+        within rounding of ``reach`` are queried."""
+        listed = self.diameters <= reach
+        close = np.flatnonzero(listed & (self.diameters > reach * (1.0 - 4.0 * _TREE_RTOL)))
         if close.size:
             rows = self.rows[close]
             ids = np.intersect1d(rows, self.region)
             balls = dict(zip(ids.tolist(), map(set, self.ps.tree.query_ball_point(
                 self.ps.points[ids], reach))))
-            first[close] = [next((v for v in row if v in balls and set(row) <= balls[v]), -1)
-                            for row in rows.tolist()]
-        return first
-
-    def within(self, reach: float) -> np.ndarray:
-        """Positions in ``tops`` of the rows that ``_star_candidates(ps,
-        region, reach, (m,))`` lists."""
-        return np.flatnonzero(self._visits(reach)[self._full] >= 0)
-
-    def relaxed(self, reach: float) -> np.ndarray:
-        """Positions in ``rows`` of the rows that ``_star_candidates(ps,
-        region, reach, sizes)`` lists, in its order: by first visiting
-        region vertex, then size, then key. Among the rows of one vertex
-        and size, the order of the combinations of its ball is the key
-        order, whatever the ball, so a smaller reach keeps it."""
-        first = self._visits(reach)
-        keep = np.flatnonzero(first >= 0)
-        return keep[np.lexsort((*self.rows[keep].T[::-1], self.sizes[keep], first[keep]))]
+            listed[close] = [any(v in balls and set(row) <= balls[v] for v in row)
+                             for row in rows.tolist()]
+        return listed
 
 
 def relaxed_delaunay(points, rho: float, region, *, eps: float,
@@ -932,7 +906,7 @@ def _relaxed_stars(ps: PointSet, rhos, region, eps: float, base: DelaunayResult,
     reach = 2.0 * eps + tol
     if windows is None:
         windows = _Windows(ps, region, reach, range(1, m + 1))
-    at = windows.relaxed(reach)
+    at = windows.listed(reach)
     rows, sizes, seeds = windows.rows[at], windows.sizes[at], windows.seeds[at]
     member_pts = pts[rows]
 
@@ -1006,11 +980,17 @@ def _lifting_bound(ps: PointSet, rows, seeds, half: float):
     bound of its last basis, or of the best single pair where that is
     higher, is returned less an outward rounding margin. Every row is
     computed on its own, so its bound does not depend on the stack, and
-    nothing depends on a slack.
+    nothing depends on a slack. The rows go in blocks (``hull.blocks``) of
+    their (pairs x (m+1)) constraint tables, 4(m+1)^3 entries a row.
     """
+    parts = [_lifting_block(ps, rows[b], seeds[b], half)
+             for b in blocks(len(seeds), 4 * (ps.dim + 1) ** 3)] or [(np.zeros(0), np.zeros(0))]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _lifting_block(ps: PointSet, rows, seeds, half: float):
+    """:func:`_lifting_bound` of one block of rows."""
     count, m = seeds.shape
-    if not count:
-        return np.zeros(0), np.zeros(0)
     near = ps.tree.query(seeds, k=min(3 * (m + 1), ps.n))[1].reshape(count, -1)
     p = ps.points[rows] - seeds[:, None, :]
     q = ps.points[np.concatenate([rows, near], axis=1)] - seeds[:, None, :]

@@ -14,12 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .complexes import SimplicialComplex, row_keys, sorted_rows
+from .complexes import SimplicialComplex, _faces_of, sorted_rows
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
 from .fileio import Table
@@ -187,20 +186,6 @@ class _VoronoiPieces:
     faces: tuple[np.ndarray, np.ndarray] | None  # sites p, q, each (e, m)
     face_depths: np.ndarray | None  # (e,)
     face_bounds: np.ndarray | None  # (e,)
-
-
-def _faces_of(tops: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct k-vertex faces of the top simplices, as sorted rows, and the
-    face of each (k-subset, top) pair, the subsets in ``combinations`` order
-    and the tops within each.
-
-    Each row is keyed as one integer (``row_keys``), so a single 1-D
-    ``np.unique`` keeps the rows' lexicographic order.
-    """
-    stack = np.vstack([tops[:, list(c)] for c in combinations(range(tops.shape[1]), k)])
-    _, first, inverse = np.unique(row_keys(stack, int(tops.max()) + 1),
-                                  return_index=True, return_inverse=True)
-    return stack[first], inverse.ravel()
 
 
 def _piece_extremes(faces: np.ndarray, inverse: np.ndarray, depths: np.ndarray,

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import predicates
+from .complexes import _faces_of
 from .errors import PreconditionError
 from .simplex import _norms
 
@@ -170,11 +171,8 @@ def _facet_planes_seeded(pts: np.ndarray) -> np.ndarray | None:
         hull = ConvexHull(pts, qhull_options="Qt")
     except Exception:
         return None
-    simplices = np.sort(hull.simplices, axis=1)
-    m = pts.shape[1]
-    ridges = np.vstack([np.delete(simplices, k, axis=1) for k in range(m)])
-    _, counts = np.unique(ridges, axis=0, return_counts=True)
-    if not np.all(counts == 2):
+    _, ridges = _faces_of(np.sort(hull.simplices, axis=1), pts.shape[1] - 1)
+    if not np.all(np.bincount(ridges) == 2):
         return None
     if not _confirm_facets(pts, hull.simplices).all():
         return None

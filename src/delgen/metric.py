@@ -369,7 +369,8 @@ def _generic_paths(ps, models, region, eps, upsilon0, mu0,
     reaches = [_newton_reach(eps, model) + tol for model in models]
     if windows is None:
         windows = _Windows(ps, region, max(reaches), (m,))
-    picks = [windows.within(reach) for reach in reaches]
+    top = windows.sizes == m + 1
+    picks = [np.flatnonzero(windows.listed(reach)[top]) for reach in reaches]
     at = np.concatenate(picks)
     owner = np.repeat(np.arange(len(models)), [len(p) for p in picks])
     subsets, balls = windows.tops[at], tuple(col[at] for col in windows.balls)

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .delaunay import (_TREE_RTOL, DelaunayResult, RelaxedResult, _containing_tops,
-                       _kept_triangulations, _least, _owned, _relaxed_stars, _Windows,
-                       as_point_set, delaunay_lifted, relaxed_delaunay)
+from .delaunay import (_TREE_RTOL, DelaunayResult, RelaxedResult, _ball_entries,
+                       _containing_tops, _kept_triangulations, _least, _owned, _relaxed_stars,
+                       _Windows, as_point_set, delaunay_lifted, relaxed_delaunay)
 from .complexes import (IsoReport, SimplicialComplex, _holds_any, row_keys, sorted_rows,
                         star_difference)
 from .errors import NonGenericError, PreconditionError
@@ -28,7 +27,7 @@ from .genericity import GenericityAnalysis
 from .hull import blocks
 from .metric import (DisplacementField, MetricModel, _metric_delaunays, _newton_reach,
                      metric_delaunay)
-from .simplex import Simplex, circumcenter
+from .simplex import Simplex, _norms, circumcenter
 
 
 @dataclass(frozen=True)
@@ -136,46 +135,38 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sphere_gaps(diff: np.ndarray, radii: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Gap |distance - radius| of a point to a sphere, from the point's offset
-    from the centre on the last axis of ``diff``; inf where ``own`` marks the
-    point as a vertex of the sphere's simplex."""
-    rows = diff.reshape(-1, diff.shape[-1])
-    # Row times column is the dot kernel np.linalg.norm uses on a single
-    # vector, so every gap, and so every tie, matches the scalar form.
-    gaps = (rows[:, None, :] @ rows[:, :, None]).reshape(diff.shape[:-1])
-    np.sqrt(gaps, out=gaps)
-    gaps -= radii
-    np.abs(gaps, out=gaps)
-    gaps[own] = np.inf
-    return gaps
-
-
 def _shell_gaps(pts: np.ndarray, base: DelaunayResult, todo: np.ndarray, tree: cKDTree,
                 width: float):
     """Least sphere gap of each point ``todo[j]`` (``tree`` holds their
     coordinates) among the balls whose shell of ``width`` about the sphere
     holds it, and the first ball in row order with that gap; inf and
-    len(base.tops) where there is none. The balls are queried ``hull.BLOCK``
-    at a time."""
-    count = len(base.tops)
+    len(base.tops) where there is none. The entries of each ball are
+    counted first, then listed in blocks of balls of about one block of
+    entries (``hull.blocks``), in row order."""
+    count, m = base.tops.shape[0], pts.shape[1]
     least, first = np.full(todo.size, np.inf), np.full(todo.size, count)
-    for chunk in blocks(count, 1):
-        # Padded past the tree's rounding, so every point whose gap measured
-        # here is at most ``width`` is listed.
-        found = tree.query_ball_point(base.centres[chunk], (base.radii[chunk] + width)
-                                      * (1.0 + 4.0 * _TREE_RTOL))
-        sizes = np.array([len(f) for f in found])
-        balls = np.repeat(np.arange(chunk.start, chunk.stop), sizes)
-        local = np.fromiter(chain.from_iterable(found), dtype=np.intp, count=sizes.sum())
+    # Padded past the tree's rounding, so every point whose gap measured
+    # here is at most ``width`` is listed.
+    radii = (base.radii + width) * (1.0 + 4.0 * _TREE_RTOL)
+    ends = np.cumsum(tree.query_ball_point(base.centres, radii, return_length=True))
+    # Each (point, ball) entry holds m differences and a gap at once.
+    starts = [b.start for b in blocks(int(ends[-1]), m + 1)]
+    cuts = np.unique([0, *np.searchsorted(ends, starts, side="right"), count])
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        balls, local = _ball_entries(tree, base.centres[lo:hi], radii[lo:hi])
+        balls += lo
         ids = todo[local]
-        gaps = _sphere_gaps(pts.take(ids, axis=0) - base.centres.take(balls, axis=0),
-                            base.radii[balls], _owned(base.tops.take(balls, axis=0), ids))
+        # Row times column (``simplex._norms``) is the dot kernel np.linalg.norm
+        # uses on a single vector, so every gap, and so every tie, matches
+        # the scalar form.
+        gaps = np.abs(_norms(pts.take(ids, axis=0) - base.centres.take(balls, axis=0))
+                      - base.radii[balls])
+        gaps[_owned(base.tops.take(balls, axis=0), ids)] = np.inf
         low = _least(gaps, local, todo.size)
         row = np.full(todo.size, count)
         at = gaps == low[local]
         np.minimum.at(row, local[at], balls[at])
-        # Earlier chunks hold earlier rows, so a tie keeps the earlier ball.
+        # Earlier blocks hold earlier rows, so a tie keeps the earlier ball.
         better = low < least
         least[better], first[better] = low[better], row[better]
     return least, first
@@ -195,41 +186,29 @@ def _adversarial_directions(points, base: DelaunayResult) -> np.ndarray:
     neighbour almost always is. So each pass builds a tree of the points
     still open and takes w at the upper decile of their distances to their
     nearest open neighbours, plus the tolerance so that exact ties at the
-    decile count. It queries every ball's shell and settles each point
-    whose least gap found is at most w: every ball with a gap up to w was
-    found. The others go on to the next pass. Once the table of the points
-    left against every ball fits one block (``hull.blocks``), it is
-    measured whole, in blocks of its m-wide difference table.
+    decile count. It queries every ball's shell (:func:`_shell_gaps`) and
+    settles each point whose least gap found is at most w: every ball with
+    a gap up to w was found. The others go on to the next pass. The last
+    pass, once one point is left or a pass settles none, has infinite
+    width: it lists every ball for every point left and settles them all.
     """
     ps = as_point_set(points)
-    pts, tops, centres, radii = ps.points, base.tops, base.centres, base.radii
-    count = len(tops)
+    pts, count = ps.points, len(base.tops)
     first = np.full(ps.n, count)
-    todo, tree = np.arange(ps.n), ps.tree
-    while len(blocks(todo.size, count)) > 1:
-        near = tree.query(tree.data, k=2)[0][:, 1]
-        width = float(np.quantile(near, 0.9)) + base.tolerance
+    todo, tree, stuck = np.arange(ps.n), ps.tree, False
+    while todo.size:
+        width = np.inf
+        if todo.size > 1 and not stuck:
+            near = tree.query(tree.data, k=2)[0][:, 1]
+            width = float(np.quantile(near, 0.9)) + base.tolerance
         least, row = _shell_gaps(pts, base, todo, tree, width)
         settled = least <= width
-        if not settled.any():
-            break
         first[todo[settled]] = row[settled]
-        todo = todo[~settled]
+        todo, stuck = todo[~settled], not settled.any()
         tree = cKDTree(pts[todo])
-    # Each (point, ball) entry holds m differences and a gap at once.
-    for block in blocks(todo.size, count * (ps.dim + 1)):
-        ids = todo[block]
-        diff = np.empty((ids.size, count, ps.dim))
-        # One outer difference per coordinate: numpy broadcasts slowly over
-        # a 2- or 3-wide last axis.
-        for k in range(ps.dim):
-            np.subtract.outer(pts[ids, k], centres[:, k], out=diff[..., k])
-        gaps = _sphere_gaps(diff, radii, _owned(tops, ids[:, None]))
-        best = np.argmin(gaps, axis=1)
-        first[ids] = np.where(np.isfinite(gaps[np.arange(ids.size), best]), best, count)
     targets = pts.copy()
     hit = first < count
-    targets[hit] = centres[first[hit]]
+    targets[hit] = base.centres[first[hit]]
     return _unit_rows(targets - pts)
 
 

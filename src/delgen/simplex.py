@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import row_keys
+from .complexes import _faces_of
 from .errors import DegenerateSimplexError, PreconditionError
 
 # A simplex counts as degenerate when the edge matrix loses rank at this
@@ -205,10 +205,11 @@ def _altitude_stack(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Distance from each vertex to the affine hull of the opposite facet,
     for the simplices ``idx`` (S, k) of indices into ``pts``, k >= 2.
 
-    Each facet is keyed by its ids in row order (``row_keys``), so a facet
-    that several rows share takes one SVD of its span, whose output every
-    such row reads; then one stacked projection per dropped vertex. A facet
-    whose span loses rank keeps only the revealed part of its basis.
+    Each facet is keyed by its ids in row order (``complexes._faces_of``),
+    so a facet that several rows share takes one SVD of its span, whose
+    output every such row reads; then one stacked projection per dropped
+    vertex. A facet whose span loses rank keeps only the revealed part of
+    its basis.
     """
     v = pts[idx]
     count, k = idx.shape
@@ -217,17 +218,16 @@ def _altitude_stack(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
         out[:, 0] = _norms(v[:, 0] - v[:, 1])
         out[:, 1] = _norms(v[:, 1] - v[:, 0])
         return out
-    drops = [[t for t in range(k) if t != i] for i in range(k)]
-    facets = np.vstack([idx[:, others] for others in drops])
-    _, first, which = np.unique(row_keys(facets, len(pts)), return_index=True,
-                                return_inverse=True)
-    fv = pts[facets[first]]
+    facets, which = _faces_of(idx, k - 1)
+    fv = pts[facets]
     # Orthonormal basis of each distinct facet's direction space, rank revealed.
     u, sv, _ = np.linalg.svd((fv[:, 1:] - fv[:, :1]).transpose(0, 2, 1), full_matrices=False)
     full = (sv[:, 0] > 0.0) & (sv[:, -1] >= DEGENERACY_RTOL * sv[:, 0])
-    for i, others in enumerate(drops):
-        facet = which[i * count:(i + 1) * count]
-        rel = v[:, i] - v[:, others[0]]
+    for i in range(k):
+        # The subsets in combinations order drop the last vertex first; rel
+        # runs from the facet's first vertex.
+        facet = which[(k - 1 - i) * count:(k - i) * count]
+        rel = v[:, i] - v[:, 1 if i == 0 else 0]
         ui = u[facet]
         proj = (ui @ (ui.transpose(0, 2, 1) @ rel[..., None]))[..., 0]
         out[:, i] = _norms(rel - proj)
@@ -280,13 +280,16 @@ class SimplexColumns:
 
 def simplex_metrics_batch(points, simplices) -> SimplexColumns:
     """Edge extremes, altitudes, thickness and degeneracy of a stack of
-    simplices of one dimension, one array pass.
+    simplices of one dimension, one array pass per block of rows.
 
     ``simplices`` holds S rows of j+1 indices into ``points`` (n, m). Every
     quantity is an array expression over the (S, j+1, m) vertex stack,
     rounded exactly as a stack of one; see :func:`simplex_metrics` for the
-    definitions.
+    definitions. The rows go in blocks (``hull.blocks``) of that stack; a
+    facet shared across blocks takes one SVD in each, of the same input.
     """
+    from .hull import blocks  # hull imports this module
+
     pts = np.asarray(points, dtype=float)
     idx = np.asarray(simplices, dtype=np.intp)
     if idx.size == 0:
@@ -297,14 +300,17 @@ def simplex_metrics_batch(points, simplices) -> SimplexColumns:
             vertices=idx, longest_edge=np.zeros(count), shortest_edge=np.zeros(count),
             altitudes=np.zeros((count, j + 1)), thickness=np.ones(count),
             degenerate=np.zeros(count, dtype=bool))
-    _, lengths, degenerate = _edge_stack(pts[idx])
-    longest = lengths.max(axis=1)
-    alts = _altitude_stack(pts, idx)
+    longest, shortest, alts = np.empty(count), np.empty(count), np.empty((count, j + 1))
+    degenerate = np.empty(count, dtype=bool)
+    for b in blocks(count, (j + 1) * pts.shape[1]):
+        _, lengths, degenerate[b] = _edge_stack(pts[idx[b]])
+        longest[b], shortest[b] = lengths.max(axis=1), lengths.min(axis=1)
+        alts[b] = _altitude_stack(pts, idx[b])
     flat = degenerate | (longest == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         thickness = np.where(flat, 0.0, alts.min(axis=1) / (j * longest))
     return SimplexColumns(
-        vertices=idx, longest_edge=longest, shortest_edge=lengths.min(axis=1),
+        vertices=idx, longest_edge=longest, shortest_edge=shortest,
         altitudes=alts, thickness=thickness, degenerate=degenerate)
 
 

@@ -498,7 +498,8 @@ def test_lifting_certificate_leaves_few_candidates_to_the_search(monkeypatch):
 
 def star_candidates_by_loop(pts, region, reach, sizes):
     """The candidate window with one ``pdist`` per combination: the
-    reference for the distance tables."""
+    reference for the distance tables. It yields in order of first visit;
+    ``by_key`` puts that in the window's order."""
     tree = cKDTree(pts)
     seen = set()
     for v in region:
@@ -511,6 +512,12 @@ def star_candidates_by_loop(pts, region, reach, sizes):
                 seen.add(cand)
                 if pdist(pts[list(cand)]).max() <= reach:
                     yield cand
+
+
+def by_key(simplices):
+    """Simplices by size, then lexicographically: the order of the rows of
+    ``_star_candidates``, whose keys order as the rows do."""
+    return sorted(simplices, key=lambda s: (len(s), s))
 
 
 def test_star_candidates_match_the_pdist_loop():
@@ -531,7 +538,7 @@ def test_star_candidates_match_the_pdist_loop():
                              (narrow, range(1, dim + 1))):
             rows, counts = _star_candidates(PointSet(pts), region, reach, sizes)
             got = candidate_tuples(rows, counts)
-            assert got == list(star_candidates_by_loop(pts, region, reach, sizes))
+            assert got == by_key(star_candidates_by_loop(pts, region, reach, sizes))
             assert got and len(got) == len(set(got))
             # Each row is padded to m+1 ids by repeating its first vertex.
             assert rows.shape == (len(got), dim + 1)
@@ -551,7 +558,7 @@ def test_star_candidates_of_balls_of_many_sizes_match_the_pdist_loop():
         assert max(lens) > 3 * min(lens)
         rows, counts = _star_candidates(PointSet(pts), region, reach, range(1, dim + 1))
         got = candidate_tuples(rows, counts)
-        assert got == list(star_candidates_by_loop(pts, region, reach, range(1, dim + 1)))
+        assert got == by_key(star_candidates_by_loop(pts, region, reach, range(1, dim + 1)))
 
 def test_relaxed_exhausted_budget_is_undecided(monkeypatch):
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
@@ -872,6 +879,23 @@ def test_lifted_route_certifies_in_bounded_memory():
         tracemalloc.stop()
     assert len(res.tops) > 39000
     assert peak < 40 * 8 * len(res.tops), peak
+
+
+def test_lifting_bound_runs_in_blocks_of_rows():
+    # Every qhull top of a 2,000-point cloud as a candidate: held whole, its
+    # (rows x pairs x (m+1)) tables took about 19 MB traced.
+    ps = PointSet(uniform_points(2000, 2, seed=3))
+    base = delaunay_lifted(ps)
+    tracemalloc.start()
+    try:
+        bound, radius = delaunay._lifting_bound(ps, base.tops, base.centres, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bound) == len(radius) == len(base.tops) > 3900
+    assert peak < 8e6, peak
+    # Each cube holds its top's empty circumcentre, where h = R^2 - d^2 = 0.
+    assert (bound <= 0.0).all()
 
 
 def assert_kept_or_none(ps, base, copies):

@@ -11,6 +11,7 @@ from delgen.datasets import grid_points
 from delgen.delaunay import PointSet, delaunay_lifted
 from delgen.errors import PreconditionError
 from delgen.genericity import analyze_genericity, sampling_parameters
+from delgen.simplex import simplex_metrics_batch
 
 INPUTS = {
     "jittered-2d": grid_points(15, 2, 0.2, seed=3),
@@ -527,10 +528,16 @@ BLOCK_INPUTS = {
 
 def block_outputs(pts):
     """Every quantity built from a blocked table, as float.hex strings."""
-    from delgen import perturb
+    from delgen import delaunay, perturb
 
     analysis = analyze_genericity(pts)
     facets, eps = analysis.facets, analysis.sampling.epsilon
+    # The cloud has no deep interior, so no audit: the kernel of the audited
+    # metrics runs on every top instead.
+    metrics = simplex_metrics_batch(pts, analysis.base.tops)
+    # The relaxed candidates of the vertex nearest the centre.
+    centre = [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
+    windows = delaunay._Windows(analysis.points, centre, 2.0 * eps, range(1, pts.shape[1] + 1))
     rng = np.random.default_rng(4)
     origins = rng.uniform(pts.min(), pts.max(), size=(60, pts.shape[1]))
     directions = rng.normal(size=(60, pts.shape[1]))
@@ -544,6 +551,10 @@ def block_outputs(pts):
         "confirmed facets": hull._confirm_facets(pts, candidates),
         "adversarial directions": perturb._adversarial_directions(analysis.points,
                                                                   analysis.base),
+        "top metrics": np.column_stack([metrics.longest_edge, metrics.shortest_edge,
+                                        metrics.altitudes, metrics.thickness]),
+        "lifting bounds": delaunay._lifting_bound(analysis.points, windows.rows,
+                                                  windows.seeds, 4.0 * eps),
     }
     return {name: [float(x).hex() for x in np.ravel(value)] for name, value in values.items()}
 

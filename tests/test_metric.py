@@ -374,10 +374,12 @@ def test_windows_at_a_smaller_reach_are_the_candidates_of_that_reach():
         windows = metric._Windows(ps, region, reaches[0] * eps, range(1, dim + 1))
         sizes = set()
         for reach in (r * eps for r in reaches):
-            at = windows.within(reach)
+            listed = windows.listed(reach)
+            at = np.flatnonzero(listed[windows.sizes == dim + 1])
             rows = windows.tops[at]
-            want = _star_candidates(ps, sorted(region), reach, (dim,))[0]
-            want = want[sorted_rows(want, ps.n)]
+            want = _star_candidates(ps, region, reach, (dim,))[0]
+            # Both in key order.
+            assert np.array_equal(want[sorted_rows(want, ps.n)], want)
             assert np.array_equal(rows, want)
             mets = simplex_metrics_batch(pts, windows.tops).take(at)
             fresh = simplex_metrics_batch(pts, want)
@@ -386,9 +388,9 @@ def test_windows_at_a_smaller_reach_are_the_candidates_of_that_reach():
                 assert np.array_equal(getattr(mets, name), getattr(fresh, name))
             for got, ref in zip((col[at] for col in windows.balls), circumballs(pts, want)):
                 assert np.array_equal(got, ref)
-            # The relaxed rows, in the order of first visit at this reach.
-            at = windows.relaxed(reach)
-            want, counts = _star_candidates(ps, sorted(region), reach, range(1, dim + 1))
+            # The relaxed rows, by size, then key.
+            at = np.flatnonzero(listed)
+            want, counts = _star_candidates(ps, region, reach, range(1, dim + 1))
             assert np.array_equal(windows.rows[at], want)
             assert np.array_equal(windows.sizes[at], counts)
             assert np.array_equal(windows.seeds[at], _circumcenter_seeds(pts, want, counts))

@@ -608,8 +608,8 @@ def test_adversarial_directions_match_the_scalar_form(pts, monkeypatch):
     pert = make_point_perturbation(pts, rho, 0, "adversarial", base=base)
     assert np.allclose(pert.directions, scalar_adversarial_directions(pts, base),
                        rtol=0, atol=1e-12)
-    # One dense (points x balls) table, and shell passes down to a few points,
-    # give the same bits as the default search.
+    # One block of entries per pass, and blocks of a ball or two, give the
+    # same bits as the default search.
     for block in (1 << 40, 7):
         monkeypatch.setattr(hull, "BLOCK", block)
         dirs = perturb._adversarial_directions(pts, base)
@@ -634,11 +634,11 @@ def test_adversarial_directions_of_20000_points_in_bounded_memory():
     assert elapsed < 5.0
 
 
-def test_adversarial_dense_pass_holds_less_than_its_whole_table():
+def test_adversarial_search_on_a_small_grid_holds_less_than_its_whole_table():
     import delgen.perturb as perturb
 
-    # The 121-point grid takes the dense pass, whose (points x balls x m)
-    # difference table and (points x balls) gap table were held whole.
+    # The (points x balls x m) difference table and (points x balls) gap
+    # table of the 121-point grid, held whole, would take the bound below.
     a = analyze_genericity(grid_points(11, 2, 0.2, seed=1))
     ps, base = a.points, a.base
     ps.tree  # built before tracing
@@ -649,6 +649,23 @@ def test_adversarial_dense_pass_holds_less_than_its_whole_table():
     finally:
         tracemalloc.stop()
     assert peak < 8 * ps.n * len(base.tops) * (ps.dim + 1)
+
+
+def test_adversarial_directions_of_a_3d_grid_in_bounded_memory():
+    import delgen.perturb as perturb
+
+    # Each shell pass lists its balls' entries a block at a time; listed in
+    # blocks of balls, the 1,331-point grid took 37 MB traced.
+    a = analyze_genericity(grid_points(11, 3, 0.05, seed=1))
+    ps, base = a.points, a.base
+    ps.tree  # built before tracing
+    tracemalloc.start()
+    try:
+        perturb._adversarial_directions(ps, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_adversarial_directions_computed_once_per_batch(monkeypatch):
