@@ -162,17 +162,24 @@ class _VoronoiPieces:
 
     The Voronoi edge or face dual to a Delaunay face is the convex hull of
     the circumcentres of the top simplices around the face, unless every
-    vertex of the face lies on the hull boundary, where it may be unbounded.
-    ``line_depths`` and ``face_depths`` hold the least hull depth of those
-    circumcentres less rounding, or -inf for a face with no vertex strictly
-    inside the hull. Depth is concave, so a piece whose entry exceeds eps
-    lies strictly inside the hull eroded by eps, and neither its edge line's
-    clip ends nor its crossings with the body's edges are vertices of a
-    clipped cell. ``line_bounds`` and ``face_bounds`` hold the largest
-    circumradius of those top simplices plus rounding, or +inf where the
-    piece may be unbounded. On the piece the distance to P is the distance
-    to a site of the face, which is convex and so peaks at a circumcentre:
-    no point of a piece whose bound is below the best value can beat it.
+    vertex of the face lies on the hull boundary or on the boundary of the
+    Delaunay complex, where it may be unbounded.
+    Each piece carries its range of hull depth and a bound on the distance
+    to P over it, all from ``_piece_extremes`` and safe for rounding.
+    ``line_depths`` and ``face_depths`` hold the least depth of those
+    circumcentres, or -inf where the piece may be unbounded. Depth is
+    concave, so a piece whose entry exceeds eps lies strictly inside the
+    hull eroded by eps. ``line_peaks`` and ``face_peaks`` hold a bound on the
+    depth over the piece, or +inf where it may be unbounded; a piece whose
+    peak is below eps lies strictly outside the eroded hull. Outside the
+    range [depth, peak] a piece does not meet the eroded boundary, so
+    neither its edge line's clip ends nor its crossings with the body's
+    edges are vertices of a clipped cell. ``line_bounds`` and
+    ``face_bounds`` hold the largest circumradius of those top simplices, or
+    +inf where the piece may be unbounded. On the piece the distance to P is
+    the distance to a site of the face, which is convex and so peaks at a
+    circumcentre: no point of a piece whose bound is below the best value
+    can beat it.
     """
 
     centers: np.ndarray     # (s, m)
@@ -182,24 +189,47 @@ class _VoronoiPieces:
     directions: np.ndarray  # (l, m) unit
     sites: np.ndarray       # (l, m)
     line_depths: np.ndarray  # (l,)
+    line_peaks: np.ndarray   # (l,)
     line_bounds: np.ndarray  # (l,)
     faces: tuple[np.ndarray, np.ndarray] | None  # sites p, q, each (e, m)
     face_depths: np.ndarray | None  # (e,)
+    face_peaks: np.ndarray | None   # (e,)
     face_bounds: np.ndarray | None  # (e,)
 
 
-def _piece_extremes(faces: np.ndarray, inverse: np.ndarray, depths: np.ndarray,
-                    radii: np.ndarray, interior: np.ndarray):
-    """Least depth and largest radius of the top simplices around each face,
-    for the face of each (subset, top) pair in ``inverse``; -inf and +inf
-    for a face with no vertex strictly inside the hull."""
-    reps = inverse.size // depths.size
-    least, largest = np.full(len(faces), np.inf), np.full(len(faces), -np.inf)
+def _piece_extremes(faces: np.ndarray, inverse: np.ndarray, centers: np.ndarray,
+                    depths: np.ndarray, radii: np.ndarray, interior: np.ndarray,
+                    rounding: float):
+    """Least depth, peak depth and largest radius over the top simplices
+    around each face, for the face of each (subset, top) pair in
+    ``inverse``, each moved to its safe side by ``rounding``, the peak also
+    by a part of its terms; -inf, +inf and +inf for a face with no
+    ``interior`` vertex.
+
+    Depth is 1-Lipschitz, so on the convex hull of the centres it is at most
+    the least centre depth plus the diagonal of their bounding box, and on
+    the segment between two centres at most (d1 + d2 + |c1 - c2|) / 2.
+    """
+    f, reps = len(faces), inverse.size // depths.size
+    least, most, largest = np.full(f, np.inf), np.full(f, -np.inf), np.full(f, -np.inf)
     np.minimum.at(least, inverse, np.tile(depths, reps))
+    np.maximum.at(most, inverse, np.tile(depths, reps))
     np.maximum.at(largest, inverse, np.tile(radii, reps))
+    # One coordinate at a time: ufunc.at is fast on 1-D operands only.
+    lo = np.full((centers.shape[1], f), np.inf)
+    hi = -lo
+    for k, column in enumerate(centers.T):
+        np.minimum.at(lo[k], inverse, np.tile(column, reps))
+        np.maximum.at(hi[k], inverse, np.tile(column, reps))
+    span = np.linalg.norm(hi - lo, axis=0)
+    pair = np.bincount(inverse, minlength=f) == 2
+    peaks = np.where(pair, 0.5 * (least + most + span), least + span)
+    # Far centres round at their own magnitude, which the sum may cancel.
+    peaks += rounding + 1e-12 * (np.abs(least) + np.abs(most) + span)
+    least, largest = least - rounding, largest + rounding
     open_ = ~interior[faces].any(axis=1)
-    least[open_], largest[open_] = -np.inf, np.inf
-    return least, largest
+    least[open_], peaks[open_], largest[open_] = -np.inf, np.inf, np.inf
+    return least, peaks, largest
 
 
 def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
@@ -208,21 +238,24 @@ def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
     tops, centers, radii = base.tops, base.centres, base.radii
     rounding = 1e-12 * max(1.0, float(np.abs(pts).max()))
     center_depths = facets.depth(centers)
+    # An interior vertex lies strictly inside the hull and on no ridge of
+    # the complex's boundary, a ridge with one top simplex.
+    ridges, ridge_tops = _faces_of(tops, m)
     interior = depths > rounding
-    lowered, raised = center_depths - rounding, radii + rounding
-    edges, edge_tops = _faces_of(tops, 2)
-    edge_depths, edge_bounds = _piece_extremes(edges, edge_tops, lowered, raised, interior)
-    p, q = pts[edges[:, 0]], pts[edges[:, 1]]
+    interior[ridges[np.bincount(ridge_tops) == 1]] = False
+    pieces = (centers, center_depths, radii, interior, rounding)
+    ridge_extremes = _piece_extremes(ridges, ridge_tops, *pieces)
     if m == 2:
+        p, q = pts[ridges[:, 0]], pts[ridges[:, 1]]
         span = q - p
         directions = np.column_stack([-span[:, 1], span[:, 0]])
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         return _VoronoiPieces(centers, radii, center_depths, 0.5 * (p + q), directions, p,
-                              edge_depths, edge_bounds, None, None, None)
-    triangles, triangle_tops = _faces_of(tops, 3)
-    triangle_depths, triangle_bounds = _piece_extremes(triangles, triangle_tops, lowered,
-                                                       raised, interior)
-    tri = pts[triangles]
+                              *ridge_extremes, None, None, None, None)
+    edges, edge_tops = _faces_of(tops, 2)
+    edge_extremes = _piece_extremes(edges, edge_tops, *pieces)
+    p, q = pts[edges[:, 0]], pts[edges[:, 1]]
+    tri = pts[ridges]
     a, u, v = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
     normal = np.cross(u, v)
     area2 = np.einsum("ij,ij->i", normal, normal)
@@ -233,8 +266,7 @@ def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
     circumcentres = a + (uu * np.cross(v, normal) + vv * np.cross(normal, u)) / (2.0 * area2)
     directions = normal / np.sqrt(area2)
     return _VoronoiPieces(centers, radii, center_depths, circumcentres, directions, a,
-                          triangle_depths[ok], triangle_bounds[ok], (p, q), edge_depths,
-                          edge_bounds)
+                          *(x[ok] for x in ridge_extremes), (p, q), *edge_extremes)
 
 
 def _face_crossings(faces, a, b, fa, fb, best: float) -> np.ndarray:
@@ -280,12 +312,12 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     body, a vertex of the body or, in 3-D, a point where a Voronoi face
     crosses an edge of the body (Toussaint, *Computing largest empty circles
     with location constraints*, 1983). Edge lines and face planes are tested
-    only where their Voronoi piece can reach the body's boundary and its
-    circumradius bound can beat the best value so far (see
-    ``_VoronoiPieces``). Every candidate lies in the body, so the largest
-    distance over them is the maximum itself. A candidate goes through the
-    KD-tree only when its distance to a site that defines it could beat the
-    best so far.
+    only where the depth range of their Voronoi piece holds eps, so that the
+    piece can meet the body's boundary, and its circumradius bound can beat
+    the best value so far (see ``_VoronoiPieces``). Every candidate lies in
+    the body, so the largest distance over them is the maximum itself. A
+    candidate goes through the KD-tree only when its distance to a site
+    that defines it could beat the best so far.
     """
     best = 0.0
     inside = vor.center_depths >= eps - 1e-12 * max(1.0, eps)
@@ -296,7 +328,7 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
         return best
     fa, fb = tree.query(a)[0], tree.query(b)[0]
     best = max(best, float(fa.max()), float(fb.max()))
-    reach = (vor.line_depths <= eps) & (vor.line_bounds >= best)
+    reach = (vor.line_depths <= eps) & (eps <= vor.line_peaks) & (vor.line_bounds >= best)
     origins, directions = vor.origins[reach], vor.directions[reach]
     lo, hi = clip_lines(facets, eps, origins, directions)
     hit = lo <= hi
@@ -308,7 +340,8 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     if ends.size:
         best = max(best, float(tree.query(ends)[0].max()))
     if vor.faces is not None:
-        reach = (vor.face_depths <= eps) & (vor.face_bounds >= best)
+        reach = ((vor.face_depths <= eps) & (eps <= vor.face_peaks)
+                 & (vor.face_bounds >= best))
         faces = (vor.faces[0][reach], vor.faces[1][reach])
         crossings = _face_crossings(faces, a, b, fa, fb, best)
         if crossings.size:

@@ -13,7 +13,8 @@ compute on it directly, with no vertex enumeration. Each facet also carries a
 ball that holds the points on its plane. A point on an edge of the body
 eroded by e lies at distance e from both planes, and moving it out by e along
 either normal lands in that facet, so ``eroded_edges`` clips only the pairs
-of planes whose balls, shifted inward by e, meet.
+of planes whose balls, shifted inward by e, meet, and whose line passes
+through both shifted balls.
 """
 
 from __future__ import annotations
@@ -273,27 +274,39 @@ def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,
 
 def _edge_pairs(facets: HullFacets, margin: float):
     """Pairs (i, j), i < j, of facet planes whose line can carry an edge of
-    the eroded body { depth >= margin }, in row-major order.
+    the eroded body { depth >= margin }, in row-major order, with a point
+    and a unit direction of each pair's line.
 
     A point x on such an edge has depth exactly margin, so x + margin n_i
     lies in facet i and x + margin n_j in facet j: the facet balls shifted
-    inward by the margin meet. Pairs whose shifted balls lie apart by more
-    than rounding are dropped, and so are pairs of planes within
-    _PARALLEL_SINE of parallel: they meet far outside the body, or along an
-    edge between two facets that are coplanar up to rounding, which bounds
-    neither facet.
+    inward by the margin meet, and the line passes through both. Pairs
+    whose shifted balls lie apart, or whose line passes outside either
+    ball, by more than rounding are dropped, and so are pairs of planes
+    within _PARALLEL_SINE of parallel: they meet far outside the body, or
+    along an edge between two facets that are coplanar up to rounding,
+    which bounds neither facet.
     """
-    normals = facets.normals
+    normals, offsets, radii = facets.normals, facets.offsets - margin, facets.radii
     i, j = np.triu_indices(normals.shape[0], 1)
     shifted = facets.centers - margin * normals
-    slack = 1e-9 * max(1.0, float(np.abs(shifted).max()) + float(facets.radii.max()))
-    near = (np.linalg.norm(shifted[i] - shifted[j], axis=1)
-            <= facets.radii[i] + facets.radii[j] + slack)
+    slack = 1e-9 * max(1.0, float(np.abs(shifted).max()) + float(radii.max()))
+    near = np.linalg.norm(shifted[i] - shifted[j], axis=1) <= radii[i] + radii[j] + slack
     i, j = i[near], j[near]
     cross = np.cross(normals[i], normals[j])
     sine = np.linalg.norm(cross, axis=1)
     keep = sine > _PARALLEL_SINE
-    return i[keep], j[keep], cross[keep], sine[keep, None]
+    i, j, sine = i[keep], j[keep], sine[keep, None]
+    directions = cross[keep] / sine
+    # The point of both planes nearest the coordinate origin.
+    origins = (offsets[i, None] * np.cross(normals[j], directions)
+               + offsets[j, None] * np.cross(directions, normals[i])) / sine
+    # The line's point rounds in proportion to 1 / sine.
+    keep = np.ones(len(i), dtype=bool)
+    for k in (i, j):
+        rel = shifted[k] - origins
+        rel -= np.einsum("ij,ij->i", rel, directions)[:, None] * directions
+        keep &= np.linalg.norm(rel, axis=1) <= radii[k] + slack / sine[:, 0]
+    return i[keep], j[keep], origins[keep], directions[keep]
 
 
 def eroded_edges(facets: HullFacets, margin: float):
@@ -312,11 +325,7 @@ def eroded_edges(facets: HullFacets, margin: float):
         directions = np.column_stack([-normals[:, 1], normals[:, 0]])
         own = np.arange(f)[:, None]
     else:
-        i, j, cross, sine = _edge_pairs(facets, margin)
-        directions = cross / sine
-        # The point of both planes nearest the coordinate origin.
-        origins = (offsets[i, None] * np.cross(normals[j], directions)
-                   + offsets[j, None] * np.cross(directions, normals[i])) / sine
+        i, j, origins, directions = _edge_pairs(facets, margin)
         own = np.column_stack([i, j])
     lo, hi = clip_lines(facets, margin, origins, directions, own)
     hit = lo <= hi

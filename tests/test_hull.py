@@ -350,6 +350,93 @@ def test_circumradius_bounds_halve_the_final_evaluation():
     assert 0 < 2 * counts["faces"] < np.count_nonzero(vor.face_depths <= eps)
 
 
+def piece_samples(tops, centers, k):
+    """Points of the Voronoi piece dual to each k-vertex face of ``tops``:
+    seven on the segment between every two circumcentres of the tops around
+    the face, with the face of each point. Also the faces and the number of
+    tops around each."""
+    faces, inverse = genericity._faces_of(tops, k)
+    order = np.argsort(inverse, kind="stable")
+    face = inverse[order]
+    c = centers[np.tile(np.arange(len(tops)), inverse.size // len(tops))[order]]
+    t = np.linspace(0.0, 1.0, 7)[:, None, None]
+    points, owners = [], []
+    for d in range(1, int(np.bincount(inverse).max())):
+        same = face[:-d] == face[d:]
+        a, b = c[:-d][same], c[d:][same]
+        points.append((a + t * (b - a)).reshape(-1, centers.shape[1]))
+        owners.append(np.tile(face[:-d][same], len(t)))
+    return faces, np.bincount(inverse), np.concatenate(points), np.concatenate(owners)
+
+
+@pytest.mark.parametrize("case", range(len(PRUNING_INPUTS)))
+def test_depth_peaks_bound_their_pieces(case):
+    """Every sampled point of a bounded Voronoi piece is at most the piece's
+    peak deep, and every piece that may be unbounded has peak +inf: those
+    whose vertices all lie on the hull boundary or on the boundary of the
+    Delaunay complex, among them the rays dual to its boundary ridges."""
+    pts = PRUNING_INPUTS[case]
+    facets = hull.hull_facets(pts)
+    depths = facets.depth(pts)
+    base = delaunay_lifted(PointSet(pts))
+    vor = genericity._voronoi_pieces(pts, facets, base, depths)
+    m = pts.shape[1]
+    ridges, ridge_tops = genericity._faces_of(base.tops, m)
+    interior = depths > 1e-12 * max(1.0, float(np.abs(pts).max()))
+    interior[ridges[np.bincount(ridge_tops) == 1]] = False
+    pieces = [(2, vor.line_peaks)] if m == 2 else [(2, vor.face_peaks), (3, vor.line_peaks)]
+    for k, peaks in pieces:
+        faces, count, x, owner = piece_samples(base.tops, base.centres, k)
+        if k == 3:  # the lines of degenerate triangles are not kept
+            tri = pts[faces]
+            ok = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).any(axis=1)
+            x, owner = x[ok[owner]], (np.cumsum(ok) - 1)[owner[ok[owner]]]
+            faces, count = faces[ok], count[ok]
+        assert len(faces) == len(peaks)
+        open_ = ~interior[faces].any(axis=1)
+        assert open_.any() and open_[count == 1].all()
+        assert np.isposinf(peaks[open_]).all() and np.isfinite(peaks[~open_]).all()
+        bounded = ~open_[owner]
+        assert bounded.any()
+        assert (facets.depth(x[bounded]) <= peaks[owner[bounded]]).all()
+
+
+def test_depth_ranges_and_pair_lines_cut_the_final_evaluation():
+    """At the final eps of grid_points(9, 3, 0.05, seed=1), the depth ranges
+    of the Voronoi pieces and the pair-line test of the facet balls leave
+    few edge lines, faces and facet pairs to clip."""
+    pts = grid_points(9, 3, 0.05, seed=1)
+    ps = PointSet(pts)
+    facets = hull.hull_facets(pts)
+    depths = facets.depth(pts)
+    base = delaunay_lifted(ps)
+    vor = genericity._voronoi_pieces(pts, facets, base, depths)
+    eps = sampling_parameters(ps, facets, base, depths).epsilon
+    counts = {"lines": 0, "faces": 0, "pairs": 0}
+    real_clip, real_faces = genericity.clip_lines, genericity._face_crossings
+
+    def clip(f, margin, origins, *rest):
+        counts["lines"] += len(origins)
+        return real_clip(f, margin, origins, *rest)
+
+    def crossings(faces, *rest):
+        counts["faces"] += len(faces[0])
+        return real_faces(faces, *rest)
+
+    def pair_clip(f, margin, origins, *rest):
+        counts["pairs"] += len(origins)
+        return real_clip(f, margin, origins, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(genericity, "clip_lines", clip)
+        mp.setattr(genericity, "_face_crossings", crossings)
+        mp.setattr(hull, "clip_lines", pair_clip)
+        genericity._coverage_radius(facets, vor, cKDTree(pts), eps)
+    assert 0 < counts["lines"] <= 400
+    assert 0 < counts["faces"] <= 600
+    assert 0 < counts["pairs"] <= 1600
+
+
 @pytest.mark.parametrize("case", [k for k, pts in enumerate(PRUNING_INPUTS)
                                   if pts.shape[1] == 3])
 def test_edge_pair_prefilter_keeps_every_edge(case):
