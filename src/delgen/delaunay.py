@@ -79,9 +79,10 @@ class PointSet:
             raise PreconditionError("points must form a nonempty (n, m) array")
         if not np.all(np.isfinite(pts)):
             raise PreconditionError("points must be finite")
-        # Adding zero turns -0.0 into 0.0, so equal bytes mean equal values.
-        seen = {p.tobytes() for p in pts + 0.0}
-        if len(seen) != pts.shape[0]:
+        # Sorted, equal rows are neighbours; comparing values keeps -0.0
+        # equal to 0.0.
+        ordered = pts[np.lexsort(pts.T[::-1])]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise PreconditionError("duplicate points rejected")
         self.points = pts
         self._diameter: float | None = None
@@ -221,12 +222,15 @@ def _empty_balls(tree: cKDTree, subsets, centers, radii, tol):
     rows (``hull.blocks``) at a time. A row no listed foreign point rejects
     needs every point within tol of its sphere or nearer than its listed
     protection as well (:func:`_widened`). Every row is certified on its
-    own, so the blocks move no bit.
+    own, so the blocks move no bit. While it is measured, a listed entry
+    holds its tree distance, id and row and the m coordinates, offsets and
+    squares of its distance: 3m+3 entries, more than its margins take.
     """
-    k = tree.data.shape[1] + 3
+    m = tree.data.shape[1]
+    k = m + 3
     protection = np.empty(len(subsets))
     groups: set[tuple[int, ...]] = set()
-    for b in blocks(len(subsets), k):
+    for b in blocks(len(subsets), k * (3 * m + 3)):
         protection[b], found = _block_balls(tree, subsets[b], centers[b], radii[b], tol, k)
         groups |= found
     accepted = protection > -tol
@@ -286,9 +290,10 @@ def _listed(tree: cKDTree, centres: np.ndarray, k: int):
     pts = tree.data
     width = min(k, len(pts))
     dist, listed = tree.query(centres, k=width)
-    rows, cols = np.repeat(np.arange(len(centres)), width), listed.ravel()
+    listed = listed.reshape(-1, width)
     edge = dist.reshape(-1, width)[:, -1] if width < len(pts) else np.full(len(centres), np.inf)
-    return rows, cols, _distances(centres[rows], pts[cols]), edge
+    rows = np.repeat(np.arange(len(centres)), width)
+    return rows, listed.ravel(), _distances(centres[:, None, :], pts[listed]).ravel(), edge
 
 
 def _ball_entries(tree: cKDTree, centres: np.ndarray, radii):

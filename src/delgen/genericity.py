@@ -14,11 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .complexes import SimplicialComplex, _faces_of, sorted_rows
+from .complexes import SimplicialComplex, _faces_of, row_keys, sorted_rows
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
 from .fileio import Table
@@ -138,12 +139,39 @@ class GenericityAnalysis:
 
         Every safe top simplex is audited, so the top dimension is a row
         subset of ``audited_metrics``. The faces of each lower dimension come
-        from the safe tops in one pass, and take one batched kernel call.
+        from the safe tops (``_distinct_faces``), and take one batched kernel
+        call.
         """
         safe = self.audited_metrics.take(self.classification.meets)
-        faces = [simplex_metrics_batch(self.points.points, _faces_of(safe.vertices, k)[0])
+        faces = [simplex_metrics_batch(self.points.points, _distinct_faces(safe.vertices, k))
                  for k in range(2, self.points.dim + 1)]
         return (*faces, safe)
+
+
+def _distinct_faces(tops: np.ndarray, k: int) -> np.ndarray:
+    """The rows of ``_faces_of(tops, k)[0]`` for a nonempty ``tops``, keyed a
+    block of rows at a time (``blocks``): each block keeps its distinct keys
+    (``row_keys``), and the merged keys are read back as rows, so the whole
+    stack of (k-subset, row) pairs is never built. Each subset of a row
+    holds its k ids twice (the slice and ``row_keys``' copy) and four
+    copies of its key at once."""
+    radix = int(tops.max()) + 1
+    subsets = [list(c) for c in combinations(range(tops.shape[1]), k)]
+    keys = _distinct(np.concatenate([
+        _distinct(np.concatenate([row_keys(tops[b][:, c], radix) for c in subsets]))
+        for b in blocks(len(tops), len(subsets) * (2 * k + 4))]))
+    rows = np.empty((len(keys), k), dtype=tops.dtype)
+    for i in reversed(range(k)):
+        rows[:, i] = keys % radix
+        keys = keys // radix
+    return rows
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a nonempty ``keys``, ascending, by one sort:
+    ``np.unique`` without indices hashes them first, several times slower."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 # -- sampling radius -------------------------------------------------------
@@ -154,11 +182,11 @@ class _VoronoiPieces:
     """The parts of the Voronoi diagram of P where the distance to P can
     peak over a convex body, taken from the Delaunay complex.
 
-    A Voronoi vertex is a circumcentre of a top simplex. The line of a
-    Voronoi edge is the bisector of a Delaunay edge in 2-D, and the line
-    through a Delaunay triangle's circumcentre along its normal in 3-D; each
-    line carries one site whose cell the edge bounds. In 3-D the plane of a
-    Voronoi face is the bisector of a Delaunay edge, kept as its two sites.
+    A Voronoi vertex is a circumcentre of a top simplex. A Voronoi edge
+    lies on a line dual to a Delaunay face, kept as the face's vertex ids in
+    ``lines`` and built only where it is clipped (``_edge_lines``). In 3-D
+    the plane of a Voronoi face is the bisector of a Delaunay edge, kept as
+    its two site ids in ``faces``.
 
     The Voronoi edge or face dual to a Delaunay face is the convex hull of
     the circumcentres of the top simplices around the face, unless every
@@ -185,13 +213,11 @@ class _VoronoiPieces:
     centers: np.ndarray     # (s, m)
     radii: np.ndarray       # (s,)
     center_depths: np.ndarray  # (s,)
-    origins: np.ndarray     # (l, m) a point of each edge line
-    directions: np.ndarray  # (l, m) unit
-    sites: np.ndarray       # (l, m)
+    lines: np.ndarray       # (l, m) vertex ids of the Delaunay face of each edge line
     line_depths: np.ndarray  # (l,)
     line_peaks: np.ndarray   # (l,)
     line_bounds: np.ndarray  # (l,)
-    faces: tuple[np.ndarray, np.ndarray] | None  # sites p, q, each (e, m)
+    faces: np.ndarray | None  # (e, 2) site ids p, q
     face_depths: np.ndarray | None  # (e,)
     face_peaks: np.ndarray | None   # (e,)
     face_bounds: np.ndarray | None  # (e,)
@@ -244,18 +270,27 @@ def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
     interior = depths > rounding
     interior[ridges[np.bincount(ridge_tops) == 1]] = False
     pieces = (centers, center_depths, radii, interior, rounding)
-    ridge_extremes = _piece_extremes(ridges, ridge_tops, *pieces)
+    lines = (ridges, *_piece_extremes(ridges, ridge_tops, *pieces))
     if m == 2:
-        p, q = pts[ridges[:, 0]], pts[ridges[:, 1]]
+        return _VoronoiPieces(centers, radii, center_depths, *lines, None, None, None, None)
+    edges, edge_tops = _faces_of(tops, 2)
+    return _VoronoiPieces(centers, radii, center_depths, *lines,
+                          edges, *_piece_extremes(edges, edge_tops, *pieces))
+
+
+def _edge_lines(pts: np.ndarray, faces: np.ndarray):
+    """A point, a unit direction and a site of the Voronoi edge line dual to
+    each Delaunay face, rows of vertex ids: the bisector of an edge in 2-D,
+    and the line through a triangle's circumcentre along its normal in 3-D.
+    Each row is computed on its own. A triangle of zero area has no line and
+    is dropped; the last value marks the rows kept."""
+    if pts.shape[1] == 2:
+        p, q = pts[faces[:, 0]], pts[faces[:, 1]]
         span = q - p
         directions = np.column_stack([-span[:, 1], span[:, 0]])
         directions /= np.linalg.norm(directions, axis=1)[:, None]
-        return _VoronoiPieces(centers, radii, center_depths, 0.5 * (p + q), directions, p,
-                              *ridge_extremes, None, None, None, None)
-    edges, edge_tops = _faces_of(tops, 2)
-    edge_extremes = _piece_extremes(edges, edge_tops, *pieces)
-    p, q = pts[edges[:, 0]], pts[edges[:, 1]]
-    tri = pts[ridges]
+        return 0.5 * (p + q), directions, p, np.ones(len(faces), dtype=bool)
+    tri = pts[faces]
     a, u, v = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
     normal = np.cross(u, v)
     area2 = np.einsum("ij,ij->i", normal, normal)
@@ -264,9 +299,7 @@ def _voronoi_pieces(pts: np.ndarray, facets: HullFacets, base: DelaunayResult,
     uu = np.einsum("ij,ij->i", u, u)[:, None]
     vv = np.einsum("ij,ij->i", v, v)[:, None]
     circumcentres = a + (uu * np.cross(v, normal) + vv * np.cross(normal, u)) / (2.0 * area2)
-    directions = normal / np.sqrt(area2)
-    return _VoronoiPieces(centers, radii, center_depths, circumcentres, directions, a,
-                          *(x[ok] for x in ridge_extremes), (p, q), *edge_extremes)
+    return circumcentres, normal / np.sqrt(area2), a, ok
 
 
 def _face_crossings(faces, a, b, fa, fb, best: float) -> np.ndarray:
@@ -278,7 +311,9 @@ def _face_crossings(faces, a, b, fa, fb, best: float) -> np.ndarray:
     |x - p| = f(x) <= f(a) + |x - a| and <= f(b) + |x - b|. A crossing that
     breaks either bound (beyond rounding) is not on the face; one with
     |x - p| <= best cannot raise the maximum. Both are dropped, and so is
-    every edge on which the two bounds meet at or below ``best``.
+    every edge on which the two bounds meet at or below ``best``. The
+    (faces x edges) tables are built block by block (``blocks``); a block
+    holds three of them and a mask.
     """
     rounding = 1e-12 * max(1.0, float(np.abs(a).max()))
     span = b - a
@@ -289,9 +324,11 @@ def _face_crossings(faces, a, b, fa, fb, best: float) -> np.ndarray:
     normal = q - p
     level = 0.5 * np.einsum("ij,ij->i", normal, p + q)
     out = [np.zeros((0, a.shape[1]))]
-    for rows in blocks(p.shape[0], a.shape[0]):
-        sa = normal[rows] @ a.T - level[rows, None]
-        sb = sa + normal[rows] @ span.T
+    for rows in blocks(p.shape[0], 4 * a.shape[0]):
+        sa = normal[rows] @ a.T
+        sa -= level[rows, None]
+        sb = normal[rows] @ span.T
+        sb += sa
         e, k = np.nonzero(sa * sb < 0)
         t = sa[e, k] / (sa[e, k] - sb[e, k])
         x = a[k] + t[:, None] * span[k]
@@ -314,10 +351,10 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     with location constraints*, 1983). Edge lines and face planes are tested
     only where the depth range of their Voronoi piece holds eps, so that the
     piece can meet the body's boundary, and its circumradius bound can beat
-    the best value so far (see ``_VoronoiPieces``). Every candidate lies in
-    the body, so the largest distance over them is the maximum itself. A
-    candidate goes through the KD-tree only when its distance to a site
-    that defines it could beat the best so far.
+    the best value so far (see ``_VoronoiPieces``); only those lines are
+    built. Every candidate lies in the body, so the largest distance over
+    them is the maximum itself. A candidate goes through the KD-tree only
+    when its distance to a site that defines it could beat the best so far.
     """
     best = 0.0
     inside = vor.center_depths >= eps - 1e-12 * max(1.0, eps)
@@ -329,10 +366,10 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     fa, fb = tree.query(a)[0], tree.query(b)[0]
     best = max(best, float(fa.max()), float(fb.max()))
     reach = (vor.line_depths <= eps) & (eps <= vor.line_peaks) & (vor.line_bounds >= best)
-    origins, directions = vor.origins[reach], vor.directions[reach]
+    origins, directions, sites, _ = _edge_lines(tree.data, vor.lines[reach])
     lo, hi = clip_lines(facets, eps, origins, directions)
     hit = lo <= hi
-    origins, directions, sites = origins[hit], directions[hit], vor.sites[reach][hit]
+    origins, directions, sites = origins[hit], directions[hit], sites[hit]
     ends = np.concatenate([origins + lo[hit, None] * directions,
                            origins + hi[hit, None] * directions])
     far = np.linalg.norm(ends - np.concatenate([sites] * 2), axis=1)
@@ -342,8 +379,8 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     if vor.faces is not None:
         reach = ((vor.face_depths <= eps) & (eps <= vor.face_peaks)
                  & (vor.face_bounds >= best))
-        faces = (vor.faces[0][reach], vor.faces[1][reach])
-        crossings = _face_crossings(faces, a, b, fa, fb, best)
+        p, q = vor.faces[reach].T
+        crossings = _face_crossings((tree.data[p], tree.data[q]), a, b, fa, fb, best)
         if crossings.size:
             best = max(best, float(tree.query(crossings)[0].max()))
     return best

@@ -30,8 +30,9 @@ from .complexes import _faces_of
 from .errors import PreconditionError
 from .simplex import _norms
 
-# Entries of one block of every dense table: 2**16 floats are 512 KB, about
-# a core's L2 cache. Tables are built block by block (see blocks).
+# Entries of one block of dense tables: 2**16 floats are 512 KB, about a
+# core's L2 cache. Tables are built block by block (see blocks), and a block
+# counts every table it holds at once.
 BLOCK = 1 << 16
 # A point within this fraction of the coordinate scale of a facet plane is
 # taken to lie on it; see _facet_balls.
@@ -56,16 +57,19 @@ class HullFacets:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty(x.shape[0])
         for rows in blocks(x.shape[0], len(self.offsets)):
-            out[rows] = (self.offsets - x[rows] @ self.normals.T).min(axis=1)
+            slack = x[rows] @ self.normals.T
+            out[rows] = np.subtract(self.offsets, slack, out=slack).min(axis=1)
         return out
 
 
 def blocks(count: int, width: int) -> list[slice]:
     """Row slices of a (count x width) table, each of about BLOCK entries.
 
-    A slice holds at least two rows when the table does, because numpy
-    sends a one-row matrix product to a matrix-vector kernel that rounds
-    otherwise; so a blocked product has the bits of the whole one.
+    ``width`` counts the entries per row of every table a block holds at
+    once, not just of the largest one. A slice holds at least two rows when
+    the table does, because numpy sends a one-row matrix product to a
+    matrix-vector kernel that rounds otherwise; so a blocked product has
+    the bits of the whole one.
     """
     step = max(2, BLOCK // max(width, 1))
     starts = list(range(0, count, step))
@@ -112,19 +116,22 @@ def _facet_sides(pts: np.ndarray, facets: np.ndarray):
     """Float side values w . (x - base) of every point against each facet
     plane, (F, n), with a certified cushion below which the float sign
     cannot be trusted: c . |x - base|, where c bounds the terms of w, so in
-    3-D it holds the permanents of the absolute 2x2 minors."""
+    3-D it holds the permanents of the absolute 2x2 minors. The sums
+    accumulate in place, so the call holds four (F, n) tables."""
     base, d, w = _facet_normals(pts, facets)
     if pts.shape[1] == 2:
         c = np.abs(w)
     else:
         a1, a2, i, j = np.abs(d[:, 0]), np.abs(d[:, 1]), [1, 0, 0], [2, 2, 1]
         c = a1[:, i] * a2[:, j] + a1[:, j] * a2[:, i]
-    side = perm = 0.0
+    shape = (facets.shape[0], pts.shape[0])
+    side, perm, rel, term = np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
     for k in range(pts.shape[1]):
-        rel = pts[None, :, k] - base[:, k, None]
-        side = side + w[:, k, None] * rel
-        perm = perm + c[:, k, None] * np.abs(rel)
-    return side, 64.0 * np.finfo(float).eps * perm
+        np.subtract(pts[None, :, k], base[:, k, None], out=rel)
+        side += np.multiply(w[:, k, None], rel, out=term)
+        perm += np.multiply(c[:, k, None], np.abs(rel, out=rel), out=rel)
+    perm *= 64.0 * np.finfo(float).eps
+    return side, perm
 
 
 def _confirm_facets(pts: np.ndarray, facets: np.ndarray) -> np.ndarray:
@@ -133,10 +140,11 @@ def _confirm_facets(pts: np.ndarray, facets: np.ndarray) -> np.ndarray:
 
     One float side table per block of (facet, point) entries (``blocks``)
     decides every entry whose sign its cushion certifies. Only the other
-    entries of facets not already refuted go to the exact predicate.
+    entries of facets not already refuted go to the exact predicate. A
+    block holds the four tables of ``_facet_sides`` and its masks.
     """
     ok = np.ones(facets.shape[0], dtype=bool)
-    for rows in blocks(facets.shape[0], pts.shape[0]):
+    for rows in blocks(facets.shape[0], 5 * pts.shape[0]):
         block = facets[rows]
         side, cushion = _facet_sides(pts, block)
         trusted = np.abs(side) > cushion
@@ -229,13 +237,16 @@ def _facet_balls(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
     which covers the planes merged by rounding in hull_facets; a point taken
     in needlessly only makes a ball larger. The centre is the middle of the
     points' bounding box. The (facets x points) distance table is built
-    block by block (``blocks``).
+    block by block (``blocks``), in place.
     """
     tol = _ON_PLANE * max(1.0, float(np.abs(pts).max()))
     f, m = normals.shape
-    facet, point = np.vstack([
-        np.argwhere(np.abs(offsets[rows, None] - normals[rows] @ pts.T) <= tol)
-        + [rows.start, 0] for rows in blocks(f, pts.shape[0])]).T
+    parts = []
+    for rows in blocks(f, pts.shape[0]):
+        gap = normals[rows] @ pts.T
+        np.abs(np.subtract(offsets[rows, None], gap, out=gap), out=gap)
+        parts.append(np.argwhere(gap <= tol) + [rows.start, 0])
+    facet, point = np.vstack(parts).T
     lo, hi = np.full((f, m), np.inf), np.full((f, m), -np.inf)
     np.minimum.at(lo, facet, pts[point])
     np.maximum.at(hi, facet, pts[point])
@@ -254,21 +265,24 @@ def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,
     line misses the body where lo > hi. Row k of ``own`` lists the facets
     whose shifted planes line k lies in. Their constraints hold by
     construction and are not tested, since rounding noise would decide them.
-    The (lines x facets) tables are built block by block (``blocks``).
+    The (lines x facets) tables are built block by block (``blocks``); a
+    block holds three of them and their masks.
     """
     normals, offsets = facets.normals, facets.offsets - margin
     count = origins.shape[0]
     lo, hi = np.empty(count), np.empty(count)
-    for block in blocks(count, normals.shape[0]):
-        slack = offsets - origins[block] @ normals.T
+    for block in blocks(count, 4 * normals.shape[0]):
+        slack = origins[block] @ normals.T
+        np.subtract(offsets, slack, out=slack)
         rate = directions[block] @ normals.T
         if own is not None:
             np.put_along_axis(slack, own[block], np.inf, axis=1)
+        miss = ((rate == 0) & (slack < 0)).any(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = slack / rate
+            t = np.divide(slack, rate, out=slack)
         lo[block] = np.where(rate < 0, t, -np.inf).max(axis=1)
         hi[block] = np.where(rate > 0, t, np.inf).min(axis=1)
-        lo[block][((rate == 0) & (slack < 0)).any(axis=1)] = np.inf
+        lo[block][miss] = np.inf
     return lo, hi
 
 

@@ -211,18 +211,18 @@ def _altitude_stack(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     vertex. A facet whose span loses rank keeps only the revealed part of
     its basis.
     """
-    v = pts[idx]
     count, k = idx.shape
-    out = np.zeros((count, k))
     if k == 2:
-        out[:, 0] = _norms(v[:, 0] - v[:, 1])
-        out[:, 1] = _norms(v[:, 1] - v[:, 0])
-        return out
+        v = pts[idx]
+        return np.column_stack([_norms(v[:, 0] - v[:, 1]), _norms(v[:, 1] - v[:, 0])])
     facets, which = _faces_of(idx, k - 1)
-    fv = pts[facets]
     # Orthonormal basis of each distinct facet's direction space, rank revealed.
-    u, sv, _ = np.linalg.svd((fv[:, 1:] - fv[:, :1]).transpose(0, 2, 1), full_matrices=False)
+    u, sv, _ = np.linalg.svd((pts[facets[:, 1:]] - pts[facets[:, :1]]).transpose(0, 2, 1),
+                             full_matrices=False)
     full = (sv[:, 0] > 0.0) & (sv[:, -1] >= DEGENERACY_RTOL * sv[:, 0])
+    # Built after the key and SVD tables are freed, so not held beside them.
+    v = pts[idx]
+    out = np.zeros((count, k))
     for i in range(k):
         # The subsets in combinations order drop the last vertex first; rel
         # runs from the facet's first vertex.
@@ -303,9 +303,9 @@ def simplex_metrics_batch(points, simplices) -> SimplexColumns:
     longest, shortest, alts = np.empty(count), np.empty(count), np.empty((count, j + 1))
     degenerate = np.empty(count, dtype=bool)
     for b in blocks(count, (j + 1) * pts.shape[1]):
+        alts[b] = _altitude_stack(pts, idx[b])
         _, lengths, degenerate[b] = _edge_stack(pts[idx[b]])
         longest[b], shortest[b] = lengths.max(axis=1), lengths.min(axis=1)
-        alts[b] = _altitude_stack(pts, idx[b])
     flat = degenerate | (longest == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         thickness = np.where(flat, 0.0, alts.min(axis=1) / (j * longest))

@@ -411,7 +411,7 @@ def test_analyze_builds_the_sampling_set_up_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((hull, "_facet_balls"), (genericity, "_faces_of"),
-                         (genericity, "_voronoi_pieces")):
+                         (genericity, "_distinct_faces"), (genericity, "_voronoi_pieces")):
         counting(module, name)
     real_g, real_depth = genericity._coverage_radius, hull.HullFacets.depth
 
@@ -440,9 +440,10 @@ def test_analyze_builds_the_sampling_set_up_once(tmp_path, monkeypatch):
         evaluations = counts.pop("g")
         assert evaluations >= 3 if from_g0 else evaluations == 1
         # One ball pass, and one face pass each for Delaunay edges and
-        # triangles; the audit takes the safe edges and triangles in one more
+        # triangles; the audit lists the safe edges and triangles in one more
         # pass each.
-        assert counts == {"_facet_balls": 1, "_faces_of": 4, "_voronoi_pieces": 1}
+        assert counts == {"_facet_balls": 1, "_faces_of": 2, "_distinct_faces": 2,
+                          "_voronoi_pieces": 1}
         # The points' hull depths are taken once per analysis, and so are the
         # circumcentres'.
         assert depth_in_g == [False, False]

@@ -3,11 +3,11 @@
 import csv
 import io
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from delgen import cli, fileio, hull
 from delgen.datasets import delta_search, grid_points, uniform_points
 from delgen.delaunay import delaunay_lifted
@@ -401,11 +401,6 @@ def test_report_writers_hold_a_block_of_rows_not_the_text():
     for writer, rows, size in ((envelope_json, table, 50e6), (envelope_csv, head, 7e6)):
         env = report_envelope("0", {"x": 1}, None, {"t": 1.0}, {"audit": {"simplices": rows}})
         sink = Sink()
-        tracemalloc.start()
-        try:
-            writer(env, sink)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: writer(env, sink))
         assert sink.size > size
         assert peak < 16 * hull.BLOCK, (writer.__name__, peak)

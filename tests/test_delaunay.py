@@ -2,7 +2,6 @@
 
 import inspect
 import time
-import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -11,6 +10,7 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
+from conftest import traced_peak
 from delgen import delaunay, metric
 from delgen.complexes import SimplicialComplex
 from delgen.datasets import grid_points, uniform_points
@@ -397,12 +397,7 @@ def test_stacked_search_runs_in_bounded_memory(monkeypatch):
                         lambda *args: calls.append(args) or search(*args))
     relaxed_delaunay(pts, 0.0, [12], eps=1.0, base=delaunay_lifted(pts))
     gap, seeds, radius, _, threshold = calls[0]
-    tracemalloc.start()
-    try:
-        verdicts, _ = search(gap, seeds, radius, 1e6, threshold)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (verdicts, _), peak = traced_peak(lambda: search(gap, seeds, radius, 1e6, threshold))
     # One candidate's worst case on its own: 2^m * max_nodes rows of m floats.
     max_nodes = inspect.signature(search).parameters["max_nodes"].default
     worst = 2**2 * max_nodes * 2 * 8
@@ -871,12 +866,7 @@ def test_lifted_route_certifies_in_bounded_memory():
     # The certifier lists m+3 points per qhull top a block of rows at a time
     # (hull.blocks); listed whole, about 40,000 tops took 21 MB traced.
     pts = uniform_points(20000, 2, seed=0)
-    tracemalloc.start()
-    try:
-        res = delaunay_lifted(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: delaunay_lifted(pts))
     assert len(res.tops) > 39000
     assert peak < 40 * 8 * len(res.tops), peak
 
@@ -886,12 +876,8 @@ def test_lifting_bound_runs_in_blocks_of_rows():
     # (rows x pairs x (m+1)) tables took about 19 MB traced.
     ps = PointSet(uniform_points(2000, 2, seed=3))
     base = delaunay_lifted(ps)
-    tracemalloc.start()
-    try:
-        bound, radius = delaunay._lifting_bound(ps, base.tops, base.centres, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (bound, radius), peak = traced_peak(
+        lambda: delaunay._lifting_bound(ps, base.tops, base.centres, 0.1))
     assert len(bound) == len(radius) == len(base.tops) > 3900
     assert peak < 8e6, peak
     # Each cube holds its top's empty circumcentre, where h = R^2 - d^2 = 0.

@@ -2,7 +2,6 @@
 
 import io
 import json
-import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
+from conftest import traced_peak
 from delgen import simplex
 from delgen.datasets import grid_points, uniform_points
 from delgen.delaunay import PointSet, delaunay_lifted
@@ -602,12 +602,22 @@ def test_region_stars_from_top_simplices_match_the_closure(pts):
 
 def test_analysis_of_10000_3d_points_runs_in_bounded_memory():
     pts = uniform_points(10000, 3, seed=5)
-    tracemalloc.start()
-    try:
-        analyze_genericity(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: analyze_genericity(pts))
     # One (points x facets) depth table of this set is 19 MB; its blocks are
     # 512 KB.
     assert peak < 100e6
+
+
+@pytest.mark.parametrize("pts", [grid_points(9, 3, 0.05, seed=1), uniform_points(4000, 2, seed=0)],
+                         ids=["grid-3d", "cloud-2d"])
+def test_analyze_pass_holds_one_block_of_tables_at_a_time(pts):
+    # The whole pass, its results included. When a block counted the entries
+    # of one table however many it held, built every Voronoi line and listed
+    # the safe faces whole, it peaked at 4.5 and 4.4 MB traced.
+    def analyze():
+        analysis = analyze_genericity(pts)
+        return lemma_audit(analysis), thickness_certificate(analysis)
+
+    (audit, certificate), peak = traced_peak(analyze)
+    assert audit.generic and certificate.valid
+    assert peak < 3e6, peak

@@ -259,17 +259,19 @@ def full_coverage_radius(facets, vor, tree, eps):
         return best
     fa, fb = tree.query(a)[0], tree.query(b)[0]
     best = max(best, float(fa.max()), float(fb.max()))
-    lo, hi = hull.clip_lines(facets, eps, vor.origins, vor.directions)
+    origins, directions, sites, _ = genericity._edge_lines(tree.data, vor.lines)
+    lo, hi = hull.clip_lines(facets, eps, origins, directions)
     hit = lo <= hi
-    origins, directions = vor.origins[hit], vor.directions[hit]
+    origins, directions = origins[hit], directions[hit]
     ends = np.concatenate([origins + lo[hit, None] * directions,
                            origins + hi[hit, None] * directions])
-    reach = np.linalg.norm(ends - np.concatenate([vor.sites[hit]] * 2), axis=1)
+    reach = np.linalg.norm(ends - np.concatenate([sites[hit]] * 2), axis=1)
     ends = ends[reach > best]
     if ends.size:
         best = max(best, float(tree.query(ends)[0].max()))
     if vor.faces is not None:
-        crossings = genericity._face_crossings(vor.faces, a, b, fa, fb, best)
+        faces = (tree.data[vor.faces[:, 0]], tree.data[vor.faces[:, 1]])
+        crossings = genericity._face_crossings(faces, a, b, fa, fb, best)
         if crossings.size:
             best = max(best, float(tree.query(crossings)[0].max()))
     return best
@@ -308,16 +310,18 @@ def test_circumradius_bounds_hold_the_candidates_of_their_pieces(case):
     eps = sampling_parameters(ps, facets, base, facets.depth(pts)).epsilon
     rounding = 1e-12 * max(1.0, float(np.abs(pts).max()))
     assert np.isfinite(vor.line_bounds).any()
+    origins, directions, sites, kept = genericity._edge_lines(pts, vor.lines)
+    bounds = vor.line_bounds[kept]
     depths = np.unique(vor.center_depths[vor.center_depths > 0.0])
     depths = depths[np.linspace(0, len(depths) - 1, min(len(depths), 32)).astype(int)]
     for e in [0.0, 0.5 * eps, eps, *depths]:
-        lo, hi = hull.clip_lines(facets, e, vor.origins, vor.directions)
+        lo, hi = hull.clip_lines(facets, e, origins, directions)
         hit = lo <= hi
         for t in (lo[hit], hi[hit]):
-            x = vor.origins[hit] + t[:, None] * vor.directions[hit]
+            x = origins[hit] + t[:, None] * directions[hit]
             f = tree.query(x)[0]
-            on = f >= np.linalg.norm(x - vor.sites[hit], axis=1) - rounding
-            assert (f[on] <= vor.line_bounds[hit][on]).all()
+            on = f >= np.linalg.norm(x - sites[hit], axis=1) - rounding
+            assert (f[on] <= bounds[hit][on]).all()
 
 
 def test_circumradius_bounds_halve_the_final_evaluation():
@@ -387,11 +391,6 @@ def test_depth_peaks_bound_their_pieces(case):
     pieces = [(2, vor.line_peaks)] if m == 2 else [(2, vor.face_peaks), (3, vor.line_peaks)]
     for k, peaks in pieces:
         faces, count, x, owner = piece_samples(base.tops, base.centres, k)
-        if k == 3:  # the lines of degenerate triangles are not kept
-            tri = pts[faces]
-            ok = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).any(axis=1)
-            x, owner = x[ok[owner]], (np.cumsum(ok) - 1)[owner[ok[owner]]]
-            faces, count = faces[ok], count[ok]
         assert len(faces) == len(peaks)
         open_ = ~interior[faces].any(axis=1)
         assert open_.any() and open_[count == 1].all()
@@ -618,10 +617,11 @@ def block_outputs(pts):
     from delgen import delaunay, perturb
 
     analysis = analyze_genericity(pts)
-    facets, eps = analysis.facets, analysis.sampling.epsilon
+    facets, eps, base = analysis.facets, analysis.sampling.epsilon, analysis.base
     # The cloud has no deep interior, so no audit: the kernel of the audited
     # metrics runs on every top instead.
-    metrics = simplex_metrics_batch(pts, analysis.base.tops)
+    metrics = simplex_metrics_batch(pts, base.tops)
+    safe = analysis.safe_metrics if analysis.deep_ids else ()
     # The relaxed candidates of the vertex nearest the centre.
     centre = [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
     windows = delaunay._Windows(analysis.points, centre, 2.0 * eps, range(1, pts.shape[1] + 1))
@@ -642,7 +642,13 @@ def block_outputs(pts):
                                         metrics.altitudes, metrics.thickness]),
         "lifting bounds": delaunay._lifting_bound(analysis.points, windows.rows,
                                                   windows.seeds, 4.0 * eps),
+        "protections": base.protections,
+        "radii": base.radii,
+        "degeneracy groups": [v for group in base.degeneracy_groups for v in (*group, -1)],
     }
+    values.update({f"safe {cols.vertices.shape[1] - 1}-simplices": np.column_stack([
+        cols.vertices, cols.longest_edge, cols.shortest_edge, cols.altitudes, cols.thickness])
+        for cols in safe})
     return {name: [float(x).hex() for x in np.ravel(value)] for name, value in values.items()}
 
 
@@ -650,8 +656,15 @@ def block_outputs(pts):
 def test_block_size_moves_no_bit(name, monkeypatch):
     pts = BLOCK_INPUTS[name]
     whole = block_outputs(pts)
+    assert ("safe 1-simplices" in whole) == (name != "cloud-3d")
     monkeypatch.setattr(hull, "BLOCK", 7)
     assert block_outputs(pts) == whole
+    analysis = analyze_genericity(pts)
+    if analysis.deep_ids:
+        # Listed two safe tops at a time, the faces are those of the whole stack.
+        *faces, tops = analysis.safe_metrics
+        for k, cols in enumerate(faces, start=2):
+            assert np.array_equal(cols.vertices, genericity._faces_of(tops.vertices, k)[0])
 
 
 def test_blocks_cover_the_rows_in_slices_of_two_or_more(monkeypatch):

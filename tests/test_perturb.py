@@ -2,11 +2,11 @@
 
 import json
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from delgen.complexes import star_difference, star_isomorphic
 from delgen.datasets import grid_points, uniform_points
 from delgen.delaunay import PointSet, delaunay_lifted
@@ -621,14 +621,9 @@ def test_adversarial_directions_of_20000_points_in_bounded_memory():
 
     ps = PointSet(uniform_points(20000, 2, seed=3))
     base = delaunay_lifted(ps)
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        perturb._adversarial_directions(ps, base)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    start = time.perf_counter()
+    _, peak = traced_peak(lambda: perturb._adversarial_directions(ps, base))
+    elapsed = time.perf_counter() - start
     # A (points x balls) table of 20,000 points holds 8 * 10^8 entries.
     assert peak < 64e6
     assert elapsed < 5.0
@@ -642,12 +637,7 @@ def test_adversarial_search_on_a_small_grid_holds_less_than_its_whole_table():
     a = analyze_genericity(grid_points(11, 2, 0.2, seed=1))
     ps, base = a.points, a.base
     ps.tree  # built before tracing
-    tracemalloc.start()
-    try:
-        perturb._adversarial_directions(ps, base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: perturb._adversarial_directions(ps, base))
     assert peak < 8 * ps.n * len(base.tops) * (ps.dim + 1)
 
 
@@ -659,12 +649,7 @@ def test_adversarial_directions_of_a_3d_grid_in_bounded_memory():
     a = analyze_genericity(grid_points(11, 3, 0.05, seed=1))
     ps, base = a.points, a.base
     ps.tree  # built before tracing
-    tracemalloc.start()
-    try:
-        perturb._adversarial_directions(ps, base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: perturb._adversarial_directions(ps, base))
     assert peak < 16e6, peak
 
 
