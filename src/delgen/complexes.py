@@ -52,13 +52,20 @@ def _faces_of(tops: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     (k-subset, row) pair, the subsets in ``combinations`` order and the rows
     within each.
 
-    Each face is keyed as one integer (``row_keys``), so a single 1-D
-    ``np.unique`` keeps the faces' lexicographic order.
+    Each face is keyed as one integer (``row_keys``), so one sort of the
+    keys and an adjacent compare give the faces in lexicographic order, as
+    ``np.unique`` with index and inverse would, with less work. The sort is
+    the stable one the other row sorts use: numpy's default argsort would
+    page in SIMD code that raises a small run's peak memory.
     """
     stack = np.vstack([tops[:, list(c)] for c in combinations(range(tops.shape[1]), k)])
-    _, first, inverse = np.unique(row_keys(stack, int(tops.max()) + 1),
-                                  return_index=True, return_inverse=True)
-    return stack[first], inverse.ravel()
+    keys = row_keys(stack, int(tops.max()) + 1)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return stack[order[new]], inverse
 
 
 def _holds_any(rows: np.ndarray, ids, radix: int) -> np.ndarray:

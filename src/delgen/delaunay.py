@@ -54,7 +54,7 @@ from scipy.spatial.distance import cdist
 from .complexes import SimplicialComplex, _faces_of, _holds_any, row_keys, sorted_rows
 from .errors import PreconditionError
 from .hull import _facet_normals, affine_rank, blocks, check_coordinates
-from .simplex import _norms, circumballs
+from .simplex import _norms, _small_det, circumballs
 
 PROTECTION_RTOL = 1e-9
 
@@ -192,13 +192,20 @@ class DelaunayResult:
 
 def _batched_circumballs(pts: np.ndarray, subsets: np.ndarray):
     """Circumcentres of (m+1)-subsets; returns (centres, radii, solvable).
-    Every row is solved on its own, so its bits do not depend on the stack."""
+    Every row is solved on its own, so its bits do not depend on the stack.
+    A row is solvable when LAPACK's |det a| exceeds 1e-12 of the product of
+    its rows' norms. Cofactors (``simplex._small_det``) and LAPACK both err
+    by a few ulps of that product, so only rows within 10^3 of the
+    threshold take LAPACK's."""
     v = pts[subsets]  # (s, m+1, m)
     a = v[:, 1:, :] - v[:, :1, :]  # (s, m, m)
     b = 0.5 * (a**2).sum(axis=2)
-    dets = np.abs(np.linalg.det(a))
+    dets = np.abs(_small_det(a))
     scale = np.prod(np.linalg.norm(a, axis=2), axis=1)
-    good = dets > 1e-12 * np.maximum(scale, 1e-300)
+    floor = 1e-12 * np.maximum(scale, 1e-300)
+    near = np.flatnonzero((dets > 1e-3 * floor) & (dets < 1e3 * floor))
+    dets[near] = np.abs(np.linalg.det(a[near]))
+    good = dets > floor
     centers = np.full((subsets.shape[0], pts.shape[1]), np.nan)
     radii = np.full(subsets.shape[0], np.nan)
     if good.any():

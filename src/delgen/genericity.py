@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .complexes import SimplicialComplex, _faces_of, row_keys, sorted_rows
+from .complexes import SimplicialComplex, _faces_of, _holds_any, row_keys, sorted_rows
 from .delaunay import DelaunayResult, PointSet, as_point_set, delaunay_lifted
 from .errors import NonGenericError, PreconditionError
 from .fileio import Table
@@ -69,7 +69,8 @@ class SafeInteriorClassification:
 
     @cached_property
     def meets(self) -> np.ndarray:
-        return np.isin(self.audited, self.region).any(axis=1)
+        return _holds_any(self.audited, self.region,
+                          max(int(self.audited.max()), *self.region) + 1)
 
     @cached_property
     def safe(self) -> SimplicialComplex:
@@ -357,10 +358,13 @@ def _coverage_radius(facets: HullFacets, vor: _VoronoiPieces, tree: cKDTree,
     when its distance to a site that defines it could beat the best so far.
     """
     best = 0.0
-    inside = vor.center_depths >= eps - 1e-12 * max(1.0, eps)
+    rounding = 1e-12 * max(1.0, eps)
+    inside = vor.center_depths >= eps - rounding
     if inside.any():
         best = float(vor.radii[inside].max())
-    a, b = eroded_edges(facets, eps)
+    deepest = int(np.argmax(vor.center_depths))
+    a, b = eroded_edges(facets, eps, vor.centers[deepest]
+                        if vor.center_depths[deepest] > eps + rounding else None)
     if a.shape[0] == 0:
         return best
     fa, fb = tree.query(a)[0], tree.query(b)[0]
@@ -522,8 +526,8 @@ def _audit_star(ps: PointSet, base: DelaunayResult, eps: float, region: tuple[in
     """
     rows = sorted_rows(base.tops, ps.n)
     tops = base.tops[rows]
-    meets = np.isin(tops, region).any(axis=1)
-    audited = np.isin(tops, tops[meets]).any(axis=1)
+    meets = _holds_any(tops, region, ps.n)
+    audited = _holds_any(tops, tops[meets], ps.n)
     if not audited.any():
         raise PreconditionError("audited star contains no top simplices")
     rows = rows[audited]

@@ -9,12 +9,14 @@ never reach the facet list.
 
 Eroding the hull by a margin shifts every facet plane inward by it, so the
 same planes describe the eroded body; ``clip_lines`` and ``eroded_edges``
-compute on it directly, with no vertex enumeration. Each facet also carries a
-ball that holds the points on its plane. A point on an edge of the body
-eroded by e lies at distance e from both planes, and moving it out by e along
-either normal lands in that facet, so ``eroded_edges`` clips only the pairs
-of planes whose balls, shifted inward by e, meet, and whose line passes
-through both shifted balls.
+compute on it directly. Each facet also carries a ball that holds the
+points on its plane. A point on an edge of the body eroded by e lies at
+distance e from both planes, and moving it out by e along either normal
+lands in that facet, so ``eroded_edges`` clips only the pairs of planes
+whose balls, shifted inward by e, meet, and whose line passes through both
+shifted balls. In 3-D, given a point inside the body, it lists the body's
+vertices with qhull's halfspace intersection and tries only the pairs of
+planes that pass near a common vertex.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from . import predicates
 from .complexes import _faces_of
@@ -40,6 +42,9 @@ _ON_PLANE = 1e-8
 # Two facet planes whose normals are closer to parallel than this (sine of
 # the angle) are treated as meeting in no edge; see eroded_edges.
 _PARALLEL_SINE = 1e-8
+# Pairs of planes closer to parallel than this (sine) are candidate edges
+# whether or not they pass near a vertex of the body; see _vertex_pairs.
+_BAND_SINE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -114,24 +119,27 @@ def _facet_normals(pts: np.ndarray, facets: np.ndarray):
 
 def _facet_sides(pts: np.ndarray, facets: np.ndarray):
     """Float side values w . (x - base) of every point against each facet
-    plane, (F, n), with a certified cushion below which the float sign
-    cannot be trusted: c . |x - base|, where c bounds the terms of w, so in
-    3-D it holds the permanents of the absolute 2x2 minors. The sums
-    accumulate in place, so the call holds four (F, n) tables."""
+    plane, (F, n), and one certified cushion per facet, below which the
+    float sign of an entry cannot be trusted: 64u sum_k c_k max |x_k - base_k|
+    over the points' bounding box, where c bounds the terms of w, so in 3-D
+    it holds the permanents of the absolute 2x2 minors. Rounding is
+    monotone, so it is at least each entry's own cushion 64u c . |x - base|.
+    The sums accumulate in place, so the call holds two (F, n) tables."""
     base, d, w = _facet_normals(pts, facets)
     if pts.shape[1] == 2:
         c = np.abs(w)
     else:
         a1, a2, i, j = np.abs(d[:, 0]), np.abs(d[:, 1]), [1, 0, 0], [2, 2, 1]
         c = a1[:, i] * a2[:, j] + a1[:, j] * a2[:, i]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     shape = (facets.shape[0], pts.shape[0])
-    side, perm, rel, term = np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
+    side, rel, cushion = np.zeros(shape), np.empty(shape), np.zeros(shape[0])
     for k in range(pts.shape[1]):
         np.subtract(pts[None, :, k], base[:, k, None], out=rel)
-        side += np.multiply(w[:, k, None], rel, out=term)
-        perm += np.multiply(c[:, k, None], np.abs(rel, out=rel), out=rel)
-    perm *= 64.0 * np.finfo(float).eps
-    return side, perm
+        side += np.multiply(w[:, k, None], rel, out=rel)
+        cushion += c[:, k] * np.maximum(hi[k] - base[:, k], base[:, k] - lo[k])
+    cushion *= 64.0 * np.finfo(float).eps
+    return side, cushion
 
 
 def _confirm_facets(pts: np.ndarray, facets: np.ndarray) -> np.ndarray:
@@ -139,25 +147,24 @@ def _confirm_facets(pts: np.ndarray, facets: np.ndarray) -> np.ndarray:
     points on strictly opposite sides of its plane.
 
     One float side table per block of (facet, point) entries (``blocks``)
-    decides every entry whose sign its cushion certifies. Only the other
-    entries of facets not already refuted go to the exact predicate. A
-    block holds the four tables of ``_facet_sides`` and its masks.
+    decides every entry outside its facet's cushion (``_facet_sides``).
+    Only the other entries of facets not already refuted go to the exact
+    predicate. A block holds the side table, a scratch table and the masks.
     """
     ok = np.ones(facets.shape[0], dtype=bool)
-    for rows in blocks(facets.shape[0], 5 * pts.shape[0]):
+    for rows in blocks(facets.shape[0], 3 * pts.shape[0]):
         block = facets[rows]
         side, cushion = _facet_sides(pts, block)
-        trusted = np.abs(side) > cushion
         # The facet's own vertices are on the plane by definition; their float
         # side values are pure rounding noise and must not vote.
         np.put_along_axis(side, block, 0.0, axis=1)
-        np.put_along_axis(trusted, block, True, axis=1)
-        pos = ((side > 0) & trusted).any(axis=1)
-        neg = ((side < 0) & trusted).any(axis=1)
+        pos, neg = side.max(axis=1) > cushion, side.min(axis=1) < -cushion
         ok[rows] = ~(pos & neg)
-        for r in np.flatnonzero(ok[rows] & ~trusted.all(axis=1)):
+        unsure = np.abs(side, out=side) <= cushion[:, None]
+        np.put_along_axis(unsure, block, False, axis=1)
+        for r in np.flatnonzero(ok[rows] & unsure.any(axis=1)):
             signs = {predicates.side_of_plane(pts[block[r]], pts[k])
-                     for k in np.flatnonzero(~trusted[r])}
+                     for k in np.flatnonzero(unsure[r])}
             ok[rows.start + r] = not ((pos[r] or 1 in signs) and (neg[r] or -1 in signs))
     return ok
 
@@ -286,7 +293,40 @@ def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,
     return lo, hi
 
 
-def _edge_pairs(facets: HullFacets, margin: float):
+def _vertex_pairs(normals: np.ndarray, offsets: np.ndarray, inside: np.ndarray,
+                  band: float) -> np.ndarray | None:
+    """(f, f) table of the pairs of planes that pass within a band of a
+    common vertex of the body { n_k . x <= b_k } (``normals``, ``offsets``),
+    whose vertices qhull lists about ``inside`` (Barber, Dobkin &
+    Huhdanpaa, 1996); None when ``inside`` is not strictly inside or qhull
+    fails.
+
+    A pair whose line clips to a nonempty piece of the body has a point x
+    within rounding r of both planes that breaks no constraint by more than
+    r. Where (n_i + n_j) . y peaks over the body, at a vertex v, LP duality
+    (multipliers l >= 0, sum l_k n_k = n_i + n_j) puts each plane within
+    r (2 + sum l_k) of v. With s the distances from ``inside`` to the
+    planes, the dual optimum lies between s_min sum l_k + (n_i + n_j) .
+    inside and b_i + b_j, so sum l_k <= 2 s_max / s_min. The band is
+    ``band`` s_max / s_min, and ``band`` stands above 4r and qhull's
+    rounding of v while r, which grows as 1 / sine of the planes' angle,
+    is small: pairs within _BAND_SINE of parallel are listed regardless.
+    """
+    s = offsets - normals @ inside
+    if not s.min() > 0.0:
+        return None
+    try:
+        vertices = HalfspaceIntersection(np.column_stack([normals, -offsets]),
+                                         inside).intersections
+    except QhullError:
+        return None
+    gap = vertices @ normals.T
+    near = np.abs(np.subtract(gap, offsets, out=gap), out=gap) <= band * s.max() / s.min()
+    table = near.T.astype(float) @ near > 0.0
+    return table | (np.abs(normals @ normals.T) > np.sqrt(1.0 - _BAND_SINE**2))
+
+
+def _edge_pairs(facets: HullFacets, margin: float, inside: np.ndarray | None = None):
     """Pairs (i, j), i < j, of facet planes whose line can carry an edge of
     the eroded body { depth >= margin }, in row-major order, with a point
     and a unit direction of each pair's line.
@@ -298,12 +338,19 @@ def _edge_pairs(facets: HullFacets, margin: float):
     ball, by more than rounding are dropped, and so are pairs of planes
     within _PARALLEL_SINE of parallel: they meet far outside the body, or
     along an edge between two facets that are coplanar up to rounding,
-    which bounds neither facet.
+    which bounds neither facet. With a point ``inside`` the body these tests
+    run only on the pairs of ``_vertex_pairs``; without one, or when that
+    fails, on every pair. Each pair is tested on its own, so a kept pair
+    keeps its bits and its place in the order either way.
     """
     normals, offsets, radii = facets.normals, facets.offsets - margin, facets.radii
     i, j = np.triu_indices(normals.shape[0], 1)
     shifted = facets.centers - margin * normals
     slack = 1e-9 * max(1.0, float(np.abs(shifted).max()) + float(radii.max()))
+    table = None if inside is None else _vertex_pairs(normals, offsets, inside, slack)
+    if table is not None:
+        listed = table[i, j]
+        i, j = i[listed], j[listed]
     near = np.linalg.norm(shifted[i] - shifted[j], axis=1) <= radii[i] + radii[j] + slack
     i, j = i[near], j[near]
     cross = np.cross(normals[i], normals[j])
@@ -323,14 +370,15 @@ def _edge_pairs(facets: HullFacets, margin: float):
     return i[keep], j[keep], origins[keep], directions[keep]
 
 
-def eroded_edges(facets: HullFacets, margin: float):
+def eroded_edges(facets: HullFacets, margin: float, inside: np.ndarray | None = None):
     """End points (a, b) of the edges of the eroded body { depth >= margin }.
 
     Eroding the hull shifts each facet plane inward by the margin. In 2-D
     each shifted facet line is clipped to the body, in 3-D the line through
-    each pair of shifted facet planes that ``_edge_pairs`` keeps. A nonempty
-    clip is an edge of the body, possibly of zero length, and its end points
-    are vertices of the body.
+    each pair of shifted facet planes that ``_edge_pairs`` keeps, from the
+    body's vertices when a point ``inside`` it is given. A nonempty clip is
+    an edge of the body, possibly of zero length, and its end points are
+    vertices of the body.
     """
     normals, offsets = facets.normals, facets.offsets - margin
     f, m = normals.shape
@@ -339,7 +387,7 @@ def eroded_edges(facets: HullFacets, margin: float):
         directions = np.column_stack([-normals[:, 1], normals[:, 0]])
         own = np.arange(f)[:, None]
     else:
-        i, j, origins, directions = _edge_pairs(facets, margin)
+        i, j, origins, directions = _edge_pairs(facets, margin, inside)
         own = np.column_stack([i, j])
     lo, hi = clip_lines(facets, margin, origins, directions, own)
     hit = lo <= hi

@@ -83,6 +83,21 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
+def _small_det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (S, j, j): by cofactors for 1 <= j <= 3, and
+    by LAPACK otherwise. A cofactor sum adds products of one entry per row,
+    so it lies within a few ulps of the product of the rows' norms from the
+    exact determinant."""
+    if not 1 <= a.shape[1] <= 3:
+        return np.linalg.det(a)
+    if a.shape[1] == 1:
+        return a[:, 0, 0].copy()
+    if a.shape[1] == 2:
+        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    (p, q, r), (s, t, u), (v, w, x) = a.transpose(1, 2, 0)
+    return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+
+
 def _edge_stack(v: np.ndarray):
     """Edge rows p_i - p_0, edge lengths and the degeneracy flag of a stack
     of j-simplices ``v`` of shape (S, j+1, m)."""
@@ -98,10 +113,11 @@ def _degenerate(e: np.ndarray) -> np.ndarray:
     values of each edge stack ``e`` (S, j, m), padded with zeros when j > m.
 
     With G = E E^T, det G <= s_1^(2j-2) s_j^2 and tr G >= s_1^2, so
-    det G > _GRAM_RTOL * (tr G)^j gives s_j / s_1 > 1e-6; G's rounding moves
-    det G by about 1e-15 (tr G)^j, far inside that margin. The rows this
-    test does not decide, and every row whose (tr G)^j leaves the normal
-    range, take the SVD rule, so every flag is the SVD rule's.
+    det G > _GRAM_RTOL * (tr G)^j gives s_j / s_1 > 1e-6; G's rounding, and
+    that of its determinant by cofactors (``_small_det``), move det G by
+    about 1e-15 (tr G)^j, far inside that margin. The rows this test does
+    not decide, and every row whose (tr G)^j leaves the normal range, take
+    the SVD rule, so every flag is the SVD rule's.
     """
     count, j, m = e.shape
     sure = np.zeros(count, dtype=bool)
@@ -110,7 +126,7 @@ def _degenerate(e: np.ndarray) -> np.ndarray:
             gram = e @ e.transpose(0, 2, 1)
             scale = np.trace(gram, axis1=1, axis2=2) ** j
             sure = ((scale > _GRAM_RANGE[0]) & (scale < _GRAM_RANGE[1])
-                    & (np.linalg.det(gram) > _GRAM_RTOL * scale))
+                    & (_small_det(gram) > _GRAM_RTOL * scale))
     degenerate = np.zeros(count, dtype=bool)
     rest = np.flatnonzero(~sure)
     if rest.size:

@@ -6,8 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from delgen.complexes import (SimplicialComplex, row_keys, sorted_rows, star_difference,
-                              star_isomorphic)
+from delgen.complexes import (SimplicialComplex, _faces_of, row_keys, sorted_rows,
+                              star_difference, star_isomorphic)
 from delgen.datasets import grid_points
 from delgen.delaunay import delaunay_lifted
 from delgen.errors import MappingError
@@ -142,3 +142,19 @@ def test_row_keys_order_rows_lexicographically():
         assert sorted_rows(rows, radix).tolist() == want
         # Equal rows, and only they, share a key.
         assert len(set(keys.tolist())) == len(set(map(tuple, rows.tolist())))
+
+
+def test_faces_of_match_the_unique_reference():
+    """One sort and an adjacent compare give np.unique's faces and inverse,
+    on tops with repeated rows, with keys in int64 and past it."""
+    rng = np.random.default_rng(5)
+    for radix, width in ((9, 3), (40, 4), (60_000, 4), (2**40, 3)):
+        tops = np.sort(rng.integers(0, radix, size=(200, width)), axis=1)
+        tops[::5] = tops[7]
+        for k in range(1, width + 1):
+            faces, inverse = _faces_of(tops, k)
+            stack = np.vstack([tops[:, list(c)] for c in combinations(range(width), k)])
+            _, first, ref = np.unique(row_keys(stack, int(tops.max()) + 1),
+                                      return_index=True, return_inverse=True)
+            assert np.array_equal(faces, stack[first])
+            assert np.array_equal(inverse, ref.ravel()) and inverse.dtype == np.intp

@@ -995,3 +995,35 @@ def test_a_flat_top_leaves_the_other_copies_kept():
     flat[c] = 0.5 * (pts[a] + pts[b])  # on the top's first edge
     kept = delaunay._kept_triangulations(ps, base, [pts + 1e-6, flat])
     assert kept[0] is not None and kept[1] is None
+
+
+def test_circumball_solvability_keeps_the_lapack_flags_near_its_threshold():
+    """Triangles and tetrahedra whose |det| lies within 10^-3.5 to 10^3.5 of
+    the threshold 1e-12 times the product of the edge norms, some of them
+    far from the origin: the cofactor determinant, with LAPACK's near the
+    threshold, flags exactly the rows that LAPACK's alone flags."""
+    rng = np.random.default_rng(17)
+    for m in (2, 3):
+        rows = []
+        for level in np.concatenate([np.geomspace(10**-3.5, 10**3.5, 57),
+                                     1.0 + np.geomspace(1e-6, 1e-1, 6),
+                                     1.0 - np.geomspace(1e-6, 1e-1, 6)]):
+            for offset in (0.0, 1e3, 1e6):
+                edges = rng.normal(size=(m, m))
+                # Move the last edge to within level * 1e-12 of the span of the others.
+                q, _ = np.linalg.qr(edges[:-1].T, mode="complete")
+                normal = q[:, -1]
+                edges[-1] -= (edges[-1] @ normal) * normal
+                scale = np.prod(np.linalg.norm(edges, axis=1))
+                lift = abs(np.linalg.det(np.vstack([edges[:-1], normal])))
+                edges[-1] += level * 1e-12 * scale / lift * normal
+                base = offset + rng.normal(size=m)
+                rows.append(np.vstack([base, base + edges]))
+        pts = np.vstack(rows)
+        subsets = np.arange(len(pts)).reshape(-1, m + 1)
+        a = pts[subsets][:, 1:] - pts[subsets][:, :1]
+        scale = np.prod(np.linalg.norm(a, axis=2), axis=1)
+        want = np.abs(np.linalg.det(a)) > 1e-12 * np.maximum(scale, 1e-300)
+        _, _, good = delaunay._batched_circumballs(pts, subsets)
+        assert np.array_equal(good, want), m
+        assert want.any() and not want.all()

@@ -438,7 +438,10 @@ def test_degeneracy_flags_match_the_svd_rule_near_the_threshold():
         simplices = []
         for j in (1, 2, 3):
             r = min(j, m)
-            for ratio in (1e-13, 1e-11, 1e-7, 1e-5, 1.0):
+            # Ratios about the Gram test's thresholds (1e-6 for j = 2, and
+            # 1e-4 for j = 3 with these spectra) and the SVD rule's.
+            for ratio in (1e-13, 1e-11, 1e-7, 0.999e-6, 1.001e-6, 1e-5,
+                          0.999e-4, 1.001e-4, 1.0):
                 for scale in (1e-60, 1e-3, 1.0, 1e45, 1e100):
                     # Edge rows E = U diag(s) V^T with s_r / s_1 = ratio.
                     s = np.geomspace(1.0, ratio, r) * scale
