@@ -391,7 +391,8 @@ def main(argv=None) -> int:
     except CheckFailedError as exc:
         print(f"delgen: check failed: {exc}", file=sys.stderr)
         return 5
-    except PreconditionError as exc:
+    except (PreconditionError, MemoryError) as exc:
+        # numpy refuses an allocation it cannot make before it starts.
         print(f"delgen: precondition: {exc}", file=sys.stderr)
         return 4
     except DelgenError as exc:

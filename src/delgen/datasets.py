@@ -31,6 +31,10 @@ def grid_points(side: int, dim: int = 2, jitter: float = 0.0, seed: int = 0,
         raise PreconditionError("need side >= 2 and dim >= 1")
     if not 0 <= jitter < 0.5:
         raise PreconditionError("jitter must lie in [0, 0.5) grid units")
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise PreconditionError("spacing must be finite and positive")
+    if seed < 0:
+        raise PreconditionError("seed must be nonnegative")
     axes = [np.arange(side, dtype=float)] * dim
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     pts = pts * spacing
@@ -45,8 +49,10 @@ def grid_points(side: int, dim: int = 2, jitter: float = 0.0, seed: int = 0,
 
 def uniform_points(n: int, dim: int = 2, seed: int = 0) -> np.ndarray:
     """n points drawn uniformly from the unit box [0, 1)^dim."""
-    if n < dim + 1:
-        raise PreconditionError("need at least dim + 1 points")
+    if dim < 1 or n < dim + 1:
+        raise PreconditionError("need dim >= 1 and at least dim + 1 points")
+    if seed < 0:
+        raise PreconditionError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     return rng.uniform(size=(n, dim))
 
@@ -71,6 +77,8 @@ def delta_search(side: int, dim: int = 2, jitter: float = 0.2, k: int = 20,
     """
     if k < 1:
         raise PreconditionError("need at least one candidate")
+    if seed < 0:
+        raise PreconditionError("seed must be nonnegative")
     scored: list[tuple[int, float]] = []
     best = None
     for i in range(k):

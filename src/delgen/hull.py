@@ -9,14 +9,10 @@ never reach the facet list.
 
 Eroding the hull by a margin shifts every facet plane inward by it, so the
 same planes describe the eroded body; ``clip_lines`` and ``eroded_edges``
-compute on it directly. Each facet also carries a ball that holds the
-points on its plane. A point on an edge of the body eroded by e lies at
-distance e from both planes, and moving it out by e along either normal
-lands in that facet, so ``eroded_edges`` clips only the pairs of planes
-whose balls, shifted inward by e, meet, and whose line passes through both
-shifted balls. In 3-D, given a point inside the body, it lists the body's
-vertices with qhull's halfspace intersection and tries only the pairs of
-planes that pass near a common vertex.
+compute on it directly. In 3-D, given a point inside the body,
+``eroded_edges`` lists the body's vertices with qhull's halfspace
+intersection and clips only the pairs of planes that pass near a common
+vertex; without one it clips every pair that is not near parallel.
 """
 
 from __future__ import annotations
@@ -36,9 +32,6 @@ from .simplex import _norms
 # core's L2 cache. Tables are built block by block (see blocks), and a block
 # counts every table it holds at once.
 BLOCK = 1 << 16
-# A point within this fraction of the coordinate scale of a facet plane is
-# taken to lie on it; see _facet_balls.
-_ON_PLANE = 1e-8
 # Two facet planes whose normals are closer to parallel than this (sine of
 # the angle) are treated as meeting in no edge; see eroded_edges.
 _PARALLEL_SINE = 1e-8
@@ -49,13 +42,10 @@ _BAND_SINE = 1e-4
 
 @dataclass(frozen=True)
 class HullFacets:
-    """Supporting halfspaces a . x <= b of the hull, normals unit outward,
-    and a ball (centre, radius) holding the points on each facet plane."""
+    """Supporting halfspaces a . x <= b of the hull, normals unit outward."""
 
     normals: np.ndarray  # (f, m)
     offsets: np.ndarray  # (f,)
-    centers: np.ndarray  # (f, m)
-    radii: np.ndarray    # (f,)
 
     def depth(self, x: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary, positive inside, for rows of x."""
@@ -233,35 +223,7 @@ def hull_facets(points: np.ndarray) -> HullFacets:
     facets = _facet_planes_seeded(pts)
     if facets is None:
         facets = _facet_planes_bruteforce(pts)
-    normals, offsets = _facet_planes(pts, facets)
-    return HullFacets(normals, offsets, *_facet_balls(pts, normals, offsets))
-
-
-def _facet_balls(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
-    """Centre and radius of a ball around the points on each facet plane.
-
-    A point counts as on a plane within _ON_PLANE of the coordinate scale,
-    which covers the planes merged by rounding in hull_facets; a point taken
-    in needlessly only makes a ball larger. The centre is the middle of the
-    points' bounding box. The (facets x points) distance table is built
-    block by block (``blocks``), in place.
-    """
-    tol = _ON_PLANE * max(1.0, float(np.abs(pts).max()))
-    f, m = normals.shape
-    parts = []
-    for rows in blocks(f, pts.shape[0]):
-        gap = normals[rows] @ pts.T
-        np.abs(np.subtract(offsets[rows, None], gap, out=gap), out=gap)
-        parts.append(np.argwhere(gap <= tol) + [rows.start, 0])
-    facet, point = np.vstack(parts).T
-    lo, hi = np.full((f, m), np.inf), np.full((f, m), -np.inf)
-    np.minimum.at(lo, facet, pts[point])
-    np.maximum.at(hi, facet, pts[point])
-    centers = 0.5 * (lo + hi)
-    diff = pts[point] - centers[facet]
-    radii = np.full(f, -np.inf)
-    np.maximum.at(radii, facet, (diff * diff).sum(axis=1))
-    return centers, np.sqrt(radii)
+    return HullFacets(*_facet_planes(pts, facets))
 
 
 def clip_lines(facets: HullFacets, margin: float, origins: np.ndarray,
@@ -331,28 +293,21 @@ def _edge_pairs(facets: HullFacets, margin: float, inside: np.ndarray | None = N
     the eroded body { depth >= margin }, in row-major order, with a point
     and a unit direction of each pair's line.
 
-    A point x on such an edge has depth exactly margin, so x + margin n_i
-    lies in facet i and x + margin n_j in facet j: the facet balls shifted
-    inward by the margin meet, and the line passes through both. Pairs
-    whose shifted balls lie apart, or whose line passes outside either
-    ball, by more than rounding are dropped, and so are pairs of planes
-    within _PARALLEL_SINE of parallel: they meet far outside the body, or
-    along an edge between two facets that are coplanar up to rounding,
-    which bounds neither facet. With a point ``inside`` the body these tests
-    run only on the pairs of ``_vertex_pairs``; without one, or when that
-    fails, on every pair. Each pair is tested on its own, so a kept pair
-    keeps its bits and its place in the order either way.
+    With a point ``inside`` the body these are the pairs of
+    ``_vertex_pairs``; without one, or when that fails, every pair. Pairs of
+    planes within _PARALLEL_SINE of parallel are dropped: they meet far
+    outside the body, or along an edge between two facets that are coplanar
+    up to rounding, which bounds neither facet. Each pair's line is computed
+    on its own, so a kept pair keeps its bits and its place in the order
+    either way.
     """
-    normals, offsets, radii = facets.normals, facets.offsets - margin, facets.radii
+    normals, offsets = facets.normals, facets.offsets - margin
     i, j = np.triu_indices(normals.shape[0], 1)
-    shifted = facets.centers - margin * normals
-    slack = 1e-9 * max(1.0, float(np.abs(shifted).max()) + float(radii.max()))
-    table = None if inside is None else _vertex_pairs(normals, offsets, inside, slack)
+    band = 1e-9 * max(1.0, float(np.abs(offsets).max()))
+    table = None if inside is None else _vertex_pairs(normals, offsets, inside, band)
     if table is not None:
         listed = table[i, j]
         i, j = i[listed], j[listed]
-    near = np.linalg.norm(shifted[i] - shifted[j], axis=1) <= radii[i] + radii[j] + slack
-    i, j = i[near], j[near]
     cross = np.cross(normals[i], normals[j])
     sine = np.linalg.norm(cross, axis=1)
     keep = sine > _PARALLEL_SINE
@@ -361,13 +316,7 @@ def _edge_pairs(facets: HullFacets, margin: float, inside: np.ndarray | None = N
     # The point of both planes nearest the coordinate origin.
     origins = (offsets[i, None] * np.cross(normals[j], directions)
                + offsets[j, None] * np.cross(directions, normals[i])) / sine
-    # The line's point rounds in proportion to 1 / sine.
-    keep = np.ones(len(i), dtype=bool)
-    for k in (i, j):
-        rel = shifted[k] - origins
-        rel -= np.einsum("ij,ij->i", rel, directions)[:, None] * directions
-        keep &= np.linalg.norm(rel, axis=1) <= radii[k] + slack / sine[:, 0]
-    return i[keep], j[keep], origins[keep], directions[keep]
+    return i, j, origins, directions
 
 
 def eroded_edges(facets: HullFacets, margin: float, inside: np.ndarray | None = None):

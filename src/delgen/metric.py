@@ -8,23 +8,22 @@ exact fast route through the Euclidean complex of phi(P). The Euclidean
 distance itself is the pullback of a zero-amplitude field.
 
 Metric circumcentres are found by damped Newton iteration on the vertex
-distance differences, seeded at the Euclidean circumcentre with a small
-multistart grid; metric Delaunay complexes are built either by that generic
-route, by the exact pullback route, or by both with a hard comparison. The
-Newton routes of several metrics run as one stack: the candidates of every
-metric, each row tagged with its field, share each Newton pass and one
-evaluation of the stacked fields (:class:`_FieldStack`) per step, and each
-row is computed on its own. The candidates whose Newton search fails are
-decided together by the stacked branch and bound of :mod:`delgen.delaunay`
-on the metric gap. The pullback route inverts every kept ball centre in one
-call, each row stopping on its own test.
+distance differences, seeded at the Euclidean circumcentre; metric Delaunay
+complexes are built either by that generic route, by the exact pullback
+route, or by both with a hard comparison. The Newton routes of several
+metrics run as one stack: the candidates of every metric, each row tagged
+with its field, share each Newton pass and one evaluation of the stacked
+fields (:class:`_FieldStack`) per step, and each row is computed on its
+own. The candidates whose Newton search fails are decided together by the
+stacked branch and bound of :mod:`delgen.delaunay` on the metric gap. The
+pullback route inverts every kept ball centre in one call, each row
+stopping on its own test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,6 +51,8 @@ class DisplacementField:
     def __init__(self, dim: int, amplitude: float, seed: int) -> None:
         if not np.isfinite(amplitude) or amplitude < 0:
             raise PreconditionError("amplitude must be finite and nonnegative")
+        if seed < 0:
+            raise PreconditionError("seed must be nonnegative")
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(dim, _TERMS, dim))
         norms = np.linalg.norm(w, axis=2, keepdims=True)
@@ -167,14 +168,17 @@ def metric_circumcenter(simplex, model: MetricModel, *,
     """Equidistant centre of a full dimensional simplex under a metric model.
 
     Runs damped Newton on f(c) = (d(c, p_i) - d(c, p_0))_i from the Euclidean
-    circumcentre, then from a 3^m multistart grid inside the search ball. The
-    default search radius follows the circumcentre displacement bound
-    8 rho / (upsilon0 mu0) when those certified parameters are supplied, and
-    a conservative variant derived from the simplex itself otherwise.
+    circumcentre, within a search ball that follows the circumcentre
+    displacement bound 8 rho / (upsilon0 mu0) when those certified
+    parameters are supplied, and a conservative variant derived from the
+    simplex itself otherwise.
 
     Returns ``(centre, radius)`` with vertex distance spread below
-    1e-9 * circumradius, or ``None`` when no start converges. This is a
-    one-row call into the stacked search of :func:`_metric_circumcenters`.
+    1e-9 * circumradius, or ``None`` when the search does not converge,
+    as on a field whose Jacobian is singular at the circumcentre; the
+    metric Delaunay routes decide such a simplex by branch and bound. This
+    is a one-row call into the stacked search of
+    :func:`_metric_circumcenters`.
     """
     s = simplex if isinstance(simplex, Simplex) else Simplex(simplex)
     if s.dim != s.ambient_dim:
@@ -197,12 +201,9 @@ def _metric_circumcenters(pts, simplices, mets, balls, model, upsilon0, mu0, own
     :func:`simplex_metrics_batch` columns and ``balls`` their
     :func:`circumballs`. ``model`` is one :class:`MetricModel`, or a list of
     them with ``owner`` naming each row's. Every row runs damped Newton
-    under its model from its Euclidean circumcentre; the rows that fail run
-    again from each nonzero offset of the 3^m multistart grid in
-    ``product`` order, so the first start that converges wins, as for a
-    single simplex. The rows of every model share each pass, and each row
-    is computed on its own. Degenerate rows are not searched. Returns
-    ``(centres, radii, found)``.
+    under its model from its Euclidean circumcentre. The rows of every model
+    share one pass, and each row is computed on its own. Degenerate rows are
+    not searched. Returns ``(centres, radii, found)``.
     """
     idx = np.asarray(simplices, dtype=np.intp)
     count, m = idx.shape[0], pts.shape[1]
@@ -227,21 +228,8 @@ def _metric_circumcenters(pts, simplices, mets, balls, model, upsilon0, mu0, own
     verts = pts[idx[rows]]
     image = phi.forward(verts.reshape(-1, m), np.repeat(own, m + 1)).reshape(verts.shape)
     far = np.maximum(4.0 * search_radii, 10.0 * r0)
-    step = search_radii / np.sqrt(m) * 0.75
-    c, r, ok = np.zeros_like(c0), np.zeros_like(r0), np.zeros(len(r0), dtype=bool)
-    starts = [o for o in product((-1.0, 0.0, 1.0), repeat=m) if any(o)]
-    for offs in [None, *starts]:
-        if offs is None:
-            todo = np.arange(len(r0))
-            seeds = c0 + np.zeros(m)
-        else:
-            todo = np.flatnonzero(~ok & (search_radii > 0))
-            seeds = c0[todo] + np.array(offs) * step[todo, None]
-        if not todo.size:
-            break
-        c[todo], r[todo], ok[todo] = _newton_stack(
-            seeds, image[todo], phi, own[todo], r0[todo], c0[todo], far[todo])
-    centres[rows], radii[rows], found[rows] = c, r, ok
+    centres[rows], radii[rows], found[rows] = _newton_stack(
+        c0 + np.zeros(m), image, phi, own, r0, c0, far)
     return centres, radii, found
 
 

@@ -534,6 +534,8 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
         raise PreconditionError(f"unknown trial models {sorted(unknown)}")
     if int(seeds) < 1 or not models or not budgets:
         raise PreconditionError("empty trial batch: need a seed, a model and a budget")
+    if root_seed < 0:
+        raise PreconditionError("root seed must be nonnegative")
     for frac in budgets:
         if not (np.isfinite(frac) and frac >= 0):
             raise PreconditionError(f"bad budget fraction {frac!r}")

@@ -70,6 +70,39 @@ def test_gen_delta_search_reports_winner():
     assert "delta=" in text.splitlines()[0]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--kind", "grid", "--side", "3", "--spacing", "nan"],
+    ["--kind", "grid", "--side", "3", "--spacing", "inf"],
+    ["--kind", "uniform", "--n", "3", "--dim", "0"],
+], ids=["spacing-nan", "spacing-inf", "dim-0"])
+def test_gen_refuses_what_it_cannot_write(flags):
+    code, text, err = run(["gen", *flags])
+    assert code == 4 and text == ""
+    assert err.startswith("delgen: precondition:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "uniform", "--n", "5"],
+    ["gen", "--kind", "grid", "--side", "3", "--jitter", "0.2"],
+    ["gen", "--kind", "delta-search", "--side", "4", "--k", "1"],
+    ["stability", "--in", "generic.txt", "--models", "uniform", "--seeds-count", "1"],
+    ["metric", "--in", "generic.txt"],
+], ids=["gen-uniform", "gen-grid", "gen-delta-search", "stability", "metric"])
+def test_a_negative_seed_is_precondition(argv):
+    argv = [infile(a) if a == "generic.txt" else a for a in argv]
+    code, text, err = run([*argv, "--seed", "-1"])
+    assert code == 4 and text == ""
+    assert "seed must be nonnegative" in err
+
+
+def test_an_allocation_numpy_refuses_is_precondition():
+    # 10^15 rows of 3 floats, 7 PiB: past any 47-bit address space, so
+    # numpy refuses it before it touches memory.
+    code, text, err = run(["gen", "--kind", "grid", "--side", "100000", "--dim", "3"])
+    assert code == 4 and text == ""
+    assert err.startswith("delgen: precondition:") and "allocate" in err
+
+
 def test_analyze_generic_grid(tmp_path):
     out = tmp_path / "report.json"
     code, text, _ = run(["analyze", "--in", infile("generic.txt"), "--out", str(out)])
@@ -394,7 +427,7 @@ def test_analyze_builds_hull_complex_and_radius_once(tmp_path, monkeypatch):
 
 
 def test_analyze_builds_the_sampling_set_up_once(tmp_path, monkeypatch):
-    # The facet balls, the face-to-top incidence and every hull depth the
+    # The Voronoi pieces, the face-to-top incidence and every hull depth the
     # sampling radius reads are built once per analysis; the g evaluations
     # of the fixed point solve only compare against them.
     from delgen import genericity, hull
@@ -410,8 +443,8 @@ def test_analyze_builds_the_sampling_set_up_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((hull, "_facet_balls"), (genericity, "_faces_of"),
-                         (genericity, "_distinct_faces"), (genericity, "_voronoi_pieces")):
+    for module, name in ((genericity, "_faces_of"), (genericity, "_distinct_faces"),
+                         (genericity, "_voronoi_pieces")):
         counting(module, name)
     real_g, real_depth = genericity._coverage_radius, hull.HullFacets.depth
 
@@ -439,11 +472,10 @@ def test_analyze_builds_the_sampling_set_up_once(tmp_path, monkeypatch):
         assert code == 0
         evaluations = counts.pop("g")
         assert evaluations >= 3 if from_g0 else evaluations == 1
-        # One ball pass, and one face pass each for Delaunay edges and
-        # triangles; the audit lists the safe edges and triangles in one more
+        # One pass of Voronoi pieces, and one face pass each for Delaunay
+        # edges and triangles; the audit lists the safe edges and triangles in one more
         # pass each.
-        assert counts == {"_facet_balls": 1, "_faces_of": 2, "_distinct_faces": 2,
-                          "_voronoi_pieces": 1}
+        assert counts == {"_faces_of": 2, "_distinct_faces": 2, "_voronoi_pieces": 1}
         # The points' hull depths are taken once per analysis, and so are the
         # circumcentres'.
         assert depth_in_g == [False, False]

@@ -230,8 +230,8 @@ PRUNING_INPUTS = PROPERTY_INPUTS + [
 
 def full_pair_clips(facets, margin):
     """Every pair of facet planes that is not near parallel, with its line
-    clipped to the eroded body: the pairs eroded_edges clipped before the
-    facet balls pruned them."""
+    clipped to the eroded body: the pairs eroded_edges clips when it has no
+    point inside the body."""
     normals, offsets = facets.normals, facets.offsets - margin
     i, j = np.triu_indices(normals.shape[0], 1)
     cross = np.cross(normals[i], normals[j])
@@ -247,7 +247,7 @@ def full_pair_clips(facets, margin):
 
 def full_coverage_radius(facets, vor, tree, eps):
     """The coverage radius over every candidate, with no piece pruned by
-    depth and no facet pair pruned by its balls."""
+    depth and no facet pair left out of the body's vertex table."""
     inside = facets.depth(vor.centers) >= eps - 1e-12 * max(1.0, eps)
     best = float(vor.radii[inside].max()) if inside.any() else 0.0
     if facets.normals.shape[1] == 2:
@@ -441,22 +441,31 @@ def test_depth_ranges_and_pair_lines_cut_the_final_evaluation():
 @pytest.mark.parametrize("case", [k for k, pts in enumerate(PRUNING_INPUTS)
                                   if pts.shape[1] == 3])
 def test_edge_pair_prefilter_keeps_every_edge(case):
+    """Through the vertices of the body about the hull's Chebyshev centre,
+    the vertex table keeps every pair whose line clips to the body."""
     pts = PRUNING_INPUTS[case]
     facets = hull.hull_facets(pts)
-    eps = sampling_parameters(pts, facets, delaunay_lifted(pts), facets.depth(pts)).epsilon
-    # The largest ball in the hull, by linear programming: eroding by more
-    # than its radius leaves the body empty.
+    base = delaunay_lifted(pts)
+    eps = sampling_parameters(pts, facets, base, facets.depth(pts)).epsilon
+    # The largest ball in the hull, by linear programming: its centre lies
+    # inside every eroded body that is not empty, and eroding by more than
+    # its radius leaves the body empty.
     lp = linprog(np.append(np.zeros(3), -1.0),
                  A_ub=np.hstack([facets.normals, np.ones((len(facets.offsets), 1))]),
                  b_ub=facets.offsets, bounds=(None, None), method="highs")
-    inradius = -lp.fun
-    for margin in (0.0, eps, 1.01 * inradius):
+    centre, inradius = lp.x[:3], -lp.fun
+    # Between the deepest circumcentre and the inradius no circumcentre lies
+    # inside the body; on the exact 4^3 lattice the two meet at the centre.
+    deepest = float(facets.depth(base.centres).max())
+    margins = (0.0, eps) + ((0.5 * (deepest + inradius),) if deepest < inradius else ())
+    for margin in margins:
         i, j, _, _, lo, hi = full_pair_clips(facets, margin)
         edges = set(zip(i[lo <= hi].tolist(), j[lo <= hi].tolist()))
-        kept_i, kept_j, _, _ = hull._edge_pairs(facets, margin)
-        kept = set(zip(kept_i.tolist(), kept_j.tolist()))
-        assert edges <= kept
-        assert edges or margin > 0.0
+        assert edges
+        assert hull._vertex_pairs(facets.normals, facets.offsets - margin, centre,
+                                  1e-9) is not None
+        kept_i, kept_j, _, _ = hull._edge_pairs(facets, margin, centre)
+        assert edges <= set(zip(kept_i.tolist(), kept_j.tolist()))
     a, _ = hull.eroded_edges(facets, 1.01 * inradius)
     assert a.shape == (0, 3)
 
@@ -610,13 +619,7 @@ def loop_hull_facets(pts, facets):
         planes.setdefault(tuple(np.round(np.append(nrm, off), 9)), (nrm, off))
     normals = np.array([p[0] for p in planes.values()])
     offsets = np.array([p[1] for p in planes.values()])
-    tol = hull._ON_PLANE * max(1.0, float(np.abs(pts).max()))
-    centers, radii = np.empty_like(normals), np.empty(len(offsets))
-    for k, (nrm, off) in enumerate(zip(normals, offsets)):
-        on = pts[np.abs(off - pts @ nrm) <= tol]
-        centers[k] = 0.5 * (on.min(axis=0) + on.max(axis=0))
-        radii[k] = np.linalg.norm(on - centers[k], axis=1).max()
-    return hull.HullFacets(normals, offsets, centers, radii)
+    return hull.HullFacets(normals, offsets)
 
 
 # Inputs of both routes; the exhaustive screen gets the small ones.
@@ -666,7 +669,7 @@ def test_stacked_confirmation_matches_the_per_facet_loop(route, name, monkeypatc
         # The 3-D sums round in another order: equal within the cushion.
         assert (np.abs(side - ref_side) <= ref_cushion).all()
     got, ref = hull.hull_facets(pts), loop_hull_facets(pts, facets)
-    for field in ("normals", "offsets", "centers", "radii"):
+    for field in ("normals", "offsets"):
         assert np.array_equal(getattr(got, field), getattr(ref, field))
     if name.startswith("lattice"):
         assert exact  # boundary points on a facet plane reach the exact predicate
@@ -692,11 +695,8 @@ def test_confirmation_in_blocks(monkeypatch):
     pts = CONFIRM_INPUTS["seeded"]["sliver-3d"]
     candidates = ConvexHull(pts, qhull_options="Qt").simplices
     whole = hull._confirm_facets(pts, candidates)
-    balls = hull._facet_balls(pts, *hull._facet_planes(pts, candidates))
     monkeypatch.setattr(hull, "BLOCK", 1)
     assert np.array_equal(hull._confirm_facets(pts, candidates), whole)
-    for x, y in zip(hull._facet_balls(pts, *hull._facet_planes(pts, candidates)), balls):
-        assert np.array_equal(x, y)
 
 
 SCREEN_INPUTS = {**{(route, name): pts for route in CONFIRM_INPUTS
@@ -762,7 +762,6 @@ def block_outputs(pts):
     values = {
         "eps": [eps],
         "depths": analysis.depths,
-        "facet balls": np.column_stack([facets.centers, facets.radii]),
         "clip_lines": hull.clip_lines(facets, 0.5 * eps, origins, directions),
         "eroded edges": hull.eroded_edges(facets, eps, deepest_centre(facets, base, eps)),
         "confirmed facets": hull._confirm_facets(pts, candidates),
