@@ -21,10 +21,11 @@
   and bound, one search over the stack of every candidate the certificate
   leaves open. The Newton route of :mod:`delgen.metric` shares the search
   for the candidates its equidistance search misses. Both routes read
-  candidate rows, by size and then key, and seed centres from one window
-  engine (:class:`_Windows`), each at its own reach by one mask; one build
-  serves every trial of a batch, and :func:`_relaxed_stars` decides its
-  slacks in descending order.
+  candidate rows (a region vertex and more, of diameter at most the
+  reach), by size and then key, and seed centres from one window engine
+  (:class:`_Windows`), each at its own reach by one mask on the diameters;
+  one build serves every trial of a batch, and :func:`_relaxed_stars`
+  decides its slacks in descending order.
 
 A simplex is an affinely independent (m+1)-subset. Both routes, and the
 Newton route of :mod:`delgen.metric`, accept balls and gather cospherical
@@ -742,57 +743,48 @@ def _checked_region(region, n: int) -> list[int]:
 
 
 def _star_candidates(ps: PointSet, region, reach, sizes):
-    """Simplices of a vertex v in ``region`` and k more vertices within
-    ``reach`` of v, for each k in ``sizes``, of diameter at most ``reach``.
+    """Simplices of a vertex in ``region`` and k more vertices, for each k
+    in ``sizes``, of diameter at most ``reach`` as ``cdist`` measures it.
 
-    Returns (rows, counts): (C, m+1) vertex ids, each row sorted and padded
-    to m+1 ids by repeating its first vertex, and each row's vertex count.
-    Each simplex is listed once, by size, then by key (``row_keys``), so a
-    smaller reach lists a subsequence of the rows of a larger one. The
-    vertices are stacked, each with its KD-tree ball in id order, in chunks
-    of balls within a factor 1.5 in size, each padded to its largest ball.
-    The diameters of one size are a stacked max over the vertex pairs of one
-    distance table per vertex, in blocks of vertices (``hull.blocks``);
-    combinations past a vertex's ball are dropped, and one ``np.unique`` of
-    the keys per size drops the repeats.
+    Returns (rows, counts, diameters), by size, then key (``row_keys``), so
+    a smaller reach lists a subsequence of the rows of a larger one: vertex
+    ids, sorted and padded to m+1 by repeating the first, vertex counts and
+    diameters. A row, a region vertex and entries of its KD-tree ball in id
+    order, grows size by size by each later entry that keeps its diameter
+    within ``reach``, a block of (row, entry) pairs (``hull.blocks``) at a
+    time. A simplex grows from its least region vertex only, so none is
+    listed twice.
     """
-    pts, width = ps.points, ps.dim + 1
-    region = np.asarray(region, dtype=np.intp)
-    owner, ids = _ball_entries(ps.tree, pts[region], reach)
-    lens = np.bincount(owner, minlength=len(region))  # each ball holds its vertex
-    others = np.flatnonzero(ids != region[owner])
-    # Row i: vertex i, then the other points of its ball; the pad repeats it.
-    local = np.repeat(region[:, None], lens.max(), axis=1)
-    starts = np.cumsum(lens - 1) - (lens - 1)
-    local[owner[others], np.arange(len(others)) - np.repeat(starts, lens - 1) + 1] = ids[others]
-    order = np.argsort(lens, kind="stable")
-    cuts = [0]
-    for i, size in enumerate(lens[order].tolist()):
-        if size > 1.5 * lens[order[cuts[-1]]]:
-            cuts.append(i)
-    found = {size: [] for size in sizes}  # sorted rows
-    for chunk in np.split(order, cuts[1:]):
-        ball = lens[chunk].max()
-        combos = {size: np.array([(0, *c) for c in combinations(range(1, ball), size)],
-                                 dtype=np.intp).reshape(-1, size + 1) for size in sizes}
-        pairs = {size: tuple(zip(*combinations(range(size + 1), 2))) for size in sizes}
-        cost = ball**2 * ps.dim + sum(len(c) * len(pairs[k][0]) for k, c in combos.items())
-        for part in blocks(len(chunk), cost):
-            at = chunk[part]
-            v = pts[local[at, :ball]]
-            table = _distances(v[:, :, None], v[:, None, :])
-            for size, rows in combos.items():
-                a, b = pairs[size]
-                near = table[:, rows[:, a], rows[:, b]].max(axis=2) <= reach
-                near &= rows[:, -1] < lens[at, None]
-                i, c = np.nonzero(near)
-                found[size].append(np.sort(local[at[i, None], rows[c]], axis=1))
-    parts = []
-    for size in sorted(found):
-        rows = np.concatenate(found[size])
-        rows = rows[np.unique(row_keys(rows, ps.n), return_index=True)[1]]
-        parts.append((rows[:, [*range(size + 1), *[0] * (width - size - 1)]],
-                      np.full(len(rows), size + 1)))
+    pts, width, region = ps.points, ps.dim + 1, np.asarray(region, dtype=np.intp)
+    owner, ids = _ball_entries(ps.tree, pts[region], reach * (1.0 + 4.0 * _TREE_RTOL))
+    diam = _distances(pts[region[owner]], pts[ids])
+    in_region = np.bincount(region, minlength=ps.n) > 0
+    keep = (diam <= reach) & ~(in_region[ids] & (ids <= region[owner]))
+    owner, ids, diam = owner[keep], ids[keep], diam[keep]
+    end = np.searchsorted(owner, owner, "right")  # past the last entry of each ball
+    # Each row's last entry is ids[last[row]].
+    rows, last, parts = np.column_stack([region[owner], ids]), np.arange(len(ids)), []
+    for size in range(1, max(sizes) + 1):
+        if size > 1:
+            stop = np.cumsum(end[last] - last - 1)  # past each row's pairs
+            kept, far = [last[:0]], [diam[:0]]
+            for part in blocks(int(stop[-1]) if len(stop) else 0, size * ps.dim):
+                at = np.arange(part.start, part.stop)
+                row = np.searchsorted(stop, at, "right")
+                d = _distances(pts[rows[row]], pts[ids[end[last[row]] - stop[row] + at], None])
+                d = np.maximum(diam[row], d.max(axis=1))
+                kept.append(at[d <= reach])
+                far.append(d[d <= reach])
+            at, diam = np.concatenate(kept), np.concatenate(far)
+            del kept, far
+            row = np.searchsorted(stop, at, "right")
+            last = end[last[row]] - stop[row] + at
+            rows = np.column_stack([rows[row], ids[last]])
+        if size in sizes:
+            keyed = np.sort(rows, axis=1)
+            order = np.argsort(row_keys(keyed, ps.n))
+            parts.append((keyed[order][:, [*range(size + 1), *[0] * (width - size - 1)]],
+                          np.full(len(order), size + 1), diam[order]))
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -822,48 +814,27 @@ class _Windows:
     """The candidates of a region within ``reach``, built once and read at
     any reach up to it.
 
-    ``rows`` and ``sizes`` are the rows of ``_star_candidates(ps, region,
-    reach, sizes)`` and their vertex counts, ``diameters`` their diameters
-    measured as ``cdist`` measures them and ``seeds`` their
-    :func:`_circumcenter_seeds` centres. The (m+1)-vertex rows come last, in
-    key order, and are also held as ``tops``, with their :func:`circumballs`
-    columns ``balls``, from which their seeds are taken. No row's bits depend
-    on the stack, so a row read at a smaller reach has the bits of a build
-    there.
+    ``rows``, ``sizes`` and ``diameters`` are the columns of
+    ``_star_candidates(ps, region, reach, sizes)`` and ``seeds`` the rows'
+    :func:`_circumcenter_seeds` centres. A candidate is a row of diameter at
+    most its reach, so ``diameters <= r`` lists the candidates of any reach
+    r up to ``reach``, in their order. The (m+1)-vertex rows come last, in
+    key order, and are also held as ``tops``, with their
+    :func:`circumballs` columns ``balls``, from which their seeds are taken.
+    No row's bits depend on the stack, so a row read at a smaller reach has
+    the bits of a build there.
     """
 
     def __init__(self, ps: PointSet, region, reach: float, sizes) -> None:
-        self.ps, self.region = ps, _checked_region(region, ps.n)
         pts, m = ps.points, ps.dim
-        self.rows, self.sizes = _star_candidates(ps, self.region, reach, sizes)
-        v = pts[self.rows]
-        # A padded row repeats a vertex, so its column pairs give its diameter.
-        self.diameters = np.max([_distances(v[:, i], v[:, j])
-                                 for i, j in combinations(range(m + 1), 2)], axis=0)
+        self.rows, self.sizes, self.diameters = _star_candidates(
+            ps, _checked_region(region, ps.n), reach, sizes)
         full = self.sizes == m + 1
         self.tops = self.rows[full]
         self.balls = circumballs(pts, self.tops)
         self.seeds = np.zeros((len(self.rows), m))
         self.seeds[~full] = _circumcenter_seeds(pts, self.rows[~full], self.sizes[~full])
         self.seeds[full] = _seeds(pts, self.tops, self.balls)
-
-    def listed(self, reach: float) -> np.ndarray:
-        """Mask of the rows that ``_star_candidates(ps, region, reach,
-        sizes)`` lists: the diameter is at most ``reach``, and some region
-        vertex of the row has the row in its KD-tree ball of radius
-        ``reach``. A row whose diameter is below ``reach`` by more than the
-        tree's rounding is in the ball of each of its vertices; the rows
-        within rounding of ``reach`` are queried."""
-        listed = self.diameters <= reach
-        close = np.flatnonzero(listed & (self.diameters > reach * (1.0 - 4.0 * _TREE_RTOL)))
-        if close.size:
-            rows = self.rows[close]
-            ids = np.intersect1d(rows, self.region)
-            balls = dict(zip(ids.tolist(), map(set, self.ps.tree.query_ball_point(
-                self.ps.points[ids], reach))))
-            listed[close] = [any(v in balls and set(row) <= balls[v] for v in row)
-                             for row in rows.tolist()]
-        return listed
 
 
 def relaxed_delaunay(points, rho: float, region, *, eps: float,
@@ -911,14 +882,13 @@ def _relaxed_stars(ps: PointSet, rhos, region, eps: float, base: DelaunayResult,
     if not all(np.isfinite(rho) and rho >= 0 for rho in rhos):
         raise PreconditionError("rho must be finite and nonnegative")
     region = _checked_region(region, ps.n)
-    pts = ps.points
-    m = ps.dim
+    pts, m = ps.points, ps.dim
     tol = ps.tolerance()
     half = 4.0 * eps
     reach = 2.0 * eps + tol
     if windows is None:
         windows = _Windows(ps, region, reach, range(1, m + 1))
-    at = windows.listed(reach)
+    at = windows.diameters <= reach
     rows, sizes, seeds = windows.rows[at], windows.sizes[at], windows.seeds[at]
     member_pts = pts[rows]
 

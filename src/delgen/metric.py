@@ -358,7 +358,7 @@ def _generic_paths(ps, models, region, eps, upsilon0, mu0,
     if windows is None:
         windows = _Windows(ps, region, max(reaches), (m,))
     top = windows.sizes == m + 1
-    picks = [np.flatnonzero(windows.listed(reach)[top]) for reach in reaches]
+    picks = [np.flatnonzero(windows.diameters[top] <= reach) for reach in reaches]
     at = np.concatenate(picks)
     owner = np.repeat(np.arange(len(models)), [len(p) for p in picks])
     subsets, balls = windows.tops[at], tuple(col[at] for col in windows.balls)

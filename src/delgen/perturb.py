@@ -501,6 +501,11 @@ def _metric_verdicts(analysis: GenericityAnalysis, fields, budget_mode: str, rep
 
 _BATCH_MODELS = {"uniform", "radial", "adversarial", "relaxation", "metric"}
 _SEEDED_MODELS = {"uniform", "metric"}
+# The most trial points (models x fractions x seeds x n) of a trial_batch.
+# At this bound, CLI runs on grid_points(9, 2, 0.2, seed=1) peak at 0.32 GB
+# RSS (uniform), 0.59 GB (metric) and 0.19 GB (all five, two fractions); on
+# dense clouds the metric model's Newton rows can pass 1 GB below it.
+TRIAL_POINTS = 10**6
 
 
 def _trial_seed(root: int, *key: int) -> int:
@@ -516,17 +521,17 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
     and ``metric`` uses a displacement field at the fraction of the metric
     budget. Verdicts come back sorted by (model, budget, seed).
 
-    Every fraction is checked before any trial runs. The batch runs stage
-    by stage over all its trials. One candidate build
-    (:class:`delgen.delaunay._Windows`), at the batch's largest reach, serves
-    the relaxed stars of every fraction (``delaunay._relaxed_stars``) and
-    the Newton routes of every metric trial, which run as one stacked
-    search (``metric._generic_paths``). Every point perturbation and every
-    image phi(P) of the metric trials is built first, and one check of the
-    base triangulation on all of them (``delaunay._kept_triangulations``)
-    gives the Delaunay complex of each copy it keeps; only the others are
-    built with qhull. Each distinct star is reported once. Each verdict
-    equals that of its own trial call.
+    Every fraction, and the batch's size against ``TRIAL_POINTS``, is
+    checked before any trial runs. The batch runs stage by stage. One
+    candidate build (:class:`delgen.delaunay._Windows`), at the batch's
+    largest reach, serves the relaxed stars of every fraction
+    (``delaunay._relaxed_stars``) and the Newton routes of every metric
+    trial, which run as one stacked search (``metric._generic_paths``).
+    Every point perturbation and every image phi(P) of the metric trials is
+    built first, and one check of the base triangulation on all of them
+    (``delaunay._kept_triangulations``) gives the Delaunay complex of each
+    copy it keeps; only the others are built with qhull. Each distinct star
+    is reported once. Each verdict equals that of its own trial call.
     """
     b = measured_secure_params(analysis).budget()
     unknown = set(models) - _BATCH_MODELS
@@ -540,6 +545,9 @@ def trial_batch(analysis: GenericityAnalysis, budgets, seeds: int, models, *,
         if not (np.isfinite(frac) and frac >= 0):
             raise PreconditionError(f"bad budget fraction {frac!r}")
     ps = analysis.points
+    total = len(set(models)) * len(budgets) * int(seeds) * ps.n
+    if total > TRIAL_POINTS:
+        raise PreconditionError(f"trial batch of {total} trial points, more than {TRIAL_POINTS}")
     region = analysis.classification.region
     eps = analysis.sampling.epsilon
     tol = ps.tolerance()

@@ -66,15 +66,6 @@ def det_sign(a: np.ndarray) -> int:
     return _det_exact_sign(a)
 
 
-def orientation(base: np.ndarray, others: np.ndarray) -> int:
-    """Sign of the orientation determinant of ``others`` relative to ``base``.
-
-    ``others`` holds m row vectors in R^m; the sign is that of
-    ``det(others - base)``.
-    """
-    return det_sign(np.asarray(others, dtype=float) - np.asarray(base, dtype=float))
-
-
 def side_of_plane(plane_points: np.ndarray, query: np.ndarray) -> int:
     """Which side of the hyperplane through ``plane_points`` holds ``query``.
 
@@ -83,7 +74,7 @@ def side_of_plane(plane_points: np.ndarray, query: np.ndarray) -> int:
     """
     plane_points = np.asarray(plane_points, dtype=float)
     rows = np.vstack([plane_points[1:], np.asarray(query, dtype=float)])
-    return orientation(plane_points[0], rows)
+    return det_sign(rows - plane_points[0])
 
 
 def in_sphere(simplex_points: np.ndarray, query: np.ndarray) -> int:
@@ -96,7 +87,7 @@ def in_sphere(simplex_points: np.ndarray, query: np.ndarray) -> int:
     """
     pts = np.asarray(simplex_points, dtype=float)
     q = np.asarray(query, dtype=float)
-    orient = orientation(pts[0], pts[1:])
+    orient = det_sign(pts[1:] - pts[0])
     if orient == 0:
         raise ValueError("in_sphere needs affinely independent simplex points")
     lifted = np.hstack([pts - q, ((pts - q) ** 2).sum(axis=1, keepdims=True)])

@@ -519,6 +519,31 @@ def test_stability_rejects_a_bad_fraction_before_any_trial(monkeypatch):
     assert not built
 
 
+def test_stability_refuses_an_oversized_batch_before_any_trial(monkeypatch):
+    import delgen.delaunay as delaunay
+    import delgen.perturb as perturb
+
+    built = []
+    real = delaunay._star_candidates
+    monkeypatch.setattr(delaunay, "_star_candidates",
+                        lambda *args: built.append(1) or real(*args))
+    argv = ["stability", "--in", infile("generic.txt"), "--models", "radial,relaxation"]
+    start = time.perf_counter()
+    code, text, err = run([*argv, "--seeds-count", "100000000"])
+    assert time.perf_counter() - start < 10
+    assert code == 4 and text == ""
+    assert f"more than {perturb.TRIAL_POINTS}" in err and "Traceback" not in err
+    assert not built
+    # The bound counts models x fractions x seeds x points, and admits it.
+    monkeypatch.setattr(perturb, "TRIAL_POINTS", 2 * 2 * 81)
+    code, _, _ = run([*argv, "--seeds-count", "2"])
+    assert code == 0 and len(built) == 1
+    code, _, err = run([*argv, "--seeds-count", "1", "--budget-fraction", "0.5",
+                        "--budget-fraction", "1.0", "--budget-fraction", "1.0"])
+    assert code == 4 and "trial batch of 486 trial points" in err
+    assert len(built) == 1
+
+
 def test_relax_rejects_slack_that_is_not_finite():
     for flags in (["--rho", "nan"], ["--rho", "inf"], ["--budget-fraction", "nan"]):
         code, _, err = run(["relax", "--in", infile("generic.txt"), *flags])

@@ -245,7 +245,8 @@ def test_relaxed_first_try_takes_the_seed_then_the_known_balls_in_row_order():
         region = list(a.deep_ids) or [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
         rho = 0.3 * eps
         relaxed = relaxed_delaunay(pts, rho, region, eps=eps, base=base)
-        rows, sizes = _star_candidates(ps, region, 2.0 * eps + ps.tolerance(), range(1, dim + 1))
+        rows, sizes, _ = _star_candidates(ps, region, 2.0 * eps + ps.tolerance(),
+                                          range(1, dim + 1))
         cands = candidate_tuples(rows, sizes)
         seeds = delaunay._circumcenter_seeds(pts, rows, sizes)
         witnesses = witness_map(relaxed)
@@ -347,7 +348,7 @@ def test_stacked_branch_and_bound_matches_the_per_candidate_loop():
         ps = PointSet(pts)
         eps = analyze_genericity(pts).sampling.epsilon
         centre = int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-        cand_rows, sizes = _star_candidates(ps, [centre], reach * eps, range(1, dim + 1))
+        cand_rows, sizes, _ = _star_candidates(ps, [centre], reach * eps, range(1, dim + 1))
         seeds = delaunay._circumcenter_seeds(pts, cand_rows, sizes) + 0.3 * eps
         members = pts[cand_rows]
         rows = []
@@ -493,12 +494,13 @@ def test_lifting_certificate_leaves_few_candidates_to_the_search(monkeypatch):
 
 def star_candidates_by_loop(pts, region, reach, sizes):
     """The candidate window with one ``pdist`` per combination: the
-    reference for the distance tables. It yields in order of first visit;
+    reference for the grown rows. A candidate is a simplex of a region
+    vertex v and points within ``reach`` of v, by ``cdist``, of ``pdist``
+    diameter at most ``reach``. It yields in order of first visit;
     ``by_key`` puts that in the window's order."""
-    tree = cKDTree(pts)
     seen = set()
     for v in region:
-        pool = [q for q in sorted(tree.query_ball_point(pts[v], reach)) if q != v]
+        pool = [q for q in np.flatnonzero(cdist(pts[[v]], pts)[0] <= reach).tolist() if q != v]
         for size in sizes:
             for combo in combinations(pool, size):
                 cand = tuple(sorted((v, *combo)))
@@ -516,9 +518,13 @@ def by_key(simplices):
 
 
 def test_star_candidates_match_the_pdist_loop():
-    # Exact lattices tie many diameters with the narrow window's reach.
+    # Exact lattices tie many diameters with the narrow window's reach. At
+    # sqrt(3) the cube diagonals measure exactly the reach by cdist, but the
+    # KD-tree's squared test (3 > sqrt(3)**2 in floats) leaves them out of
+    # its ball; they are candidates.
     for dim, side, jitter, narrow in ((2, 7, 0.2, 0.9), (3, 5, 0.2, 0.9),
-                                      (2, 7, 0.0, 1.0), (3, 5, 0.0, np.sqrt(2.0))):
+                                      (2, 7, 0.0, 1.0), (3, 5, 0.0, np.sqrt(2.0)),
+                                      (3, 5, 0.0, np.sqrt(3.0))):
         pts = grid_points(side, dim, jitter=jitter, seed=3)
         eps = analyze_genericity(pts).sampling.epsilon
         tol = PointSet(pts).tolerance()
@@ -531,9 +537,10 @@ def test_star_candidates_match_the_pdist_loop():
         for reach, sizes in ((2.0 * eps + tol, range(1, dim + 1)),
                              (2.0 * eps + 4.0 * 0.01 + tol, (dim,)),
                              (narrow, range(1, dim + 1))):
-            rows, counts = _star_candidates(PointSet(pts), region, reach, sizes)
+            rows, counts, diameters = _star_candidates(PointSet(pts), region, reach, sizes)
             got = candidate_tuples(rows, counts)
             assert got == by_key(star_candidates_by_loop(pts, region, reach, sizes))
+            assert np.array_equal(diameters, [pdist(pts[list(c)]).max() for c in got])
             assert got and len(got) == len(set(got))
             # Each row is padded to m+1 ids by repeating its first vertex.
             assert rows.shape == (len(got), dim + 1)
@@ -544,16 +551,19 @@ def test_star_candidates_match_the_pdist_loop():
 
 def test_star_candidates_of_balls_of_many_sizes_match_the_pdist_loop():
     # A dense cluster in a sparse cloud: the balls of the region's vertices
-    # differ in size by far more than the factor of one stacked chunk.
+    # differ in size severalfold, so the rows of one vertex grow by many more
+    # entries than those of another.
     rng = np.random.default_rng(4)
     for dim in (2, 3):
         pts = np.vstack([rng.uniform(0.0, 4.0, (60, dim)), rng.uniform(1.5, 2.0, (25, dim))])
         region, reach = [0, 1, 2, 60, 61, 62], 1.2
         lens = [len(b) for b in cKDTree(pts).query_ball_point(pts[region], reach)]
         assert max(lens) > 3 * min(lens)
-        rows, counts = _star_candidates(PointSet(pts), region, reach, range(1, dim + 1))
+        rows, counts, diameters = _star_candidates(PointSet(pts), region, reach,
+                                                   range(1, dim + 1))
         got = candidate_tuples(rows, counts)
         assert got == by_key(star_candidates_by_loop(pts, region, reach, range(1, dim + 1)))
+        assert np.array_equal(diameters, [pdist(pts[list(c)]).max() for c in got])
 
 def test_relaxed_exhausted_budget_is_undecided(monkeypatch):
     pts = grid_points(5, dim=2, jitter=0.15, seed=4)
@@ -827,8 +837,8 @@ def test_circumcenter_seeds_equal_the_metrics_batch_centres():
         a = analyze_genericity(pts)
         region = [int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))]
         ps = PointSet(pts)
-        rows, sizes = _star_candidates(ps, region, 2.0 * a.sampling.epsilon + ps.tolerance(),
-                                       range(1, dim + 1))
+        rows, sizes, _ = _star_candidates(ps, region, 2.0 * a.sampling.epsilon + ps.tolerance(),
+                                          range(1, dim + 1))
         assert_seeds(pts, candidate_tuples(rows, sizes),
                      delaunay._circumcenter_seeds(pts, rows, sizes))
     assert delaunay._circumcenter_seeds(pts, *padded([], 3)).shape == (0, 3)
@@ -882,6 +892,22 @@ def test_lifting_bound_runs_in_blocks_of_rows():
     assert peak < 8e6, peak
     # Each cube holds its top's empty circumcentre, where h = R^2 - d^2 = 0.
     assert (bound <= 0.0).all()
+
+
+def test_windows_grow_in_blocks_of_rows():
+    # The 178,040 candidates of the deep interior of a 2,000-point cloud at
+    # 2 eps + tol. Built from padded combination tables, the window peaked
+    # at 67.0 MB traced and its builder at 40.5 MB. Grown a block of rows at
+    # a time, the window peaks at 58.5 MB, a mark its seeds set, and the
+    # builder at 28.9 MB; grown whole, the builder took 41.2 MB.
+    a = analyze_genericity(uniform_points(2000, 2, seed=3))
+    ps, region = a.points, a.classification.region
+    reach = 2.0 * a.sampling.epsilon + ps.tolerance()
+    windows, peak = traced_peak(lambda: delaunay._Windows(ps, region, reach, range(1, 3)))
+    assert len(windows.rows) == 178040
+    assert peak < 62e6, peak
+    _, peak = traced_peak(lambda: _star_candidates(ps, region, reach, range(1, 3)))
+    assert peak < 35e6, peak
 
 
 def assert_kept_or_none(ps, base, copies):

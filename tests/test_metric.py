@@ -360,8 +360,8 @@ def test_windows_at_a_smaller_reach_are_the_candidates_of_that_reach():
     from delgen.complexes import sorted_rows
     from delgen.delaunay import _circumcenter_seeds, _star_candidates
 
-    # On the exact lattices, many diameters equal the reach, so the rows
-    # within rounding of it take the tree query.
+    # On the exact lattices, many diameters equal the reach, so the mask
+    # meets ties: a candidate is a row of diameter at most the reach.
     for dim, side, jitter, reaches in ((2, 9, 0.2, (2.5, 2.0, 1.6, 1.2)),
                                        (3, 5, 0.1, (2.5, 2.0, 1.6, 1.2)),
                                        (2, 7, 0.0, (3.0, 2.0 * np.sqrt(2.0), 2.0, np.sqrt(2.0))),
@@ -374,7 +374,7 @@ def test_windows_at_a_smaller_reach_are_the_candidates_of_that_reach():
         windows = metric._Windows(ps, region, reaches[0] * eps, range(1, dim + 1))
         sizes = set()
         for reach in (r * eps for r in reaches):
-            listed = windows.listed(reach)
+            listed = windows.diameters <= reach
             at = np.flatnonzero(listed[windows.sizes == dim + 1])
             rows = windows.tops[at]
             want = _star_candidates(ps, region, reach, (dim,))[0]
@@ -390,9 +390,10 @@ def test_windows_at_a_smaller_reach_are_the_candidates_of_that_reach():
                 assert np.array_equal(got, ref)
             # The relaxed rows, by size, then key.
             at = np.flatnonzero(listed)
-            want, counts = _star_candidates(ps, region, reach, range(1, dim + 1))
+            want, counts, diameters = _star_candidates(ps, region, reach, range(1, dim + 1))
             assert np.array_equal(windows.rows[at], want)
             assert np.array_equal(windows.sizes[at], counts)
+            assert np.array_equal(windows.diameters[at], diameters)
             assert np.array_equal(windows.seeds[at], _circumcenter_seeds(pts, want, counts))
             sizes.add(len(rows))
         # The reaches cut the window down, so the filter is exercised.

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delgen.predicates import det_sign, in_sphere, orientation, side_of_plane
+from delgen.predicates import det_sign, in_sphere, side_of_plane
 
 
 def fraction_det_sign(a):
@@ -68,10 +68,12 @@ def test_det_sign_exact_ties():
 
 
 def test_orientation_triangle():
+    # The orientation of a triangle is the side of the line through its first
+    # two vertices that holds the third: anticlockwise, clockwise, flat.
     base = np.array([0.0, 0.0])
-    assert orientation(base, np.array([[1.0, 0.0], [0.0, 1.0]])) == 1
-    assert orientation(base, np.array([[0.0, 1.0], [1.0, 0.0]])) == -1
-    assert orientation(base, np.array([[1.0, 1.0], [2.0, 2.0]])) == 0
+    assert side_of_plane(np.array([base, [1.0, 0.0]]), np.array([0.0, 1.0])) == 1
+    assert side_of_plane(np.array([base, [0.0, 1.0]]), np.array([1.0, 0.0])) == -1
+    assert side_of_plane(np.array([base, [1.0, 1.0]]), np.array([2.0, 2.0])) == 0
 
 
 def test_side_of_plane_2d():
